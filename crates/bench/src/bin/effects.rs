@@ -59,7 +59,7 @@ fn instructions(module: &m3gc_vm::VmModule) -> Vec<Instr> {
             Instr::Jmp { target } => Instr::Jmp { target: resolve(target) },
             Instr::Brt { cond, target } => Instr::Brt { cond, target: resolve(target) },
             Instr::Brf { cond, target } => Instr::Brf { cond, target: resolve(target) },
-            ref other => other.clone(),
+            other => other,
         })
         .collect()
 }

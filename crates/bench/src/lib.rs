@@ -127,29 +127,6 @@ pub fn table2() -> Vec<Table2Row> {
     rows
 }
 
-/// Writes a benchmark's machine-readable result line to
-/// `BENCH_<name>.json` at the repository root (where CI and tooling
-/// pick it up), in addition to whatever the benchmark printed. Falls
-/// back to the current directory if the root cannot be located.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written — a bench run whose results
-/// vanish silently is worse than a failed run.
-pub fn write_bench_json(name: &str, json_line: &str) {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
-        .ancestors()
-        .find(|p| p.join("Cargo.toml").is_file() && p.join("ROADMAP.md").is_file())
-        .unwrap_or_else(|| std::path::Path::new("."));
-    let path = root.join(format!("BENCH_{name}.json"));
-    let mut contents = json_line.trim_end().to_string();
-    contents.push('\n');
-    std::fs::write(&path, contents)
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-}
-
 /// Expected outputs of the benchmark programs (used by tests and the
 /// runner to validate every configuration).
 #[must_use]

@@ -360,35 +360,37 @@ pub fn stats(source: &str, options: &Options) -> Result<String, DriverError> {
 ///
 /// # Errors
 ///
-/// Returns a usage error for unknown flags or malformed values.
+/// Returns a usage error for unknown flags, malformed values, or a flag
+/// that contradicts the selected collector.
 pub fn parse_options(args: &[String]) -> Result<(Options, RuntimeOptions), DriverError> {
-    let (options, config, _) = parse_all(args)?;
-    if config.threads > 1
-        && !matches!(config.strategy, GcStrategy::Parallel | GcStrategy::Cms)
-        && config.region_words == 0
-    {
-        return Err(DriverError::usage("--threads requires --gc par or --gc cms"));
-    }
+    let (options, config, _) = parse_all(args, false)?;
     Ok((options, config))
 }
 
 /// Parses flags for `m3c serve`: everything [`parse_options`] accepts
 /// plus the load shape (`--requests`, `--burst`, `--entry`). Multiple
-/// OS threads are always legal here — serve is the parallel runtime.
+/// OS threads and gc workers are always legal here — serve is the
+/// parallel runtime.
 ///
 /// # Errors
 ///
-/// Returns a usage error for unknown flags or malformed values.
+/// As [`parse_options`].
 pub fn parse_serve_options(
     args: &[String],
 ) -> Result<(Options, RuntimeOptions, ServeLoad), DriverError> {
-    parse_all(args)
+    parse_all(args, true)
 }
 
-fn parse_all(args: &[String]) -> Result<(Options, RuntimeOptions, ServeLoad), DriverError> {
+fn parse_all(
+    args: &[String],
+    serve: bool,
+) -> Result<(Options, RuntimeOptions, ServeLoad), DriverError> {
     let mut options = Options::o2();
     let mut config = RuntimeOptions::new();
     let mut load = ServeLoad::default();
+    // Collector-specific flags that were *present* — several of their
+    // fields have plain-value defaults, so the struct alone cannot tell.
+    let (mut cms_only, mut gen_only, mut par_only) = (None, None, None);
     let mut it = args.iter();
     // A required numeric flag value, parsed or a usage error.
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, DriverError> {
@@ -436,21 +438,29 @@ fn parse_all(args: &[String]) -> Result<(Options, RuntimeOptions, ServeLoad), Dr
                 if config.threads < 1 {
                     return Err(DriverError::usage("bad --threads value `0`"));
                 }
+                // One mutator is what every collector runs anyway.
+                par_only = par_only.or((!serve && config.threads > 1).then_some("--threads"));
             }
             "--gc-workers" => {
+                par_only = par_only.or((!serve).then_some("--gc-workers"));
                 config.gc_workers = value::<usize>("--gc-workers", it.next())?;
                 if config.gc_workers < 1 {
                     return Err(DriverError::usage("bad --gc-workers value `0`"));
                 }
             }
             "--conc-workers" => {
+                cms_only = cms_only.or(Some("--conc-workers"));
                 config.conc_workers = value::<usize>("--conc-workers", it.next())?;
                 if config.conc_workers < 1 {
                     return Err(DriverError::usage("bad --conc-workers value `0`"));
                 }
             }
-            "--conc-evac" => config = config.conc_evac(true),
+            "--conc-evac" => {
+                cms_only = cms_only.or(Some("--conc-evac"));
+                config = config.conc_evac(true);
+            }
             "--evac-region-words" => {
+                cms_only = cms_only.or(Some("--evac-region-words"));
                 let words = value::<usize>("--evac-region-words", it.next())?;
                 if words < 1 {
                     return Err(DriverError::usage("bad --evac-region-words value `0`"));
@@ -458,7 +468,10 @@ fn parse_all(args: &[String]) -> Result<(Options, RuntimeOptions, ServeLoad), Dr
                 config = config.evac_region_words(words);
             }
             "--tlab-words" => config.tlab_words = value("--tlab-words", it.next())?,
-            "--nursery" => config.nursery_words = Some(value("--nursery", it.next())?),
+            "--nursery" => {
+                gen_only = gen_only.or(Some("--nursery"));
+                config.nursery_words = Some(value("--nursery", it.next())?);
+            }
             "--region-words" => {
                 config.region_words = value::<usize>("--region-words", it.next())?;
                 if config.region_words < 1 {
@@ -493,6 +506,16 @@ fn parse_all(args: &[String]) -> Result<(Options, RuntimeOptions, ServeLoad), Dr
             }
             other => return Err(DriverError::usage(format!("unknown option `{other}`"))),
         }
+    }
+    // A flag the selected collector would silently ignore is a mistake.
+    let parallel = matches!(config.strategy, GcStrategy::Parallel | GcStrategy::Cms);
+    let contradiction = [
+        (cms_only.filter(|_| config.strategy != GcStrategy::Cms), "--gc cms"),
+        (gen_only.filter(|_| config.strategy != GcStrategy::Generational), "--gc gen"),
+        (par_only.filter(|_| !parallel && config.region_words == 0), "--gc par or --gc cms"),
+    ];
+    if let Some((flag, needs)) = contradiction.iter().find_map(|&(f, needs)| Some((f?, needs))) {
+        return Err(DriverError::usage(format!("{flag} requires {needs}")));
     }
     Ok((options, config, load))
 }
@@ -766,7 +789,7 @@ mod tests {
         assert!(parse_options(&["--nursery".into(), "x".into()]).is_err());
         let (_, c) = parse_options(&["--gc".into(), "par".into()]).unwrap();
         assert_eq!(c.strategy, GcStrategy::Parallel);
-        assert_eq!((c.threads, c.gc_workers), (1, 4));
+        assert_eq!((c.threads, c.gc_workers), (1, RuntimeOptions::new().gc_workers));
         let (_, c) = parse_options(&["--gc=par".into(), "--threads".into(), "4".into()]).unwrap();
         assert_eq!(c.threads, 4);
         assert!(parse_options(&["--threads".into(), "2".into()]).is_err());
@@ -964,6 +987,39 @@ mod tests {
         let (o, _) = parse_options(&["--no-live-maps".into()]).unwrap();
         let t = tables(SLOT_HEAVY, &o).unwrap();
         assert!(!t.contains("killed"), "{t}");
+    }
+
+    /// One row per contradictory pair: a collector-specific flag under a
+    /// collector that would silently ignore it is a usage error naming
+    /// both sides.
+    #[test]
+    fn contradictory_flags_are_usage_errors() {
+        let cases: [(&[&str], &str, &str); 7] = [
+            (&["--conc-evac"], "--conc-evac", "--gc cms"),
+            (&["--gc", "par", "--evac-region-words", "64"], "--evac-region-words", "--gc cms"),
+            (&["--gc=gen", "--conc-workers", "2"], "--conc-workers", "--gc cms"),
+            (&["--nursery", "64"], "--nursery", "--gc gen"),
+            (&["--gc=cms", "--nursery", "64"], "--nursery", "--gc gen"),
+            (&["--gc", "semispace", "--gc-workers", "8"], "--gc-workers", "--gc par"),
+            (&["--gc-workers", "2", "--gc=gen"], "--gc-workers", "--gc par"),
+        ];
+        for (args, flag, needs) in cases {
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+            match parse_options(&args) {
+                Err(DriverError::Usage(msg)) => {
+                    assert!(msg.contains(flag) && msg.contains(needs), "{args:?}: {msg}");
+                }
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        // The order of the flags does not matter, and the legal pairings
+        // still parse.
+        assert!(parse_options(&["--conc-evac".into(), "--gc=cms".into()]).is_ok());
+        assert!(parse_options(&["--nursery".into(), "64".into(), "--gc=gen".into()]).is_ok());
+        assert!(parse_options(&["--gc-workers".into(), "2".into(), "--gc=par".into()]).is_ok());
+        // Serve is the parallel runtime whatever `--gc` says.
+        assert!(parse_serve_options(&["--gc-workers".into(), "2".into()]).is_ok());
+        assert!(parse_serve_options(&["--conc-evac".into()]).is_err());
     }
 
     #[test]

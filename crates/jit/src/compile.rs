@@ -112,9 +112,9 @@ pub(crate) struct Helpers {
     pub stb: i64,
     pub sys: i64,
     pub shadow: i64,
-    /// Forwarding-aware heap load (conc-evac flavor only; 0 otherwise).
+    /// Forwarding-aware heap load (emitted for the conc-evac flavor only).
     pub heap_load: i64,
-    /// Forwarding-aware heap store (conc-evac flavor only; 0 otherwise).
+    /// Forwarding-aware heap store (emitted for the conc-evac flavor only).
     pub heap_store: i64,
 }
 
@@ -389,7 +389,7 @@ impl<'a> ProcCompiler<'a> {
         self.e.dec_mem(Reg::Rbx, OFF_FUEL);
         if self.flavor.shadow {
             let id = self.instr_table.len() as u32;
-            self.instr_table.push(ins.clone());
+            self.instr_table.push(*ins);
             self.emit_shadow_call(pc, id);
         }
         match *ins {
@@ -469,10 +469,11 @@ impl<'a> ProcCompiler<'a> {
                 }
             }
             Instr::StB { base, off, src } => {
-                if self.flavor.cms {
-                    // Concurrent marking: the whole barrier store
-                    // (bounds checks included) runs in the helper so
-                    // the SATB protocol is byte-identical to the
+                if self.flavor.cms || !self.flavor.par {
+                    // The whole barrier store (bounds checks included)
+                    // runs in the helper, so the SATB protocol (cms) and
+                    // the remembered-set hook with its counters
+                    // (sequential) are byte-identical to the
                     // interpreter's.
                     self.load_vm_reg(Reg::Rsi, base);
                     if off != 0 {
@@ -487,13 +488,6 @@ impl<'a> ProcCompiler<'a> {
                     self.emit_reg_addr(pc, base, off);
                     self.load_vm_reg(Reg::Rax, src);
                     self.e.store_sib8(Reg::R14, Reg::Rcx, 0, Reg::Rax);
-                    if !self.flavor.par {
-                        // Sequential: the generational remembered-set
-                        // hook (and its counters) live in the helper.
-                        self.e.mov_rr(Reg::Rsi, Reg::Rcx);
-                        self.e.mov_rr(Reg::Rdx, Reg::Rax);
-                        self.emit_helper_call(self.helpers.stb);
-                    }
                 }
             }
             Instr::LdF { dst, breg, off } => {
@@ -763,7 +757,7 @@ pub(crate) fn compile_proc(
         if pc >= meta.end_pc {
             break Ok(());
         }
-        let (ins, next) = decoded.at(pc).clone();
+        let (ins, next) = *decoded.at(pc);
         if let Some(&label) = targets.get(&pc) {
             c.e.bind(label);
         }

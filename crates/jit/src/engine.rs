@@ -1,15 +1,17 @@
 //! The JIT engine: compiled-code ownership, the native↔interpreter
-//! boundary, and the run loops.
+//! boundary, and the run loop.
 //!
 //! One [`JitEngine`] serves one machine. At load time it template-
 //! compiles every eligible procedure into a single executable region
 //! (an enter/exit thunk followed by the procedure blobs) and builds the
 //! [`CodeMap`] keying every native call-return address to its bytecode
-//! gc-point. At run time [`JitEngine::run_thread`] (sequential) and
-//! [`JitEngine::run_burst`] (parallel mutator) interleave native bursts
-//! with single-step interpretation: any pc with a registered native
-//! entry runs natively; everything else — procedures that fell back,
-//! gc handshakes, traps — is the interpreter's, unchanged.
+//! gc-point. At run time [`JitEngine::run`] interleaves native bursts
+//! with single-step interpretation over any [`World`]: a pc with a
+//! registered native entry runs natively; everything else — procedures
+//! that fell back, gc handshakes, traps — is [`exec::step`]'s,
+//! unchanged. An engine with no native code at all
+//! ([`JitEngine::interpreter`]) is therefore simply the interpreter
+//! loop, which is how the runtime drives non-`--jit` runs.
 //!
 //! The collectors never change: a JIT frame differs from an interpreted
 //! frame only in its linkage word (a [`JIT_RETPC_BIAS`]ed native return
@@ -21,14 +23,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use m3gc_vm::codemap::{CodeMap, JIT_RETPC_BIAS};
+use m3gc_vm::exec::{self, Cpu, Step, World};
 use m3gc_vm::isa::Instr;
-use m3gc_vm::machine::{Machine, RunOutcome, StepOutcome, ThreadStatus};
-use m3gc_vm::par::{Mutator, ParMachine, ParStep};
+use m3gc_vm::machine::{Machine, RunOutcome, SeqWorld};
+use m3gc_vm::par::{ParMachine, ParWorld};
 use m3gc_vm::VmTrap;
 
-use crate::compile::Fallback;
-#[cfg(all(target_arch = "x86_64", unix))]
-use crate::compile::{Flavor, Helpers};
+use crate::compile::{Fallback, Flavor};
 #[cfg(all(target_arch = "x86_64", unix))]
 use crate::exec::ExecMem;
 
@@ -52,8 +53,8 @@ macro_rules! native_target {
 /// every offset with `mem::offset_of!`.
 #[repr(C)]
 pub struct JitContext {
-    /// `&thread.regs[0]` / `&mutator.regs[0]` — the live register file
-    /// (`r13` in compiled code; writes land directly in the VM state).
+    /// `&cpu.regs[0]` — the live register file (`r13` in compiled code;
+    /// writes land directly in the VM state).
     pub regs: *mut i64,
     /// `&mem[0]` — VM memory base (`r14`).
     pub mem: *mut i64,
@@ -67,9 +68,8 @@ pub struct JitContext {
     /// Instruction budget; decremented once per retired instruction,
     /// checked (`<= 0` exits) at safepoint polls and loop back-edges.
     pub fuel: i64,
-    /// The shared gc-request flag (`Machine::gc_pending` /
-    /// `ParMachine::gc_request`) — the *same* byte the interpreter
-    /// polls, read at every native gc-point.
+    /// The world's gc-request flag — the *same* byte
+    /// [`World::gc_poll`] reads, polled at every native gc-point.
     pub gc_flag: *const u8,
     /// Exit trampoline: restores callee-save registers and returns to
     /// [`JitEngine`]'s enter call. Compiled code leaves via an indirect
@@ -95,12 +95,12 @@ pub struct JitContext {
     pub alloc_count_p: *mut u64,
     /// `&machine.words_allocated`.
     pub words_p: *mut u64,
-    /// The owning `Machine` (sequential) or `ParMachine` (parallel),
-    /// type-erased for the helper call-outs.
-    pub machine: *mut (),
-    /// The thread id as a pointer-sized integer (sequential) or the
-    /// `&mut Mutator` (parallel).
-    pub mutator: *mut (),
+    /// The [`World`] this activation runs against, type-erased: the
+    /// helper call-outs are monomorphised for the world type the engine
+    /// was built for and cast it back.
+    pub world: *mut (),
+    /// The thread's [`Cpu`] (`regs` points into it).
+    pub cpu: *mut Cpu,
     /// Shadow side table: the decoded instruction each instrumentation
     /// call-out reports (`instrs[instr_id]`).
     pub instrs: *const Instr,
@@ -174,6 +174,9 @@ struct NativeState {
     /// Base of the procedure blobs (thunk excluded); all `CodeMap`
     /// offsets are relative to this.
     code_base: *const u8,
+    /// `type_name` of the [`World`] the baked-in helper addresses were
+    /// monomorphised for; [`JitEngine::run`] refuses any other.
+    world: &'static str,
 }
 
 // ---------------------------------------------------------------------
@@ -222,7 +225,7 @@ pub struct JitSummary {
 // The engine.
 // ---------------------------------------------------------------------
 
-/// Owns the compiled code, its [`CodeMap`], and the run loops. Built
+/// Owns the compiled code, its [`CodeMap`], and the run loop. Built
 /// once per execution from the already-configured machine; shared
 /// read-only between mutator threads in parallel mode.
 pub struct JitEngine {
@@ -240,20 +243,34 @@ unsafe impl Send for JitEngine {}
 unsafe impl Sync for JitEngine {}
 
 impl JitEngine {
+    /// An engine with no native code: [`JitEngine::run`] interprets
+    /// every instruction.
+    #[must_use]
+    pub fn interpreter() -> JitEngine {
+        JitEngine {
+            #[cfg(all(target_arch = "x86_64", unix))]
+            native: None,
+            map: Arc::new(CodeMap::default()),
+            instrs: Vec::new(),
+            stats: JitStats {
+                procs_total: 0,
+                procs_compiled: 0,
+                code_bytes: 0,
+                compile_micros: 0,
+                fallbacks: Vec::new(),
+                native_polls: AtomicU64::new(0),
+            },
+        }
+    }
+
     /// Builds an engine for a sequential machine. Never fails: anything
     /// that cannot be compiled is recorded as a counted fallback and
     /// runs interpreted.
     #[must_use]
     pub fn for_machine(m: &Machine) -> JitEngine {
-        let shadow = m.shadow.is_some();
-        let is_gc = gc_point_table(&m.module.code, |pc| m.is_gc_point_pc(pc));
-        build_engine(
-            &m.module,
-            &is_gc,
-            BuildFlavor { par: false, shadow, cms: false, conc_evac: false },
-            m.mem.len(),
-            None,
-        )
+        let flavor =
+            Flavor { par: false, shadow: m.shadow.is_some(), cms: false, conc_evac: false };
+        build_engine::<SeqWorld>(&m.world, |pc| m.is_gc_point_pc(pc), flavor, None)
     }
 
     /// Builds an engine for a parallel machine. Allocation-service
@@ -262,14 +279,15 @@ impl JitEngine {
     #[must_use]
     pub fn for_par(vm: &ParMachine) -> JitEngine {
         let structural = (vm.region_words() > 0).then_some(Fallback::RegionMode);
-        let flavor = BuildFlavor {
+        let flavor = Flavor {
             par: true,
             shadow: vm.shadow.is_some(),
             cms: vm.cms.is_some(),
             conc_evac: vm.cms.as_ref().is_some_and(|h| h.conc_evac.load(Ordering::Relaxed)),
         };
-        let is_gc = gc_point_table(&vm.module.code, |pc| vm.is_gc_point_pc(pc));
-        build_engine(&vm.module, &is_gc, flavor, vm.mem.len(), structural)
+        let mut gc_scratch = m3gc_vm::MutatorLocal::default();
+        let world = vm.world(&mut gc_scratch);
+        build_engine::<ParWorld<'static>>(&world, |pc| vm.is_gc_point_pc(pc), flavor, structural)
     }
 
     /// The gc-map for compiled code, to be installed on the machine
@@ -323,162 +341,90 @@ impl JitEngine {
         (arc, (old, new))
     }
 
-    // -----------------------------------------------------------------
-    // Sequential run loop.
-    // -----------------------------------------------------------------
-
-    /// Drop-in replacement for [`Machine::run_thread`]: runs thread
-    /// `tid` until it finishes, needs a collection, blocks at a
-    /// gc-point, traps, or exhausts `fuel` instructions — with every pc
-    /// that has compiled code executing natively.
-    pub fn run_thread(&self, m: &mut Machine, tid: usize, fuel: u64) -> RunOutcome {
-        let mut remaining = fuel;
-        loop {
-            if remaining == 0 {
-                return RunOutcome::OutOfFuel;
-            }
-            let pc = m.threads[tid].pc;
-            if m.gc_pending && m.is_gc_point_pc(pc) {
-                m.threads[tid].status = ThreadStatus::BlockedAtGcPoint;
-                return RunOutcome::AtGcPoint;
-            }
-            #[cfg(all(target_arch = "x86_64", unix))]
-            if let Some(native) = self.native.as_ref() {
-                if let Some(off) = self.map.entry_native_off(pc) {
-                    let fuel_in = i64::try_from(remaining).unwrap_or(i64::MAX);
-                    let mut ctx = seq_context(m, tid, fuel_in, native.exit_thunk, &self.instrs);
-                    // SAFETY: the context points at live machine state;
-                    // the target is an instruction-start offset inside
-                    // the mapped region; compiled code upholds the VM's
-                    // bounds invariants (it performs the same checks as
-                    // the interpreter).
-                    let reason =
-                        unsafe { (native.enter)(&mut ctx, native.code_base.add(off as usize)) };
-                    let executed = u64::try_from(fuel_in - ctx.fuel).unwrap_or(0);
-                    m.steps += executed;
-                    remaining = remaining.saturating_sub(executed);
-                    self.stats.native_polls.fetch_add(ctx.polls as u64, Ordering::Relaxed);
-                    let t = &mut m.threads[tid];
-                    t.fp = ctx.fp;
-                    t.sp = ctx.sp;
-                    t.ap = ctx.ap;
-                    match reason {
-                        EXIT_FUEL => {
-                            t.pc = ctx.exit_pc as u32;
-                        }
-                        EXIT_GC => {
-                            t.pc = ctx.exit_pc as u32;
-                            t.status = ThreadStatus::BlockedAtGcPoint;
-                            return RunOutcome::AtGcPoint;
-                        }
-                        EXIT_NEEDGC => {
-                            t.pc = ctx.exit_pc as u32;
-                            t.status = ThreadStatus::BlockedAtGcPoint;
-                            m.gc_pending = true;
-                            return RunOutcome::NeedGc;
-                        }
-                        EXIT_TRANSFER => {
-                            t.pc = resolve_transfer(&self.map, ctx.exit_pc);
-                        }
-                        EXIT_FINISHED => {
-                            t.pc = ctx.exit_pc as u32;
-                            t.status = ThreadStatus::Finished;
-                            return RunOutcome::Finished;
-                        }
-                        EXIT_TRAP => {
-                            t.pc = ctx.exit_pc as u32;
-                            return RunOutcome::Trap(VmTrap::from_code(ctx.exit_aux));
-                        }
-                        other => unreachable!("unknown jit exit reason {other}"),
-                    }
-                    continue;
-                }
-            }
-            // Interpreter fallback, one instruction at a time (the next
-            // pc may well be back in native code).
-            remaining -= 1;
-            match m.step(tid) {
-                StepOutcome::Normal => {}
-                StepOutcome::NeedGc => return RunOutcome::NeedGc,
-                StepOutcome::AtGcPoint => return RunOutcome::AtGcPoint,
-                StepOutcome::Finished => return RunOutcome::Finished,
-                StepOutcome::Trap(t) => return RunOutcome::Trap(t),
-            }
+    /// Runs up to `max` instructions of `cpu` against `w`, mixing native
+    /// bursts and interpreted steps. Returns the stopping condition and
+    /// the number of instructions executed ([`Step::Normal`] means the
+    /// budget was exhausted). Behaves exactly like a loop over
+    /// [`exec::step`], including the stop-before-execute safepoint
+    /// protocol; the caller owns the bookkeeping around the outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine holds native code built for a different
+    /// world type than `W`.
+    pub fn run<W: World>(&self, cpu: &mut Cpu, w: &mut W, max: u64) -> (Step, u64) {
+        #[cfg(all(target_arch = "x86_64", unix))]
+        if let Some(native) = self.native.as_ref() {
+            return self.run_mixed(native, cpu, w, max);
         }
+        exec::run(cpu, w, max)
     }
 
-    // -----------------------------------------------------------------
-    // Parallel run loop.
-    // -----------------------------------------------------------------
-
-    /// Runs up to `max` instructions of `mu`, mixing native bursts and
-    /// interpreted steps. Returns the stopping condition and the number
-    /// of instructions executed ([`ParStep::Normal`] means the budget
-    /// was exhausted). Mirrors a `ParMachine::step` loop exactly,
-    /// including the park-before-execute safepoint protocol.
-    pub fn run_burst(&self, vm: &ParMachine, mu: &mut Mutator, max: u64) -> (ParStep, u64) {
+    #[cfg(all(target_arch = "x86_64", unix))]
+    fn run_mixed<W: World>(
+        &self,
+        native: &NativeState,
+        cpu: &mut Cpu,
+        w: &mut W,
+        max: u64,
+    ) -> (Step, u64) {
+        assert_eq!(native.world, std::any::type_name::<W>(), "engine built for another world");
         let mut executed: u64 = 0;
         while executed < max {
-            let pc = mu.pc;
-            if vm.is_gc_point_pc(pc) && vm.gc_request.load(Ordering::Relaxed) {
-                return (ParStep::AtSafepoint, executed);
-            }
-            #[cfg(all(target_arch = "x86_64", unix))]
-            if let Some(native) = self.native.as_ref() {
-                if let Some(off) = self.map.entry_native_off(pc) {
-                    let budget = i64::try_from(max - executed).unwrap_or(i64::MAX);
-                    let mut ctx = par_context(vm, mu, budget, native.exit_thunk, &self.instrs);
-                    // SAFETY: as in `run_thread`; the parallel memory is
-                    // `AtomicI64` (same layout as `i64`), and native
-                    // plain loads/stores are relaxed atomic accesses on
-                    // x86-64.
-                    let reason =
-                        unsafe { (native.enter)(&mut ctx, native.code_base.add(off as usize)) };
-                    let ran = u64::try_from(budget - ctx.fuel).unwrap_or(0);
-                    executed += ran;
-                    mu.steps += ran;
-                    self.stats.native_polls.fetch_add(ctx.polls as u64, Ordering::Relaxed);
-                    mu.fp = ctx.fp;
-                    mu.sp = ctx.sp;
-                    mu.ap = ctx.ap;
-                    match reason {
-                        EXIT_FUEL => {
-                            mu.pc = ctx.exit_pc as u32;
-                        }
-                        EXIT_GC => {
-                            mu.pc = ctx.exit_pc as u32;
-                            return (ParStep::AtSafepoint, executed);
-                        }
-                        EXIT_NEEDGC => {
-                            mu.pc = ctx.exit_pc as u32;
-                            return (ParStep::NeedGc, executed);
-                        }
-                        EXIT_TRANSFER => {
-                            mu.pc = resolve_transfer(&self.map, ctx.exit_pc);
-                        }
-                        EXIT_FINISHED => {
-                            mu.pc = ctx.exit_pc as u32;
-                            return (ParStep::Finished, executed);
-                        }
-                        EXIT_TRAP => {
-                            mu.pc = ctx.exit_pc as u32;
-                            return (ParStep::Trap(VmTrap::from_code(ctx.exit_aux)), executed);
-                        }
-                        other => unreachable!("unknown jit exit reason {other}"),
-                    }
-                    continue;
+            let Some(off) = self.map.entry_native_off(cpu.pc) else {
+                // Interpreter fallback, one instruction at a time (the
+                // next pc may well be back in native code).
+                let (step, n) = exec::run(cpu, w, 1);
+                executed += n;
+                if step != Step::Normal {
+                    return (step, executed);
                 }
+                continue;
+            };
+            if w.gc_poll(cpu.pc) {
+                return (Step::AtSafepoint, executed);
             }
-            match vm.step(mu) {
-                ParStep::Normal => executed += 1,
-                ParStep::AtSafepoint => return (ParStep::AtSafepoint, executed),
-                // These outcomes executed (or attempted) an instruction
-                // — `mu.steps` was bumped by `step` — so they count
-                // against the budget like their native counterparts.
-                other => return (other, executed + 1),
-            }
+            let budget = i64::try_from(max - executed).unwrap_or(i64::MAX);
+            let mut ctx = context(cpu, w, budget, native.exit_thunk, &self.instrs);
+            // SAFETY: the context points at live machine state; the
+            // target is an instruction-start offset inside the mapped
+            // region; compiled code upholds the VM's bounds invariants
+            // (it performs the same checks as the interpreter) and calls
+            // only helpers monomorphised for `W` (asserted above).
+            // Parallel memory is `AtomicI64` (same layout as `i64`), and
+            // native plain loads/stores are relaxed atomic accesses on
+            // x86-64.
+            let reason = unsafe { (native.enter)(&mut ctx, native.code_base.add(off as usize)) };
+            executed += u64::try_from(budget - ctx.fuel).unwrap_or(0);
+            self.stats.native_polls.fetch_add(ctx.polls as u64, Ordering::Relaxed);
+            cpu.fp = ctx.fp;
+            cpu.sp = ctx.sp;
+            cpu.ap = ctx.ap;
+            cpu.pc = if reason == EXIT_TRANSFER {
+                resolve_transfer(&self.map, ctx.exit_pc)
+            } else {
+                ctx.exit_pc as u32
+            };
+            let step = match reason {
+                EXIT_FUEL | EXIT_TRANSFER => continue,
+                EXIT_GC => Step::AtSafepoint,
+                EXIT_NEEDGC => Step::NeedGc,
+                EXIT_FINISHED => Step::Finished,
+                EXIT_TRAP => Step::Trap(VmTrap::from_code(ctx.exit_aux)),
+                other => unreachable!("unknown jit exit reason {other}"),
+            };
+            return (step, executed);
         }
-        (ParStep::Normal, executed)
+        (Step::Normal, executed)
+    }
+
+    /// Drop-in replacement for [`Machine::run_thread`]: [`JitEngine::run`]
+    /// on thread `tid`, with the sequential machine's thread-status
+    /// bookkeeping applied to the outcome.
+    pub fn run_thread(&self, m: &mut Machine, tid: usize, fuel: u64) -> RunOutcome {
+        let (cpu, world) = m.split(tid);
+        let (step, executed) = self.run(cpu, world, fuel);
+        m.settle(tid, step, executed)
     }
 }
 
@@ -492,81 +438,37 @@ fn resolve_transfer(map: &CodeMap, raw: i64) -> u32 {
     }
 }
 
-/// `is_gc_point` as a dense table over `0..=code.len()`.
-fn gc_point_table(code: &[u8], is_gc: impl Fn(u32) -> bool) -> Vec<bool> {
-    (0..=code.len() as u32).map(is_gc).collect()
-}
-
-// ---------------------------------------------------------------------
-// Context construction.
-// ---------------------------------------------------------------------
-
 #[cfg(all(target_arch = "x86_64", unix))]
-fn seq_context(
-    m: &mut Machine,
-    tid: usize,
+fn context<W: World>(
+    cpu: &mut Cpu,
+    w: &mut W,
     fuel: i64,
     exit_thunk: *const u8,
     instrs: &[Instr],
 ) -> JitContext {
-    let (regs, fp, sp, ap, stack_limit) = {
-        let t = &mut m.threads[tid];
-        (t.regs.as_mut_ptr(), t.fp, t.sp, t.ap, t.stack_limit)
-    };
+    let ports = w.jit_ports();
+    let cpu_p: *mut Cpu = cpu;
     JitContext {
-        regs,
-        mem: m.mem.as_mut_ptr(),
-        fp,
-        sp,
-        ap,
+        // SAFETY: `cpu_p` is a live `&mut Cpu`; projecting a field keeps
+        // the pointer's provenance over the whole struct.
+        regs: unsafe { (&raw mut (*cpu_p).regs).cast() },
+        mem: ports.mem,
+        fp: cpu.fp,
+        sp: cpu.sp,
+        ap: cpu.ap,
         fuel,
-        gc_flag: (&raw const m.gc_pending).cast(),
+        gc_flag: ports.gc_flag,
         exit_thunk,
         exit_pc: 0,
         exit_aux: 0,
-        stack_limit,
+        stack_limit: cpu.stack_limit,
         polls: 0,
-        alloc_ptr_p: &raw mut m.alloc_ptr,
-        alloc_fast_limit_p: m.jit_alloc_fast_limit_ptr(),
-        alloc_count_p: &raw mut m.allocations,
-        words_p: &raw mut m.words_allocated,
-        machine: std::ptr::from_mut(m).cast(),
-        mutator: tid as *mut (),
-        instrs: instrs.as_ptr(),
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", unix))]
-fn par_context(
-    vm: &ParMachine,
-    mu: &mut Mutator,
-    fuel: i64,
-    exit_thunk: *const u8,
-    instrs: &[Instr],
-) -> JitContext {
-    JitContext {
-        regs: mu.regs.as_mut_ptr(),
-        // AtomicI64 has the same in-memory representation as i64; the
-        // generated plain 64-bit loads/stores are relaxed atomic
-        // accesses on x86-64, exactly like the interpreter's
-        // `load(R)`/`store(R)`.
-        mem: vm.mem.as_ptr().cast::<i64>().cast_mut(),
-        fp: mu.fp,
-        sp: mu.sp,
-        ap: mu.ap,
-        fuel,
-        gc_flag: std::ptr::from_ref(&vm.gc_request).cast(),
-        exit_thunk,
-        exit_pc: 0,
-        exit_aux: 0,
-        stack_limit: mu.stack_limit,
-        polls: 0,
-        alloc_ptr_p: std::ptr::null_mut(),
-        alloc_fast_limit_p: std::ptr::null(),
-        alloc_count_p: std::ptr::null_mut(),
-        words_p: std::ptr::null_mut(),
-        machine: std::ptr::from_ref(vm).cast_mut().cast(),
-        mutator: std::ptr::from_mut(mu).cast(),
+        alloc_ptr_p: ports.alloc_ptr,
+        alloc_fast_limit_p: ports.alloc_fast_limit,
+        alloc_count_p: ports.alloc_count,
+        words_p: ports.words,
+        world: std::ptr::from_mut(w).cast(),
+        cpu: cpu_p,
         instrs: instrs.as_ptr(),
     }
 }
@@ -578,157 +480,95 @@ fn par_context(
 #[cfg(all(target_arch = "x86_64", unix))]
 mod helpers {
     use super::JitContext;
-    use m3gc_vm::machine::Machine;
-    use m3gc_vm::par::{Mutator, ParMachine};
-    use m3gc_vm::shadow::Tag;
+    use crate::compile::Helpers;
+    use m3gc_vm::exec::{self, Cpu, World};
     use m3gc_vm::VmTrap;
 
     /// Helper return protocol: 0 = ok, 1 = needs-gc, `2 + code` = trap.
-    fn trap_code(t: VmTrap) -> i64 {
-        2 + t.to_code()
+    fn code(r: Result<bool, VmTrap>) -> i64 {
+        match r {
+            Ok(true) => 0,
+            Ok(false) => 1,
+            Err(t) => 2 + t.to_code(),
+        }
     }
 
-    // -- sequential ---------------------------------------------------
+    /// The activation's context, register file and world.
+    ///
+    /// # Safety
+    ///
+    /// `ctx` must be the live context of an activation entered by
+    /// `JitEngine::run::<W>` (which built it from exclusive borrows of
+    /// the `Cpu` and the `W`, both idle while native code runs).
+    unsafe fn parts<'a, W>(ctx: *mut JitContext) -> (&'a mut JitContext, &'a mut Cpu, &'a mut W) {
+        // SAFETY: see above; the three objects are disjoint.
+        unsafe {
+            let ctx = &mut *ctx;
+            let (cpu, w) = (&mut *ctx.cpu, &mut *ctx.world.cast::<W>());
+            (ctx, cpu, w)
+        }
+    }
 
-    pub unsafe extern "sysv64" fn seq_alloc(
+    unsafe extern "sysv64" fn alloc<W: World>(
         ctx: *mut JitContext,
         packed: i64,
         len: i64,
         _pc: i64,
     ) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let m = unsafe { &mut *ctx.machine.cast::<Machine>() };
-        let ty = (packed >> 16) as u16;
-        let dst = (packed & 0xffff) as usize;
-        match m.jit_try_alloc(ty, len) {
-            Ok(Some(addr)) => {
-                unsafe { ctx.regs.add(dst).write(addr) };
-                let tid = ctx.mutator as usize;
-                if let Some(sh) = m.shadow.as_deref_mut() {
-                    sh.regs[tid][dst] = Tag::Ptr;
-                }
-                0
-            }
-            Ok(None) => 1,
-            Err(t) => trap_code(t),
-        }
+        let (_, cpu, w) = unsafe { parts::<W>(ctx) };
+        code(exec::alloc_into(cpu, w, (packed & 0xffff) as u8, (packed >> 16) as u16, len))
     }
 
-    pub unsafe extern "sysv64" fn seq_stb(ctx: *mut JitContext, addr: i64, value: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let m = unsafe { &mut *ctx.machine.cast::<Machine>() };
-        m.jit_note_barrier(addr, value);
-        0
+    unsafe extern "sysv64" fn stb<W: World>(ctx: *mut JitContext, addr: i64, value: i64) -> i64 {
+        let (_, _, w) = unsafe { parts::<W>(ctx) };
+        code(w.barrier_store(addr, value).map(|()| true))
     }
 
-    pub unsafe extern "sysv64" fn seq_sys(ctx: *mut JitContext, code: i64, arg: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let m = unsafe { &mut *ctx.machine.cast::<Machine>() };
-        match m.jit_sys(code as u8, arg) {
-            Ok(()) => 0,
-            Err(t) => trap_code(t),
-        }
-    }
-
-    pub unsafe extern "sysv64" fn seq_shadow(ctx: *mut JitContext, instr_id: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let m = unsafe { &mut *ctx.machine.cast::<Machine>() };
-        let tid = ctx.mutator as usize;
-        // The shadow tracker reads the thread's frame cursors; registers
-        // are already live (the context's `regs` aliases them).
-        {
-            let t = &mut m.threads[tid];
-            t.fp = ctx.fp;
-            t.sp = ctx.sp;
-            t.ap = ctx.ap;
-        }
-        let ins = unsafe { &*ctx.instrs.add(instr_id as usize) };
-        match m.jit_shadow_step(tid, ins) {
-            None => 0,
-            Some(t) => trap_code(t),
-        }
-    }
-
-    // -- parallel -----------------------------------------------------
-
-    pub unsafe extern "sysv64" fn par_alloc(
+    unsafe extern "sysv64" fn heap_load<W: World>(
         ctx: *mut JitContext,
-        packed: i64,
-        len: i64,
-        _pc: i64,
+        addr: i64,
+        dst: i64,
     ) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let vm = unsafe { &*ctx.machine.cast::<ParMachine>() };
-        let mu = unsafe { &mut *ctx.mutator.cast::<Mutator>() };
-        let ty = (packed >> 16) as u16;
-        let dst = (packed & 0xffff) as usize;
-        match vm.try_alloc(mu, ty, len) {
-            Ok(Some(addr)) => {
-                mu.regs[dst] = addr;
-                if vm.shadow.is_some() {
-                    mu.reg_tags[dst] = Tag::Ptr;
-                }
-                0
-            }
-            Ok(None) => 1,
-            Err(t) => trap_code(t),
-        }
+        let (_, cpu, w) = unsafe { parts::<W>(ctx) };
+        code(exec::load_into(cpu, w, dst as u8, addr).map(|()| true))
     }
 
-    pub unsafe extern "sysv64" fn par_stb(ctx: *mut JitContext, addr: i64, value: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let vm = unsafe { &*ctx.machine.cast::<ParMachine>() };
-        let mu = unsafe { &mut *ctx.mutator.cast::<Mutator>() };
-        match vm.jit_store_barrier(mu, addr, value) {
-            Ok(()) => 0,
-            Err(t) => trap_code(t),
-        }
-    }
-
-    pub unsafe extern "sysv64" fn par_heap_load(ctx: *mut JitContext, addr: i64, dst: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let vm = unsafe { &*ctx.machine.cast::<ParMachine>() };
-        let mu = unsafe { &mut *ctx.mutator.cast::<Mutator>() };
-        match vm.jit_heap_load(mu, dst as u8, addr) {
-            Ok(()) => 0,
-            Err(t) => trap_code(t),
-        }
-    }
-
-    pub unsafe extern "sysv64" fn par_heap_store(
+    unsafe extern "sysv64" fn heap_store<W: World>(
         ctx: *mut JitContext,
         addr: i64,
         value: i64,
     ) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let vm = unsafe { &*ctx.machine.cast::<ParMachine>() };
-        match vm.jit_heap_store(addr, value) {
-            Ok(()) => 0,
-            Err(t) => trap_code(t),
-        }
+        let (_, _, w) = unsafe { parts::<W>(ctx) };
+        code(w.heap_store(addr, value).map(|()| true))
     }
 
-    pub unsafe extern "sysv64" fn par_sys(ctx: *mut JitContext, code: i64, arg: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let vm = unsafe { &*ctx.machine.cast::<ParMachine>() };
-        let mu = unsafe { &mut *ctx.mutator.cast::<Mutator>() };
-        match vm.jit_sys(mu, code as u8, arg) {
-            Ok(()) => 0,
-            Err(t) => trap_code(t),
-        }
+    unsafe extern "sysv64" fn sys<W: World>(ctx: *mut JitContext, service: i64, arg: i64) -> i64 {
+        let (_, _, w) = unsafe { parts::<W>(ctx) };
+        code(w.sys(service as u8, arg).map(|()| true))
     }
 
-    pub unsafe extern "sysv64" fn par_shadow(ctx: *mut JitContext, instr_id: i64) -> i64 {
-        let ctx = unsafe { &mut *ctx };
-        let vm = unsafe { &*ctx.machine.cast::<ParMachine>() };
-        let mu = unsafe { &mut *ctx.mutator.cast::<Mutator>() };
-        mu.fp = ctx.fp;
-        mu.sp = ctx.sp;
-        mu.ap = ctx.ap;
+    unsafe extern "sysv64" fn shadow<W: World>(ctx: *mut JitContext, instr_id: i64) -> i64 {
+        let (ctx, cpu, w) = unsafe { parts::<W>(ctx) };
+        // The shadow tracker reads the frame cursors; registers are
+        // already live (the context's `regs` aliases them).
+        cpu.fp = ctx.fp;
+        cpu.sp = ctx.sp;
+        cpu.ap = ctx.ap;
+        // SAFETY: `instr_id` indexes the engine's side table, which
+        // `ctx.instrs` points at for the whole activation.
         let ins = unsafe { &*ctx.instrs.add(instr_id as usize) };
-        match vm.jit_shadow_step(mu, ins) {
-            None => 0,
-            Some(t) => trap_code(t),
+        code(exec::shadow_step(cpu, w, ins).map_or(Ok(true), Err))
+    }
+
+    /// The call-out table for world `W`.
+    pub fn table<W: World>() -> Helpers {
+        Helpers {
+            alloc: alloc::<W> as *const () as usize as i64,
+            stb: stb::<W> as *const () as usize as i64,
+            sys: sys::<W> as *const () as usize as i64,
+            shadow: shadow::<W> as *const () as usize as i64,
+            heap_load: heap_load::<W> as *const () as usize as i64,
+            heap_store: heap_store::<W> as *const () as usize as i64,
         }
     }
 }
@@ -737,24 +577,14 @@ mod helpers {
 // Engine construction.
 // ---------------------------------------------------------------------
 
-/// `Flavor` plus nothing — alias so the non-native build doesn't pull
-/// the compiler types into its signature.
-#[derive(Clone, Copy)]
-struct BuildFlavor {
-    par: bool,
-    shadow: bool,
-    cms: bool,
-    conc_evac: bool,
-}
-
-fn build_engine(
-    module: &m3gc_vm::VmModule,
-    is_gc_point: &[bool],
-    flavor: BuildFlavor,
-    mem_words: usize,
+fn build_engine<W: World>(
+    w: &impl World,
+    is_gc_point: impl Fn(u32) -> bool,
+    flavor: Flavor,
     structural: Option<Fallback>,
 ) -> JitEngine {
     let started = std::time::Instant::now();
+    let (module, mem_words) = (w.module(), w.mem_words());
     let nprocs = module.procs.len();
     let mut counts: Vec<(&'static str, u64)> =
         Fallback::all().iter().map(|f| (f.key(), 0)).collect();
@@ -781,38 +611,30 @@ fn build_engine(
 
     if let Some(reason) = structural {
         bump(&mut counts, reason, nprocs as u64);
-        return JitEngine {
-            #[cfg(all(target_arch = "x86_64", unix))]
-            native: None,
-            map: Arc::new(CodeMap::default()),
-            instrs: Vec::new(),
-            stats: JitStats {
-                procs_total: nprocs,
-                procs_compiled: 0,
-                code_bytes: 0,
-                compile_micros: started.elapsed().as_micros() as u64,
-                fallbacks: counts,
-                native_polls: AtomicU64::new(0),
-            },
-        };
+        let mut engine = JitEngine::interpreter();
+        engine.stats.procs_total = nprocs;
+        engine.stats.compile_micros = started.elapsed().as_micros() as u64;
+        engine.stats.fallbacks = counts;
+        return engine;
     }
 
     #[cfg(all(target_arch = "x86_64", unix))]
     {
-        compile_native(module, is_gc_point, flavor, mem_words, started, counts, bump)
+        let is_gc: Vec<bool> = (0..=module.code.len() as u32).map(is_gc_point).collect();
+        compile_native::<W>(module, &is_gc, flavor, mem_words, started, counts, bump)
     }
     #[cfg(not(all(target_arch = "x86_64", unix)))]
     {
-        let _ = (is_gc_point, flavor, mem_words);
+        let _ = (is_gc_point, flavor);
         unreachable!("structural UnsupportedArch fallback handles non-native targets")
     }
 }
 
 #[cfg(all(target_arch = "x86_64", unix))]
-fn compile_native(
+fn compile_native<W: World>(
     module: &m3gc_vm::VmModule,
     is_gc_point: &[bool],
-    flavor: BuildFlavor,
+    flavor: Flavor,
     mem_words: usize,
     started: std::time::Instant,
     mut counts: Vec<(&'static str, u64)>,
@@ -820,33 +642,7 @@ fn compile_native(
 ) -> JitEngine {
     use crate::emit::{EmitState, Reg};
 
-    let flavor = Flavor {
-        par: flavor.par,
-        shadow: flavor.shadow,
-        cms: flavor.cms,
-        conc_evac: flavor.conc_evac,
-    };
-    let helpers = if flavor.par {
-        Helpers {
-            alloc: helpers::par_alloc as *const () as usize as i64,
-            stb: helpers::par_stb as *const () as usize as i64,
-            sys: helpers::par_sys as *const () as usize as i64,
-            shadow: helpers::par_shadow as *const () as usize as i64,
-            heap_load: helpers::par_heap_load as *const () as usize as i64,
-            heap_store: helpers::par_heap_store as *const () as usize as i64,
-        }
-    } else {
-        Helpers {
-            alloc: helpers::seq_alloc as *const () as usize as i64,
-            stb: helpers::seq_stb as *const () as usize as i64,
-            sys: helpers::seq_sys as *const () as usize as i64,
-            shadow: helpers::seq_shadow as *const () as usize as i64,
-            // Sequential machines never set the conc-evac flavor, so
-            // these templates are never emitted.
-            heap_load: 0,
-            heap_store: 0,
-        }
-    };
+    let helpers = helpers::table::<W>();
 
     let excluded: std::collections::HashSet<String> = std::env::var("M3GC_JIT_EXCLUDE")
         .map(|v| v.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect())
@@ -926,7 +722,13 @@ fn compile_native(
                 let enter: EnterFn = unsafe { std::mem::transmute(base) };
                 // SAFETY: both offsets are inside the mapped region.
                 let (exit_thunk, code_base) = unsafe { (base.add(exit_off), base.add(thunk_len)) };
-                native = Some(NativeState { _mem: mem, enter, exit_thunk, code_base });
+                native = Some(NativeState {
+                    _mem: mem,
+                    enter,
+                    exit_thunk,
+                    code_base,
+                    world: std::any::type_name::<W>(),
+                });
             }
             None => {
                 // Executable mappings refused (hardened kernel): the

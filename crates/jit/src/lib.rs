@@ -28,9 +28,9 @@
 //! because call/return transfers always round-trip through the engine.
 //!
 //! Layering: `m3gc-core` ← `m3gc-vm` ← **`m3gc-jit`** ← `m3gc-runtime`.
-//! The runtime constructs a [`JitEngine`] when `--jit` is set and
-//! drives [`JitEngine::run_thread`] / [`JitEngine::run_burst`] instead
-//! of the interpreter loops; everything else is unchanged.
+//! The runtime drives every thread through [`JitEngine::run`] — over an
+//! engine compiled from the machine when `--jit` is set, over
+//! [`JitEngine::interpreter`] otherwise; everything else is unchanged.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -48,20 +48,20 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use m3gc_core::decode::DecodeCache;
-use m3gc_core::heap::{header_type_id, HeapType};
 use m3gc_vm::machine::VmTrap;
 use m3gc_vm::par::{CmsHeap, EvacFault, EVAC_BUSY};
-use m3gc_vm::{Mutator, ParMachine};
+use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
+use crate::collector::{apply_kills, header_extent};
+use crate::evac::extent;
 use crate::parallel::{
-    apply_kills_par, par_oracle_check, re_derive_snap, read_root_snap, un_derive_snap,
-    write_root_snap, ParGcStats, Part, RunCtx, Snapshot, ThreadWorld,
+    deposit, gc_worker, par_oracle_check, reload, run_gc_workers, ParGcStats, Part, RunCtx,
+    ThreadWorld, WorkerReport,
 };
 use crate::scheduler::ExecError;
 use crate::trace::{
-    gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, verify_spliced_roots,
-    RootRef, StackCache, StackRoots,
+    gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
+    read_root_in, write_root, RootRef, StackRoots,
 };
 
 /// Relaxed shorthand; cross-thread ordering comes from the handshake
@@ -199,16 +199,10 @@ fn scan_mark(
     addr: i64,
     out: &mut Vec<i64>,
 ) -> usize {
-    let header = vm.word(addr);
-    debug_assert!(header >= 0, "forwarding pointer during marking at {addr}");
-    let ty = vm.module.types.get(header_type_id(header));
-    let len = match ty {
-        HeapType::Array { .. } => vm.word(addr + 1),
-        HeapType::Record { .. } => 0,
-    };
+    debug_assert!(vm.word(addr) >= 0, "forwarding pointer during marking at {addr}");
     let mut pushed = 0;
-    for off in ty.pointer_offset_iter(len as u32) {
-        let v = vm.word(addr + i64::from(off));
+    for slot in extent(vm, addr).pointer_slots(addr) {
+        let v = vm.word(slot);
         if mark_value(heap, from_start, from_end, v) {
             out.push(v);
             pushed += 1;
@@ -470,15 +464,7 @@ fn cms_lead_collection_counted(
         return Ok(false);
     }
     if let Some(mu) = mu.as_deref_mut() {
-        if ctx.vm.is_poll_pc(mu.pc) {
-            ctx.poll_parks.fetch_add(1, R);
-        } else {
-            ctx.alloc_parks.fetch_add(1, R);
-        }
-        // Exact frontier, flushed counters *and* a flushed SATB buffer
-        // before leading (retire_tlab flushes all three).
-        ctx.vm.retire_tlab(mu);
-        *ctx.slots[mu.tid].lock().unwrap() = Some(Snapshot::of(mu));
+        deposit(ctx, mu);
     }
     if counted {
         st.parked += 1;
@@ -550,9 +536,7 @@ fn cms_lead_collection_counted(
     drop(st);
 
     if let Some(mu) = mu {
-        if let Some(snap) = ctx.slots[mu.tid].lock().unwrap().take() {
-            snap.restore(mu);
-        }
+        reload(ctx, mu);
     }
     result.map(|()| !halted)
 }
@@ -579,6 +563,8 @@ fn cms_snapshot_pause(
     let (from_start, _) = vm.from_space();
     let free_now = vm.free.load(R);
     let (mut killed_n, mut float_n) = (0u64, 0u64);
+    let mut detached = MutatorLocal::default();
+    let mut world = vm.world(&mut detached);
     heap.clear_marks();
     let mut gray = run.gray.lock().unwrap();
     debug_assert!(gray.is_empty(), "gray residue across cycles");
@@ -595,7 +581,7 @@ fn cms_snapshot_pause(
     for (tid, slot) in ctx.slots.iter().enumerate() {
         let slot = slot.lock().unwrap();
         let Some(snap) = slot.as_ref() else { continue };
-        let world = ThreadWorld { vm, tid: tid as u32, snap };
+        let parked = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
         let mut wm = ctx.watermarks[tid].lock().unwrap();
         // The value snapshot: tidy roots only. Derived values point
@@ -603,7 +589,7 @@ fn cms_snapshot_pause(
         // frame, and marking works on whole objects, so bases cover
         // them. Nothing moves until the final pause re-walks the stack.
         gather_thread_roots_cached(
-            &world,
+            &parked,
             &mut cache,
             tid as u32,
             (snap.pc, snap.fp, snap.ap, snap.sp),
@@ -611,7 +597,7 @@ fn cms_snapshot_pause(
             &mut roots,
         );
         for &r in &roots.tidy {
-            let v = read_root_snap(vm, snap, r);
+            let v = read_root_in(&parked, r);
             if mark_value(heap, from_start, free_now, v) {
                 gray.push(v);
             }
@@ -624,29 +610,13 @@ fn cms_snapshot_pause(
         for &r in &roots.killed {
             let RootRef::Mem(a) = r else { continue };
             let v = vm.word(a);
-            if v == 0 {
-                continue;
-            }
-            killed_n += 1;
-            if v >= from_start && v < free_now {
-                let header = vm.word(v);
-                if header >= 0 {
-                    let ty = vm.module.types.get(header_type_id(header));
-                    let len = match ty {
-                        HeapType::Array { .. } => vm.word(v + 1),
-                        HeapType::Record { .. } => 0,
-                    };
-                    float_n += u64::from(ty.object_words(len as u32));
-                }
-            }
             if mark_value(heap, from_start, free_now, v) {
                 gray.push(v);
             }
-            vm.set_word(a, 0);
-            if let Some(sh) = &vm.shadow {
-                sh.set_mem(a, m3gc_vm::shadow::Tag::NonPtr);
-            }
         }
+        let (rk, fw) = apply_kills(&mut world, &roots.killed, &[(from_start, free_now)]);
+        killed_n += rk;
+        float_n += fw;
     }
     run.in_flight.store(gray.len(), Ordering::SeqCst);
     drop(gray);
@@ -722,10 +692,10 @@ fn cms_evac_select_pause(
         for (tid, slot) in ctx.slots.iter().enumerate() {
             let slot = slot.lock().unwrap();
             let Some(snap) = slot.as_ref() else { continue };
-            let world = ThreadWorld { vm, tid: tid as u32, snap };
+            let parked = ThreadWorld { vm, tid: tid as u32, snap };
             let mut roots = StackRoots::default();
             gather_thread_roots(
-                &world,
+                &parked,
                 &mut cache,
                 tid as u32,
                 (snap.pc, snap.fp, snap.ap, snap.sp),
@@ -733,7 +703,7 @@ fn cms_evac_select_pause(
             );
             for d in &roots.derivations {
                 for &(b, _) in &d.bases {
-                    let v = read_root_snap(vm, snap, b);
+                    let v = read_root_in(&parked, b);
                     if v >= from_start && v < free_now && heap.pin_region(heap.evac_region_of(v)) {
                         pinned_n += 1;
                     }
@@ -741,7 +711,7 @@ fn cms_evac_select_pause(
                 // Belt and suspenders: also pin through the derived
                 // value itself (back-scan to its containing header), in
                 // case a base was not decodable as a tidy root.
-                let dv = read_root_snap(vm, snap, d.target);
+                let dv = read_root_in(&parked, d.target);
                 if dv >= from_start && dv < free_now {
                     let mut h = dv;
                     while h >= from_start && !heap.is_marked(h) {
@@ -760,13 +730,7 @@ fn cms_evac_select_pause(
     // region).
     let mut occ: Vec<u64> = vec![0; heap.evac_region_count()];
     heap.for_each_marked(from_start, free_now, |addr| {
-        let header = vm.word(addr);
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(addr + 1),
-            HeapType::Record { .. } => 0,
-        };
-        occ[heap.evac_region_of(addr)] += u64::from(ty.object_words(len as u32));
+        occ[heap.evac_region_of(addr)] += extent(vm, addr).words as u64;
     });
     let mut cand: Vec<(u64, usize)> = occ
         .iter()
@@ -861,12 +825,7 @@ fn cms_conc_copier(ctx: &RunCtx<'_>) {
             // that committed before this claim is visible to the body
             // reads below.
             std::sync::atomic::fence(Ordering::SeqCst);
-            let ty = vm.module.types.get(header_type_id(header));
-            let len = match ty {
-                HeapType::Array { .. } => vm.word(addr + 1),
-                HeapType::Record { .. } => 0,
-            };
-            let obj_words = i64::from(ty.object_words(len as u32));
+            let obj_words = header_extent(&vm.module.types, header, || vm.word(addr + 1)).words;
             for _ in 0..if double { 2 } else { 1 } {
                 let new = heap.evac_to.fetch_add(obj_words, R);
                 assert!(
@@ -914,14 +873,7 @@ fn cms_conc_update(ctx: &RunCtx<'_>) {
         if run.finish_requested.load(Ordering::Acquire) {
             return; // the final pause finishes the rewrite itself
         }
-        let header = vm.word(new);
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(new + 1),
-            HeapType::Record { .. } => 0,
-        };
-        for off in ty.pointer_offset_iter(len as u32) {
-            let slot = new + i64::from(off);
+        for slot in extent(vm, new).pointer_slots(new) {
             let v = vm.word(slot);
             if v < from_start
                 || v >= free_snap
@@ -997,12 +949,7 @@ pub(crate) fn cms_evac_audit(ctx: &RunCtx<'_>) -> Result<(), String> {
                     "evac audit: copy at {new} carries a forwarding word, not a header"
                 ));
             }
-            let ty = vm.module.types.get(header_type_id(copy_header));
-            let len = match ty {
-                HeapType::Array { .. } => vm.word(new + 1),
-                HeapType::Record { .. } => 0,
-            };
-            let obj_words = i64::from(ty.object_words(len as u32));
+            let obj_words = extent(vm, new).words;
             covered += obj_words;
             for off in 1..obj_words {
                 let ov = vm.word(addr + off);
@@ -1145,8 +1092,6 @@ fn cms_final_pause(
     stats.evac_healed_stores = heap.evac_healed_stores.load(R) - pending.evac_healed_stores_start;
     stats.roots_killed += pending.roots_killed;
     stats.float_words_avoided += pending.float_words_avoided;
-    stats.parked_at_polls = ctx.poll_parks.swap(0, R);
-    stats.parked_at_allocs = ctx.alloc_parks.swap(0, R);
     stats.total_time = t0.elapsed();
     ctx.gc_log.lock().unwrap().push(stats);
     Ok(())
@@ -1208,30 +1153,24 @@ pub(crate) fn cms_shadow_verify(ctx: &RunCtx<'_>, heap: &CmsHeap) -> Result<(), 
     for (tid, slot) in ctx.slots.iter().enumerate() {
         let slot = slot.lock().unwrap();
         let Some(snap) = slot.as_ref() else { continue };
-        let world = ThreadWorld { vm, tid: tid as u32, snap };
+        let parked = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
         // A fresh, cache-free walk: the verifier must not trust the
         // watermark splices it is part of the net for.
         gather_thread_roots(
-            &world,
+            &parked,
             &mut cache,
             tid as u32,
             (snap.pc, snap.fp, snap.ap, snap.sp),
             &mut roots,
         );
         for &r in &roots.tidy {
-            reach(&mut stack, &mut visited, read_root_snap(vm, snap, r))?;
+            reach(&mut stack, &mut visited, read_root_in(&parked, r))?;
         }
     }
     while let Some(addr) = stack.pop() {
-        let header = vm.word(addr);
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(addr + 1),
-            HeapType::Record { .. } => 0,
-        };
-        for off in ty.pointer_offset_iter(len as u32) {
-            reach(&mut stack, &mut visited, vm.word(addr + i64::from(off)))?;
+        for slot in extent(vm, addr).pointer_slots(addr) {
+            reach(&mut stack, &mut visited, vm.word(slot))?;
         }
     }
     Ok(())
@@ -1259,20 +1198,6 @@ struct CmsGc<'vm> {
     workers: usize,
 }
 
-struct CmsWorkerReport {
-    threads: Vec<(usize, Snapshot)>,
-    objects: u64,
-    words: u64,
-    roots: u64,
-    roots_killed: u64,
-    float_words_avoided: u64,
-    derived: u64,
-    frames: u64,
-    spliced: u64,
-    decode: m3gc_core::decode::DecodeCounters,
-    copy_time: Duration,
-}
-
 /// Follows a forwarding pointer installed by the copy phase. An
 /// unforwarded header here means an unmarked object survived to the
 /// rewrite — a marking bug the shadow verification reports first
@@ -1283,58 +1208,40 @@ fn forwarded(vm: &ParMachine, v: i64) -> i64 {
     -(f + 1)
 }
 
-/// One evacuation worker: stack walk + un-derive, chunked bitmap copy,
-/// forwarding rewrite, re-derive. Unlike the stop-the-world trace there
+/// The bitmap copy between the §3 brackets of [`gc_worker`]: chunked
+/// copy, then forwarding rewrite. Unlike the stop-the-world trace there
 /// is no claim CAS and no work stealing — the mark bitmap already
 /// holds the transitive closure, so the copy set is a static partition.
-fn cms_evac_worker(
+/// Only frames above each thread's watermark were re-decoded to get
+/// here (everything below was cached at the snapshot pause), and the
+/// killed slots were nulled without an SATB enqueue: marking is over, so
+/// a marked referent is still copied this cycle and dies at the next.
+fn bitmap_copy(
     gc: &CmsGc<'_>,
-    cache_mx: &Mutex<DecodeCache>,
-    watermarks: &[Mutex<StackCache>],
-    verify: bool,
     w: usize,
-    mut my: Part,
-) -> CmsWorkerReport {
+    world: &mut ParWorld<'_>,
+    my: &mut Part,
+    rep: &mut WorkerReport,
+) {
     let vm = gc.vm;
-    let mut cache = cache_mx.lock().unwrap();
-    let decode_before = cache.counters();
-    let (mut roots_n, mut derived_n, mut frames_n, mut spliced_n) = (0u64, 0u64, 0u64, 0u64);
-    let (mut killed_n, mut float_n) = (0u64, 0u64);
-    let heap_used = (gc.from_start, gc.from_used);
-
-    // Phase 1: walk my threads' stacks — only frames above each
-    // thread's watermark are re-decoded; everything below was cached at
-    // the snapshot pause — and un-derive. Killed slots are nulled here
-    // (marking is over, so no SATB enqueue: a marked referent is still
-    // copied this cycle and dies at the next one).
-    for (tid, snap, roots) in &mut my {
-        {
-            let world = ThreadWorld { vm, tid: *tid as u32, snap };
-            let regs = (snap.pc, snap.fp, snap.ap, snap.sp);
-            let mut wm = watermarks[*tid].lock().unwrap();
-            gather_thread_roots_cached(&world, &mut cache, *tid as u32, regs, &mut wm, roots);
-            if verify {
-                verify_spliced_roots(&world, &mut cache, *tid as u32, regs, roots);
+    // Rewrites every pointer field of the to-space copy at `new` that
+    // still references the allocated from-space prefix.
+    let rewrite_fields = |new: i64| {
+        for slot in extent(vm, new).pointer_slots(new) {
+            let v = vm.word(slot);
+            if v >= gc.from_start && v < gc.from_used {
+                vm.set_word(slot, forwarded(vm, v));
             }
         }
-        un_derive_snap(vm, snap, roots);
-        let (rk, fw) = apply_kills_par(vm, roots, heap_used);
-        killed_n += rk;
-        float_n += fw;
-        roots_n += roots.tidy.len() as u64;
-        derived_n += roots.derivations.len() as u64;
-        frames_n += roots.frames as u64;
-        spliced_n += roots.frames_spliced as u64;
-    }
+    };
     gc.barrier.wait();
     let t_copy = Instant::now();
 
-    // Phase 2: chunked bitmap copy. Each chunk's marked headers belong
-    // to exactly one worker, so plain stores suffice; the next barrier
-    // publishes every forwarding pointer. TLAB holes are zeroed words —
-    // never marked, never visited.
+    // Chunked bitmap copy. Each chunk's marked headers belong to exactly
+    // one worker, so plain stores suffice; the next barrier publishes
+    // every forwarding pointer. TLAB holes are zeroed words — never
+    // marked, never visited.
     let mut copied: Vec<i64> = Vec::new();
-    let (mut objects, mut words_copied) = (0u64, 0u64);
     let span = gc.from_used - gc.from_start;
     let n_chunks = ((span + CHUNK_WORDS - 1) / CHUNK_WORDS) as usize;
     loop {
@@ -1352,12 +1259,7 @@ fn cms_evac_worker(
                 return;
             }
             assert!(header >= 0, "mark bit on a non-header word at {addr}");
-            let ty = vm.module.types.get(header_type_id(header));
-            let len = match ty {
-                HeapType::Array { .. } => vm.word(addr + 1),
-                HeapType::Record { .. } => 0,
-            };
-            let obj_words = i64::from(ty.object_words(len as u32));
+            let obj_words = extent(vm, addr).words;
             let new = gc.free.fetch_add(obj_words, R);
             assert!(new + obj_words <= gc.to_end, "to-space overflow during cms evacuation");
             for off in 0..obj_words {
@@ -1368,54 +1270,22 @@ fn cms_evac_worker(
             }
             vm.set_word(addr, -(new + 1));
             copied.push(new);
-            objects += 1;
-            words_copied += obj_words as u64;
+            rep.objects += 1;
+            rep.words += obj_words as u64;
         });
     }
     gc.barrier.wait();
 
-    // Phase 3: rewrite my copied objects' pointer fields, my threads'
-    // tidy roots, and (worker 0) the globals through plain forwarding
-    // loads.
-    for &new in &copied {
-        let header = vm.word(new);
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(new + 1),
-            HeapType::Record { .. } => 0,
-        };
-        for off in ty.pointer_offset_iter(len as u32) {
-            let slot = new + i64::from(off);
-            let v = vm.word(slot);
-            if v >= gc.from_start && v < gc.from_used {
-                vm.set_word(slot, forwarded(vm, v));
-            }
-        }
-    }
+    // Rewrite my copied objects' pointer fields, my threads' tidy roots,
+    // and (worker 0) the globals through plain forwarding loads.
+    copied.iter().copied().for_each(rewrite_fields);
     // Concurrent copies: their fields may still reference objects this
     // *pause* moved (pinned regions, the in-flight allocation window,
     // cset stragglers of an interrupted cycle) — and stale cset
     // references too, if the cycle was interrupted before the updater
     // finished. One type-directed pass over a strided share fixes both;
-    // every forwarding word is published by the phase-2 barrier.
-    let mut i = w;
-    while i < gc.conc_copies.len() {
-        let new = gc.conc_copies[i];
-        i += gc.workers;
-        let header = vm.word(new);
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(new + 1),
-            HeapType::Record { .. } => 0,
-        };
-        for off in ty.pointer_offset_iter(len as u32) {
-            let slot = new + i64::from(off);
-            let v = vm.word(slot);
-            if v >= gc.from_start && v < gc.from_used {
-                vm.set_word(slot, forwarded(vm, v));
-            }
-        }
-    }
+    // every forwarding word is published by the barrier above.
+    gc.conc_copies.iter().copied().skip(w).step_by(gc.workers).for_each(rewrite_fields);
     if w == 0 {
         for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
             let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
@@ -1424,55 +1294,26 @@ fn cms_evac_worker(
                 vm.set_word(a, forwarded(vm, v));
             }
         }
-        roots_n += vm.module.global_ptr_roots.len() as u64;
+        rep.roots += vm.module.global_ptr_roots.len() as u64;
     }
-    for (_, snap, roots) in &mut my {
-        for i in 0..roots.tidy.len() {
-            let r = roots.tidy[i];
-            let v = read_root_snap(vm, snap, r);
+    for (_, snap, roots) in my.iter_mut() {
+        for &r in &roots.tidy {
+            let v = read_root(world, &*snap, r);
             if v >= gc.from_start && v < gc.from_used {
-                write_root_snap(vm, snap, r, forwarded(vm, v));
+                write_root(world, snap, r, forwarded(vm, v));
             }
         }
     }
     gc.barrier.wait();
-    let copy_time = t_copy.elapsed();
-
-    // Phase 4: re-derive, reverse of the un-derive order.
-    for (_, snap, roots) in my.iter_mut().rev() {
-        re_derive_snap(vm, snap, roots);
-    }
-
-    CmsWorkerReport {
-        threads: my.into_iter().map(|(tid, snap, _)| (tid, snap)).collect(),
-        objects,
-        words: words_copied,
-        roots: roots_n,
-        roots_killed: killed_n,
-        float_words_avoided: float_n,
-        derived: derived_n,
-        frames: frames_n,
-        spliced: spliced_n,
-        decode: cache.counters().since(decode_before),
-        copy_time,
-    }
+    rep.copy_time = t_copy.elapsed();
 }
 
 /// The final pause's parallel evacuation of the marked set (leader
-/// only, world stopped). Mirrors `collect_parallel`'s thread-dealing
-/// and snapshot publication, but the copy itself is bitmap-driven.
+/// only, world stopped): `collect_parallel`'s frame around a
+/// bitmap-driven copy.
 fn cms_evacuate(ctx: &RunCtx<'_>, heap: &CmsHeap, run: &CmsRun) -> ParGcStats {
     let vm = ctx.vm;
     let workers = ctx.caches.len();
-    let mut parts: Vec<Part> = (0..workers).map(|_| Vec::new()).collect();
-    let mut n_threads = 0usize;
-    for (tid, slot) in ctx.slots.iter().enumerate() {
-        if let Some(snap) = slot.lock().unwrap().take() {
-            parts[n_threads % workers].push((tid, snap, StackRoots::default()));
-            n_threads += 1;
-        }
-    }
-
     let (from_start, _) = vm.from_space();
     let (to_start, to_end) = vm.to_space();
     let evacuating = heap.evacuating.load(Ordering::Acquire);
@@ -1491,56 +1332,11 @@ fn cms_evacuate(ctx: &RunCtx<'_>, heap: &CmsHeap, run: &CmsRun) -> ParGcStats {
         conc_copies: if evacuating { run.evac_copies.lock().unwrap().clone() } else { Vec::new() },
         workers,
     };
-
-    let mut reports: Vec<CmsWorkerReport> = Vec::with_capacity(workers);
-    {
-        let mut parts = parts.into_iter();
-        let part0 = parts.next().expect("worker 0 partition");
-        let verify = ctx.options.oracle;
-        std::thread::scope(|s| {
-            let gc = &gc;
-            let handles: Vec<_> = parts
-                .enumerate()
-                .map(|(i, part)| {
-                    let cache = &ctx.caches[i + 1];
-                    let wms = &ctx.watermarks;
-                    s.spawn(move || cms_evac_worker(gc, cache, wms, verify, i + 1, part))
-                })
-                .collect();
-            reports.push(cms_evac_worker(gc, &ctx.caches[0], &ctx.watermarks, verify, 0, part0));
-            for h in handles {
-                reports.push(h.join().expect("cms evacuation worker panicked"));
-            }
-        });
-    }
-
-    for report in &reports {
-        for (tid, snap) in &report.threads {
-            *ctx.slots[*tid].lock().unwrap() = Some(snap.clone());
-        }
-    }
+    let used = (gc.from_start, gc.from_used);
+    let mut stats = run_gc_workers(ctx, |w, my| {
+        gc_worker(ctx, w, my, used, |world, my, rep| bitmap_copy(&gc, w, world, my, rep))
+    });
     vm.finish_collection(gc.free.load(R));
-
-    let mut stats = ParGcStats {
-        per_worker_objects: reports.iter().map(|r| r.objects).collect(),
-        per_worker_words: reports.iter().map(|r| r.words).collect(),
-        steals: vec![0; workers], // no stealing: the bitmap partitions the copy
-        stacks_traced: n_threads as u64,
-        ..ParGcStats::default()
-    };
-    for r in &reports {
-        stats.objects_copied += r.objects;
-        stats.words_copied += r.words;
-        stats.roots += r.roots;
-        stats.roots_killed += r.roots_killed;
-        stats.float_words_avoided += r.float_words_avoided;
-        stats.derived_updated += r.derived;
-        stats.frames_traced += r.frames;
-        stats.frames_spliced += r.spliced;
-        stats.decode_hits += r.decode.hits;
-        stats.decode_misses += r.decode.misses;
-        stats.decode_ops += r.decode.points_decoded;
-    }
-    stats.copy_time = reports[0].copy_time;
+    stats.steals = vec![0; workers]; // no stealing: the bitmap partitions the copy
     stats
 }

@@ -11,12 +11,14 @@
 use std::time::{Duration, Instant};
 
 use m3gc_core::decode::{DecodeCache, DecodeCounters};
-use m3gc_core::heap::{HeapType, TypeId, ARRAY_HEADER_WORDS};
+use m3gc_core::heap::{header_type_id, HeapType, TypeTable};
 use m3gc_core::stats::GcKind;
-use m3gc_vm::machine::Machine;
+use m3gc_vm::exec::World;
+use m3gc_vm::machine::{Machine, SeqWorld, GLOBAL_BASE};
+use m3gc_vm::shadow::{Shadow, Tag};
 
 use crate::trace::{
-    gather_global_roots, gather_stack_roots, read_root, write_root, RootRef, StackRoots,
+    gather_global_roots, gather_stack_roots, read_root, write_root, RegFiles, RootRef, StackRoots,
 };
 
 /// Statistics for one collection.
@@ -69,28 +71,75 @@ pub struct GcStats {
     pub total_time: Duration,
 }
 
+/// The object headed at `addr`, read through `word`: its header, type
+/// descriptor, array length (0 for records) and size in words. The
+/// header must be intact (a type id, not a forwarding word).
+pub(crate) struct Extent<'t> {
+    pub(crate) header: i64,
+    pub(crate) ty: &'t HeapType,
+    pub(crate) len: u32,
+    pub(crate) words: i64,
+}
+
+impl Extent<'_> {
+    /// Addresses of the object's pointer fields.
+    pub(crate) fn pointer_slots(&self, addr: i64) -> impl Iterator<Item = i64> + '_ {
+        self.ty.pointer_offset_iter(self.len).map(move |off| addr + i64::from(off))
+    }
+}
+
+/// Sizes the object at `addr` (§2, requirements i–ii: the type
+/// descriptor in the header gives the size and the pointer fields).
+pub(crate) fn object_extent(types: &TypeTable, word: impl Fn(i64) -> i64, addr: i64) -> Extent<'_> {
+    header_extent(types, word(addr), || word(addr + 1))
+}
+
+/// [`object_extent`] for a caller that already holds the header (a
+/// copier that has overwritten it with a claim); `len_word` reads the
+/// word after it.
+pub(crate) fn header_extent(
+    types: &TypeTable,
+    header: i64,
+    len_word: impl FnOnce() -> i64,
+) -> Extent<'_> {
+    let ty = types.get(header_type_id(header));
+    let len = match ty {
+        HeapType::Array { .. } => len_word() as u32,
+        HeapType::Record { .. } => 0,
+    };
+    Extent { header, ty, len, words: i64::from(ty.object_words(len)) }
+}
+
 /// Step 1 of the derived-value update (§3): recover `E := derived − Σ
 /// ±base` using the old base values, in un-derive order (callee frames
 /// before callers, derived values before their bases, as gathered).
-pub(crate) fn un_derive(m: &mut Machine, stack: &StackRoots) {
+pub(crate) fn un_derive<W: World>(
+    w: &mut W,
+    cpus: &mut (impl RegFiles + ?Sized),
+    stack: &StackRoots,
+) {
     for d in &stack.derivations {
-        let mut v = read_root(m, d.target);
+        let mut v = read_root(w, cpus, d.target);
         for &(b, sign) in &d.bases {
-            v -= sign.factor() * read_root(m, b);
+            v -= sign.factor() * read_root(w, cpus, b);
         }
-        write_root(m, d.target, v);
+        write_root(w, cpus, d.target, v);
     }
 }
 
 /// Step 2 of the derived-value update (§3): `derived := E + Σ ±base` from
 /// the relocated bases, in exactly the reverse of the un-derive order.
-pub(crate) fn re_derive(m: &mut Machine, stack: &StackRoots) {
+pub(crate) fn re_derive<W: World>(
+    w: &mut W,
+    cpus: &mut (impl RegFiles + ?Sized),
+    stack: &StackRoots,
+) {
     for d in stack.derivations.iter().rev() {
-        let mut v = read_root(m, d.target);
+        let mut v = read_root(w, cpus, d.target);
         for &(b, sign) in &d.bases {
-            v += sign.factor() * read_root(m, b);
+            v += sign.factor() * read_root(w, cpus, b);
         }
-        write_root(m, d.target, v);
+        write_root(w, cpus, d.target, v);
     }
 }
 
@@ -101,77 +150,106 @@ pub(crate) fn re_derive(m: &mut Machine, stack: &StackRoots) {
 /// a pointer). Returns `(roots_killed, float_words_avoided)` where the
 /// float estimate counts the directly referenced object's words when the
 /// referent lies in one of the live `ranges` (transitively retained words
-/// are not chased — this is a statistic, not a semantics).
-pub(crate) fn apply_kills(
-    m: &mut Machine,
+/// are not chased — this is a statistic, not a semantics). Nothing has
+/// moved yet when this runs, and the slots belong to stopped threads.
+pub(crate) fn apply_kills<W: World>(
+    w: &mut W,
     killed: &[RootRef],
     ranges: &[(i64, i64)],
 ) -> (u64, u64) {
-    let types = m.module.types.clone();
     let mut roots_killed = 0u64;
     let mut float_words = 0u64;
     for &r in killed {
         // Killed entries are always frame words (slots are never
         // register-allocated), but stay total just in case.
         let RootRef::Mem(a) = r else { continue };
-        let v = m.mem[a as usize];
+        let v = w.word(a);
         if v == 0 {
             continue; // already NIL (or killed by an earlier collection)
         }
         roots_killed += 1;
-        if ranges.iter().any(|&(s, e)| (s..e).contains(&v)) {
-            let header = m.mem[v as usize];
-            if header >= 0 {
-                let ty = types.get(TypeId(header as u32));
-                let len = match ty {
-                    HeapType::Array { .. } => m.mem[v as usize + 1],
-                    HeapType::Record { .. } => 0,
-                };
-                float_words += u64::from(ty.object_words(len as u32));
-            }
+        if ranges.iter().any(|&(s, e)| (s..e).contains(&v)) && w.word(v) >= 0 {
+            float_words += object_extent(&w.module().types, |a| w.word(a), v).words as u64;
         }
-        m.mem[a as usize] = 0;
-        if let Some(sh) = m.shadow.as_deref_mut() {
-            sh.set_mem(a, m3gc_vm::shadow::Tag::NonPtr);
-        }
+        w.set_word(a, 0);
+        w.set_mem_tag(a, Tag::NonPtr);
     }
     (roots_killed, float_words)
 }
 
-/// Forwards one object pointer, copying the object on first visit.
-/// Returns the new address. `addr` must point at an object header in
-/// from-space. Shadow tags (when the oracle's shadow mode is on) travel
-/// with the object so instrumented execution stays truthful after the
-/// flip.
-fn forward(
-    mem: &mut [i64],
-    shadow: &mut Option<Box<m3gc_vm::shadow::Shadow>>,
-    types: &m3gc_core::heap::TypeTable,
-    free: &mut i64,
+/// The sequential heap mid-evacuation: the machine's memory, shadow tags
+/// and type table borrowed side by side, plus the running statistics.
+pub(crate) struct SeqHeap<'a> {
+    pub(crate) mem: &'a mut [i64],
+    pub(crate) shadow: Option<&'a mut Shadow>,
+    pub(crate) types: &'a TypeTable,
+    pub(crate) stats: &'a mut GcStats,
+}
+
+impl<'a> SeqHeap<'a> {
+    pub(crate) fn of(w: &'a mut SeqWorld, stats: &'a mut GcStats) -> SeqHeap<'a> {
+        SeqHeap { mem: &mut w.mem, shadow: w.shadow.as_deref_mut(), types: &w.module.types, stats }
+    }
+
+    pub(crate) fn extent(&self, addr: i64) -> Extent<'a> {
+        object_extent(self.types, |a| self.mem[a as usize], addr)
+    }
+
+    /// Forwards one object pointer, copying the object on first visit;
+    /// returns the new address. `addr` must point at an object header in
+    /// a space being evacuated. The three sequential collections differ
+    /// only in `place`: given the header and size it picks the
+    /// destination and the copy's header (age bits), or `None` when the
+    /// destination is full. Shadow tags travel with the object so
+    /// instrumented execution stays truthful after the flip.
+    pub(crate) fn move_object(
+        &mut self,
+        addr: i64,
+        place: impl FnOnce(i64, i64) -> Option<(i64, i64)>,
+    ) -> Option<i64> {
+        let header = self.mem[addr as usize];
+        if header < 0 {
+            // Already forwarded: header holds -(new+1).
+            return Some(-(header + 1));
+        }
+        let words = self.extent(addr).words;
+        let (new, new_header) = place(header, words)?;
+        self.mem.copy_within(addr as usize..(addr + words) as usize, new as usize);
+        if let Some(sh) = self.shadow.as_deref_mut() {
+            sh.copy_words(addr, new, words);
+        }
+        self.mem[new as usize] = new_header;
+        self.mem[addr as usize] = -(new + 1);
+        self.stats.objects_copied += 1;
+        self.stats.words_copied += words as u64;
+        Some(new)
+    }
+}
+
+/// Gathers every root of a stopped machine and runs step 1 of the
+/// derived-value update plus the kills — the traced part every
+/// sequential collection starts with. `ranges` are the live heap ranges
+/// for the float estimate.
+pub(crate) fn trace_roots(
+    m: &mut Machine,
+    stack: StackRoots,
+    ranges: &[(i64, i64)],
     stats: &mut GcStats,
-    addr: i64,
-) -> i64 {
-    let header = mem[addr as usize];
-    if header < 0 {
-        // Already forwarded: header holds -(new+1).
-        return -(header + 1);
-    }
-    let ty = types.get(TypeId(header as u32));
-    let len = match ty {
-        HeapType::Array { .. } => mem[addr as usize + 1],
-        HeapType::Record { .. } => 0,
-    };
-    let words = i64::from(ty.object_words(len as u32));
-    let new = *free;
-    mem.copy_within(addr as usize..(addr + words) as usize, new as usize);
-    if let Some(sh) = shadow.as_deref_mut() {
-        sh.copy_words(addr, new, words);
-    }
-    *free += words;
-    mem[addr as usize] = -(new + 1);
-    stats.objects_copied += 1;
-    stats.words_copied += words as u64;
-    new
+) -> (StackRoots, Vec<RootRef>) {
+    let globals = gather_global_roots(m);
+    stats.frames_traced = stack.frames as u64;
+    stats.frames_spliced = stack.frames_spliced as u64;
+    stats.roots = (stack.tidy.len() + globals.len()) as u64;
+    stats.derived_updated = stack.derivations.len() as u64;
+    // Step 1 of the derived-value update: recover E from the old bases,
+    // derived-before-base order (as emitted), callee frames first.
+    un_derive(&mut m.world, &mut m.threads[..], &stack);
+    // Null the killed slots before evacuating, so their referents are
+    // not retained by this collection.
+    let (rk, fw) = apply_kills(&mut m.world, &stack.killed, ranges);
+    stats.roots_killed = rk;
+    stats.float_words_avoided = fw;
+    (stack, globals)
 }
 
 /// Runs a full collection. Every non-finished thread must be stopped at a
@@ -189,96 +267,58 @@ pub fn collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     // --- Locate tables and walk the stacks (the traced part). ---
     let before = cache.counters();
     let stack = gather_stack_roots(m, cache);
-    let globals = gather_global_roots(m);
     record_decode_work(&mut stats, cache.counters().since(before));
-    stats.frames_traced = stack.frames as u64;
-    stats.roots = (stack.tidy.len() + globals.len()) as u64;
-    stats.derived_updated = stack.derivations.len() as u64;
-
-    // Step 1 of the derived-value update: recover E from the old bases,
-    // derived-before-base order (as emitted), callee frames first.
-    un_derive(m, &stack);
-    let trace_end = t0.elapsed();
-
-    // Null the killed slots before evacuating, so their referents are
-    // not retained by this collection.
     let (from_start, from_end) = m.from_space();
-    let (rk, fw) = apply_kills(m, &stack.killed, &[(from_start, m.alloc_ptr)]);
-    stats.roots_killed = rk;
-    stats.float_words_avoided = fw;
+    let (stack, globals) = trace_roots(m, stack, &[(from_start, m.alloc_ptr)], &mut stats);
+    let trace_end = t0.elapsed();
 
     // --- Evacuate. ---
     let (to_start, _) = m.to_space();
     let mut free = to_start;
-    let types = m.module.types.clone();
-
-    let mut forward_root = |mem: &mut Vec<i64>,
-                            threads: &mut Vec<m3gc_vm::machine::Thread>,
-                            shadow: &mut Option<Box<m3gc_vm::shadow::Shadow>>,
-                            r: RootRef,
-                            stats: &mut GcStats| {
-        let v = match r {
-            RootRef::Mem(a) => mem[a as usize],
-            RootRef::Reg { thread, reg } => threads[thread as usize].regs[reg as usize],
-        };
-        if v == 0 {
-            return; // NIL
-        }
-        if !(from_start..from_end).contains(&v) {
-            // Already-updated duplicate root (e.g. a pointer parameter
-            // listed both in a register and its AP home after the first
-            // copy was forwarded): forwarding is idempotent.
-            debug_assert!(
-                (m3gc_vm::machine::GLOBAL_BASE as i64..from_end).contains(&v),
-                "tidy root {v} outside every space"
-            );
-            return;
-        }
-        let new = forward(mem, shadow, &types, &mut free, stats, v);
-        match r {
-            RootRef::Mem(a) => mem[a as usize] = new,
-            RootRef::Reg { thread, reg } => threads[thread as usize].regs[reg as usize] = new,
-        }
-    };
-
-    // Split-borrow the machine: the trace is done with it; mutate freely.
     {
-        let Machine { mem, threads, shadow, .. } = m;
-        for &r in &globals {
-            forward_root(mem, threads, shadow, r, &mut stats);
+        let Machine { threads, world } = &mut *m;
+        let forward = |heap: &mut SeqHeap, free: &mut i64, v: i64| {
+            let bump = |header, words| {
+                *free += words;
+                Some((*free - words, header))
+            };
+            heap.move_object(v, bump).expect("a semispace holds its own survivors")
+        };
+        for &r in globals.iter().chain(&stack.tidy) {
+            let v = read_root(world, &threads[..], r);
+            if !(from_start..from_end).contains(&v) {
+                // NIL, or an already-updated duplicate root (e.g. a
+                // pointer parameter listed both in a register and its AP
+                // home after the first copy was forwarded): forwarding
+                // is idempotent.
+                debug_assert!(
+                    v == 0 || (GLOBAL_BASE as i64..from_end).contains(&v),
+                    "tidy root {v} outside every space"
+                );
+                continue;
+            }
+            let new = forward(&mut SeqHeap::of(world, &mut stats), &mut free, v);
+            write_root(world, &mut threads[..], r, new);
         }
-        for &r in &stack.tidy {
-            forward_root(mem, threads, shadow, r, &mut stats);
-        }
+        let mut heap = SeqHeap::of(world, &mut stats);
         // Cheney scan.
         let mut scan = to_start;
         while scan < free {
-            let header = mem[scan as usize];
-            assert!(header >= 0, "forwarded header in to-space at {scan}");
-            let ty = types.get(TypeId(header as u32));
-            let len = match ty {
-                HeapType::Array { .. } => mem[scan as usize + 1],
-                HeapType::Record { .. } => 0,
-            };
-            let words = i64::from(ty.object_words(len as u32));
-            for off in ty.pointer_offset_iter(len as u32) {
-                let slot = scan + i64::from(off);
-                let v = mem[slot as usize];
-                if v == 0 {
-                    continue;
-                }
+            let ext = heap.extent(scan);
+            assert!(ext.header >= 0, "forwarded header in to-space at {scan}");
+            for slot in ext.pointer_slots(scan) {
+                let v = heap.mem[slot as usize];
                 if (from_start..from_end).contains(&v) {
-                    mem[slot as usize] = forward(mem, shadow, &types, &mut free, &mut stats, v);
+                    heap.mem[slot as usize] = forward(&mut heap, &mut free, v);
                 }
             }
-            scan += words;
+            scan += ext.words;
         }
-        let _ = ARRAY_HEADER_WORDS; // (sizes come from descriptors)
     }
 
     // Step 2: re-derive from the relocated bases, in reverse order.
     let t2 = Instant::now();
-    re_derive(m, &stack);
+    re_derive(&mut m.world, &mut m.threads[..], &stack);
     let rederive_time = t2.elapsed();
 
     m.finish_collection(free);
@@ -302,13 +342,12 @@ pub fn trace_only(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     let mut stats = GcStats::default();
     let before = cache.counters();
     let stack = gather_stack_roots(m, cache);
-    let globals = gather_global_roots(m);
     record_decode_work(&mut stats, cache.counters().since(before));
     stats.frames_traced = stack.frames as u64;
-    stats.roots = (stack.tidy.len() + globals.len()) as u64;
+    stats.roots = (stack.tidy.len() + m.module.global_ptr_roots.len()) as u64;
     stats.derived_updated = stack.derivations.len() as u64;
-    un_derive(m, &stack);
-    re_derive(m, &stack);
+    un_derive(&mut m.world, &mut m.threads[..], &stack);
+    re_derive(&mut m.world, &mut m.threads[..], &stack);
     stats.trace_time = t0.elapsed();
     stats.total_time = stats.trace_time;
     stats

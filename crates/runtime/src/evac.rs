@@ -26,9 +26,10 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use m3gc_core::heap::{header_type_id, HeapType};
 use m3gc_vm::machine::GLOBAL_BASE;
 use m3gc_vm::ParMachine;
+
+use crate::collector::{header_extent, object_extent, Extent};
 
 /// Relaxed shorthand; cross-thread ordering comes from the handshake
 /// and the forwarding CAS protocol.
@@ -106,6 +107,11 @@ impl<'vm> GcCtx<'vm> {
     }
 }
 
+/// The intact-headed object at `addr` of the parallel heap.
+pub(crate) fn extent(vm: &ParMachine, addr: i64) -> Extent<'_> {
+    object_extent(&vm.module.types, |a| vm.word(a), addr)
+}
+
 /// Per-worker copy counters. Words promoted out of escaped regions are
 /// split from ordinary semispace copies so the serve stats can report
 /// exactly how much request-local data tracing (rather than O(1)
@@ -141,12 +147,8 @@ pub(crate) fn forward_par(gc: &GcCtx<'_>, w: usize, local: &mut WorkerLocal, add
             continue;
         }
         // Claimed: the words are exclusively ours until we publish.
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(addr + 1),
-            HeapType::Record { .. } => 0,
-        };
-        let words = i64::from(ty.object_words(len as u32));
+        let ext = header_extent(&vm.module.types, header, || vm.word(addr + 1));
+        let words = ext.words;
         let new = gc.free.fetch_add(words, R);
         assert!(new + words <= gc.to_end, "to-space overflow during parallel copy");
         vm.set_word(new, header);
@@ -164,7 +166,7 @@ pub(crate) fn forward_par(gc: &GcCtx<'_>, w: usize, local: &mut WorkerLocal, add
             local.region_objects += 1;
             local.region_words += words as u64;
         }
-        if ty.pointer_offset_iter(len as u32).next().is_some() {
+        if ext.pointer_slots(new).next().is_some() {
             gc.pending.fetch_add(1, Ordering::SeqCst);
             gc.queues[w].lock().unwrap().push_back(new);
         }
@@ -200,15 +202,8 @@ pub(crate) fn forward_root_par(
 /// slots.
 pub(crate) fn scan_object(gc: &GcCtx<'_>, w: usize, local: &mut WorkerLocal, addr: i64) {
     let vm = gc.vm;
-    let header = vm.word(addr);
-    debug_assert!(header >= 0, "forwarded header in to-space at {addr}");
-    let ty = vm.module.types.get(header_type_id(header));
-    let len = match ty {
-        HeapType::Array { .. } => vm.word(addr + 1),
-        HeapType::Record { .. } => 0,
-    };
-    for off in ty.pointer_offset_iter(len as u32) {
-        let slot = addr + i64::from(off);
+    debug_assert!(vm.word(addr) >= 0, "forwarded header in to-space at {addr}");
+    for slot in extent(vm, addr).pointer_slots(addr) {
         let v = vm.word(slot);
         if v != 0 && gc.in_evac(v) {
             vm.set_word(slot, forward_par(gc, w, local, v));
@@ -227,22 +222,16 @@ pub(crate) fn scan_region(gc: &GcCtx<'_>, w: usize, local: &mut WorkerLocal, slo
     let mut addr = base;
     let mut slots_seen = 0u64;
     while addr < top {
-        let header = vm.word(addr);
-        debug_assert!(header >= 0, "forwarded header inside a live region at {addr}");
-        let ty = vm.module.types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => vm.word(addr + 1),
-            HeapType::Record { .. } => 0,
-        };
-        for off in ty.pointer_offset_iter(len as u32) {
-            let p = addr + i64::from(off);
+        debug_assert!(vm.word(addr) >= 0, "forwarded header inside a live region at {addr}");
+        let ext = extent(vm, addr);
+        for p in ext.pointer_slots(addr) {
             let v = vm.word(p);
             slots_seen += 1;
             if v != 0 && gc.in_evac(v) {
                 vm.set_word(p, forward_par(gc, w, local, v));
             }
         }
-        addr += i64::from(ty.object_words(len as u32));
+        addr += ext.words;
     }
     slots_seen
 }

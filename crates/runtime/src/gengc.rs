@@ -35,28 +35,14 @@
 use std::time::Instant;
 
 use m3gc_core::decode::DecodeCache;
-use m3gc_core::heap::{header_age, header_type_id, header_with_age, HeapType, TypeTable};
+use m3gc_core::heap::{header_age, header_with_age};
 use m3gc_core::stats::GcKind;
-use m3gc_vm::machine::{Machine, Thread, VmTrap};
+use m3gc_vm::machine::{Machine, VmTrap};
 
-use crate::collector::{apply_kills, re_derive, record_decode_work, un_derive, GcStats};
+use crate::collector::{re_derive, record_decode_work, trace_roots, GcStats, SeqHeap};
 use crate::trace::{
-    gather_global_roots, gather_stack_roots, gather_stack_roots_cached, RootRef, StackWatermarks,
+    gather_stack_roots, gather_stack_roots_cached, read_root, write_root, StackWatermarks,
 };
-
-fn read_ref(mem: &[i64], threads: &[Thread], r: RootRef) -> i64 {
-    match r {
-        RootRef::Mem(a) => mem[a as usize],
-        RootRef::Reg { thread, reg } => threads[thread as usize].regs[reg as usize],
-    }
-}
-
-fn write_ref(mem: &mut [i64], threads: &mut [Thread], r: RootRef, v: i64) {
-    match r {
-        RootRef::Mem(a) => mem[a as usize] = v,
-        RootRef::Reg { thread, reg } => threads[thread as usize].regs[reg as usize] = v,
-    }
-}
 
 /// Picks and runs the appropriate generational collection: minor by
 /// default, escalating to major when the machine requested one (oversized
@@ -110,6 +96,12 @@ struct MinorSpaces {
     tenured_free: i64,
     tenured_limit: i64,
     promote_age: u32,
+    promoted_objects: u64,
+    promoted_words: u64,
+    /// Old→young edges that survive the collection, re-recorded after
+    /// the flip: remembered slots still pointing at young survivors,
+    /// plus any young field of a freshly promoted object.
+    still_remembered: Vec<i64>,
 }
 
 impl MinorSpaces {
@@ -124,53 +116,45 @@ impl MinorSpaces {
     /// Forwards one nursery object, copying on first visit: to the tenured
     /// frontier once its survival count reaches the promotion age, into
     /// the nursery to-half otherwise. Returns the new address.
-    fn forward(
-        &mut self,
-        mem: &mut [i64],
-        shadow: &mut Option<Box<m3gc_vm::shadow::Shadow>>,
-        types: &TypeTable,
-        stats: &mut GcStats,
-        addr: i64,
-    ) -> i64 {
-        let header = mem[addr as usize];
-        if header < 0 {
-            // Already forwarded: header holds -(new+1).
-            return -(header + 1);
-        }
-        let ty = types.get(header_type_id(header));
-        let len = match ty {
-            HeapType::Array { .. } => mem[addr as usize + 1],
-            HeapType::Record { .. } => 0,
+    fn forward(&mut self, heap: &mut SeqHeap, addr: i64) -> i64 {
+        let place = |header, words| {
+            let age = header_age(header) + 1;
+            let frontier = if age >= self.promote_age {
+                assert!(
+                    self.tenured_free + words <= self.tenured_limit,
+                    "promotion overflow despite the headroom precondition"
+                );
+                self.promoted_objects += 1;
+                self.promoted_words += words as u64;
+                &mut self.tenured_free
+            } else {
+                &mut self.young_free
+            };
+            *frontier += words;
+            Some((*frontier - words, header_with_age(header, age)))
         };
-        let words = i64::from(ty.object_words(len as u32));
-        let age = header_age(header) + 1;
-        let promote = age >= self.promote_age;
-        let new = if promote {
-            assert!(
-                self.tenured_free + words <= self.tenured_limit,
-                "promotion overflow despite the headroom precondition"
-            );
-            let a = self.tenured_free;
-            self.tenured_free += words;
-            a
-        } else {
-            let a = self.young_free;
-            self.young_free += words;
-            a
-        };
-        mem.copy_within(addr as usize..(addr + words) as usize, new as usize);
-        if let Some(sh) = shadow.as_deref_mut() {
-            sh.copy_words(addr, new, words);
+        heap.move_object(addr, place).expect("placement always succeeds")
+    }
+
+    /// Scans one evacuated object, forwarding its nursery fields; returns
+    /// the object's size in words. When the object lives in tenured space
+    /// (`resident_tenured`), fields left pointing at young survivors are
+    /// recorded as surviving old→young edges.
+    fn scan_object(&mut self, heap: &mut SeqHeap, addr: i64, resident_tenured: bool) -> i64 {
+        let ext = heap.extent(addr);
+        assert!(ext.header >= 0, "forwarded header in a destination region at {addr}");
+        for slot in ext.pointer_slots(addr) {
+            let v = heap.mem[slot as usize];
+            if !self.in_young_from(v) {
+                continue;
+            }
+            let new = self.forward(heap, v);
+            heap.mem[slot as usize] = new;
+            if resident_tenured && self.in_young_to(new) {
+                self.still_remembered.push(slot);
+            }
         }
-        mem[new as usize] = header_with_age(header, age);
-        mem[addr as usize] = -(new + 1);
-        stats.objects_copied += 1;
-        stats.words_copied += words as u64;
-        if promote {
-            stats.promoted_objects += 1;
-            stats.promoted_words += words as u64;
-        }
-        new
+        ext.words
     }
 }
 
@@ -203,32 +187,18 @@ pub fn minor_collect_with(
     assert!(m.is_generational(), "minor collection on a semispace heap");
     assert!(m.tenured_free() >= m.nursery_used(), "minor collection without promotion headroom");
 
-    // --- Locate tables and walk the stacks (the traced part). ---
+    // --- Locate tables and walk the stacks (the traced part). A dead
+    // nursery referent is neither copied nor promoted, and a dead
+    // tenured referent becomes unreachable for the next major
+    // collection. ---
     let before = cache.counters();
     let stack = match wm {
         Some(wm) => gather_stack_roots_cached(m, cache, wm),
         None => gather_stack_roots(m, cache),
     };
-    let globals = gather_global_roots(m);
     record_decode_work(&mut stats, cache.counters().since(before));
-    stats.frames_traced = stack.frames as u64;
-    stats.frames_spliced = stack.frames_spliced as u64;
-    stats.roots = (stack.tidy.len() + globals.len()) as u64;
-    stats.derived_updated = stack.derivations.len() as u64;
-    un_derive(m, &stack);
+    let (stack, globals) = trace_roots(m, stack, &live_ranges(m), &mut stats);
     let trace_end = t0.elapsed();
-
-    // Null the killed slots before evacuating: a dead nursery referent is
-    // neither copied nor promoted, and a dead tenured referent becomes
-    // unreachable for the next major collection.
-    {
-        let (ns, _) = m.nursery_from_space();
-        let (ts, _) = m.tenured_space();
-        let ranges = [(ns, m.alloc_ptr), (ts, m.tenured_alloc_ptr)];
-        let (rk, fw) = apply_kills(m, &stack.killed, &ranges);
-        stats.roots_killed = rk;
-        stats.float_words_avoided = fw;
-    }
 
     // --- Evacuate the live nursery. ---
     let (young_from_start, _) = m.nursery_from_space();
@@ -243,41 +213,39 @@ pub fn minor_collect_with(
         tenured_free: m.tenured_alloc_ptr,
         tenured_limit: m.tenured_space().1,
         promote_age: m.promote_age(),
+        promoted_objects: 0,
+        promoted_words: 0,
+        still_remembered: Vec::new(),
     };
     let tenured_scan_start = spaces.tenured_free;
     let remembered = m.take_remembered_slots();
     stats.remembered_processed = remembered.len() as u64;
-    // Old→young edges that survive the collection, re-recorded after the
-    // flip: remembered slots still pointing at young survivors, plus any
-    // young field of a freshly promoted object.
-    let mut still_remembered: Vec<i64> = Vec::new();
-    let types = m.module.types.clone();
 
     {
-        let Machine { mem, threads, shadow, .. } = m;
-        // Precise roots: globals, then stack slots and registers.
+        let Machine { threads, world } = &mut *m;
+        // Precise roots: globals, then stack slots and registers. NIL,
+        // tenured, or an already-updated duplicate root: nothing to move
+        // in a minor collection.
         for &r in globals.iter().chain(&stack.tidy) {
-            let v = read_ref(mem, threads, r);
-            if v == 0 || !spaces.in_young_from(v) {
-                // NIL, tenured, or an already-updated duplicate root:
-                // nothing to move in a minor collection.
-                continue;
+            let v = read_root(world, &threads[..], r);
+            if spaces.in_young_from(v) {
+                let new = spaces.forward(&mut SeqHeap::of(world, &mut stats), v);
+                write_root(world, &mut threads[..], r, new);
             }
-            let new = spaces.forward(mem, shadow, &types, &mut stats, v);
-            write_ref(mem, threads, r, new);
         }
+        let mut heap = SeqHeap::of(world, &mut stats);
         // Remembered tenured slots. Values that are no longer nursery
         // pointers (overwritten since the barrier fired) are stale entries
         // and are dropped.
         for &slot in &remembered {
-            let v = mem[slot as usize];
+            let v = heap.mem[slot as usize];
             if !spaces.in_young_from(v) {
                 continue;
             }
-            let new = spaces.forward(mem, shadow, &types, &mut stats, v);
-            mem[slot as usize] = new;
+            let new = spaces.forward(&mut heap, v);
+            heap.mem[slot as usize] = new;
             if spaces.in_young_to(new) {
-                still_remembered.push(slot);
+                spaces.still_remembered.push(slot);
             }
         }
         // Cheney scan over both destination regions. Young survivors and
@@ -285,47 +253,26 @@ pub fn minor_collect_with(
         // one region can grow the other, so loop until both catch up.
         let mut young_scan = young_to_start;
         let mut tenured_scan = tenured_scan_start;
-        loop {
-            let before_y = spaces.young_free;
-            let before_t = spaces.tenured_free;
+        while young_scan < spaces.young_free || tenured_scan < spaces.tenured_free {
             while young_scan < spaces.young_free {
-                young_scan += scan_object(
-                    mem,
-                    shadow,
-                    &types,
-                    &mut spaces,
-                    &mut stats,
-                    young_scan,
-                    false,
-                    &mut still_remembered,
-                );
+                young_scan += spaces.scan_object(&mut heap, young_scan, false);
             }
             while tenured_scan < spaces.tenured_free {
-                tenured_scan += scan_object(
-                    mem,
-                    shadow,
-                    &types,
-                    &mut spaces,
-                    &mut stats,
-                    tenured_scan,
-                    true,
-                    &mut still_remembered,
-                );
-            }
-            if spaces.young_free == before_y && spaces.tenured_free == before_t {
-                break;
+                tenured_scan += spaces.scan_object(&mut heap, tenured_scan, true);
             }
         }
     }
 
     // Step 2: re-derive from the relocated bases, in reverse order.
     let t2 = Instant::now();
-    re_derive(m, &stack);
+    re_derive(&mut m.world, &mut m.threads[..], &stack);
     let rederive_time = t2.elapsed();
 
     m.finish_minor_collection(spaces.young_free, spaces.tenured_free);
-    stats.remembered_added = still_remembered.len() as u64;
-    for slot in still_remembered {
+    stats.promoted_objects = spaces.promoted_objects;
+    stats.promoted_words = spaces.promoted_words;
+    stats.remembered_added = spaces.still_remembered.len() as u64;
+    for slot in spaces.still_remembered {
         m.remember_slot(slot);
     }
     stats.trace_time = trace_end + rederive_time;
@@ -333,82 +280,9 @@ pub fn minor_collect_with(
     stats
 }
 
-/// Scans one evacuated object, forwarding its nursery fields; returns the
-/// object's size in words. When the object lives in tenured space
-/// (`resident_tenured`), fields left pointing at young survivors are
-/// recorded as surviving old→young edges.
-#[allow(clippy::too_many_arguments)]
-fn scan_object(
-    mem: &mut [i64],
-    shadow: &mut Option<Box<m3gc_vm::shadow::Shadow>>,
-    types: &TypeTable,
-    spaces: &mut MinorSpaces,
-    stats: &mut GcStats,
-    addr: i64,
-    resident_tenured: bool,
-    still_remembered: &mut Vec<i64>,
-) -> i64 {
-    let header = mem[addr as usize];
-    assert!(header >= 0, "forwarded header in a destination region at {addr}");
-    let ty = types.get(header_type_id(header));
-    let len = match ty {
-        HeapType::Array { .. } => mem[addr as usize + 1],
-        HeapType::Record { .. } => 0,
-    };
-    for off in ty.pointer_offset_iter(len as u32) {
-        let slot = addr + i64::from(off);
-        let v = mem[slot as usize];
-        if !spaces.in_young_from(v) || v == 0 {
-            continue;
-        }
-        let new = spaces.forward(mem, shadow, types, stats, v);
-        mem[slot as usize] = new;
-        if resident_tenured && spaces.in_young_to(new) {
-            still_remembered.push(slot);
-        }
-    }
-    i64::from(ty.object_words(len as u32))
-}
-
-/// Forwards one object into the tenured to-space during a major
-/// collection, copying on first visit. Unlike the semispace collector's
-/// version, evacuation can overflow (nursery + tenured survivors may
-/// exceed one semispace), so this reports [`VmTrap::OutOfMemory`] instead
-/// of trusting the space bound.
-fn forward_major(
-    mem: &mut [i64],
-    shadow: &mut Option<Box<m3gc_vm::shadow::Shadow>>,
-    types: &TypeTable,
-    free: &mut i64,
-    to_end: i64,
-    stats: &mut GcStats,
-    addr: i64,
-) -> Result<i64, VmTrap> {
-    let header = mem[addr as usize];
-    if header < 0 {
-        return Ok(-(header + 1));
-    }
-    let ty = types.get(header_type_id(header));
-    let len = match ty {
-        HeapType::Array { .. } => mem[addr as usize + 1],
-        HeapType::Record { .. } => 0,
-    };
-    let words = i64::from(ty.object_words(len as u32));
-    if *free + words > to_end {
-        return Err(VmTrap::OutOfMemory);
-    }
-    let new = *free;
-    *free += words;
-    mem.copy_within(addr as usize..(addr + words) as usize, new as usize);
-    if let Some(sh) = shadow.as_deref_mut() {
-        sh.copy_words(addr, new, words);
-    }
-    // Ages only matter inside the nursery; tenured headers stay clean.
-    mem[new as usize] = header_with_age(header, 0);
-    mem[addr as usize] = -(new + 1);
-    stats.objects_copied += 1;
-    stats.words_copied += words as u64;
-    Ok(new)
+/// The allocated prefixes of the nursery and the tenured from-space.
+pub(crate) fn live_ranges(m: &Machine) -> [(i64, i64); 2] {
+    [(m.nursery_from_space().0, m.alloc_ptr), (m.tenured_space().0, m.tenured_alloc_ptr)]
 }
 
 /// Runs a major collection: evacuates the live nursery *and* the tenured
@@ -431,67 +305,51 @@ pub fn major_collect(m: &mut Machine, cache: &mut DecodeCache) -> Result<GcStats
 
     let before = cache.counters();
     let stack = gather_stack_roots(m, cache);
-    let globals = gather_global_roots(m);
     record_decode_work(&mut stats, cache.counters().since(before));
-    stats.frames_traced = stack.frames as u64;
-    stats.roots = (stack.tidy.len() + globals.len()) as u64;
-    stats.derived_updated = stack.derivations.len() as u64;
-    un_derive(m, &stack);
+    let [young, old] = live_ranges(m);
+    let (stack, globals) = trace_roots(m, stack, &[young, old], &mut stats);
     let trace_end = t0.elapsed();
 
-    {
-        let (ns, _) = m.nursery_from_space();
-        let (ts, _) = m.tenured_space();
-        let ranges = [(ns, m.alloc_ptr), (ts, m.tenured_alloc_ptr)];
-        let (rk, fw) = apply_kills(m, &stack.killed, &ranges);
-        stats.roots_killed = rk;
-        stats.float_words_avoided = fw;
-    }
-
-    let (young_start, _) = m.nursery_from_space();
-    let young_end = m.alloc_ptr;
-    let (old_start, _) = m.tenured_space();
-    let old_end = m.tenured_alloc_ptr;
     let (to_start, to_end) = m.tenured_to_space();
     let mut free = to_start;
-    let types = m.module.types.clone();
-    let in_from =
-        |v: i64| (young_start..young_end).contains(&v) || (old_start..old_end).contains(&v);
+    let in_from = |v: i64| (young.0..young.1).contains(&v) || (old.0..old.1).contains(&v);
+    // Unlike the semispace collector's forward, evacuation can overflow
+    // (nursery + tenured survivors may exceed one semispace). Ages only
+    // matter inside the nursery; tenured headers stay clean.
+    let forward = |heap: &mut SeqHeap, free: &mut i64, v: i64| {
+        let bump = |header, words| {
+            *free += words;
+            (*free <= to_end).then(|| (*free - words, header_with_age(header, 0)))
+        };
+        heap.move_object(v, bump).ok_or(VmTrap::OutOfMemory)
+    };
 
     {
-        let Machine { mem, threads, shadow, .. } = m;
+        let Machine { threads, world } = &mut *m;
         for &r in globals.iter().chain(&stack.tidy) {
-            let v = read_ref(mem, threads, r);
-            if v == 0 || !in_from(v) {
-                continue;
+            let v = read_root(world, &threads[..], r);
+            if in_from(v) {
+                let new = forward(&mut SeqHeap::of(world, &mut stats), &mut free, v)?;
+                write_root(world, &mut threads[..], r, new);
             }
-            let new = forward_major(mem, shadow, &types, &mut free, to_end, &mut stats, v)?;
-            write_ref(mem, threads, r, new);
         }
+        let mut heap = SeqHeap::of(world, &mut stats);
         let mut scan = to_start;
         while scan < free {
-            let header = mem[scan as usize];
-            assert!(header >= 0, "forwarded header in to-space at {scan}");
-            let ty = types.get(header_type_id(header));
-            let len = match ty {
-                HeapType::Array { .. } => mem[scan as usize + 1],
-                HeapType::Record { .. } => 0,
-            };
-            for off in ty.pointer_offset_iter(len as u32) {
-                let slot = scan + i64::from(off);
-                let v = mem[slot as usize];
-                if v == 0 || !in_from(v) {
-                    continue;
+            let ext = heap.extent(scan);
+            assert!(ext.header >= 0, "forwarded header in to-space at {scan}");
+            for slot in ext.pointer_slots(scan) {
+                let v = heap.mem[slot as usize];
+                if in_from(v) {
+                    heap.mem[slot as usize] = forward(&mut heap, &mut free, v)?;
                 }
-                mem[slot as usize] =
-                    forward_major(mem, shadow, &types, &mut free, to_end, &mut stats, v)?;
             }
-            scan += i64::from(ty.object_words(len as u32));
+            scan += ext.words;
         }
     }
 
     let t2 = Instant::now();
-    re_derive(m, &stack);
+    re_derive(&mut m.world, &mut m.threads[..], &stack);
     let rederive_time = t2.elapsed();
 
     m.finish_major_collection(free);

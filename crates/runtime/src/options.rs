@@ -45,10 +45,12 @@ pub enum GcStrategy {
 /// Unified, builder-style runtime configuration.
 ///
 /// Construct with [`RuntimeOptions::new`] and chain the setters; every
-/// field is also public for direct access. One struct drives all three
-/// execution modes (`m3c run`, `m3c serve`, the fuzz executor and every
-/// bench bin); fields irrelevant to the selected [`GcStrategy`] are
-/// simply ignored.
+/// field is also public for direct access. One struct drives every
+/// execution mode (`m3c run`, `m3c serve`, the fuzz executor, the
+/// ledger). The builders are permissive — a field the selected
+/// [`GcStrategy`] has no use for is not consulted — because harnesses
+/// configure several strategies from one template; the `m3c` command
+/// line is not: there, a flag that contradicts `--gc` is a usage error.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeOptions {
     /// Collector / execution strategy.
@@ -62,7 +64,9 @@ pub struct RuntimeOptions {
     pub max_threads: usize,
     /// OS mutator threads ([`GcStrategy::Parallel`]).
     pub threads: usize,
-    /// Gc worker threads per stop-the-world collection.
+    /// Gc worker threads per stop-the-world collection. Defaults to the
+    /// host's parallelism, capped at 4: workers beyond the cores only
+    /// take turns.
     pub gc_workers: usize,
     /// Concurrent marking workers ([`GcStrategy::Cms`] only).
     pub conc_workers: usize,
@@ -120,7 +124,7 @@ impl Default for RuntimeOptions {
             stack_words: 1 << 15,
             max_threads: 8,
             threads: 1,
-            gc_workers: 4,
+            gc_workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             conc_workers: 2,
             conc_evac: false,
             evac_region_words: None,
@@ -414,6 +418,14 @@ mod tests {
         assert_eq!(l.mutators, 3);
         assert_eq!(l.tlab_words, 16);
         assert_eq!(l.region_words, 0);
+    }
+
+    #[test]
+    fn default_gc_workers_fit_the_host() {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = RuntimeOptions::default().gc_workers;
+        assert!((1..=cores.min(4)).contains(&workers), "{workers} worker(s) on {cores} core(s)");
+        assert_eq!(RuntimeOptions::new().gc_workers(9).gc_workers, 9, "explicit counts win");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::heap::header_type_id;
+use m3gc_vm::exec::World;
 use m3gc_vm::machine::Machine;
 use m3gc_vm::shadow::Tag;
 
@@ -41,21 +42,17 @@ use crate::trace::{
 /// generational one.
 fn live_ranges(m: &Machine) -> [(i64, i64); 2] {
     if m.is_generational() {
-        let (ns, _) = m.nursery_from_space();
-        let (ts, _) = m.tenured_space();
-        [(ns, m.alloc_ptr), (ts, m.tenured_alloc_ptr)]
+        crate::gengc::live_ranges(m)
     } else {
-        let (s, _) = m.from_space();
-        [(s, m.alloc_ptr), (0, 0)]
+        [(m.from_space().0, m.alloc_ptr), (0, 0)]
     }
 }
 
 /// The shadow tag a table entry's location currently carries.
 fn root_tag(m: &Machine, r: RootRef) -> Tag {
-    let sh = m.shadow.as_deref().expect("oracle requires shadow mode");
     match r {
-        RootRef::Mem(a) => sh.mem_tag(a),
-        RootRef::Reg { thread, reg } => sh.regs[thread as usize][reg as usize],
+        RootRef::Mem(a) => m.mem_tag(a),
+        RootRef::Reg { thread, reg } => m.threads[thread as usize].reg_tags[reg as usize],
     }
 }
 
@@ -164,6 +161,7 @@ pub(crate) fn check_entries(
 ///
 /// Panics if shadow mode is not enabled on the machine.
 pub fn check(m: &Machine, cache: &mut DecodeCache) -> Result<(), String> {
+    assert!(m.shadow_on(), "oracle requires shadow mode");
     let stack = gather_stack_roots(m, cache);
     let globals = gather_global_roots(m);
     let ranges = live_ranges(m);

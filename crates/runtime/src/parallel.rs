@@ -53,19 +53,19 @@ use std::time::{Duration, Instant};
 
 use m3gc_core::decode::{DecodeCache, DecodeCounters, DecoderIndex};
 use m3gc_jit::{JitEngine, JitSummary};
-use m3gc_vm::isa::NUM_REGS;
+use m3gc_vm::exec::{Cpu, Step};
 use m3gc_vm::machine::VmTrap;
 use m3gc_vm::module::VmModule;
-use m3gc_vm::shadow::Tag;
-use m3gc_vm::{Mutator, ParMachine, ParStep};
+use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
+use crate::collector::{apply_kills, re_derive, un_derive};
 use crate::evac::{forward_root_par, next_work, scan_object, scan_region, GcCtx, WorkerLocal};
 use crate::options::RuntimeOptions;
 use crate::oracle::check_entries;
 use crate::scheduler::ExecError;
 use crate::trace::{
-    gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, verify_spliced_roots,
-    RootRef, RootSource, StackCache, StackRoots,
+    gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
+    verify_spliced_roots, write_root, RootRef, RootSource, StackCache, StackRoots,
 };
 
 /// Relaxed shorthand for counters; cross-thread ordering comes from the
@@ -73,44 +73,8 @@ use crate::trace::{
 const R: Ordering = Ordering::Relaxed;
 
 /// A mutator's machine state as deposited at a safepoint, and as
-/// reloaded (post-collection) when it resumes.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// General-purpose registers.
-    pub regs: [i64; NUM_REGS],
-    /// Shadow tags for the registers (oracle input).
-    pub reg_tags: [Tag; NUM_REGS],
-    /// Frame pointer.
-    pub fp: i64,
-    /// Stack pointer.
-    pub sp: i64,
-    /// Argument pointer.
-    pub ap: i64,
-    /// The gc-point pc the thread parked at.
-    pub pc: u32,
-}
-
-impl Snapshot {
-    pub(crate) fn of(mu: &Mutator) -> Snapshot {
-        Snapshot {
-            regs: mu.regs,
-            reg_tags: mu.reg_tags,
-            fp: mu.fp,
-            sp: mu.sp,
-            ap: mu.ap,
-            pc: mu.pc,
-        }
-    }
-
-    pub(crate) fn restore(&self, mu: &mut Mutator) {
-        mu.regs = self.regs;
-        mu.reg_tags = self.reg_tags;
-        mu.fp = self.fp;
-        mu.sp = self.sp;
-        mu.ap = self.ap;
-        mu.pc = self.pc;
-    }
-}
+/// reloaded (post-collection) when it resumes: its [`Cpu`], whole.
+pub type Snapshot = Cpu;
 
 /// Statistics for one parallel collection.
 #[derive(Debug, Clone, Default)]
@@ -268,44 +232,6 @@ impl RootSource for ThreadWorld<'_> {
     }
 }
 
-pub(crate) fn read_root_snap(vm: &ParMachine, snap: &Snapshot, r: RootRef) -> i64 {
-    match r {
-        RootRef::Mem(a) => vm.word(a),
-        RootRef::Reg { reg, .. } => snap.regs[reg as usize],
-    }
-}
-
-pub(crate) fn write_root_snap(vm: &ParMachine, snap: &mut Snapshot, r: RootRef, v: i64) {
-    match r {
-        RootRef::Mem(a) => vm.set_word(a, v),
-        RootRef::Reg { reg, .. } => snap.regs[reg as usize] = v,
-    }
-}
-
-/// Step 1 of the derived-value update (§3) against a snapshot, in
-/// un-derive order (callee frames first, derived before base).
-pub(crate) fn un_derive_snap(vm: &ParMachine, snap: &mut Snapshot, roots: &StackRoots) {
-    for d in &roots.derivations {
-        let mut v = read_root_snap(vm, snap, d.target);
-        for &(b, sign) in &d.bases {
-            v -= sign.factor() * read_root_snap(vm, snap, b);
-        }
-        write_root_snap(vm, snap, d.target, v);
-    }
-}
-
-/// Step 2: `derived := E + Σ ±base` from the relocated bases, in
-/// exactly the reverse of the un-derive order.
-pub(crate) fn re_derive_snap(vm: &ParMachine, snap: &mut Snapshot, roots: &StackRoots) {
-    for d in roots.derivations.iter().rev() {
-        let mut v = read_root_snap(vm, snap, d.target);
-        for &(b, sign) in &d.bases {
-            v += sign.factor() * read_root_snap(vm, snap, b);
-        }
-        write_root_snap(vm, snap, d.target, v);
-    }
-}
-
 /// Handshake coordination state, guarded by [`Coord::state`].
 pub(crate) struct CoordState {
     /// OS threads still running (decremented on finish/death). In serve
@@ -354,9 +280,9 @@ pub(crate) struct RunCtx<'vm> {
     pub(crate) alloc_parks: AtomicU64,
     /// Concurrent-marking cycle state (cms strategy only).
     pub(crate) cms: Option<crate::cms::CmsRun>,
-    /// Native baseline engine (`--jit`); mutators run
-    /// [`JitEngine::run_burst`] instead of stepping the interpreter.
-    pub(crate) jit: Option<Arc<JitEngine>>,
+    /// What mutators run on: the native baseline engine under `--jit`,
+    /// an engine with no native code (the interpreter) otherwise.
+    pub(crate) engine: Arc<JitEngine>,
 }
 
 impl<'vm> RunCtx<'vm> {
@@ -368,6 +294,7 @@ impl<'vm> RunCtx<'vm> {
         options: RuntimeOptions,
         slots: usize,
         active: usize,
+        engine: Arc<JitEngine>,
     ) -> RunCtx<'vm> {
         let workers = options.gc_workers.max(1);
         let index = Arc::new(DecoderIndex::build(&vm.module.gc_maps).expect("valid gc maps"));
@@ -395,7 +322,7 @@ impl<'vm> RunCtx<'vm> {
             poll_parks: AtomicU64::new(0),
             alloc_parks: AtomicU64::new(0),
             cms: vm.cms.as_ref().map(|_| crate::cms::CmsRun::new(options.conc_workers.max(1))),
-            jit: None,
+            engine,
         }
     }
 }
@@ -403,188 +330,82 @@ impl<'vm> RunCtx<'vm> {
 /// A worker's thread partition: (tid, snapshot, gathered roots).
 pub(crate) type Part = Vec<(usize, Snapshot, StackRoots)>;
 
-/// Nulls a parked thread's killed slots (the parallel analogue of
-/// `crate::collector::apply_kills`): each is a frame word of this
-/// thread's own stack region whose tables prove the reference dead, so
-/// no other worker touches it and nothing has moved yet when this runs
-/// (phase 1). Returns `(roots_killed, float_words_avoided)` — the float
-/// estimate counts the directly referenced object's words when the
-/// referent lies in the allocated from-space prefix `heap`.
-pub(crate) fn apply_kills_par(vm: &ParMachine, roots: &StackRoots, heap: (i64, i64)) -> (u64, u64) {
-    use m3gc_core::heap::{header_type_id, HeapType};
-    let (hs, he) = heap;
-    let mut roots_killed = 0u64;
-    let mut float_words = 0u64;
-    for &r in &roots.killed {
-        let RootRef::Mem(a) = r else { continue };
-        let v = vm.word(a);
-        if v == 0 {
-            continue;
-        }
-        roots_killed += 1;
-        if (hs..he).contains(&v) {
-            let header = vm.word(v);
-            if header >= 0 {
-                let ty = vm.module.types.get(header_type_id(header));
-                let len = match ty {
-                    HeapType::Array { .. } => vm.word(v + 1),
-                    HeapType::Record { .. } => 0,
-                };
-                float_words += u64::from(ty.object_words(len as u32));
-            }
-        }
-        vm.set_word(a, 0);
-        if let Some(sh) = &vm.shadow {
-            sh.set_mem(a, Tag::NonPtr);
-        }
-    }
-    (roots_killed, float_words)
-}
-
-struct WorkerReport {
-    threads: Vec<(usize, Snapshot)>,
-    objects: u64,
-    words: u64,
-    region_objects: u64,
-    region_words: u64,
-    roots: u64,
+/// What one gc worker reports back to the leader.
+#[derive(Default)]
+pub(crate) struct WorkerReport {
+    pub(crate) objects: u64,
+    pub(crate) words: u64,
+    pub(crate) region_objects: u64,
+    pub(crate) region_words: u64,
+    pub(crate) roots: u64,
     roots_killed: u64,
     float_words_avoided: u64,
     derived: u64,
     frames: u64,
     spliced: u64,
     decode: DecodeCounters,
-    copy_time: Duration,
+    pub(crate) copy_time: Duration,
 }
 
-/// One gc worker's whole collection: scan+un-derive its threads,
-/// forward roots, trace with stealing, re-derive. Barriers separate
-/// the phases — no object may move before every un-derive is done, and
-/// no re-derive may run before every move is done.
-fn gc_worker(
-    gc: &GcCtx<'_>,
-    cache_mx: &Mutex<DecodeCache>,
-    watermarks: &[Mutex<StackCache>],
-    verify: bool,
-    w: usize,
-    mut my: Part,
-) -> WorkerReport {
-    let vm = gc.vm;
-    let mut cache = cache_mx.lock().unwrap();
-    let decode_before = cache.counters();
-    let mut local = WorkerLocal::default();
-    let (mut roots_n, mut derived_n, mut frames_n, mut spliced_n) = (0u64, 0u64, 0u64, 0u64);
-    let (mut killed_n, mut float_n) = (0u64, 0u64);
-    let heap = {
-        let (s, _) = vm.from_space();
-        (s, vm.free.load(R))
-    };
-
-    // Phase 1: walk my threads' stacks (splicing unchanged cold frames
-    // from the per-thread watermark caches), un-derive, and null the
-    // killed slots before anything is forwarded.
-    for (tid, snap, roots) in &mut my {
-        {
-            let world = ThreadWorld { vm, tid: *tid as u32, snap };
-            let regs = (snap.pc, snap.fp, snap.ap, snap.sp);
-            let mut wm = watermarks[*tid].lock().unwrap();
-            gather_thread_roots_cached(&world, &mut cache, *tid as u32, regs, &mut wm, roots);
-            if verify {
-                verify_spliced_roots(&world, &mut cache, *tid as u32, regs, roots);
-            }
-        }
-        un_derive_snap(vm, snap, roots);
-        let (rk, fw) = apply_kills_par(vm, roots, heap);
-        killed_n += rk;
-        float_n += fw;
-        roots_n += roots.tidy.len() as u64;
-        derived_n += roots.derivations.len() as u64;
-        frames_n += roots.frames as u64;
-        spliced_n += roots.frames_spliced as u64;
-    }
-    gc.barrier.wait();
-    let t_copy = Instant::now();
-
-    // Phase 2: forward roots. Worker 0 owns the globals.
-    if w == 0 {
-        for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
-            let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
-            if let Some(new) = forward_root_par(gc, w, &mut local, vm.word(a)) {
-                vm.set_word(a, new);
-            }
-        }
-        roots_n += vm.module.global_ptr_roots.len() as u64;
-    }
-    for (_, snap, roots) in &mut my {
-        for i in 0..roots.tidy.len() {
-            let r = roots.tidy[i];
-            let v = read_root_snap(vm, snap, r);
-            if let Some(new) = forward_root_par(gc, w, &mut local, v) {
-                write_root_snap(vm, snap, r, new);
-            }
-        }
-    }
-    // Live non-escaped regions are extra root sets: their objects stay
-    // put, but pointer slots into the evacuation set must be forwarded.
-    // Workers pull regions from the shared queue until it is dry.
-    loop {
-        let slot = gc.region_scan.lock().unwrap().pop();
-        match slot {
-            Some(s) => roots_n += scan_region(gc, w, &mut local, s),
-            None => break,
-        }
-    }
-    gc.barrier.wait();
-
-    // Phase 3: work-stealing trace to transitive closure.
-    loop {
-        match next_work(gc, w) {
-            Some(addr) => {
-                scan_object(gc, w, &mut local, addr);
-                gc.pending.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if gc.pending.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-    gc.barrier.wait();
-    let copy_time = t_copy.elapsed();
-
-    // Phase 4: re-derive, reverse of the un-derive order.
-    for (_, snap, roots) in my.iter_mut().rev() {
-        re_derive_snap(vm, snap, roots);
-    }
-
-    WorkerReport {
-        threads: my.into_iter().map(|(tid, snap, _)| (tid, snap)).collect(),
-        objects: local.objects,
-        words: local.words,
-        region_objects: local.region_objects,
-        region_words: local.region_words,
-        roots: roots_n,
-        roots_killed: killed_n,
-        float_words_avoided: float_n,
-        derived: derived_n,
-        frames: frames_n,
-        spliced: spliced_n,
-        decode: cache.counters().since(decode_before),
-        copy_time,
-    }
-}
-
-/// The leader's collection proper: deal parked threads to workers, run
-/// the copy in a scoped thread pool (leader = worker 0), write the
-/// updated snapshots back and flip the spaces.
-pub(crate) fn collect_parallel(
+/// The frame every stop-the-world copy shares — the §3 bracket around a
+/// collector-specific `copy`: walk this worker's parked threads' stacks
+/// (splicing unchanged cold frames from the per-thread watermark
+/// caches), un-derive, and null the killed slots before anything moves;
+/// `copy` (which owns the barriers: no object may move before every
+/// un-derive is done, and no re-derive may run before every move is
+/// done); then re-derive in exactly the reverse order. `heap` is the
+/// allocated from-space prefix (for the float estimate).
+pub(crate) fn gc_worker(
     ctx: &RunCtx<'_>,
-    handshake_time: Duration,
-    t0: Instant,
-) -> ParGcStats {
+    w: usize,
+    my: &mut Part,
+    heap: (i64, i64),
+    copy: impl FnOnce(&mut ParWorld<'_>, &mut Part, &mut WorkerReport),
+) -> WorkerReport {
     let vm = ctx.vm;
+    // A gc worker runs on behalf of no mutator.
+    let mut detached = MutatorLocal::default();
+    let mut world = vm.world(&mut detached);
+    let mut cache = ctx.caches[w].lock().unwrap();
+    let decode_before = cache.counters();
+    let mut rep = WorkerReport::default();
+    for (tid, snap, roots) in my.iter_mut() {
+        {
+            let parked = ThreadWorld { vm, tid: *tid as u32, snap };
+            let regs = (snap.pc, snap.fp, snap.ap, snap.sp);
+            let mut wm = ctx.watermarks[*tid].lock().unwrap();
+            gather_thread_roots_cached(&parked, &mut cache, *tid as u32, regs, &mut wm, roots);
+            if ctx.options.oracle {
+                verify_spliced_roots(&parked, &mut cache, *tid as u32, regs, roots);
+            }
+        }
+        // Each killed slot is a frame word of this thread's own stack
+        // region, so no other worker touches it.
+        un_derive(&mut world, snap, roots);
+        let (rk, fw) = apply_kills(&mut world, &roots.killed, &[heap]);
+        rep.roots_killed += rk;
+        rep.float_words_avoided += fw;
+        rep.roots += roots.tidy.len() as u64;
+        rep.derived += roots.derivations.len() as u64;
+        rep.frames += roots.frames as u64;
+        rep.spliced += roots.frames_spliced as u64;
+    }
+    copy(&mut world, my, &mut rep);
+    for (_, snap, roots) in my.iter_mut().rev() {
+        re_derive(&mut world, snap, roots);
+    }
+    rep.decode = cache.counters().since(decode_before);
+    rep
+}
+
+/// The leader's side of every stop-the-world copy: deal the deposited
+/// snapshots round-robin to one partition per gc worker, run `worker` on
+/// a scoped pool (the leader is worker 0), write the rewritten snapshots
+/// back to the park slots and fold the reports into the cycle's stats.
+pub(crate) fn run_gc_workers(
+    ctx: &RunCtx<'_>,
+    worker: impl Fn(usize, &mut Part) -> WorkerReport + Sync,
+) -> ParGcStats {
     let workers = ctx.caches.len();
     let mut parts: Vec<Part> = (0..workers).map(|_| Vec::new()).collect();
     let mut n_threads = 0usize;
@@ -594,61 +415,28 @@ pub(crate) fn collect_parallel(
             n_threads += 1;
         }
     }
-
-    let gc = GcCtx::new(vm, workers);
-    let regions_scanned = gc.region_scan.lock().unwrap().len() as u64;
-
     let mut reports: Vec<WorkerReport> = Vec::with_capacity(workers);
-    {
-        let mut parts = parts.into_iter();
-        let part0 = parts.next().expect("worker 0 partition");
-        let verify = ctx.options.oracle;
-        std::thread::scope(|s| {
-            let gc = &gc;
-            let handles: Vec<_> = parts
-                .enumerate()
-                .map(|(i, part)| {
-                    let cache = &ctx.caches[i + 1];
-                    let wms = &ctx.watermarks;
-                    s.spawn(move || gc_worker(gc, cache, wms, verify, i + 1, part))
-                })
-                .collect();
-            reports.push(gc_worker(gc, &ctx.caches[0], &ctx.watermarks, verify, 0, part0));
-            for h in handles {
-                reports.push(h.join().expect("gc worker panicked"));
-            }
-        });
-    }
-
-    // Publish updated snapshots back to the park slots.
-    for report in &reports {
-        for (tid, snap) in &report.threads {
-            *ctx.slots[*tid].lock().unwrap() = Some(snap.clone());
+    std::thread::scope(|s| {
+        let worker = &worker;
+        let (part0, rest) = parts.split_first_mut().expect("worker 0 partition");
+        let handles: Vec<_> =
+            rest.iter_mut().enumerate().map(|(i, p)| s.spawn(move || worker(i + 1, p))).collect();
+        reports.push(worker(0, part0));
+        for h in handles {
+            reports.push(h.join().expect("gc worker panicked"));
         }
-    }
-    vm.finish_collection(gc.free.load(R));
-
-    // Every escaped region has been fully evacuated: its reachable
-    // objects live in the shared heap and every surviving reference was
-    // rewritten by the trace. Reset them — zombies become free slots,
-    // escaped-but-live regions continue as empty regions for their
-    // still-running request.
-    let mut region_words_reset = 0u64;
-    for &(slot, _, _) in &gc.evac_regions {
-        region_words_reset += vm.reset_region(slot) as u64;
+    });
+    for (tid, snap, _) in parts.into_iter().flatten() {
+        *ctx.slots[tid].lock().unwrap() = Some(snap);
     }
 
     let mut stats = ParGcStats {
-        handshake_time,
         per_worker_objects: reports.iter().map(|r| r.objects).collect(),
         per_worker_words: reports.iter().map(|r| r.words).collect(),
-        steals: gc.steals.iter().map(|s| s.load(R)).collect(),
         parked_at_polls: ctx.poll_parks.swap(0, R),
         parked_at_allocs: ctx.alloc_parks.swap(0, R),
         stacks_traced: n_threads as u64,
-        regions_evacuated: gc.evac_regions.len() as u64,
-        regions_scanned,
-        region_words_reset,
+        copy_time: reports[0].copy_time,
         ..ParGcStats::default()
     };
     for r in &reports {
@@ -666,7 +454,103 @@ pub(crate) fn collect_parallel(
         stats.decode_misses += r.decode.misses;
         stats.decode_ops += r.decode.points_decoded;
     }
-    stats.copy_time = reports[0].copy_time;
+    stats
+}
+
+/// The work-stealing copy between the §3 brackets of [`gc_worker`]:
+/// forward roots, trace with stealing.
+fn steal_copy(
+    gc: &GcCtx<'_>,
+    w: usize,
+    world: &mut ParWorld<'_>,
+    my: &mut Part,
+    rep: &mut WorkerReport,
+) {
+    let vm = gc.vm;
+    let mut local = WorkerLocal::default();
+    gc.barrier.wait();
+    let t_copy = Instant::now();
+
+    // Forward roots. Worker 0 owns the globals.
+    if w == 0 {
+        for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
+            let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
+            if let Some(new) = forward_root_par(gc, w, &mut local, vm.word(a)) {
+                vm.set_word(a, new);
+            }
+        }
+        rep.roots += vm.module.global_ptr_roots.len() as u64;
+    }
+    for (_, snap, roots) in my.iter_mut() {
+        for &r in &roots.tidy {
+            let v = read_root(world, &*snap, r);
+            if let Some(new) = forward_root_par(gc, w, &mut local, v) {
+                write_root(world, snap, r, new);
+            }
+        }
+    }
+    // Live non-escaped regions are extra root sets: their objects stay
+    // put, but pointer slots into the evacuation set must be forwarded.
+    // Workers pull regions from the shared queue until it is dry.
+    loop {
+        let slot = gc.region_scan.lock().unwrap().pop();
+        match slot {
+            Some(s) => rep.roots += scan_region(gc, w, &mut local, s),
+            None => break,
+        }
+    }
+    gc.barrier.wait();
+
+    // Work-stealing trace to transitive closure.
+    loop {
+        match next_work(gc, w) {
+            Some(addr) => {
+                scan_object(gc, w, &mut local, addr);
+                gc.pending.fetch_sub(1, Ordering::SeqCst);
+            }
+            None => {
+                if gc.pending.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+    gc.barrier.wait();
+    rep.copy_time = t_copy.elapsed();
+    rep.objects = local.objects;
+    rep.words = local.words;
+    rep.region_objects = local.region_objects;
+    rep.region_words = local.region_words;
+}
+
+/// The leader's collection proper: run the copy on the gc workers and
+/// flip the spaces.
+pub(crate) fn collect_parallel(
+    ctx: &RunCtx<'_>,
+    handshake_time: Duration,
+    t0: Instant,
+) -> ParGcStats {
+    let vm = ctx.vm;
+    let gc = GcCtx::new(vm, ctx.caches.len());
+    let regions_scanned = gc.region_scan.lock().unwrap().len() as u64;
+    let heap = (gc.from_start, vm.free.load(R));
+    let mut stats = run_gc_workers(ctx, |w, my| {
+        gc_worker(ctx, w, my, heap, |world, my, rep| steal_copy(&gc, w, world, my, rep))
+    });
+    vm.finish_collection(gc.free.load(R));
+
+    // Every escaped region has been fully evacuated: its reachable
+    // objects live in the shared heap and every surviving reference was
+    // rewritten by the trace. Reset them — zombies become free slots,
+    // escaped-but-live regions continue as empty regions for their
+    // still-running request.
+    stats.region_words_reset =
+        gc.evac_regions.iter().map(|&(slot, _, _)| vm.reset_region(slot) as u64).sum();
+    stats.handshake_time = handshake_time;
+    stats.steals = gc.steals.iter().map(|s| s.load(R)).collect();
+    stats.regions_evacuated = gc.evac_regions.len() as u64;
+    stats.regions_scanned = regions_scanned;
     stats.total_time = t0.elapsed();
     stats
 }
@@ -742,15 +626,7 @@ pub(crate) fn park(ctx: &RunCtx<'_>, mu: &mut Mutator) -> bool {
     if !ctx.vm.gc_request.load(R) {
         return true;
     }
-    if ctx.vm.is_poll_pc(mu.pc) {
-        ctx.poll_parks.fetch_add(1, R);
-    } else {
-        ctx.alloc_parks.fetch_add(1, R);
-    }
-    // Retire the TLAB before depositing: gc workers must see an exact
-    // frontier, and after the flip the buffer would lie in dead space.
-    ctx.vm.retire_tlab(mu);
-    *ctx.slots[mu.tid].lock().unwrap() = Some(Snapshot::of(mu));
+    deposit(ctx, mu);
     st.parked += 1;
     ctx.coord.cv.notify_all();
     let gen = st.generation;
@@ -759,10 +635,26 @@ pub(crate) fn park(ctx: &RunCtx<'_>, mu: &mut Mutator) -> bool {
     }
     let halted = st.halt;
     drop(st);
-    if let Some(snap) = ctx.slots[mu.tid].lock().unwrap().take() {
-        snap.restore(mu);
-    }
+    reload(ctx, mu);
     !halted
+}
+
+/// Deposits `mu`'s state for the gc workers, counting the park site.
+/// The TLAB is retired first: gc workers must see an exact frontier
+/// (and flushed counters and SATB buffer), and after the flip the
+/// buffer would lie in dead space.
+pub(crate) fn deposit(ctx: &RunCtx<'_>, mu: &mut Mutator) {
+    let site = if ctx.vm.is_poll_pc(mu.cpu.pc) { &ctx.poll_parks } else { &ctx.alloc_parks };
+    site.fetch_add(1, R);
+    ctx.vm.retire_tlab(mu);
+    *ctx.slots[mu.tid].lock().unwrap() = Some(mu.cpu.clone());
+}
+
+/// Reloads `mu`'s deposited state, which a collection may have rewritten.
+pub(crate) fn reload(ctx: &RunCtx<'_>, mu: &mut Mutator) {
+    if let Some(snap) = ctx.slots[mu.tid].lock().unwrap().take() {
+        mu.cpu = snap;
+    }
 }
 
 /// The winning requester's path: park self, wait for the handshake to
@@ -794,14 +686,7 @@ fn lead_collection_with(ctx: &RunCtx<'_>, mut mu: Option<&mut Mutator>) -> Resul
         return Ok(false);
     }
     if let Some(mu) = mu.as_deref_mut() {
-        if ctx.vm.is_poll_pc(mu.pc) {
-            ctx.poll_parks.fetch_add(1, R);
-        } else {
-            ctx.alloc_parks.fetch_add(1, R);
-        }
-        // As in `park`: exact frontier and flushed counters before leading.
-        ctx.vm.retire_tlab(mu);
-        *ctx.slots[mu.tid].lock().unwrap() = Some(Snapshot::of(mu));
+        deposit(ctx, mu);
     }
     st.parked += 1;
     ctx.coord.cv.notify_all();
@@ -859,9 +744,7 @@ fn lead_collection_with(ctx: &RunCtx<'_>, mut mu: Option<&mut Mutator>) -> Resul
     drop(st);
 
     if let Some(mu) = mu {
-        if let Some(snap) = ctx.slots[mu.tid].lock().unwrap().take() {
-            snap.restore(mu);
-        }
+        reload(ctx, mu);
     }
     result.map(|()| !halted)
 }
@@ -898,119 +781,94 @@ pub(crate) fn park_idle(ctx: &RunCtx<'_>) -> bool {
     !st.halt
 }
 
-/// How often a mutator checks the halt flag (in instructions).
-pub(crate) const HALT_CHECK_MASK: u64 = 0xff;
+/// Instructions per engine burst between halt/advance bookkeeping
+/// checks. Far finer than `max_advance`, so stuck-thread detection keeps
+/// working.
+const BURST: u64 = 4096;
 
-fn mutator_loop(ctx: &RunCtx<'_>, mu: Mutator) -> (Mutator, Result<(), ExecError>) {
-    match ctx.jit.as_deref() {
-        Some(engine) => mutator_loop_jit(ctx, engine, mu),
-        None => mutator_loop_interp(ctx, mu),
-    }
+/// Why [`run_mutator`] returned without an error.
+pub(crate) enum MutatorExit {
+    /// The mutator ran to completion.
+    Finished,
+    /// Shutdown observed.
+    Halted,
+    /// The quantum expired and the mutator reached a poll gc-point.
+    Descheduled,
 }
 
-/// Instructions per JIT burst between halt/advance bookkeeping checks.
-/// Coarser than the interpreter's per-step accounting but still far
-/// finer than `max_advance`, so stuck-thread detection keeps working.
-const JIT_BURST: u64 = 4096;
-
-fn mutator_loop_jit(
+/// The one mutator loop: runs `mu` in engine bursts — native code where
+/// the engine has any, [`m3gc_vm::exec::step`] everywhere else — parking
+/// at safepoints and requesting collections on failed allocations, until
+/// it finishes or the run halts. With a `quantum` (the serve executor's
+/// green threads) it also returns once that many instructions have run
+/// and the pc sits at a loop poll with no collection pending: a poll pc
+/// has full gc tables, so the mutator is describable while descheduled.
+pub(crate) fn run_mutator(
     ctx: &RunCtx<'_>,
-    engine: &JitEngine,
-    mut mu: Mutator,
-) -> (Mutator, Result<(), ExecError>) {
-    let mut fuel = ctx.options.fuel;
+    mu: &mut Mutator,
+    fuel: &mut u64,
+    quantum: Option<u64>,
+) -> Result<MutatorExit, ExecError> {
+    let vm = ctx.vm;
+    let mut ran: u64 = 0;
+    // Instructions executed since first observing the current request
+    // without reaching a gc-point (§5.3: bounded by construction).
     let mut advance: u64 = 0;
     loop {
         if ctx.coord.halt.load(Ordering::Acquire) {
-            return (mu, Ok(()));
+            return Ok(MutatorExit::Halted);
         }
-        let (step, executed) = engine.run_burst(ctx.vm, &mut mu, JIT_BURST.min(fuel).max(1));
-        let exhausted = executed >= fuel;
-        fuel -= executed.min(fuel);
-        if ctx.vm.gc_request.load(R) {
+        let left = match quantum {
+            Some(q) if ran >= q => {
+                if vm.is_poll_pc(mu.cpu.pc) && !vm.gc_request.load(R) {
+                    return Ok(MutatorExit::Descheduled);
+                }
+                1
+            }
+            Some(q) => q - ran,
+            None => BURST,
+        };
+        let budget = left.min(BURST).min(*fuel).max(1);
+        let (step, executed) = ctx.engine.run(&mut mu.cpu, &mut vm.world(&mut mu.local), budget);
+        mu.steps += executed;
+        ran += executed;
+        let exhausted = executed >= *fuel;
+        *fuel -= executed.min(*fuel);
+        if vm.gc_request.load(R) {
             advance += executed;
             if advance > ctx.options.max_advance {
-                let thread = mu.tid;
-                return (mu, Err(ExecError::StuckThread { thread }));
+                return Err(ExecError::StuckThread { thread: mu.tid });
             }
         } else {
             advance = 0;
         }
         match step {
-            ParStep::Normal => {
-                if exhausted {
-                    return (mu, Err(ExecError::OutOfFuel));
-                }
-            }
-            ParStep::AtSafepoint => {
+            Step::Normal if exhausted => return Err(ExecError::OutOfFuel),
+            Step::Normal => {}
+            Step::AtSafepoint => {
                 advance = 0;
-                if !park(ctx, &mut mu) {
-                    return (mu, Ok(()));
+                if !park(ctx, mu) {
+                    return Ok(MutatorExit::Halted);
                 }
             }
-            ParStep::NeedGc => {
+            Step::NeedGc => {
                 advance = 0;
-                match request_gc(ctx, &mut mu) {
-                    Ok(true) => {} // retry the allocation
-                    Ok(false) => return (mu, Ok(())),
-                    Err(e) => return (mu, Err(e)),
+                // On `true` the allocation is simply retried.
+                if !request_gc(ctx, mu)? {
+                    return Ok(MutatorExit::Halted);
                 }
             }
-            ParStep::Finished => return (mu, Ok(())),
-            ParStep::Trap(t) => return (mu, Err(ExecError::Trap(t))),
-        }
-    }
-}
-
-fn mutator_loop_interp(ctx: &RunCtx<'_>, mut mu: Mutator) -> (Mutator, Result<(), ExecError>) {
-    let mut fuel = ctx.options.fuel;
-    // Instructions executed since first observing the current request
-    // without reaching a gc-point (§5.3: bounded by construction).
-    let mut advance: u64 = 0;
-    loop {
-        match ctx.vm.step(&mut mu) {
-            ParStep::Normal => {
-                if fuel == 0 {
-                    return (mu, Err(ExecError::OutOfFuel));
-                }
-                fuel -= 1;
-                if mu.steps & HALT_CHECK_MASK == 0 && ctx.coord.halt.load(Ordering::Acquire) {
-                    return (mu, Ok(()));
-                }
-                if ctx.vm.gc_request.load(R) {
-                    advance += 1;
-                    if advance > ctx.options.max_advance {
-                        let thread = mu.tid;
-                        return (mu, Err(ExecError::StuckThread { thread }));
-                    }
-                } else {
-                    advance = 0;
-                }
-            }
-            ParStep::AtSafepoint => {
-                advance = 0;
-                if !park(ctx, &mut mu) {
-                    return (mu, Ok(()));
-                }
-            }
-            ParStep::NeedGc => {
-                advance = 0;
-                match request_gc(ctx, &mut mu) {
-                    Ok(true) => {} // retry the allocation
-                    Ok(false) => return (mu, Ok(())),
-                    Err(e) => return (mu, Err(e)),
-                }
-            }
-            ParStep::Finished => return (mu, Ok(())),
-            ParStep::Trap(t) => return (mu, Err(ExecError::Trap(t))),
+            Step::Finished => return Ok(MutatorExit::Finished),
+            Step::Trap(t) => return Err(ExecError::Trap(t)),
         }
     }
 }
 
 /// Thread wrapper: runs the loop, records the first error, always
 /// deregisters from the handshake so no leader waits on a dead thread.
-fn mutator_thread(ctx: &RunCtx<'_>, mu: Mutator) -> Mutator {
-    let (mut mu, res) = mutator_loop(ctx, mu);
+fn mutator_thread(ctx: &RunCtx<'_>, mut mu: Mutator) -> Mutator {
+    let mut fuel = ctx.options.fuel;
+    let res = run_mutator(ctx, &mut mu, &mut fuel, None).map(|_| ());
     // Retire before deregistering: the run's final counters (and any
     // collection led after this thread leaves) must include this
     // thread's buffered allocations.
@@ -1081,8 +939,8 @@ impl ParExecutor {
         }
         let vm = &self.vm;
         let n = vm.mutators();
-        let mut ctx = RunCtx::new(vm, self.options, n, n);
-        ctx.jit = self.jit.clone();
+        let engine = self.jit.clone().unwrap_or_else(|| Arc::new(JitEngine::interpreter()));
+        let ctx = RunCtx::new(vm, self.options, n, n, engine);
 
         let main = vm.module.main;
         let mut done: Vec<Mutator> = Vec::with_capacity(n);

@@ -1,7 +1,7 @@
 //! One schema for run statistics: the `--stats` text lines and the
-//! benchmark `BENCH_*.json` files are rendered from the same
-//! [`StatsReport`], so a counter cannot appear in one and drift from
-//! the other.
+//! machine-readable JSON object ([`StatsReport::to_json`]) are rendered
+//! from the same [`StatsReport`], so a counter cannot appear in one and
+//! drift from the other.
 //!
 //! A report is an ordered list of `(json_key, value)` entries plus the
 //! `--- …` display lines. The canonical `add_*` methods append both at
@@ -181,15 +181,6 @@ impl StatsReport {
     /// Appends a display line (rendered as `--- {text}`).
     pub fn line(&mut self, text: impl Into<String>) -> &mut Self {
         self.lines.push(text.into());
-        self
-    }
-
-    /// Records the host environment: core count and whether the run's
-    /// perf assertions were armed. Every benchmark JSON carries these
-    /// so single-core results are not misread as regressions.
-    pub fn host(&mut self, cores: usize, assertion_armed: bool) -> &mut Self {
-        self.put("cores", cores);
-        self.put("assertion_armed", assertion_armed);
         self
     }
 
@@ -635,15 +626,5 @@ mod tests {
         // "--- decode cache: 5 hit(s), ..." — hits at token 3.
         assert_eq!(cache.split_whitespace().nth(3), Some("5"));
         assert!(cache.ends_with("of 11"));
-    }
-
-    #[test]
-    fn host_records_cores_and_assertions() {
-        let mut r = StatsReport::new("t");
-        r.host(1, false);
-        assert_eq!(r.get("cores"), Some(&StatValue::U64(1)));
-        assert_eq!(r.get("assertion_armed"), Some(&StatValue::Bool(false)));
-        let j = r.to_json();
-        assert!(j.contains("\"cores\":1") && j.contains("\"assertion_armed\":false"), "{j}");
     }
 }

@@ -103,10 +103,11 @@ pub struct Executor {
     /// oracle is.
     watermarks: StackWatermarks,
     next_forced: Option<u64>,
-    /// Native baseline engine (`--jit`); `None` runs the interpreter.
-    /// The collectors never see this — JIT frames resolve to bytecode
-    /// pcs through the machine's installed code map.
-    jit: Option<Box<JitEngine>>,
+    /// What threads run on: the native baseline engine under `--jit`,
+    /// an engine with no native code (the interpreter) otherwise. The
+    /// collectors never see this — JIT frames resolve to bytecode pcs
+    /// through the machine's installed code map.
+    engine: Box<JitEngine>,
 }
 
 impl Executor {
@@ -138,18 +139,28 @@ impl Executor {
         let mut cache = DecodeCache::build(&machine.module.gc_maps)?;
         cache.bind_module(machine.module_token());
         let watermarks = StackWatermarks::new(options.oracle);
-        let jit = options.jit.then(|| {
-            let engine = Box::new(JitEngine::for_machine(&machine));
+        let engine = Box::new(if options.jit {
+            let engine = JitEngine::for_machine(&machine);
             machine.set_code_map(engine.code_map());
             engine
+        } else {
+            JitEngine::interpreter()
         });
-        Ok(Executor { machine, options, gc_each: Vec::new(), cache, watermarks, next_forced, jit })
+        Ok(Executor {
+            machine,
+            options,
+            gc_each: Vec::new(),
+            cache,
+            watermarks,
+            next_forced,
+            engine,
+        })
     }
 
     /// A snapshot of the JIT engine's statistics, if `--jit` was set.
     #[must_use]
     pub fn jit_summary(&self) -> Option<JitSummary> {
-        self.jit.as_deref().map(JitEngine::summary)
+        self.options.jit.then(|| self.engine.summary())
     }
 
     /// Test hook: corrupts one native return-address key in the code
@@ -159,22 +170,17 @@ impl Executor {
     /// out of range.
     #[doc(hidden)]
     pub fn corrupt_jit_gc_point(&mut self, idx: usize, delta: i32) -> Option<(u32, u32)> {
-        let engine = self.jit.as_deref_mut()?;
-        if idx >= engine.code_map().gc_points().len() {
+        if !self.options.jit || idx >= self.engine.code_map().gc_points().len() {
             return None;
         }
-        let (map, swapped) = engine.corrupt_gc_point_key(idx, delta);
+        let (map, swapped) = self.engine.corrupt_gc_point_key(idx, delta);
         self.machine.set_code_map(map);
         Some(swapped)
     }
 
-    /// Runs `tid` for up to `fuel` instructions through the JIT when
-    /// enabled, the interpreter otherwise.
+    /// Runs `tid` for up to `fuel` instructions.
     fn run_thread(&mut self, tid: usize, fuel: u64) -> RunOutcome {
-        match self.jit.as_deref() {
-            Some(engine) => engine.run_thread(&mut self.machine, tid, fuel),
-            None => self.machine.run_thread(tid, fuel),
-        }
+        self.engine.run_thread(&mut self.machine, tid, fuel)
     }
 
     /// The decode cache (for inspecting hit/miss counters and memo size).
@@ -228,31 +234,16 @@ impl Executor {
                 self.watermarks.invalidate_all();
                 collector::collect(&mut self.machine, &mut self.cache)
             }
+            // No flip happens in these modes: pretend a collection
+            // happened at the same spot and release the threads by hand.
             GcMode::TraceOnly => {
                 let s = collector::trace_only(&mut self.machine, &mut self.cache);
-                // No flip happened; release the threads manually.
-                let alloc = self.machine.alloc_ptr;
-                let was_pending = self.machine.gc_pending;
-                if was_pending {
-                    // Pretend a collection happened at the same spot.
-                    self.machine.gc_pending = false;
-                    for t in &mut self.machine.threads {
-                        if t.status == ThreadStatus::BlockedAtGcPoint {
-                            t.status = ThreadStatus::Runnable;
-                        }
-                    }
-                    self.machine.collections += 1;
-                }
-                let _ = alloc;
+                self.machine.release_blocked_threads();
+                self.machine.collections += 1;
                 s
             }
             GcMode::Null => {
-                self.machine.gc_pending = false;
-                for t in &mut self.machine.threads {
-                    if t.status == ThreadStatus::BlockedAtGcPoint {
-                        t.status = ThreadStatus::Runnable;
-                    }
-                }
+                self.machine.release_blocked_threads();
                 self.machine.collections += 1;
                 GcStats::default()
             }
@@ -270,13 +261,10 @@ impl Executor {
         let mut fuel = self.options.fuel;
         let mut last_gc_allocations: Option<u64> = None;
         'sched: loop {
-            let mut any = false;
             for tid in 0..self.machine.threads.len() {
                 if self.machine.threads[tid].status != ThreadStatus::Runnable {
                     continue;
                 }
-                any = true;
-                let _ = any;
                 let quantum = self.options.quantum.min(fuel);
                 if quantum == 0 {
                     return Err(ExecError::OutOfFuel);
@@ -316,9 +304,7 @@ impl Executor {
                 }
                 continue 'sched;
             }
-            if !any {
-                break;
-            }
+            break;
         }
         let gc_total = self.gc_each.iter().fold(GcStats::default(), |mut acc, s| {
             acc.objects_copied += s.objects_copied;

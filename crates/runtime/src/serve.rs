@@ -14,7 +14,7 @@
 //! Scheduling is cooperative and safepoint-aligned. A green runs for
 //! its quantum and is descheduled only at a loop-poll gc-point, where
 //! its register state is describable by the compiler's tables: the
-//! deposited [`Snapshot`] sits in the green's `RunCtx` slot, so a
+//! deposited `Snapshot` sits in the green's `RunCtx` slot, so a
 //! collection traces queued requests exactly like parked OS threads —
 //! and rewrites their roots in place. The stop-the-world handshake is
 //! the parallel runtime's own (`park`/`lead_collection`): `active`
@@ -29,12 +29,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use m3gc_vm::{Mutator, ParMachine, ParStep};
+use m3gc_jit::JitEngine;
+use m3gc_vm::{Mutator, ParMachine};
 
 use crate::options::RuntimeOptions;
 use crate::parallel::{
-    lead_collection_idle, park, park_idle, request_gc, ParGcStats, RunCtx, Snapshot,
-    HALT_CHECK_MASK,
+    lead_collection_idle, park_idle, reload, run_mutator, MutatorExit, ParGcStats, RunCtx,
 };
 use crate::scheduler::ExecError;
 
@@ -188,68 +188,6 @@ struct ServeShared {
     forced_collections: AtomicU64,
 }
 
-enum GreenExit {
-    /// Quantum expired at a poll gc-point; snapshot deposited.
-    Descheduled,
-    /// The request ran to completion.
-    Finished,
-    /// Shutdown observed mid-request.
-    Halted,
-}
-
-/// Runs one green until its quantum expires at a describable gc-point,
-/// it finishes, or the run shuts down. Mirrors the parallel runtime's
-/// `mutator_loop`, with the quantum deschedule added.
-fn run_green(ctx: &RunCtx<'_>, g: &mut Green, quantum: u64) -> Result<GreenExit, ExecError> {
-    let vm = ctx.vm;
-    let mut ran: u64 = 0;
-    let mut advance: u64 = 0;
-    loop {
-        if ran >= quantum && vm.is_poll_pc(g.mu.pc) && !vm.gc_request.load(R) {
-            // Deschedule here: a loop-poll pc has full gc tables, so the
-            // deposited snapshot is traceable while the green is queued.
-            vm.retire_tlab(&mut g.mu);
-            *ctx.slots[g.mu.tid].lock().unwrap() = Some(Snapshot::of(&g.mu));
-            return Ok(GreenExit::Descheduled);
-        }
-        match vm.step(&mut g.mu) {
-            ParStep::Normal => {
-                if g.fuel == 0 {
-                    return Err(ExecError::OutOfFuel);
-                }
-                g.fuel -= 1;
-                ran += 1;
-                if g.mu.steps & HALT_CHECK_MASK == 0 && ctx.coord.halt.load(Ordering::Acquire) {
-                    return Ok(GreenExit::Halted);
-                }
-                if vm.gc_request.load(R) {
-                    advance += 1;
-                    if advance > ctx.options.max_advance {
-                        let thread = g.mu.tid;
-                        return Err(ExecError::StuckThread { thread });
-                    }
-                } else {
-                    advance = 0;
-                }
-            }
-            ParStep::AtSafepoint => {
-                advance = 0;
-                if !park(ctx, &mut g.mu) {
-                    return Ok(GreenExit::Halted);
-                }
-            }
-            ParStep::NeedGc => {
-                advance = 0;
-                if !request_gc(ctx, &mut g.mu)? {
-                    return Ok(GreenExit::Halted);
-                }
-            }
-            ParStep::Finished => return Ok(GreenExit::Finished),
-            ParStep::Trap(t) => return Err(ExecError::Trap(t)),
-        }
-    }
-}
-
 /// Admits one request if ids remain and a non-zombie slot is free.
 fn admit_one(
     ctx: &RunCtx<'_>,
@@ -310,7 +248,7 @@ fn finish_green(ctx: &RunCtx<'_>, shared: &ServeShared, mut g: Green) {
     shared.free_slots.lock().unwrap().push_back(slot);
     let us = u64::try_from(g.started.elapsed().as_micros()).unwrap_or(u64::MAX);
     shared.latencies_us.lock().unwrap().push(us);
-    shared.outputs.lock().unwrap()[g.request_id as usize] = g.mu.output;
+    shared.outputs.lock().unwrap()[g.request_id as usize] = g.mu.local.output;
     shared.completed.fetch_add(1, R);
 }
 
@@ -350,13 +288,17 @@ fn scheduler_loop(
         let queued = shared.run_queue.lock().unwrap().pop_front();
         if let Some(mut g) = queued {
             // Reload the snapshot: a collection while queued rewrote it.
-            if let Some(snap) = ctx.slots[g.mu.tid].lock().unwrap().take() {
-                snap.restore(&mut g.mu);
-            }
-            match run_green(ctx, &mut g, ctx.options.quantum)? {
-                GreenExit::Descheduled => shared.run_queue.lock().unwrap().push_back(g),
-                GreenExit::Finished => finish_green(ctx, shared, g),
-                GreenExit::Halted => return Ok(()),
+            reload(ctx, &mut g.mu);
+            match run_mutator(ctx, &mut g.mu, &mut g.fuel, Some(ctx.options.quantum))? {
+                MutatorExit::Descheduled => {
+                    // The deposited snapshot keeps the green traceable
+                    // while it is queued.
+                    ctx.vm.retire_tlab(&mut g.mu);
+                    *ctx.slots[g.mu.tid].lock().unwrap() = Some(g.mu.cpu.clone());
+                    shared.run_queue.lock().unwrap().push_back(g);
+                }
+                MutatorExit::Finished => finish_green(ctx, shared, g),
+                MutatorExit::Halted => return Ok(()),
             }
             continue;
         }
@@ -468,7 +410,8 @@ impl ServeExecutor {
         assert!(n_args <= 1, "handler procedure must take 0 or 1 argument");
         let entry_takes_id = n_args == 1;
 
-        let ctx = RunCtx::new(vm, self.options, greens, threads);
+        let engine = std::sync::Arc::new(JitEngine::interpreter());
+        let ctx = RunCtx::new(vm, self.options, greens, threads, engine);
         let shared = ServeShared {
             run_queue: Mutex::new(VecDeque::new()),
             free_slots: Mutex::new((0..greens).collect()),

@@ -20,7 +20,8 @@
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::derive::{DerivationRecord, Sign};
 use m3gc_core::layout::{BaseReg, Location, NUM_HARD_REGS};
-use m3gc_vm::machine::{Machine, ThreadStatus, RETURN_SENTINEL};
+use m3gc_vm::exec::{Cpu, World};
+use m3gc_vm::machine::{Machine, Thread, ThreadStatus, RETURN_SENTINEL};
 use m3gc_vm::module::VmModule;
 
 /// A reference to a root: either a memory word or a live machine register
@@ -104,7 +105,7 @@ impl RootSource for Machine {
     }
 
     fn resolve_retpc(&self, retpc: i64) -> u32 {
-        Machine::resolve_retpc(self, retpc)
+        self.world.resolve_retpc(retpc)
     }
 }
 
@@ -117,17 +118,51 @@ pub fn read_root_in(src: &impl RootSource, r: RootRef) -> i64 {
     }
 }
 
-/// Reads a [`RootRef`].
-#[must_use]
-pub fn read_root(m: &Machine, r: RootRef) -> i64 {
-    read_root_in(m, r)
+/// The register files a [`RootRef::Reg`] can name: every thread of a
+/// sequential machine, or the one parked mutator whose deposited
+/// [`Cpu`] a gc worker is fixing up (whatever thread index the root
+/// carries — a stack walk never crosses threads).
+pub(crate) trait RegFiles {
+    fn cpu(&self, thread: u32) -> &Cpu;
+    fn cpu_mut(&mut self, thread: u32) -> &mut Cpu;
 }
 
-/// Writes a [`RootRef`].
-pub fn write_root(m: &mut Machine, r: RootRef, v: i64) {
+impl RegFiles for [Thread] {
+    fn cpu(&self, thread: u32) -> &Cpu {
+        &self[thread as usize].cpu
+    }
+    fn cpu_mut(&mut self, thread: u32) -> &mut Cpu {
+        &mut self[thread as usize].cpu
+    }
+}
+
+impl RegFiles for Cpu {
+    fn cpu(&self, _thread: u32) -> &Cpu {
+        self
+    }
+    fn cpu_mut(&mut self, _thread: u32) -> &mut Cpu {
+        self
+    }
+}
+
+/// Reads a [`RootRef`] of a world being collected.
+pub(crate) fn read_root<W: World>(w: &W, cpus: &(impl RegFiles + ?Sized), r: RootRef) -> i64 {
     match r {
-        RootRef::Mem(a) => m.mem[a as usize] = v,
-        RootRef::Reg { thread, reg } => m.threads[thread as usize].regs[reg as usize] = v,
+        RootRef::Mem(a) => w.word(a),
+        RootRef::Reg { thread, reg } => cpus.cpu(thread).regs[reg as usize],
+    }
+}
+
+/// Writes a [`RootRef`] of a world being collected.
+pub(crate) fn write_root<W: World>(
+    w: &mut W,
+    cpus: &mut (impl RegFiles + ?Sized),
+    r: RootRef,
+    v: i64,
+) {
+    match r {
+        RootRef::Mem(a) => w.set_word(a, v),
+        RootRef::Reg { thread, reg } => cpus.cpu_mut(thread).regs[reg as usize] = v,
     }
 }
 

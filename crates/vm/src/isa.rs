@@ -112,7 +112,7 @@ impl UnAluOp {
 /// One machine instruction.
 ///
 /// Branch/jump targets are absolute byte addresses in the module's code.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// `dst := imm`.
     MovI { dst: u8, imm: i64 },

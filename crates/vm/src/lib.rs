@@ -13,17 +13,20 @@
 //! * a byte-encoded instruction stream with variable-length operands
 //!   ([`encode`]), an assembler with labels ([`asm`]), a decoder and a
 //!   disassembler,
-//! * an interpreter ([`machine`]) whose `ALLOC` instruction *pauses* the
-//!   machine when the heap is full — the collector (in `m3gc-runtime`)
-//!   runs and the instruction is retried — and whose frame layout
-//!   (`CALL` pushes return pc, saved FP, saved AP) is what the collector's
-//!   stack walk decodes.
+//! * one execution core ([`exec`]: a `Cpu`, one `step`, one shadow
+//!   tracker) run against two memory formats behind the `World` trait —
+//!   the sequential [`machine`] and the thread-safe [`par`] machine.
+//!   `ALLOC` *pauses* the thread when the heap is full — the collector
+//!   (in `m3gc-runtime`) runs and the instruction is retried — and the
+//!   frame layout (`CALL` pushes return pc, saved FP, saved AP) is what
+//!   the collector's stack walk decodes.
 
 pub mod asm;
 pub mod codemap;
 pub mod decode;
 pub mod disasm;
 pub mod encode;
+pub mod exec;
 pub mod isa;
 pub mod machine;
 pub mod module;
@@ -31,9 +34,11 @@ pub mod par;
 pub mod shadow;
 
 pub use codemap::{CodeMap, CodeMapBuilder, ProcRange, JIT_RETPC_BIAS};
+pub use exec::{Cpu, Step, World};
 pub use isa::{AluOp, Instr, UnAluOp};
-pub use machine::{Machine, MachineLayout, StepOutcome, Thread, ThreadStatus, VmTrap};
+pub use machine::{Machine, MachineLayout, SeqWorld, Thread, ThreadStatus, VmTrap};
 pub use module::{ProcMeta, VmModule};
 pub use par::{
-    CmsHeap, EvacFault, Mutator, ParLayout, ParMachine, ParStep, SatbFault, DEFAULT_TLAB_WORDS,
+    CmsHeap, EvacFault, Mutator, MutatorLocal, ParLayout, ParMachine, ParWorld, SatbFault,
+    DEFAULT_TLAB_WORDS,
 };

@@ -6,7 +6,12 @@
 //! are untagged `i64` word addresses — exactly the paper's setting: only
 //! the compiler-emitted tables distinguish pointers from integers.
 //!
-//! Garbage collection protocol: `ALLOC` returns [`StepOutcome::NeedGc`]
+//! Instruction semantics live in [`crate::exec`]; this module is the
+//! sequential *world* they run against ([`SeqWorld`]: plain `i64` words,
+//! bump allocation with the generational large-object path, the
+//! remembered-set barrier) plus the thread table around it.
+//!
+//! Garbage collection protocol: `ALLOC` reports [`Step::NeedGc`]
 //! without changing any state when the heap is full; the runtime crate's
 //! collector then stops every thread at a gc-point (threads block when
 //! their pc reaches a marked gc-point while a collection is pending,
@@ -14,17 +19,17 @@
 //! [`Machine::finish_collection`], and execution resumes by re-trying the
 //! `ALLOC`.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use m3gc_core::decode::DecoderIndex;
 use m3gc_core::heap::{HeapType, TypeId};
-use m3gc_core::layout::BaseReg;
 use m3gc_core::stats::BarrierCounters;
 
-use crate::codemap::{CodeMap, JIT_RETPC_BIAS};
+use crate::codemap::CodeMap;
 use crate::decode::DecodedCode;
-use crate::isa::{Instr, NUM_REGS};
+use crate::exec::{self, Cpu, JitPorts, Step, World};
 use crate::module::VmModule;
 use crate::shadow::{Shadow, Tag};
 
@@ -36,22 +41,6 @@ pub const RETURN_SENTINEL: i64 = -1;
 
 /// Source of unique module-lifetime tokens (see [`Machine::module_token`]).
 static NEXT_MODULE_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-/// Shared `Ret`-side linkage-word resolution (used by both interpreter
-/// cores): plain bytecode pcs pass through, biased JIT return tokens
-/// resolve through the code map.
-///
-/// # Panics
-///
-/// Panics on a biased token without a resolvable code-map entry.
-pub(crate) fn resolve_retpc_via(map: Option<&CodeMap>, retpc: i64) -> u32 {
-    if retpc < JIT_RETPC_BIAS {
-        return retpc as u32;
-    }
-    map.expect("jit return token on a machine with no code map")
-        .resolve_ret(retpc)
-        .expect("jit return token resolves to no registered gc-point")
-}
 
 /// Allocates a fresh module-lifetime token (shared with [`crate::par`]).
 pub(crate) fn next_module_token() -> u64 {
@@ -212,41 +201,28 @@ pub enum ThreadStatus {
     Finished,
 }
 
-/// One thread of execution.
+/// One thread of execution: a [`Cpu`] (reachable through `Deref`, so
+/// `thread.regs`, `thread.pc`, … read as before) plus its scheduling
+/// state.
 #[derive(Debug, Clone)]
 pub struct Thread {
-    /// General-purpose registers.
-    pub regs: [i64; NUM_REGS],
-    /// Frame pointer.
-    pub fp: i64,
-    /// Stack pointer.
-    pub sp: i64,
-    /// Argument pointer.
-    pub ap: i64,
-    /// Program counter (byte offset in module code).
-    pub pc: u32,
+    /// Register file and frame cursor.
+    pub cpu: Cpu,
     /// Scheduling state.
     pub status: ThreadStatus,
-    /// First word of this thread's stack region.
-    pub stack_base: i64,
-    /// One past the last usable stack word.
-    pub stack_limit: i64,
 }
 
-/// Result of executing one instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// Instruction completed.
-    Normal,
-    /// The heap is full: a collection is required before this `ALLOC` can
-    /// proceed. No state changed; the pc still addresses the `ALLOC`.
-    NeedGc,
-    /// The thread blocked at a gc-point (collection pending).
-    AtGcPoint,
-    /// The thread returned from its bottom frame (or executed `HALT`).
-    Finished,
-    /// Abnormal termination.
-    Trap(VmTrap),
+impl Deref for Thread {
+    type Target = Cpu;
+    fn deref(&self) -> &Cpu {
+        &self.cpu
+    }
+}
+
+impl DerefMut for Thread {
+    fn deref_mut(&mut self) -> &mut Cpu {
+        &mut self.cpu
+    }
 }
 
 /// Result of running a thread for a while.
@@ -264,15 +240,37 @@ pub enum RunOutcome {
     Trap(VmTrap),
 }
 
-/// The virtual machine.
+/// The virtual machine: the thread table plus everything the threads
+/// share. All shared state is reachable through `Deref`
+/// (`machine.mem`, `machine.output`, …).
 pub struct Machine {
+    /// Threads (never removed; finished threads stay).
+    pub threads: Vec<Thread>,
+    /// Module, memory, heap and counters: the [`World`] threads step
+    /// against.
+    pub world: SeqWorld,
+}
+
+impl Deref for Machine {
+    type Target = SeqWorld;
+    fn deref(&self) -> &SeqWorld {
+        &self.world
+    }
+}
+
+impl DerefMut for Machine {
+    fn deref_mut(&mut self) -> &mut SeqWorld {
+        &mut self.world
+    }
+}
+
+/// The sequential machine minus its threads.
+pub struct SeqWorld {
     /// The loaded module.
     pub module: VmModule,
     decoded: DecodedCode,
     /// Flat memory: reserved | globals | stacks | semispace A | semispace B.
     pub mem: Vec<i64>,
-    /// Threads (never removed; finished threads stay).
-    pub threads: Vec<Thread>,
     /// Accumulated program output.
     pub output: String,
     /// Instructions executed.
@@ -288,7 +286,7 @@ pub struct Machine {
     /// Testing/measurement hook: when set, allocations report "needs gc"
     /// once `allocations` reaches this count, even with heap space left.
     /// Private so every write goes through
-    /// [`Machine::set_force_gc_after`], which keeps the cached fast-path
+    /// [`SeqWorld::set_force_gc_after`], which keeps the cached fast-path
     /// limit coherent.
     force_gc_after: Option<u64>,
     /// Cached allocation limit for the branch-light fast path: equal to
@@ -347,9 +345,9 @@ pub struct Machine {
     /// Set when an oversized allocation could not fit the tenured
     /// from-space: the next collection should be a major one.
     pub wants_major_gc: bool,
-    /// Shadow root tracking for the gc-map precision oracle (see
-    /// [`crate::shadow`]); `None` unless [`Machine::enable_shadow`] was
-    /// called.
+    /// Shadow memory tags for the gc-map precision oracle (see
+    /// [`crate::shadow`]); `None` unless [`SeqWorld::enable_shadow`] was
+    /// called. Register tags live in each thread's [`Cpu`].
     pub shadow: Option<Box<Shadow>>,
     /// Native-code address map installed by the JIT engine. When set,
     /// frame linkage words may hold biased return tokens
@@ -404,11 +402,10 @@ impl Machine {
             HeapStrategy::Semispace => 0,
             HeapStrategy::Generational { .. } => ((2 * layout.semi_words) >> CARD_WORDS_SHIFT) + 1,
         };
-        Machine {
+        let world = SeqWorld {
             module,
             decoded,
             mem: vec![0; total],
-            threads: Vec::new(),
             output: String::new(),
             steps: 0,
             allocations: 0,
@@ -437,9 +434,166 @@ impl Machine {
             wants_major_gc: false,
             shadow: None,
             code_map: None,
+        };
+        Machine { threads: Vec::new(), world }
+    }
+
+    /// Completes a collection: the spaces flip, allocation resumes at
+    /// `new_alloc_ptr` (one past the last evacuated word in the old
+    /// to-space), the pending flag clears, and blocked threads wake.
+    pub fn finish_collection(&mut self, new_alloc_ptr: i64) {
+        let (to_start, to_end) = self.to_space();
+        assert!((to_start..=to_end).contains(&new_alloc_ptr), "alloc ptr outside new space");
+        self.from_is_lower = !self.from_is_lower;
+        self.alloc_ptr = new_alloc_ptr;
+        self.alloc_limit = to_end;
+        self.resume_after_collection();
+    }
+
+    /// Completes a minor collection: the nursery halves flip, nursery
+    /// allocation resumes at `new_young_alloc` (one past the survivors in
+    /// the old to-half), promotion advanced the tenured frontier to
+    /// `new_tenured_alloc`, and blocked threads wake. The remembered set
+    /// must already have been drained by [`SeqWorld::take_remembered_slots`];
+    /// the collector re-records surviving old→young edges afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frontier lies outside its space (a collector bug).
+    pub fn finish_minor_collection(&mut self, new_young_alloc: i64, new_tenured_alloc: i64) {
+        assert!(self.is_generational(), "minor collection on a semispace heap");
+        let (to_start, to_end) = self.nursery_to_space();
+        assert!((to_start..=to_end).contains(&new_young_alloc), "young alloc outside to-half");
+        let (t_start, t_end) = self.tenured_space();
+        assert!((t_start..=t_end).contains(&new_tenured_alloc), "tenured frontier outside space");
+        assert!(new_tenured_alloc >= self.tenured_alloc_ptr, "promotion moved frontier backwards");
+        debug_assert!(self.rs_buf.is_empty(), "remembered set not drained before finish");
+        self.nursery_from_lower = !self.nursery_from_lower;
+        self.alloc_ptr = new_young_alloc;
+        self.alloc_limit = to_end;
+        self.tenured_alloc_ptr = new_tenured_alloc;
+        self.minor_collections += 1;
+        self.resume_after_collection();
+    }
+
+    /// Completes a major collection: the tenured semispaces flip with the
+    /// survivor frontier at `new_tenured_alloc`, the nursery empties (every
+    /// live object was promoted), the remembered set clears (no
+    /// tenured→nursery edges can exist into an empty nursery), and blocked
+    /// threads wake.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_tenured_alloc` lies outside the tenured to-space.
+    pub fn finish_major_collection(&mut self, new_tenured_alloc: i64) {
+        assert!(self.is_generational(), "major collection on a semispace heap");
+        let (to_start, to_end) = self.tenured_to_space();
+        assert!((to_start..=to_end).contains(&new_tenured_alloc), "tenured alloc outside space");
+        self.tenured_from_lower = !self.tenured_from_lower;
+        self.tenured_alloc_ptr = new_tenured_alloc;
+        let (n_start, n_end) = self.nursery_from_space();
+        self.alloc_ptr = n_start;
+        self.alloc_limit = n_end;
+        self.rs_buf.clear();
+        self.rs_card.fill(0);
+        self.major_collections += 1;
+        self.resume_after_collection();
+    }
+
+    /// The tail every `finish_*` shares: re-derive the fast-path limit,
+    /// clear the pending flags, count the collection, wake the threads.
+    fn resume_after_collection(&mut self) {
+        self.refresh_alloc_fast_limit();
+        self.wants_major_gc = false;
+        self.collections += 1;
+        self.release_blocked_threads();
+    }
+
+    /// Clears the pending flag and makes every thread blocked at a
+    /// gc-point runnable again.
+    pub fn release_blocked_threads(&mut self) {
+        self.gc_pending = false;
+        for t in &mut self.threads {
+            if t.status == ThreadStatus::BlockedAtGcPoint {
+                t.status = ThreadStatus::Runnable;
+            }
         }
     }
 
+    /// Spawns a thread running procedure `proc` with the given argument
+    /// words; returns the thread index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread limit is exceeded or `proc` is invalid.
+    pub fn spawn(&mut self, proc: u16, args: &[i64]) -> usize {
+        let tid = self.threads.len();
+        assert!(tid < self.layout.max_threads, "too many threads");
+        let stack_base = (self.stacks_base + tid * self.layout.stack_words) as i64;
+        let stack = (stack_base, stack_base + self.layout.stack_words as i64);
+        let cpu = exec::spawn(&mut self.world, stack, proc, args);
+        self.threads.push(Thread { cpu, status: ThreadStatus::Runnable });
+        tid
+    }
+
+    /// Splits the borrow for the execution core: thread `tid`'s register
+    /// file, and the world it steps against.
+    pub fn split(&mut self, tid: usize) -> (&mut Cpu, &mut SeqWorld) {
+        (&mut self.threads[tid].cpu, &mut self.world)
+    }
+
+    /// Translates what [`exec::step`] (or a JIT burst) reported for
+    /// thread `tid` into thread-status bookkeeping, after `executed`
+    /// instructions. `Step::Normal` means the budget ran out.
+    pub fn settle(&mut self, tid: usize, step: Step, executed: u64) -> RunOutcome {
+        self.steps += executed;
+        let status = &mut self.threads[tid].status;
+        match step {
+            Step::Normal => RunOutcome::OutOfFuel,
+            Step::AtSafepoint => {
+                *status = ThreadStatus::BlockedAtGcPoint;
+                RunOutcome::AtGcPoint
+            }
+            Step::NeedGc => {
+                *status = ThreadStatus::BlockedAtGcPoint;
+                self.gc_pending = true;
+                RunOutcome::NeedGc
+            }
+            Step::Finished => {
+                *status = ThreadStatus::Finished;
+                RunOutcome::Finished
+            }
+            Step::Trap(t) => RunOutcome::Trap(t),
+        }
+    }
+
+    /// Executes one instruction of thread `tid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is out of range or its thread is not runnable.
+    pub fn step(&mut self, tid: usize) -> Step {
+        debug_assert_eq!(
+            self.threads[tid].status,
+            ThreadStatus::Runnable,
+            "stepping a non-runnable thread"
+        );
+        let (cpu, world) = self.split(tid);
+        let step = exec::step(cpu, world);
+        self.settle(tid, step, u64::from(step != Step::AtSafepoint));
+        step
+    }
+
+    /// Runs thread `tid` until it finishes, needs a collection, blocks at
+    /// a gc-point, traps, or exhausts `fuel` instructions.
+    pub fn run_thread(&mut self, tid: usize, fuel: u64) -> RunOutcome {
+        let (cpu, world) = self.split(tid);
+        let (step, executed) = exec::run(cpu, world, fuel);
+        self.settle(tid, step, executed)
+    }
+}
+
+impl SeqWorld {
     /// Installs the JIT engine's native-code address map. From here on,
     /// frame linkage words may hold biased native return tokens; `Ret`
     /// and the stack walker resolve them through this map.
@@ -453,41 +607,10 @@ impl Machine {
         self.code_map.as_ref()
     }
 
-    /// Resolves a frame linkage return word to a bytecode pc: plain pcs
-    /// pass through, biased JIT tokens resolve through the code map.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a biased token with no (or an unmapped) code map — a
-    /// JIT frame exists but no engine registered its gc-points.
-    #[must_use]
-    pub fn resolve_retpc(&self, retpc: i64) -> u32 {
-        resolve_retpc_via(self.code_map.as_deref(), retpc)
-    }
-
     /// Turns on shadow root tracking (instrumented execution for the
-    /// gc-map precision oracle). Must be called before any thread runs;
-    /// tags for already-spawned threads start as all-`NonPtr`.
+    /// gc-map precision oracle). Must be called before any thread runs.
     pub fn enable_shadow(&mut self) {
-        let mut sh = Shadow::new(self.mem.len());
-        sh.regs = vec![[Tag::NonPtr; NUM_REGS]; self.threads.len()];
-        self.shadow = Some(Box::new(sh));
-    }
-
-    /// True if `addr` lies in a dead (just-collected) heap region: the
-    /// inactive semispace, or either inactive half of a generational
-    /// heap. Any program access landing there went through a pointer the
-    /// collector did not update — a gc-map hole.
-    #[must_use]
-    pub fn in_dead_space(&self, addr: i64) -> bool {
-        if self.is_generational() {
-            let (ns, ne) = self.nursery_to_space();
-            let (ts, te) = self.tenured_to_space();
-            (ns..ne).contains(&addr) || (ts..te).contains(&addr)
-        } else {
-            let (s, e) = self.to_space();
-            (s..e).contains(&addr)
-        }
+        self.shadow = Some(Box::new(Shadow::new(self.mem.len())));
     }
 
     /// Start of the global area.
@@ -514,22 +637,18 @@ impl Machine {
     /// The from-space (currently allocated-into) bounds `[start, end)`.
     #[must_use]
     pub fn from_space(&self) -> (i64, i64) {
-        let start = if self.from_is_lower {
-            self.heap_base
-        } else {
-            self.heap_base + self.layout.semi_words
-        };
-        (start as i64, (start + self.layout.semi_words) as i64)
+        self.semispace(self.heap_base, self.from_is_lower)
     }
 
     /// The to-space bounds `[start, end)`.
     #[must_use]
     pub fn to_space(&self) -> (i64, i64) {
-        let start = if self.from_is_lower {
-            self.heap_base + self.layout.semi_words
-        } else {
-            self.heap_base
-        };
+        self.semispace(self.heap_base, !self.from_is_lower)
+    }
+
+    /// The lower or upper `semi_words`-sized half of the pair at `base`.
+    fn semispace(&self, base: usize, lower: bool) -> (i64, i64) {
+        let start = if lower { base } else { base + self.layout.semi_words };
         (start as i64, (start + self.layout.semi_words) as i64)
     }
 
@@ -564,20 +683,23 @@ impl Machine {
         }
     }
 
+    /// The lower or upper nursery half.
+    fn nursery_half(&self, lower: bool) -> (i64, i64) {
+        let n = self.nursery_words();
+        let start = if lower { self.heap_base } else { self.heap_base + n };
+        (start as i64, (start + n) as i64)
+    }
+
     /// The active (allocation) nursery half `[start, end)`.
     #[must_use]
     pub fn nursery_from_space(&self) -> (i64, i64) {
-        let n = self.nursery_words();
-        let start = if self.nursery_from_lower { self.heap_base } else { self.heap_base + n };
-        (start as i64, (start + n) as i64)
+        self.nursery_half(self.nursery_from_lower)
     }
 
     /// The inactive nursery half `[start, end)` (minor-GC survivor space).
     #[must_use]
     pub fn nursery_to_space(&self) -> (i64, i64) {
-        let n = self.nursery_words();
-        let start = if self.nursery_from_lower { self.heap_base + n } else { self.heap_base };
-        (start as i64, (start + n) as i64)
+        self.nursery_half(!self.nursery_from_lower)
     }
 
     /// True if `addr` points into the active nursery half.
@@ -590,23 +712,13 @@ impl Machine {
     /// The tenured from-space `[start, end)` (the live old generation).
     #[must_use]
     pub fn tenured_space(&self) -> (i64, i64) {
-        let start = if self.tenured_from_lower {
-            self.tenured_base
-        } else {
-            self.tenured_base + self.layout.semi_words
-        };
-        (start as i64, (start + self.layout.semi_words) as i64)
+        self.semispace(self.tenured_base, self.tenured_from_lower)
     }
 
     /// The tenured to-space `[start, end)` (major-GC target).
     #[must_use]
     pub fn tenured_to_space(&self) -> (i64, i64) {
-        let start = if self.tenured_from_lower {
-            self.tenured_base + self.layout.semi_words
-        } else {
-            self.tenured_base
-        };
-        (start as i64, (start + self.layout.semi_words) as i64)
+        self.semispace(self.tenured_base, !self.tenured_from_lower)
     }
 
     /// True if `addr` points into the tenured from-space.
@@ -666,14 +778,14 @@ impl Machine {
 
     /// Drains the remembered set for a minor collection, resetting the
     /// card cache. The collector re-records surviving tenured→nursery
-    /// edges (via [`Machine::remember_slot`]) after the flip.
+    /// edges (via [`SeqWorld::remember_slot`]) after the flip.
     pub fn take_remembered_slots(&mut self) -> Vec<i64> {
         self.rs_card.fill(0);
         std::mem::take(&mut self.rs_buf)
     }
 
-    /// The write-barrier slow path for [`Instr::StB`]: records `addr` if
-    /// it is a tenured slot now holding a pointer into the active nursery.
+    /// The write-barrier slow path for `StB`: records `addr` if it is a
+    /// tenured slot now holding a pointer into the active nursery.
     fn note_barrier(&mut self, addr: i64, value: i64) {
         self.barrier.executed += 1;
         if !self.is_generational() || value == 0 {
@@ -716,302 +828,30 @@ impl Machine {
         self.force_gc_after
     }
 
-    /// Completes a collection: the spaces flip, allocation resumes at
-    /// `new_alloc_ptr` (one past the last evacuated word in the old
-    /// to-space), the pending flag clears, and blocked threads wake.
-    pub fn finish_collection(&mut self, new_alloc_ptr: i64) {
-        let (to_start, to_end) = self.to_space();
-        assert!((to_start..=to_end).contains(&new_alloc_ptr), "alloc ptr outside new space");
-        self.from_is_lower = !self.from_is_lower;
-        self.alloc_ptr = new_alloc_ptr;
-        self.alloc_limit = to_end;
-        self.refresh_alloc_fast_limit();
-        self.gc_pending = false;
-        self.collections += 1;
-        self.wake_blocked_threads();
-    }
-
-    /// Completes a minor collection: the nursery halves flip, nursery
-    /// allocation resumes at `new_young_alloc` (one past the survivors in
-    /// the old to-half), promotion advanced the tenured frontier to
-    /// `new_tenured_alloc`, and blocked threads wake. The remembered set
-    /// must already have been drained by [`Machine::take_remembered_slots`];
-    /// the collector re-records surviving old→young edges afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either frontier lies outside its space (a collector bug).
-    pub fn finish_minor_collection(&mut self, new_young_alloc: i64, new_tenured_alloc: i64) {
-        assert!(self.is_generational(), "minor collection on a semispace heap");
-        let (to_start, to_end) = self.nursery_to_space();
-        assert!((to_start..=to_end).contains(&new_young_alloc), "young alloc outside to-half");
-        let (t_start, t_end) = self.tenured_space();
-        assert!((t_start..=t_end).contains(&new_tenured_alloc), "tenured frontier outside space");
-        assert!(new_tenured_alloc >= self.tenured_alloc_ptr, "promotion moved frontier backwards");
-        debug_assert!(self.rs_buf.is_empty(), "remembered set not drained before finish");
-        self.nursery_from_lower = !self.nursery_from_lower;
-        self.alloc_ptr = new_young_alloc;
-        self.alloc_limit = to_end;
-        self.refresh_alloc_fast_limit();
-        self.tenured_alloc_ptr = new_tenured_alloc;
-        self.wants_major_gc = false;
-        self.gc_pending = false;
-        self.collections += 1;
-        self.minor_collections += 1;
-        self.wake_blocked_threads();
-    }
-
-    /// Completes a major collection: the tenured semispaces flip with the
-    /// survivor frontier at `new_tenured_alloc`, the nursery empties (every
-    /// live object was promoted), the remembered set clears (no
-    /// tenured→nursery edges can exist into an empty nursery), and blocked
-    /// threads wake.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_tenured_alloc` lies outside the tenured to-space.
-    pub fn finish_major_collection(&mut self, new_tenured_alloc: i64) {
-        assert!(self.is_generational(), "major collection on a semispace heap");
-        let (to_start, to_end) = self.tenured_to_space();
-        assert!((to_start..=to_end).contains(&new_tenured_alloc), "tenured alloc outside space");
-        self.tenured_from_lower = !self.tenured_from_lower;
-        self.tenured_alloc_ptr = new_tenured_alloc;
-        let (n_start, n_end) = self.nursery_from_space();
-        self.alloc_ptr = n_start;
-        self.alloc_limit = n_end;
-        self.refresh_alloc_fast_limit();
-        self.rs_buf.clear();
-        self.rs_card.fill(0);
-        self.wants_major_gc = false;
-        self.gc_pending = false;
-        self.collections += 1;
-        self.major_collections += 1;
-        self.wake_blocked_threads();
-    }
-
-    fn wake_blocked_threads(&mut self) {
-        for t in &mut self.threads {
-            if t.status == ThreadStatus::BlockedAtGcPoint {
-                t.status = ThreadStatus::Runnable;
-            }
+    /// Zeroes a fresh object (the space may hold stale data from before a
+    /// previous flip), writes its header and counts it.
+    fn init_object(&mut self, addr: i64, words: i64, ty: u16, len: i64, is_array: bool) {
+        self.zero(addr, words);
+        self.clear_tags(addr, words);
+        self.mem[addr as usize] = i64::from(ty);
+        if is_array {
+            self.mem[addr as usize + 1] = len;
         }
-    }
-
-    /// Spawns a thread running procedure `proc` with the given argument
-    /// words; returns the thread index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread limit is exceeded or `proc` is invalid.
-    pub fn spawn(&mut self, proc: u16, args: &[i64]) -> usize {
-        let tid = self.threads.len();
-        assert!(tid < self.layout.max_threads, "too many threads");
-        let meta = &self.module.procs[proc as usize];
-        assert_eq!(meta.n_args as usize, args.len(), "argument count mismatch");
-        let stack_base = (self.stacks_base + tid * self.layout.stack_words) as i64;
-        let stack_limit = stack_base + self.layout.stack_words as i64;
-        let mut sp = stack_base;
-        for &a in args {
-            self.mem[sp as usize] = a;
-            sp += 1;
-        }
-        // Bottom-frame linkage.
-        self.mem[sp as usize] = RETURN_SENTINEL;
-        self.mem[sp as usize + 1] = 0;
-        self.mem[sp as usize + 2] = 0;
-        let fp = sp + 3;
-        let frame_words = i64::from(meta.frame_words);
-        for w in 0..frame_words {
-            self.mem[(fp + w) as usize] = 0;
-        }
-        if let Some(sh) = self.shadow.as_deref_mut() {
-            sh.regs.push([Tag::NonPtr; NUM_REGS]);
-            sh.clear_range(stack_base, fp + frame_words - stack_base);
-        }
-        self.threads.push(Thread {
-            regs: [0; NUM_REGS],
-            fp,
-            sp: fp + frame_words,
-            ap: stack_base,
-            pc: meta.entry_pc,
-            status: ThreadStatus::Runnable,
-            stack_base,
-            stack_limit,
-        });
-        tid
-    }
-
-    fn read(&self, addr: i64) -> Result<i64, VmTrap> {
-        if !(GLOBAL_BASE as i64..self.mem.len() as i64).contains(&addr) {
-            return Err(if addr >= 0 && addr < GLOBAL_BASE as i64 {
-                VmTrap::NilError
-            } else {
-                VmTrap::WildAddress
-            });
-        }
-        Ok(self.mem[addr as usize])
-    }
-
-    fn write(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
-        if !(GLOBAL_BASE as i64..self.mem.len() as i64).contains(&addr) {
-            return Err(if addr >= 0 && addr < GLOBAL_BASE as i64 {
-                VmTrap::NilError
-            } else {
-                VmTrap::WildAddress
-            });
-        }
-        self.mem[addr as usize] = value;
-        Ok(())
-    }
-
-    fn base_value(t: &Thread, b: BaseReg) -> i64 {
-        match b {
-            BaseReg::Fp => t.fp,
-            BaseReg::Sp => t.sp,
-            BaseReg::Ap => t.ap,
-        }
-    }
-
-    /// Shadow-mode instrumentation, run before the instruction executes:
-    /// checks register-based accesses against the dead heap regions and
-    /// propagates [`Tag`]s through the instruction's data flow. Allocation
-    /// tags are handled in the `Alloc` arms of [`Machine::step`] (the
-    /// result address is not known here).
-    fn shadow_step(&mut self, tid: usize, ins: &Instr) -> Option<VmTrap> {
-        use crate::isa::AluOp;
-        // A register-based access whose effective address lands in a
-        // just-collected space went through a pointer the tables missed.
-        if let Instr::Ld { base, off, .. }
-        | Instr::St { base, off, .. }
-        | Instr::StB { base, off, .. } = *ins
-        {
-            let addr = self.threads[tid].regs[base as usize] + i64::from(off);
-            if self.in_dead_space(addr) {
-                return Some(VmTrap::StalePointer);
-            }
-        }
-        let Machine { threads, shadow, module, .. } = self;
-        let sh = shadow.as_deref_mut().expect("shadow_step without shadow");
-        let t = &threads[tid];
-        match *ins {
-            Instr::MovI { dst, .. } | Instr::UnAlu { dst, .. } => {
-                sh.regs[tid][dst as usize] = Tag::NonPtr;
-            }
-            Instr::Mov { dst, src } => sh.regs[tid][dst as usize] = sh.regs[tid][src as usize],
-            Instr::Alu { op, dst, a, b } => {
-                let (ta, tb) = (sh.regs[tid][a as usize], sh.regs[tid][b as usize]);
-                sh.regs[tid][dst as usize] = match op {
-                    AluOp::Add | AluOp::Sub => Shadow::combine_additive(ta, tb),
-                    _ => Tag::NonPtr,
-                };
-            }
-            Instr::AluI { op, dst, a, .. } => {
-                let ta = sh.regs[tid][a as usize];
-                sh.regs[tid][dst as usize] = match op {
-                    AluOp::Add | AluOp::Sub => Shadow::combine_additive(ta, Tag::NonPtr),
-                    _ => Tag::NonPtr,
-                };
-            }
-            Instr::Ld { dst, base, off } => {
-                let addr = t.regs[base as usize] + i64::from(off);
-                sh.regs[tid][dst as usize] = sh.mem_tag(addr);
-            }
-            Instr::St { base, off, src } | Instr::StB { base, off, src } => {
-                let addr = t.regs[base as usize] + i64::from(off);
-                let tag = sh.regs[tid][src as usize];
-                sh.set_mem(addr, tag);
-            }
-            Instr::LdF { dst, breg, off } => {
-                let addr = Self::base_value(t, breg) + i64::from(off);
-                sh.regs[tid][dst as usize] = sh.mem_tag(addr);
-            }
-            Instr::StF { breg, off, src } => {
-                let addr = Self::base_value(t, breg) + i64::from(off);
-                let tag = sh.regs[tid][src as usize];
-                sh.set_mem(addr, tag);
-            }
-            Instr::Lea { dst, .. } | Instr::LeaG { dst, .. } => {
-                // Stack and global addresses are not heap pointers; the
-                // tables must never list them as tidy roots.
-                sh.regs[tid][dst as usize] = Tag::NonPtr;
-            }
-            Instr::LdG { dst, goff } => {
-                sh.regs[tid][dst as usize] = sh.mem_tag((GLOBAL_BASE + goff as usize) as i64);
-            }
-            Instr::StG { goff, src } => {
-                let tag = sh.regs[tid][src as usize];
-                sh.set_mem((GLOBAL_BASE + goff as usize) as i64, tag);
-            }
-            Instr::Push { src } => {
-                let tag = sh.regs[tid][src as usize];
-                sh.set_mem(t.sp, tag);
-            }
-            Instr::Call { proc, .. } => {
-                // Linkage words and the zeroed frame hold no pointers yet.
-                if let Some(meta) = module.procs.get(proc as usize) {
-                    sh.clear_range(t.sp, 3 + i64::from(meta.frame_words));
-                }
-            }
-            // Allocation is tagged after the fact; everything else moves
-            // no data.
-            Instr::Alloc { .. }
-            | Instr::AllocA { .. }
-            | Instr::Ret
-            | Instr::Jmp { .. }
-            | Instr::Brt { .. }
-            | Instr::Brf { .. }
-            | Instr::GcPoint
-            | Instr::Sys { .. }
-            | Instr::Halt => {}
-        }
-        None
-    }
-
-    /// Attempts a heap allocation; `Ok(None)` means "needs gc".
-    ///
-    /// The fast path bumps through the allocation space (the active
-    /// nursery half when generational). Objects too large for the nursery
-    /// go straight to the tenured frontier, with every pointer slot
-    /// eagerly remembered: the compiler elides write barriers on stores
-    /// into provably fresh objects, and those stores all execute before
-    /// the next gc-point, so the eager entries stand in for the elided
-    /// records until the next collection rebuilds the set.
-    fn try_alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap> {
-        if len < 0 {
-            return Err(VmTrap::RangeError);
-        }
-        let desc = self.module.types.get(TypeId(u32::from(ty)));
-        let words = i64::from(desc.object_words(len as u32));
-        // Branch-light fast path: one compare against the cached limit.
-        // `alloc_fast_limit` equals `alloc_limit` only when no forced-gc
-        // counting is armed (it is pinned to `i64::MIN` otherwise), so
-        // this single test also rules out the torture case.
-        let addr = self.alloc_ptr;
-        if addr + words <= self.alloc_fast_limit {
-            self.alloc_ptr = addr + words;
-            let is_array = matches!(desc, HeapType::Array { .. });
-            self.mem[addr as usize..(addr + words) as usize].fill(0);
-            if let Some(sh) = self.shadow.as_deref_mut() {
-                sh.clear_range(addr, words);
-            }
-            self.mem[addr as usize] = i64::from(ty);
-            if is_array {
-                self.mem[addr as usize + 1] = len;
-            }
-            self.allocations += 1;
-            self.words_allocated += words as u64;
-            return Ok(Some(addr));
-        }
-        self.try_alloc_slow(ty, len, words)
+        self.allocations += 1;
+        self.words_allocated += words as u64;
     }
 
     /// Slow allocation path: forced-gc accounting, space exhaustion, and
-    /// the generational large-object cases.
-    fn try_alloc_slow(&mut self, ty: u16, len: i64, words: i64) -> Result<Option<i64>, VmTrap> {
+    /// the generational large-object cases. Objects too large for the
+    /// nursery go straight to the tenured frontier, with every pointer
+    /// slot eagerly remembered: the compiler elides write barriers on
+    /// stores into provably fresh objects, and those stores all execute
+    /// before the next gc-point, so the eager entries stand in for the
+    /// elided records until the next collection rebuilds the set.
+    fn alloc_slow(&mut self, ty: u16, len: i64, words: i64) -> Result<Option<i64>, VmTrap> {
         if self.force_gc_after.is_some_and(|n| self.allocations >= n) {
             return Ok(None);
         }
-        let desc = self.module.types.get(TypeId(u32::from(ty)));
         let mut tenured_direct = false;
         let addr = if self.alloc_ptr + words <= self.alloc_limit {
             let a = self.alloc_ptr;
@@ -1035,17 +875,9 @@ impl Machine {
         } else {
             return Ok(None);
         };
-        // Zero the object (the space may hold stale data from before a
-        // previous flip).
-        self.mem[addr as usize..(addr + words) as usize].fill(0);
-        if let Some(sh) = self.shadow.as_deref_mut() {
-            sh.clear_range(addr, words);
-        }
-        self.mem[addr as usize] = i64::from(ty);
-        if matches!(desc, HeapType::Array { .. }) {
-            self.mem[addr as usize + 1] = len;
-        }
-        if tenured_direct && desc.has_pointers() {
+        let desc = self.module.types.get(TypeId(u32::from(ty)));
+        self.init_object(addr, words, ty, len, matches!(desc, HeapType::Array { .. }));
+        if tenured_direct {
             let desc = self.module.types.get(TypeId(u32::from(ty)));
             for off in desc.pointer_offset_iter(len as u32) {
                 Self::remember_slot_in(
@@ -1056,271 +888,129 @@ impl Machine {
                 );
             }
         }
-        self.allocations += 1;
-        self.words_allocated += words as u64;
         Ok(Some(addr))
     }
+}
 
-    /// JIT runtime-call surface: the native baseline compiler's call-outs
-    /// land on these thin wrappers so the JIT crate (a layer above) can
-    /// reach the interpreter's private slow paths without duplicating
-    /// their semantics. Not part of the public machine API.
-    #[doc(hidden)]
-    pub fn jit_try_alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap> {
-        self.try_alloc(ty, len)
+impl World for SeqWorld {
+    fn module(&self) -> &VmModule {
+        &self.module
     }
 
-    #[doc(hidden)]
-    pub fn jit_note_barrier(&mut self, addr: i64, value: i64) {
-        self.note_barrier(addr, value);
+    fn decoded(&self) -> &DecodedCode {
+        &self.decoded
     }
 
-    #[doc(hidden)]
-    pub fn jit_sys(&mut self, code: u8, arg: i64) -> Result<(), VmTrap> {
-        self.sys(code, arg)
+    fn code_map(&self) -> Option<&CodeMap> {
+        self.code_map.as_deref()
     }
 
-    #[doc(hidden)]
-    pub fn jit_shadow_step(&mut self, tid: usize, ins: &Instr) -> Option<VmTrap> {
-        if self.shadow.is_some() {
-            self.shadow_step(tid, ins)
-        } else {
-            None
+    fn mem_words(&self) -> usize {
+        self.mem.len()
+    }
+
+    #[inline]
+    fn word(&self, addr: i64) -> i64 {
+        self.mem[addr as usize]
+    }
+
+    #[inline]
+    fn set_word(&mut self, addr: i64, v: i64) {
+        self.mem[addr as usize] = v;
+    }
+
+    #[inline]
+    fn zero(&mut self, addr: i64, words: i64) {
+        self.mem[addr as usize..(addr + words) as usize].fill(0);
+    }
+
+    /// While a collection is pending, a thread reaching any gc-point
+    /// blocks there (§5.3: resumed threads run until they all reach
+    /// gc-points, without allocating).
+    #[inline]
+    fn gc_poll(&self, pc: u32) -> bool {
+        self.gc_pending && self.is_gc_point_pc(pc)
+    }
+
+    /// The fast path bumps through the allocation space (the active
+    /// nursery half when generational) behind one compare:
+    /// `alloc_fast_limit` equals `alloc_limit` only when no forced-gc
+    /// counting is armed (it is pinned to `i64::MIN` otherwise), so the
+    /// single test also rules out the torture case.
+    #[inline]
+    fn alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap> {
+        if len < 0 {
+            return Err(VmTrap::RangeError);
         }
+        let desc = self.module.types.get(TypeId(u32::from(ty)));
+        let words = i64::from(desc.object_words(len as u32));
+        let addr = self.alloc_ptr;
+        if addr + words <= self.alloc_fast_limit {
+            let is_array = matches!(desc, HeapType::Array { .. });
+            self.alloc_ptr = addr + words;
+            self.init_object(addr, words, ty, len, is_array);
+            return Ok(Some(addr));
+        }
+        self.alloc_slow(ty, len, words)
     }
 
-    /// Address of the cached fast-path allocation limit, for the JIT's
-    /// inline bump sequence (the cell moves with every collection, the
-    /// field does not).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn jit_alloc_fast_limit_ptr(&self) -> *const i64 {
-        &raw const self.alloc_fast_limit
+    /// On a semispace heap the barrier store degenerates to a plain
+    /// store, so one compiled module runs under either `--gc` mode.
+    #[inline]
+    fn barrier_store(&mut self, addr: i64, v: i64) -> Result<(), VmTrap> {
+        self.store(addr, v)?;
+        self.note_barrier(addr, v);
+        Ok(())
     }
 
     fn sys(&mut self, code: u8, arg: i64) -> Result<(), VmTrap> {
-        match code {
-            0 => {
-                self.output.push_str(&arg.to_string());
-                Ok(())
-            }
-            1 => {
-                let c = u32::try_from(arg).ok().and_then(char::from_u32).unwrap_or('?');
-                self.output.push(c);
-                Ok(())
-            }
-            2 => {
-                self.output.push('\n');
-                Ok(())
-            }
-            3 => Err(VmTrap::RangeError),
-            4 => Err(VmTrap::NilError),
-            5 => Err(VmTrap::AssertError),
-            _ => Err(VmTrap::WildAddress),
+        exec::sys_to(&mut self.output, code, arg)
+    }
+
+    #[inline]
+    fn shadow_on(&self) -> bool {
+        self.shadow.is_some()
+    }
+
+    fn mem_tag(&self, addr: i64) -> Tag {
+        self.shadow.as_deref().map_or(Tag::NonPtr, |sh| sh.mem_tag(addr))
+    }
+
+    fn set_mem_tag(&mut self, addr: i64, tag: Tag) {
+        if let Some(sh) = self.shadow.as_deref_mut() {
+            sh.set_mem(addr, tag);
         }
     }
 
-    /// Executes one instruction of thread `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range or its thread is not runnable.
-    pub fn step(&mut self, tid: usize) -> StepOutcome {
-        debug_assert_eq!(
-            self.threads[tid].status,
-            ThreadStatus::Runnable,
-            "stepping a non-runnable thread"
-        );
-        let pc = self.threads[tid].pc;
-        // While a collection is pending, a thread reaching any gc-point
-        // blocks there (§5.3: resumed threads run until they all reach
-        // gc-points, without allocating).
-        if self.gc_pending && self.is_gc_point_pc(pc) {
-            self.threads[tid].status = ThreadStatus::BlockedAtGcPoint;
-            return StepOutcome::AtGcPoint;
+    #[inline]
+    fn clear_tags(&mut self, addr: i64, words: i64) {
+        if let Some(sh) = self.shadow.as_deref_mut() {
+            sh.clear_range(addr, words);
         }
-        self.steps += 1;
-        let (ins, next_pc) = self.decoded.at(pc).clone();
-        if self.shadow.is_some() {
-            if let Some(trap) = self.shadow_step(tid, &ins) {
-                return StepOutcome::Trap(trap);
-            }
-        }
-        let t = &mut self.threads[tid];
-        let mut new_pc = next_pc;
-        macro_rules! trap {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(tr) => return StepOutcome::Trap(tr),
-                }
-            };
-        }
-        match ins {
-            Instr::MovI { dst, imm } => t.regs[dst as usize] = imm,
-            Instr::Mov { dst, src } => t.regs[dst as usize] = t.regs[src as usize],
-            Instr::Alu { op, dst, a, b } => {
-                t.regs[dst as usize] = op.eval(t.regs[a as usize], t.regs[b as usize]);
-            }
-            Instr::AluI { op, dst, a, imm } => {
-                t.regs[dst as usize] = op.eval(t.regs[a as usize], imm);
-            }
-            Instr::UnAlu { op, dst, a } => t.regs[dst as usize] = op.eval(t.regs[a as usize]),
-            Instr::Ld { dst, base, off } => {
-                let addr = t.regs[base as usize] + i64::from(off);
-                let v = trap!(self.read(addr));
-                self.threads[tid].regs[dst as usize] = v;
-            }
-            Instr::St { base, off, src } => {
-                let addr = t.regs[base as usize] + i64::from(off);
-                let v = t.regs[src as usize];
-                trap!(self.write(addr, v));
-            }
-            Instr::StB { base, off, src } => {
-                let addr = t.regs[base as usize] + i64::from(off);
-                let v = t.regs[src as usize];
-                trap!(self.write(addr, v));
-                // On a semispace heap the barrier store degenerates to a
-                // plain store, so one compiled module runs under either
-                // `--gc` mode.
-                self.note_barrier(addr, v);
-            }
-            Instr::LdF { dst, breg, off } => {
-                let addr = Self::base_value(t, breg) + i64::from(off);
-                let v = trap!(self.read(addr));
-                self.threads[tid].regs[dst as usize] = v;
-            }
-            Instr::StF { breg, off, src } => {
-                let addr = Self::base_value(t, breg) + i64::from(off);
-                let v = t.regs[src as usize];
-                trap!(self.write(addr, v));
-            }
-            Instr::Lea { dst, breg, off } => {
-                t.regs[dst as usize] = Self::base_value(t, breg) + i64::from(off);
-            }
-            Instr::LdG { dst, goff } => {
-                t.regs[dst as usize] = self.mem[GLOBAL_BASE + goff as usize];
-            }
-            Instr::StG { goff, src } => {
-                let v = t.regs[src as usize];
-                self.mem[GLOBAL_BASE + goff as usize] = v;
-            }
-            Instr::LeaG { dst, goff } => {
-                t.regs[dst as usize] = (GLOBAL_BASE + goff as usize) as i64;
-            }
-            Instr::Push { src } => {
-                if t.sp >= t.stack_limit {
-                    return StepOutcome::Trap(VmTrap::StackOverflow);
-                }
-                let v = t.regs[src as usize];
-                let sp = t.sp;
-                t.sp += 1;
-                self.mem[sp as usize] = v;
-            }
-            Instr::Call { proc, nargs } => {
-                let Some(meta) = self.module.procs.get(proc as usize) else {
-                    return StepOutcome::Trap(VmTrap::BadProc);
-                };
-                let frame_words = i64::from(meta.frame_words);
-                let entry = meta.entry_pc;
-                if t.sp + 3 + frame_words >= t.stack_limit {
-                    return StepOutcome::Trap(VmTrap::StackOverflow);
-                }
-                let sp = t.sp;
-                self.mem[sp as usize] = i64::from(next_pc);
-                self.mem[sp as usize + 1] = t.fp;
-                self.mem[sp as usize + 2] = t.ap;
-                let t = &mut self.threads[tid];
-                t.ap = sp - i64::from(nargs);
-                t.fp = sp + 3;
-                t.sp = t.fp + frame_words;
-                let (f, s) = (t.fp, t.sp);
-                self.mem[f as usize..s as usize].fill(0);
-                new_pc = entry;
-            }
-            Instr::Ret => {
-                let retpc = self.mem[t.fp as usize - 3];
-                let old_fp = self.mem[t.fp as usize - 2];
-                let old_ap = self.mem[t.fp as usize - 1];
-                if retpc == RETURN_SENTINEL {
-                    t.status = ThreadStatus::Finished;
-                    return StepOutcome::Finished;
-                }
-                t.sp = t.ap;
-                t.fp = old_fp;
-                t.ap = old_ap;
-                new_pc = resolve_retpc_via(self.code_map.as_deref(), retpc);
-            }
-            Instr::Jmp { target } => new_pc = target,
-            Instr::Brt { cond, target } => {
-                if t.regs[cond as usize] != 0 {
-                    new_pc = target;
-                }
-            }
-            Instr::Brf { cond, target } => {
-                if t.regs[cond as usize] == 0 {
-                    new_pc = target;
-                }
-            }
-            Instr::Alloc { dst, ty } => match trap!(self.try_alloc(ty, 0)) {
-                Some(addr) => {
-                    self.threads[tid].regs[dst as usize] = addr;
-                    if let Some(sh) = self.shadow.as_deref_mut() {
-                        sh.regs[tid][dst as usize] = Tag::Ptr;
-                    }
-                }
-                None => {
-                    self.gc_pending = true;
-                    self.threads[tid].status = ThreadStatus::BlockedAtGcPoint;
-                    return StepOutcome::NeedGc;
-                }
-            },
-            Instr::AllocA { dst, ty, len } => {
-                let l = t.regs[len as usize];
-                match trap!(self.try_alloc(ty, l)) {
-                    Some(addr) => {
-                        self.threads[tid].regs[dst as usize] = addr;
-                        if let Some(sh) = self.shadow.as_deref_mut() {
-                            sh.regs[tid][dst as usize] = Tag::Ptr;
-                        }
-                    }
-                    None => {
-                        self.gc_pending = true;
-                        self.threads[tid].status = ThreadStatus::BlockedAtGcPoint;
-                        return StepOutcome::NeedGc;
-                    }
-                }
-            }
-            Instr::GcPoint => {}
-            Instr::Sys { code, arg } => {
-                let v = t.regs[arg as usize];
-                trap!(self.sys(code, v));
-            }
-            Instr::Halt => {
-                t.status = ThreadStatus::Finished;
-                return StepOutcome::Finished;
-            }
-        }
-        self.threads[tid].pc = new_pc;
-        StepOutcome::Normal
     }
 
-    /// Runs thread `tid` until it finishes, needs a collection, blocks at
-    /// a gc-point, traps, or exhausts `fuel` instructions.
-    pub fn run_thread(&mut self, tid: usize, fuel: u64) -> RunOutcome {
-        let mut remaining = fuel;
-        loop {
-            if remaining == 0 {
-                return RunOutcome::OutOfFuel;
-            }
-            remaining -= 1;
-            match self.step(tid) {
-                StepOutcome::Normal => {}
-                StepOutcome::NeedGc => return RunOutcome::NeedGc,
-                StepOutcome::AtGcPoint => return RunOutcome::AtGcPoint,
-                StepOutcome::Finished => return RunOutcome::Finished,
-                StepOutcome::Trap(t) => return RunOutcome::Trap(t),
-            }
+    /// The inactive semispace, or either inactive half of a generational
+    /// heap.
+    fn in_dead_space(&self, addr: i64) -> bool {
+        if self.is_generational() {
+            let (ns, ne) = self.nursery_to_space();
+            let (ts, te) = self.tenured_to_space();
+            (ns..ne).contains(&addr) || (ts..te).contains(&addr)
+        } else {
+            let (s, e) = self.to_space();
+            (s..e).contains(&addr)
+        }
+    }
+
+    fn jit_ports(&mut self) -> JitPorts {
+        JitPorts {
+            mem: self.mem.as_mut_ptr(),
+            gc_flag: (&raw const self.gc_pending).cast(),
+            alloc_ptr: &raw mut self.alloc_ptr,
+            // The cell moves with every collection, the field does not.
+            alloc_fast_limit: &raw const self.alloc_fast_limit,
+            alloc_count: &raw mut self.allocations,
+            words: &raw mut self.words_allocated,
         }
     }
 }
@@ -1329,7 +1019,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::asm::Assembler;
-    use crate::isa::AluOp;
+    use crate::isa::{AluOp, Instr};
     use crate::module::ProcMeta;
     use m3gc_core::encode::{encode_module, Scheme};
     use m3gc_core::heap::TypeTable;
@@ -1363,116 +1053,6 @@ mod tests {
             heap: HeapStrategy::Generational { nursery_words: 64, promote_age: 2 },
             ..small_config()
         }
-    }
-
-    #[test]
-    fn arithmetic_and_output() {
-        let mut a = Assembler::new();
-        a.emit(&Instr::MovI { dst: 1, imm: 6 });
-        a.emit(&Instr::MovI { dst: 2, imm: 7 });
-        a.emit(&Instr::Alu { op: AluOp::Mul, dst: 3, a: 1, b: 2 });
-        a.emit(&Instr::Sys { code: 0, arg: 3 });
-        a.emit(&Instr::Ret);
-        let code = a.finish();
-        let end = code.len() as u32;
-        let m = module_with(
-            code,
-            vec![ProcMeta {
-                name: "main".into(),
-                entry_pc: 0,
-                end_pc: end,
-                frame_words: 0,
-                save_regs: vec![],
-                n_args: 0,
-            }],
-            TypeTable::default(),
-        );
-        let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 1000), RunOutcome::Finished);
-        assert_eq!(vm.output, "42");
-    }
-
-    #[test]
-    fn call_and_return_with_args() {
-        // proc 1: r0 := arg0 + arg1 (args at AP+0, AP+1)
-        let mut a = Assembler::new();
-        // main (proc 0): push 30, push 12, call 1, print r0, ret
-        a.emit(&Instr::MovI { dst: 1, imm: 30 });
-        a.emit(&Instr::Push { src: 1 });
-        a.emit(&Instr::MovI { dst: 1, imm: 12 });
-        a.emit(&Instr::Push { src: 1 });
-        a.emit(&Instr::Call { proc: 1, nargs: 2 });
-        a.emit(&Instr::Sys { code: 0, arg: 0 });
-        a.emit(&Instr::Ret);
-        let callee_entry = a.here();
-        a.emit(&Instr::LdF { dst: 1, breg: BaseReg::Ap, off: 0 });
-        a.emit(&Instr::LdF { dst: 2, breg: BaseReg::Ap, off: 1 });
-        a.emit(&Instr::Alu { op: AluOp::Add, dst: 0, a: 1, b: 2 });
-        a.emit(&Instr::Ret);
-        let code = a.finish();
-        let end = code.len() as u32;
-        let m = module_with(
-            code,
-            vec![
-                ProcMeta {
-                    name: "main".into(),
-                    entry_pc: 0,
-                    end_pc: callee_entry,
-                    frame_words: 0,
-                    save_regs: vec![],
-                    n_args: 0,
-                },
-                ProcMeta {
-                    name: "add".into(),
-                    entry_pc: callee_entry,
-                    end_pc: end,
-                    frame_words: 0,
-                    save_regs: vec![],
-                    n_args: 2,
-                },
-            ],
-            TypeTable::default(),
-        );
-        let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 1000), RunOutcome::Finished);
-        assert_eq!(vm.output, "42");
-        // Stack fully popped.
-        let t = &vm.threads[tid];
-        assert_eq!(t.sp, t.fp);
-    }
-
-    #[test]
-    fn allocation_and_field_access() {
-        let mut types = TypeTable::default();
-        types.add(HeapType::Record { name: "R".into(), words: 2, ptr_offsets: vec![] });
-        let mut a = Assembler::new();
-        a.emit(&Instr::Alloc { dst: 1, ty: 0 });
-        a.emit(&Instr::MovI { dst: 2, imm: 99 });
-        a.emit(&Instr::St { base: 1, off: 1, src: 2 });
-        a.emit(&Instr::Ld { dst: 3, base: 1, off: 1 });
-        a.emit(&Instr::Sys { code: 0, arg: 3 });
-        a.emit(&Instr::Ret);
-        let code = a.finish();
-        let end = code.len() as u32;
-        let m = module_with(
-            code,
-            vec![ProcMeta {
-                name: "main".into(),
-                entry_pc: 0,
-                end_pc: end,
-                frame_words: 0,
-                save_regs: vec![],
-                n_args: 0,
-            }],
-            types,
-        );
-        let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 1000), RunOutcome::Finished);
-        assert_eq!(vm.output, "99");
-        assert_eq!(vm.allocations, 1);
     }
 
     #[test]
@@ -1656,86 +1236,5 @@ mod tests {
         assert_eq!(vm.remembered_len(), 0);
         assert_eq!(vm.barrier.executed, 1);
         assert_eq!(vm.barrier.recorded, 0);
-    }
-
-    #[test]
-    fn nil_dereference_traps() {
-        let mut a = Assembler::new();
-        a.emit(&Instr::MovI { dst: 1, imm: 0 });
-        a.emit(&Instr::Ld { dst: 2, base: 1, off: 1 });
-        a.emit(&Instr::Ret);
-        let code = a.finish();
-        let end = code.len() as u32;
-        let m = module_with(
-            code,
-            vec![ProcMeta {
-                name: "main".into(),
-                entry_pc: 0,
-                end_pc: end,
-                frame_words: 0,
-                save_regs: vec![],
-                n_args: 0,
-            }],
-            TypeTable::default(),
-        );
-        let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100), RunOutcome::Trap(VmTrap::NilError));
-    }
-
-    #[test]
-    fn stack_overflow_on_deep_recursion() {
-        // proc 0 calls itself forever.
-        let mut a = Assembler::new();
-        a.emit(&Instr::Call { proc: 0, nargs: 0 });
-        a.emit(&Instr::Ret);
-        let code = a.finish();
-        let end = code.len() as u32;
-        let m = module_with(
-            code,
-            vec![ProcMeta {
-                name: "rec".into(),
-                entry_pc: 0,
-                end_pc: end,
-                frame_words: 4,
-                save_regs: vec![],
-                n_args: 0,
-            }],
-            TypeTable::default(),
-        );
-        let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100_000), RunOutcome::Trap(VmTrap::StackOverflow));
-    }
-
-    #[test]
-    fn globals_load_store() {
-        let mut a = Assembler::new();
-        a.emit(&Instr::MovI { dst: 1, imm: 5 });
-        a.emit(&Instr::StG { goff: 2, src: 1 });
-        a.emit(&Instr::LdG { dst: 3, goff: 2 });
-        a.emit(&Instr::LeaG { dst: 4, goff: 2 });
-        a.emit(&Instr::Ld { dst: 5, base: 4, off: 0 });
-        a.emit(&Instr::Alu { op: AluOp::Add, dst: 6, a: 3, b: 5 });
-        a.emit(&Instr::Sys { code: 0, arg: 6 });
-        a.emit(&Instr::Ret);
-        let code = a.finish();
-        let end = code.len() as u32;
-        let m = module_with(
-            code,
-            vec![ProcMeta {
-                name: "main".into(),
-                entry_pc: 0,
-                end_pc: end,
-                frame_words: 0,
-                save_regs: vec![],
-                n_args: 0,
-            }],
-            TypeTable::default(),
-        );
-        let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100), RunOutcome::Finished);
-        assert_eq!(vm.output, "10");
     }
 }

@@ -1,15 +1,20 @@
-//! The thread-safe interpreter core for parallel execution.
+//! The thread-safe world for parallel execution.
 //!
 //! [`crate::machine::Machine`] owns its memory and threads outright and
 //! is driven by one OS thread; this module splits the machine state so
 //! that each mutator runs on a real `std::thread`:
 //!
-//! * [`ParMachine`] is the *shared* world — module, decoded code, one
+//! * [`ParMachine`] is the *shared* half — module, decoded code, one
 //!   flat array of `AtomicI64` memory words, the allocation frontier,
 //!   and the collection-request flag. It is `Sync`; every mutator and
 //!   every gc worker holds an `&ParMachine`.
-//! * [`Mutator`] is the *private* per-thread state — registers, frame
-//!   cursor, pc and output buffer — owned by the OS thread driving it.
+//! * [`Mutator`] is the *private* per-thread state — its
+//!   [`Cpu`](crate::exec::Cpu) plus TLAB, SATB buffer, counters and
+//!   output — owned by the OS thread driving it.
+//! * [`ParWorld`] pairs the two into the [`World`] that
+//!   [`crate::exec::step`] runs instructions against: the instruction
+//!   semantics are the sequential machine's, only the memory format
+//!   differs.
 //!
 //! Ordinary interpreter loads and stores use `Relaxed` atomics: the
 //! language has no cross-thread synchronisation primitives, so programs
@@ -22,7 +27,7 @@
 //! Safepoints: the machine checks the shared request flag only at
 //! gc-point pcs (allocation sites and the explicit loop back-edge polls
 //! `codegen::gcpoints` inserts — §5.3's guarantee that a thread reaches
-//! a describable state in bounded time). [`ParStep::AtSafepoint`] hands
+//! a describable state in bounded time). [`Step::AtSafepoint`] hands
 //! control to the runtime, which parks the thread and deposits its
 //! state for the gc workers.
 //!
@@ -42,14 +47,13 @@ use std::sync::Arc;
 
 use m3gc_core::decode::DecoderIndex;
 use m3gc_core::heap::{HeapType, TypeId};
-use m3gc_core::layout::BaseReg;
 
 use crate::codemap::CodeMap;
 use crate::decode::DecodedCode;
-use crate::isa::{Instr, NUM_REGS};
-use crate::machine::{resolve_retpc_via, GLOBAL_BASE, RETURN_SENTINEL};
+use crate::exec::{self, Cpu, JitPorts, Step, World};
+use crate::machine::{VmTrap, GLOBAL_BASE};
 use crate::module::VmModule;
-use crate::shadow::{Shadow, Tag};
+use crate::shadow::Tag;
 
 /// Relaxed load/store shorthand — see the module docs for why relaxed
 /// ordering is sufficient for interpreter data.
@@ -485,53 +489,43 @@ impl ParShadow {
     }
 }
 
-/// Result of executing one instruction of a mutator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParStep {
-    /// Instruction completed.
-    Normal,
-    /// The heap is full: a collection is required before this `ALLOC`
-    /// can proceed. No state changed; the pc still addresses the
-    /// `ALLOC`.
-    NeedGc,
-    /// A collection request is pending and the pc is at a gc-point: the
-    /// thread must park. No state changed.
-    AtSafepoint,
-    /// The thread returned from its bottom frame (or executed `HALT`).
-    Finished,
-    /// Abnormal termination.
-    Trap(crate::machine::VmTrap),
-}
-
-use crate::machine::VmTrap;
-
-/// Per-OS-thread mutator state. Everything a gc worker needs to scan
-/// this thread's frame is either here (registers, cursor) or in the
-/// shared memory (the stack region).
+/// One OS-thread (or green-request) mutator: a [`Cpu`] plus the private
+/// state its [`ParWorld`] needs. `Deref`s to the latter, so
+/// `mu.tid`, `mu.output`, `mu.tlab_ptr`, … read as plain fields and
+/// `&mut mu` coerces wherever a `&mut MutatorLocal` is expected.
 #[derive(Debug, Clone)]
 pub struct Mutator {
+    /// Register file and frame cursor — everything a gc worker needs to
+    /// scan this thread's frames beside the shared stack region, and
+    /// exactly what the thread deposits when it parks.
+    pub cpu: Cpu,
+    /// Thread-private allocation, barrier and output state.
+    pub local: MutatorLocal,
+}
+
+impl std::ops::Deref for Mutator {
+    type Target = MutatorLocal;
+    fn deref(&self) -> &MutatorLocal {
+        &self.local
+    }
+}
+
+impl std::ops::DerefMut for Mutator {
+    fn deref_mut(&mut self) -> &mut MutatorLocal {
+        &mut self.local
+    }
+}
+
+/// The per-thread half of a [`ParWorld`]: what a mutator owns outright
+/// and touches without synchronisation.
+#[derive(Debug, Clone, Default)]
+pub struct MutatorLocal {
     /// Thread id (stack-region index; also the output-ordering key).
     pub tid: usize,
-    /// General-purpose registers.
-    pub regs: [i64; NUM_REGS],
-    /// Frame pointer.
-    pub fp: i64,
-    /// Stack pointer.
-    pub sp: i64,
-    /// Argument pointer.
-    pub ap: i64,
-    /// Program counter (byte offset in module code).
-    pub pc: u32,
-    /// First word of this thread's stack region.
-    pub stack_base: i64,
-    /// One past the last usable stack word.
-    pub stack_limit: i64,
     /// This thread's program output (concatenated in tid order at exit).
     pub output: String,
     /// Instructions executed by this thread.
     pub steps: u64,
-    /// Shadow tags for the registers (mirrors `Shadow::regs[tid]`).
-    pub reg_tags: [Tag; NUM_REGS],
     /// Next free word of this thread's TLAB (`tlab_ptr == tlab_limit`
     /// means no buffer is held and the next allocation refills).
     pub tlab_ptr: i64,
@@ -554,6 +548,16 @@ pub struct Mutator {
     /// while concurrent marking runs, awaiting a flush to the shared
     /// sink. Private to this thread between flushes.
     pub satb_buf: Vec<i64>,
+}
+
+/// One mutator's view of the shared machine: the [`World`] its
+/// instructions execute against. Gc workers, which run on behalf of no
+/// mutator, use one over a fresh [`MutatorLocal`].
+pub struct ParWorld<'a> {
+    /// The shared machine.
+    pub vm: &'a ParMachine,
+    /// The calling thread's private state.
+    pub mu: &'a mut MutatorLocal,
 }
 
 /// Flush threshold for a mutator's private SATB buffer.
@@ -721,7 +725,7 @@ impl ParMachine {
     /// Panics on a biased token with no resolvable code-map entry.
     #[must_use]
     pub fn resolve_retpc(&self, retpc: i64) -> u32 {
-        resolve_retpc_via(self.code_map.as_deref(), retpc)
+        exec::resolve_retpc(self.code_map.as_deref(), retpc)
     }
 
     /// Turns on concurrent-marking (SATB) support. Must be called before
@@ -1043,78 +1047,23 @@ impl ParMachine {
     #[must_use]
     pub fn spawn_mutator(&self, tid: usize, proc: u16, args: &[i64]) -> Mutator {
         assert!(tid < self.layout.mutators, "mutator id out of range");
-        let meta = &self.module.procs[proc as usize];
-        assert_eq!(meta.n_args as usize, args.len(), "argument count mismatch");
         let stack_base = (self.stacks_base + tid * self.layout.stack_words) as i64;
-        let stack_limit = stack_base + self.layout.stack_words as i64;
-        let mut sp = stack_base;
-        for &a in args {
-            self.mem[sp as usize].store(a, R);
-            sp += 1;
-        }
-        self.mem[sp as usize].store(RETURN_SENTINEL, R);
-        self.mem[sp as usize + 1].store(0, R);
-        self.mem[sp as usize + 2].store(0, R);
-        let fp = sp + 3;
-        let frame_words = i64::from(meta.frame_words);
-        for w in 0..frame_words {
-            self.mem[(fp + w) as usize].store(0, R);
-        }
-        if let Some(sh) = &self.shadow {
-            sh.clear_range(stack_base, fp + frame_words - stack_base);
-        }
-        Mutator {
-            tid,
-            regs: [0; NUM_REGS],
-            fp,
-            sp: fp + frame_words,
-            ap: stack_base,
-            pc: meta.entry_pc,
-            stack_base,
-            stack_limit,
-            output: String::new(),
-            steps: 0,
-            reg_tags: [Tag::NonPtr; NUM_REGS],
-            tlab_ptr: 0,
-            tlab_limit: 0,
-            pending_allocations: 0,
-            pending_alloc_words: 0,
-            pending_tlab_allocs: 0,
-            pending_region_allocs: 0,
-            pending_region_words: 0,
-            satb_buf: Vec::new(),
-        }
+        let stack = (stack_base, stack_base + self.layout.stack_words as i64);
+        let mut local = MutatorLocal { tid, ..MutatorLocal::default() };
+        let cpu = exec::spawn(&mut self.world(&mut local), stack, proc, args);
+        Mutator { cpu, local }
     }
 
-    fn load(&self, addr: i64) -> Result<i64, VmTrap> {
-        if !(GLOBAL_BASE as i64..self.mem.len() as i64).contains(&addr) {
-            return Err(if addr >= 0 && addr < GLOBAL_BASE as i64 {
-                VmTrap::NilError
-            } else {
-                VmTrap::WildAddress
-            });
-        }
-        Ok(self.mem[addr as usize].load(R))
+    /// `mu`'s view of this machine, for the execution core.
+    pub fn world<'a>(&'a self, mu: &'a mut MutatorLocal) -> ParWorld<'a> {
+        ParWorld { vm: self, mu }
     }
 
-    fn store(&self, addr: i64, value: i64) -> Result<(), VmTrap> {
-        if !(GLOBAL_BASE as i64..self.mem.len() as i64).contains(&addr) {
-            return Err(if addr >= 0 && addr < GLOBAL_BASE as i64 {
-                VmTrap::NilError
-            } else {
-                VmTrap::WildAddress
-            });
-        }
-        self.mem[addr as usize].store(value, R);
-        Ok(())
-    }
-
-    fn base_value(mu: &Mutator, b: BaseReg) -> i64 {
-        match b {
-            BaseReg::Fp => mu.fp,
-            BaseReg::Sp => mu.sp,
-            BaseReg::Ap => mu.ap,
-        }
+    /// Executes one instruction of `mu`.
+    pub fn step(&self, mu: &mut Mutator) -> Step {
+        let step = exec::step(&mut mu.cpu, &mut self.world(&mut mu.local));
+        mu.local.steps += u64::from(step != Step::AtSafepoint);
+        step
     }
 
     /// Claims `words` from the shared frontier with a CAS bump loop.
@@ -1136,7 +1085,7 @@ impl ParMachine {
     /// shared totals. The shared counters are only exact at points where
     /// every mutator has flushed (park, retirement, thread exit) — which
     /// is exactly when the runtime reads them.
-    pub fn flush_alloc_stats(&self, mu: &mut Mutator) {
+    pub fn flush_alloc_stats(&self, mu: &mut MutatorLocal) {
         if mu.pending_allocations > 0 {
             self.allocations.fetch_add(mu.pending_allocations, R);
             self.words_allocated.fetch_add(mu.pending_alloc_words, R);
@@ -1161,7 +1110,7 @@ impl ParMachine {
     /// no words in limbo. Must be called before the mutator parks at a
     /// safepoint or exits; after a collection the old buffer would lie
     /// in dead space, so parking without retiring would be unsound.
-    pub fn retire_tlab(&self, mu: &mut Mutator) {
+    pub fn retire_tlab(&self, mu: &mut MutatorLocal) {
         let waste = mu.tlab_limit - mu.tlab_ptr;
         if waste > 0 {
             for w in mu.tlab_ptr..mu.tlab_limit {
@@ -1183,7 +1132,7 @@ impl ParMachine {
     /// unconditionally, from [`ParMachine::retire_tlab`] — which runs on
     /// every park, lead and thread-exit path, so no entry is ever left
     /// behind when the final pause drains residual buffers.
-    pub fn flush_satb(&self, mu: &mut Mutator) {
+    pub fn flush_satb(&self, mu: &mut MutatorLocal) {
         if mu.satb_buf.is_empty() {
             return;
         }
@@ -1199,7 +1148,7 @@ impl ParMachine {
     /// references cannot be lost even if every other path to it is cut.
     /// Old values outside the snapshot prefix (born black) or already
     /// marked need no protection.
-    fn satb_record_old(&self, cms: &CmsHeap, mu: &mut Mutator, old: i64) {
+    fn satb_record_old(&self, cms: &CmsHeap, mu: &mut MutatorLocal, old: i64) {
         let (from_start, _) = self.from_space();
         if old == 0 || old < from_start || old >= cms.snap_free.load(R) || cms.is_marked(old) {
             return;
@@ -1335,139 +1284,15 @@ impl ParMachine {
         self.mem[v as usize].load(Ordering::Acquire) < 0
     }
 
-    /// The `Ld` heap load with the conc-evac self-healing fast path:
-    /// one compare on `evacuating` when no cycle is in flight. During a
-    /// cycle the access address is resolved through forwarding, and a
-    /// loaded value whose object already moved is rewritten in place
-    /// (memory and register) as it is touched.
-    fn heap_load(&self, mu: &mut Mutator, dst: u8, addr: i64) -> Result<(), VmTrap> {
-        let Some(cms) = self.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
-            mu.regs[dst as usize] = self.load(addr)?;
-            return Ok(());
-        };
-        // Same trap surface as the plain load, checked on the raw
-        // address before any resolution.
-        if !(GLOBAL_BASE as i64..self.mem.len() as i64).contains(&addr) {
-            return Err(if addr >= 0 && addr < GLOBAL_BASE as i64 {
-                VmTrap::NilError
-            } else {
-                VmTrap::WildAddress
-            });
-        }
-        let mut a2 = self.evac_resolve_load(cms, addr);
-        if self.shadow.is_some() && self.evac_is_published_original(cms, a2) {
-            // A copier may have published between the resolution and
-            // this check — a benign race the second resolution (ordered
-            // after the publish by its Acquire header read) repairs.
-            // Only a faulted-off resolution still lands on a published
-            // original twice: a healthy load never does.
-            a2 = self.evac_resolve_load(cms, addr);
-            if self.evac_is_published_original(cms, a2) {
-                return Err(VmTrap::StalePointer);
-            }
-        }
-        let v = self.mem[a2 as usize].load(R);
-        // Rewrite a stale loaded *value* in place — but only when the
-        // word is provably a pointer. `Ld` loads integer fields too,
-        // and an integer that numerically aliases a marked cset header
-        // must not be "healed" into a to-space address; the shadow tag
-        // is the ground truth. Untagged (non-shadow) runs skip the
-        // in-place rewrite: resolution redirects every later use of
-        // the stale value, and the final pause's type-directed rewrite
-        // fixes it durably.
-        let is_ptr = self.shadow.as_ref().is_some_and(|sh| sh.mem_tag(a2) == Tag::Ptr);
-        let v = match self.evac_heal_value(cms, v).filter(|_| is_ptr) {
-            Some(nv) => {
-                // A racing store wins (its value was healed on its own
-                // path).
-                if self.mem[a2 as usize].compare_exchange(v, nv, R, R).is_ok() {
-                    cms.set_dirty(a2);
-                    cms.evac_healed_loads.fetch_add(1, R);
-                }
-                nv
-            }
-            None => v,
-        };
-        mu.regs[dst as usize] = v;
-        if a2 != addr {
-            if let Some(sh) = &self.shadow {
-                mu.reg_tags[dst as usize] = sh.mem_tag(a2);
-            }
-        }
-        Ok(())
-    }
-
-    /// The heap store with the conc-evac redirect and post-store
-    /// recheck. If the target object's copy is already published the
-    /// store lands in the copy; if it is unclaimed the store hits the
-    /// original and the header is re-checked afterwards — a copier may
-    /// have claimed the object between the check and the store, so the
-    /// value is replayed into the published copy rather than lost.
-    /// Under [`EvacFault::TornForward`] both the redirect and the
-    /// recheck are skipped, modelling exactly that lost store.
-    fn heap_store(&self, addr: i64, value: i64) -> Result<(), VmTrap> {
-        let Some(cms) = self.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
-            return self.store(addr, value);
-        };
-        if !(GLOBAL_BASE as i64..self.mem.len() as i64).contains(&addr) {
-            return Err(if addr >= 0 && addr < GLOBAL_BASE as i64 {
-                VmTrap::NilError
-            } else {
-                VmTrap::WildAddress
-            });
-        }
-        if cms.fault_evac() == EvacFault::TornForward {
-            self.mem[addr as usize].store(value, R);
-            return Ok(());
-        }
-        let recheck = match self.evac_header_of(cms, addr) {
-            None => None,
-            Some(h) => match self.evac_forwarded_from(h, addr) {
-                Some(a2) => {
-                    self.mem[a2 as usize].store(value, R);
-                    cms.set_dirty(a2);
-                    cms.evac_healed_stores.fetch_add(1, R);
-                    if let Some(sh) = &self.shadow {
-                        sh.set_mem(a2, sh.mem_tag(addr));
-                    }
-                    return Ok(());
-                }
-                None => Some(h),
-            },
-        };
-        // A store through an already-healed pointer lands directly in
-        // to-space: the copy then legitimately diverges from its frozen
-        // original, and the torn-store audit must not read that as a
-        // lost store.
-        let (to_start, _) = self.to_space();
-        if addr >= to_start && addr < cms.evac_to.load(Ordering::Acquire) {
-            cms.set_dirty(addr);
-        }
-        self.mem[addr as usize].store(value, R);
-        // The fence pairs with the copier's SeqCst claim CAS (+ its own
-        // fence before reading the body): without it the store and the
-        // recheck below could reorder (the classic store-buffer outcome)
-        // and a claim racing this store would be missed by both sides.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if let Some(h) = recheck {
-            if let Some(a2) = self.evac_forwarded_from(h, addr) {
-                // Claimed between the check and the store: the copy may
-                // have missed this value, so replay it.
-                self.mem[a2 as usize].store(value, R);
-                cms.set_dirty(a2);
-                cms.evac_healed_stores.fetch_add(1, R);
-                if let Some(sh) = &self.shadow {
-                    sh.set_mem(a2, sh.mem_tag(addr));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Allocation: TLAB bump fast path, one-CAS refill slow path,
     /// direct shared CAS for oversized objects; `Ok(None)` means "needs
-    /// gc". Mirrors `Machine::try_alloc` minus the generational paths.
-    pub fn try_alloc(&self, mu: &mut Mutator, ty: u16, len: i64) -> Result<Option<i64>, VmTrap> {
+    /// gc".
+    pub fn try_alloc(
+        &self,
+        mu: &mut MutatorLocal,
+        ty: u16,
+        len: i64,
+    ) -> Result<Option<i64>, VmTrap> {
         if len < 0 {
             return Err(VmTrap::RangeError);
         }
@@ -1605,39 +1430,177 @@ impl ParMachine {
             self.region_escapes.fetch_add(1, R);
         }
     }
+}
 
-    fn sys(&self, mu: &mut Mutator, code: u8, arg: i64) -> Result<(), VmTrap> {
-        match code {
-            0 => {
-                mu.output.push_str(&arg.to_string());
-                Ok(())
-            }
-            1 => {
-                let c = u32::try_from(arg).ok().and_then(char::from_u32).unwrap_or('?');
-                mu.output.push(c);
-                Ok(())
-            }
-            2 => {
-                mu.output.push('\n');
-                Ok(())
-            }
-            3 => Err(VmTrap::RangeError),
-            4 => Err(VmTrap::NilError),
-            5 => Err(VmTrap::AssertError),
-            _ => Err(VmTrap::WildAddress),
+impl World for ParWorld<'_> {
+    fn module(&self) -> &VmModule {
+        &self.vm.module
+    }
+
+    fn decoded(&self) -> &DecodedCode {
+        &self.vm.decoded
+    }
+
+    fn code_map(&self) -> Option<&CodeMap> {
+        self.vm.code_map.as_deref()
+    }
+
+    fn mem_words(&self) -> usize {
+        self.vm.mem.len()
+    }
+
+    #[inline]
+    fn word(&self, addr: i64) -> i64 {
+        self.vm.mem[addr as usize].load(R)
+    }
+
+    #[inline]
+    fn set_word(&mut self, addr: i64, v: i64) {
+        self.vm.mem[addr as usize].store(v, R);
+    }
+
+    #[inline]
+    fn zero(&mut self, addr: i64, words: i64) {
+        for w in &self.vm.mem[addr as usize..(addr + words) as usize] {
+            w.store(0, R);
         }
     }
 
-    /// The barrier store of [`Instr::StB`], shared between the
-    /// interpreter arm and the JIT's call-out so both execute the exact
-    /// same SATB (and fault-injection) semantics.
-    fn store_barrier(&self, mu: &mut Mutator, addr: i64, value: i64) -> Result<(), VmTrap> {
+    /// The shared request flag is checked only at gc-point pcs
+    /// (allocation sites and the explicit loop back-edge polls).
+    #[inline]
+    fn gc_poll(&self, pc: u32) -> bool {
+        self.vm.is_gc_point_pc(pc) && self.vm.gc_request.load(R)
+    }
+
+    fn alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap> {
+        self.vm.try_alloc(self.mu, ty, len)
+    }
+
+    /// The `Ld` heap load with the conc-evac self-healing fast path:
+    /// one compare on `evacuating` when no cycle is in flight. During a
+    /// cycle the access address is resolved through forwarding, and a
+    /// loaded value whose object already moved is rewritten in place
+    /// (memory and, through the returned value, register) as it is
+    /// touched.
+    fn heap_load(&mut self, addr: i64) -> Result<(i64, i64), VmTrap> {
+        let vm = self.vm;
+        let Some(cms) = vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
+            return Ok((self.load(addr)?, addr));
+        };
+        // Same trap surface as the plain load, checked on the raw
+        // address before any resolution.
+        exec::check_addr(addr, vm.mem.len())?;
+        let mut a2 = vm.evac_resolve_load(cms, addr);
+        if vm.shadow.is_some() && vm.evac_is_published_original(cms, a2) {
+            // A copier may have published between the resolution and
+            // this check — a benign race the second resolution (ordered
+            // after the publish by its Acquire header read) repairs.
+            // Only a faulted-off resolution still lands on a published
+            // original twice: a healthy load never does.
+            a2 = vm.evac_resolve_load(cms, addr);
+            if vm.evac_is_published_original(cms, a2) {
+                return Err(VmTrap::StalePointer);
+            }
+        }
+        let v = vm.mem[a2 as usize].load(R);
+        // Rewrite a stale loaded *value* in place — but only when the
+        // word is provably a pointer. `Ld` loads integer fields too,
+        // and an integer that numerically aliases a marked cset header
+        // must not be "healed" into a to-space address; the shadow tag
+        // is the ground truth. Untagged (non-shadow) runs skip the
+        // in-place rewrite: resolution redirects every later use of
+        // the stale value, and the final pause's type-directed rewrite
+        // fixes it durably.
+        let is_ptr = vm.shadow.as_ref().is_some_and(|sh| sh.mem_tag(a2) == Tag::Ptr);
+        let v = match vm.evac_heal_value(cms, v).filter(|_| is_ptr) {
+            Some(nv) => {
+                // A racing store wins (its value was healed on its own
+                // path).
+                if vm.mem[a2 as usize].compare_exchange(v, nv, R, R).is_ok() {
+                    cms.set_dirty(a2);
+                    cms.evac_healed_loads.fetch_add(1, R);
+                }
+                nv
+            }
+            None => v,
+        };
+        Ok((v, a2))
+    }
+
+    /// The heap store with the conc-evac redirect and post-store
+    /// recheck. If the target object's copy is already published the
+    /// store lands in the copy; if it is unclaimed the store hits the
+    /// original and the header is re-checked afterwards — a copier may
+    /// have claimed the object between the check and the store, so the
+    /// value is replayed into the published copy rather than lost.
+    /// Under [`EvacFault::TornForward`] both the redirect and the
+    /// recheck are skipped, modelling exactly that lost store.
+    ///
+    /// Even a non-pointer store must resolve forwarding, since a store
+    /// into a claimed object would otherwise be lost.
+    fn heap_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
+        let vm = self.vm;
+        let Some(cms) = vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
+            return self.store(addr, value);
+        };
+        exec::check_addr(addr, vm.mem.len())?;
+        if cms.fault_evac() == EvacFault::TornForward {
+            vm.mem[addr as usize].store(value, R);
+            return Ok(());
+        }
+        // Lands `value` in the published copy word `a2` of `addr`.
+        let replay = |a2: i64| {
+            vm.mem[a2 as usize].store(value, R);
+            cms.set_dirty(a2);
+            cms.evac_healed_stores.fetch_add(1, R);
+            if let Some(sh) = &vm.shadow {
+                sh.set_mem(a2, sh.mem_tag(addr));
+            }
+        };
+        let recheck = match vm.evac_header_of(cms, addr) {
+            None => None,
+            Some(h) => match vm.evac_forwarded_from(h, addr) {
+                Some(a2) => {
+                    replay(a2);
+                    return Ok(());
+                }
+                None => Some(h),
+            },
+        };
+        // A store through an already-healed pointer lands directly in
+        // to-space: the copy then legitimately diverges from its frozen
+        // original, and the torn-store audit must not read that as a
+        // lost store.
+        let (to_start, _) = vm.to_space();
+        if addr >= to_start && addr < cms.evac_to.load(Ordering::Acquire) {
+            cms.set_dirty(addr);
+        }
+        vm.mem[addr as usize].store(value, R);
+        // The fence pairs with the copier's SeqCst claim CAS (+ its own
+        // fence before reading the body): without it the store and the
+        // recheck below could reorder (the classic store-buffer outcome)
+        // and a claim racing this store would be missed by both sides.
+        std::sync::atomic::fence(Ordering::SeqCst);
+        // Claimed between the check and the store: the copy may have
+        // missed this value, so replay it.
+        if let Some(a2) = recheck.and_then(|h| vm.evac_forwarded_from(h, addr)) {
+            replay(a2);
+        }
+        Ok(())
+    }
+
+    /// `StB` is a snapshot-at-the-beginning *deletion barrier* while a
+    /// cms marking cycle is live, and a plain (forwarding-aware) store
+    /// otherwise — exactly as on a semispace `Machine`.
+    fn barrier_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
+        let vm = self.vm;
         // Concurrent evacuation extends the barrier: a stored value
         // whose object already moved is healed to the to-space copy
         // before it re-enters the heap, and the store itself goes
         // through the forwarding-aware path.
-        let value = match self.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
-            Some(cms) => match self.evac_heal_value(cms, value) {
+        let value = match vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
+            Some(cms) => match vm.evac_heal_value(cms, value) {
                 Some(nv) => {
                     cms.evac_healed_stores.fetch_add(1, R);
                     nv
@@ -1646,325 +1609,80 @@ impl ParMachine {
             },
             None => value,
         };
-        match self.cms.as_ref().filter(|c| c.marking.load(Ordering::Acquire)) {
-            None => {
-                // Outside a marking cycle (or a non-cms run) the
-                // barrier store is a plain store, exactly as on a
-                // semispace `Machine`.
-                self.heap_store(addr, value)
+        let Some(cms) = vm.cms.as_ref().filter(|c| c.marking.load(Ordering::Acquire)) else {
+            return self.heap_store(addr, value);
+        };
+        match cms.fault() {
+            SatbFault::None => {
+                // Deletion barrier: read the old value *before*
+                // overwriting it.
+                let old = self.load(addr)?;
+                self.heap_store(addr, value)?;
+                vm.satb_record_old(cms, self.mu, old);
             }
-            Some(cms) => match cms.fault() {
-                SatbFault::None => {
-                    // Deletion barrier: read the old value *before*
-                    // overwriting it.
-                    let old = self.load(addr)?;
-                    self.heap_store(addr, value)?;
-                    self.satb_record_old(cms, mu, old);
-                    Ok(())
-                }
-                SatbFault::Drop => self.heap_store(addr, value),
-                SatbFault::Reorder => {
-                    // Buggy ordering: store first, then "record the old
-                    // value" — which now reads the new one, so the
-                    // barrier enqueues the wrong pointer.
-                    self.heap_store(addr, value)?;
-                    let old = self.load(addr)?;
-                    self.satb_record_old(cms, mu, old);
-                    Ok(())
-                }
-            },
+            SatbFault::Drop => self.heap_store(addr, value)?,
+            SatbFault::Reorder => {
+                // Buggy ordering: store first, then "record the old
+                // value" — which now reads the new one, so the
+                // barrier enqueues the wrong pointer.
+                self.heap_store(addr, value)?;
+                let old = self.load(addr)?;
+                vm.satb_record_old(cms, self.mu, old);
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn note_escape(&mut self, addr: i64, value: i64) {
+        if self.vm.layout.region_words > 0 {
+            self.vm.note_escape(addr, value);
         }
     }
 
-    /// JIT runtime-call surface (see `Machine::jit_try_alloc` for the
-    /// rationale); `try_alloc` itself is already public.
-    #[doc(hidden)]
-    pub fn jit_store_barrier(&self, mu: &mut Mutator, addr: i64, value: i64) -> Result<(), VmTrap> {
-        self.store_barrier(mu, addr, value)
+    fn sys(&mut self, code: u8, arg: i64) -> Result<(), VmTrap> {
+        exec::sys_to(&mut self.mu.output, code, arg)
     }
 
-    #[doc(hidden)]
-    pub fn jit_sys(&self, mu: &mut Mutator, code: u8, arg: i64) -> Result<(), VmTrap> {
-        self.sys(mu, code, arg)
+    #[inline]
+    fn shadow_on(&self) -> bool {
+        self.vm.shadow.is_some()
     }
 
-    /// JIT call-out for the `Ld` template under conc-evac: byte-identical
-    /// to the interpreter's self-healing load.
-    #[doc(hidden)]
-    pub fn jit_heap_load(&self, mu: &mut Mutator, dst: u8, addr: i64) -> Result<(), VmTrap> {
-        self.heap_load(mu, dst, addr)
+    fn mem_tag(&self, addr: i64) -> Tag {
+        self.vm.shadow.as_ref().map_or(Tag::NonPtr, |sh| sh.mem_tag(addr))
     }
 
-    /// JIT call-out for the `St` template under conc-evac: byte-identical
-    /// to the interpreter's forwarding-aware store.
-    #[doc(hidden)]
-    pub fn jit_heap_store(&self, addr: i64, value: i64) -> Result<(), VmTrap> {
-        self.heap_store(addr, value)
-    }
-
-    #[doc(hidden)]
-    pub fn jit_shadow_step(&self, mu: &mut Mutator, ins: &Instr) -> Option<VmTrap> {
-        if self.shadow.is_some() {
-            self.shadow_step(mu, ins)
-        } else {
-            None
+    fn set_mem_tag(&mut self, addr: i64, tag: Tag) {
+        if let Some(sh) = &self.vm.shadow {
+            sh.set_mem(addr, tag);
         }
     }
 
-    /// Shadow-mode instrumentation, mirroring `Machine::shadow_step`:
-    /// stale-pointer detection against the dead semispace plus tag
-    /// propagation through the instruction's data flow.
-    fn shadow_step(&self, mu: &mut Mutator, ins: &Instr) -> Option<VmTrap> {
-        use crate::isa::AluOp;
-        if let Instr::Ld { base, off, .. }
-        | Instr::St { base, off, .. }
-        | Instr::StB { base, off, .. } = *ins
-        {
-            let addr = mu.regs[base as usize] + i64::from(off);
-            if self.in_dead_space(addr) {
-                return Some(VmTrap::StalePointer);
-            }
+    fn clear_tags(&mut self, addr: i64, words: i64) {
+        if let Some(sh) = &self.vm.shadow {
+            sh.clear_range(addr, words);
         }
-        let sh = self.shadow.as_ref().expect("shadow_step without shadow");
-        match *ins {
-            Instr::MovI { dst, .. } | Instr::UnAlu { dst, .. } => {
-                mu.reg_tags[dst as usize] = Tag::NonPtr;
-            }
-            Instr::Mov { dst, src } => mu.reg_tags[dst as usize] = mu.reg_tags[src as usize],
-            Instr::Alu { op, dst, a, b } => {
-                let (ta, tb) = (mu.reg_tags[a as usize], mu.reg_tags[b as usize]);
-                mu.reg_tags[dst as usize] = match op {
-                    AluOp::Add | AluOp::Sub => Shadow::combine_additive(ta, tb),
-                    _ => Tag::NonPtr,
-                };
-            }
-            Instr::AluI { op, dst, a, .. } => {
-                let ta = mu.reg_tags[a as usize];
-                mu.reg_tags[dst as usize] = match op {
-                    AluOp::Add | AluOp::Sub => Shadow::combine_additive(ta, Tag::NonPtr),
-                    _ => Tag::NonPtr,
-                };
-            }
-            Instr::Ld { dst, base, off } => {
-                let addr = mu.regs[base as usize] + i64::from(off);
-                mu.reg_tags[dst as usize] = sh.mem_tag(addr);
-            }
-            Instr::St { base, off, src } | Instr::StB { base, off, src } => {
-                let addr = mu.regs[base as usize] + i64::from(off);
-                sh.set_mem(addr, mu.reg_tags[src as usize]);
-            }
-            Instr::LdF { dst, breg, off } => {
-                let addr = Self::base_value(mu, breg) + i64::from(off);
-                mu.reg_tags[dst as usize] = sh.mem_tag(addr);
-            }
-            Instr::StF { breg, off, src } => {
-                let addr = Self::base_value(mu, breg) + i64::from(off);
-                sh.set_mem(addr, mu.reg_tags[src as usize]);
-            }
-            Instr::Lea { dst, .. } | Instr::LeaG { dst, .. } => {
-                mu.reg_tags[dst as usize] = Tag::NonPtr;
-            }
-            Instr::LdG { dst, goff } => {
-                mu.reg_tags[dst as usize] = sh.mem_tag((GLOBAL_BASE + goff as usize) as i64);
-            }
-            Instr::StG { goff, src } => {
-                sh.set_mem((GLOBAL_BASE + goff as usize) as i64, mu.reg_tags[src as usize]);
-            }
-            Instr::Push { src } => {
-                sh.set_mem(mu.sp, mu.reg_tags[src as usize]);
-            }
-            Instr::Call { proc, .. } => {
-                if let Some(meta) = self.module.procs.get(proc as usize) {
-                    sh.clear_range(mu.sp, 3 + i64::from(meta.frame_words));
-                }
-            }
-            Instr::Alloc { .. }
-            | Instr::AllocA { .. }
-            | Instr::Ret
-            | Instr::Jmp { .. }
-            | Instr::Brt { .. }
-            | Instr::Brf { .. }
-            | Instr::GcPoint
-            | Instr::Sys { .. }
-            | Instr::Halt => {}
-        }
-        None
     }
 
-    /// Executes one instruction of `mu`. Mirrors `Machine::step`; the
-    /// differences are the shared atomic memory, the safepoint poll
-    /// (request flag instead of `gc_pending` status bookkeeping) and
-    /// per-mutator output.
-    pub fn step(&self, mu: &mut Mutator) -> ParStep {
-        let pc = mu.pc;
-        // Poll: at any gc-point, a pending collection request parks the
-        // thread before the instruction executes — an allocation must
-        // not race the collection, and §5.3's tables describe exactly
-        // this pc.
-        if self.is_gc_point_pc(pc) && self.gc_request.load(R) {
-            return ParStep::AtSafepoint;
+    fn in_dead_space(&self, addr: i64) -> bool {
+        self.vm.in_dead_space(addr)
+    }
+
+    fn jit_ports(&mut self) -> JitPorts {
+        JitPorts {
+            // AtomicI64 has the same in-memory representation as i64;
+            // the generated plain 64-bit loads/stores are relaxed atomic
+            // accesses on x86-64, exactly like `word`/`set_word`.
+            mem: self.vm.mem.as_ptr().cast::<i64>().cast_mut(),
+            gc_flag: std::ptr::from_ref(&self.vm.gc_request).cast(),
+            alloc_ptr: std::ptr::null_mut(),
+            alloc_fast_limit: std::ptr::null(),
+            alloc_count: std::ptr::null_mut(),
+            words: std::ptr::null_mut(),
         }
-        mu.steps += 1;
-        let (ins, next_pc) = self.decoded.at(pc).clone();
-        if self.shadow.is_some() {
-            if let Some(trap) = self.shadow_step(mu, &ins) {
-                return ParStep::Trap(trap);
-            }
-        }
-        let mut new_pc = next_pc;
-        macro_rules! trap {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(tr) => return ParStep::Trap(tr),
-                }
-            };
-        }
-        match ins {
-            Instr::MovI { dst, imm } => mu.regs[dst as usize] = imm,
-            Instr::Mov { dst, src } => mu.regs[dst as usize] = mu.regs[src as usize],
-            Instr::Alu { op, dst, a, b } => {
-                mu.regs[dst as usize] = op.eval(mu.regs[a as usize], mu.regs[b as usize]);
-            }
-            Instr::AluI { op, dst, a, imm } => {
-                mu.regs[dst as usize] = op.eval(mu.regs[a as usize], imm);
-            }
-            Instr::UnAlu { op, dst, a } => mu.regs[dst as usize] = op.eval(mu.regs[a as usize]),
-            Instr::Ld { dst, base, off } => {
-                let addr = mu.regs[base as usize] + i64::from(off);
-                trap!(self.heap_load(mu, dst, addr));
-            }
-            Instr::St { base, off, src } => {
-                // Unbarriered store: codegen proved the old value needs
-                // no protection (non-pointer value or nursery-fresh
-                // target — see the SATB soundness notes in
-                // `codegen::emit`). During concurrent evacuation it
-                // still resolves forwarding, since even a non-pointer
-                // store into a claimed object would otherwise be lost.
-                let addr = mu.regs[base as usize] + i64::from(off);
-                let value = mu.regs[src as usize];
-                trap!(self.heap_store(addr, value));
-                if self.layout.region_words > 0 {
-                    self.note_escape(addr, value);
-                }
-            }
-            Instr::StB { base, off, src } => {
-                let addr = mu.regs[base as usize] + i64::from(off);
-                let value = mu.regs[src as usize];
-                trap!(self.store_barrier(mu, addr, value));
-                if self.layout.region_words > 0 {
-                    self.note_escape(addr, value);
-                }
-            }
-            Instr::LdF { dst, breg, off } => {
-                let addr = Self::base_value(mu, breg) + i64::from(off);
-                mu.regs[dst as usize] = trap!(self.load(addr));
-            }
-            Instr::StF { breg, off, src } => {
-                let addr = Self::base_value(mu, breg) + i64::from(off);
-                trap!(self.store(addr, mu.regs[src as usize]));
-            }
-            Instr::Lea { dst, breg, off } => {
-                mu.regs[dst as usize] = Self::base_value(mu, breg) + i64::from(off);
-            }
-            Instr::LdG { dst, goff } => {
-                mu.regs[dst as usize] = self.mem[GLOBAL_BASE + goff as usize].load(R);
-            }
-            Instr::StG { goff, src } => {
-                let value = mu.regs[src as usize];
-                self.mem[GLOBAL_BASE + goff as usize].store(value, R);
-                if self.layout.region_words > 0 {
-                    self.note_escape((GLOBAL_BASE + goff as usize) as i64, value);
-                }
-            }
-            Instr::LeaG { dst, goff } => {
-                mu.regs[dst as usize] = (GLOBAL_BASE + goff as usize) as i64;
-            }
-            Instr::Push { src } => {
-                if mu.sp >= mu.stack_limit {
-                    return ParStep::Trap(VmTrap::StackOverflow);
-                }
-                let sp = mu.sp;
-                mu.sp += 1;
-                self.mem[sp as usize].store(mu.regs[src as usize], R);
-            }
-            Instr::Call { proc, nargs } => {
-                let Some(meta) = self.module.procs.get(proc as usize) else {
-                    return ParStep::Trap(VmTrap::BadProc);
-                };
-                let frame_words = i64::from(meta.frame_words);
-                let entry = meta.entry_pc;
-                if mu.sp + 3 + frame_words >= mu.stack_limit {
-                    return ParStep::Trap(VmTrap::StackOverflow);
-                }
-                let sp = mu.sp;
-                self.mem[sp as usize].store(i64::from(next_pc), R);
-                self.mem[sp as usize + 1].store(mu.fp, R);
-                self.mem[sp as usize + 2].store(mu.ap, R);
-                mu.ap = sp - i64::from(nargs);
-                mu.fp = sp + 3;
-                mu.sp = mu.fp + frame_words;
-                for w in mu.fp..mu.sp {
-                    self.mem[w as usize].store(0, R);
-                }
-                new_pc = entry;
-            }
-            Instr::Ret => {
-                let retpc = self.mem[mu.fp as usize - 3].load(R);
-                let old_fp = self.mem[mu.fp as usize - 2].load(R);
-                let old_ap = self.mem[mu.fp as usize - 1].load(R);
-                if retpc == RETURN_SENTINEL {
-                    return ParStep::Finished;
-                }
-                mu.sp = mu.ap;
-                mu.fp = old_fp;
-                mu.ap = old_ap;
-                new_pc = resolve_retpc_via(self.code_map.as_deref(), retpc);
-            }
-            Instr::Jmp { target } => new_pc = target,
-            Instr::Brt { cond, target } => {
-                if mu.regs[cond as usize] != 0 {
-                    new_pc = target;
-                }
-            }
-            Instr::Brf { cond, target } => {
-                if mu.regs[cond as usize] == 0 {
-                    new_pc = target;
-                }
-            }
-            Instr::Alloc { dst, ty } => match trap!(self.try_alloc(mu, ty, 0)) {
-                Some(addr) => {
-                    mu.regs[dst as usize] = addr;
-                    if self.shadow.is_some() {
-                        mu.reg_tags[dst as usize] = Tag::Ptr;
-                    }
-                }
-                None => return ParStep::NeedGc,
-            },
-            Instr::AllocA { dst, ty, len } => {
-                let l = mu.regs[len as usize];
-                match trap!(self.try_alloc(mu, ty, l)) {
-                    Some(addr) => {
-                        mu.regs[dst as usize] = addr;
-                        if self.shadow.is_some() {
-                            mu.reg_tags[dst as usize] = Tag::Ptr;
-                        }
-                    }
-                    None => return ParStep::NeedGc,
-                }
-            }
-            Instr::GcPoint => {}
-            Instr::Sys { code, arg } => {
-                let v = mu.regs[arg as usize];
-                trap!(self.sys(mu, code, v));
-            }
-            Instr::Halt => return ParStep::Finished,
-        }
-        mu.pc = new_pc;
-        ParStep::Normal
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,9 @@
 //! oracle confronts the static tables with.
 //!
 //! When enabled ([`crate::machine::Machine::enable_shadow`]), the machine
-//! maintains, alongside every memory word and every register of every
-//! thread, a [`Tag`] describing what the instrumented execution *knows*
-//! the value to be:
+//! maintains, alongside every memory word (here) and every register of
+//! every thread (in its [`crate::exec::Cpu`]), a [`Tag`] describing what
+//! the instrumented execution *knows* the value to be:
 //!
 //! * [`Tag::Ptr`] — the word was produced by an allocation (or copied
 //!   from one), i.e. it is the address of an object's header;
@@ -36,8 +36,6 @@
 //!    oracle compares every decoded table entry against these tags: a
 //!    "tidy pointer" slot whose tag is `NonPtr`, or a derivation whose
 //!    base is not a `Ptr`, is a table lying about the frame contents.
-
-use crate::isa::NUM_REGS;
 
 /// What the instrumented execution knows a word to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,23 +77,32 @@ impl Tag {
             _ => Tag::NonPtr,
         }
     }
+
+    /// The tag combination rule for additive ALU operations: exactly one
+    /// pointerish operand derives; anything else (including a pointer
+    /// difference) is an ordinary integer.
+    #[must_use]
+    pub fn combine_additive(a: Tag, b: Tag) -> Tag {
+        if a.pointerish() != b.pointerish() {
+            Tag::Derived
+        } else {
+            Tag::NonPtr
+        }
+    }
 }
 
-/// The shadow state: one tag per memory word, one tag per register per
-/// thread.
+/// The sequential machine's memory shadow: one tag per memory word.
 #[derive(Debug, Clone)]
 pub struct Shadow {
     /// Per-word tags, parallel to `Machine::mem`.
     pub mem: Vec<Tag>,
-    /// Per-thread register tags, parallel to `Machine::threads`.
-    pub regs: Vec<[Tag; NUM_REGS]>,
 }
 
 impl Shadow {
     /// Creates a shadow for a machine with `mem_words` words of memory.
     #[must_use]
     pub fn new(mem_words: usize) -> Shadow {
-        Shadow { mem: vec![Tag::NonPtr; mem_words], regs: Vec::new() }
+        Shadow { mem: vec![Tag::NonPtr; mem_words] }
     }
 
     /// Reads a memory word's tag.
@@ -127,18 +134,6 @@ impl Shadow {
     pub fn copy_words(&mut self, from: i64, to: i64, words: i64) {
         self.mem.copy_within(from as usize..(from + words) as usize, to as usize);
     }
-
-    /// The tag combination rule for additive ALU operations: exactly one
-    /// pointerish operand derives; anything else (including a pointer
-    /// difference) is an ordinary integer.
-    #[must_use]
-    pub fn combine_additive(a: Tag, b: Tag) -> Tag {
-        if a.pointerish() != b.pointerish() {
-            Tag::Derived
-        } else {
-            Tag::NonPtr
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,10 +142,10 @@ mod tests {
 
     #[test]
     fn additive_combination() {
-        assert_eq!(Shadow::combine_additive(Tag::Ptr, Tag::NonPtr), Tag::Derived);
-        assert_eq!(Shadow::combine_additive(Tag::NonPtr, Tag::Derived), Tag::Derived);
-        assert_eq!(Shadow::combine_additive(Tag::Ptr, Tag::Ptr), Tag::NonPtr);
-        assert_eq!(Shadow::combine_additive(Tag::NonPtr, Tag::NonPtr), Tag::NonPtr);
+        assert_eq!(Tag::combine_additive(Tag::Ptr, Tag::NonPtr), Tag::Derived);
+        assert_eq!(Tag::combine_additive(Tag::NonPtr, Tag::Derived), Tag::Derived);
+        assert_eq!(Tag::combine_additive(Tag::Ptr, Tag::Ptr), Tag::NonPtr);
+        assert_eq!(Tag::combine_additive(Tag::NonPtr, Tag::NonPtr), Tag::NonPtr);
     }
 
     #[test]

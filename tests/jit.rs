@@ -97,6 +97,35 @@ fn jit_matches_reference_under_torture_all_collectors() {
     }
 }
 
+/// Pause parity: the JIT must not change *what* the collectors do.
+/// Collecting every seventh allocation, interpreter and JIT runs
+/// execute the same number of instructions, collect at the same
+/// allocations and evacuate the same words.
+#[test]
+fn jit_and_interpreter_share_one_collection_schedule() {
+    for strategy in [GcStrategy::Semispace, GcStrategy::Generational] {
+        let run = |jit: bool| {
+            let module = compile(SRC, &Options::o2()).expect("compiles");
+            let opts = RuntimeOptions::new()
+                .strategy(strategy)
+                .semi_words(4096)
+                .force_every_allocs(Some(7))
+                .jit(jit);
+            let mut ex = Executor::try_new(opts.build_machine(module), opts).expect("valid maps");
+            ex.run_main().unwrap_or_else(|e| panic!("{strategy:?} jit={jit}: {e}"))
+        };
+        let (interp, jit) = (run(false), run(true));
+        assert!(interp.collections >= 3, "{strategy:?}: collections must repeat");
+        assert_eq!(jit.output, interp.output, "{strategy:?}: outputs diverge");
+        assert_eq!(jit.steps, interp.steps, "{strategy:?}: step counts diverge");
+        assert_eq!(jit.collections, interp.collections, "{strategy:?}: collection counts diverge");
+        assert_eq!(
+            jit.gc_total.words_copied, interp.gc_total.words_copied,
+            "{strategy:?}: evacuated words diverge"
+        );
+    }
+}
+
 #[test]
 fn mixed_stacks_every_exclusion_under_torture() {
     let _guard = ENV_LOCK.lock().unwrap();

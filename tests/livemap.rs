@@ -95,6 +95,12 @@ fn untouched_live_maps_run_clean_and_kill_dead_roots() {
     let full = run_module_opts(module, torture_options()).expect("full-map run");
     assert_eq!(full.output, expected);
     assert_eq!(full.gc_total.roots_killed, 0, "full maps must not kill anything");
+    assert!(
+        out.gc_total.words_copied < full.gc_total.words_copied,
+        "full maps must retain (and copy) float the pruned maps drop: {} vs {} words",
+        out.gc_total.words_copied,
+        full.gc_total.words_copied
+    );
 }
 
 #[test]
