@@ -517,6 +517,14 @@ fn parse_all(
     if let Some((flag, needs)) = contradiction.iter().find_map(|&(f, needs)| Some((f?, needs))) {
         return Err(DriverError::usage(format!("{flag} requires {needs}")));
     }
+    // Concurrent marking does not trace per-request regions; the library
+    // asserts it (`ParMachine::enable_cms`), the command line says it.
+    if config.strategy == GcStrategy::Cms && (serve || config.region_words > 0) {
+        let regions = if serve { "serve" } else { "--region-words" };
+        return Err(DriverError::usage(format!(
+            "{regions} cannot be combined with --gc cms (per-request regions need --gc par)"
+        )));
+    }
     Ok((options, config, load))
 }
 
@@ -1020,6 +1028,22 @@ mod tests {
         // Serve is the parallel runtime whatever `--gc` says.
         assert!(parse_serve_options(&["--gc-workers".into(), "2".into()]).is_ok());
         assert!(parse_serve_options(&["--conc-evac".into()]).is_err());
+        // ... except that regions and concurrent marking exclude each
+        // other: a usage error naming both, not `enable_cms`'s assertion.
+        for (serve, args, regions) in [
+            (true, vec!["--gc", "cms"], "serve"),
+            (true, vec!["--gc=cms", "--conc-workers", "2"], "serve"),
+            (false, vec!["--gc=cms", "--region-words", "64"], "--region-words"),
+        ] {
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+            match parse_all(&args, serve) {
+                Err(DriverError::Usage(msg)) => {
+                    assert!(msg.contains(regions) && msg.contains("--gc cms"), "{args:?}: {msg}");
+                }
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        assert!(parse_serve_options(&["--gc".into(), "par".into()]).is_ok());
     }
 
     #[test]

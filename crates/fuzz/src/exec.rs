@@ -125,9 +125,9 @@ fn status_of_error(e: ExecError) -> RunStatus {
             VmTrap::BadProc => RunStatus::Hard(format!("vm trap: {t}")),
         },
         ExecError::OutOfFuel => RunStatus::Inconclusive("vm fuel".to_string()),
-        e @ (ExecError::StuckThread { .. } | ExecError::Oracle(_)) => {
-            RunStatus::Hard(e.to_string())
-        }
+        e @ (ExecError::StuckThread { .. }
+        | ExecError::Oracle(_)
+        | ExecError::GcWorkerPanic { .. }) => RunStatus::Hard(e.to_string()),
     }
 }
 

@@ -45,7 +45,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use m3gc_vm::machine::VmTrap;
@@ -53,11 +53,12 @@ use m3gc_vm::par::{CmsHeap, EvacFault, EVAC_BUSY};
 use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
 use crate::collector::{apply_kills, header_extent};
-use crate::evac::extent;
+use crate::evac::{extent, CachePadded};
 use crate::parallel::{
-    deposit, gc_worker, par_oracle_check, reload, run_gc_workers, ParGcStats, Part, RunCtx,
+    deposit, par_oracle_check, reload, run_gc_workers, GcJob, ParGcStats, Part, RunCtx,
     ThreadWorld, WorkerReport,
 };
+use crate::pool::CopySync;
 use crate::scheduler::ExecError;
 use crate::trace::{
     gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
@@ -1051,7 +1052,7 @@ fn cms_final_pause(
         }
     }
 
-    let mut stats = cms_evacuate(ctx, heap, run);
+    let mut stats = cms_evacuate(ctx, run)?;
     if evacuating {
         // The cycle's relocation state dies with the flip: the copies
         // now live inside the ordinary from-space prefix.
@@ -1177,18 +1178,18 @@ pub(crate) fn cms_shadow_verify(ctx: &RunCtx<'_>, heap: &CmsHeap) -> Result<(), 
 }
 
 /// Shared state of one bitmap evacuation.
-struct CmsGc<'vm> {
+pub(crate) struct CmsGc<'vm> {
     vm: &'vm ParMachine,
     heap: &'vm CmsHeap,
     /// To-space copy frontier.
-    free: AtomicI64,
+    free: CachePadded<AtomicI64>,
     to_end: i64,
     from_start: i64,
     /// The allocated from-space prefix (`vm.free` at the pause).
     from_used: i64,
     /// Next unclaimed chunk index.
     chunk_next: AtomicUsize,
-    barrier: Barrier,
+    pub(crate) sync: CopySync,
     /// True when this pause closes a concurrent-evacuation cycle: the
     /// copy phase skips already-forwarded objects, and the rewrite
     /// phase also walks the concurrently published copies.
@@ -1196,6 +1197,26 @@ struct CmsGc<'vm> {
     /// The concurrent copies (to-space has no mark bitmap to iterate).
     conc_copies: Vec<i64>,
     workers: usize,
+}
+
+impl CmsGc<'_> {
+    /// The allocated from-space prefix this pause evacuates.
+    pub(crate) fn used(&self) -> (i64, i64) {
+        (self.from_start, self.from_used)
+    }
+
+    /// From-space chunks to claim.
+    fn chunks(&self) -> usize {
+        let span = self.from_used - self.from_start;
+        ((span + CHUNK_WORDS - 1) / CHUNK_WORDS) as usize
+    }
+
+    /// True if worker `w` has a share of the copy whether or not it was
+    /// dealt a parked thread: a from-space chunk to claim, or its stride
+    /// of the concurrent copies to rewrite.
+    pub(crate) fn has_share(&self, w: usize) -> bool {
+        w < self.chunks().max(self.conc_copies.len())
+    }
 }
 
 /// Follows a forwarding pointer installed by the copy phase. An
@@ -1216,7 +1237,7 @@ fn forwarded(vm: &ParMachine, v: i64) -> i64 {
 /// here (everything below was cached at the snapshot pause), and the
 /// killed slots were nulled without an SATB enqueue: marking is over, so
 /// a marked referent is still copied this cycle and dies at the next.
-fn bitmap_copy(
+pub(crate) fn bitmap_copy(
     gc: &CmsGc<'_>,
     w: usize,
     world: &mut ParWorld<'_>,
@@ -1234,7 +1255,7 @@ fn bitmap_copy(
             }
         }
     };
-    gc.barrier.wait();
+    gc.sync.barrier();
     let t_copy = Instant::now();
 
     // Chunked bitmap copy. Each chunk's marked headers belong to exactly
@@ -1242,8 +1263,7 @@ fn bitmap_copy(
     // every forwarding pointer. TLAB holes are zeroed words — never
     // marked, never visited.
     let mut copied: Vec<i64> = Vec::new();
-    let span = gc.from_used - gc.from_start;
-    let n_chunks = ((span + CHUNK_WORDS - 1) / CHUNK_WORDS) as usize;
+    let n_chunks = gc.chunks();
     loop {
         let c = gc.chunk_next.fetch_add(1, R);
         if c >= n_chunks {
@@ -1260,7 +1280,7 @@ fn bitmap_copy(
             }
             assert!(header >= 0, "mark bit on a non-header word at {addr}");
             let obj_words = extent(vm, addr).words;
-            let new = gc.free.fetch_add(obj_words, R);
+            let new = gc.free.0.fetch_add(obj_words, R);
             assert!(new + obj_words <= gc.to_end, "to-space overflow during cms evacuation");
             for off in 0..obj_words {
                 vm.set_word(new + off, vm.word(addr + off));
@@ -1274,7 +1294,7 @@ fn bitmap_copy(
             rep.words += obj_words as u64;
         });
     }
-    gc.barrier.wait();
+    gc.sync.barrier();
 
     // Rewrite my copied objects' pointer fields, my threads' tidy roots,
     // and (worker 0) the globals through plain forwarding loads.
@@ -1304,39 +1324,38 @@ fn bitmap_copy(
             }
         }
     }
-    gc.barrier.wait();
+    gc.sync.barrier();
     rep.copy_time = t_copy.elapsed();
 }
 
 /// The final pause's parallel evacuation of the marked set (leader
 /// only, world stopped): `collect_parallel`'s frame around a
 /// bitmap-driven copy.
-fn cms_evacuate(ctx: &RunCtx<'_>, heap: &CmsHeap, run: &CmsRun) -> ParGcStats {
+fn cms_evacuate(ctx: &RunCtx<'_>, run: &CmsRun) -> Result<ParGcStats, ExecError> {
     let vm = ctx.vm;
+    let heap = vm.cms.as_ref().expect("cms evacuation without cms heap");
     let workers = ctx.caches.len();
     let (from_start, _) = vm.from_space();
     let (to_start, to_end) = vm.to_space();
     let evacuating = heap.evacuating.load(Ordering::Acquire);
-    let gc = CmsGc {
+    let gc = Arc::new(CmsGc {
         vm,
         heap,
         // A conc-evac pause continues the copiers' frontier: to-space
         // already holds `[to_start, evac_to)` of published copies.
-        free: AtomicI64::new(if evacuating { heap.evac_to.load(R) } else { to_start }),
+        free: CachePadded(AtomicI64::new(if evacuating { heap.evac_to.load(R) } else { to_start })),
         to_end,
         from_start,
         from_used: vm.free.load(R),
         chunk_next: AtomicUsize::new(0),
-        barrier: Barrier::new(workers),
+        sync: CopySync::new(),
         evacuating,
         conc_copies: if evacuating { run.evac_copies.lock().unwrap().clone() } else { Vec::new() },
         workers,
-    };
-    let used = (gc.from_start, gc.from_used);
-    let mut stats = run_gc_workers(ctx, |w, my| {
-        gc_worker(ctx, w, my, used, |world, my, rep| bitmap_copy(&gc, w, world, my, rep))
     });
-    vm.finish_collection(gc.free.load(R));
-    stats.steals = vec![0; workers]; // no stealing: the bitmap partitions the copy
-    stats
+    // No chunk is ever published, so `steals` reads 0 for every worker:
+    // the bitmap partitions the copy.
+    let stats = run_gc_workers(ctx, GcJob::Bitmap(Arc::clone(&gc)))?;
+    vm.finish_collection(gc.free.0.load(R));
+    Ok(stats)
 }

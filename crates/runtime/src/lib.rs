@@ -16,8 +16,10 @@
 //!   wait), then the collector runs.
 //! * [`parallel`] — the same protocol over real OS threads: mutators
 //!   poll the request flag at gc-points, park in a stop-the-world
-//!   handshake, and `gc_workers` workers evacuate concurrently with a
-//!   work-stealing Cheney copy (CAS-claimed forwarding pointers).
+//!   handshake, and `gc_workers` workers — the leader plus a persistent
+//!   pool of parked helpers, woken only when there is work for them —
+//!   evacuate concurrently with a work-stealing Cheney copy (CAS-claimed
+//!   forwarding pointers, private gray stacks, surplus shared in chunks).
 //! * [`cms`] — concurrent SATB marking on the parallel runtime: a short
 //!   snapshot pause seeds marking from root *values*, `conc_workers`
 //!   markers trace while mutators run (the `StB` deletion barrier
@@ -32,6 +34,7 @@ pub mod gengc;
 pub mod options;
 pub mod oracle;
 pub mod parallel;
+mod pool;
 pub mod report;
 pub mod scheduler;
 pub mod serve;

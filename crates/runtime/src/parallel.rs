@@ -14,21 +14,23 @@
 //!    deposits a [`Snapshot`] of its registers and frame cursor, then
 //!    blocks on a condvar. The leader waits until every live mutator
 //!    has parked.
-//! 2. **Parallel copy.** The leader becomes gc worker 0 and spawns
-//!    `gc_workers - 1` helpers. Parked threads are dealt to workers
-//!    round-robin; each worker walks its threads' stacks (through the
-//!    shared [`RootSource`] trace code, against the deposited
-//!    snapshots) and un-derives their derived values. After a barrier,
-//!    workers forward their threads' roots (worker 0 also takes the
-//!    globals) and trace the object graph with work stealing: each
-//!    worker owns a deque of to-space objects still holding from-space
-//!    pointers, pops its own work LIFO, and steals FIFO from others
-//!    when empty. Forwarding claims an object by CASing its header to
-//!    a BUSY sentinel; the winner bumps the shared to-space frontier
-//!    with a fetch-add, copies the words, and publishes `-(new+1)`
-//!    with release ordering. Losers spin (yielding) until the
-//!    forwarding pointer appears. A shared pending-object counter
-//!    detects termination.
+//! 2. **Parallel copy.** The leader becomes gc worker 0 of the run's
+//!    persistent pool (`pool.rs`: `gc_workers - 1` helpers spawned once
+//!    per run and parked between collections). Parked threads are dealt
+//!    to workers round-robin and exactly the helpers that were dealt a
+//!    thread are woken; each started worker walks its threads' stacks
+//!    (through the shared [`RootSource`] trace code, against the
+//!    deposited snapshots) and un-derives their derived values. After a
+//!    barrier among the started workers, each forwards its threads'
+//!    roots (worker 0 also takes the globals) and traces the object
+//!    graph from a *private* gray stack. Forwarding claims an object by
+//!    CASing its header to a BUSY sentinel; the winner bumps the shared
+//!    to-space frontier with a fetch-add, copies the words, and
+//!    publishes `-(new+1)` with release ordering; losers back off until
+//!    the forwarding pointer appears. A worker whose gray stack outgrows
+//!    a fixed bound publishes its oldest half as one chunk and wakes a
+//!    sleeping helper to steal it; the trace terminates when every woken
+//!    worker is idle and no chunk is outstanding (`evac.rs`).
 //! 3. **Release.** After a final barrier each worker re-derives its
 //!    threads' derived values in exactly the reverse order, the leader
 //!    flips the semispaces, clears the request flag and bumps the
@@ -47,6 +49,7 @@
 //! against the shadow ground truth exactly as in the single-threaded
 //! scheduler.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -58,10 +61,12 @@ use m3gc_vm::machine::VmTrap;
 use m3gc_vm::module::VmModule;
 use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
+use crate::cms::{bitmap_copy, CmsGc};
 use crate::collector::{apply_kills, re_derive, un_derive};
-use crate::evac::{forward_root_par, next_work, scan_object, scan_region, GcCtx, WorkerLocal};
+use crate::evac::{forward_root_par, scan_region, trace, GcCtx, WorkerLocal};
 use crate::options::RuntimeOptions;
 use crate::oracle::check_entries;
+use crate::pool::{spawn_helpers, CopySync, GcPool};
 use crate::scheduler::ExecError;
 use crate::trace::{
     gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
@@ -93,8 +98,17 @@ pub struct ParGcStats {
     pub per_worker_objects: Vec<u64>,
     /// Words evacuated per worker.
     pub per_worker_words: Vec<u64>,
-    /// Successful steals per worker.
+    /// Chunks of gray objects each worker stole from another worker's
+    /// deque (a chunk holds up to half a private gray stack; before the
+    /// chunked hand-off this counted single objects).
     pub steals: Vec<u64>,
+    /// Chunks workers published from their private gray stacks.
+    pub chunks_published: u64,
+    /// Pool helpers that took part in this cycle: woken with it for a
+    /// root partition (or a bitmap share), or later by a published chunk.
+    pub helpers_woken: u64,
+    /// Times a worker parked inside the trace for want of work.
+    pub idle_parks: u64,
     /// Tidy root references processed.
     pub roots: u64,
     /// Killed slots nulled before tracing (liveness-pruned maps).
@@ -243,6 +257,9 @@ pub(crate) struct CoordState {
     pub(crate) generation: u64,
     /// Mirrors [`Coord::halt`] for checks already under the lock.
     pub(crate) halt: bool,
+    /// Set by the leader of the run's first collection: the main thread
+    /// (which owns the scope) spawns the gc helpers (`pool.rs`).
+    pub(crate) want_helpers: bool,
 }
 
 pub(crate) struct Coord {
@@ -270,6 +287,12 @@ pub(crate) struct RunCtx<'vm> {
     pub(crate) watermarks: Vec<Mutex<StackCache>>,
     /// Persistent per-worker decode caches (shared `DecoderIndex`).
     pub(crate) caches: Vec<Mutex<DecodeCache>>,
+    /// The run's parked gc helpers (workers `1..gc_workers`).
+    pub(crate) pool: GcPool<'vm>,
+    /// Injected fault (unit tests): `(worker, collection)` — that worker
+    /// panics in the copy phase of that (1-based) collection.
+    #[cfg(test)]
+    pub(crate) worker_fault: Option<(usize, u64)>,
     /// Allocation count at the previous (unforced) collection — the
     /// no-progress out-of-memory detector, shared by whichever thread
     /// happens to lead.
@@ -309,7 +332,13 @@ impl<'vm> RunCtx<'vm> {
             vm,
             options,
             coord: Coord {
-                state: Mutex::new(CoordState { active, parked: 0, generation: 0, halt: false }),
+                state: Mutex::new(CoordState {
+                    active,
+                    parked: 0,
+                    generation: 0,
+                    halt: false,
+                    want_helpers: false,
+                }),
                 cv: Condvar::new(),
                 halt: AtomicBool::new(false),
                 error: Mutex::new(None),
@@ -317,6 +346,9 @@ impl<'vm> RunCtx<'vm> {
             slots: (0..slots).map(|_| Mutex::new(None)).collect(),
             watermarks: (0..slots).map(|_| Mutex::new(StackCache::default())).collect(),
             caches,
+            pool: GcPool::new(workers),
+            #[cfg(test)]
+            worker_fault: None,
             last_gc_allocations: Mutex::new(None),
             gc_log: Mutex::new(Vec::new()),
             poll_parks: AtomicU64::new(0),
@@ -345,6 +377,9 @@ pub(crate) struct WorkerReport {
     spliced: u64,
     decode: DecodeCounters,
     pub(crate) copy_time: Duration,
+    chunks_published: u64,
+    steals: u64,
+    idle_parks: u64,
 }
 
 /// The frame every stop-the-world copy shares — the §3 bracket around a
@@ -354,12 +389,14 @@ pub(crate) struct WorkerReport {
 /// `copy` (which owns the barriers: no object may move before every
 /// un-derive is done, and no re-derive may run before every move is
 /// done); then re-derive in exactly the reverse order. `heap` is the
-/// allocated from-space prefix (for the float estimate).
-pub(crate) fn gc_worker(
+/// allocated from-space prefix (for the float estimate); `phase` is kept
+/// current for the report of a worker that dies on the way.
+fn gc_worker(
     ctx: &RunCtx<'_>,
     w: usize,
     my: &mut Part,
     heap: (i64, i64),
+    phase: &Cell<&'static str>,
     copy: impl FnOnce(&mut ParWorld<'_>, &mut Part, &mut WorkerReport),
 ) -> WorkerReport {
     let vm = ctx.vm;
@@ -390,7 +427,9 @@ pub(crate) fn gc_worker(
         rep.frames += roots.frames as u64;
         rep.spliced += roots.frames_spliced as u64;
     }
+    phase.set("copy");
     copy(&mut world, my, &mut rep);
+    phase.set("re-derive");
     for (_, snap, roots) in my.iter_mut().rev() {
         re_derive(&mut world, snap, roots);
     }
@@ -398,14 +437,91 @@ pub(crate) fn gc_worker(
     rep
 }
 
+/// The copy a collection posts to the pool: owned, so a helper parked
+/// since before the collection began can pick it up (both variants
+/// borrow only the machine, which outlives the pool).
+#[derive(Clone)]
+pub(crate) enum GcJob<'vm> {
+    /// Claim-and-copy trace with chunked work stealing ([`steal_copy`]).
+    Steal(Arc<GcCtx<'vm>>),
+    /// The cms final pause's bitmap-partitioned copy.
+    Bitmap(Arc<CmsGc<'vm>>),
+}
+
+impl GcJob<'_> {
+    pub(crate) fn sync(&self) -> &CopySync {
+        match self {
+            GcJob::Steal(gc) => &gc.sync,
+            GcJob::Bitmap(gc) => &gc.sync,
+        }
+    }
+
+    /// Arms the job's rendezvous for the `starters` workers woken with
+    /// the collection.
+    pub(crate) fn begin(&self, starters: usize) {
+        match self {
+            GcJob::Steal(gc) => gc.begin(starters),
+            GcJob::Bitmap(gc) => gc.sync.set_parties(starters),
+        }
+    }
+
+    /// True if worker `w` has work from the outset even without a root
+    /// partition: the bitmap copy is a static partition (of from-space
+    /// chunks and of the concurrent copies to rewrite), a trace has
+    /// nothing for it until somebody publishes.
+    pub(crate) fn wants(&self, w: usize) -> bool {
+        match self {
+            GcJob::Steal(_) => false,
+            GcJob::Bitmap(gc) => gc.has_share(w),
+        }
+    }
+
+    /// Worker `w`'s share: the §3 bracket around the job's copy for a
+    /// worker started with the collection, the bare trace for a helper
+    /// woken later by a published chunk.
+    pub(crate) fn run(
+        &self,
+        ctx: &RunCtx<'_>,
+        w: usize,
+        my: &mut Part,
+        starter: bool,
+        phase: &Cell<&'static str>,
+    ) -> WorkerReport {
+        match self {
+            GcJob::Steal(gc) if !starter => {
+                phase.set("copy");
+                let mut rep = WorkerReport::default();
+                let mut local = WorkerLocal::new(w, &ctx.pool);
+                trace(gc, &mut local, false);
+                rep.record_copy(&local);
+                rep
+            }
+            GcJob::Steal(gc) => {
+                let heap = (gc.from_start, gc.vm.free.load(R));
+                gc_worker(ctx, w, my, heap, phase, |world, my, rep| {
+                    steal_copy(ctx, gc, w, world, my, rep);
+                })
+            }
+            GcJob::Bitmap(gc) => gc_worker(ctx, w, my, gc.used(), phase, |world, my, rep| {
+                bitmap_copy(gc, w, world, my, rep);
+            }),
+        }
+    }
+}
+
 /// The leader's side of every stop-the-world copy: deal the deposited
-/// snapshots round-robin to one partition per gc worker, run `worker` on
-/// a scoped pool (the leader is worker 0), write the rewritten snapshots
-/// back to the park slots and fold the reports into the cycle's stats.
-pub(crate) fn run_gc_workers(
-    ctx: &RunCtx<'_>,
-    worker: impl Fn(usize, &mut Part) -> WorkerReport + Sync,
-) -> ParGcStats {
+/// snapshots round-robin to one partition per gc worker, run `job` on
+/// the pool (the leader is worker 0; only helpers with work are woken),
+/// write the rewritten snapshots back to the park slots and fold the
+/// reports into the cycle's stats.
+///
+/// # Errors
+///
+/// [`ExecError::GcWorkerPanic`] if any worker's share panicked.
+pub(crate) fn run_gc_workers<'vm>(
+    ctx: &RunCtx<'vm>,
+    job: GcJob<'vm>,
+) -> Result<ParGcStats, ExecError> {
     let workers = ctx.caches.len();
     let mut parts: Vec<Part> = (0..workers).map(|_| Vec::new()).collect();
     let mut n_threads = 0usize;
@@ -415,24 +531,33 @@ pub(crate) fn run_gc_workers(
             n_threads += 1;
         }
     }
+    let (shares, helpers_woken) = ctx.pool.run(ctx, job, parts);
     let mut reports: Vec<WorkerReport> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let worker = &worker;
-        let (part0, rest) = parts.split_first_mut().expect("worker 0 partition");
-        let handles: Vec<_> =
-            rest.iter_mut().enumerate().map(|(i, p)| s.spawn(move || worker(i + 1, p))).collect();
-        reports.push(worker(0, part0));
-        for h in handles {
-            reports.push(h.join().expect("gc worker panicked"));
+    let mut died: Option<ExecError> = None;
+    for (worker, share) in shares.into_iter().enumerate() {
+        for (tid, snap, _) in share.part {
+            *ctx.slots[tid].lock().unwrap() = Some(snap);
         }
-    });
-    for (tid, snap, _) in parts.into_iter().flatten() {
-        *ctx.slots[tid].lock().unwrap() = Some(snap);
+        match share.outcome {
+            Ok(rep) => reports.push(rep),
+            // Workers that merely stood down carry no message; the
+            // lowest-numbered worker that panicked names the error.
+            Err(p) => {
+                if let (None, Some(message)) = (&died, p.message) {
+                    died = Some(ExecError::GcWorkerPanic { worker, phase: p.phase, message });
+                }
+            }
+        }
+    }
+    if let Some(e) = died {
+        return Err(e);
     }
 
     let mut stats = ParGcStats {
         per_worker_objects: reports.iter().map(|r| r.objects).collect(),
         per_worker_words: reports.iter().map(|r| r.words).collect(),
+        steals: reports.iter().map(|r| r.steals).collect(),
+        helpers_woken,
         parked_at_polls: ctx.poll_parks.swap(0, R),
         parked_at_allocs: ctx.alloc_parks.swap(0, R),
         stacks_traced: n_threads as u64,
@@ -453,13 +578,28 @@ pub(crate) fn run_gc_workers(
         stats.decode_hits += r.decode.hits;
         stats.decode_misses += r.decode.misses;
         stats.decode_ops += r.decode.points_decoded;
+        stats.chunks_published += r.chunks_published;
+        stats.idle_parks += r.idle_parks;
     }
-    stats
+    Ok(stats)
+}
+
+impl WorkerReport {
+    fn record_copy(&mut self, local: &WorkerLocal<'_, '_>) {
+        self.objects = local.objects;
+        self.words = local.words;
+        self.region_objects = local.region_objects;
+        self.region_words = local.region_words;
+        self.chunks_published = local.chunks_published;
+        self.steals = local.steals;
+        self.idle_parks = local.idle_parks;
+    }
 }
 
 /// The work-stealing copy between the §3 brackets of [`gc_worker`]:
-/// forward roots, trace with stealing.
+/// forward roots, trace to the collection-wide fixpoint.
 fn steal_copy(
+    ctx: &RunCtx<'_>,
     gc: &GcCtx<'_>,
     w: usize,
     world: &mut ParWorld<'_>,
@@ -467,15 +607,20 @@ fn steal_copy(
     rep: &mut WorkerReport,
 ) {
     let vm = gc.vm;
-    let mut local = WorkerLocal::default();
-    gc.barrier.wait();
+    let mut local = WorkerLocal::new(w, &ctx.pool);
+    // No object moves before every un-derive is done.
+    gc.sync.barrier();
     let t_copy = Instant::now();
+    #[cfg(test)]
+    if ctx.worker_fault == Some((w, vm.collections.load(R) + 1)) {
+        panic!("injected gc worker fault");
+    }
 
     // Forward roots. Worker 0 owns the globals.
     if w == 0 {
         for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
             let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
-            if let Some(new) = forward_root_par(gc, w, &mut local, vm.word(a)) {
+            if let Some(new) = forward_root_par(gc, &mut local, vm.word(a)) {
                 vm.set_word(a, new);
             }
         }
@@ -484,7 +629,7 @@ fn steal_copy(
     for (_, snap, roots) in my.iter_mut() {
         for &r in &roots.tidy {
             let v = read_root(world, &*snap, r);
-            if let Some(new) = forward_root_par(gc, w, &mut local, v) {
+            if let Some(new) = forward_root_par(gc, &mut local, v) {
                 write_root(world, snap, r, new);
             }
         }
@@ -495,33 +640,18 @@ fn steal_copy(
     loop {
         let slot = gc.region_scan.lock().unwrap().pop();
         match slot {
-            Some(s) => rep.roots += scan_region(gc, w, &mut local, s),
+            Some(s) => rep.roots += scan_region(gc, &mut local, s),
             None => break,
         }
     }
-    gc.barrier.wait();
-
-    // Work-stealing trace to transitive closure.
-    loop {
-        match next_work(gc, w) {
-            Some(addr) => {
-                scan_object(gc, w, &mut local, addr);
-                gc.pending.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if gc.pending.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-    gc.barrier.wait();
+    // No barrier here: a started worker stays counted in the termination
+    // detector from the collection's start until its own stack first
+    // runs dry, so nobody can see "terminated" while roots are pending.
+    trace(gc, &mut local, true);
+    // No re-derive runs before every move is done.
+    gc.sync.barrier();
     rep.copy_time = t_copy.elapsed();
-    rep.objects = local.objects;
-    rep.words = local.words;
-    rep.region_objects = local.region_objects;
-    rep.region_words = local.region_words;
+    rep.record_copy(&local);
 }
 
 /// The leader's collection proper: run the copy on the gc workers and
@@ -530,15 +660,12 @@ pub(crate) fn collect_parallel(
     ctx: &RunCtx<'_>,
     handshake_time: Duration,
     t0: Instant,
-) -> ParGcStats {
+) -> Result<ParGcStats, ExecError> {
     let vm = ctx.vm;
-    let gc = GcCtx::new(vm, ctx.caches.len());
+    let gc = Arc::new(GcCtx::new(vm, ctx.caches.len()));
     let regions_scanned = gc.region_scan.lock().unwrap().len() as u64;
-    let heap = (gc.from_start, vm.free.load(R));
-    let mut stats = run_gc_workers(ctx, |w, my| {
-        gc_worker(ctx, w, my, heap, |world, my, rep| steal_copy(&gc, w, world, my, rep))
-    });
-    vm.finish_collection(gc.free.load(R));
+    let mut stats = run_gc_workers(ctx, GcJob::Steal(Arc::clone(&gc)))?;
+    vm.finish_collection(gc.free.0.load(R));
 
     // Every escaped region has been fully evacuated: its reachable
     // objects live in the shared heap and every surviving reference was
@@ -548,11 +675,10 @@ pub(crate) fn collect_parallel(
     stats.region_words_reset =
         gc.evac_regions.iter().map(|&(slot, _, _)| vm.reset_region(slot) as u64).sum();
     stats.handshake_time = handshake_time;
-    stats.steals = gc.steals.iter().map(|s| s.load(R)).collect();
     stats.regions_evacuated = gc.evac_regions.len() as u64;
     stats.regions_scanned = regions_scanned;
     stats.total_time = t0.elapsed();
-    stats
+    Ok(stats)
 }
 
 /// The leader's oracle pass: validate every parked thread's decoded
@@ -724,8 +850,10 @@ fn lead_collection_with(ctx: &RunCtx<'_>, mut mu: Option<&mut Mutator>) -> Resul
             }
         }
         if result.is_ok() {
-            let stats = collect_parallel(ctx, handshake_time, t0);
-            ctx.gc_log.lock().unwrap().push(stats);
+            match collect_parallel(ctx, handshake_time, t0) {
+                Ok(stats) => ctx.gc_log.lock().unwrap().push(stats),
+                Err(e) => result = Err(e),
+            }
         }
     }
 
@@ -892,7 +1020,8 @@ fn mutator_thread(ctx: &RunCtx<'_>, mut mu: Mutator) -> Mutator {
 ///
 /// Unlike [`crate::scheduler::Executor`], which time-slices simulated
 /// threads on one OS thread, this spawns one OS thread per mutator and
-/// `gc_workers` workers per collection.
+/// `gc_workers - 1` gc helpers per run (the collection's leader is the
+/// remaining worker).
 pub struct ParExecutor {
     /// The shared machine.
     pub vm: ParMachine,
@@ -900,13 +1029,23 @@ pub struct ParExecutor {
     pub options: RuntimeOptions,
     /// Native baseline engine, built lazily on the first `--jit` run.
     jit: Option<Arc<JitEngine>>,
+    /// Injected gc-worker fault for the next run (see
+    /// [`RunCtx::worker_fault`]).
+    #[cfg(test)]
+    pub(crate) worker_fault: Option<(usize, u64)>,
 }
 
 impl ParExecutor {
     /// Wraps a machine.
     #[must_use]
     pub fn new(vm: ParMachine, options: impl Into<RuntimeOptions>) -> ParExecutor {
-        ParExecutor { vm, options: options.into(), jit: None }
+        ParExecutor {
+            vm,
+            options: options.into(),
+            jit: None,
+            #[cfg(test)]
+            worker_fault: None,
+        }
     }
 
     /// A snapshot of the JIT engine's statistics, if `--jit` was set
@@ -941,6 +1080,8 @@ impl ParExecutor {
         let n = vm.mutators();
         let engine = self.jit.clone().unwrap_or_else(|| Arc::new(JitEngine::interpreter()));
         let ctx = RunCtx::new(vm, self.options, n, n, engine);
+        #[cfg(test)]
+        let ctx = RunCtx { worker_fault: self.worker_fault, ..ctx };
 
         let main = vm.module.main;
         let mut done: Vec<Mutator> = Vec::with_capacity(n);
@@ -959,6 +1100,9 @@ impl ParExecutor {
                     })
                 })
                 .collect();
+            // Spawns the gc helpers if and when a collection wants them;
+            // they are released when this closure ends, however it ends.
+            let _helpers = spawn_helpers(s, ctx);
             for h in handles {
                 done.push(h.join().expect("mutator thread panicked"));
             }

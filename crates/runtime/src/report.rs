@@ -351,9 +351,18 @@ impl StatsReport {
                 per_steals[w] += v;
             }
         }
-        self.line(format!("workers: copied words {per_words:?}, steals {per_steals:?}"));
+        let published: u64 = gc_each.iter().map(|g| g.chunks_published).sum();
+        let woken: u64 = gc_each.iter().map(|g| g.helpers_woken).sum();
+        let idle_parks: u64 = gc_each.iter().map(|g| g.idle_parks).sum();
+        self.line(format!(
+            "workers: copied words {per_words:?}, steals {per_steals:?} of {published} chunk(s) \
+             published, {woken} helper wake(s), {idle_parks} idle park(s)"
+        ));
         self.put("per_worker_words", per_words);
         self.put("per_worker_steals", per_steals);
+        self.put("chunks_published", published);
+        self.put("helpers_woken", woken);
+        self.put("idle_parks", idle_parks);
 
         let polls: u64 = gc_each.iter().map(|g| g.parked_at_polls).sum();
         let allocs: u64 = gc_each.iter().map(|g| g.parked_at_allocs).sum();

@@ -68,6 +68,17 @@ pub enum ExecError {
     /// The gc-map precision oracle found a table entry contradicting the
     /// shadow ground truth (see `crate::oracle`).
     Oracle(String),
+    /// A gc worker panicked inside a stop-the-world copy (a collector
+    /// bug, not a program error). The collection was abandoned and the
+    /// run halted; the heap is not in a usable state.
+    GcWorkerPanic {
+        /// The worker that died (0 is the thread that led the pause).
+        worker: usize,
+        /// What it was doing: `un-derive`, `copy` or `re-derive`.
+        phase: &'static str,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -79,6 +90,9 @@ impl std::fmt::Display for ExecError {
                 write!(f, "thread {thread} failed to reach a gc-point")
             }
             ExecError::Oracle(msg) => write!(f, "gc-map oracle violation: {msg}"),
+            ExecError::GcWorkerPanic { worker, phase, message } => {
+                write!(f, "gc worker {worker} panicked during {phase}: {message}")
+            }
         }
     }
 }

@@ -36,6 +36,7 @@ use crate::options::RuntimeOptions;
 use crate::parallel::{
     lead_collection_idle, park_idle, reload, run_mutator, MutatorExit, ParGcStats, RunCtx,
 };
+use crate::pool::spawn_helpers;
 use crate::scheduler::ExecError;
 
 const R: Ordering = Ordering::Relaxed;
@@ -430,21 +431,30 @@ impl ServeExecutor {
         let t0 = Instant::now();
         std::thread::scope(|s| {
             let (ctx, shared, load) = (&ctx, &shared, &self.load);
-            for _ in 0..threads {
-                s.spawn(move || {
-                    let res = scheduler_loop(ctx, shared, load, entry, entry_takes_id);
-                    let mut st = ctx.coord.state.lock().unwrap();
-                    if let Err(e) = res {
-                        let mut err = ctx.coord.error.lock().unwrap();
-                        if err.is_none() {
-                            *err = Some(e);
+            let schedulers: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(move || {
+                        let res = scheduler_loop(ctx, shared, load, entry, entry_takes_id);
+                        let mut st = ctx.coord.state.lock().unwrap();
+                        if let Err(e) = res {
+                            let mut err = ctx.coord.error.lock().unwrap();
+                            if err.is_none() {
+                                *err = Some(e);
+                            }
+                            st.halt = true;
+                            ctx.coord.halt.store(true, Ordering::Release);
                         }
-                        st.halt = true;
-                        ctx.coord.halt.store(true, Ordering::Release);
-                    }
-                    st.active -= 1;
-                    ctx.coord.cv.notify_all();
-                });
+                        st.active -= 1;
+                        ctx.coord.cv.notify_all();
+                    })
+                })
+                .collect();
+            // Spawns the gc helpers if and when a collection wants them;
+            // released when this closure ends — after every scheduler
+            // thread has.
+            let _helpers = spawn_helpers(s, ctx);
+            for h in schedulers {
+                h.join().expect("serve scheduler thread panicked");
             }
         });
         let elapsed = t0.elapsed();

@@ -829,3 +829,72 @@ fn apply_kills_agrees_on_both_worlds() {
         assert_eq!((seq.word(frame + i), seq.mem_tag(frame + i)), (0, Tag::NonPtr));
     }
 }
+
+/// A gc worker that panics must fail the run with a structured error —
+/// not hang the leader on a barrier the dead worker never reaches, not
+/// leave a helper parked, not poison anything the next run touches.
+#[test]
+fn a_panicking_gc_worker_fails_the_run_instead_of_hanging_it() {
+    use crate::options::GcStrategy;
+    use crate::parallel::{ParExecutor, ParOutcome};
+    use crate::scheduler::ExecError;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    // All mutable state is procedure-local: three mutators run it.
+    let src = "MODULE Churn;
+    TYPE Node = REF RECORD v: INTEGER; next: Node END;
+    PROCEDURE Work(): INTEGER =
+    VAR head: Node; i, j, s: INTEGER;
+    BEGIN
+      s := 0;
+      FOR i := 1 TO 10 DO
+        head := NIL;
+        FOR j := 1 TO 8 DO
+          WITH c = NEW(Node) DO c.v := j; c.next := head; head := c; END;
+        END;
+        WHILE head # NIL DO s := (s * 31 + head.v) MOD 1000003; head := head.next; END;
+      END;
+      RETURN s;
+    END Work;
+    BEGIN PutInt(Work()); END Churn.";
+    let expected = reference_output(src).repeat(3);
+    let module = compile(src);
+    // Three mutators and three workers: every worker is dealt a parked
+    // thread, so worker 1 is inside the copy when it dies and workers 0
+    // and 2 are waiting for it at the next rendezvous.
+    let options = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
+        .semi_words(1 << 13)
+        .threads(3)
+        .gc_workers(3)
+        .torture(true);
+    let run = move |fault: Option<(usize, u64)>| -> Result<ParOutcome, ExecError> {
+        let module = module.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut ex = ParExecutor::new(options.build_par_machine(module), options);
+            ex.worker_fault = fault;
+            // `run_main` returning at all means its scope joined every
+            // mutator and every gc helper: nobody is left parked.
+            drop(tx.send(ex.run_main()));
+        });
+        rx.recv_timeout(Duration::from_secs(2)).expect("the run must end within 2 s")
+    };
+
+    match run(Some((1, 3))) {
+        Err(ExecError::GcWorkerPanic { worker: 1, phase: "copy", message }) => {
+            assert!(message.contains("injected gc worker fault"), "{message}");
+        }
+        other => panic!("expected GcWorkerPanic from worker 1, got {other:?}"),
+    }
+    // The leader's own share goes through the same boundary.
+    match run(Some((0, 2))) {
+        Err(ExecError::GcWorkerPanic { worker: 0, phase: "copy", .. }) => {}
+        other => panic!("expected GcWorkerPanic from worker 0, got {other:?}"),
+    }
+    // Nothing process-wide was left behind: the next executor works.
+    let out = run(None).expect("a run without the fault");
+    assert_eq!(out.output, expected);
+    assert!(out.collections >= 3);
+}

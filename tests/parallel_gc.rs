@@ -12,10 +12,18 @@
 //!   (loop gc-points compiled out) must surface a structured
 //!   [`ExecError::StuckThread`], never hang — on both the cooperative
 //!   scheduler and the OS-thread parallel runtime.
+//! * The persistent gc-worker pool and the chunked gray hand-off (the
+//!   four `pool_*` cases): any worker count gives the sequential output
+//!   and copies the same words; a wide heap wakes the helpers and gets
+//!   chunks stolen; a narrow heap wakes nobody; 2 000 collections with
+//!   4 mutators × 4 workers terminate under a watchdog.
+
+use std::sync::mpsc;
+use std::time::Duration;
 
 use m3gc::compiler::{compile, run_module_par, run_module_with, Options};
 use m3gc::runtime::scheduler::{ExecError, Executor};
-use m3gc::runtime::RuntimeOptions;
+use m3gc::runtime::{ParOutcome, RuntimeOptions};
 use m3gc::vm::machine::{Machine, MachineLayout};
 use m3gc::vm::{ParLayout, ParMachine};
 
@@ -182,11 +190,183 @@ fn parallel_max_advance_exhaustion_is_a_structured_error() {
     // drift apart, so some collection request finds the other mutator
     // deep inside Crunch with no gc-point within the advance budget;
     // the leader must observe the structured failure and release
-    // everyone rather than waiting forever.
+    // everyone rather than waiting forever. With four gc workers for
+    // two mutators the run ends — error, halt, scope joined — with
+    // helpers parked in the pool: they must be released promptly.
     let module = compile(SPIN_SRC, &no_loop_points()).expect("compiles");
-    let config = RuntimeOptions::new().gc_workers(2).torture(true).max_advance(10_000);
-    match run_module_par(module, 1 << 14, 2, false, config) {
+    let config = RuntimeOptions::new().gc_workers(4).torture(true).max_advance(10_000);
+    let result = within(1, "stuck mutator with parked gc helpers", move || {
+        run_module_par(module, 1 << 14, 2, false, config)
+    });
+    match result {
         Err(ExecError::StuckThread { .. }) => {}
         other => panic!("expected StuckThread, got {other:?}"),
     }
+}
+
+/// Runs `run` on its own thread and fails the test by name if it has
+/// not come back after `secs` seconds: a lost wake-up or a termination
+/// race must show up as a timeout, not as a hung test binary.
+fn within<T: Send + 'static>(secs: u64, what: &str, run: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || drop(tx.send(run())));
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what}: no result within {secs} s (hang or dead worker)"))
+}
+
+/// A live table of `lists` two-cell lists, built once, then `churn`
+/// garbage cells allocated under it: every collection copies the table,
+/// and scanning its one array floods the scanning worker's gray stack.
+fn wide_source(lists: usize, churn: usize) -> String {
+    format!(
+        "MODULE Wide;
+TYPE Node = REF RECORD v: INTEGER; next: Node END;
+     Table = REF ARRAY OF Node;
+
+PROCEDURE Work(): INTEGER =
+VAR t: Table; tail, junk: Node; i, s: INTEGER;
+BEGIN
+  t := NEW(Table, {lists});
+  FOR i := 0 TO {lists} - 1 DO
+    tail := NEW(Node); tail.v := i; tail.next := NIL;
+    t[i] := NEW(Node); t[i].v := i + 1; t[i].next := tail;
+  END;
+  FOR i := 1 TO {churn} DO junk := NEW(Node); junk.v := i; END;
+  s := 0;
+  FOR i := 0 TO {lists} - 1 DO
+    s := (s * 31 + t[i].v + t[i].next.v) MOD 1000003;
+  END;
+  RETURN s;
+END Work;
+
+BEGIN
+  PutInt(Work());
+END Wide."
+    )
+}
+
+fn words_copied(out: &ParOutcome) -> u64 {
+    out.gc_each.iter().map(|gc| gc.words_copied).sum()
+}
+
+#[test]
+fn pool_any_worker_count_matches_the_sequential_executor() {
+    // A collection at every allocation, each copying a 400-list table:
+    // wide enough that chunks are published (and helpers woken) in every
+    // one of them, with more workers than mutators and than cores.
+    let module = compile(&wide_source(400, 320), &Options::o2()).expect("compiles");
+    let baseline = run_module_with(module.clone(), 1 << 14, RuntimeOptions::new().torture(true))
+        .expect("sequential run");
+    assert!(baseline.collections >= 300, "got {} collections", baseline.collections);
+
+    let mut copied = Vec::new();
+    for workers in [1usize, 2, 4, 7] {
+        let module = module.clone();
+        let out = within(60, &format!("gc_workers = {workers}"), move || {
+            let config = RuntimeOptions::new().gc_workers(workers).torture(true).oracle(true);
+            run_module_par(module, 1 << 14, 1, true, config).expect("parallel run")
+        });
+        assert_eq!(out.output, baseline.output, "gc_workers = {workers}");
+        assert!(out.collections >= 300, "gc_workers = {workers}: {}", out.collections);
+        for gc in &out.gc_each {
+            assert_eq!(gc.per_worker_words.len(), workers);
+            assert_eq!(gc.steals.len(), workers);
+            assert_eq!(gc.per_worker_words.iter().sum::<u64>(), gc.words_copied);
+            assert!(gc.helpers_woken < workers as u64);
+        }
+        copied.push((workers, out.collections, words_copied(&out)));
+    }
+    let (_, collections, words) = copied[0];
+    for &(workers, c, w) in &copied[1..] {
+        assert_eq!((c, w), (collections, words), "gc_workers = {workers} vs 1: same schedule");
+    }
+}
+
+#[test]
+fn pool_wide_heap_wakes_the_helper_and_gets_chunks_stolen() {
+    // ≈ 140 k live words in one array of 20 000 lists; the 100 k garbage
+    // cells force several collections of it.
+    let module = compile(&wide_source(20_000, 100_000), &Options::o2()).expect("compiles");
+    let expected = run_module_with(module.clone(), 200_000, RuntimeOptions::new())
+        .expect("sequential run")
+        .output;
+    let out = within(120, "wide heap", move || {
+        let config = RuntimeOptions::new().gc_workers(2);
+        run_module_par(module, 200_000, 1, false, config).expect("parallel run")
+    });
+    assert_eq!(out.output, expected);
+    assert!(out.collections >= 3, "got {} collections", out.collections);
+    let sum = |f: fn(&m3gc::runtime::ParGcStats) -> &Vec<u64>| -> Vec<u64> {
+        (0..2).map(|w| out.gc_each.iter().map(|gc| f(gc)[w]).sum()).collect()
+    };
+    let words = sum(|gc| &gc.per_worker_words);
+    let steals = sum(|gc| &gc.steals);
+    assert!(words.iter().all(|&w| w > 0), "every worker copies: {words:?}");
+    assert!(steals.iter().sum::<u64>() > 0, "chunks are stolen: {steals:?}");
+    assert!(steals[1] > 0, "the helper has no roots; all it copies hangs off stolen chunks");
+    let published: u64 = out.gc_each.iter().map(|gc| gc.chunks_published).sum();
+    let woken: u64 = out.gc_each.iter().map(|gc| gc.helpers_woken).sum();
+    assert!(published >= steals.iter().sum(), "a stolen chunk was published first");
+    assert!(woken > 0 && woken <= out.collections, "one helper, woken by work: {woken}");
+}
+
+#[test]
+fn pool_narrow_heap_wakes_nobody() {
+    // A 10 000-cell list: the depth-first trace never holds more than
+    // one gray object, so nothing is published and no helper is woken.
+    let src = "MODULE Narrow;
+TYPE Node = REF RECORD v: INTEGER; next: Node END;
+
+PROCEDURE Work(): INTEGER =
+VAR head, junk: Node; i, s: INTEGER;
+BEGIN
+  head := NIL;
+  FOR i := 1 TO 10000 DO
+    junk := NEW(Node); junk.v := i; junk.next := head; head := junk;
+  END;
+  FOR i := 1 TO 60000 DO junk := NEW(Node); junk.v := i; END;
+  s := 0;
+  WHILE head # NIL DO s := (s * 31 + head.v) MOD 1000003; head := head.next; END;
+  RETURN s;
+END Work;
+
+BEGIN
+  PutInt(Work());
+END Narrow.";
+    let module = compile(src, &Options::o2()).expect("compiles");
+    let expected =
+        run_module_with(module.clone(), 50_000, RuntimeOptions::new()).expect("sequential").output;
+    let out = within(60, "narrow heap", move || {
+        let config = RuntimeOptions::new().gc_workers(4);
+        run_module_par(module, 50_000, 1, false, config).expect("parallel run")
+    });
+    assert_eq!(out.output, expected);
+    assert!(out.collections >= 3, "got {} collections", out.collections);
+    for (i, gc) in out.gc_each.iter().enumerate() {
+        assert_eq!(gc.per_worker_words[1..], [0, 0, 0], "collection {i}: helpers copied");
+        assert_eq!(gc.per_worker_words[0], gc.words_copied, "collection {i}");
+        assert_eq!(
+            (gc.helpers_woken, gc.chunks_published, gc.idle_parks),
+            (0, 0, 0),
+            "collection {i}: an idle worker is free"
+        );
+    }
+}
+
+#[test]
+fn pool_termination_stress_four_mutators_four_workers() {
+    // Every allocation of every mutator forces a collection: 2 000+
+    // start / trace / terminate / release rounds of the pool, each with
+    // up to four started workers on however few cores the host has.
+    let src = LOCAL_CHURN.replace("FOR i := 1 TO 40 DO", "FOR i := 1 TO 60 DO");
+    let module = compile(&src, &Options::o2()).expect("compiles");
+    let expected = run_module_with(module.clone(), 1 << 14, RuntimeOptions::new().torture(true))
+        .expect("sequential run")
+        .output;
+    let out = within(30, "4 mutators x 4 workers under torture", move || {
+        let config = RuntimeOptions::new().gc_workers(4).torture(true);
+        run_module_par(module, 1 << 15, 4, false, config).expect("parallel run")
+    });
+    assert_eq!(out.output, expected.repeat(4));
+    assert!(out.collections >= 2000, "got {} collections", out.collections);
 }
