@@ -21,41 +21,29 @@ use m3gc_vm::isa::Instr;
 /// address, which would otherwise count as spurious differences.
 fn instructions(module: &m3gc_vm::VmModule) -> Vec<Instr> {
     let decoded = DecodedCode::new(&module.code);
-    // pc of each instruction, and its index among the *kept* instructions.
-    let mut pc_to_kept = std::collections::HashMap::new();
-    let mut kept_index = 0u32;
-    let mut pcs = Vec::new();
-    {
-        let mut pos = 0u32;
-        for (ins, next) in &decoded.instrs {
-            pcs.push(pos);
-            if !matches!(ins, Instr::GcPoint) {
-                pc_to_kept.insert(pos, kept_index);
-                kept_index += 1;
-            }
-            pos = *next;
-        }
-        // End-of-code target (e.g. a branch past the last instruction).
-        pc_to_kept.insert(pos, kept_index);
+    let ops = decoded.ops();
+    // `kept[i]`: how many kept instructions precede op `i` — the kept
+    // index of op `i`, or of the next kept instruction if op `i` is a
+    // marker. The extra entry serves an end-of-code target (a branch
+    // past the last instruction).
+    let mut kept = Vec::with_capacity(ops.len() + 1);
+    let mut n = 0u32;
+    for op in ops {
+        kept.push(n);
+        n += u32::from(!matches!(op.ins, Instr::GcPoint));
     }
-    // A branch target that lands on a GcPoint maps to the next kept
-    // instruction.
+    kept.push(n);
     let resolve = |target: u32| -> u32 {
-        let mut t = target;
-        loop {
-            if let Some(&k) = pc_to_kept.get(&t) {
-                return k;
-            }
-            // Skip over the marker at t (advance to the following pc).
-            let idx = pcs.binary_search(&t).expect("branch target on boundary");
-            t = decoded.instrs[idx].1;
-        }
+        let idx = if target as usize == module.code.len() {
+            ops.len()
+        } else {
+            decoded.index_of(target).expect("branch target on boundary")
+        };
+        kept[idx]
     };
-    decoded
-        .instrs
-        .iter()
-        .filter(|(i, _)| !matches!(i, Instr::GcPoint))
-        .map(|(i, _)| match *i {
+    ops.iter()
+        .filter(|op| !matches!(op.ins, Instr::GcPoint))
+        .map(|op| match op.ins {
             Instr::Jmp { target } => Instr::Jmp { target: resolve(target) },
             Instr::Brt { cond, target } => Instr::Brt { cond, target: resolve(target) },
             Instr::Brf { cond, target } => Instr::Brf { cond, target: resolve(target) },

@@ -709,7 +709,8 @@ fn global_slot_disp(goff: u32) -> Option<i32> {
 
 /// Compiles one procedure. `global_base` is the blob's offset within
 /// the engine's code region (gc-point keys and entry offsets are
-/// registered globally); `is_gc_point` comes from the module's gc maps.
+/// registered globally); gc-points are the ops `decoded` flagged from
+/// the module's gc maps.
 #[allow(clippy::too_many_arguments)] // one call site, in the engine's compile loop
 pub(crate) fn compile_proc(
     module: &VmModule,
@@ -718,7 +719,6 @@ pub(crate) fn compile_proc(
     global_base: u32,
     flavor: Flavor,
     helpers: Helpers,
-    is_gc_point: &[bool],
     mem_len: i64,
     instr_table: &mut Vec<Instr>,
 ) -> Result<ProcArtifact, Fallback> {
@@ -738,18 +738,18 @@ pub(crate) fn compile_proc(
     };
 
     // Pre-scan: collect branch targets (they need labels) and validate
-    // that every target stays inside the procedure.
+    // that every target is an instruction inside the procedure.
     let mut targets = std::collections::HashMap::new();
     let mut pc = meta.entry_pc;
     while pc < meta.end_pc {
         let (ins, next) = decoded.at(pc);
         if let Instr::Jmp { target } | Instr::Brt { target, .. } | Instr::Brf { target, .. } = ins {
-            if !meta.contains(*target) {
+            if !meta.contains(*target) || decoded.index_of(*target).is_none() {
                 return Err(Fallback::UnsupportedOpcode);
             }
             targets.entry(*target).or_insert_with(|| c.e.new_label());
         }
-        pc = *next;
+        pc = next;
     }
 
     let mut pc = meta.entry_pc;
@@ -757,11 +757,11 @@ pub(crate) fn compile_proc(
         if pc >= meta.end_pc {
             break Ok(());
         }
-        let (ins, next) = *decoded.at(pc);
+        let (ins, next) = decoded.at(pc);
         if let Some(&label) = targets.get(&pc) {
             c.e.bind(label);
         }
-        if let Err(f) = c.emit_instr(pc, next, &ins, is_gc_point[pc as usize], &targets) {
+        if let Err(f) = c.emit_instr(pc, next, ins, decoded.is_gc_point_pc(pc), &targets) {
             break Err(f);
         }
         if c.e.here() as usize > MAX_BLOB_BYTES {

@@ -8,7 +8,7 @@
 //! gc-point. At run time [`JitEngine::run`] interleaves native bursts
 //! with single-step interpretation over any [`World`]: a pc with a
 //! registered native entry runs natively; everything else — procedures
-//! that fell back, gc handshakes, traps — is [`exec::step`]'s,
+//! that fell back, gc handshakes, traps — is [`exec::run`]'s,
 //! unchanged. An engine with no native code at all
 //! ([`JitEngine::interpreter`]) is therefore simply the interpreter
 //! loop, which is how the runtime drives non-`--jit` runs.
@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use m3gc_vm::codemap::{CodeMap, JIT_RETPC_BIAS};
+use m3gc_vm::decode::DecodedCode;
 use m3gc_vm::exec::{self, Cpu, Step, World};
 use m3gc_vm::isa::Instr;
 use m3gc_vm::machine::{Machine, RunOutcome, SeqWorld};
@@ -69,7 +70,7 @@ pub struct JitContext {
     /// checked (`<= 0` exits) at safepoint polls and loop back-edges.
     pub fuel: i64,
     /// The world's gc-request flag — the *same* byte
-    /// [`World::gc_poll`] reads, polled at every native gc-point.
+    /// [`World::gc_requested`] reads, polled at every native gc-point.
     pub gc_flag: *const u8,
     /// Exit trampoline: restores callee-save registers and returns to
     /// [`JitEngine`]'s enter call. Compiled code leaves via an indirect
@@ -231,6 +232,9 @@ pub struct JitSummary {
 pub struct JitEngine {
     #[cfg(all(target_arch = "x86_64", unix))]
     native: Option<NativeState>,
+    /// The machine's predecoded program: what [`JitEngine::run`]
+    /// interprets wherever it has no native code.
+    code: Arc<DecodedCode>,
     map: Arc<CodeMap>,
     /// Shadow side table; `JitContext::instrs` points into it.
     instrs: Vec<Instr>,
@@ -244,12 +248,14 @@ unsafe impl Sync for JitEngine {}
 
 impl JitEngine {
     /// An engine with no native code: [`JitEngine::run`] interprets
-    /// every instruction.
+    /// every instruction of `code`, the machine's predecoded program
+    /// (`Machine::decoded` / `ParMachine::decoded`).
     #[must_use]
-    pub fn interpreter() -> JitEngine {
+    pub fn interpreter(code: Arc<DecodedCode>) -> JitEngine {
         JitEngine {
             #[cfg(all(target_arch = "x86_64", unix))]
             native: None,
+            code,
             map: Arc::new(CodeMap::default()),
             instrs: Vec::new(),
             stats: JitStats {
@@ -270,7 +276,7 @@ impl JitEngine {
     pub fn for_machine(m: &Machine) -> JitEngine {
         let flavor =
             Flavor { par: false, shadow: m.shadow.is_some(), cms: false, conc_evac: false };
-        build_engine::<SeqWorld>(&m.world, |pc| m.is_gc_point_pc(pc), flavor, None)
+        build_engine::<SeqWorld>(&m.world, m.decoded(), flavor, None)
     }
 
     /// Builds an engine for a parallel machine. Allocation-service
@@ -287,7 +293,7 @@ impl JitEngine {
         };
         let mut gc_scratch = m3gc_vm::MutatorLocal::default();
         let world = vm.world(&mut gc_scratch);
-        build_engine::<ParWorld<'static>>(&world, |pc| vm.is_gc_point_pc(pc), flavor, structural)
+        build_engine::<ParWorld<'static>>(&world, vm.decoded(), flavor, structural)
     }
 
     /// The gc-map for compiled code, to be installed on the machine
@@ -343,21 +349,28 @@ impl JitEngine {
 
     /// Runs up to `max` instructions of `cpu` against `w`, mixing native
     /// bursts and interpreted steps. Returns the stopping condition and
-    /// the number of instructions executed ([`Step::Normal`] means the
-    /// budget was exhausted). Behaves exactly like a loop over
-    /// [`exec::step`], including the stop-before-execute safepoint
-    /// protocol; the caller owns the bookkeeping around the outcome.
+    /// the number of instructions executed. Behaves exactly like
+    /// [`exec::run`] — the budget, the stop at a loop poll once
+    /// `poll_after` instructions have run, the stop-before-execute
+    /// safepoint protocol; the caller owns the bookkeeping around the
+    /// outcome.
     ///
     /// # Panics
     ///
     /// Panics if the engine holds native code built for a different
     /// world type than `W`.
-    pub fn run<W: World>(&self, cpu: &mut Cpu, w: &mut W, max: u64) -> (Step, u64) {
+    pub fn run<W: World>(
+        &self,
+        cpu: &mut Cpu,
+        w: &mut W,
+        max: u64,
+        poll_after: u64,
+    ) -> (Step, u64) {
         #[cfg(all(target_arch = "x86_64", unix))]
         if let Some(native) = self.native.as_ref() {
-            return self.run_mixed(native, cpu, w, max);
+            return self.run_mixed(native, cpu, w, max, poll_after);
         }
-        exec::run(cpu, w, max)
+        exec::run(cpu, &self.code, w, max, poll_after)
     }
 
     #[cfg(all(target_arch = "x86_64", unix))]
@@ -367,24 +380,31 @@ impl JitEngine {
         cpu: &mut Cpu,
         w: &mut W,
         max: u64,
+        poll_after: u64,
     ) -> (Step, u64) {
         assert_eq!(native.world, std::any::type_name::<W>(), "engine built for another world");
         let mut executed: u64 = 0;
         while executed < max {
+            let to_poll = poll_after.saturating_sub(executed);
             let Some(off) = self.map.entry_native_off(cpu.pc) else {
                 // Interpreter fallback, one instruction at a time (the
                 // next pc may well be back in native code).
-                let (step, n) = exec::run(cpu, w, 1);
+                let (step, n) = exec::run(cpu, &self.code, w, 1, to_poll);
                 executed += n;
-                if step != Step::Normal {
+                if step != Step::Normal || n == 0 {
                     return (step, executed);
                 }
                 continue;
             };
-            if w.gc_poll(cpu.pc) {
+            if w.gc_requested() && self.code.is_gc_point_pc(cpu.pc) {
                 return (Step::AtSafepoint, executed);
             }
-            let budget = i64::try_from(max - executed).unwrap_or(i64::MAX);
+            if to_poll == 0 && self.code.is_poll_pc(cpu.pc) {
+                return (Step::Normal, executed);
+            }
+            // Native code checks its fuel at polls and back-edges, so
+            // past `poll_after` a budget of one ends the burst there.
+            let budget = i64::try_from((max - executed).min(to_poll.max(1))).unwrap_or(i64::MAX);
             let mut ctx = context(cpu, w, budget, native.exit_thunk, &self.instrs);
             // SAFETY: the context points at live machine state; the
             // target is an instruction-start offset inside the mapped
@@ -423,7 +443,7 @@ impl JitEngine {
     /// bookkeeping applied to the outcome.
     pub fn run_thread(&self, m: &mut Machine, tid: usize, fuel: u64) -> RunOutcome {
         let (cpu, world) = m.split(tid);
-        let (step, executed) = self.run(cpu, world, fuel);
+        let (step, executed) = self.run(cpu, world, fuel, u64::MAX);
         m.settle(tid, step, executed)
     }
 }
@@ -579,7 +599,7 @@ mod helpers {
 
 fn build_engine<W: World>(
     w: &impl World,
-    is_gc_point: impl Fn(u32) -> bool,
+    code: &Arc<DecodedCode>,
     flavor: Flavor,
     structural: Option<Fallback>,
 ) -> JitEngine {
@@ -611,7 +631,7 @@ fn build_engine<W: World>(
 
     if let Some(reason) = structural {
         bump(&mut counts, reason, nprocs as u64);
-        let mut engine = JitEngine::interpreter();
+        let mut engine = JitEngine::interpreter(Arc::clone(code));
         engine.stats.procs_total = nprocs;
         engine.stats.compile_micros = started.elapsed().as_micros() as u64;
         engine.stats.fallbacks = counts;
@@ -620,12 +640,11 @@ fn build_engine<W: World>(
 
     #[cfg(all(target_arch = "x86_64", unix))]
     {
-        let is_gc: Vec<bool> = (0..=module.code.len() as u32).map(is_gc_point).collect();
-        compile_native::<W>(module, &is_gc, flavor, mem_words, started, counts, bump)
+        compile_native::<W>(module, code, flavor, mem_words, started, counts, bump)
     }
     #[cfg(not(all(target_arch = "x86_64", unix)))]
     {
-        let _ = (is_gc_point, flavor);
+        let _ = flavor;
         unreachable!("structural UnsupportedArch fallback handles non-native targets")
     }
 }
@@ -633,7 +652,7 @@ fn build_engine<W: World>(
 #[cfg(all(target_arch = "x86_64", unix))]
 fn compile_native<W: World>(
     module: &m3gc_vm::VmModule,
-    is_gc_point: &[bool],
+    decoded: &Arc<DecodedCode>,
     flavor: Flavor,
     mem_words: usize,
     started: std::time::Instant,
@@ -671,7 +690,6 @@ fn compile_native<W: World>(
     let thunk = e.finish();
     let thunk_len = thunk.len();
 
-    let decoded = m3gc_vm::decode::DecodedCode::new(&module.code);
     let mut builder = CodeMap::builder();
     let mut blob: Vec<u8> = Vec::new();
     let mut instrs: Vec<Instr> = Vec::new();
@@ -683,12 +701,11 @@ fn compile_native<W: World>(
         }
         match crate::compile::compile_proc(
             module,
-            &decoded,
+            decoded,
             i,
             blob.len() as u32,
             flavor,
             helpers,
-            is_gc_point,
             mem_words as i64,
             &mut instrs,
         ) {
@@ -743,6 +760,7 @@ fn compile_native<W: World>(
 
     JitEngine {
         native,
+        code: Arc::clone(decoded),
         map: Arc::new(map),
         instrs,
         stats: JitStats {

@@ -372,3 +372,56 @@ fn fuel_exhaustion_stops_cleanly() {
         mj.steps
     );
 }
+
+/// Past `poll_after` instructions a burst ends at the next loop poll —
+/// under native code as under the interpreter, which stops after exactly
+/// 100 instructions here (the poll is reached after 1, 4, 7, …); native
+/// code notices at its next fuel check, within one loop body.
+#[test]
+fn a_burst_past_poll_after_ends_at_a_loop_poll() {
+    use m3gc_core::encode::{encode_module, Scheme};
+    use m3gc_core::tables::{GcPointTables, ModuleTables, ProcTables};
+    use m3gc_vm::exec::Step;
+
+    let mut a = Assembler::new();
+    a.emit(&Instr::MovI { dst: 1, imm: 1000 });
+    let poll_pc = a.emit(&Instr::GcPoint);
+    a.emit(&Instr::AluI { op: AluOp::Sub, dst: 1, a: 1, imm: 1 });
+    a.emit(&Instr::Brt { cond: 1, target: poll_pc });
+    a.emit(&Instr::Halt);
+    let code = a.finish();
+    let end = code.len() as u32;
+    let main = ProcMeta {
+        name: "main".into(),
+        entry_pc: 0,
+        end_pc: end,
+        frame_words: 0,
+        save_regs: vec![],
+        n_args: 0,
+    };
+    let tables = ModuleTables {
+        procs: vec![ProcTables {
+            name: "main".into(),
+            points: vec![GcPointTables { pc: poll_pc, ..GcPointTables::default() }],
+            ..ProcTables::default()
+        }],
+    };
+    let module = VmModule {
+        poll_pcs: vec![poll_pc],
+        gc_maps: encode_module(&tables, Scheme::DELTA_MAIN_PP),
+        logical_maps: tables,
+        ..module_with(code, vec![main], TypeTable::default())
+    };
+
+    let mut m = Machine::new(module, layout());
+    let engine = JitEngine::for_machine(&m);
+    m.set_code_map(engine.code_map());
+    let tid = m.spawn(0, &[]);
+    let (cpu, world) = m.split(tid);
+    let (step, first) = engine.run(cpu, world, 1_000_000, 100);
+    assert_eq!((step, cpu.pc), (Step::Normal, poll_pc), "stopped off the poll");
+    assert!((100..=103).contains(&first), "stopped after {first} instructions");
+    assert_eq!(engine.run(cpu, world, 1_000_000, 0), (Step::Normal, 0), "already at a poll");
+    let (step, rest) = engine.run(cpu, world, 1_000_000, u64::MAX);
+    assert_eq!((step, first + rest), (Step::Finished, 1 + 3 * 1000 + 1));
+}

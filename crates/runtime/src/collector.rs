@@ -276,7 +276,7 @@ pub fn collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     let (to_start, _) = m.to_space();
     let mut free = to_start;
     {
-        let Machine { threads, world } = &mut *m;
+        let Machine { threads, world, .. } = &mut *m;
         let forward = |heap: &mut SeqHeap, free: &mut i64, v: i64| {
             let bump = |header, words| {
                 *free += words;

@@ -222,7 +222,7 @@ pub fn minor_collect_with(
     stats.remembered_processed = remembered.len() as u64;
 
     {
-        let Machine { threads, world } = &mut *m;
+        let Machine { threads, world, .. } = &mut *m;
         // Precise roots: globals, then stack slots and registers. NIL,
         // tenured, or an already-updated duplicate root: nothing to move
         // in a minor collection.
@@ -325,7 +325,7 @@ pub fn major_collect(m: &mut Machine, cache: &mut DecodeCache) -> Result<GcStats
     };
 
     {
-        let Machine { threads, world } = &mut *m;
+        let Machine { threads, world, .. } = &mut *m;
         for &r in globals.iter().chain(&stack.tidy) {
             let v = read_root(world, &threads[..], r);
             if in_from(v) {

@@ -925,12 +925,14 @@ pub(crate) enum MutatorExit {
 }
 
 /// The one mutator loop: runs `mu` in engine bursts — native code where
-/// the engine has any, [`m3gc_vm::exec::step`] everywhere else — parking
+/// the engine has any, [`m3gc_vm::exec::run`] everywhere else — parking
 /// at safepoints and requesting collections on failed allocations, until
 /// it finishes or the run halts. With a `quantum` (the serve executor's
 /// green threads) it also returns once that many instructions have run
 /// and the pc sits at a loop poll with no collection pending: a poll pc
 /// has full gc tables, so the mutator is describable while descheduled.
+/// The burst that crosses the quantum ends *at* that poll (§5.3 bounds
+/// the distance), so the tail costs no extra engine calls.
 pub(crate) fn run_mutator(
     ctx: &RunCtx<'_>,
     mu: &mut Mutator,
@@ -946,18 +948,14 @@ pub(crate) fn run_mutator(
         if ctx.coord.halt.load(Ordering::Acquire) {
             return Ok(MutatorExit::Halted);
         }
-        let left = match quantum {
-            Some(q) if ran >= q => {
-                if vm.is_poll_pc(mu.cpu.pc) && !vm.gc_request.load(R) {
-                    return Ok(MutatorExit::Descheduled);
-                }
-                1
-            }
-            Some(q) => q - ran,
-            None => BURST,
-        };
-        let budget = left.min(BURST).min(*fuel).max(1);
-        let (step, executed) = ctx.engine.run(&mut mu.cpu, &mut vm.world(&mut mu.local), budget);
+        // Instructions left before the next loop poll ends the burst.
+        let to_poll = quantum.map_or(u64::MAX, |q| q.saturating_sub(ran));
+        if to_poll == 0 && vm.is_poll_pc(mu.cpu.pc) && !vm.gc_request.load(R) {
+            return Ok(MutatorExit::Descheduled);
+        }
+        let budget = BURST.min(*fuel).max(1);
+        let world = &mut vm.world(&mut mu.local);
+        let (step, executed) = ctx.engine.run(&mut mu.cpu, world, budget, to_poll);
         mu.steps += executed;
         ran += executed;
         let exhausted = executed >= *fuel;
@@ -1078,7 +1076,10 @@ impl ParExecutor {
         }
         let vm = &self.vm;
         let n = vm.mutators();
-        let engine = self.jit.clone().unwrap_or_else(|| Arc::new(JitEngine::interpreter()));
+        let engine = self
+            .jit
+            .clone()
+            .unwrap_or_else(|| Arc::new(JitEngine::interpreter(Arc::clone(vm.decoded()))));
         let ctx = RunCtx::new(vm, self.options, n, n, engine);
         #[cfg(test)]
         let ctx = RunCtx { worker_fault: self.worker_fault, ..ctx };

@@ -5,6 +5,8 @@
 //! resumed and run until each blocks at a gc-point (bounded, thanks to
 //! loop gc-points), then the collector runs and everyone resumes.
 
+use std::sync::Arc;
+
 use m3gc_core::decode::{DecodeCache, DecodeError};
 use m3gc_core::stats::{BarrierCounters, GcKind};
 use m3gc_jit::{JitEngine, JitSummary};
@@ -158,7 +160,7 @@ impl Executor {
             machine.set_code_map(engine.code_map());
             engine
         } else {
-            JitEngine::interpreter()
+            JitEngine::interpreter(Arc::clone(machine.decoded()))
         });
         Ok(Executor {
             machine,

@@ -411,7 +411,8 @@ impl ServeExecutor {
         assert!(n_args <= 1, "handler procedure must take 0 or 1 argument");
         let entry_takes_id = n_args == 1;
 
-        let engine = std::sync::Arc::new(JitEngine::interpreter());
+        let engine =
+            std::sync::Arc::new(JitEngine::interpreter(std::sync::Arc::clone(vm.decoded())));
         let ctx = RunCtx::new(vm, self.options, greens, threads, engine);
         let shared = ServeShared {
             run_queue: Mutex::new(VecDeque::new()),

@@ -112,15 +112,15 @@ mod tests {
         let code = a.finish();
         let d = DecodedCode::new(&code);
         // Find the Brt and Jmp and check their targets.
-        let brt = d.instrs.iter().find_map(|(i, _)| match i {
+        let brt = d.instrs().find_map(|(i, _)| match i {
             Instr::Brt { target, .. } => Some(*target),
             _ => None,
         });
-        let jmp = d.instrs.iter().find_map(|(i, _)| match i {
+        let jmp = d.instrs().find_map(|(i, _)| match i {
             Instr::Jmp { target } => Some(*target),
             _ => None,
         });
-        let halt_pc = d.instrs.last().map(|_| code.len() as u32 - 1);
+        let halt_pc = d.instrs().last().map(|_| code.len() as u32 - 1);
         assert_eq!(brt, halt_pc);
         assert_eq!(jmp, Some(0));
     }

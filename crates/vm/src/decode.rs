@@ -1,7 +1,10 @@
 //! Instruction decoding.
 
+use m3gc_core::decode::DecoderIndex;
+
 use crate::encode::{alu_from_byte, breg_from_byte, op_from_byte, unvlq64, Op};
 use crate::isa::{Instr, UnAluOp};
+use crate::module::{ProcMeta, VmModule};
 
 /// Decodes the instruction at byte offset `pos`, returning it and its
 /// encoded length. `None` on malformed input.
@@ -145,18 +148,97 @@ pub fn decode_instr(code: &[u8], pos: usize) -> Option<(Instr, usize)> {
     Some((ins, p - pos))
 }
 
-/// Pre-decoded program: instruction plus next pc, indexed by a dense map
-/// from byte pc.
+/// One instruction of a predecoded program, with everything the
+/// interpreter loop would otherwise look up per execution resolved once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodedOp {
+    /// The instruction as encoded: branch targets are still byte pcs, so
+    /// the disassembler, the JIT and the tools read what the compiler
+    /// emitted. The interpreter follows [`DecodedOp::target`] instead.
+    pub ins: Instr,
+    /// `Jmp`/`Brt`/`Brf`: the target's instruction index. `Call`: the
+    /// callee's entry index. Unused elsewhere and on invalid ops.
+    target: u32,
+    /// `Call`: the callee's frame size in words.
+    frame_words: u32,
+    flags: u8,
+}
+
+impl DecodedOp {
+    const GC_POINT: u8 = 1;
+    const POLL: u8 = 2;
+    const INVALID: u8 = 4;
+
+    /// True if none of the questions below applies — the common case,
+    /// answered with one test in the interpreter loop.
+    #[inline]
+    #[must_use]
+    pub fn is_plain(&self) -> bool {
+        self.flags == 0
+    }
+
+    /// True if the module's gc tables describe this pc: a thread may be
+    /// stopped *before* this instruction, and nowhere else (§5.3).
+    #[inline]
+    #[must_use]
+    pub fn is_gc_point(&self) -> bool {
+        self.flags & DecodedOp::GC_POINT != 0
+    }
+
+    /// True if this is one of the module's loop polls (`poll_pcs`).
+    #[inline]
+    #[must_use]
+    pub fn is_poll(&self) -> bool {
+        self.flags & DecodedOp::POLL != 0
+    }
+
+    /// False for a branch whose target is not an instruction boundary
+    /// and for a `Call` of a procedure that does not exist (or whose
+    /// entry is no boundary): executing it traps.
+    #[inline]
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        self.flags & DecodedOp::INVALID == 0
+    }
+
+    /// The pre-resolved instruction index of a valid branch target or
+    /// callee entry.
+    #[inline]
+    #[must_use]
+    pub fn target(&self) -> usize {
+        self.target as usize
+    }
+
+    /// A valid `Call`'s callee frame size in words.
+    #[inline]
+    #[must_use]
+    pub fn frame_words(&self) -> i64 {
+        i64::from(self.frame_words)
+    }
+}
+
+/// `pc_index` entry of a byte that starts no instruction.
+const NO_INDEX: u32 = u32::MAX;
+
+/// A module's code as an index-addressed program: the interpreter loop
+/// threads through [`DecodedCode::ops`] by instruction index and never
+/// sees a byte pc. Frames, gc tables and everything outside the loop
+/// keep byte pcs; the two maps here translate at the loop's edges
+/// (entry, `Ret`, exit).
 #[derive(Debug, Clone)]
 pub struct DecodedCode {
-    /// Decoded instructions, in code order.
-    pub instrs: Vec<(Instr, u32)>,
-    /// `pc_index[pc]` = index into `instrs`, or `u32::MAX` mid-instruction.
-    pub pc_index: Vec<u32>,
+    ops: Vec<DecodedOp>,
+    /// Byte pc of each op, plus the code length at `pcs[ops.len()]` —
+    /// so `pcs[i + 1]` is op `i`'s successor pc.
+    pcs: Vec<u32>,
+    /// `pc_index[pc]` = index into `ops`, or [`NO_INDEX`].
+    pc_index: Vec<u32>,
 }
 
 impl DecodedCode {
-    /// Decodes a whole code stream.
+    /// Predecodes bare code: no procedures to call and no gc tables, so
+    /// no op is flagged and every `Call` is invalid. For tools that read
+    /// instructions; a machine uses [`DecodedCode::of`].
     ///
     /// # Panics
     ///
@@ -164,18 +246,110 @@ impl DecodedCode {
     /// bug).
     #[must_use]
     pub fn new(code: &[u8]) -> DecodedCode {
-        let mut instrs = Vec::new();
-        let mut pc_index = vec![u32::MAX; code.len() + 1];
+        DecodedCode::build(code, &[], std::iter::empty(), &[])
+    }
+
+    /// Predecodes a module: branch targets and callees resolved and
+    /// validated, gc-points flagged from the module's gc tables, loop
+    /// polls from its `poll_pcs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module's code or gc maps are malformed (they come
+    /// from the compiler, so this is a bug).
+    #[must_use]
+    pub fn of(module: &VmModule) -> DecodedCode {
+        let index = DecoderIndex::build(&module.gc_maps).expect("valid gc maps");
+        DecodedCode::build(&module.code, &module.procs, index.gc_point_pcs(), &module.poll_pcs)
+    }
+
+    fn build(
+        code: &[u8],
+        procs: &[ProcMeta],
+        gc_point_pcs: impl Iterator<Item = u32>,
+        poll_pcs: &[u32],
+    ) -> DecodedCode {
+        let mut ops = Vec::new();
+        let mut pcs = Vec::new();
+        let mut pc_index = vec![NO_INDEX; code.len() + 1];
         let mut pos = 0;
         while pos < code.len() {
             let (ins, n) = decode_instr(code, pos).unwrap_or_else(|| {
                 panic!("malformed instruction at pc {pos}");
             });
-            pc_index[pos] = instrs.len() as u32;
-            instrs.push((ins, (pos + n) as u32));
+            pc_index[pos] = ops.len() as u32;
+            pcs.push(pos as u32);
+            ops.push(DecodedOp { ins, target: 0, frame_words: 0, flags: 0 });
             pos += n;
         }
-        DecodedCode { instrs, pc_index }
+        pcs.push(code.len() as u32);
+        let mut decoded = DecodedCode { ops, pcs, pc_index };
+
+        for i in 0..decoded.ops.len() {
+            let resolved = match decoded.ops[i].ins {
+                Instr::Jmp { target } | Instr::Brt { target, .. } | Instr::Brf { target, .. } => {
+                    decoded.index_of(target).map(|t| (t, 0))
+                }
+                Instr::Call { proc, .. } => procs.get(proc as usize).and_then(|meta| {
+                    decoded.index_of(meta.entry_pc).map(|t| (t, meta.frame_words))
+                }),
+                _ => continue,
+            };
+            let op = &mut decoded.ops[i];
+            match resolved {
+                Some((target, frame_words)) => {
+                    (op.target, op.frame_words) = (target as u32, frame_words);
+                }
+                None => op.flags |= DecodedOp::INVALID,
+            }
+        }
+        // A table pc that starts no instruction can never be reached, so
+        // there is nothing to flag for it.
+        for pc in gc_point_pcs {
+            if let Some(i) = decoded.index_of(pc) {
+                decoded.ops[i].flags |= DecodedOp::GC_POINT;
+            }
+        }
+        for &pc in poll_pcs {
+            if let Some(i) = decoded.index_of(pc) {
+                decoded.ops[i].flags |= DecodedOp::POLL;
+            }
+        }
+        decoded
+    }
+
+    /// The program, in code order.
+    #[inline]
+    #[must_use]
+    pub fn ops(&self) -> &[DecodedOp] {
+        &self.ops
+    }
+
+    /// The instruction index of byte pc `pc`; `None` if `pc` starts no
+    /// instruction (mid-instruction, or at or past the end of the code).
+    #[inline]
+    #[must_use]
+    pub fn index_of(&self, pc: u32) -> Option<usize> {
+        match self.pc_index.get(pc as usize) {
+            Some(&idx) if idx != NO_INDEX => Some(idx as usize),
+            _ => None,
+        }
+    }
+
+    /// The byte pc of op `idx`; the code length for `idx == ops().len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is greater than the number of ops.
+    #[inline]
+    #[must_use]
+    pub fn pc_of(&self, idx: usize) -> u32 {
+        self.pcs[idx]
+    }
+
+    /// Every instruction with its successor pc, in code order.
+    pub fn instrs(&self) -> impl Iterator<Item = (&Instr, u32)> {
+        self.ops.iter().zip(&self.pcs[1..]).map(|(op, &next)| (&op.ins, next))
     }
 
     /// The instruction at byte pc, with its successor pc.
@@ -184,10 +358,22 @@ impl DecodedCode {
     ///
     /// Panics if `pc` is not an instruction boundary.
     #[must_use]
-    pub fn at(&self, pc: u32) -> &(Instr, u32) {
-        let idx = self.pc_index[pc as usize];
-        assert_ne!(idx, u32::MAX, "pc {pc} is mid-instruction");
-        &self.instrs[idx as usize]
+    pub fn at(&self, pc: u32) -> (&Instr, u32) {
+        let idx = self.index_of(pc).unwrap_or_else(|| panic!("pc {pc} is mid-instruction"));
+        (&self.ops[idx].ins, self.pcs[idx + 1])
+    }
+
+    /// True if `pc` is a gc-point.
+    #[must_use]
+    pub fn is_gc_point_pc(&self, pc: u32) -> bool {
+        self.index_of(pc).is_some_and(|i| self.ops[i].is_gc_point())
+    }
+
+    /// True if `pc` is an explicit poll site (a `GcPoint` instruction,
+    /// as opposed to an allocation gc-point).
+    #[must_use]
+    pub fn is_poll_pc(&self, pc: u32) -> bool {
+        self.index_of(pc).is_some_and(|i| self.ops[i].is_poll())
     }
 }
 
@@ -203,10 +389,12 @@ mod tests {
         let second_pc = code.len() as u32;
         encode_instr(&Instr::Halt, &mut code);
         let d = DecodedCode::new(&code);
-        assert_eq!(d.instrs.len(), 2);
-        assert_eq!(d.at(0).0, Instr::MovI { dst: 0, imm: 7 });
-        assert_eq!(d.at(0).1, second_pc);
-        assert_eq!(d.at(second_pc).0, Instr::Halt);
+        assert_eq!(d.ops().len(), 2);
+        assert_eq!(d.at(0), (&Instr::MovI { dst: 0, imm: 7 }, second_pc));
+        assert_eq!(d.at(second_pc), (&Instr::Halt, code.len() as u32));
+        assert_eq!((d.index_of(second_pc), d.pc_of(1)), (Some(1), second_pc));
+        assert_eq!((d.index_of(1), d.index_of(code.len() as u32)), (None, None));
+        assert_eq!(d.index_of(u32::MAX), None);
     }
 
     #[test]
@@ -216,6 +404,34 @@ mod tests {
         encode_instr(&Instr::MovI { dst: 0, imm: 7 }, &mut code);
         let d = DecodedCode::new(&code);
         let _ = d.at(1);
+    }
+
+    #[test]
+    fn targets_resolve_to_indices_or_invalidate_the_op() {
+        let mut code = Vec::new();
+        encode_instr(&Instr::MovI { dst: 0, imm: 7 }, &mut code); // pcs 0..3
+        let jmp_pc = code.len() as u32;
+        for ins in [
+            Instr::Jmp { target: jmp_pc },
+            Instr::Brt { cond: 0, target: 1 },
+            Instr::Brf { cond: 0, target: 9999 },
+            Instr::Call { proc: 0, nargs: 0 },
+        ] {
+            encode_instr(&ins, &mut code);
+        }
+        let d = DecodedCode::new(&code);
+        let ops = d.ops();
+        assert!(ops[0].is_plain());
+        assert!(ops[1].is_valid() && ops[1].target() == 1, "a jump to itself resolves");
+        assert!(!ops[2].is_valid(), "mid-instruction target");
+        assert!(!ops[3].is_valid(), "target past the end");
+        assert!(!ops[4].is_valid(), "bare code has no procedure to call");
+        assert!(ops.iter().all(|op| !op.is_gc_point() && !op.is_poll()));
+    }
+
+    #[test]
+    fn an_op_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<DecodedOp>(), 32);
     }
 
     #[test]

@@ -10,20 +10,28 @@
 //! * [`Cpu`] — the per-thread register file and frame cursor, embedded
 //!   in both `Thread` and `Mutator` (and deposited as-is at safepoints:
 //!   it *is* the parallel runtime's snapshot);
-//! * [`step`] — the only function that executes a `match` over
-//!   [`Instr`] ([`run`] is the loop over it);
+//! * [`run`] — the interpreter loop, the only place a `match` over
+//!   [`Instr`] executes ([`step`] is `run` with a budget of one);
 //! * [`shadow_step`] — the only function that propagates shadow
 //!   [`Tag`]s over it.
+//!
+//! `run` threads through the module's predecoded program
+//! ([`DecodedCode`]) by instruction index: branch targets and callees
+//! were resolved when the module was loaded, and the safepoint question
+//! is asked only on the ops predecode flagged from the gc tables — the
+//! paper's premise (§5.3) that a thread pays for collection support at
+//! gc-points and nowhere else. Byte pcs exist only outside the loop:
+//! [`Cpu::pc`], frame return words and every table keep them, and `run`
+//! translates on entry, at `Ret` and on exit.
 //!
 //! Everything that *does* depend on the memory format sits behind
 //! [`World`]: word access (plain vs relaxed atomic, with forwarding
 //! resolution under concurrent evacuation), allocation (bump pointer
 //! and generational large-object path vs TLAB/region/CAS frontier), the
 //! `StB` barrier (remembered set vs SATB deletion barrier), program
-//! output, shadow-tag storage, and the safepoint poll. The functions
+//! output, shadow-tag storage, and the collection request. The functions
 //! here are generic over `W: World` and monomorphised per machine — no
-//! `dyn`, so each machine's interpreter loop compiles to the code it
-//! had when the `match` was written out twice.
+//! `dyn`.
 
 use m3gc_core::layout::BaseReg;
 
@@ -41,7 +49,9 @@ pub struct Cpu {
     pub regs: [i64; NUM_REGS],
     /// Shadow tags for the registers (maintained only in shadow mode).
     pub reg_tags: [Tag; NUM_REGS],
-    /// Program counter (byte offset in module code).
+    /// Program counter (byte offset in module code). Authoritative
+    /// whenever [`run`] is not executing: `run` keeps an instruction
+    /// index in a local and writes this field once, on return.
     pub pc: u32,
     /// Frame pointer.
     pub fp: i64,
@@ -105,8 +115,6 @@ pub struct JitPorts {
 pub trait World {
     /// The loaded module.
     fn module(&self) -> &VmModule;
-    /// The module's pre-decoded code.
-    fn decoded(&self) -> &DecodedCode;
     /// The installed native-code address map, if a JIT is attached.
     fn code_map(&self) -> Option<&CodeMap>;
     /// Total memory words.
@@ -117,9 +125,9 @@ pub trait World {
     fn set_word(&mut self, addr: i64, v: i64);
     /// Zeroes `words` words starting at `addr`.
     fn zero(&mut self, addr: i64, words: i64);
-    /// True if a collection is pending and `pc` is a gc-point, so the
-    /// thread must stop before executing it.
-    fn gc_poll(&self, pc: u32) -> bool;
+    /// True if a collection is pending: the thread must stop before
+    /// executing the next gc-point. [`run`] asks only there.
+    fn gc_requested(&self) -> bool;
     /// Attempts a heap allocation; `Ok(None)` means "needs gc".
     fn alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap>;
     /// The barrier store of [`Instr::StB`].
@@ -195,13 +203,20 @@ pub trait World {
 /// # Panics
 ///
 /// As [`World::resolve_retpc`].
+#[inline]
 #[must_use]
 pub fn resolve_retpc(map: Option<&CodeMap>, retpc: i64) -> u32 {
     if retpc < JIT_RETPC_BIAS {
         return retpc as u32;
     }
+    resolve_token(map, retpc)
+}
+
+/// The biased-token half of [`resolve_retpc`], out of line so the plain
+/// half inlines into every `Ret`.
+fn resolve_token(map: Option<&CodeMap>, token: i64) -> u32 {
     map.expect("jit return token on a machine with no code map")
-        .resolve_ret(retpc)
+        .resolve_ret(token)
         .expect("jit return token resolves to no registered gc-point")
 }
 
@@ -268,7 +283,7 @@ pub(crate) fn spawn<W: World>(
 }
 
 /// `dst := allocate(ty, len)`; `Ok(false)` means "needs gc" (no state
-/// changed). Shared by [`step`] and the JIT's allocation call-out.
+/// changed). Shared by [`run`] and the JIT's allocation call-out.
 #[inline]
 pub fn alloc_into<W: World>(
     cpu: &mut Cpu,
@@ -285,7 +300,7 @@ pub fn alloc_into<W: World>(
     Ok(true)
 }
 
-/// `dst := mem[addr]` through [`World::heap_load`]. Shared by [`step`]
+/// `dst := mem[addr]` through [`World::heap_load`]. Shared by [`run`]
 /// and the JIT's forwarding-aware load call-out.
 #[inline]
 pub fn load_into<W: World>(cpu: &mut Cpu, w: &mut W, dst: u8, addr: i64) -> Result<(), VmTrap> {
@@ -376,185 +391,250 @@ pub fn shadow_step<W: World>(cpu: &mut Cpu, w: &mut W, ins: &Instr) -> Option<Vm
     None
 }
 
-/// Executes one instruction of `cpu` against `w`.
+/// Runs up to `max` instructions of `cpu` against `w`, threading
+/// through `code` — the predecoded program of `w`'s module. Returns the
+/// stopping condition and the number of instructions executed: every
+/// outcome executed (or attempted) its last instruction, so it counts
+/// against the budget, except [`Step::AtSafepoint`] and a stop at a
+/// loop poll.
 ///
-/// The safepoint poll comes first: at any gc-point, a pending
-/// collection stops the thread *before* the instruction executes — an
-/// allocation must not race the collection, and §5.3's tables describe
-/// exactly this pc. The caller owns the bookkeeping around the outcome
-/// (step counters, thread status, parking).
+/// [`Step::Normal`] means the budget ran out — or, once `poll_after`
+/// instructions have run, that the pc reached a loop poll (stopping
+/// before it; §5.3 bounds the distance). `u64::MAX` never stops at
+/// polls.
+///
+/// At a gc-point a pending collection stops the thread *before* the
+/// instruction executes — an allocation must not race the collection,
+/// and §5.3's tables describe exactly this pc. Nothing is asked of the
+/// world on any other instruction. The caller owns the bookkeeping
+/// around the outcome (step counters, thread status, parking).
+///
+/// Nothing here panics on a bad transfer: an entry pc or a frame's
+/// return word that starts no instruction, a branch or call for which
+/// predecode found no target, and running off the end of the code all
+/// end in [`Step::Trap`].
 #[inline]
-pub fn step<W: World>(cpu: &mut Cpu, w: &mut W) -> Step {
-    let pc = cpu.pc;
-    if w.gc_poll(pc) {
-        return Step::AtSafepoint;
-    }
-    let (ins, next_pc) = *w.decoded().at(pc);
+pub fn run<W: World>(
+    cpu: &mut Cpu,
+    code: &DecodedCode,
+    w: &mut W,
+    max: u64,
+    poll_after: u64,
+) -> (Step, u64) {
+    // Shadow mode is decided here, once per call: the loop is compiled
+    // with and without the tracker, so the unshadowed one neither tests
+    // for it nor gives up registers to it.
     if w.shadow_on() {
-        if let Some(trap) = shadow_step(cpu, w, &ins) {
-            return Step::Trap(trap);
-        }
+        interpret::<W, true>(cpu, code, w, max, poll_after)
+    } else {
+        interpret::<W, false>(cpu, code, w, max, poll_after)
     }
-    let mut new_pc = next_pc;
+}
+
+/// The loop behind [`run`].
+#[inline]
+fn interpret<W: World, const SHADOW: bool>(
+    cpu: &mut Cpu,
+    code: &DecodedCode,
+    w: &mut W,
+    max: u64,
+    poll_after: u64,
+) -> (Step, u64) {
+    if max == 0 {
+        return (Step::Normal, 0);
+    }
+    let Some(mut idx) = code.index_of(cpu.pc) else {
+        return (Step::Trap(VmTrap::WildAddress), 1);
+    };
+    let ops = code.ops();
+    let mut left = max;
+    // `max - left >= poll_after`, on the one counter the loop keeps.
+    let poll_below = max.saturating_sub(poll_after);
     macro_rules! trap {
         ($e:expr) => {
             match $e {
                 Ok(v) => v,
-                Err(tr) => return Step::Trap(tr),
+                Err(tr) => break Step::Trap(tr),
             }
         };
     }
-    match ins {
-        Instr::MovI { dst, imm } => cpu.regs[dst as usize] = imm,
-        Instr::Mov { dst, src } => cpu.regs[dst as usize] = cpu.regs[src as usize],
-        Instr::Alu { op, dst, a, b } => {
-            cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize], cpu.regs[b as usize]);
+    let end = loop {
+        if left == 0 {
+            break Step::Normal;
         }
-        Instr::AluI { op, dst, a, imm } => {
-            cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize], imm);
-        }
-        Instr::UnAlu { op, dst, a } => cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize]),
-        Instr::Ld { dst, base, off } => {
-            let addr = cpu.regs[base as usize] + i64::from(off);
-            trap!(load_into(cpu, w, dst, addr));
-        }
-        Instr::St { base, off, src } => {
-            // Unbarriered store: codegen proved the old value needs no
-            // protection (non-pointer value or nursery-fresh target).
-            let addr = cpu.regs[base as usize] + i64::from(off);
-            let v = cpu.regs[src as usize];
-            trap!(w.heap_store(addr, v));
-            w.note_escape(addr, v);
-        }
-        Instr::StB { base, off, src } => {
-            let addr = cpu.regs[base as usize] + i64::from(off);
-            let v = cpu.regs[src as usize];
-            trap!(w.barrier_store(addr, v));
-            w.note_escape(addr, v);
-        }
-        Instr::LdF { dst, breg, off } => {
-            cpu.regs[dst as usize] = trap!(w.load(cpu.base(breg) + i64::from(off)));
-        }
-        Instr::StF { breg, off, src } => {
-            trap!(w.store(cpu.base(breg) + i64::from(off), cpu.regs[src as usize]));
-        }
-        Instr::Lea { dst, breg, off } => {
-            cpu.regs[dst as usize] = cpu.base(breg) + i64::from(off);
-        }
-        Instr::LdG { dst, goff } => {
-            cpu.regs[dst as usize] = w.word((GLOBAL_BASE + goff as usize) as i64);
-        }
-        Instr::StG { goff, src } => {
-            let addr = (GLOBAL_BASE + goff as usize) as i64;
-            let v = cpu.regs[src as usize];
-            w.set_word(addr, v);
-            w.note_escape(addr, v);
-        }
-        Instr::LeaG { dst, goff } => {
-            cpu.regs[dst as usize] = (GLOBAL_BASE + goff as usize) as i64;
-        }
-        Instr::Push { src } => {
-            if cpu.sp >= cpu.stack_limit {
-                return Step::Trap(VmTrap::StackOverflow);
+        let Some(op) = ops.get(idx) else {
+            // Ran off the end of the code.
+            left -= 1;
+            break Step::Trap(VmTrap::WildAddress);
+        };
+        if !op.is_plain() {
+            if op.is_gc_point() && w.gc_requested() {
+                break Step::AtSafepoint;
             }
-            w.set_word(cpu.sp, cpu.regs[src as usize]);
-            cpu.sp += 1;
-        }
-        Instr::Call { proc, nargs } => {
-            let Some(meta) = w.module().procs.get(proc as usize) else {
-                return Step::Trap(VmTrap::BadProc);
-            };
-            let (entry, frame_words) = (meta.entry_pc, i64::from(meta.frame_words));
-            let sp = cpu.sp;
-            if sp + 3 + frame_words >= cpu.stack_limit {
-                return Step::Trap(VmTrap::StackOverflow);
-            }
-            w.set_word(sp, i64::from(next_pc));
-            w.set_word(sp + 1, cpu.fp);
-            w.set_word(sp + 2, cpu.ap);
-            cpu.ap = sp - i64::from(nargs);
-            cpu.fp = sp + 3;
-            cpu.sp = cpu.fp + frame_words;
-            w.zero(cpu.fp, frame_words);
-            new_pc = entry;
-        }
-        Instr::Ret => {
-            let retpc = w.word(cpu.fp - 3);
-            if retpc == RETURN_SENTINEL {
-                return Step::Finished;
-            }
-            let (old_fp, old_ap) = (w.word(cpu.fp - 2), w.word(cpu.fp - 1));
-            cpu.sp = cpu.ap;
-            cpu.fp = old_fp;
-            cpu.ap = old_ap;
-            new_pc = w.resolve_retpc(retpc);
-        }
-        Instr::Jmp { target } => new_pc = target,
-        Instr::Brt { cond, target } => {
-            if cpu.regs[cond as usize] != 0 {
-                new_pc = target;
+            if op.is_poll() && left <= poll_below {
+                break Step::Normal;
             }
         }
-        Instr::Brf { cond, target } => {
-            if cpu.regs[cond as usize] == 0 {
-                new_pc = target;
+        left -= 1;
+        if !op.is_valid() {
+            break Step::Trap(match op.ins {
+                Instr::Call { .. } => VmTrap::BadProc,
+                _ => VmTrap::WildAddress,
+            });
+        }
+        if SHADOW {
+            if let Some(trap) = shadow_step(cpu, w, &op.ins) {
+                break Step::Trap(trap);
             }
         }
-        Instr::Alloc { dst, ty } => {
-            if !trap!(alloc_into(cpu, w, dst, ty, 0)) {
-                return Step::NeedGc;
+        let mut next = idx + 1;
+        match op.ins {
+            Instr::MovI { dst, imm } => cpu.regs[dst as usize] = imm,
+            Instr::Mov { dst, src } => cpu.regs[dst as usize] = cpu.regs[src as usize],
+            Instr::Alu { op, dst, a, b } => {
+                cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize], cpu.regs[b as usize]);
             }
-        }
-        Instr::AllocA { dst, ty, len } => {
-            let len = cpu.regs[len as usize];
-            if !trap!(alloc_into(cpu, w, dst, ty, len)) {
-                return Step::NeedGc;
+            Instr::AluI { op, dst, a, imm } => {
+                cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize], imm);
             }
+            Instr::UnAlu { op, dst, a } => cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize]),
+            Instr::Ld { dst, base, off } => {
+                let addr = cpu.regs[base as usize] + i64::from(off);
+                trap!(load_into(cpu, w, dst, addr));
+            }
+            Instr::St { base, off, src } => {
+                // Unbarriered store: codegen proved the old value needs no
+                // protection (non-pointer value or nursery-fresh target).
+                let addr = cpu.regs[base as usize] + i64::from(off);
+                let v = cpu.regs[src as usize];
+                trap!(w.heap_store(addr, v));
+                w.note_escape(addr, v);
+            }
+            Instr::StB { base, off, src } => {
+                let addr = cpu.regs[base as usize] + i64::from(off);
+                let v = cpu.regs[src as usize];
+                trap!(w.barrier_store(addr, v));
+                w.note_escape(addr, v);
+            }
+            Instr::LdF { dst, breg, off } => {
+                cpu.regs[dst as usize] = trap!(w.load(cpu.base(breg) + i64::from(off)));
+            }
+            Instr::StF { breg, off, src } => {
+                trap!(w.store(cpu.base(breg) + i64::from(off), cpu.regs[src as usize]));
+            }
+            Instr::Lea { dst, breg, off } => {
+                cpu.regs[dst as usize] = cpu.base(breg) + i64::from(off);
+            }
+            Instr::LdG { dst, goff } => {
+                cpu.regs[dst as usize] = w.word((GLOBAL_BASE + goff as usize) as i64);
+            }
+            Instr::StG { goff, src } => {
+                let addr = (GLOBAL_BASE + goff as usize) as i64;
+                let v = cpu.regs[src as usize];
+                w.set_word(addr, v);
+                w.note_escape(addr, v);
+            }
+            Instr::LeaG { dst, goff } => {
+                cpu.regs[dst as usize] = (GLOBAL_BASE + goff as usize) as i64;
+            }
+            Instr::Push { src } => {
+                if cpu.sp >= cpu.stack_limit {
+                    break Step::Trap(VmTrap::StackOverflow);
+                }
+                w.set_word(cpu.sp, cpu.regs[src as usize]);
+                cpu.sp += 1;
+            }
+            Instr::Call { nargs, .. } => {
+                let (sp, frame_words) = (cpu.sp, op.frame_words());
+                if sp + 3 + frame_words >= cpu.stack_limit {
+                    break Step::Trap(VmTrap::StackOverflow);
+                }
+                // Frames hold byte pcs: the stack walker keys the gc
+                // tables with this word.
+                w.set_word(sp, i64::from(code.pc_of(idx + 1)));
+                w.set_word(sp + 1, cpu.fp);
+                w.set_word(sp + 2, cpu.ap);
+                cpu.ap = sp - i64::from(nargs);
+                cpu.fp = sp + 3;
+                cpu.sp = cpu.fp + frame_words;
+                w.zero(cpu.fp, frame_words);
+                next = op.target();
+            }
+            Instr::Ret => {
+                let retpc = w.word(cpu.fp - 3);
+                if retpc == RETURN_SENTINEL {
+                    break Step::Finished;
+                }
+                let Some(ret) = code.index_of(w.resolve_retpc(retpc)) else {
+                    break Step::Trap(VmTrap::WildAddress);
+                };
+                let (old_fp, old_ap) = (w.word(cpu.fp - 2), w.word(cpu.fp - 1));
+                cpu.sp = cpu.ap;
+                cpu.fp = old_fp;
+                cpu.ap = old_ap;
+                next = ret;
+            }
+            Instr::Jmp { .. } => next = op.target(),
+            Instr::Brt { cond, .. } => {
+                if cpu.regs[cond as usize] != 0 {
+                    next = op.target();
+                }
+            }
+            Instr::Brf { cond, .. } => {
+                if cpu.regs[cond as usize] == 0 {
+                    next = op.target();
+                }
+            }
+            Instr::Alloc { dst, ty } => {
+                if !trap!(alloc_into(cpu, w, dst, ty, 0)) {
+                    break Step::NeedGc;
+                }
+            }
+            Instr::AllocA { dst, ty, len } => {
+                let len = cpu.regs[len as usize];
+                if !trap!(alloc_into(cpu, w, dst, ty, len)) {
+                    break Step::NeedGc;
+                }
+            }
+            Instr::GcPoint => {}
+            Instr::Sys { code, arg } => trap!(w.sys(code, cpu.regs[arg as usize])),
+            Instr::Halt => break Step::Finished,
         }
-        Instr::GcPoint => {}
-        Instr::Sys { code, arg } => trap!(w.sys(code, cpu.regs[arg as usize])),
-        Instr::Halt => return Step::Finished,
-    }
-    cpu.pc = new_pc;
-    Step::Normal
+        idx = next;
+    };
+    // Every early exit left `idx` on the instruction it concerns.
+    cpu.pc = code.pc_of(idx);
+    (end, max - left)
 }
 
-/// Runs up to `max` instructions of `cpu` against `w`: a loop over
-/// [`step`]. Returns the stopping condition ([`Step::Normal`] means the
-/// budget was exhausted) and the number of instructions executed —
-/// every outcome but `AtSafepoint` executed (or attempted) one, so it
-/// counts against the budget.
+/// Executes one instruction of `cpu` against `w`: [`run`] with a budget
+/// of one.
 #[inline]
-pub fn run<W: World>(cpu: &mut Cpu, w: &mut W, max: u64) -> (Step, u64) {
-    for executed in 0..max {
-        match step(cpu, w) {
-            Step::Normal => {}
-            Step::AtSafepoint => return (Step::AtSafepoint, executed),
-            other => return (other, executed + 1),
-        }
-    }
-    (Step::Normal, max)
+pub fn step<W: World>(cpu: &mut Cpu, code: &DecodedCode, w: &mut W) -> Step {
+    run(cpu, code, w, 1, u64::MAX).0
 }
 
 #[cfg(test)]
 mod tests {
     //! `World` conformance: every instruction, and every trap edge, must
     //! leave a `Machine` world and a `ParMachine` world built from the
-    //! same image in the same state.
+    //! same image in the same state — one instruction at a time, and in
+    //! bursts of every length.
 
     use std::collections::HashSet;
     use std::sync::atomic::Ordering::Relaxed;
+    use std::sync::Arc;
 
     use m3gc_core::encode::{encode_module, Scheme};
     use m3gc_core::heap::{HeapType, TypeTable};
-    use m3gc_core::tables::ModuleTables;
+    use m3gc_core::tables::{GcPointTables, ModuleTables, ProcTables};
 
     use super::*;
     use crate::asm::Assembler;
     use crate::isa::UnAluOp;
     use crate::machine::{HeapStrategy, Machine, MachineLayout};
     use crate::module::ProcMeta;
-    use crate::par::{ParLayout, ParMachine};
+    use crate::par::{Mutator, ParLayout, ParMachine};
 
     const SEMI: usize = 256;
     const STACK: usize = 64;
@@ -569,6 +649,12 @@ mod tests {
         frame: u32,
         init: fn(&mut Cpu),
         heap_full: bool,
+        /// Indices into `main` of the instructions the module's gc
+        /// tables describe, and of those that are loop polls.
+        gc_points: Vec<usize>,
+        polls: Vec<usize>,
+        /// A collection is already requested when the thread starts.
+        gc_requested: bool,
         end: Step,
         output: &'static str,
         /// Anything else the sequential machine must show at the end
@@ -585,6 +671,9 @@ mod tests {
                 frame: 0,
                 init: |_| {},
                 heap_full: false,
+                gc_points: vec![],
+                polls: vec![],
+                gc_requested: false,
                 end: Step::Finished,
                 output: "",
                 check: |_| {},
@@ -601,9 +690,7 @@ mod tests {
 
     fn module_of(case: &Case) -> VmModule {
         let mut a = Assembler::new();
-        for i in &case.main {
-            a.emit(i);
-        }
+        let main_pcs: Vec<u32> = case.main.iter().map(|i| a.emit(i)).collect();
         let callee_entry = a.here();
         for i in &case.callee {
             a.emit(i);
@@ -617,6 +704,18 @@ mod tests {
             save_regs: vec![],
             n_args,
         };
+        let mut tables = ModuleTables::default();
+        if !case.gc_points.is_empty() {
+            let points = case
+                .gc_points
+                .iter()
+                .map(|&i| GcPointTables { pc: main_pcs[i], ..GcPointTables::default() });
+            tables.procs.push(ProcTables {
+                name: "main".into(),
+                points: points.collect(),
+                ..ProcTables::default()
+            });
+        }
         VmModule {
             procs: vec![
                 proc("main", 0, callee_entry, case.frame, 0),
@@ -627,67 +726,151 @@ mod tests {
             globals_words: 4,
             global_ptr_roots: vec![],
             main: 0,
-            poll_pcs: vec![],
-            gc_maps: encode_module(&ModuleTables::default(), Scheme::DELTA_MAIN_PP),
-            logical_maps: ModuleTables::default(),
+            poll_pcs: case.polls.iter().map(|&i| main_pcs[i]).collect(),
+            gc_maps: encode_module(&tables, Scheme::DELTA_MAIN_PP),
+            logical_maps: tables,
         }
     }
 
-    fn discriminant(i: &Instr) -> std::mem::Discriminant<Instr> {
-        std::mem::discriminant(i)
+    /// Which of a [`Rig`]'s two machines.
+    #[derive(Clone, Copy, Debug)]
+    enum Side {
+        Seq,
+        Par,
+    }
+
+    /// Everything an instruction can change, as one comparable value.
+    #[derive(PartialEq)]
+    struct State {
+        cpu: Cpu,
+        words: Vec<i64>,
+        tags: Vec<Tag>,
+        output: String,
+    }
+
+    /// Both worlds loaded with one case, a thread on each about to run
+    /// `main`.
+    struct Rig {
+        seq: Machine,
+        tid: usize,
+        par: ParMachine,
+        mu: Mutator,
+    }
+
+    impl Rig {
+        fn new(case: &Case, shadow: bool) -> Rig {
+            let module = module_of(case);
+            let mut seq = Machine::new(
+                module.clone(),
+                MachineLayout {
+                    semi_words: SEMI,
+                    stack_words: STACK,
+                    max_threads: 2,
+                    heap: HeapStrategy::Semispace,
+                },
+            );
+            let mut par = ParMachine::new(
+                module,
+                ParLayout {
+                    semi_words: SEMI,
+                    stack_words: STACK,
+                    mutators: 2,
+                    tlab_words: 0,
+                    region_words: 0,
+                },
+            );
+            if shadow {
+                seq.enable_shadow();
+                par.enable_shadow();
+            }
+            if case.heap_full {
+                seq.set_force_gc_after(Some(0));
+                par.force_gc_at.store(0, Relaxed);
+            }
+            let tid = seq.spawn(0, &[]);
+            let mut mu = par.spawn_mutator(tid, 0, &[]);
+            (case.init)(&mut seq.threads[tid].cpu);
+            (case.init)(&mut mu.cpu);
+            let mut rig = Rig { seq, tid, par, mu };
+            rig.request_gc(case.gc_requested);
+            rig
+        }
+
+        fn request_gc(&mut self, on: bool) {
+            self.seq.gc_pending = on;
+            self.par.gc_request.store(on, Relaxed);
+        }
+
+        fn code(&self) -> Arc<DecodedCode> {
+            Arc::clone(self.seq.decoded())
+        }
+
+        fn run(&mut self, side: Side, max: u64, poll_after: u64) -> (Step, u64) {
+            match side {
+                Side::Seq => {
+                    let code = self.code();
+                    let (cpu, world) = self.seq.split(self.tid);
+                    run(cpu, &code, world, max, poll_after)
+                }
+                Side::Par => {
+                    let world = &mut self.par.world(&mut self.mu.local);
+                    run(&mut self.mu.cpu, self.par.decoded(), world, max, poll_after)
+                }
+            }
+        }
+
+        fn state(&mut self, side: Side) -> State {
+            let words = 0..self.seq.mem_words() as i64;
+            match side {
+                Side::Seq => State {
+                    cpu: self.seq.threads[self.tid].cpu.clone(),
+                    words: words.clone().map(|a| self.seq.word(a)).collect(),
+                    tags: words.map(|a| self.seq.mem_tag(a)).collect(),
+                    output: self.seq.output.clone(),
+                },
+                Side::Par => {
+                    let cpu = self.mu.cpu.clone();
+                    let output = self.mu.output.clone();
+                    let pw = self.par.world(&mut self.mu.local);
+                    assert_eq!(pw.mem_words() as i64, words.end, "memory sizes");
+                    State {
+                        cpu,
+                        words: words.clone().map(|a| pw.word(a)).collect(),
+                        tags: words.map(|a| pw.mem_tag(a)).collect(),
+                        output,
+                    }
+                }
+            }
+        }
+
+        fn pc(&self, side: Side) -> u32 {
+            match side {
+                Side::Seq => self.seq.threads[self.tid].pc,
+                Side::Par => self.mu.cpu.pc,
+            }
+        }
     }
 
     /// Runs `case` on both worlds in lock step, comparing outcome, `Cpu`,
     /// every memory word and every tag after each instruction. Returns
     /// the instruction kinds it executed.
-    fn run(case: &Case) -> HashSet<std::mem::Discriminant<Instr>> {
-        let module = module_of(case);
-        let mut seq = Machine::new(
-            module.clone(),
-            MachineLayout {
-                semi_words: SEMI,
-                stack_words: STACK,
-                max_threads: 2,
-                heap: HeapStrategy::Semispace,
-            },
-        );
-        let mut par = ParMachine::new(
-            module,
-            ParLayout {
-                semi_words: SEMI,
-                stack_words: STACK,
-                mutators: 2,
-                tlab_words: 0,
-                region_words: 0,
-            },
-        );
-        seq.enable_shadow();
-        par.enable_shadow();
-        if case.heap_full {
-            seq.set_force_gc_after(Some(0));
-            par.force_gc_at.store(0, Relaxed);
-        }
-        let tid = seq.spawn(0, &[]);
-        let mut mu = par.spawn_mutator(tid, 0, &[]);
-        (case.init)(&mut seq.threads[tid].cpu);
-        (case.init)(&mut mu.cpu);
+    fn lockstep(case: &Case) -> HashSet<std::mem::Discriminant<Instr>> {
         let name = case.name;
+        let mut rig = Rig::new(case, true);
+        let code = rig.code();
         let mut seen = HashSet::new();
         let mut steps = 0;
         let end = loop {
-            seen.insert(discriminant(&seq.decoded().at(seq.threads[tid].pc).0));
-            let (cpu, world) = seq.split(tid);
-            let a = step(cpu, world);
-            let b = step(&mut mu.cpu, &mut par.world(&mut mu.local));
-            assert_eq!(a, b, "{name}: outcomes diverge");
-            assert_eq!(seq.threads[tid].cpu, mu.cpu, "{name}: cpus diverge after {a:?}");
-            assert_eq!(seq.mem_words(), par.mem_words(), "{name}: memory sizes");
-            let pw = par.world(&mut mu.local);
-            for addr in 0..seq.mem_words() as i64 {
-                assert_eq!(seq.word(addr), pw.word(addr), "{name}: word {addr} after {a:?}");
-                assert_eq!(seq.mem_tag(addr), pw.mem_tag(addr), "{name}: tag {addr} after {a:?}");
+            if let Some(idx) = code.index_of(rig.pc(Side::Seq)) {
+                seen.insert(std::mem::discriminant(&code.ops()[idx].ins));
             }
-            assert_eq!(seq.output, mu.output, "{name}: output");
+            let (a, _) = rig.run(Side::Seq, 1, u64::MAX);
+            let (b, _) = rig.run(Side::Par, 1, u64::MAX);
+            assert_eq!(a, b, "{name}: outcomes diverge");
+            assert!(
+                rig.state(Side::Seq) == rig.state(Side::Par),
+                "{name}: worlds diverge after {a:?} at step {steps}"
+            );
             if a != Step::Normal {
                 break a;
             }
@@ -695,12 +878,31 @@ mod tests {
             assert!(steps < 1000, "{name}: runaway");
         };
         assert_eq!(end, case.end, "{name}: final outcome");
-        assert_eq!(seq.output, case.output, "{name}: program output");
-        (case.check)(&seq);
-        par.retire_tlab(&mut mu);
-        assert_eq!(seq.allocations, par.allocations.load(Relaxed), "{name}: allocations");
-        assert_eq!(seq.words_allocated, par.words_allocated.load(Relaxed), "{name}: words");
+        assert_eq!(rig.seq.output, case.output, "{name}: program output");
+        (case.check)(&rig.seq);
+        rig.par.retire_tlab(&mut rig.mu);
+        assert_eq!(rig.seq.allocations, rig.par.allocations.load(Relaxed), "{name}: allocations");
+        assert_eq!(rig.seq.words_allocated, rig.par.words_allocated.load(Relaxed), "{name}: words");
         seen
+    }
+
+    /// The single-step reference of `case` on `side`: the state after
+    /// each executed instruction (`[0]` is the start), and what the run
+    /// ended in. The last state is the terminal instruction's — which
+    /// counts as executed — unless the run ended at a safepoint.
+    fn reference(case: &Case, shadow: bool, side: Side) -> (Vec<State>, Step) {
+        let mut rig = Rig::new(case, shadow);
+        let mut states = vec![rig.state(side)];
+        loop {
+            let (step, n) = rig.run(side, 1, u64::MAX);
+            assert_eq!(n, u64::from(step != Step::AtSafepoint), "{}: {step:?} counted", case.name);
+            if n == 1 {
+                states.push(rig.state(side));
+            }
+            if step != Step::Normal {
+                return (states, step);
+            }
+        }
     }
 
     fn trap(name: &'static str, main: Vec<Instr>, t: VmTrap) -> Case {
@@ -748,6 +950,8 @@ mod tests {
                     Ld { dst: 0, base: 3, off: 0 },
                     Ret,
                 ],
+                // The call's gc-point is its return address.
+                gc_points: vec![5],
                 output: "42",
                 check: |m| assert_eq!(m.threads[0].sp, m.threads[0].fp, "stack fully popped"),
                 ..Case::default()
@@ -771,6 +975,7 @@ mod tests {
                     Halt,
                 ],
                 frame: 1,
+                gc_points: vec![0, 10],
                 output: "99",
                 check: |m| assert_eq!((m.allocations, m.words_allocated), (2, 3 + 5)),
                 ..Case::default()
@@ -803,6 +1008,71 @@ mod tests {
                     GcPoint,
                     Jmp { target: 20 },
                 ],
+                gc_points: vec![5],
+                polls: vec![5],
+                ..Case::default()
+            },
+            Case {
+                name: "loop with a poll",
+                // pcs: MovI r1 (0..3), then the loop head at 3.
+                main: vec![
+                    MovI { dst: 1, imm: 3 },
+                    GcPoint,
+                    AluI { op: AluOp::Sub, dst: 1, a: 1, imm: 1 },
+                    Brt { cond: 1, target: 3 },
+                    Halt,
+                ],
+                gc_points: vec![1],
+                polls: vec![1],
+                ..Case::default()
+            },
+            Case {
+                name: "collection requested before a poll",
+                main: vec![MovI { dst: 1, imm: 1 }, GcPoint, Halt],
+                gc_points: vec![1],
+                polls: vec![1],
+                gc_requested: true,
+                end: Step::AtSafepoint,
+                ..Case::default()
+            },
+            trap("jump past the end of the code", vec![Jmp { target: 9999 }], VmTrap::WildAddress),
+            trap(
+                "branch into the middle of an instruction",
+                vec![MovI { dst: 1, imm: 1 }, Brt { cond: 1, target: 1 }],
+                VmTrap::WildAddress,
+            ),
+            trap(
+                "a branch with no target traps even when not taken",
+                vec![MovI { dst: 1, imm: 1 }, Brf { cond: 1, target: 9999 }],
+                VmTrap::WildAddress,
+            ),
+            Case {
+                name: "return through a frame word that is no instruction boundary",
+                main: vec![Push { src: 0 }, Push { src: 0 }, Call { proc: 1, nargs: 2 }],
+                callee: vec![
+                    MovI { dst: 1, imm: 1 },
+                    StF { breg: BaseReg::Fp, off: -3, src: 1 },
+                    Ret,
+                ],
+                end: Step::Trap(VmTrap::WildAddress),
+                check: |m| {
+                    let t = &m.threads[0];
+                    assert_eq!(t.fp, t.stack_base + 8, "the trapping `Ret` popped nothing");
+                },
+                ..Case::default()
+            },
+            Case {
+                name: "entry pc inside an instruction",
+                main: vec![MovI { dst: 1, imm: 300 }],
+                init: |cpu| cpu.pc = 1,
+                end: Step::Trap(VmTrap::WildAddress),
+                ..Case::default()
+            },
+            Case {
+                name: "running off the end of the code",
+                main: vec![MovI { dst: 1, imm: 1 }],
+                callee: vec![MovI { dst: 2, imm: 2 }],
+                end: Step::Trap(VmTrap::WildAddress),
                 ..Case::default()
             },
             trap(
@@ -868,6 +1138,7 @@ mod tests {
                 name: "allocation needing gc",
                 main: vec![Alloc { dst: 1, ty: 0 }],
                 heap_full: true,
+                gc_points: vec![0],
                 end: Step::NeedGc,
                 ..Case::default()
             },
@@ -887,8 +1158,111 @@ mod tests {
     fn every_instruction_agrees_on_both_worlds() {
         let mut seen = HashSet::new();
         for case in cases() {
-            seen.extend(run(&case));
+            seen.extend(lockstep(&case));
         }
         assert_eq!(seen.len(), 25, "the table must execute every `Instr` variant");
+    }
+
+    /// `run(k)` then `run(rest)` is `k + rest` single steps: same
+    /// outcome, state and executed count, for every row, both worlds,
+    /// shadow on and off, and every split `k`.
+    #[test]
+    fn run_is_step_repeated_at_every_budget() {
+        for case in cases() {
+            for (shadow, side) in
+                [(true, Side::Seq), (true, Side::Par), (false, Side::Seq), (false, Side::Par)]
+            {
+                let name = format!("{} ({side:?}, shadow {shadow})", case.name);
+                let (states, end) = reference(&case, shadow, side);
+                let total = states.len() as u64 - 1;
+                for k in 0..=total + 1 {
+                    let mut rig = Rig::new(&case, shadow);
+                    let code = rig.code();
+                    let (first, mut executed) = rig.run(side, k, u64::MAX);
+                    let mut last = first;
+                    if first == Step::Normal {
+                        assert_eq!(executed, k, "{name}: budget {k} not spent");
+                        assert!(rig.state(side) == states[k as usize], "{name}: state after {k}");
+                        // `run` moves the pc only to instruction
+                        // boundaries (the end of the code is one).
+                        let pc = rig.pc(side);
+                        assert!(
+                            code.index_of(pc).is_some()
+                                || pc == code.pc_of(code.ops().len())
+                                || pc == states[0].cpu.pc,
+                            "{name}: budget {k} left the pc mid-instruction at {pc}"
+                        );
+                        let (rest, n) = rig.run(side, 1000, u64::MAX);
+                        (last, executed) = (rest, executed + n);
+                    }
+                    assert_eq!(last, end, "{name}: outcome, split at {k}");
+                    assert_eq!(executed, total, "{name}: executed count, split at {k}");
+                    assert!(rig.state(side) == states[total as usize], "{name}: end, split {k}");
+                }
+            }
+        }
+    }
+
+    /// With a collection requested, a burst stops before the first
+    /// flagged op it reaches — having executed exactly the instructions
+    /// before it — and never anywhere else.
+    #[test]
+    fn a_pending_request_stops_a_burst_at_the_first_gc_point_only() {
+        let mut stopped = 0;
+        for case in cases().into_iter().filter(|c| !c.gc_requested) {
+            for side in [Side::Seq, Side::Par] {
+                let name = format!("{} ({side:?})", case.name);
+                let (states, end) = reference(&case, false, side);
+                let total = states.len() - 1;
+                let mut rig = Rig::new(&case, false);
+                let code = rig.code();
+                // `states[i].cpu.pc` is the instruction executed `i + 1`th.
+                let first_gc_point = (0..total).find(|&i| code.is_gc_point_pc(states[i].cpu.pc));
+                rig.request_gc(true);
+                let (step, executed) = rig.run(side, 1000, u64::MAX);
+                match first_gc_point {
+                    Some(i) => {
+                        assert_eq!((step, executed), (Step::AtSafepoint, i as u64), "{name}");
+                        assert!(rig.state(side) == states[i], "{name}: state at the safepoint");
+                        stopped += 1;
+                    }
+                    None => {
+                        assert_eq!((step, executed), (end, total as u64), "{name}");
+                        assert!(rig.state(side) == states[total], "{name}: end state");
+                    }
+                }
+            }
+        }
+        assert!(stopped >= 6, "the table must hold rows with gc-points ({stopped} stops)");
+    }
+
+    /// Past `poll_after` instructions a burst ends at the next loop
+    /// poll, before executing it; never earlier, and never at a gc-point
+    /// that is not a poll.
+    #[test]
+    fn a_burst_past_poll_after_ends_at_the_next_loop_poll() {
+        let case = cases().into_iter().find(|c| c.name == "loop with a poll").unwrap();
+        let poll_pc = module_of(&case).poll_pcs[0];
+        for side in [Side::Seq, Side::Par] {
+            // The poll is reached after 1, 4 and 7 instructions; the run
+            // is 11 long.
+            for (poll_after, expect) in
+                [(0, 1), (1, 1), (2, 4), (4, 4), (5, 7), (7, 7), (8, 11), (u64::MAX, 11)]
+            {
+                let mut rig = Rig::new(&case, false);
+                let (step, executed) = rig.run(side, 1000, poll_after);
+                assert_eq!(executed, expect, "{side:?}: poll_after {poll_after}");
+                if expect == 11 {
+                    assert_eq!(step, Step::Finished, "{side:?}: poll_after {poll_after}");
+                } else {
+                    assert_eq!(step, Step::Normal);
+                    assert_eq!(rig.pc(side), poll_pc, "{side:?}: stopped off the poll");
+                    // Already there: a second burst does not move.
+                    assert_eq!(rig.run(side, 1000, 0), (Step::Normal, 0));
+                    // The budget still binds before the poll does.
+                    assert_eq!(rig.run(side, 2, u64::MAX), (Step::Normal, 2));
+                }
+            }
+        }
     }
 }

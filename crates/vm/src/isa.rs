@@ -56,7 +56,10 @@ impl AluOp {
         AluOp::Ge,
     ];
 
-    /// Evaluates the operation.
+    /// Evaluates the operation. `#[inline]`: the interpreter loop is
+    /// instantiated in downstream crates, where this would otherwise be
+    /// a call per ALU instruction.
+    #[inline]
     #[must_use]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         match self {
@@ -100,6 +103,7 @@ pub enum UnAluOp {
 
 impl UnAluOp {
     /// Evaluates the operation.
+    #[inline]
     #[must_use]
     pub fn eval(self, a: i64) -> i64 {
         match self {

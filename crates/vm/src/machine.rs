@@ -23,7 +23,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use m3gc_core::decode::DecoderIndex;
 use m3gc_core::heap::{HeapType, TypeId};
 use m3gc_core::stats::BarrierCounters;
 
@@ -249,6 +248,10 @@ pub struct Machine {
     /// Module, memory, heap and counters: the [`World`] threads step
     /// against.
     pub world: SeqWorld,
+    /// The module's predecoded program, beside the world rather than in
+    /// it so the interpreter loop can read it while it mutates the world
+    /// (and shared with the JIT engine built for this machine).
+    decoded: Arc<DecodedCode>,
 }
 
 impl Deref for Machine {
@@ -268,7 +271,6 @@ impl DerefMut for Machine {
 pub struct SeqWorld {
     /// The loaded module.
     pub module: VmModule,
-    decoded: DecodedCode,
     /// Flat memory: reserved | globals | stacks | semispace A | semispace B.
     pub mem: Vec<i64>,
     /// Accumulated program output.
@@ -311,8 +313,6 @@ pub struct SeqWorld {
     pub alloc_ptr: i64,
     /// One past the last usable allocation word.
     pub alloc_limit: i64,
-    /// `is_gc_point[pc]` — from the module's gc maps.
-    is_gc_point: Vec<bool>,
 
     // Generational state; only meaningful under
     // `HeapStrategy::Generational` (zero-sized / unused otherwise).
@@ -366,7 +366,7 @@ impl Machine {
     #[must_use]
     pub fn new(module: VmModule, layout: impl Into<MachineLayout>) -> Machine {
         let layout = layout.into();
-        let decoded = DecodedCode::new(&module.code);
+        let decoded = Arc::new(DecodedCode::of(&module));
         let stacks_base = GLOBAL_BASE + module.globals_words as usize;
         let heap_base = stacks_base + layout.stack_words * layout.max_threads;
         // Memory layout:
@@ -387,11 +387,6 @@ impl Machine {
         };
         let tenured_base = heap_base + 2 * nursery_words;
         let total = tenured_base + 2 * layout.semi_words;
-        let mut is_gc_point = vec![false; module.code.len() + 1];
-        let index = DecoderIndex::build(&module.gc_maps).expect("valid gc maps");
-        for pc in index.gc_point_pcs() {
-            is_gc_point[pc as usize] = true;
-        }
         let (alloc_ptr, alloc_limit) = match layout.heap {
             HeapStrategy::Semispace => (heap_base as i64, (heap_base + layout.semi_words) as i64),
             HeapStrategy::Generational { .. } => {
@@ -404,7 +399,6 @@ impl Machine {
         };
         let world = SeqWorld {
             module,
-            decoded,
             mem: vec![0; total],
             output: String::new(),
             steps: 0,
@@ -421,7 +415,6 @@ impl Machine {
             from_is_lower: true,
             alloc_ptr,
             alloc_limit,
-            is_gc_point,
             tenured_base,
             nursery_from_lower: true,
             tenured_from_lower: true,
@@ -435,7 +428,7 @@ impl Machine {
             shadow: None,
             code_map: None,
         };
-        Machine { threads: Vec::new(), world }
+        Machine { threads: Vec::new(), world, decoded }
     }
 
     /// Completes a collection: the spaces flip, allocation resumes at
@@ -542,7 +535,7 @@ impl Machine {
         (&mut self.threads[tid].cpu, &mut self.world)
     }
 
-    /// Translates what [`exec::step`] (or a JIT burst) reported for
+    /// Translates what [`exec::run`] (or a JIT burst) reported for
     /// thread `tid` into thread-status bookkeeping, after `executed`
     /// instructions. `Step::Normal` means the budget ran out.
     pub fn settle(&mut self, tid: usize, step: Step, executed: u64) -> RunOutcome {
@@ -578,8 +571,7 @@ impl Machine {
             ThreadStatus::Runnable,
             "stepping a non-runnable thread"
         );
-        let (cpu, world) = self.split(tid);
-        let step = exec::step(cpu, world);
+        let step = exec::step(&mut self.threads[tid].cpu, &self.decoded, &mut self.world);
         self.settle(tid, step, u64::from(step != Step::AtSafepoint));
         step
     }
@@ -587,9 +579,21 @@ impl Machine {
     /// Runs thread `tid` until it finishes, needs a collection, blocks at
     /// a gc-point, traps, or exhausts `fuel` instructions.
     pub fn run_thread(&mut self, tid: usize, fuel: u64) -> RunOutcome {
-        let (cpu, world) = self.split(tid);
-        let (step, executed) = exec::run(cpu, world, fuel);
+        let cpu = &mut self.threads[tid].cpu;
+        let (step, executed) = exec::run(cpu, &self.decoded, &mut self.world, fuel, u64::MAX);
         self.settle(tid, step, executed)
+    }
+
+    /// The module's predecoded program.
+    #[must_use]
+    pub fn decoded(&self) -> &Arc<DecodedCode> {
+        &self.decoded
+    }
+
+    /// True if `pc` is a gc-point.
+    #[must_use]
+    pub fn is_gc_point_pc(&self, pc: u32) -> bool {
+        self.decoded.is_gc_point_pc(pc)
     }
 }
 
@@ -801,12 +805,6 @@ impl SeqWorld {
         }
     }
 
-    /// True if `pc` is a gc-point.
-    #[must_use]
-    pub fn is_gc_point_pc(&self, pc: u32) -> bool {
-        self.is_gc_point.get(pc as usize).copied().unwrap_or(false)
-    }
-
     /// Re-derives the cached fast-path limit from `alloc_limit` and the
     /// forced-gc hook. Must run after every write to either.
     fn refresh_alloc_fast_limit(&mut self) {
@@ -897,10 +895,6 @@ impl World for SeqWorld {
         &self.module
     }
 
-    fn decoded(&self) -> &DecodedCode {
-        &self.decoded
-    }
-
     fn code_map(&self) -> Option<&CodeMap> {
         self.code_map.as_deref()
     }
@@ -928,8 +922,8 @@ impl World for SeqWorld {
     /// blocks there (§5.3: resumed threads run until they all reach
     /// gc-points, without allocating).
     #[inline]
-    fn gc_poll(&self, pc: u32) -> bool {
-        self.gc_pending && self.is_gc_point_pc(pc)
+    fn gc_requested(&self) -> bool {
+        self.gc_pending
     }
 
     /// The fast path bumps through the allocation space (the active

@@ -12,7 +12,7 @@
 //!   [`Cpu`](crate::exec::Cpu) plus TLAB, SATB buffer, counters and
 //!   output — owned by the OS thread driving it.
 //! * [`ParWorld`] pairs the two into the [`World`] that
-//!   [`crate::exec::step`] runs instructions against: the instruction
+//!   [`crate::exec::run`] runs instructions against: the instruction
 //!   semantics are the sequential machine's, only the memory format
 //!   differs.
 //!
@@ -45,7 +45,6 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use m3gc_core::decode::DecoderIndex;
 use m3gc_core::heap::{HeapType, TypeId};
 
 use crate::codemap::CodeMap;
@@ -567,7 +566,7 @@ const SATB_FLUSH: usize = 64;
 pub struct ParMachine {
     /// The loaded module.
     pub module: VmModule,
-    decoded: DecodedCode,
+    decoded: Arc<DecodedCode>,
     /// Flat memory: reserved | globals | stacks | regions | semi A | semi B
     /// (the region area is empty unless `layout.region_words > 0`).
     pub mem: Vec<AtomicI64>,
@@ -576,8 +575,6 @@ pub struct ParMachine {
     regions_base: usize,
     heap_base: usize,
     module_token: u64,
-    is_gc_point: Vec<bool>,
-    is_poll: Vec<bool>,
 
     /// True when semispace A (lower) is the from-space. Written only by
     /// the collection leader while every mutator is parked.
@@ -647,20 +644,11 @@ impl ParMachine {
     pub fn new(module: VmModule, layout: impl Into<ParLayout>) -> ParMachine {
         let layout = layout.into();
         assert!(layout.mutators >= 1, "at least one mutator");
-        let decoded = DecodedCode::new(&module.code);
+        let decoded = Arc::new(DecodedCode::of(&module));
         let stacks_base = GLOBAL_BASE + module.globals_words as usize;
         let regions_base = stacks_base + layout.stack_words * layout.mutators;
         let heap_base = regions_base + layout.region_words * layout.mutators;
         let total = heap_base + 2 * layout.semi_words;
-        let mut is_gc_point = vec![false; module.code.len() + 1];
-        let index = DecoderIndex::build(&module.gc_maps).expect("valid gc maps");
-        for pc in index.gc_point_pcs() {
-            is_gc_point[pc as usize] = true;
-        }
-        let mut is_poll = vec![false; module.code.len() + 1];
-        for &pc in &module.poll_pcs {
-            is_poll[pc as usize] = true;
-        }
         let module_token = crate::machine::next_module_token();
         let region_ptrs = (0..layout.mutators)
             .map(|slot| AtomicI64::new((regions_base + slot * layout.region_words) as i64))
@@ -674,8 +662,6 @@ impl ParMachine {
             regions_base,
             heap_base,
             module_token,
-            is_gc_point,
-            is_poll,
             from_is_lower: AtomicBool::new(true),
             free: AtomicI64::new(heap_base as i64),
             alloc_limit: AtomicI64::new((heap_base + layout.semi_words) as i64),
@@ -801,17 +787,24 @@ impl ParMachine {
         &self.module.gc_maps.bytes
     }
 
+    /// The module's predecoded program (shared with the JIT engine
+    /// built for this machine).
+    #[must_use]
+    pub fn decoded(&self) -> &Arc<DecodedCode> {
+        &self.decoded
+    }
+
     /// True if `pc` is a gc-point.
     #[must_use]
     pub fn is_gc_point_pc(&self, pc: u32) -> bool {
-        self.is_gc_point.get(pc as usize).copied().unwrap_or(false)
+        self.decoded.is_gc_point_pc(pc)
     }
 
     /// True if `pc` is an explicit poll site (a `GcPoint` instruction,
     /// as opposed to an allocation gc-point).
     #[must_use]
     pub fn is_poll_pc(&self, pc: u32) -> bool {
-        self.is_poll.get(pc as usize).copied().unwrap_or(false)
+        self.decoded.is_poll_pc(pc)
     }
 
     /// The from-space (currently allocated-into) bounds `[start, end)`.
@@ -1061,7 +1054,7 @@ impl ParMachine {
 
     /// Executes one instruction of `mu`.
     pub fn step(&self, mu: &mut Mutator) -> Step {
-        let step = exec::step(&mut mu.cpu, &mut self.world(&mut mu.local));
+        let step = exec::step(&mut mu.cpu, &self.decoded, &mut self.world(&mut mu.local));
         mu.local.steps += u64::from(step != Step::AtSafepoint);
         step
     }
@@ -1437,10 +1430,6 @@ impl World for ParWorld<'_> {
         &self.vm.module
     }
 
-    fn decoded(&self) -> &DecodedCode {
-        &self.vm.decoded
-    }
-
     fn code_map(&self) -> Option<&CodeMap> {
         self.vm.code_map.as_deref()
     }
@@ -1466,11 +1455,11 @@ impl World for ParWorld<'_> {
         }
     }
 
-    /// The shared request flag is checked only at gc-point pcs
+    /// The shared request flag; the loop reads it only at gc-points
     /// (allocation sites and the explicit loop back-edge polls).
     #[inline]
-    fn gc_poll(&self, pc: u32) -> bool {
-        self.vm.is_gc_point_pc(pc) && self.vm.gc_request.load(R)
+    fn gc_requested(&self) -> bool {
+        self.vm.gc_request.load(R)
     }
 
     fn alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap> {

@@ -105,10 +105,10 @@ fn stream_roundtrip() {
             encode_instr(i, &mut buf);
         }
         let decoded = DecodedCode::new(&buf);
-        assert_eq!(decoded.instrs.len(), instrs.len());
-        for (k, (ins, _)) in decoded.instrs.iter().enumerate() {
+        assert_eq!(decoded.ops().len(), instrs.len());
+        for (k, (ins, _)) in decoded.instrs().enumerate() {
             assert_eq!(ins, &instrs[k]);
-            assert_eq!(decoded.at(boundaries[k]).0, instrs[k]);
+            assert_eq!(decoded.at(boundaries[k]).0, &instrs[k]);
         }
     });
 }

@@ -2,11 +2,16 @@
 //! save/restore discipline, gc-point blocking, table/disassembly golden
 //! shapes, and the OOM boundary.
 
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+
 use m3gc::compiler::{compile, run_module, Options};
 use m3gc::core::layout::BaseReg;
 use m3gc::vm::decode::DecodedCode;
+use m3gc::vm::exec::{self, Cpu, Step};
 use m3gc::vm::isa::{Instr, FIRST_CALLEE_SAVE};
 use m3gc::vm::machine::{Machine, MachineLayout, RunOutcome};
+use m3gc::vm::{Mutator, ParLayout, ParMachine, VmModule};
 
 const CALLS: &str = "MODULE C;
 TYPE R = REF RECORD v: INTEGER END;
@@ -59,7 +64,7 @@ fn callee_save_discipline_holds() {
                     written.insert(d);
                 }
             }
-            pos = *next;
+            pos = next;
         }
         let saved: std::collections::HashSet<u8> = meta.save_regs.iter().map(|&(r, _)| r).collect();
         // Restores (LdF of a saved register from its save slot) count as
@@ -130,6 +135,169 @@ fn threads_block_exactly_at_gc_points() {
         }
         other => panic!("expected AtGcPoint, got {other:?}"),
     }
+}
+
+/// One thread of one of the two machines, driven through `exec::run`
+/// directly.
+trait Driven {
+    fn load(module: &VmModule, shadow: bool) -> Self;
+    fn run(&mut self, max: u64) -> (Step, u64);
+    fn cpu(&self) -> &Cpu;
+    /// Every memory word, and the program output.
+    fn image(&self) -> (Vec<i64>, String);
+    fn request_gc(&mut self);
+    fn code(&self) -> &Arc<DecodedCode>;
+}
+
+struct Seq {
+    machine: Machine,
+    tid: usize,
+}
+
+impl Driven for Seq {
+    fn load(module: &VmModule, shadow: bool) -> Seq {
+        let layout = MachineLayout {
+            semi_words: 1 << 12,
+            stack_words: 1 << 10,
+            max_threads: 1,
+            ..MachineLayout::default()
+        };
+        let mut machine = Machine::new(module.clone(), layout);
+        if shadow {
+            machine.enable_shadow();
+        }
+        let tid = machine.spawn(module.main, &[]);
+        Seq { machine, tid }
+    }
+
+    fn run(&mut self, max: u64) -> (Step, u64) {
+        let code = Arc::clone(self.machine.decoded());
+        let (cpu, world) = self.machine.split(self.tid);
+        exec::run(cpu, &code, world, max, u64::MAX)
+    }
+
+    fn cpu(&self) -> &Cpu {
+        &self.machine.threads[self.tid].cpu
+    }
+
+    fn image(&self) -> (Vec<i64>, String) {
+        (self.machine.mem.clone(), self.machine.output.clone())
+    }
+
+    fn request_gc(&mut self) {
+        self.machine.gc_pending = true;
+    }
+
+    fn code(&self) -> &Arc<DecodedCode> {
+        self.machine.decoded()
+    }
+}
+
+struct Par {
+    vm: ParMachine,
+    mu: Mutator,
+}
+
+impl Driven for Par {
+    fn load(module: &VmModule, shadow: bool) -> Par {
+        let layout = ParLayout {
+            semi_words: 1 << 12,
+            stack_words: 1 << 10,
+            mutators: 1,
+            tlab_words: 64,
+            region_words: 0,
+        };
+        let mut vm = ParMachine::new(module.clone(), layout);
+        if shadow {
+            vm.enable_shadow();
+        }
+        let mu = vm.spawn_mutator(0, module.main, &[]);
+        Par { vm, mu }
+    }
+
+    fn run(&mut self, max: u64) -> (Step, u64) {
+        let world = &mut self.vm.world(&mut self.mu.local);
+        exec::run(&mut self.mu.cpu, self.vm.decoded(), world, max, u64::MAX)
+    }
+
+    fn cpu(&self) -> &Cpu {
+        &self.mu.cpu
+    }
+
+    fn image(&self) -> (Vec<i64>, String) {
+        (self.vm.mem.iter().map(|w| w.load(Relaxed)).collect(), self.mu.output.clone())
+    }
+
+    fn request_gc(&mut self) {
+        self.vm.gc_request.store(true, Relaxed);
+    }
+
+    fn code(&self) -> &Arc<DecodedCode> {
+        self.vm.decoded()
+    }
+}
+
+/// `exec::run` is `exec::step` repeated, whatever the budget: over
+/// compiled code (calls, allocations, a loop poll), on machine `D`,
+/// `run(k)` then `run(rest)` ends in the same outcome, `Cpu`, memory,
+/// output and executed count as single steps, for every split `k`; the
+/// pc at every exit is an instruction boundary; and with a collection
+/// requested after `k` instructions the burst stops before the first
+/// flagged op it reaches, never on an unflagged one.
+fn bursts_are_their_single_steps<D: Driven>(shadow: bool) {
+    let module = compile(CALLS.replace("Work(30)", "Work(6)").as_str(), &Options::o2()).unwrap();
+    let mut d = D::load(&module, shadow);
+    let mut cpus = vec![d.cpu().clone()];
+    let end = loop {
+        let (step, n) = d.run(1);
+        assert_eq!(n, 1, "nothing requests a collection on this heap");
+        cpus.push(d.cpu().clone());
+        if step != Step::Normal {
+            break step;
+        }
+    };
+    assert_eq!(end, Step::Finished);
+    let total = cpus.len() as u64 - 1;
+    let reference = d.image();
+    assert_eq!(reference.1, "21", "Work(6)");
+    let code = Arc::clone(d.code());
+    let flagged = |cpu: &Cpu| code.is_gc_point_pc(cpu.pc);
+    assert!(cpus.iter().filter(|c| flagged(c)).count() >= 12, "the run must cross gc-points");
+
+    for k in 0..total {
+        let mut d = D::load(&module, shadow);
+        assert_eq!(d.run(k), (Step::Normal, k), "budget {k}");
+        assert_eq!(d.cpu(), &cpus[k as usize], "cpu after {k} instructions");
+        assert!(code.index_of(d.cpu().pc).is_some(), "budget {k} left the pc mid-instruction");
+        assert_eq!(d.run(u64::MAX), (Step::Finished, total - k), "rest after {k}");
+        assert_eq!(d.cpu(), &cpus[total as usize], "final cpu, split at {k}");
+        assert!(d.image() == reference, "memory or output, split at {k}");
+
+        let mut d = D::load(&module, shadow);
+        d.run(k);
+        d.request_gc();
+        let stop = (k..total).find(|&i| flagged(&cpus[i as usize]));
+        match stop {
+            Some(i) => {
+                assert_eq!(d.run(u64::MAX), (Step::AtSafepoint, i - k), "request after {k}");
+                assert_eq!(d.cpu(), &cpus[i as usize], "cpu at the safepoint after {k}");
+                assert_eq!(d.run(u64::MAX), (Step::AtSafepoint, 0), "a parked thread stays");
+            }
+            None => assert_eq!(d.run(u64::MAX), (Step::Finished, total - k), "no gc-point left"),
+        }
+    }
+}
+
+#[test]
+fn bursts_are_their_single_steps_on_the_sequential_machine() {
+    bursts_are_their_single_steps::<Seq>(false);
+    bursts_are_their_single_steps::<Seq>(true);
+}
+
+#[test]
+fn bursts_are_their_single_steps_on_the_parallel_machine() {
+    bursts_are_their_single_steps::<Par>(false);
+    bursts_are_their_single_steps::<Par>(true);
 }
 
 /// A barely-sufficient heap completes; one word less hits OutOfMemory —
