@@ -2,27 +2,42 @@
 //!
 //! No register allocation: VM registers live in memory (`r13` points at
 //! the running thread's register file) and every template loads its
-//! operands, computes, and stores back. Three host registers are pinned
+//! operands, computes, and stores back. Four host registers are pinned
 //! for the whole native activation:
 //!
 //! * `rbx` — the [`JitContext`](crate::engine::JitContext),
+//! * `r12` — the remaining fuel (loaded from the context by the enter
+//!   thunk, stored back by the exit thunk),
 //! * `r13` — VM register file (`&thread.regs[0]`),
 //! * `r14` — VM memory base (`&mem[0]`; VM addresses are word indices,
 //!   so accesses are `[r14 + addr*8]`).
 //!
 //! `fp`/`sp`/`ap` live as context fields. Intra-procedure branches are
-//! native jumps; `Call`/`Ret` perform the full linkage protocol (push
-//! biased native return token, new frame, zero locals) and then *exit
-//! to the engine* for the control transfer — the engine re-enters the
-//! target immediately, so the only cross-procedure cost is one
-//! context round-trip.
+//! native jumps, and so are calls and returns between compiled
+//! procedures. `Call` performs the full linkage protocol (push biased
+//! native return token, new frame, zero locals) and ends in a `jmp
+//! rel32` that [`compile_proc`] reports as a [`ProcArtifact::relocs`]
+//! entry: it is emitted aimed at the site's own `EXIT_TRANSFER` stub,
+//! and the engine's link step re-aims it at the callee's blob if the
+//! callee compiled. `Ret` reads the frame's linkage word and, when that
+//! word is the token of a registered call continuation (an O(1) lookup
+//! in the link step's continuation map — never a floor search, never
+//! trust in the word), pops the frame and jumps to `code_base + offset`.
+//! Everything else — a callee that was not compiled, a return word that
+//! is a bytecode pc (interpreted caller) or names no continuation — is
+//! the slow path of the same template: an `EXIT_TRANSFER` exit, after
+//! which the engine does the transfer and re-enters native code or the
+//! interpreter at the target.
 //!
 //! Per-instruction template order mirrors the interpreter's `step`:
 //! `[safepoint poll if the pc is a gc-point] [fuel decrement] [shadow
-//! call-out if instrumented] [body]`. Every instruction start is
-//! registered as a native re-entry point, so the engine can resume
-//! native execution at any interpreter pc (mixed stacks, gc resume,
-//! allocation retry).
+//! call-out if instrumented] [body]`. Fuel is *decremented* by every
+//! instruction and *checked* wherever a burst may end: at polls, taken
+//! back-edges, before a call transfers, and where a return lands (the
+//! continuation's poll, or an explicit check when the continuation is
+//! no gc-point). Every instruction start is registered as a native
+//! re-entry point, so the engine can resume native execution at any
+//! interpreter pc (mixed stacks, gc resume, allocation retry).
 
 use m3gc_core::heap::{HeapType, TypeId};
 use m3gc_core::layout::BaseReg;
@@ -36,8 +51,9 @@ use m3gc_vm::VmTrap;
 use crate::emit::{Cc, EmitState, Label, Reg};
 use crate::engine::{
     EXIT_FINISHED, EXIT_FUEL, EXIT_GC, EXIT_NEEDGC, EXIT_TRANSFER, EXIT_TRAP, OFF_ALLOC_COUNT_P,
-    OFF_ALLOC_FAST_LIMIT_P, OFF_ALLOC_PTR_P, OFF_AP, OFF_EXIT_AUX, OFF_EXIT_PC, OFF_EXIT_THUNK,
-    OFF_FP, OFF_FUEL, OFF_GC_FLAG, OFF_POLLS, OFF_SP, OFF_STACK_LIMIT, OFF_WORDS_P,
+    OFF_ALLOC_FAST_LIMIT_P, OFF_ALLOC_PTR_P, OFF_AP, OFF_CODE_BASE, OFF_CODE_LEN, OFF_CONTS,
+    OFF_EXIT_AUX, OFF_EXIT_PC, OFF_EXIT_THUNK, OFF_FP, OFF_GC_FLAG, OFF_POLLS, OFF_SP,
+    OFF_STACK_LIMIT, OFF_WORDS_P,
 };
 
 /// Why a procedure was left to the interpreter. Reasons are structural
@@ -126,6 +142,10 @@ pub(crate) struct ProcArtifact {
     pub gc_points: Vec<(u32, u32)>,
     /// `(bytecode pc, global native offset)` of every instruction start.
     pub entries: Vec<(u32, u32)>,
+    /// `(blob offset of a call site's rel32, callee procedure)`: the
+    /// jump is aimed at the site's `EXIT_TRANSFER` stub and may be
+    /// re-aimed at the callee's native entry once that has an address.
+    pub relocs: Vec<(u32, u16)>,
 }
 
 /// Per-procedure blob size cap; a baseline template should never get
@@ -139,6 +159,7 @@ const MAX_INLINE_ALLOC_WORDS: u32 = 16;
 struct ProcCompiler<'a> {
     e: EmitState,
     module: &'a VmModule,
+    decoded: &'a DecodedCode,
     flavor: Flavor,
     helpers: Helpers,
     global_base: u32,
@@ -147,6 +168,7 @@ struct ProcCompiler<'a> {
     stubs: Vec<(Label, StubKind)>,
     gc_points: Vec<(u32, u32)>,
     entries: Vec<(u32, u32)>,
+    relocs: Vec<(u32, u16)>,
     instr_table: &'a mut Vec<Instr>,
 }
 
@@ -154,6 +176,9 @@ struct ProcCompiler<'a> {
 enum StubKind {
     /// Plain exit: `exit_pc = pc`, `rax = reason`, optional trap code.
     Exit { pc: u32, reason: i64, trap: Option<VmTrap> },
+    /// The `Ret` at `pc` found a linkage word it will not jump through;
+    /// the frame is intact and the engine does the return.
+    Return { pc: u32 },
     /// Helper returned nonzero in rax: 1 → needs-gc exit, else trap
     /// with code `rax - 2`.
     HelperOutcome { pc: u32 },
@@ -193,6 +218,10 @@ impl<'a> ProcCompiler<'a> {
                         self.e.store_imm32(Reg::Rbx, OFF_EXIT_AUX, t.to_code() as i32);
                     }
                     self.emit_exit(pc, reason);
+                }
+                StubKind::Return { pc } => {
+                    self.e.store_imm32(Reg::Rbx, OFF_EXIT_AUX, 1);
+                    self.emit_exit(pc, EXIT_TRANSFER);
                 }
                 StubKind::HelperOutcome { pc } => {
                     let trap = self.e.new_label();
@@ -243,15 +272,14 @@ impl<'a> ProcCompiler<'a> {
         self.e.test_rr(Reg::Rax, Reg::Rax);
         let gc = self.exit_stub(pc, EXIT_GC);
         self.e.jcc(Cc::Ne, gc);
-        self.e.cmp_mem_imm32(Reg::Rbx, OFF_FUEL, 0);
-        let fuel = self.exit_stub(pc, EXIT_FUEL);
-        self.e.jcc(Cc::Le, fuel);
+        self.emit_fuel_check(pc);
     }
 
-    /// Fuel check guarding a taken backward edge to `target`.
-    fn emit_backedge_fuel_check(&mut self, target: u32) {
-        self.e.cmp_mem_imm32(Reg::Rbx, OFF_FUEL, 0);
-        let fuel = self.exit_stub(target, EXIT_FUEL);
+    /// Ends the burst if the fuel is spent; `resume` is the next pc to
+    /// execute. Guards taken backward edges, calls and return landings.
+    fn emit_fuel_check(&mut self, resume: u32) {
+        self.e.test_rr(Reg::R12, Reg::R12);
+        let fuel = self.exit_stub(resume, EXIT_FUEL);
         self.e.jcc(Cc::Le, fuel);
     }
 
@@ -379,14 +407,13 @@ impl<'a> ProcCompiler<'a> {
         pc: u32,
         next_pc: u32,
         ins: &Instr,
-        is_gc_point: bool,
         labels: &std::collections::HashMap<u32, Label>,
     ) -> Result<(), Fallback> {
         self.entries.push((pc, self.global_base + self.e.here()));
-        if is_gc_point {
+        if self.decoded.is_gc_point_pc(pc) {
             self.emit_poll(pc);
         }
-        self.e.dec_mem(Reg::Rbx, OFF_FUEL);
+        self.e.add_ri(Reg::R12, -1);
         if self.flavor.shadow {
             let id = self.instr_table.len() as u32;
             self.instr_table.push(*ins);
@@ -574,14 +601,26 @@ impl<'a> ProcCompiler<'a> {
                 self.e.xor_rr(Reg::Rax, Reg::Rax);
                 self.e.mov_ri(Reg::Rcx, i64::from(meta.frame_words));
                 self.e.rep_stosq();
-                // Transfer to the callee's entry pc via the engine.
-                self.emit_exit(meta.entry_pc, EXIT_TRANSFER);
+                // Transfer to the callee: the jump is aimed at the stub
+                // that hands the transfer to the engine, and the link
+                // step re-aims it at the callee's blob if there is one.
+                self.emit_fuel_check(meta.entry_pc);
+                let engine = self.exit_stub(meta.entry_pc, EXIT_TRANSFER);
+                let at = self.e.jmp(engine);
+                self.relocs.push((at, proc));
                 // The continuation: this native offset *is* the return
                 // address the token denotes, and the gc-point for the
-                // bytecode return pc.
+                // bytecode return pc. A direct return lands here, so a
+                // burst must be able to end here: the continuation's
+                // poll checks the fuel, and where the tables declare no
+                // gc-point (hand-assembled modules) an explicit check
+                // stands in.
                 let cont = self.e.here();
                 self.e.patch_imm64(token_at, JIT_RETPC_BIAS + i64::from(self.global_base + cont));
                 self.gc_points.push((self.global_base + cont, next_pc));
+                if !self.decoded.is_gc_point_pc(next_pc) {
+                    self.emit_fuel_check(next_pc);
+                }
             }
             Instr::Ret => {
                 self.e.load(Reg::Rax, Reg::Rbx, OFF_FP);
@@ -590,18 +629,29 @@ impl<'a> ProcCompiler<'a> {
                 self.e.cmp_ri(Reg::Rdx, -1);
                 let fin = self.e.new_label();
                 self.e.jcc(Cc::E, fin);
+                // The word is trusted only as an index: a direct return
+                // needs `word - BIAS` to be an offset into the blobs
+                // (one unsigned compare also rejects every plain pc) at
+                // which the link step recorded a call continuation.
+                let slow = self.stub(StubKind::Return { pc });
+                self.e.mov_ri(Reg::Rsi, JIT_RETPC_BIAS);
+                self.e.sub_rr(Reg::Rdx, Reg::Rsi);
+                self.e.cmp_r_mem(Reg::Rdx, Reg::Rbx, OFF_CODE_LEN);
+                self.e.jcc(Cc::Ae, slow);
+                self.e.load(Reg::Rsi, Reg::Rbx, OFF_CONTS);
+                self.e.add_rr(Reg::Rsi, Reg::Rdx);
+                self.e.load_byte_zx(Reg::Rsi, Reg::Rsi, 0);
+                self.e.test_rr(Reg::Rsi, Reg::Rsi);
+                self.e.jcc(Cc::E, slow);
                 self.e.load(Reg::Rsi, Reg::Rcx, 8);
                 self.e.load(Reg::Rdi, Reg::Rcx, 16);
                 self.e.load(Reg::Rax, Reg::Rbx, OFF_AP);
                 self.e.store(Reg::Rbx, OFF_SP, Reg::Rax);
                 self.e.store(Reg::Rbx, OFF_FP, Reg::Rsi);
                 self.e.store(Reg::Rbx, OFF_AP, Reg::Rdi);
-                // exit_pc carries the raw linkage word: a bytecode pc
-                // from an interpreted caller or a biased token from a
-                // JIT caller; the engine resolves either.
-                self.e.store(Reg::Rbx, OFF_EXIT_PC, Reg::Rdx);
-                self.e.mov_ri(Reg::Rax, EXIT_TRANSFER);
-                self.e.jmp_mem(Reg::Rbx, OFF_EXIT_THUNK);
+                self.e.load(Reg::Rax, Reg::Rbx, OFF_CODE_BASE);
+                self.e.add_rr(Reg::Rax, Reg::Rdx);
+                self.e.jmp_r(Reg::Rax);
                 self.e.bind(fin);
                 // Leave pc at the `Ret` itself, as the interpreter does
                 // on the bottom-frame sentinel.
@@ -612,7 +662,7 @@ impl<'a> ProcCompiler<'a> {
             Instr::Jmp { target } => {
                 let label = *labels.get(&target).ok_or(Fallback::UnsupportedOpcode)?;
                 if target <= pc {
-                    self.emit_backedge_fuel_check(target);
+                    self.emit_fuel_check(target);
                 }
                 self.e.jmp(label);
             }
@@ -631,7 +681,7 @@ impl<'a> ProcCompiler<'a> {
                         _ => Cc::Ne,
                     };
                     self.e.jcc(not_taken, skip);
-                    self.emit_backedge_fuel_check(target);
+                    self.emit_fuel_check(target);
                     self.e.jmp(label);
                     self.e.bind(skip);
                 } else {
@@ -727,6 +777,7 @@ pub(crate) fn compile_proc(
     let mut c = ProcCompiler {
         e: EmitState::new(),
         module,
+        decoded,
         flavor,
         helpers,
         global_base,
@@ -734,6 +785,7 @@ pub(crate) fn compile_proc(
         stubs: Vec::new(),
         gc_points: Vec::new(),
         entries: Vec::new(),
+        relocs: Vec::new(),
         instr_table,
     };
 
@@ -761,7 +813,7 @@ pub(crate) fn compile_proc(
         if let Some(&label) = targets.get(&pc) {
             c.e.bind(label);
         }
-        if let Err(f) = c.emit_instr(pc, next, ins, decoded.is_gc_point_pc(pc), &targets) {
+        if let Err(f) = c.emit_instr(pc, next, ins, &targets) {
             break Err(f);
         }
         if c.e.here() as usize > MAX_BLOB_BYTES {
@@ -773,7 +825,11 @@ pub(crate) fn compile_proc(
         c.instr_table.truncate(instr_table_mark);
         return Err(f);
     }
+    // A procedure that does not end in a transfer runs on into whatever
+    // follows it, as under the interpreter; a return landing behind a
+    // final `Call` arrives here too.
+    c.emit_exit(meta.end_pc, EXIT_FUEL);
     c.emit_stubs();
-    let ProcCompiler { e, gc_points, entries, .. } = c;
-    Ok(ProcArtifact { code: e.finish(), gc_points, entries })
+    let ProcCompiler { e, gc_points, entries, relocs, .. } = c;
+    Ok(ProcArtifact { code: e.finish(), gc_points, entries, relocs })
 }

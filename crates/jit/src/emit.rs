@@ -10,7 +10,9 @@
 //! Labels follow the classic two-phase scheme: `new_label` allocates,
 //! `bind` pins a label to the current offset, branch emitters record a
 //! pending rel32 fixup when the target is unbound, and `finish` patches
-//! every fixup.
+//! every fixup. `jmp` also returns where its rel32 sits, so a caller can
+//! record the jump as a cross-procedure relocation and the engine's link
+//! step can re-aim it once every blob has an address.
 
 /// General-purpose register numbers (hardware encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +65,8 @@ pub enum Cc {
     G = 0xF,
     /// Sign (negative).
     S = 0x8,
+    /// Above or equal (unsigned).
+    Ae = 0x3,
 }
 
 /// A branch target; see the module docs.
@@ -312,9 +316,13 @@ impl EmitState {
 
     fn alu_ri(&mut self, ext_op: u8, dst: Reg, imm: i32) {
         self.rex(true, false, false, dst.ext());
-        self.byte(0x81);
-        self.byte(0xC0 | (ext_op << 3) | dst.low3());
-        self.imm32(imm);
+        if let Ok(v) = i8::try_from(imm) {
+            self.bytes(&[0x83, 0xC0 | (ext_op << 3) | dst.low3(), v as u8]);
+        } else {
+            self.byte(0x81);
+            self.byte(0xC0 | (ext_op << 3) | dst.low3());
+            self.imm32(imm);
+        }
     }
 
     pub fn add_ri(&mut self, dst: Reg, imm: i32) {
@@ -322,14 +330,6 @@ impl EmitState {
     }
     pub fn cmp_ri(&mut self, dst: Reg, imm: i32) {
         self.alu_ri(7, dst, imm);
-    }
-
-    /// `cmp qword [base + disp], imm32`
-    pub fn cmp_mem_imm32(&mut self, base: Reg, disp: i32, imm: i32) {
-        self.rex(true, false, false, base.ext());
-        self.byte(0x81);
-        self.modrm_base_disp32(7, base, disp);
-        self.imm32(imm);
     }
 
     /// `cmp a, qword [base + disp]`
@@ -381,13 +381,6 @@ impl EmitState {
         self.modrm_base_disp32(0, base, disp);
     }
 
-    /// `dec qword [base + disp]`
-    pub fn dec_mem(&mut self, base: Reg, disp: i32) {
-        self.rex(true, false, false, base.ext());
-        self.byte(0xFF);
-        self.modrm_base_disp32(1, base, disp);
-    }
-
     /// `add qword [base + disp], imm32`
     pub fn add_mem_imm32(&mut self, base: Reg, disp: i32, imm: i32) {
         self.rex(true, false, false, base.ext());
@@ -398,10 +391,14 @@ impl EmitState {
 
     // ---- control flow ---------------------------------------------------
 
-    pub fn jmp(&mut self, label: Label) {
+    /// `jmp label`, returning the offset of the rel32 (the displacement
+    /// counts from the end of those four bytes).
+    pub fn jmp(&mut self, label: Label) -> u32 {
         self.byte(0xE9);
-        self.fixups.push((self.code.len(), label));
+        let at = self.code.len();
+        self.fixups.push((at, label));
         self.imm32(0);
+        at as u32
     }
 
     pub fn jcc(&mut self, cc: Cc, label: Label) {

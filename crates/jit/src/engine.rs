@@ -13,6 +13,15 @@
 //! ([`JitEngine::interpreter`]) is therefore simply the interpreter
 //! loop, which is how the runtime drives non-`--jit` runs.
 //!
+//! Native code stays native across calls and returns: the link step at
+//! the end of compilation aims every call site whose callee compiled at
+//! the callee's blob, and records every call continuation in a byte map
+//! that `Ret` templates consult before jumping through a frame's
+//! linkage word. A transfer the templates will not make themselves —
+//! into or out of an interpreted procedure, or through a word that
+//! names no continuation — leaves through [`EXIT_TRANSFER`] and is made
+//! here.
+//!
 //! The collectors never change: a JIT frame differs from an interpreted
 //! frame only in its linkage word (a [`JIT_RETPC_BIAS`]ed native return
 //! token instead of a bytecode pc), and the stack walker resolves that
@@ -22,7 +31,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use m3gc_vm::codemap::{CodeMap, JIT_RETPC_BIAS};
+use m3gc_vm::codemap::CodeMap;
+#[cfg(all(target_arch = "x86_64", unix))]
+use m3gc_vm::codemap::JIT_RETPC_BIAS;
 use m3gc_vm::decode::DecodedCode;
 use m3gc_vm::exec::{self, Cpu, Step, World};
 use m3gc_vm::isa::Instr;
@@ -66,8 +77,10 @@ pub struct JitContext {
     pub sp: i64,
     /// Argument pointer.
     pub ap: i64,
-    /// Instruction budget; decremented once per retired instruction,
-    /// checked (`<= 0` exits) at safepoint polls and loop back-edges.
+    /// Instruction budget. Lives in `r12` while native code runs: the
+    /// enter thunk loads it, every instruction decrements it, polls,
+    /// back-edges, calls and return landings check it (`<= 0` exits),
+    /// and the exit thunk stores it back.
     pub fuel: i64,
     /// The world's gc-request flag — the *same* byte
     /// [`World::gc_requested`] reads, polled at every native gc-point.
@@ -76,10 +89,11 @@ pub struct JitContext {
     /// [`JitEngine`]'s enter call. Compiled code leaves via an indirect
     /// jump through this field with an exit reason in `rax`.
     pub exit_thunk: *const u8,
-    /// Bytecode pc the exit concerns (next pc, gc-point pc, trap pc, or
-    /// a raw linkage word for returns — see the `EXIT_*` docs).
+    /// Bytecode pc the exit concerns (next pc, gc-point pc, trap pc —
+    /// see the `EXIT_*` docs).
     pub exit_pc: i64,
-    /// Trap code for [`EXIT_TRAP`].
+    /// Trap code for [`EXIT_TRAP`]; nonzero marks a return for
+    /// [`EXIT_TRANSFER`].
     pub exit_aux: i64,
     /// This thread's stack limit (overflow checks).
     pub stack_limit: i64,
@@ -96,6 +110,15 @@ pub struct JitContext {
     pub alloc_count_p: *mut u64,
     /// `&machine.words_allocated`.
     pub words_p: *mut u64,
+    /// Base of the procedure blobs: a return token's offset counts from
+    /// here.
+    pub code_base: *const u8,
+    /// Length of the blobs in bytes (bounds `conts`).
+    pub code_len: i64,
+    /// One byte per blob byte, nonzero where a call continuation
+    /// starts: the exact test a `Ret` applies to a linkage word before
+    /// jumping through it.
+    pub conts: *const u8,
     /// The [`World`] this activation runs against, type-erased: the
     /// helper call-outs are monomorphised for the world type the engine
     /// was built for and cast it back.
@@ -140,6 +163,12 @@ pub const OFF_ALLOC_FAST_LIMIT_P: i32 = 0x68;
 pub const OFF_ALLOC_COUNT_P: i32 = 0x70;
 #[allow(missing_docs)]
 pub const OFF_WORDS_P: i32 = 0x78;
+#[allow(missing_docs)]
+pub const OFF_CODE_BASE: i32 = 0x80;
+#[allow(missing_docs)]
+pub const OFF_CODE_LEN: i32 = 0x88;
+#[allow(missing_docs)]
+pub const OFF_CONTS: i32 = 0x90;
 
 /// Native code ran out of fuel at a check; `exit_pc` is the next pc to
 /// execute.
@@ -150,9 +179,13 @@ pub const EXIT_GC: i64 = 1;
 /// An allocation found the heap full; `exit_pc` is the `ALLOC` pc (to
 /// be retried after the collection).
 pub const EXIT_NEEDGC: i64 = 2;
-/// Control transfer: a call (`exit_pc` = callee entry pc) or a return
-/// (`exit_pc` = the raw linkage word — a bytecode pc or a biased native
-/// token).
+/// A control transfer the templates leave to the engine. A call whose
+/// callee has no native code: the frame is pushed and `exit_pc` is the
+/// callee's entry pc. A return (`exit_aux` nonzero) through a linkage
+/// word that is no registered continuation — a bytecode pc pushed by an
+/// interpreted caller, or anything else: the frame is intact, `exit_pc`
+/// is the `RET`'s pc, and the engine resolves the word, pops the frame
+/// or traps.
 pub const EXIT_TRANSFER: i64 = 3;
 /// The thread finished (`HALT`, or `RET` through the bottom-frame
 /// sentinel).
@@ -175,6 +208,9 @@ struct NativeState {
     /// Base of the procedure blobs (thunk excluded); all `CodeMap`
     /// offsets are relative to this.
     code_base: *const u8,
+    /// The continuation map ([`JitContext::conts`]), one byte per blob
+    /// byte.
+    conts: Box<[u8]>,
     /// `type_name` of the [`World`] the baked-in helper addresses were
     /// monomorphised for; [`JitEngine::run`] refuses any other.
     world: &'static str,
@@ -199,6 +235,13 @@ pub struct JitStats {
     pub fallbacks: Vec<(&'static str, u64)>,
     /// Safepoint polls executed in native code.
     pub native_polls: AtomicU64,
+    /// [`EXIT_TRANSFER`] exits: calls and returns native code left to
+    /// the engine. With every procedure compiled, none.
+    pub engine_transfers: AtomicU64,
+    /// Call sites the link step aimed at their callee's native entry.
+    pub relocs_patched: usize,
+    /// Call sites in compiled code.
+    pub relocs_total: usize,
 }
 
 /// A plain-data snapshot of [`JitStats`] for reporting.
@@ -217,6 +260,12 @@ pub struct JitSummary {
     pub compile_micros: u64,
     /// Safepoint polls executed in native code so far.
     pub native_polls: u64,
+    /// Calls and returns native code left to the engine so far.
+    pub engine_transfers: u64,
+    /// Call sites jumping straight to their callee's native entry.
+    pub relocs_patched: usize,
+    /// Call sites in compiled code.
+    pub relocs_total: usize,
     /// `(reason, count)` for every fallback reason with a nonzero
     /// count.
     pub fallbacks: Vec<(&'static str, u64)>,
@@ -265,6 +314,9 @@ impl JitEngine {
                 compile_micros: 0,
                 fallbacks: Vec::new(),
                 native_polls: AtomicU64::new(0),
+                engine_transfers: AtomicU64::new(0),
+                relocs_patched: 0,
+                relocs_total: 0,
             },
         }
     }
@@ -328,6 +380,9 @@ impl JitEngine {
             code_bytes: self.stats.code_bytes,
             compile_micros: self.stats.compile_micros,
             native_polls: self.stats.native_polls.load(Ordering::Relaxed),
+            engine_transfers: self.stats.engine_transfers.load(Ordering::Relaxed),
+            relocs_patched: self.stats.relocs_patched,
+            relocs_total: self.stats.relocs_total,
             fallbacks: self.stats.fallbacks.iter().filter(|&&(_, n)| n > 0).copied().collect(),
         }
     }
@@ -383,59 +438,83 @@ impl JitEngine {
         poll_after: u64,
     ) -> (Step, u64) {
         assert_eq!(native.world, std::any::type_name::<W>(), "engine built for another world");
-        let mut executed: u64 = 0;
-        while executed < max {
-            let to_poll = poll_after.saturating_sub(executed);
-            let Some(off) = self.map.entry_native_off(cpu.pc) else {
-                // Interpreter fallback, one instruction at a time (the
-                // next pc may well be back in native code).
-                let (step, n) = exec::run(cpu, &self.code, w, 1, to_poll);
-                executed += n;
-                if step != Step::Normal || n == 0 {
-                    return (step, executed);
+        let (mut executed, mut polls, mut transfers) = (0u64, 0u64, 0u64);
+        let step = 'burst: {
+            while executed < max {
+                let to_poll = poll_after.saturating_sub(executed);
+                let Some(off) = self.map.entry_native_off(cpu.pc) else {
+                    // Interpreter fallback, one instruction at a time
+                    // (the next pc may well be back in native code).
+                    let (step, n) = exec::run(cpu, &self.code, w, 1, to_poll);
+                    executed += n;
+                    if step != Step::Normal || n == 0 {
+                        break 'burst step;
+                    }
+                    continue;
+                };
+                if w.gc_requested() && self.code.is_gc_point_pc(cpu.pc) {
+                    break 'burst Step::AtSafepoint;
                 }
-                continue;
-            };
-            if w.gc_requested() && self.code.is_gc_point_pc(cpu.pc) {
-                return (Step::AtSafepoint, executed);
+                if to_poll == 0 && self.code.is_poll_pc(cpu.pc) {
+                    break 'burst Step::Normal;
+                }
+                // Native code checks its fuel at polls, back-edges, calls
+                // and return landings, so past `poll_after` a budget of
+                // one ends the burst at the next of those.
+                let budget =
+                    i64::try_from((max - executed).min(to_poll.max(1))).unwrap_or(i64::MAX);
+                let mut ctx = context(cpu, w, budget, native, &self.instrs);
+                // SAFETY: the context points at live machine state; the
+                // target is an instruction-start offset inside the mapped
+                // region; compiled code upholds the VM's bounds invariants
+                // (it performs the same checks as the interpreter), jumps
+                // only to blob offsets the link step registered, and calls
+                // only helpers monomorphised for `W` (asserted above).
+                // Parallel memory is `AtomicI64` (same layout as `i64`), and
+                // native plain loads/stores are relaxed atomic accesses on
+                // x86-64.
+                let reason =
+                    unsafe { (native.enter)(&mut ctx, native.code_base.add(off as usize)) };
+                executed += u64::try_from(budget - ctx.fuel).unwrap_or(0);
+                polls += ctx.polls as u64;
+                cpu.fp = ctx.fp;
+                cpu.sp = ctx.sp;
+                cpu.ap = ctx.ap;
+                cpu.pc = ctx.exit_pc as u32;
+                break 'burst match reason {
+                    EXIT_FUEL => continue,
+                    EXIT_TRANSFER => {
+                        transfers += 1;
+                        if ctx.exit_aux != 0 {
+                            // A return, frame intact: the interpreter's
+                            // `Ret` minus the sentinel case, which native
+                            // code handles.
+                            let Some(ret) = native
+                                .return_target(&self.map, w.word(cpu.fp - 3))
+                                .filter(|&pc| self.code.index_of(pc).is_some())
+                            else {
+                                break 'burst Step::Trap(VmTrap::WildAddress);
+                            };
+                            let fp = cpu.fp;
+                            cpu.sp = cpu.ap;
+                            cpu.fp = w.word(fp - 2);
+                            cpu.ap = w.word(fp - 1);
+                            cpu.pc = ret;
+                        }
+                        continue;
+                    }
+                    EXIT_GC => Step::AtSafepoint,
+                    EXIT_NEEDGC => Step::NeedGc,
+                    EXIT_FINISHED => Step::Finished,
+                    EXIT_TRAP => Step::Trap(VmTrap::from_code(ctx.exit_aux)),
+                    other => unreachable!("unknown jit exit reason {other}"),
+                };
             }
-            if to_poll == 0 && self.code.is_poll_pc(cpu.pc) {
-                return (Step::Normal, executed);
-            }
-            // Native code checks its fuel at polls and back-edges, so
-            // past `poll_after` a budget of one ends the burst there.
-            let budget = i64::try_from((max - executed).min(to_poll.max(1))).unwrap_or(i64::MAX);
-            let mut ctx = context(cpu, w, budget, native.exit_thunk, &self.instrs);
-            // SAFETY: the context points at live machine state; the
-            // target is an instruction-start offset inside the mapped
-            // region; compiled code upholds the VM's bounds invariants
-            // (it performs the same checks as the interpreter) and calls
-            // only helpers monomorphised for `W` (asserted above).
-            // Parallel memory is `AtomicI64` (same layout as `i64`), and
-            // native plain loads/stores are relaxed atomic accesses on
-            // x86-64.
-            let reason = unsafe { (native.enter)(&mut ctx, native.code_base.add(off as usize)) };
-            executed += u64::try_from(budget - ctx.fuel).unwrap_or(0);
-            self.stats.native_polls.fetch_add(ctx.polls as u64, Ordering::Relaxed);
-            cpu.fp = ctx.fp;
-            cpu.sp = ctx.sp;
-            cpu.ap = ctx.ap;
-            cpu.pc = if reason == EXIT_TRANSFER {
-                resolve_transfer(&self.map, ctx.exit_pc)
-            } else {
-                ctx.exit_pc as u32
-            };
-            let step = match reason {
-                EXIT_FUEL | EXIT_TRANSFER => continue,
-                EXIT_GC => Step::AtSafepoint,
-                EXIT_NEEDGC => Step::NeedGc,
-                EXIT_FINISHED => Step::Finished,
-                EXIT_TRAP => Step::Trap(VmTrap::from_code(ctx.exit_aux)),
-                other => unreachable!("unknown jit exit reason {other}"),
-            };
-            return (step, executed);
-        }
-        (Step::Normal, executed)
+            Step::Normal
+        };
+        self.stats.native_polls.fetch_add(polls, Ordering::Relaxed);
+        self.stats.engine_transfers.fetch_add(transfers, Ordering::Relaxed);
+        (step, executed)
     }
 
     /// Drop-in replacement for [`Machine::run_thread`]: [`JitEngine::run`]
@@ -448,13 +527,22 @@ impl JitEngine {
     }
 }
 
-/// `exit_pc` of an [`EXIT_TRANSFER`]: either a callee entry / plain
-/// return pc, or a biased token from returning into a JIT frame.
-fn resolve_transfer(map: &CodeMap, raw: i64) -> u32 {
-    if raw >= JIT_RETPC_BIAS {
-        map.resolve_ret(raw).expect("jit return token resolves to no registered gc-point")
-    } else {
-        raw as u32
+#[cfg(all(target_arch = "x86_64", unix))]
+impl NativeState {
+    /// The bytecode pc a frame's linkage word returns to: a plain pc as
+    /// it stands, a biased token only if it names exactly a registered
+    /// continuation — the floor search of [`CodeMap::resolve_ret`] is
+    /// for return addresses the collector finds, not for words a
+    /// program may have forged.
+    fn return_target(&self, map: &CodeMap, word: i64) -> Option<u32> {
+        if word < JIT_RETPC_BIAS {
+            return Some(word as u32);
+        }
+        let off = usize::try_from(word - JIT_RETPC_BIAS).ok()?;
+        if *self.conts.get(off)? == 0 {
+            return None;
+        }
+        map.resolve_ret(word)
     }
 }
 
@@ -463,7 +551,7 @@ fn context<W: World>(
     cpu: &mut Cpu,
     w: &mut W,
     fuel: i64,
-    exit_thunk: *const u8,
+    native: &NativeState,
     instrs: &[Instr],
 ) -> JitContext {
     let ports = w.jit_ports();
@@ -478,7 +566,7 @@ fn context<W: World>(
         ap: cpu.ap,
         fuel,
         gc_flag: ports.gc_flag,
-        exit_thunk,
+        exit_thunk: native.exit_thunk,
         exit_pc: 0,
         exit_aux: 0,
         stack_limit: cpu.stack_limit,
@@ -487,6 +575,9 @@ fn context<W: World>(
         alloc_fast_limit_p: ports.alloc_fast_limit,
         alloc_count_p: ports.alloc_count,
         words_p: ports.words,
+        code_base: native.code_base,
+        code_len: native.conts.len() as i64,
+        conts: native.conts.as_ptr(),
         world: std::ptr::from_mut(w).cast(),
         cpu: cpu_p,
         instrs: instrs.as_ptr(),
@@ -668,10 +759,11 @@ fn compile_native<W: World>(
         .unwrap_or_default();
 
     // The enter/exit thunk: the one ABI boundary. `enter(ctx, target)`
-    // saves the SysV callee-save registers, pins rbx/r13/r14, and jumps
-    // into the blob; blobs leave via an indirect jump to the exit half,
-    // which unwinds the same frame. The `sub rsp, 8` keeps rsp ≡ 0
-    // (mod 16) inside blobs so helper `call`s land SysV-aligned.
+    // saves the SysV callee-save registers, pins rbx/r13/r14, loads the
+    // fuel into r12 and jumps into the blob; blobs leave via an indirect
+    // jump to the exit half, which stores the fuel back and unwinds the
+    // same frame. The `sub rsp, 8` keeps rsp ≡ 0 (mod 16) inside blobs
+    // so helper `call`s land SysV-aligned.
     let mut e = EmitState::new();
     for r in [Reg::Rbp, Reg::Rbx, Reg::R12, Reg::R13, Reg::R14, Reg::R15] {
         e.push(r);
@@ -680,8 +772,10 @@ fn compile_native<W: World>(
     e.mov_rr(Reg::Rbx, Reg::Rdi);
     e.load(Reg::R13, Reg::Rbx, OFF_REGS);
     e.load(Reg::R14, Reg::Rbx, OFF_MEM);
+    e.load(Reg::R12, Reg::Rbx, OFF_FUEL);
     e.jmp_r(Reg::Rsi);
     let exit_off = e.here() as usize;
+    e.store(Reg::Rbx, OFF_FUEL, Reg::R12);
     e.add_rsp_imm8(8);
     for r in [Reg::R15, Reg::R14, Reg::R13, Reg::R12, Reg::Rbx, Reg::Rbp] {
         e.pop(r);
@@ -694,6 +788,8 @@ fn compile_native<W: World>(
     let mut blob: Vec<u8> = Vec::new();
     let mut instrs: Vec<Instr> = Vec::new();
     let mut compiled = 0usize;
+    // Call sites as `(blob offset of the rel32, callee)`.
+    let mut relocs: Vec<(u32, u16)> = Vec::new();
     for (i, meta) in module.procs.iter().enumerate() {
         if excluded.contains(&meta.name) {
             bump(&mut counts, Fallback::ExcludedProc, 1);
@@ -719,10 +815,30 @@ fn compile_native<W: World>(
                 for (pc, off) in art.entries {
                     builder.add_entry(pc, off);
                 }
+                relocs.extend(art.relocs.iter().map(|&(at, callee)| (start + at, callee)));
                 compiled += 1;
             }
             Err(f) => bump(&mut counts, f, 1),
         }
+    }
+
+    // The link step: every blob has its offset now, so a call site whose
+    // callee compiled jumps straight there (the others keep jumping to
+    // their own stub, which hands the call to the engine), and every
+    // call continuation is marked for the `Ret` templates' exact test.
+    let map = builder.finish();
+    let mut relocs_patched = 0usize;
+    for &(at, callee) in &relocs {
+        if let Some(range) = map.range_of_proc(callee as usize) {
+            let rel = i64::from(range.start) - (i64::from(at) + 4);
+            let rel = i32::try_from(rel).expect("blobs are within rel32 of each other");
+            blob[at as usize..at as usize + 4].copy_from_slice(&rel.to_le_bytes());
+            relocs_patched += 1;
+        }
+    }
+    let mut conts = vec![0u8; blob.len()].into_boxed_slice();
+    for &(off, _) in map.gc_points() {
+        conts[off as usize] = 1;
     }
 
     let mut native = None;
@@ -744,6 +860,7 @@ fn compile_native<W: World>(
                     enter,
                     exit_thunk,
                     code_base,
+                    conts,
                     world: std::any::type_name::<W>(),
                 });
             }
@@ -756,7 +873,7 @@ fn compile_native<W: World>(
             }
         }
     }
-    let map = if native.is_some() { builder.finish() } else { CodeMap::default() };
+    let map = if native.is_some() { map } else { CodeMap::default() };
 
     JitEngine {
         native,
@@ -770,6 +887,9 @@ fn compile_native<W: World>(
             compile_micros: started.elapsed().as_micros() as u64,
             fallbacks: counts,
             native_polls: AtomicU64::new(0),
+            engine_transfers: AtomicU64::new(0),
+            relocs_patched,
+            relocs_total: relocs.len(),
         },
     }
 }
@@ -797,5 +917,8 @@ mod tests {
         assert_eq!(offset_of!(JitContext, alloc_fast_limit_p), OFF_ALLOC_FAST_LIMIT_P as usize);
         assert_eq!(offset_of!(JitContext, alloc_count_p), OFF_ALLOC_COUNT_P as usize);
         assert_eq!(offset_of!(JitContext, words_p), OFF_WORDS_P as usize);
+        assert_eq!(offset_of!(JitContext, code_base), OFF_CODE_BASE as usize);
+        assert_eq!(offset_of!(JitContext, code_len), OFF_CODE_LEN as usize);
+        assert_eq!(offset_of!(JitContext, conts), OFF_CONTS as usize);
     }
 }

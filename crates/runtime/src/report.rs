@@ -563,7 +563,9 @@ impl StatsReport {
     }
 
     /// The `--jit` section: compilation summary, per-reason fallback
-    /// counts and native safepoint polls.
+    /// counts, native safepoint polls, and how often native code left
+    /// for the engine at a call or return (`engine transfer(s)`; the
+    /// link step's `direct call site(s)` are the ones that never do).
     pub fn add_jit(&mut self, s: &m3gc_jit::JitSummary) -> &mut Self {
         self.put("jit_enabled", s.enabled);
         self.put("jit_procs_total", s.procs_total as u64);
@@ -571,6 +573,9 @@ impl StatsReport {
         self.put("jit_code_bytes", s.code_bytes as u64);
         self.put("jit_compile_ms", s.compile_micros as f64 / 1000.0);
         self.put("jit_native_polls", s.native_polls);
+        self.put("jit_engine_transfers", s.engine_transfers);
+        self.put("jit_relocs_patched", s.relocs_patched as u64);
+        self.put("jit_relocs_total", s.relocs_total as u64);
         let mut fb = String::from("{");
         for (i, (reason, n)) in s.fallbacks.iter().enumerate() {
             if i > 0 {
@@ -582,12 +587,15 @@ impl StatsReport {
         self.put_raw("jit_fallbacks", fb);
         self.line(format!(
             "jit: {} of {} proc(s) compiled, {} code byte(s), {:.1} ms compile, \
-             {} native poll(s)",
+             {} of {} direct call site(s), {} native poll(s), {} engine transfer(s)",
             s.procs_compiled,
             s.procs_total,
             s.code_bytes,
             s.compile_micros as f64 / 1000.0,
-            s.native_polls
+            s.relocs_patched,
+            s.relocs_total,
+            s.native_polls,
+            s.engine_transfers
         ));
         if !s.fallbacks.is_empty() {
             let parts: Vec<String> =

@@ -186,12 +186,11 @@ pub trait World {
     fn note_escape(&mut self, _addr: i64, _v: i64) {}
 
     /// Resolves a frame linkage return word to a bytecode pc: plain pcs
-    /// pass through, biased JIT tokens resolve through the code map.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a biased token without a resolvable code-map entry — a
-    /// JIT frame exists but no engine registered its gc-points.
+    /// pass through, biased JIT tokens resolve through the code map. A
+    /// token that resolves to nothing — no code map, or no gc-point at
+    /// or below it — comes back as `u32::MAX`, a pc that starts no
+    /// instruction: `Ret` traps on it, and a frame cannot be walked
+    /// through it.
     #[inline]
     fn resolve_retpc(&self, retpc: i64) -> u32 {
         resolve_retpc(self.code_map(), retpc)
@@ -199,10 +198,6 @@ pub trait World {
 }
 
 /// [`World::resolve_retpc`] for callers holding only the code map.
-///
-/// # Panics
-///
-/// As [`World::resolve_retpc`].
 #[inline]
 #[must_use]
 pub fn resolve_retpc(map: Option<&CodeMap>, retpc: i64) -> u32 {
@@ -215,9 +210,7 @@ pub fn resolve_retpc(map: Option<&CodeMap>, retpc: i64) -> u32 {
 /// The biased-token half of [`resolve_retpc`], out of line so the plain
 /// half inlines into every `Ret`.
 fn resolve_token(map: Option<&CodeMap>, token: i64) -> u32 {
-    map.expect("jit return token on a machine with no code map")
-        .resolve_ret(token)
-        .expect("jit return token resolves to no registered gc-point")
+    map.and_then(|m| m.resolve_ret(token)).unwrap_or(u32::MAX)
 }
 
 #[inline]
@@ -1051,6 +1044,21 @@ mod tests {
                 main: vec![Push { src: 0 }, Push { src: 0 }, Call { proc: 1, nargs: 2 }],
                 callee: vec![
                     MovI { dst: 1, imm: 1 },
+                    StF { breg: BaseReg::Fp, off: -3, src: 1 },
+                    Ret,
+                ],
+                end: Step::Trap(VmTrap::WildAddress),
+                check: |m| {
+                    let t = &m.threads[0];
+                    assert_eq!(t.fp, t.stack_base + 8, "the trapping `Ret` popped nothing");
+                },
+                ..Case::default()
+            },
+            Case {
+                name: "return through a jit token nothing registered",
+                main: vec![Push { src: 0 }, Push { src: 0 }, Call { proc: 1, nargs: 2 }],
+                callee: vec![
+                    MovI { dst: 1, imm: JIT_RETPC_BIAS + 7 },
                     StF { breg: BaseReg::Fp, off: -3, src: 1 },
                     Ret,
                 ],

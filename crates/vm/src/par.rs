@@ -704,11 +704,8 @@ impl ParMachine {
     }
 
     /// Resolves a frame linkage return word to a bytecode pc (see
-    /// `Machine::resolve_retpc`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a biased token with no resolvable code-map entry.
+    /// `World::resolve_retpc`: an unresolvable token comes back as
+    /// `u32::MAX`).
     #[must_use]
     pub fn resolve_retpc(&self, retpc: i64) -> u32 {
         exec::resolve_retpc(self.code_map.as_deref(), retpc)
