@@ -127,7 +127,8 @@ fn status_of_error(e: ExecError) -> RunStatus {
         ExecError::OutOfFuel => RunStatus::Inconclusive("vm fuel".to_string()),
         e @ (ExecError::StuckThread { .. }
         | ExecError::Oracle(_)
-        | ExecError::GcWorkerPanic { .. }) => RunStatus::Hard(e.to_string()),
+        | ExecError::GcWorkerPanic { .. }
+        | ExecError::MutatorPanic { .. }) => RunStatus::Hard(e.to_string()),
     }
 }
 

@@ -6,13 +6,14 @@
 //! between:
 //!
 //! 1. **Snapshot pause.** The requesting mutator leads the usual
-//!    safepoint handshake, but instead of copying anything it seeds the
-//!    mark state: the bitmap is cleared, every root *value* — globals
-//!    plus each parked thread's tidy roots, gathered with the
-//!    watermark-spliced stack walk — is marked and pushed on the shared
-//!    gray stack, `snap_free` records the allocation frontier, and the
-//!    `marking` flag arms the `StB` deletion barrier. The world
-//!    resumes.
+//!    safepoint handshake (`safepoint.rs` — every pause of a cycle is
+//!    one `stop_world` around the work [`cms_pause`] picks), but instead
+//!    of copying anything it seeds the mark state: the bitmap is
+//!    cleared, every root *value* — globals plus each parked thread's
+//!    tidy roots, gathered with the watermark-spliced stack walk — is
+//!    marked and pushed on the shared gray stack, `snap_free` records
+//!    the allocation frontier, and the `marking` flag arms the `StB`
+//!    deletion barrier. The world resumes.
 //! 2. **Concurrent mark.** `conc_workers` markers (owned by a
 //!    coordinator thread that sleeps between cycles) trace the gray
 //!    stack to closure while the mutators keep running. The SATB
@@ -48,17 +49,14 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use m3gc_vm::machine::VmTrap;
 use m3gc_vm::par::{CmsHeap, EvacFault, EVAC_BUSY};
-use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
+use m3gc_vm::{MutatorLocal, ParMachine, ParWorld};
 
 use crate::collector::{apply_kills, header_extent};
 use crate::evac::{extent, CachePadded};
-use crate::parallel::{
-    deposit, par_oracle_check, reload, run_gc_workers, GcJob, ParGcStats, Part, RunCtx,
-    ThreadWorld, WorkerReport,
-};
+use crate::parallel::{run_gc_workers, GcJob, ParGcStats, Part, RunCtx, ThreadWorld, WorkerReport};
 use crate::pool::CopySync;
+use crate::safepoint::{contain, lead, lead_when, locked, try_lead, waited, Stopped};
 use crate::scheduler::ExecError;
 use crate::trace::{
     gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
@@ -177,7 +175,7 @@ impl CmsRun {
     /// End-of-run signal: the coordinator finishes any open cycle and
     /// exits.
     pub(crate) fn stop(&self) {
-        let mut cs = self.mx.lock().unwrap();
+        let mut cs = locked(&self.mx);
         cs.stop = true;
         self.cv.notify_all();
     }
@@ -214,8 +212,10 @@ fn scan_mark(
 
 /// One concurrent marking worker. Runs while the mutators run: pops
 /// gray batches, drains the SATB sink when the gray stack is dry, and
-/// exits on quiescence, on a final-pause request, or under the
-/// `hold_marking` test knob. Field reads race mutator stores by design;
+/// exits on quiescence, on a final-pause request, on shutdown (a marker
+/// that died holding gray work would otherwise keep `in_flight` above
+/// zero forever), or under the `hold_marking` test knob. Field reads
+/// race mutator stores by design;
 /// every word is an atomic, and a stale read is always safe — the
 /// overwritten value the marker missed is exactly what the deletion
 /// barrier enqueued.
@@ -226,11 +226,14 @@ fn marker_loop(ctx: &RunCtx<'_>) {
     let (from_start, from_end) = vm.from_space();
     let mut local: Vec<i64> = Vec::new();
     loop {
-        if run.finish_requested.load(Ordering::Acquire) || heap.hold_marking.load(R) {
+        if run.finish_requested.load(Ordering::Acquire)
+            || heap.hold_marking.load(R)
+            || ctx.coord.halted()
+        {
             break;
         }
         if local.is_empty() {
-            let mut gray = run.gray.lock().unwrap();
+            let mut gray = locked(&run.gray);
             let n = gray.len().min(MARK_BATCH);
             if n > 0 {
                 let at = gray.len() - n;
@@ -238,7 +241,7 @@ fn marker_loop(ctx: &RunCtx<'_>) {
             }
         }
         if local.is_empty() {
-            let taken = std::mem::take(&mut *heap.satb_sink.lock().unwrap());
+            let taken = std::mem::take(&mut *locked(&heap.satb_sink));
             if !taken.is_empty() {
                 heap.satb_drained.fetch_add(taken.len() as u64, R);
                 let before = local.len();
@@ -260,6 +263,10 @@ fn marker_loop(ctx: &RunCtx<'_>) {
             std::thread::yield_now();
             continue;
         };
+        #[cfg(test)]
+        if ctx.fault == Some(crate::parallel::Fault::Marker) {
+            panic!("injected marker fault");
+        }
         let pushed = scan_mark(vm, heap, from_start, from_end, addr, &mut local);
         // Count the children in flight before retiring their parent, so
         // `in_flight == 0` still means "fully traced".
@@ -270,18 +277,31 @@ fn marker_loop(ctx: &RunCtx<'_>) {
         if local.len() >= 2 * MARK_BATCH {
             // Share the surplus so idle markers can help.
             let at = local.len() - MARK_BATCH;
-            run.gray.lock().unwrap().extend(local.drain(at..));
+            locked(&run.gray).extend(local.drain(at..));
         }
     }
     // Hand any unscanned work back for the final pause (or the other
     // markers); it is already counted in `in_flight`.
     if !local.is_empty() {
-        run.gray.lock().unwrap().append(&mut local);
+        locked(&run.gray).append(&mut local);
     }
 }
 
-/// The coordinator thread: one per cms run, spawned by `run_main`. It
-/// sleeps until a snapshot pause opens a cycle, drives that cycle's
+/// Runs one of the coordinator's concurrent workers (`body`, as worker
+/// `w` of `phase`) with its unwind caught at this boundary: a panic
+/// fails the run instead of taking the coordinator's scope — and with it
+/// the `markers_idle`/`copiers_idle` flip a final-pause leader waits
+/// for — down with it.
+fn conc_worker(ctx: &RunCtx<'_>, w: usize, phase: &'static str, body: fn(&RunCtx<'_>)) {
+    let died = |message| ExecError::GcWorkerPanic { worker: w, phase, message };
+    contain(ctx, died, || {
+        body(ctx);
+        Ok(())
+    });
+}
+
+/// The coordinator thread: one per cms run, spawned by the run scaffold.
+/// It sleeps until a snapshot pause opens a cycle, drives that cycle's
 /// markers, and — when they quiesce with no pause pending — leads the
 /// final pause itself so a traced cycle doesn't float until the heap
 /// fills.
@@ -289,12 +309,17 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
     let vm = ctx.vm;
     let heap = vm.cms.as_ref().expect("coordinator without cms heap");
     let run = ctx.cms.as_ref().expect("coordinator without cms run");
+    // What tells the coordinator to leave a pause to somebody else, or
+    // to nobody: a final pause already requested, or shutdown.
+    let stand_down = || {
+        run.finish_requested.load(Ordering::Acquire) || ctx.coord.halted() || locked(&run.mx).stop
+    };
     let mut seen = 0u64;
     loop {
         {
-            let mut cs = run.mx.lock().unwrap();
+            let mut cs = locked(&run.mx);
             while cs.cycles_started == seen && !cs.stop {
-                cs = run.cv.wait(cs).unwrap();
+                cs = waited(&run.cv, cs);
             }
             if cs.cycles_started == seen {
                 return; // stopped with no open cycle
@@ -302,276 +327,132 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
             seen = cs.cycles_started;
         }
         std::thread::scope(|s| {
-            for _ in 0..run.workers {
-                s.spawn(|| marker_loop(ctx));
+            for w in 0..run.workers {
+                s.spawn(move || conc_worker(ctx, w, "mark", marker_loop));
             }
         });
         {
-            let mut cs = run.mx.lock().unwrap();
+            let mut cs = locked(&run.mx);
             cs.markers_idle = true;
             run.cv.notify_all();
         }
-        // Quiescent with no final pause pending: finish the cycle now.
-        // The CAS makes us the leader exactly like a mutator would be;
-        // losing it means a mutator-led pause is already under way.
-        //
+        // Quiescent with no final pause pending: finish the cycle now,
+        // as its leader. Losing the request CAS means a mutator-led
+        // pause is already under way.
+        if !heap.marking.load(Ordering::Acquire)
+            || run.finish_requested.load(Ordering::Acquire)
+            || ctx.coord.halted()
+            || heap.hold_marking.load(R)
+        {
+            continue;
+        }
+        if !heap.conc_evac.load(R) {
+            if try_lead(ctx) {
+                drop(lead(ctx, None, false));
+            }
+            continue;
+        }
         // With conc-evac the coordinator leads *two* more handshakes:
         // first the evacuation-select pause (pick the cset, verify the
         // mark closure, pin derivation targets), then — after its
         // copiers have published every cset forwarding and the updater
         // has rewritten the copies' references concurrently — the final
         // pause, which only flushes the in-flight allocation window and
-        // re-fixes roots and derivations.
-        if heap.marking.load(Ordering::Acquire)
-            && !run.finish_requested.load(Ordering::Acquire)
-            && !ctx.coord.halt.load(Ordering::Acquire)
-            && !heap.hold_marking.load(R)
+        // re-fixes roots and derivations. A mutator-led forced pause
+        // closing the cycle turns `marking` (and `evacuating`) off.
+        lead_when(ctx, || {
+            !heap.marking.load(Ordering::Acquire)
+                || heap.evacuating.load(Ordering::Acquire)
+                || heap.hold_marking.load(R)
+                || stand_down()
+        });
+        if !heap.evacuating.load(Ordering::Acquire) || ctx.coord.halted() {
+            continue;
+        }
+        std::thread::scope(|s| {
+            for w in 0..run.workers {
+                s.spawn(move || conc_worker(ctx, w, "conc-copy", cms_conc_copier));
+            }
+        });
+        if !run.finish_requested.load(Ordering::Acquire) {
+            cms_conc_update(ctx);
+        }
+        // Only now may a final-pause leader proceed: the updater polls
+        // `finish_requested` and has stood down, so nothing races the
+        // pause's rewrites.
         {
-            if heap.conc_evac.load(R) {
-                // The request CAS can transiently fail against the
-                // snapshot-pause leader's own release protocol (markers
-                // quiesce in microseconds on a small live set, before
-                // that leader clears the request), so keep trying until
-                // the cycle state itself says stand down — a mutator-led
-                // forced pause closing the cycle turns `marking` off.
-                loop {
-                    if !heap.marking.load(Ordering::Acquire)
-                        || heap.evacuating.load(Ordering::Acquire)
-                        || run.finish_requested.load(Ordering::Acquire)
-                        || ctx.coord.halt.load(Ordering::Acquire)
-                        || heap.hold_marking.load(R)
-                        || run.mx.lock().unwrap().stop
-                    {
-                        break;
-                    }
-                    if vm
-                        .gc_request
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        coord_record(ctx, cms_lead_collection_counted(ctx, None, false));
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                if heap.evacuating.load(Ordering::Acquire)
-                    && !ctx.coord.halt.load(Ordering::Acquire)
-                {
-                    std::thread::scope(|s| {
-                        for _ in 0..run.workers {
-                            s.spawn(|| cms_conc_copier(ctx));
-                        }
-                    });
-                    if !run.finish_requested.load(Ordering::Acquire) {
-                        cms_conc_update(ctx);
-                    }
-                    // Only now may a final-pause leader proceed: the
-                    // updater polls `finish_requested` and has stood
-                    // down, so nothing races the pause's rewrites.
-                    {
-                        let mut cs = run.mx.lock().unwrap();
-                        cs.copiers_idle = true;
-                        run.cv.notify_all();
-                    }
-                    // Test knob: stand down with every forwarding word
-                    // published, so mutators provably run against them.
-                    while heap.hold_evac.load(R) && !ctx.coord.halt.load(Ordering::Acquire) {
-                        let cs = run.mx.lock().unwrap();
-                        if cs.stop {
-                            break;
-                        }
-                        drop(run.cv.wait_timeout(cs, Duration::from_millis(1)).unwrap().0);
-                    }
-                    // Same transient-failure shape as the select CAS;
-                    // `evacuating` turning off means a mutator-led
-                    // forced pause already finished the cycle.
-                    loop {
-                        if heap.hold_evac.load(R)
-                            || !heap.evacuating.load(Ordering::Acquire)
-                            || run.finish_requested.load(Ordering::Acquire)
-                            || ctx.coord.halt.load(Ordering::Acquire)
-                            || run.mx.lock().unwrap().stop
-                        {
-                            break;
-                        }
-                        if vm
-                            .gc_request
-                            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            coord_record(ctx, cms_lead_collection_counted(ctx, None, false));
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-            } else if vm
-                .gc_request
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                coord_record(ctx, cms_lead_collection_counted(ctx, None, false));
-            }
+            let mut cs = locked(&run.mx);
+            cs.copiers_idle = true;
+            run.cv.notify_all();
         }
+        // Test knob: stand down with every forwarding word published,
+        // so mutators provably run against them.
+        while heap.hold_evac.load(R) && !ctx.coord.halted() {
+            let cs = locked(&run.mx);
+            if cs.stop {
+                break;
+            }
+            drop(run.cv.wait_timeout(cs, Duration::from_millis(1)));
+        }
+        lead_when(ctx, || {
+            heap.hold_evac.load(R) || !heap.evacuating.load(Ordering::Acquire) || stand_down()
+        });
     }
 }
 
-/// Records a coordinator-led pause error. Mutator threads record their
-/// own errors on exit; a coordinator-led pause must record here or an
-/// oracle violation would vanish with this thread.
-fn coord_record(ctx: &RunCtx<'_>, result: Result<bool, ExecError>) {
-    if let Err(e) = result {
-        let mut st = ctx.coord.state.lock().unwrap();
-        let mut err = ctx.coord.error.lock().unwrap();
-        if err.is_none() {
-            *err = Some(e);
-        }
-        st.halt = true;
-        ctx.coord.halt.store(true, Ordering::Release);
-        ctx.coord.cv.notify_all();
+/// A cms run's stopped-world work: which pause depends on the cycle —
+/// a snapshot pause if none is open, the final pause otherwise, and at
+/// mark quiescence under conc-evac the evacuation-select pause.
+pub(crate) fn cms_pause(stopped: &Stopped<'_, '_>, run: &CmsRun) -> Result<(), ExecError> {
+    let heap = stopped.ctx.vm.cms.as_ref().expect("cms run without cms heap");
+    let marking = heap.marking.load(Ordering::Acquire);
+    // Coordinator-led at mark quiescence with conc-evac on: pick the
+    // evacuation set instead of finishing the cycle. (A *mutator*-led
+    // pause here means the heap is full and cannot wait for a concurrent
+    // copy; it takes the one-pause evacuation.)
+    let select = marking
+        && heap.conc_evac.load(R)
+        && !heap.evacuating.load(Ordering::Acquire)
+        && !stopped.by_mutator
+        && !run.finish_requested.load(Ordering::Acquire);
+    // Only the final pause frees anything: the others never run the
+    // no-progress check.
+    stopped.cause(marking && !select)?;
+    if select {
+        cms_evac_select_pause(stopped, heap, run)
+    } else if marking {
+        cms_final_pause(stopped, heap, run)
+    } else if stopped.by_mutator {
+        cms_snapshot_pause(stopped, heap, run)
+    } else {
+        // The coordinator's request raced a mutator-led final pause that
+        // already closed the cycle — release without starting a spurious
+        // one.
+        Ok(())
     }
-}
-
-/// The cms leader path, replacing `lead_collection_with` for cms runs:
-/// the same handshake, but the stopped-world work depends on the phase
-/// — a snapshot pause if no cycle is open, the final pause otherwise.
-pub(crate) fn cms_lead_collection(
-    ctx: &RunCtx<'_>,
-    mu: Option<&mut Mutator>,
-) -> Result<bool, ExecError> {
-    // External callers (mutators, serve scheduler threads) are counted
-    // in `active` and so stand in for themselves in the handshake.
-    cms_lead_collection_counted(ctx, mu, true)
-}
-
-/// The handshake + phase dispatch behind [`cms_lead_collection`].
-///
-/// `counted` says whether the calling thread is itself part of
-/// `CoordState::active`: a mutator (or serve scheduler thread) leader
-/// contributes `parked += 1` for itself and waits for the *others*; the
-/// cms coordinator is not an `active` thread, must not self-count —
-/// doing so would let the handshake "complete" with one mutator still
-/// running, and the world would not actually be stopped — and instead
-/// waits until every active thread has parked.
-fn cms_lead_collection_counted(
-    ctx: &RunCtx<'_>,
-    mut mu: Option<&mut Mutator>,
-    counted: bool,
-) -> Result<bool, ExecError> {
-    let t0 = Instant::now();
-    let mut st = ctx.coord.state.lock().unwrap();
-    if st.halt {
-        ctx.vm.gc_request.store(false, Ordering::Release);
-        return Ok(false);
-    }
-    if let Some(mu) = mu.as_deref_mut() {
-        deposit(ctx, mu);
-    }
-    if counted {
-        st.parked += 1;
-    }
-    ctx.coord.cv.notify_all();
-    while st.parked < st.active && !st.halt {
-        st = ctx.coord.cv.wait(st).unwrap();
-    }
-    let halted = st.halt;
-    let handshake_time = t0.elapsed();
-    drop(st);
-
-    let mut result: Result<(), ExecError> = Ok(());
-    if !halted {
-        let vm = ctx.vm;
-        let heap = vm.cms.as_ref().expect("cms lead without cms heap");
-        let run = ctx.cms.as_ref().expect("cms lead without cms run");
-        let allocs_now = vm.allocations.load(R);
-        let torture_due = allocs_now >= vm.force_gc_at.load(R);
-        if torture_due {
-            if let Some(every) = ctx.options.force_every_allocs {
-                vm.force_gc_at.store(allocs_now + every.max(1), R);
-            }
-        }
-        if heap.marking.load(Ordering::Acquire) {
-            if heap.conc_evac.load(R)
-                && !heap.evacuating.load(Ordering::Acquire)
-                && mu.is_none()
-                && !run.finish_requested.load(Ordering::Acquire)
-            {
-                // Coordinator-led handshake at mark quiescence with
-                // conc-evac on: pick the evacuation set instead of
-                // finishing the cycle. (A *mutator*-led pause here means
-                // the heap is full and cannot wait for a concurrent
-                // copy; it falls through to the one-pause evacuation.)
-                result = cms_evac_select_pause(ctx, heap, run, t0);
-            } else {
-                let forced = mu.is_none() || torture_due;
-                result = cms_final_pause(
-                    ctx,
-                    heap,
-                    run,
-                    forced,
-                    counted,
-                    allocs_now,
-                    handshake_time,
-                    t0,
-                );
-            }
-        } else if mu.is_some() {
-            result = cms_snapshot_pause(ctx, heap, run, t0);
-        }
-        // mu.is_none() with no cycle open: the coordinator's idle
-        // request raced a mutator-led final pause that already closed
-        // the cycle — release without starting a spurious one.
-    }
-
-    // Release protocol, identical to the stop-the-world leader: clear
-    // the request before bumping the generation, both under the lock.
-    let mut st = ctx.coord.state.lock().unwrap();
-    if result.is_err() {
-        st.halt = true;
-        ctx.coord.halt.store(true, Ordering::Release);
-    }
-    ctx.vm.gc_request.store(false, Ordering::Release);
-    st.parked = 0;
-    st.generation += 1;
-    ctx.coord.cv.notify_all();
-    drop(st);
-
-    if let Some(mu) = mu {
-        reload(ctx, mu);
-    }
-    result.map(|()| !halted)
 }
 
 /// The snapshot pause proper (world stopped, leader only): validate the
 /// tables if the oracle is armed, then seed marking from root values
 /// and arm the deletion barrier.
 fn cms_snapshot_pause(
-    ctx: &RunCtx<'_>,
+    stopped: &Stopped<'_, '_>,
     heap: &CmsHeap,
     run: &CmsRun,
-    t0: Instant,
 ) -> Result<(), ExecError> {
-    let vm = ctx.vm;
-    if ctx.options.oracle && vm.shadow.is_some() {
-        if let Err(msg) = par_oracle_check(ctx) {
-            let (fs, fe) = vm.from_space();
-            let free = vm.free.load(R);
-            return Err(ExecError::Oracle(format!(
-                "at snapshot pause (from=[{fs},{fe}) free={free}): {msg}"
-            )));
-        }
-    }
+    let (ctx, vm) = (stopped.ctx, stopped.ctx.vm);
+    stopped.oracle("at snapshot pause")?;
     let (from_start, _) = vm.from_space();
     let free_now = vm.free.load(R);
     let (mut killed_n, mut float_n) = (0u64, 0u64);
     let mut detached = MutatorLocal::default();
     let mut world = vm.world(&mut detached);
     heap.clear_marks();
-    let mut gray = run.gray.lock().unwrap();
+    let mut gray = locked(&run.gray);
     debug_assert!(gray.is_empty(), "gray residue across cycles");
-    debug_assert!(heap.satb_sink.lock().unwrap().is_empty(), "satb residue across cycles");
+    debug_assert!(locked(&heap.satb_sink).is_empty(), "satb residue across cycles");
     gray.clear();
-    let mut cache = ctx.caches[0].lock().unwrap();
+    let mut cache = locked(&ctx.caches[0]);
     for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
         let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
         let v = vm.word(a);
@@ -580,11 +461,11 @@ fn cms_snapshot_pause(
         }
     }
     for (tid, slot) in ctx.slots.iter().enumerate() {
-        let slot = slot.lock().unwrap();
+        let slot = locked(slot);
         let Some(snap) = slot.as_ref() else { continue };
         let parked = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
-        let mut wm = ctx.watermarks[tid].lock().unwrap();
+        let mut wm = locked(&ctx.watermarks[tid]);
         // The value snapshot: tidy roots only. Derived values point
         // *into* objects whose base pointers are tidy roots of the same
         // frame, and marking works on whole objects, so bases cover
@@ -626,8 +507,8 @@ fn cms_snapshot_pause(
     // Arm the deletion barrier before the world resumes (the release
     // handshake publishes this to every mutator).
     heap.marking.store(true, Ordering::Release);
-    *run.pending.lock().unwrap() = Some(CyclePending {
-        snapshot_pause: t0.elapsed(),
+    *locked(&run.pending) = Some(CyclePending {
+        snapshot_pause: stopped.t0.elapsed(),
         mark_started: Instant::now(),
         satb_drained_start: heap.satb_drained.load(R),
         roots_killed: killed_n,
@@ -641,7 +522,7 @@ fn cms_snapshot_pause(
         evac_healed_loads_start: 0,
         evac_healed_stores_start: 0,
     });
-    let mut cs = run.mx.lock().unwrap();
+    let mut cs = locked(&run.mx);
     cs.cycles_started += 1;
     cs.markers_idle = false;
     run.cv.notify_all();
@@ -658,24 +539,15 @@ fn cms_snapshot_pause(
 /// release handshake resumes the world, so every mutator arms its
 /// self-healing forwarding paths.
 fn cms_evac_select_pause(
-    ctx: &RunCtx<'_>,
+    stopped: &Stopped<'_, '_>,
     heap: &CmsHeap,
     run: &CmsRun,
-    t0: Instant,
 ) -> Result<(), ExecError> {
-    let vm = ctx.vm;
+    let (ctx, vm) = (stopped.ctx, stopped.ctx.vm);
     cms_finish_mark(ctx, heap, run);
+    stopped.oracle("at evacuation select")?;
     if ctx.options.oracle && vm.shadow.is_some() {
-        if let Err(msg) = par_oracle_check(ctx) {
-            let (fs, fe) = vm.from_space();
-            let free = vm.free.load(R);
-            return Err(ExecError::Oracle(format!(
-                "at evacuation select (from=[{fs},{fe}) free={free}): {msg}"
-            )));
-        }
-        if let Err(msg) = cms_shadow_verify(ctx, heap) {
-            return Err(ExecError::Oracle(msg));
-        }
+        cms_shadow_verify(ctx, heap).map_err(ExecError::Oracle)?;
     }
 
     let (from_start, _) = vm.from_space();
@@ -689,9 +561,9 @@ fn cms_evac_select_pause(
     // ambiguous frames the rule exists for.
     let mut pinned_n = 0u64;
     {
-        let mut cache = ctx.caches[0].lock().unwrap();
+        let mut cache = locked(&ctx.caches[0]);
         for (tid, slot) in ctx.slots.iter().enumerate() {
-            let slot = slot.lock().unwrap();
+            let slot = locked(slot);
             let Some(snap) = slot.as_ref() else { continue };
             let parked = ThreadWorld { vm, tid: tid as u32, snap };
             let mut roots = StackRoots::default();
@@ -742,7 +614,7 @@ fn cms_evac_select_pause(
     cand.sort_unstable();
 
     {
-        let mut list = run.evac_list.lock().unwrap();
+        let mut list = locked(&run.evac_list);
         list.clear();
         for &(_, r) in &cand {
             heap.set_cset(r, true);
@@ -750,15 +622,15 @@ fn cms_evac_select_pause(
         }
     }
     run.evac_next.store(0, R);
-    run.evac_copies.lock().unwrap().clear();
+    locked(&run.evac_copies).clear();
     run.updater_done.store(false, Ordering::Release);
     heap.clear_dirty();
     heap.evac_snap.store(free_now, R);
     let (to_start, _) = vm.to_space();
     heap.evac_to.store(to_start, R);
     heap.evac_pinned.fetch_add(pinned_n, R);
-    if let Some(p) = run.pending.lock().unwrap().as_mut() {
-        p.evac_select_pause = t0.elapsed();
+    if let Some(p) = locked(&run.pending).as_mut() {
+        p.evac_select_pause = stopped.t0.elapsed();
         p.evac_started = Some(Instant::now());
         p.evac_pinned = pinned_n;
         p.evac_regions = cand.len() as u64;
@@ -768,7 +640,7 @@ fn cms_evac_select_pause(
         p.evac_healed_stores_start = heap.evac_healed_stores.load(R);
     }
     {
-        let mut cs = run.mx.lock().unwrap();
+        let mut cs = locked(&run.mx);
         cs.copiers_idle = false;
     }
     // The release handshake that resumes the world publishes this to
@@ -791,12 +663,16 @@ fn cms_conc_copier(ctx: &RunCtx<'_>) {
     let vm = ctx.vm;
     let heap = vm.cms.as_ref().expect("copier without cms heap");
     let run = ctx.cms.as_ref().expect("copier without cms run");
+    #[cfg(test)]
+    if ctx.fault == Some(crate::parallel::Fault::Copier) {
+        panic!("injected copier fault");
+    }
     let (from_start, _) = vm.from_space();
     let (_, to_end) = vm.to_space();
     let free_snap = heap.evac_snap.load(R);
     let rw = heap.evac_region_words.load(R);
     let double = heap.fault_evac() == EvacFault::DoubleCopy;
-    let regions: Vec<i64> = run.evac_list.lock().unwrap().clone();
+    let regions: Vec<i64> = locked(&run.evac_list).clone();
     let mut my_copies: Vec<i64> = Vec::new();
     let mut addrs: Vec<i64> = Vec::new();
     let (mut objs, mut words_copied, mut regions_done) = (0u64, 0u64, 0u64);
@@ -851,7 +727,7 @@ fn cms_conc_copier(ctx: &RunCtx<'_>) {
     heap.evac_objects.fetch_add(objs, R);
     heap.evac_words.fetch_add(words_copied, R);
     heap.evac_regions.fetch_add(regions_done, R);
-    run.evac_copies.lock().unwrap().append(&mut my_copies);
+    locked(&run.evac_copies).append(&mut my_copies);
 }
 
 /// The concurrent reference updater (coordinator thread, mutators
@@ -869,7 +745,7 @@ fn cms_conc_update(ctx: &RunCtx<'_>) {
     let run = ctx.cms.as_ref().expect("updater without cms run");
     let (from_start, _) = vm.from_space();
     let free_snap = heap.evac_snap.load(R);
-    let copies: Vec<i64> = run.evac_copies.lock().unwrap().clone();
+    let copies: Vec<i64> = locked(&run.evac_copies).clone();
     for &new in &copies {
         if run.finish_requested.load(Ordering::Acquire) {
             return; // the final pause finishes the rewrite itself
@@ -918,7 +794,7 @@ pub(crate) fn cms_evac_audit(ctx: &RunCtx<'_>) -> Result<(), String> {
     let free_snap = heap.evac_snap.load(R);
     let evac_to = heap.evac_to.load(R);
     let rw = heap.evac_region_words.load(R);
-    let regions: Vec<i64> = run.evac_list.lock().unwrap().clone();
+    let regions: Vec<i64> = locked(&run.evac_list).clone();
     let mut covered = 0i64;
     let mut addrs: Vec<i64> = Vec::new();
     for &region in &regions {
@@ -978,33 +854,27 @@ pub(crate) fn cms_evac_audit(ctx: &RunCtx<'_>) -> Result<(), String> {
 
 /// The final pause proper (world stopped, leader only): stand the
 /// markers down, drain the residue to closure, verify, evacuate.
-#[allow(clippy::too_many_arguments)]
 fn cms_final_pause(
-    ctx: &RunCtx<'_>,
+    stopped: &Stopped<'_, '_>,
     heap: &CmsHeap,
     run: &CmsRun,
-    forced: bool,
-    counted: bool,
-    allocs_now: u64,
-    handshake_time: Duration,
-    t0: Instant,
 ) -> Result<(), ExecError> {
-    let vm = ctx.vm;
+    let (ctx, vm, t0) = (stopped.ctx, stopped.ctx.vm, stopped.t0);
     run.finish_requested.store(true, Ordering::Release);
-    if counted {
+    if stopped.counted {
         // A mutator-led pause must wait for the marker threads to stand
         // down before touching the gray stack; the coordinator joins
         // them and flips `markers_idle` (spawning them first if it has
         // not yet caught up with this cycle — they exit immediately on
         // the request above).
-        let mut cs = run.mx.lock().unwrap();
+        let mut cs = locked(&run.mx);
         run.cv.notify_all(); // wake the coordinator if it hasn't started this cycle yet
         while !cs.markers_idle || !cs.copiers_idle {
             // Concurrent copiers and the updater poll `finish_requested`
             // per object and stand down; the coordinator flips
             // `copiers_idle` once they have, so nothing races the
             // rewrites below.
-            cs = run.cv.wait(cs).unwrap();
+            cs = waited(&run.cv, cs);
         }
     }
     // A coordinator-led pause never waits: marker threads exist only
@@ -1014,42 +884,20 @@ fn cms_final_pause(
     // joining its markers and winning the request CAS. Waiting would
     // deadlock on itself; draining sequentially below is sound either
     // way.
-    let pending = run.pending.lock().unwrap().take().expect("final pause without an open cycle");
+    let pending = locked(&run.pending).take().expect("final pause without an open cycle");
     let mark_concurrent = t0.saturating_duration_since(pending.mark_started);
-
-    if !forced {
-        let mut last = ctx.last_gc_allocations.lock().unwrap();
-        if *last == Some(allocs_now) {
-            // No allocation progress since the previous completed
-            // cycle: the heap is genuinely full. (Snapshot pauses never
-            // run this check — they free nothing by design.)
-            return Err(ExecError::Trap(VmTrap::OutOfMemory));
-        }
-        *last = Some(allocs_now);
-    }
 
     cms_finish_mark(ctx, heap, run);
 
     let evacuating = heap.evacuating.load(Ordering::Acquire);
+    stopped.oracle("at final pause")?;
     if ctx.options.oracle && vm.shadow.is_some() {
-        if let Err(msg) = par_oracle_check(ctx) {
-            let (fs, fe) = vm.from_space();
-            let free = vm.free.load(R);
-            return Err(ExecError::Oracle(format!(
-                "at final pause (from=[{fs},{fe}) free={free}): {msg}"
-            )));
-        }
-        if evacuating {
-            // The sequential re-trace cannot run once objects have
-            // moved (forwarded headers are not walkable); it ran
-            // pre-motion at the select handshake instead. What *can* be
-            // proven here is the forwarding protocol itself.
-            if let Err(msg) = cms_evac_audit(ctx) {
-                return Err(ExecError::Oracle(msg));
-            }
-        } else if let Err(msg) = cms_shadow_verify(ctx, heap) {
-            return Err(ExecError::Oracle(msg));
-        }
+        // Once objects have moved the sequential re-trace cannot run
+        // (forwarded headers are not walkable); it ran pre-motion at the
+        // select handshake instead. What *can* be proven here is the
+        // forwarding protocol itself.
+        let verified = if evacuating { cms_evac_audit(ctx) } else { cms_shadow_verify(ctx, heap) };
+        verified.map_err(ExecError::Oracle)?;
     }
 
     let mut stats = cms_evacuate(ctx, run)?;
@@ -1061,22 +909,14 @@ fn cms_final_pause(
         heap.clear_dirty();
         heap.evac_snap.store(0, R);
         heap.evac_to.store(0, R);
-        run.evac_list.lock().unwrap().clear();
-        run.evac_copies.lock().unwrap().clear();
+        locked(&run.evac_list).clear();
+        locked(&run.evac_copies).clear();
         run.evac_next.store(0, R);
         run.updater_done.store(false, Ordering::Release);
     }
-    if ctx.options.oracle && vm.shadow.is_some() {
-        if let Err(msg) = par_oracle_check(ctx) {
-            let (fs, fe) = vm.from_space();
-            let free = vm.free.load(R);
-            return Err(ExecError::Oracle(format!(
-                "after evacuation (from=[{fs},{fe}) free={free}): {msg}"
-            )));
-        }
-    }
+    stopped.oracle("after evacuation")?;
     heap.marking.store(false, Ordering::Release);
-    stats.handshake_time = handshake_time;
+    stats.handshake_time = stopped.handshake_time;
     stats.cms_cycle = true;
     stats.snapshot_pause = pending.snapshot_pause;
     stats.mark_concurrent = mark_concurrent;
@@ -1094,7 +934,7 @@ fn cms_final_pause(
     stats.roots_killed += pending.roots_killed;
     stats.float_words_avoided += pending.float_words_avoided;
     stats.total_time = t0.elapsed();
-    ctx.gc_log.lock().unwrap().push(stats);
+    locked(&ctx.gc_log).push(stats);
     Ok(())
 }
 
@@ -1105,12 +945,12 @@ fn cms_final_pause(
 fn cms_finish_mark(ctx: &RunCtx<'_>, heap: &CmsHeap, run: &CmsRun) {
     let vm = ctx.vm;
     let (from_start, from_end) = vm.from_space();
-    let mut gray = std::mem::take(&mut *run.gray.lock().unwrap());
+    let mut gray = std::mem::take(&mut *locked(&run.gray));
     loop {
         while let Some(addr) = gray.pop() {
             scan_mark(vm, heap, from_start, from_end, addr, &mut gray);
         }
-        let taken = std::mem::take(&mut *heap.satb_sink.lock().unwrap());
+        let taken = std::mem::take(&mut *locked(&heap.satb_sink));
         if taken.is_empty() {
             break;
         }
@@ -1150,9 +990,9 @@ pub(crate) fn cms_shadow_verify(ctx: &RunCtx<'_>, heap: &CmsHeap) -> Result<(), 
         let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
         reach(&mut stack, &mut visited, vm.word(a))?;
     }
-    let mut cache = ctx.caches[0].lock().unwrap();
+    let mut cache = locked(&ctx.caches[0]);
     for (tid, slot) in ctx.slots.iter().enumerate() {
-        let slot = slot.lock().unwrap();
+        let slot = locked(slot);
         let Some(snap) = slot.as_ref() else { continue };
         let parked = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
@@ -1350,7 +1190,7 @@ fn cms_evacuate(ctx: &RunCtx<'_>, run: &CmsRun) -> Result<ParGcStats, ExecError>
         chunk_next: AtomicUsize::new(0),
         sync: CopySync::new(),
         evacuating,
-        conc_copies: if evacuating { run.evac_copies.lock().unwrap().clone() } else { Vec::new() },
+        conc_copies: if evacuating { locked(&run.evac_copies).clone() } else { Vec::new() },
         workers,
     });
     // No chunk is ever published, so `steals` reads 0 for every worker:

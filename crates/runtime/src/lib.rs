@@ -14,12 +14,17 @@
 //!   when a collection is requested, threads that are not at gc-points
 //!   are resumed until they all reach one (loop gc-points bound the
 //!   wait), then the collector runs.
-//! * [`parallel`] — the same protocol over real OS threads: mutators
-//!   poll the request flag at gc-points, park in a stop-the-world
-//!   handshake, and `gc_workers` workers — the leader plus a persistent
-//!   pool of parked helpers, woken only when there is work for them —
-//!   evacuate concurrently with a work-stealing Cheney copy (CAS-claimed
-//!   forwarding pointers, private gray stacks, surplus shared in chunks).
+//! * `safepoint` — the same protocol over real OS threads, written
+//!   once for every multi-threaded executor: mutators poll the request
+//!   flag at gc-points and park in a stop-the-world handshake; the
+//!   collection-cause policy, the first-error latch, the panic/poison
+//!   policy and the run scaffold live there too.
+//! * [`parallel`] — OS-thread mutators over that protocol, and the
+//!   stop-the-world copy: `gc_workers` workers — the leader plus a
+//!   persistent pool of parked helpers, woken only when there is work
+//!   for them — evacuate concurrently with a work-stealing Cheney copy
+//!   (CAS-claimed forwarding pointers, private gray stacks, surplus
+//!   shared in chunks).
 //! * [`cms`] — concurrent SATB marking on the parallel runtime: a short
 //!   snapshot pause seeds marking from root *values*, `conc_workers`
 //!   markers trace while mutators run (the `StB` deletion barrier
@@ -36,6 +41,7 @@ pub mod oracle;
 pub mod parallel;
 mod pool;
 pub mod report;
+mod safepoint;
 pub mod scheduler;
 pub mod serve;
 pub mod trace;

@@ -3,17 +3,19 @@
 //! Mutators run on real `std::thread`s against a shared
 //! [`ParMachine`]. A collection proceeds in three acts:
 //!
-//! 1. **Safepoint handshake.** The thread whose allocation fails CASes
-//!    the machine's `gc_request` flag; winning the CAS makes it the
-//!    *leader*. Every other mutator notices the flag at its next
-//!    gc-point — an allocation site or one of the loop back-edge polls
-//!    `codegen::gcpoints` inserts (§5.3: the explicit loop gc-points
-//!    bound how far a thread can run before reaching a describable
-//!    state, so handshake latency is bounded by the longest
-//!    gc-point-free path, not by loop trip counts). A parking thread
-//!    deposits a [`Snapshot`] of its registers and frame cursor, then
-//!    blocks on a condvar. The leader waits until every live mutator
-//!    has parked.
+//! 1. **Safepoint handshake.** The thread whose allocation fails wins
+//!    the collection request and becomes the *leader*; every other
+//!    mutator notices the request at its next gc-point — an allocation
+//!    site or one of the loop back-edge polls `codegen::gcpoints`
+//!    inserts (§5.3: the explicit loop gc-points bound how far a thread
+//!    can run before reaching a describable state, so handshake latency
+//!    is bounded by the longest gc-point-free path, not by loop trip
+//!    counts) — deposits a [`Snapshot`] of its registers and frame
+//!    cursor, and parks until the leader releases it. The protocol
+//!    itself (request, park, stop, release, and what happens when a
+//!    thread fails or panics on the way) is `safepoint.rs`'s; this
+//!    module supplies the mutator loop around it ([`run_mutator`]) and
+//!    the work of a stopped world ([`collect_pause`]).
 //! 2. **Parallel copy.** The leader becomes gc worker 0 of the run's
 //!    persistent pool (`pool.rs`: `gc_workers - 1` helpers spawned once
 //!    per run and parked between collections). Parked threads are dealt
@@ -32,11 +34,10 @@
 //!    sleeping helper to steal it; the trace terminates when every woken
 //!    worker is idle and no chunk is outstanding (`evac.rs`).
 //! 3. **Release.** After a final barrier each worker re-derives its
-//!    threads' derived values in exactly the reverse order, the leader
-//!    flips the semispaces, clears the request flag and bumps the
-//!    handshake generation; parked threads wake, reload their (now
-//!    updated) snapshots and resume — the failed allocation simply
-//!    retries.
+//!    threads' derived values in exactly the reverse order and the
+//!    leader flips the semispaces; the handshake's release wakes the
+//!    parked threads, which reload their (now updated) snapshots and
+//!    resume — the failed allocation simply retries.
 //!
 //! Decode caches are per-worker and persistent across collections; all
 //! of them share one `Arc`'d [`DecoderIndex`] of the module's encoded
@@ -50,14 +51,13 @@
 //! scheduler.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use m3gc_core::decode::{DecodeCache, DecodeCounters, DecoderIndex};
 use m3gc_jit::{JitEngine, JitSummary};
 use m3gc_vm::exec::{Cpu, Step};
-use m3gc_vm::machine::VmTrap;
 use m3gc_vm::module::VmModule;
 use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
@@ -66,7 +66,8 @@ use crate::collector::{apply_kills, re_derive, un_derive};
 use crate::evac::{forward_root_par, scan_region, trace, GcCtx, WorkerLocal};
 use crate::options::RuntimeOptions;
 use crate::oracle::check_entries;
-use crate::pool::{spawn_helpers, CopySync, GcPool};
+use crate::pool::{CopySync, GcPool};
+use crate::safepoint::{locked, park, request_gc, Coord, Stopped};
 use crate::scheduler::ExecError;
 use crate::trace::{
     gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
@@ -246,29 +247,17 @@ impl RootSource for ThreadWorld<'_> {
     }
 }
 
-/// Handshake coordination state, guarded by [`Coord::state`].
-pub(crate) struct CoordState {
-    /// OS threads still running (decremented on finish/death). In serve
-    /// mode this counts scheduler threads, not green requests.
-    pub(crate) active: usize,
-    /// Threads currently parked for the pending request.
-    pub(crate) parked: usize,
-    /// Bumped by the leader to release parked threads.
-    pub(crate) generation: u64,
-    /// Mirrors [`Coord::halt`] for checks already under the lock.
-    pub(crate) halt: bool,
-    /// Set by the leader of the run's first collection: the main thread
-    /// (which owns the scope) spawns the gc helpers (`pool.rs`).
-    pub(crate) want_helpers: bool,
-}
-
-pub(crate) struct Coord {
-    pub(crate) state: Mutex<CoordState>,
-    pub(crate) cv: Condvar,
-    /// Cheap fast-path halt check for mutator loops.
-    pub(crate) halt: AtomicBool,
-    /// First error wins; everyone else shuts down quietly.
-    pub(crate) error: Mutex<Option<ExecError>>,
+/// An injected fault (unit tests).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// That gc worker panics in the copy phase of that (1-based)
+    /// collection.
+    Worker(usize, u64),
+    /// A concurrent marker panics on the first gray object it takes.
+    Marker,
+    /// A concurrent copier panics as it starts.
+    Copier,
 }
 
 /// Everything the mutator threads and gc workers share for one run.
@@ -289,14 +278,8 @@ pub(crate) struct RunCtx<'vm> {
     pub(crate) caches: Vec<Mutex<DecodeCache>>,
     /// The run's parked gc helpers (workers `1..gc_workers`).
     pub(crate) pool: GcPool<'vm>,
-    /// Injected fault (unit tests): `(worker, collection)` — that worker
-    /// panics in the copy phase of that (1-based) collection.
     #[cfg(test)]
-    pub(crate) worker_fault: Option<(usize, u64)>,
-    /// Allocation count at the previous (unforced) collection — the
-    /// no-progress out-of-memory detector, shared by whichever thread
-    /// happens to lead.
-    pub(crate) last_gc_allocations: Mutex<Option<u64>>,
+    pub(crate) fault: Option<Fault>,
     pub(crate) gc_log: Mutex<Vec<ParGcStats>>,
     /// Per-cycle park-site counters, read+reset by the leader.
     pub(crate) poll_parks: AtomicU64,
@@ -311,13 +294,14 @@ pub(crate) struct RunCtx<'vm> {
 impl<'vm> RunCtx<'vm> {
     /// Builds the shared run state: `slots` snapshot slots (one per
     /// mutator — greens in serve mode), `active` OS threads in the
-    /// handshake, one decode cache per gc worker.
+    /// handshake, one decode cache per gc worker; mutators run on
+    /// `engine`, or interpreted if there is none.
     pub(crate) fn new(
         vm: &'vm ParMachine,
         options: RuntimeOptions,
         slots: usize,
         active: usize,
-        engine: Arc<JitEngine>,
+        engine: Option<Arc<JitEngine>>,
     ) -> RunCtx<'vm> {
         let workers = options.gc_workers.max(1);
         let index = Arc::new(DecoderIndex::build(&vm.module.gc_maps).expect("valid gc maps"));
@@ -331,30 +315,19 @@ impl<'vm> RunCtx<'vm> {
         RunCtx {
             vm,
             options,
-            coord: Coord {
-                state: Mutex::new(CoordState {
-                    active,
-                    parked: 0,
-                    generation: 0,
-                    halt: false,
-                    want_helpers: false,
-                }),
-                cv: Condvar::new(),
-                halt: AtomicBool::new(false),
-                error: Mutex::new(None),
-            },
+            coord: Coord::new(active),
             slots: (0..slots).map(|_| Mutex::new(None)).collect(),
             watermarks: (0..slots).map(|_| Mutex::new(StackCache::default())).collect(),
             caches,
             pool: GcPool::new(workers),
             #[cfg(test)]
-            worker_fault: None,
-            last_gc_allocations: Mutex::new(None),
+            fault: None,
             gc_log: Mutex::new(Vec::new()),
             poll_parks: AtomicU64::new(0),
             alloc_parks: AtomicU64::new(0),
             cms: vm.cms.as_ref().map(|_| crate::cms::CmsRun::new(options.conc_workers.max(1))),
-            engine,
+            engine: engine
+                .unwrap_or_else(|| Arc::new(JitEngine::interpreter(Arc::clone(vm.decoded())))),
         }
     }
 }
@@ -403,14 +376,14 @@ fn gc_worker(
     // A gc worker runs on behalf of no mutator.
     let mut detached = MutatorLocal::default();
     let mut world = vm.world(&mut detached);
-    let mut cache = ctx.caches[w].lock().unwrap();
+    let mut cache = locked(&ctx.caches[w]);
     let decode_before = cache.counters();
     let mut rep = WorkerReport::default();
     for (tid, snap, roots) in my.iter_mut() {
         {
             let parked = ThreadWorld { vm, tid: *tid as u32, snap };
             let regs = (snap.pc, snap.fp, snap.ap, snap.sp);
-            let mut wm = ctx.watermarks[*tid].lock().unwrap();
+            let mut wm = locked(&ctx.watermarks[*tid]);
             gather_thread_roots_cached(&parked, &mut cache, *tid as u32, regs, &mut wm, roots);
             if ctx.options.oracle {
                 verify_spliced_roots(&parked, &mut cache, *tid as u32, regs, roots);
@@ -526,7 +499,7 @@ pub(crate) fn run_gc_workers<'vm>(
     let mut parts: Vec<Part> = (0..workers).map(|_| Vec::new()).collect();
     let mut n_threads = 0usize;
     for (tid, slot) in ctx.slots.iter().enumerate() {
-        if let Some(snap) = slot.lock().unwrap().take() {
+        if let Some(snap) = locked(slot).take() {
             parts[n_threads % workers].push((tid, snap, StackRoots::default()));
             n_threads += 1;
         }
@@ -536,7 +509,7 @@ pub(crate) fn run_gc_workers<'vm>(
     let mut died: Option<ExecError> = None;
     for (worker, share) in shares.into_iter().enumerate() {
         for (tid, snap, _) in share.part {
-            *ctx.slots[tid].lock().unwrap() = Some(snap);
+            *locked(&ctx.slots[tid]) = Some(snap);
         }
         match share.outcome {
             Ok(rep) => reports.push(rep),
@@ -612,7 +585,7 @@ fn steal_copy(
     gc.sync.barrier();
     let t_copy = Instant::now();
     #[cfg(test)]
-    if ctx.worker_fault == Some((w, vm.collections.load(R) + 1)) {
+    if ctx.fault == Some(Fault::Worker(w, vm.collections.load(R) + 1)) {
         panic!("injected gc worker fault");
     }
 
@@ -638,7 +611,7 @@ fn steal_copy(
     // put, but pointer slots into the evacuation set must be forwarded.
     // Workers pull regions from the shared queue until it is dry.
     loop {
-        let slot = gc.region_scan.lock().unwrap().pop();
+        let slot = locked(&gc.region_scan).pop();
         match slot {
             Some(s) => rep.roots += scan_region(gc, &mut local, s),
             None => break,
@@ -663,7 +636,7 @@ pub(crate) fn collect_parallel(
 ) -> Result<ParGcStats, ExecError> {
     let vm = ctx.vm;
     let gc = Arc::new(GcCtx::new(vm, ctx.caches.len()));
-    let regions_scanned = gc.region_scan.lock().unwrap().len() as u64;
+    let regions_scanned = locked(&gc.region_scan).len() as u64;
     let mut stats = run_gc_workers(ctx, GcJob::Steal(Arc::clone(&gc)))?;
     vm.finish_collection(gc.free.0.load(R));
 
@@ -712,10 +685,10 @@ pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
         }
     }
     let globals = gather_global_roots_in(&vm.module, vm.globals_start() as i64);
-    let mut cache = ctx.caches[0].lock().unwrap();
+    let mut cache = locked(&ctx.caches[0]);
     let mut first = true;
     for (tid, slot) in ctx.slots.iter().enumerate() {
-        let slot = slot.lock().unwrap();
+        let slot = locked(slot);
         let Some(snap) = slot.as_ref() else { continue };
         let world = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
@@ -740,173 +713,14 @@ pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parks the calling mutator for a pending collection request. Returns
-/// `true` if execution should resume, `false` on halt. A request that
-/// was already serviced (or abandoned) by the time the lock is taken
-/// resumes immediately without parking.
-pub(crate) fn park(ctx: &RunCtx<'_>, mu: &mut Mutator) -> bool {
-    let mut st = ctx.coord.state.lock().unwrap();
-    if st.halt {
-        return false;
-    }
-    if !ctx.vm.gc_request.load(R) {
-        return true;
-    }
-    deposit(ctx, mu);
-    st.parked += 1;
-    ctx.coord.cv.notify_all();
-    let gen = st.generation;
-    while st.generation == gen {
-        st = ctx.coord.cv.wait(st).unwrap();
-    }
-    let halted = st.halt;
-    drop(st);
-    reload(ctx, mu);
-    !halted
-}
-
-/// Deposits `mu`'s state for the gc workers, counting the park site.
-/// The TLAB is retired first: gc workers must see an exact frontier
-/// (and flushed counters and SATB buffer), and after the flip the
-/// buffer would lie in dead space.
-pub(crate) fn deposit(ctx: &RunCtx<'_>, mu: &mut Mutator) {
-    let site = if ctx.vm.is_poll_pc(mu.cpu.pc) { &ctx.poll_parks } else { &ctx.alloc_parks };
-    site.fetch_add(1, R);
-    ctx.vm.retire_tlab(mu);
-    *ctx.slots[mu.tid].lock().unwrap() = Some(mu.cpu.clone());
-}
-
-/// Reloads `mu`'s deposited state, which a collection may have rewritten.
-pub(crate) fn reload(ctx: &RunCtx<'_>, mu: &mut Mutator) {
-    if let Some(snap) = ctx.slots[mu.tid].lock().unwrap().take() {
-        mu.cpu = snap;
-    }
-}
-
-/// The winning requester's path: park self, wait for the handshake to
-/// complete, run the oracle and the parallel collection, release
-/// everyone. Returns `Ok(true)` to resume, `Ok(false)` on halt.
-pub(crate) fn lead_collection(ctx: &RunCtx<'_>, mu: &mut Mutator) -> Result<bool, ExecError> {
-    lead_collection_with(ctx, Some(mu))
-}
-
-/// Leads a collection from a thread with no mutator state — a serve
-/// scheduler thread forcing a cycle to reclaim zombie regions. The
-/// no-progress out-of-memory check is skipped (the heap is not
-/// necessarily full; the collection was forced for slot reclaim).
-pub(crate) fn lead_collection_idle(ctx: &RunCtx<'_>) -> Result<bool, ExecError> {
-    lead_collection_with(ctx, None)
-}
-
-fn lead_collection_with(ctx: &RunCtx<'_>, mut mu: Option<&mut Mutator>) -> Result<bool, ExecError> {
-    if ctx.cms.is_some() {
-        // Concurrent-marking runs have a two-pause cycle (snapshot,
-        // then final) instead of one monolithic stop-the-world.
-        return crate::cms::cms_lead_collection(ctx, mu);
-    }
-    let t0 = Instant::now();
-    let mut st = ctx.coord.state.lock().unwrap();
-    if st.halt {
-        // Don't collect during shutdown; withdraw the request.
-        ctx.vm.gc_request.store(false, Ordering::Release);
-        return Ok(false);
-    }
-    if let Some(mu) = mu.as_deref_mut() {
-        deposit(ctx, mu);
-    }
-    st.parked += 1;
-    ctx.coord.cv.notify_all();
-    while st.parked < st.active && !st.halt {
-        st = ctx.coord.cv.wait(st).unwrap();
-    }
-    let halted = st.halt;
-    let handshake_time = t0.elapsed();
-    // Everyone is parked (or dead): the world is stopped. The lock can
-    // be dropped — nothing changes until we bump the generation.
-    drop(st);
-
-    let mut result: Result<(), ExecError> = Ok(());
-    if !halted {
-        let vm = ctx.vm;
-        let allocs_now = vm.allocations.load(R);
-        let forced = mu.is_none() || allocs_now >= vm.force_gc_at.load(R);
-        if forced {
-            if let Some(every) = ctx.options.force_every_allocs {
-                vm.force_gc_at.store(allocs_now + every.max(1), R);
-            }
-        } else {
-            let mut last = ctx.last_gc_allocations.lock().unwrap();
-            if *last == Some(allocs_now) {
-                // No allocation progress since the previous collection:
-                // the heap is genuinely full.
-                result = Err(ExecError::Trap(VmTrap::OutOfMemory));
-            } else {
-                *last = Some(allocs_now);
-            }
-        }
-        if result.is_ok() && ctx.options.oracle && vm.shadow.is_some() {
-            if let Err(msg) = par_oracle_check(ctx) {
-                result = Err(ExecError::Oracle(msg));
-            }
-        }
-        if result.is_ok() {
-            match collect_parallel(ctx, handshake_time, t0) {
-                Ok(stats) => ctx.gc_log.lock().unwrap().push(stats),
-                Err(e) => result = Err(e),
-            }
-        }
-    }
-
-    // Release: clear the request *before* bumping the generation, both
-    // under the lock — a woken thread sitting at a gc-point pc must not
-    // observe a stale request and re-park.
-    let mut st = ctx.coord.state.lock().unwrap();
-    if result.is_err() {
-        st.halt = true;
-        ctx.coord.halt.store(true, Ordering::Release);
-    }
-    ctx.vm.gc_request.store(false, Ordering::Release);
-    st.parked = 0;
-    st.generation += 1;
-    ctx.coord.cv.notify_all();
-    drop(st);
-
-    if let Some(mu) = mu {
-        reload(ctx, mu);
-    }
-    result.map(|()| !halted)
-}
-
-/// A failed allocation: win the request CAS and lead, or join the
-/// handshake another thread is already running.
-pub(crate) fn request_gc(ctx: &RunCtx<'_>, mu: &mut Mutator) -> Result<bool, ExecError> {
-    if ctx.vm.gc_request.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    {
-        lead_collection(ctx, mu)
-    } else {
-        Ok(park(ctx, mu))
-    }
-}
-
-/// Parks a scheduler thread that has no mutator state to deposit (a
-/// serve-mode OS thread between green requests). Joins the handshake —
-/// the leader must not wait on it — but contributes no snapshot.
-/// Returns `true` to resume, `false` on halt.
-pub(crate) fn park_idle(ctx: &RunCtx<'_>) -> bool {
-    let mut st = ctx.coord.state.lock().unwrap();
-    if st.halt {
-        return false;
-    }
-    if !ctx.vm.gc_request.load(R) {
-        return true;
-    }
-    st.parked += 1;
-    ctx.coord.cv.notify_all();
-    let gen = st.generation;
-    while st.generation == gen {
-        st = ctx.coord.cv.wait(st).unwrap();
-    }
-    !st.halt
+/// A parallel run's stopped-world work: decide why, validate the tables,
+/// collect.
+pub(crate) fn collect_pause(stopped: &Stopped<'_, '_>) -> Result<(), ExecError> {
+    stopped.cause(true)?;
+    stopped.oracle("at collection")?;
+    let stats = collect_parallel(stopped.ctx, stopped.handshake_time, stopped.t0)?;
+    locked(&stopped.ctx.gc_log).push(stats);
+    Ok(())
 }
 
 /// Instructions per engine burst between halt/advance bookkeeping
@@ -945,7 +759,7 @@ pub(crate) fn run_mutator(
     // without reaching a gc-point (§5.3: bounded by construction).
     let mut advance: u64 = 0;
     loop {
-        if ctx.coord.halt.load(Ordering::Acquire) {
+        if ctx.coord.halted() {
             return Ok(MutatorExit::Halted);
         }
         // Instructions left before the next loop poll ends the burst.
@@ -973,7 +787,7 @@ pub(crate) fn run_mutator(
             Step::Normal => {}
             Step::AtSafepoint => {
                 advance = 0;
-                if !park(ctx, mu) {
+                if !park(ctx, Some(mu)) {
                     return Ok(MutatorExit::Halted);
                 }
             }
@@ -990,30 +804,6 @@ pub(crate) fn run_mutator(
     }
 }
 
-/// Thread wrapper: runs the loop, records the first error, always
-/// deregisters from the handshake so no leader waits on a dead thread.
-fn mutator_thread(ctx: &RunCtx<'_>, mut mu: Mutator) -> Mutator {
-    let mut fuel = ctx.options.fuel;
-    let res = run_mutator(ctx, &mut mu, &mut fuel, None).map(|_| ());
-    // Retire before deregistering: the run's final counters (and any
-    // collection led after this thread leaves) must include this
-    // thread's buffered allocations.
-    ctx.vm.retire_tlab(&mut mu);
-    let mut st = ctx.coord.state.lock().unwrap();
-    if let Err(e) = res {
-        let mut err = ctx.coord.error.lock().unwrap();
-        if err.is_none() {
-            *err = Some(e);
-        }
-        st.halt = true;
-        ctx.coord.halt.store(true, Ordering::Release);
-    }
-    st.active -= 1;
-    ctx.coord.cv.notify_all();
-    drop(st);
-    mu
-}
-
 /// The parallel executor: a shared machine plus run configuration.
 ///
 /// Unlike [`crate::scheduler::Executor`], which time-slices simulated
@@ -1027,10 +817,9 @@ pub struct ParExecutor {
     pub options: RuntimeOptions,
     /// Native baseline engine, built lazily on the first `--jit` run.
     jit: Option<Arc<JitEngine>>,
-    /// Injected gc-worker fault for the next run (see
-    /// [`RunCtx::worker_fault`]).
+    /// Injected fault for the next run.
     #[cfg(test)]
-    pub(crate) worker_fault: Option<(usize, u64)>,
+    pub(crate) fault: Option<Fault>,
 }
 
 impl ParExecutor {
@@ -1042,7 +831,7 @@ impl ParExecutor {
             options: options.into(),
             jit: None,
             #[cfg(test)]
-            worker_fault: None,
+            fault: None,
         }
     }
 
@@ -1063,12 +852,9 @@ impl ParExecutor {
     ///
     /// # Panics
     ///
-    /// Panics on malformed gc maps or poisoned internal locks (either
-    /// is a bug, not a program error).
+    /// Panics on malformed gc maps (a bug, not a program error). A
+    /// panic on one of the run's own threads is an error, not a panic.
     pub fn run_main(&mut self) -> Result<ParOutcome, ExecError> {
-        if let Some(n) = self.options.force_every_allocs {
-            self.vm.force_gc_at.store(n.max(1), R);
-        }
         if self.options.jit && self.jit.is_none() {
             let engine = Arc::new(JitEngine::for_par(&self.vm));
             self.vm.set_code_map(engine.code_map());
@@ -1076,45 +862,21 @@ impl ParExecutor {
         }
         let vm = &self.vm;
         let n = vm.mutators();
-        let engine = self
-            .jit
-            .clone()
-            .unwrap_or_else(|| Arc::new(JitEngine::interpreter(Arc::clone(vm.decoded()))));
-        let ctx = RunCtx::new(vm, self.options, n, n, engine);
+        let ctx = RunCtx::new(vm, self.options, n, n, self.jit.clone());
         #[cfg(test)]
-        let ctx = RunCtx { worker_fault: self.worker_fault, ..ctx };
+        let ctx = RunCtx { fault: self.fault, ..ctx };
 
         let main = vm.module.main;
-        let mut done: Vec<Mutator> = Vec::with_capacity(n);
-        std::thread::scope(|s| {
-            let ctx = &ctx;
-            // The cms coordinator owns the concurrent marking workers;
-            // it sleeps until a snapshot pause opens a cycle.
-            if ctx.cms.is_some() {
-                s.spawn(move || crate::cms::cms_coordinator(ctx));
-            }
-            let handles: Vec<_> = (0..n)
-                .map(|tid| {
-                    s.spawn(move || {
-                        let mu = ctx.vm.spawn_mutator(tid, main, &[]);
-                        mutator_thread(ctx, mu)
-                    })
-                })
-                .collect();
-            // Spawns the gc helpers if and when a collection wants them;
-            // they are released when this closure ends, however it ends.
-            let _helpers = spawn_helpers(s, ctx);
-            for h in handles {
-                done.push(h.join().expect("mutator thread panicked"));
-            }
-            if let Some(run) = &ctx.cms {
-                run.stop();
-            }
-        });
-
-        if let Some(e) = ctx.coord.error.lock().unwrap().take() {
-            return Err(e);
-        }
+        let done: Vec<Mutator> = ctx.scoped(|tid| {
+            let mut mu = vm.spawn_mutator(tid, main, &[]);
+            let mut fuel = ctx.options.fuel;
+            let res = run_mutator(&ctx, &mut mu, &mut fuel, None);
+            // Retire before deregistering: the run's final counters (and
+            // any collection led after this thread leaves) must include
+            // this thread's buffered allocations.
+            vm.retire_tlab(&mut mu);
+            res.map(|_| mu)
+        })?;
         if let Some(heap) = vm.cms.as_ref() {
             if self.options.oracle && heap.evacuating.load(Ordering::Acquire) {
                 // A `hold_evac` run ends with forwarding still published
@@ -1126,7 +888,6 @@ impl ParExecutor {
                 }
             }
         }
-        done.sort_by_key(|mu| mu.tid);
         let outputs: Vec<String> = done.iter().map(|mu| mu.output.clone()).collect();
         Ok(ParOutcome {
             output: outputs.concat(),

@@ -12,6 +12,14 @@
 //! surplus gray work (`evac.rs`), so a configured worker with nothing to
 //! do costs nothing. The pool is released on every exit path by
 //! [`PoolGuard`], so the run's scope can never hang on a parked helper.
+//!
+//! Poison policy. Every other lock of the parallel runtime is taken with
+//! `safepoint::locked`, which recovers a poisoned guard. The two mutexes
+//! here (`CopySync::state`, `GcPool::state`) keep `expect("… poisoned")`
+//! instead: shares run outside them with their unwind caught
+//! (`run_share`), and no code that holds one can panic — so poison there
+//! would mean a broken invariant in this file, not a failed run, and is
+//! worth the loud stop.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -187,7 +195,8 @@ pub(crate) struct Share {
     pub(crate) outcome: Result<WorkerReport, WorkerPanic>,
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> Option<String> {
+/// A panic payload's message; `None` for a worker that only stood down.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> Option<String> {
     if payload.is::<StoodDown>() {
         return None;
     }
@@ -281,10 +290,7 @@ impl<'vm> GcPool<'vm> {
             // The run's first collection: have the main thread spawn
             // the helpers (it owns the scope) and wait for them.
             drop(st);
-            let mut coord = ctx.coord.state.lock().expect("handshake lock poisoned");
-            coord.want_helpers = true;
-            ctx.coord.cv.notify_all();
-            drop(coord);
+            ctx.coord.want_helpers();
             st = self.lock();
             while !st.alive && !st.shutdown {
                 st = self.cv[0].wait(st).expect("gc pool lock poisoned");
@@ -435,13 +441,7 @@ pub(crate) fn spawn_helpers<'scope, 'vm>(
     ctx: &'scope RunCtx<'vm>,
 ) -> PoolGuard<'scope, 'vm> {
     let guard = PoolGuard(&ctx.pool);
-    let mut coord = ctx.coord.state.lock().expect("handshake lock poisoned");
-    while coord.active > 0 && !coord.want_helpers {
-        coord = ctx.coord.cv.wait(coord).expect("handshake lock poisoned");
-    }
-    let wanted = coord.want_helpers;
-    drop(coord);
-    if wanted {
+    if ctx.coord.helpers_wanted() {
         for w in 1..ctx.caches.len() {
             std::thread::Builder::new()
                 .name(format!("gc-worker-{w}"))

@@ -76,8 +76,19 @@ pub enum ExecError {
     GcWorkerPanic {
         /// The worker that died (0 is the thread that led the pause).
         worker: usize,
-        /// What it was doing: `un-derive`, `copy` or `re-derive`.
+        /// What it was doing: `un-derive`, `copy` or `re-derive` in a
+        /// stop-the-world copy, `pause` for the leader's other work,
+        /// `mark` or `conc-copy` for cms's concurrent workers.
         phase: &'static str,
+        /// The panic message.
+        message: String,
+    },
+    /// A mutator (or serve scheduler) thread panicked (a runtime bug,
+    /// not a program error). The handshake was released and the run
+    /// halted.
+    MutatorPanic {
+        /// The thread that died.
+        thread: usize,
         /// The panic message.
         message: String,
     },
@@ -94,6 +105,9 @@ impl std::fmt::Display for ExecError {
             ExecError::Oracle(msg) => write!(f, "gc-map oracle violation: {msg}"),
             ExecError::GcWorkerPanic { worker, phase, message } => {
                 write!(f, "gc worker {worker} panicked during {phase}: {message}")
+            }
+            ExecError::MutatorPanic { thread, message } => {
+                write!(f, "mutator thread {thread} panicked: {message}")
             }
         }
     }

@@ -17,26 +17,23 @@
 //! deposited `Snapshot` sits in the green's `RunCtx` slot, so a
 //! collection traces queued requests exactly like parked OS threads —
 //! and rewrites their roots in place. The stop-the-world handshake is
-//! the parallel runtime's own (`park`/`lead_collection`): `active`
-//! counts OS threads, and a scheduler thread with no green in hand
-//! joins via [`park_idle`]. When every free slot holds an uncollected
-//! zombie region (escaped, awaiting evacuation) and requests are still
-//! waiting, a scheduler thread forces a collection with
-//! [`lead_collection_idle`] to recycle the slots.
+//! the one every multi-threaded executor shares (`safepoint.rs`):
+//! `active` counts OS threads, a scheduler thread with no green in hand
+//! parks with nothing to deposit, and when every free slot holds an
+//! uncollected zombie region (escaped, awaiting evacuation) while
+//! requests are still waiting, a scheduler thread leads a forced
+//! collection to recycle the slots.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use m3gc_jit::JitEngine;
 use m3gc_vm::{Mutator, ParMachine};
 
 use crate::options::RuntimeOptions;
-use crate::parallel::{
-    lead_collection_idle, park_idle, reload, run_mutator, MutatorExit, ParGcStats, RunCtx,
-};
-use crate::pool::spawn_helpers;
+use crate::parallel::{run_mutator, MutatorExit, ParGcStats, RunCtx};
+use crate::safepoint::{deposit, lead, locked, park, reload, try_lead};
 use crate::scheduler::ExecError;
 
 const R: Ordering = Ordering::Relaxed;
@@ -198,7 +195,7 @@ fn admit_one(
     entry_takes_id: bool,
 ) -> Option<Green> {
     let slot = {
-        let mut free = shared.free_slots.lock().unwrap();
+        let mut free = locked(&shared.free_slots);
         let n = free.len();
         let mut found = None;
         for _ in 0..n {
@@ -216,7 +213,7 @@ fn admit_one(
     let id = loop {
         let id = shared.admitted.load(R);
         if id >= load.requests {
-            shared.free_slots.lock().unwrap().push_back(slot);
+            locked(&shared.free_slots).push_back(slot);
             return None;
         }
         if shared.admitted.compare_exchange(id, id + 1, R, R).is_ok() {
@@ -246,10 +243,10 @@ fn finish_green(ctx: &RunCtx<'_>, shared: &ServeShared, mut g: Green) {
             shared.regions_zombied.fetch_add(1, R);
         }
     }
-    shared.free_slots.lock().unwrap().push_back(slot);
+    locked(&shared.free_slots).push_back(slot);
     let us = u64::try_from(g.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    shared.latencies_us.lock().unwrap().push(us);
-    shared.outputs.lock().unwrap()[g.request_id as usize] = g.mu.local.output;
+    locked(&shared.latencies_us).push(us);
+    locked(&shared.outputs)[g.request_id as usize] = g.mu.local.output;
     shared.completed.fetch_add(1, R);
 }
 
@@ -259,7 +256,7 @@ fn starved_by_zombies(ctx: &RunCtx<'_>, shared: &ServeShared, load: &ServeLoad) 
     if shared.admitted.load(R) >= load.requests {
         return false;
     }
-    let free = shared.free_slots.lock().unwrap();
+    let free = locked(&shared.free_slots);
     !free.is_empty() && free.iter().all(|&s| ctx.vm.is_region_zombie(s))
 }
 
@@ -274,19 +271,19 @@ fn scheduler_loop(
     entry_takes_id: bool,
 ) -> Result<(), ExecError> {
     loop {
-        if ctx.coord.halt.load(Ordering::Acquire) {
+        if ctx.coord.halted() {
             return Ok(());
         }
         // Join any pending handshake before taking new work: the leader
         // is waiting on this thread.
         if ctx.vm.gc_request.load(R) {
-            if !park_idle(ctx) {
+            if !park(ctx, None) {
                 return Ok(());
             }
             continue;
         }
         // Prefer resuming a queued green over admitting a new request.
-        let queued = shared.run_queue.lock().unwrap().pop_front();
+        let queued = locked(&shared.run_queue).pop_front();
         if let Some(mut g) = queued {
             // Reload the snapshot: a collection while queued rewrote it.
             reload(ctx, &mut g.mu);
@@ -294,9 +291,8 @@ fn scheduler_loop(
                 MutatorExit::Descheduled => {
                     // The deposited snapshot keeps the green traceable
                     // while it is queued.
-                    ctx.vm.retire_tlab(&mut g.mu);
-                    *ctx.slots[g.mu.tid].lock().unwrap() = Some(g.mu.cpu.clone());
-                    shared.run_queue.lock().unwrap().push_back(g);
+                    deposit(ctx, &mut g.mu)?;
+                    locked(&shared.run_queue).push_back(g);
                 }
                 MutatorExit::Finished => finish_green(ctx, shared, g),
                 MutatorExit::Halted => return Ok(()),
@@ -308,7 +304,7 @@ fn scheduler_loop(
         while admitted < load.burst.max(1) {
             match admit_one(ctx, shared, load, entry, entry_takes_id) {
                 Some(g) => {
-                    shared.run_queue.lock().unwrap().push_back(g);
+                    locked(&shared.run_queue).push_back(g);
                     admitted += 1;
                 }
                 None => break,
@@ -323,17 +319,12 @@ fn scheduler_loop(
         if starved_by_zombies(ctx, shared, load) {
             // Every free slot is an uncollected zombie: force a cycle to
             // evacuate and reset them.
-            if ctx
-                .vm
-                .gc_request
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            if try_lead(ctx) {
                 shared.forced_collections.fetch_add(1, R);
-                if !lead_collection_idle(ctx)? {
+                if !lead(ctx, None, true)? {
                     return Ok(());
                 }
-            } else if !park_idle(ctx) {
+            } else if !park(ctx, None) {
                 return Ok(());
             }
             continue;
@@ -389,9 +380,6 @@ impl ServeExecutor {
     /// handler procedure is unknown, or it takes more than one argument.
     pub fn run(&mut self) -> Result<ServeOutcome, ExecError> {
         assert!(self.vm.region_words() > 0, "serve mode needs per-request regions");
-        if let Some(n) = self.options.force_every_allocs {
-            self.vm.force_gc_at.store(n.max(1), R);
-        }
         let vm = &self.vm;
         let greens = vm.mutators();
         let threads = self.options.threads.max(1);
@@ -411,9 +399,7 @@ impl ServeExecutor {
         assert!(n_args <= 1, "handler procedure must take 0 or 1 argument");
         let entry_takes_id = n_args == 1;
 
-        let engine =
-            std::sync::Arc::new(JitEngine::interpreter(std::sync::Arc::clone(vm.decoded())));
-        let ctx = RunCtx::new(vm, self.options, greens, threads, engine);
+        let ctx = RunCtx::new(vm, self.options, greens, threads, None);
         let shared = ServeShared {
             run_queue: Mutex::new(VecDeque::new()),
             free_slots: Mutex::new((0..greens).collect()),
@@ -430,39 +416,8 @@ impl ServeExecutor {
         };
 
         let t0 = Instant::now();
-        std::thread::scope(|s| {
-            let (ctx, shared, load) = (&ctx, &shared, &self.load);
-            let schedulers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || {
-                        let res = scheduler_loop(ctx, shared, load, entry, entry_takes_id);
-                        let mut st = ctx.coord.state.lock().unwrap();
-                        if let Err(e) = res {
-                            let mut err = ctx.coord.error.lock().unwrap();
-                            if err.is_none() {
-                                *err = Some(e);
-                            }
-                            st.halt = true;
-                            ctx.coord.halt.store(true, Ordering::Release);
-                        }
-                        st.active -= 1;
-                        ctx.coord.cv.notify_all();
-                    })
-                })
-                .collect();
-            // Spawns the gc helpers if and when a collection wants them;
-            // released when this closure ends — after every scheduler
-            // thread has.
-            let _helpers = spawn_helpers(s, ctx);
-            for h in schedulers {
-                h.join().expect("serve scheduler thread panicked");
-            }
-        });
+        ctx.scoped(|_| scheduler_loop(&ctx, &shared, &self.load, entry, entry_takes_id))?;
         let elapsed = t0.elapsed();
-
-        if let Some(e) = ctx.coord.error.lock().unwrap().take() {
-            return Err(e);
-        }
 
         let gc_each = ctx.gc_log.into_inner().unwrap();
         let mut pauses: Vec<u64> = gc_each

@@ -874,7 +874,7 @@ fn a_panicking_gc_worker_fails_the_run_instead_of_hanging_it() {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let mut ex = ParExecutor::new(options.build_par_machine(module), options);
-            ex.worker_fault = fault;
+            ex.fault = fault.map(|(w, n)| crate::parallel::Fault::Worker(w, n));
             // `run_main` returning at all means its scope joined every
             // mutator and every gc helper: nobody is left parked.
             drop(tx.send(ex.run_main()));
@@ -897,4 +897,316 @@ fn a_panicking_gc_worker_fails_the_run_instead_of_hanging_it() {
     let out = run(None).expect("a run without the fault");
     assert_eq!(out.output, expected);
     assert!(out.collections >= 3);
+}
+
+/// Runs `run` on its own thread and fails the test by name if it has
+/// not come back after `secs` seconds: a thread left parked must show up
+/// as a timeout, not as a hung test binary.
+fn within<T: Send + 'static>(secs: u64, what: &str, run: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || drop(tx.send(run())));
+    rx.recv_timeout(std::time::Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what}: no result within {secs} s (a thread was left parked)"))
+}
+
+/// The safepoint protocol, driven directly (`safepoint.rs`): real OS
+/// threads over a real `RunCtx`, the interleavings forced by a barrier
+/// and by waiting on the handshake's own counters.
+mod safepoint_protocol {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Barrier, Mutex};
+
+    use m3gc_vm::exec::Step;
+    use m3gc_vm::{Mutator, ParMachine};
+
+    use super::{compile, within};
+    use crate::options::{GcStrategy, RuntimeOptions};
+    use crate::parallel::RunCtx;
+    use crate::safepoint::{locked, park, stop_world, try_lead, Cause};
+    use crate::scheduler::ExecError;
+
+    const SRC: &str = "MODULE P;
+    TYPE Node = REF RECORD v: INTEGER; next: Node END;
+    VAR n: Node; i: INTEGER;
+    BEGIN FOR i := 1 TO 10 DO n := NEW(Node); n.v := i; END; PutInt(n.v); END P.";
+
+    fn machine(mutators: usize) -> (ParMachine, RuntimeOptions) {
+        let options = RuntimeOptions::new()
+            .strategy(GcStrategy::Parallel)
+            .semi_words(1 << 12)
+            .threads(mutators);
+        (options.build_par_machine(compile(SRC)), options)
+    }
+
+    /// A mutator of `vm` run to its first gc-point, where it may be
+    /// deposited.
+    fn at_gc_point(vm: &ParMachine, tid: usize) -> Mutator {
+        let mut mu = vm.spawn_mutator(tid, vm.module.main, &[]);
+        vm.gc_request.store(true, Ordering::Relaxed);
+        while vm.step(&mut mu) != Step::AtSafepoint {}
+        vm.gc_request.store(false, Ordering::Relaxed);
+        mu
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Leader {
+        Mutator,
+        IdleScheduler,
+        /// Not one of the run's `active` threads: leads uncounted.
+        Coordinator,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Outcome {
+        Ok,
+        WorkFails,
+        WorkPanics,
+        /// An active thread fails instead of parking, with the leader
+        /// already waiting and another thread already parked.
+        HaltWhileWaiting,
+        /// The same, but the thread panics.
+        PanicWhileWaiting,
+    }
+
+    /// One pause: thread 0 parks as a mutator, thread 1 parks idle (or
+    /// fails, or panics), the leader stops the world around `outcome`'s
+    /// work. Whatever happens, the handshake must end released — request
+    /// clear, nobody counted as parked, the generation advanced exactly
+    /// once — and every thread must come back: resumed after a pause
+    /// that ran, halted otherwise.
+    fn one_pause(leader: Leader, outcome: Outcome) {
+        let counted = leader != Leader::Coordinator;
+        let (vm, options) = machine(3);
+        let mutators: Vec<_> = (0..3).map(|t| Mutex::new(Some(at_gc_point(&vm, t)))).collect();
+        let ctx = RunCtx::new(&vm, options, 3, if counted { 3 } else { 2 }, None);
+        let requested = Barrier::new(3);
+        let (ran, resumed) = (AtomicBool::new(false), Mutex::new(Vec::new()));
+        let led = Mutex::new(None);
+        let lead = || {
+            assert!(try_lead(&ctx));
+            requested.wait();
+            let mut mu = if leader == Leader::Mutator { locked(&mutators[2]).take() } else { None };
+            let result = stop_world(&ctx, mu.as_mut(), counted, |world| {
+                ran.store(true, Ordering::SeqCst);
+                let cause =
+                    if leader == Leader::Mutator { Cause::Allocation } else { Cause::Forced };
+                assert_eq!(world.cause(true), Ok(cause));
+                match outcome {
+                    Outcome::WorkFails => Err(ExecError::OutOfFuel),
+                    Outcome::WorkPanics => panic!("injected pause fault"),
+                    _ => Ok(()),
+                }
+            });
+            *locked(&led) = Some(result);
+            Ok(())
+        };
+        let run = std::thread::scope(|s| {
+            if !counted {
+                s.spawn(lead);
+            }
+            ctx.scoped(|t| {
+                if t == 2 {
+                    return lead();
+                }
+                requested.wait();
+                let mut mu = locked(&mutators[t]).take();
+                if t == 1
+                    && matches!(outcome, Outcome::HaltWhileWaiting | Outcome::PanicWhileWaiting)
+                {
+                    // Thread 0 (and a counted leader) must be in first.
+                    while ctx.coord.probe().0 < if counted { 2 } else { 1 } {
+                        std::thread::yield_now();
+                    }
+                    if outcome == Outcome::PanicWhileWaiting {
+                        panic!("injected mutator fault");
+                    }
+                    return Err(ExecError::StuckThread { thread: 1 });
+                }
+                let go_on = park(&ctx, if t == 0 { mu.as_mut() } else { None });
+                locked(&resumed).push(go_on);
+                Ok(())
+            })
+        });
+
+        let what = format!("{leader:?} × {outcome:?}");
+        let led = led.into_inner().unwrap().expect("the leader came back");
+        let work_ran = matches!(outcome, Outcome::Ok | Outcome::WorkFails | Outcome::WorkPanics);
+        assert_eq!(ran.load(Ordering::SeqCst), work_ran, "{what}: work ran");
+        match outcome {
+            Outcome::Ok => {
+                assert_eq!(
+                    (run, led),
+                    (Ok(vec![(); if counted { 3 } else { 2 }]), Ok(true)),
+                    "{what}"
+                );
+            }
+            Outcome::WorkFails => {
+                assert_eq!(
+                    (run, led),
+                    (Err(ExecError::OutOfFuel), Err(ExecError::OutOfFuel)),
+                    "{what}"
+                );
+            }
+            Outcome::WorkPanics => {
+                assert_eq!(run, led.map(|_| Vec::new()), "{what}");
+                let Err(ExecError::GcWorkerPanic { worker: 0, phase: "pause", message }) = run
+                else {
+                    panic!("{what}: expected the leader's panic, got {run:?}");
+                };
+                assert_eq!(message, "injected pause fault", "{what}");
+            }
+            Outcome::HaltWhileWaiting => {
+                assert_eq!(
+                    (run, led),
+                    (Err(ExecError::StuckThread { thread: 1 }), Ok(false)),
+                    "{what}"
+                );
+            }
+            Outcome::PanicWhileWaiting => {
+                let message = "injected mutator fault".to_string();
+                assert_eq!(run, Err(ExecError::MutatorPanic { thread: 1, message }), "{what}");
+                assert_eq!(led, Ok(false), "{what}");
+            }
+        }
+        let parkers = if outcome == Outcome::Ok || work_ran { 2 } else { 1 };
+        assert_eq!(resumed.into_inner().unwrap(), vec![outcome == Outcome::Ok; parkers], "{what}");
+        assert!(!vm.gc_request.load(Ordering::SeqCst), "{what}: request left pending");
+        assert_eq!(
+            ctx.coord.probe(),
+            (0, 1, outcome != Outcome::Ok),
+            "{what}: (parked, generation, halt)"
+        );
+        // A resumed mutator took its (possibly rewritten) state back.
+        assert!(ctx.slots.iter().all(|slot| locked(slot).is_none()), "{what}: a snapshot was left");
+    }
+
+    #[test]
+    fn every_pause_ends_released_whoever_leads_and_however_it_ends() {
+        for leader in [Leader::Mutator, Leader::IdleScheduler, Leader::Coordinator] {
+            for outcome in [
+                Outcome::Ok,
+                Outcome::WorkFails,
+                Outcome::WorkPanics,
+                Outcome::HaltWhileWaiting,
+                Outcome::PanicWhileWaiting,
+            ] {
+                within(1, &format!("{leader:?} × {outcome:?}"), move || {
+                    one_pause(leader, outcome)
+                });
+            }
+        }
+    }
+
+    /// The collection-cause policy, on one thread that leads every pause
+    /// itself: torture comes due and is re-armed, an idle leader's pause
+    /// is forced, and an unforced pause that frees memory without any
+    /// allocation since the last one is out of memory — but a pause that
+    /// frees nothing (cms's snapshot and select) never asks.
+    #[test]
+    fn the_cause_of_a_pause_is_decided_once() {
+        let (vm, options) = machine(1);
+        let mut mu = at_gc_point(&vm, 0);
+        let ctx = RunCtx::new(&vm, options.torture(true), 1, 1, None);
+        let pause = |mu: Option<&mut Mutator>, frees: bool| {
+            let cause = Mutex::new(None);
+            assert!(try_lead(&ctx));
+            let led = stop_world(&ctx, mu, true, |world| {
+                world.cause(frees).map(|c| *locked(&cause) = Some(c))
+            });
+            led.map(|_| cause.into_inner().unwrap().expect("the work ran"))
+        };
+        vm.force_gc_at.store(0, Ordering::Relaxed);
+        assert_eq!(pause(Some(&mut mu), true), Ok(Cause::Torture));
+        assert_eq!(
+            vm.force_gc_at.load(Ordering::Relaxed),
+            vm.allocations.load(Ordering::Relaxed) + 1
+        );
+        assert_eq!(pause(None, true), Ok(Cause::Forced));
+        assert_eq!(pause(Some(&mut mu), true), Ok(Cause::Allocation));
+        assert_eq!(pause(Some(&mut mu), false), Ok(Cause::Allocation));
+        assert_eq!(
+            pause(Some(&mut mu), true),
+            Err(ExecError::Trap(m3gc_vm::machine::VmTrap::OutOfMemory))
+        );
+    }
+
+    /// `deposit` checks what it stores: a thread that is not at a
+    /// gc-point has no tables to be scanned with, and with the oracle
+    /// armed says so itself — with thread and pc — instead of surfacing
+    /// a walk later as a root outside the heap.
+    #[test]
+    fn depositing_off_a_gc_point_is_an_oracle_error() {
+        let (vm, options) = machine(1);
+        let mut mu = vm.spawn_mutator(0, vm.module.main, &[]);
+        let pc = mu.cpu.pc;
+        assert!(!vm.is_gc_point_pc(pc), "a procedure's entry is not a gc-point");
+        let ctx = RunCtx::new(&vm, options.oracle(true), 1, 1, None);
+        assert!(try_lead(&ctx));
+        let led = stop_world(&ctx, Some(&mut mu), true, |_| panic!("the world must not stop"));
+        let what = format!("thread 0 deposited at pc {pc}, which has no gc tables");
+        assert_eq!(led, Err(ExecError::Oracle(what)));
+        assert_eq!(ctx.coord.probe(), (0, 1, true));
+        assert!(!vm.gc_request.load(Ordering::SeqCst));
+    }
+}
+
+/// A concurrent marker or copier that panics must fail the run with a
+/// structured error naming its phase — not take the coordinator's scope
+/// down with it and leave the next final-pause leader waiting forever
+/// for `markers_idle`/`copiers_idle`, nor leave a second marker spinning
+/// on the gray work the dead one took with it.
+#[test]
+fn a_panicking_concurrent_gc_thread_fails_the_run_instead_of_hanging_it() {
+    use crate::options::GcStrategy;
+    use crate::parallel::{Fault, ParExecutor};
+    use crate::scheduler::ExecError;
+
+    // `Build` makes a live chain (gray work for every snapshot), `Fill`
+    // churns past the occupancy trigger, and the allocation-free `Walk`
+    // is long enough for marking — and under conc-evac the evacuation
+    // select and the concurrent copy — to get going underneath it.
+    let src = "MODULE Victim;
+    TYPE Node = REF RECORD v: INTEGER; next: Node END;
+    PROCEDURE Work(): INTEGER =
+    VAR head, t, p: Node; i, s: INTEGER;
+    BEGIN
+      head := NIL;
+      FOR i := 1 TO 64 DO t := NEW(Node); t.v := i; t.next := head; head := t; END;
+      FOR i := 1 TO 1000 DO t := NEW(Node); t.v := i; END;
+      s := 0;
+      FOR i := 1 TO 100000 DO
+        p := head;
+        WHILE p # NIL DO s := (s + p.v) MOD 1000003; p := p.next; END;
+      END;
+      RETURN s;
+    END Work;
+    BEGIN PutInt(Work()); END Victim.";
+    let module = compile(src);
+    for (fault, conc_evac, phase) in
+        [(Fault::Marker, false, "mark"), (Fault::Copier, true, "conc-copy")]
+    {
+        // No TLABs: retirement waste would fill the heap during `Fill`
+        // and a mutator-led final pause would close the cycle first.
+        let options = RuntimeOptions::new()
+            .strategy(GcStrategy::Cms)
+            .semi_words(1 << 12)
+            .threads(1)
+            .tlab_words(0)
+            .gc_workers(2)
+            .conc_workers(2)
+            .conc_evac(conc_evac)
+            .evac_region_words(16);
+        let module = module.clone();
+        let result = within(5, phase, move || {
+            let mut ex = ParExecutor::new(options.build_par_machine(module), options);
+            ex.fault = Some(fault);
+            ex.run_main()
+        });
+        match result {
+            Err(ExecError::GcWorkerPanic { phase: p, message, .. }) if p == phase => {
+                assert!(message.starts_with("injected"), "{message}");
+            }
+            other => panic!("expected GcWorkerPanic during {phase}, got {other:?}"),
+        }
+    }
 }

@@ -17,13 +17,18 @@
 //!   and copies the same words; a wide heap wakes the helpers and gets
 //!   chunks stolen; a narrow heap wakes nobody; 2 000 collections with
 //!   4 mutators × 4 workers terminate under a watchdog.
+//! * A panic on a mutator thread, or on one of cms's concurrent gc
+//!   threads, is a structured error under a watchdog — not a process
+//!   abort, not a hang (root twins of the safepoint-protocol unit tests
+//!   in `crates/runtime/src/tests.rs`, which force the interleavings).
 
 use std::sync::mpsc;
 use std::time::Duration;
 
-use m3gc::compiler::{compile, run_module_par, run_module_with, Options};
+use m3gc::compiler::{compile, run_module_par, run_module_par_opts, run_module_with, Options};
+use m3gc::core::heap::HeapType;
 use m3gc::runtime::scheduler::{ExecError, Executor};
-use m3gc::runtime::{ParOutcome, RuntimeOptions};
+use m3gc::runtime::{GcStrategy, ParOutcome, RuntimeOptions};
 use m3gc::vm::machine::{Machine, MachineLayout};
 use m3gc::vm::{ParLayout, ParMachine};
 
@@ -201,6 +206,76 @@ fn parallel_max_advance_exhaustion_is_a_structured_error() {
     match result {
         Err(ExecError::StuckThread { .. }) => {}
         other => panic!("expected StuckThread, got {other:?}"),
+    }
+}
+
+/// A module whose entry procedure does not exist makes every mutator
+/// thread panic as it starts (`spawn_mutator`: "Panics if `proc` is
+/// invalid"). The run must come back with the panic as its error: the
+/// unwind is caught at the thread boundary and the thread still leaves
+/// the handshake.
+#[test]
+fn a_panicking_mutator_thread_is_a_structured_error() {
+    let mut module = compile(LOCAL_CHURN, &Options::o2()).expect("compiles");
+    module.main = u16::try_from(module.procs.len()).expect("few procedures");
+    let result = within(1, "panicking mutators", move || {
+        run_module_par(module, 1 << 14, 3, false, RuntimeOptions::new())
+    });
+    match result {
+        Err(ExecError::MutatorPanic { thread, message }) => {
+            assert!(thread < 3, "thread {thread}");
+            assert!(message.contains("index out of bounds"), "{message}");
+        }
+        other => panic!("expected MutatorPanic, got {other:?}"),
+    }
+}
+
+/// A type descriptor claiming a pointer field far outside its object
+/// makes whoever scans an instance read outside the machine's memory and
+/// panic. Under `--gc cms` that is a concurrent marker: the program
+/// builds a live chain, churns past the occupancy trigger, then walks the
+/// chain without allocating, so no mutator-led pause gets to the chain
+/// first. The run must end with the marker's panic as its error instead
+/// of hanging on the `markers_idle` flag a dead marker's scope never
+/// flips.
+#[test]
+fn a_panicking_cms_marker_is_a_structured_error() {
+    let src = "MODULE Victim;
+    TYPE Node = REF RECORD v: INTEGER; next: Node END;
+    PROCEDURE Work(): INTEGER =
+    VAR head, t, p: Node; i, s: INTEGER;
+    BEGIN
+      head := NIL;
+      FOR i := 1 TO 64 DO t := NEW(Node); t.v := i; t.next := head; head := t; END;
+      FOR i := 1 TO 1000 DO t := NEW(Node); t.v := i; END;
+      s := 0;
+      FOR i := 1 TO 1000000 DO
+        p := head;
+        WHILE p # NIL DO s := (s + p.v) MOD 1000003; p := p.next; END;
+      END;
+      RETURN s;
+    END Work;
+    BEGIN PutInt(Work()); END Victim.";
+    let mut module = compile(src, &Options::o2()).expect("compiles");
+    for ty in &mut module.types.types {
+        if let HeapType::Record { ptr_offsets, .. } = ty {
+            ptr_offsets.push(u32::MAX / 2);
+        }
+    }
+    // No TLABs: retirement waste would fill the heap before the trigger.
+    let options = RuntimeOptions::new()
+        .strategy(GcStrategy::Cms)
+        .semi_words(1 << 12)
+        .threads(1)
+        .tlab_words(0)
+        .gc_workers(2)
+        .conc_workers(2);
+    let result = within(5, "panicking cms marker", move || run_module_par_opts(module, options));
+    match result {
+        Err(ExecError::GcWorkerPanic { phase: "mark", message, .. }) => {
+            assert!(message.contains("index out of bounds"), "{message}");
+        }
+        other => panic!("expected GcWorkerPanic during mark, got {other:?}"),
     }
 }
 
