@@ -80,13 +80,8 @@ struct FnEmit<'a> {
     frame: &'a Frame,
     /// Ground table under construction.
     ground: Vec<GroundEntry>,
-    /// Ground indices of source-slot pointer words (every one, in slot
-    /// order) — the live set at every gc-point when liveness pruning is
-    /// off.
+    /// Ground indices of source-slot pointer words (always live).
     always_live: Vec<u32>,
-    /// Ground indices of each slot's pointer words, indexed by slot id —
-    /// used to split slots into live/killed when liveness pruning is on.
-    slot_ground: Vec<Vec<u32>>,
     /// Ground index of each pointer param's AP slot.
     param_ground: Vec<Option<u32>>,
     /// Ground index of each spilled tidy-pointer temp's slot.
@@ -109,22 +104,18 @@ impl<'a> FnEmit<'a> {
             frame,
             ground: Vec::new(),
             always_live: Vec::new(),
-            slot_ground: vec![Vec::new(); f.slots.len()],
             param_ground: vec![None; f.n_params],
             temp_ground: vec![None; f.temp_count()],
             points: Vec::new(),
         };
         // Source-slot pointer words: every pointer in a frame slot is a
         // separate ground entry (§5.2) and is traced at every gc-point
-        // (slots are NIL-initialized at frame setup) — unless liveness
-        // pruning proves the slot dead, in which case the gc-point lists
-        // the words as killed instead.
+        // (slots are NIL-initialized at frame setup).
         for (sid, s) in f.slots.iter().enumerate() {
             for &w in &s.ptr_words {
                 let idx =
                     e.add_ground(GroundEntry::new(BaseReg::Fp, frame.slot_offsets[sid] + w as i32));
                 e.always_live.push(idx);
-                e.slot_ground[sid].push(idx);
             }
         }
         // Pointer parameters: their AP slots are roots while the parameter
@@ -205,18 +196,14 @@ impl<'a> FnEmit<'a> {
 
     /// Builds the tables for a gc-point at `pc` given the set of live
     /// temps and extra derivation targets (pushed derived arguments).
-    /// `slot_live` is the set of live source slots at the point (from
-    /// [`m3gc_ir::liveness::slot_liveness`]); `None` means liveness
-    /// pruning is off and every slot is treated as live.
     fn record_gc_point(
         &mut self,
         pc: u32,
         live: &BitSet,
-        slot_live: Option<&BitSet>,
         extra_live: &[Temp],
         extra_targets: &[(Location, Temp)],
     ) {
-        self.record_gc_point_with_byref(pc, live, slot_live, extra_live, extra_targets, &[]);
+        self.record_gc_point_with_byref(pc, live, extra_live, extra_targets, &[]);
     }
 
     /// Like [`Self::record_gc_point`], with additional records for by-ref
@@ -226,7 +213,6 @@ impl<'a> FnEmit<'a> {
         &mut self,
         pc: u32,
         live: &BitSet,
-        slot_live: Option<&BitSet>,
         extra_live: &[Temp],
         extra_targets: &[(Location, Temp)],
         byref_passthrough: &[(Location, Temp)],
@@ -242,25 +228,7 @@ impl<'a> FnEmit<'a> {
         }
         let is_live = |t: Temp| live.contains(t.index()) || extra_live.contains(&t);
 
-        // Split the source-slot pointer words into live and killed. With
-        // pruning off every slot's words go in `live_stack` (the paper's
-        // behaviour); with pruning on, a slot that is dead here moves its
-        // words to `killed` instead, and the collector nulls them.
-        let mut killed: Vec<u32> = Vec::new();
-        let mut live_stack: Vec<u32> = match slot_live {
-            None => self.always_live.clone(),
-            Some(set) => {
-                let mut live_stack = Vec::with_capacity(self.always_live.len());
-                for (sid, indices) in self.slot_ground.iter().enumerate() {
-                    if set.contains(sid) {
-                        live_stack.extend_from_slice(indices);
-                    } else {
-                        killed.extend_from_slice(indices);
-                    }
-                }
-                live_stack
-            }
-        };
+        let mut live_stack: Vec<u32> = self.always_live.clone();
         let mut regs = RegSet::EMPTY;
         let mut derived_live: Vec<Temp> = Vec::new();
         for t in (0..self.f.temp_count() as u32).map(Temp) {
@@ -314,9 +282,7 @@ impl<'a> FnEmit<'a> {
         }
         let derivations = order_derived_before_bases(records);
 
-        killed.sort_unstable();
-        killed.dedup();
-        self.points.push(GcPointTables { pc, live_stack, regs, derivations, killed });
+        self.points.push(GcPointTables { pc, live_stack, regs, derivations });
     }
 }
 
@@ -334,10 +300,6 @@ fn emit_function(
     let alloc = regalloc::allocate(f, deriv);
     let frame = Frame::layout(f, &alloc);
     let mut em = FnEmit::new(f, deriv, &alloc, &frame);
-    // Slot liveness for map pruning: which source slots are live at each
-    // gc-point. `None` disables pruning (every slot always live).
-    let slot_lv = (options.gc.emit_tables && options.gc.live_maps && !f.slots.is_empty())
-        .then(|| m3gc_ir::liveness::slot_liveness(f));
     let entry_pc = asm.here();
 
     // Block labels.
@@ -369,13 +331,6 @@ fn emit_function(
         let block = f.block(bid);
         let next_in_layout = order.get(oi + 1).copied();
         let after = alloc.liveness.live_after_each(f, bid, deriv);
-        // Slot-live sets use *before* each instruction: a callee may still
-        // read a caller slot through a VAR alias passed as an argument, so
-        // a call's map must keep slots the call itself uses (the call's
-        // use of the aliasing address temp keeps the slot in its before
-        // set). Allocations and explicit gc-points touch no slots, so
-        // before equals after for them.
-        let slot_before = slot_lv.as_ref().map(|sl| sl.live_before_each(f, bid));
         fresh.clear();
         nonheap.clear();
 
@@ -586,7 +541,6 @@ fn emit_function(
                         em.record_gc_point_with_byref(
                             retpc,
                             &live,
-                            slot_before.as_ref().map(|v| &v[i]),
                             &extra_live,
                             &extra_targets,
                             &byref_passthrough,
@@ -622,13 +576,7 @@ fn emit_function(
                         let mut uses = Vec::new();
                         ins.uses(&mut uses);
                         let alloc_pc = asm.here();
-                        em.record_gc_point(
-                            alloc_pc,
-                            &before,
-                            slot_before.as_ref().map(|v| &v[i]),
-                            &uses,
-                            &[],
-                        );
+                        em.record_gc_point(alloc_pc, &before, &uses, &[]);
                     }
                     let rd = def_reg!(*dst);
                     match len_reg {
@@ -644,13 +592,7 @@ fn emit_function(
                         if let Some(d) = ins.def() {
                             before.remove(d.index());
                         }
-                        em.record_gc_point(
-                            pc,
-                            &before,
-                            slot_before.as_ref().map(|v| &v[i]),
-                            &[],
-                            &[],
-                        );
+                        em.record_gc_point(pc, &before, &[], &[]);
                         // Flag the explicit poll site: the parallel
                         // runtime's safepoint handshake relies on these
                         // (loop back-edges) to bound how far a mutator
@@ -1182,95 +1124,6 @@ mod tests {
         let id = b.finish();
         p.main = p.add_func(id);
         assert_eq!(stb_count(&mut p, &CodegenOptions::default()), 0);
-    }
-
-    // --- Liveness-driven map pruning ---
-
-    fn slot_program() -> Program {
-        // A pointer slot written once, read once, then dead while a later
-        // allocation (a gc-point) runs.
-        let mut p = Program::new();
-        let ty = ptr_record(&mut p);
-        let mut b = FuncBuilder::new("main", &[]);
-        let slot = b.slot(m3gc_ir::SlotInfo {
-            name: "v".into(),
-            words: 1,
-            ptr_words: vec![0],
-            addressable: true,
-        });
-        let o = b.new_object(ty, None);
-        b.store_slot(slot, 0, o);
-        let v = b.load_slot(slot, 0, TempKind::Ptr);
-        let x = b.load(v, 1, TempKind::Int);
-        b.call_runtime(RuntimeFn::PrintInt, vec![x]);
-        let _keep = b.new_object(ty, None); // gc-point with the slot dead
-        b.ret(None);
-        let id = b.finish();
-        p.main = p.add_func(id);
-        p
-    }
-
-    #[test]
-    fn dead_slot_killed_at_later_gc_point() {
-        // The slot's ground entry is index 0 (slot entries are added
-        // before param and spill entries).
-        let module = compile(&mut slot_program(), &CodegenOptions::default());
-        let pt = &module.logical_maps.procs[0];
-        assert_eq!(pt.points.len(), 2, "{pt:?}");
-        let last = pt.points.last().unwrap();
-        assert!(last.killed.contains(&0), "dead slot must be killed: {last:?}");
-        assert!(!last.live_stack.contains(&0), "dead slot must not be live: {last:?}");
-    }
-
-    #[test]
-    fn live_maps_off_keeps_every_slot_live() {
-        let mut opts = CodegenOptions::default();
-        opts.gc.live_maps = false;
-        let module = compile(&mut slot_program(), &opts);
-        let pt = &module.logical_maps.procs[0];
-        for point in &pt.points {
-            assert!(point.killed.is_empty(), "{point:?}");
-            assert!(point.live_stack.contains(&0), "{point:?}");
-        }
-    }
-
-    #[test]
-    fn var_alias_keeps_slot_live_across_call() {
-        // The slot's address is passed to a callee that reads through it:
-        // the call's gc-point must keep the slot live (the callee can
-        // still load it), but a gc-point after the call may kill it.
-        let mut p = Program::new();
-        let ty = ptr_record(&mut p);
-        let mut callee = FuncBuilder::with_ret("reads", &[TempKind::Int], Some(TempKind::Int));
-        let pv = callee.load(callee.param(0), 0, TempKind::Ptr);
-        let x = callee.load(pv, 1, TempKind::Int);
-        callee.ret(Some(x));
-        let callee_id = p.add_func(callee.finish());
-        let mut b = FuncBuilder::new("main", &[]);
-        let slot = b.slot(m3gc_ir::SlotInfo {
-            name: "v".into(),
-            words: 1,
-            ptr_words: vec![0],
-            addressable: true,
-        });
-        let o = b.new_object(ty, None);
-        b.store_slot(slot, 0, o);
-        let sa = b.slot_addr(slot);
-        let r = b.call(callee_id, vec![sa], Some(TempKind::Int)).unwrap();
-        b.call_runtime(RuntimeFn::PrintInt, vec![r]);
-        let _keep = b.new_object(ty, None); // slot dead here
-        b.ret(None);
-        let id = b.finish();
-        p.main = p.add_func(id);
-        let module = compile(&mut p, &CodegenOptions::default());
-        let pt = module.logical_maps.procs.iter().find(|t| t.name == "main").unwrap();
-        assert_eq!(pt.points.len(), 3, "{pt:?}");
-        let at_call = &pt.points[1];
-        assert!(at_call.live_stack.contains(&0), "aliased slot live at call: {at_call:?}");
-        assert!(!at_call.killed.contains(&0), "{at_call:?}");
-        let after_call = &pt.points[2];
-        assert!(after_call.killed.contains(&0), "slot dead after last use: {after_call:?}");
-        assert!(!after_call.live_stack.contains(&0), "{after_call:?}");
     }
 
     #[test]

@@ -61,14 +61,6 @@ pub struct GcConfig {
     /// barrier instruction degenerates to a plain store, so barrier-
     /// compiled code runs unchanged under either collector.
     pub write_barriers: bool,
-    /// Liveness-driven gc-maps: prune frame slots whose pointer contents
-    /// are provably dead from each gc-point's live set, and list them in
-    /// the point's *killed* table instead — the collector nulls them, so
-    /// dead references retain nothing (no float). Slots with outstanding
-    /// aliases (VAR arguments, WITH bindings) stay live while the alias
-    /// can still be read; see `m3gc_ir::liveness::slot_liveness`. Turning
-    /// this off restores the paper's every-slot-always-live maps.
-    pub live_maps: bool,
 }
 
 impl Default for GcConfig {
@@ -78,7 +70,6 @@ impl Default for GcConfig {
             calls: CallPolicy::AllCalls,
             loop_gc_points: true,
             write_barriers: true,
-            live_maps: true,
         }
     }
 }

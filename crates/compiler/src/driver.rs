@@ -165,7 +165,6 @@ pub fn run(
             );
             rep.add_watermark(out.gc_total.frames_spliced, out.gc_total.frames_traced);
         }
-        rep.add_livemap(out.gc_total.roots_killed, out.gc_total.float_words_avoided);
         if let Some(jit) = ex.jit_summary() {
             rep.add_jit(&jit);
         }
@@ -214,10 +213,6 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
         rep.add_watermark(
             out.gc_each.iter().map(|g| g.frames_spliced).sum(),
             out.gc_each.iter().map(|g| g.frames_traced).sum(),
-        );
-        rep.add_livemap(
-            out.gc_each.iter().map(|g| g.roots_killed).sum(),
-            out.gc_each.iter().map(|g| g.float_words_avoided).sum(),
         );
         if let Some(jit) = ex.jit_summary() {
             rep.add_jit(&jit);
@@ -307,18 +302,7 @@ pub fn tables(source: &str, options: &Options) -> Result<String, DriverError> {
         for pt in &proc.points {
             let slots: Vec<String> =
                 pt.live_stack.iter().map(|&i| proc.ground[i as usize].to_string()).collect();
-            if pt.killed.is_empty() {
-                let _ =
-                    writeln!(s, "  gc-point pc {:>5}: stack {:?} regs {}", pt.pc, slots, pt.regs);
-            } else {
-                let killed: Vec<String> =
-                    pt.killed.iter().map(|&i| proc.ground[i as usize].to_string()).collect();
-                let _ = writeln!(
-                    s,
-                    "  gc-point pc {:>5}: stack {:?} regs {} killed {:?}",
-                    pt.pc, slots, pt.regs, killed
-                );
-            }
+            let _ = writeln!(s, "  gc-point pc {:>5}: stack {:?} regs {}", pt.pc, slots, pt.regs);
             for d in &pt.derivations {
                 let _ = writeln!(s, "     derivation {d}");
             }
@@ -402,8 +386,6 @@ fn parse_all(
             "--o0" => options = Options::o0().with_scheme(options.codegen.scheme),
             "--o2" => {}
             "--no-gc" => options.codegen.gc.emit_tables = false,
-            "--live-maps" => options.codegen.gc.live_maps = true,
-            "--no-live-maps" => options.codegen.gc.live_maps = false,
             "--split-paths" => {
                 options = options.with_path_strategy(m3gc_opt::PathStrategy::Splitting);
             }
@@ -936,65 +918,15 @@ mod tests {
         assert!(!semi.contains("watermark:"), "{semi}");
     }
 
-    // A dead-slot shape: `a` lives in a frame slot (it is passed VAR),
-    // is dead after `s := a.v`, and every NEW gc-point in the loop is
-    // a chance for the liveness-pruned maps to kill it.
-    const SLOT_HEAVY: &str = "MODULE K;
-        TYPE R = REF RECORD v: INTEGER END;
-        PROCEDURE Fill(VAR r: R) = BEGIN r := NEW(R); r.v := 7; END Fill;
-        PROCEDURE P() =
-        VAR a: R; s, i: INTEGER;
-        BEGIN
-          Fill(a);
-          s := a.v;
-          FOR i := 1 TO 20 DO
-            WITH d = NEW(R) DO d.v := i; s := s + d.v; END;
-          END;
-          PutInt(s);
-        END P;
-        BEGIN P(); END K.";
-
+    /// The liveness-pruned maps are retired: their two flags are unknown
+    /// options like any other.
     #[test]
-    fn livemap_flags_parse() {
-        let (o, _) = parse_options(&[]).unwrap();
-        assert!(o.codegen.gc.live_maps);
-        let (o, _) = parse_options(&["--no-live-maps".into()]).unwrap();
-        assert!(!o.codegen.gc.live_maps);
-        let (o, _) = parse_options(&["--no-live-maps".into(), "--live-maps".into()]).unwrap();
-        assert!(o.codegen.gc.live_maps);
-    }
-
-    #[test]
-    fn livemap_stats_report_roots_killed() {
-        let killed_count = |args: &[String]| {
-            let (o, mut c) = parse_options(args).unwrap();
-            c.semi_words = 4096;
-            let out = run(SLOT_HEAVY, &o, c).unwrap();
-            assert!(out.starts_with("217"), "{out}");
-            let line = out
-                .lines()
-                .find(|l| l.contains("livemap:"))
-                .unwrap_or_else(|| panic!("no livemap line in {out}"));
-            // "--- livemap: K root(s) killed, W float word(s) avoided"
-            line.split_whitespace()
-                .nth(2)
-                .and_then(|w| w.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("unparsable livemap line: {line}"))
-        };
-        let pruned = killed_count(&["--torture".into(), "--stats".into()]);
-        assert!(pruned > 0, "liveness pruning should kill dead WITH slots");
-        let full = killed_count(&["--torture".into(), "--stats".into(), "--no-live-maps".into()]);
-        assert_eq!(full, 0, "full maps must not kill anything");
-    }
-
-    #[test]
-    fn tables_show_killed_slots() {
-        let (o, _) = parse_options(&[]).unwrap();
-        let t = tables(SLOT_HEAVY, &o).unwrap();
-        assert!(t.contains("killed"), "{t}");
-        let (o, _) = parse_options(&["--no-live-maps".into()]).unwrap();
-        let t = tables(SLOT_HEAVY, &o).unwrap();
-        assert!(!t.contains("killed"), "{t}");
+    fn retired_livemap_flags_are_usage_errors() {
+        for flag in ["--live-maps", "--no-live-maps"] {
+            let e = parse_options(&[flag.into()]).unwrap_err();
+            assert!(matches!(e, DriverError::Usage(_)), "{e:?}");
+            assert_eq!(e.to_string(), format!("unknown option `{flag}`"));
+        }
     }
 
     /// One row per contradictory pair: a collector-specific flag under a

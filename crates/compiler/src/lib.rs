@@ -35,7 +35,6 @@ use m3gc_runtime::parallel::{ParExecutor, ParOutcome};
 use m3gc_runtime::scheduler::{ExecError, ExecOutcome, Executor};
 use m3gc_runtime::serve::{ServeExecutor, ServeLoad, ServeOutcome};
 use m3gc_runtime::{GcStrategy, RuntimeOptions};
-use m3gc_vm::machine::HeapStrategy;
 use m3gc_vm::VmModule;
 
 pub use m3gc_codegen::{CallPolicy, GcConfig};
@@ -102,16 +101,6 @@ impl Options {
     #[must_use]
     pub fn with_path_strategy(mut self, s: PathStrategy) -> Options {
         self.opt.path_strategy = s;
-        self
-    }
-
-    /// Enables or disables liveness-driven gc-map pruning (on by
-    /// default): with it off, every pointer slot stays in every
-    /// gc-point's map for its whole frame lifetime and nothing is
-    /// killed.
-    #[must_use]
-    pub fn with_live_maps(mut self, live_maps: bool) -> Options {
-        self.codegen.gc.live_maps = live_maps;
         self
     }
 
@@ -193,31 +182,6 @@ pub fn run_module_with(
     config: impl Into<RuntimeOptions>,
 ) -> Result<ExecOutcome, ExecError> {
     run_module_opts(module, config.into().semi_words(semi_words))
-}
-
-/// Runs a compiled module with an explicit heap strategy (semispace or
-/// generational) and executor configuration.
-///
-/// # Errors
-///
-/// Propagates [`ExecError`].
-pub fn run_module_on(
-    module: VmModule,
-    semi_words: usize,
-    heap: HeapStrategy,
-    config: impl Into<RuntimeOptions>,
-) -> Result<ExecOutcome, ExecError> {
-    let mut options = config.into().semi_words(semi_words);
-    match heap {
-        HeapStrategy::Semispace => options = options.strategy(GcStrategy::Semispace),
-        HeapStrategy::Generational { nursery_words, promote_age } => {
-            options = options
-                .strategy(GcStrategy::Generational)
-                .nursery_words(nursery_words)
-                .promote_age(promote_age);
-        }
-    }
-    run_module_opts(module, options)
 }
 
 /// Runs a compiled module under the parallel runtime with the full

@@ -37,9 +37,6 @@ pub struct DecodedPoint {
     pub regs: RegSet,
     /// Derivations of live derived values, derived-before-base order.
     pub derivations: Vec<DerivationRecord>,
-    /// Frame slots whose pointer contents are dead here: the collector
-    /// nulls these instead of tracing them.
-    pub killed: Vec<GroundEntry>,
 }
 
 /// Error produced when the encoded stream is malformed.
@@ -95,14 +92,20 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A gc-point descriptor; a bit outside the six assigned ones means
+    /// the stream is not one the encoder wrote.
     fn descriptor(&mut self) -> Result<u8, DecodeError> {
-        if self.packing {
+        let w = if self.packing {
             let b = *self.bytes.get(self.pos).ok_or_else(|| self.err("truncated descriptor"))?;
             self.pos += 1;
-            Ok(b)
+            u32::from(b)
         } else {
-            self.uword().map(|w| w as u8)
+            self.uword()?
+        };
+        if w & !u32::from(descriptor::ALL) != 0 {
+            return Err(self.err("unassigned descriptor bit set"));
         }
+        Ok(w as u8)
     }
 
     fn pc_distance(&mut self) -> Result<u32, DecodeError> {
@@ -355,43 +358,7 @@ impl DecoderIndex {
         } else {
             read_derivations(r)?
         };
-        let killed = if desc & descriptor::KILLED_EMPTY != 0 {
-            Vec::new()
-        } else if desc & descriptor::KILLED_SAME != 0 {
-            prev.killed.clone()
-        } else {
-            match scheme.layout {
-                TableLayout::DeltaMain => {
-                    let n_words = ground.len().div_ceil(32);
-                    let mut slots = Vec::new();
-                    for w in 0..n_words {
-                        let bits = r.uword()?;
-                        for b in 0..32 {
-                            if bits & (1 << b) != 0 {
-                                let gi = w * 32 + b;
-                                let entry = ground
-                                    .get(gi)
-                                    .ok_or_else(|| r.err("killed bit out of range"))?;
-                                slots.push(*entry);
-                            }
-                        }
-                    }
-                    slots
-                }
-                TableLayout::FullInfo => {
-                    let n = r.uword()? as usize;
-                    let mut slots = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let w = r.word()?;
-                        slots.push(
-                            GroundEntry::from_word(w).ok_or_else(|| r.err("bad killed word"))?,
-                        );
-                    }
-                    slots
-                }
-            }
-        };
-        Ok(DecodedPoint { pc: 0, stack_slots, regs, derivations, killed })
+        Ok(DecodedPoint { pc: 0, stack_slots, regs, derivations })
     }
 }
 
@@ -703,21 +670,14 @@ mod tests {
                                     (Location::Slot(BaseReg::Fp, 1), Sign::Minus),
                                 ],
                             }],
-                            killed: vec![],
                         },
                         GcPointTables {
                             pc: 14,
                             live_stack: vec![0, 1],
                             regs: RegSet::single(2),
                             derivations: vec![],
-                            killed: vec![2],
                         },
-                        GcPointTables {
-                            pc: 30,
-                            live_stack: vec![2],
-                            killed: vec![0, 1],
-                            ..Default::default()
-                        },
+                        GcPointTables { pc: 30, live_stack: vec![2], ..Default::default() },
                     ],
                 },
                 ProcTables {
@@ -736,7 +696,6 @@ mod tests {
                                 vec![(Location::Reg(2), Sign::Plus)],
                             ],
                         }],
-                        killed: vec![],
                     }],
                 },
             ],
@@ -754,7 +713,6 @@ mod tests {
                 assert_eq!(d.stack_slots, proc.live_slots(i), "{scheme} stack at pc {}", pt.pc);
                 assert_eq!(d.regs, pt.regs, "{scheme} regs at pc {}", pt.pc);
                 assert_eq!(d.derivations, pt.derivations, "{scheme} derivs at pc {}", pt.pc);
-                assert_eq!(d.killed, proc.killed_slots(i), "{scheme} killed at pc {}", pt.pc);
             }
         }
     }
@@ -809,6 +767,33 @@ mod tests {
         enc.bytes.truncate(enc.bytes.len() / 2);
         assert!(TableDecoder::build(&enc).is_err());
         assert!(DecodeCache::build(&enc).is_err());
+    }
+
+    /// Bits 6 and 7 of a descriptor are unassigned: a stream carrying
+    /// either was not written by the encoder and must not decode.
+    #[test]
+    fn unassigned_descriptor_bits_are_rejected() {
+        let one_point = ModuleTables {
+            procs: vec![ProcTables {
+                name: "p".into(),
+                entry_pc: 0,
+                ground: vec![ge(0)],
+                points: vec![GcPointTables { pc: 4, live_stack: vec![0], ..Default::default() }],
+            }],
+        };
+        for scheme in Scheme::TABLE2 {
+            let enc = encode_module(&one_point, scheme);
+            // The first (only) descriptor follows the headers, the ground
+            // table and the one two-byte pc distance.
+            let at = enc.sizes.headers + enc.sizes.ground + enc.sizes.pcmap;
+            for bit in [6, 7] {
+                let mut bad = enc.clone();
+                bad.bytes[at] |= 1 << bit;
+                let err = TableDecoder::build(&bad).err().expect("unassigned bit must not decode");
+                assert_eq!(err.what, "unassigned descriptor bit set", "{scheme} bit {bit}");
+                assert!(DecodeCache::build(&bad).is_err(), "{scheme} bit {bit}");
+            }
+        }
     }
 
     #[test]

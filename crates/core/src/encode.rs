@@ -115,8 +115,6 @@ pub struct SectionSizes {
     pub regs: usize,
     /// Derivation tables.
     pub derivations: usize,
-    /// Killed (dead pointer slot) tables.
-    pub killed: usize,
 }
 
 impl SectionSizes {
@@ -130,7 +128,6 @@ impl SectionSizes {
             + self.stack
             + self.regs
             + self.derivations
-            + self.killed
     }
 }
 
@@ -144,7 +141,6 @@ enum Section {
     Stack,
     Regs,
     Derivations,
-    Killed,
 }
 
 /// Descriptor bits (one descriptor per gc-point).
@@ -155,8 +151,8 @@ pub(crate) mod descriptor {
     pub const REGS_SAME: u8 = 1 << 3;
     pub const DER_EMPTY: u8 = 1 << 4;
     pub const DER_SAME: u8 = 1 << 5;
-    pub const KILLED_EMPTY: u8 = 1 << 6;
-    pub const KILLED_SAME: u8 = 1 << 7;
+    /// Every assigned bit; the decoder rejects a descriptor with any other.
+    pub const ALL: u8 = STACK_EMPTY | STACK_SAME | REGS_EMPTY | REGS_SAME | DER_EMPTY | DER_SAME;
 }
 
 /// The encoded tables for a module, plus size accounting.
@@ -190,7 +186,6 @@ impl Sink {
             Section::Stack => &mut self.sizes.stack,
             Section::Regs => &mut self.sizes.regs,
             Section::Derivations => &mut self.sizes.derivations,
-            Section::Killed => &mut self.sizes.killed,
         };
         *slot += n;
     }
@@ -299,7 +294,6 @@ fn encode_proc(sink: &mut Sink, proc: &ProcTables, scheme: Scheme) {
         let stack_same = scheme.previous && prev.is_some_and(|p| p.live_stack == point.live_stack);
         let regs_same = scheme.previous && prev.is_some_and(|p| p.regs == point.regs);
         let der_same = scheme.previous && prev.is_some_and(|p| p.derivations == point.derivations);
-        let killed_same = scheme.previous && prev.is_some_and(|p| p.killed == point.killed);
         if point.live_stack.is_empty() {
             desc |= descriptor::STACK_EMPTY;
         } else if stack_same {
@@ -314,11 +308,6 @@ fn encode_proc(sink: &mut Sink, proc: &ProcTables, scheme: Scheme) {
             desc |= descriptor::DER_EMPTY;
         } else if der_same {
             desc |= descriptor::DER_SAME;
-        }
-        if point.killed.is_empty() {
-            desc |= descriptor::KILLED_EMPTY;
-        } else if killed_same {
-            desc |= descriptor::KILLED_SAME;
         }
         sink.descriptor(desc);
 
@@ -343,22 +332,6 @@ fn encode_proc(sink: &mut Sink, proc: &ProcTables, scheme: Scheme) {
         }
         if desc & (descriptor::DER_EMPTY | descriptor::DER_SAME) == 0 {
             encode_derivations(sink, &point.derivations);
-        }
-        if desc & (descriptor::KILLED_EMPTY | descriptor::KILLED_SAME) == 0 {
-            match scheme.layout {
-                TableLayout::DeltaMain => {
-                    for w in delta_bitmap(&point.killed, proc.ground.len()) {
-                        sink.uword(Section::Killed, w);
-                    }
-                }
-                TableLayout::FullInfo => {
-                    sink.uword(Section::Killed, point.killed.len() as u32);
-                    for &idx in &point.killed {
-                        let entry: GroundEntry = proc.ground[idx as usize];
-                        sink.word(Section::Killed, entry.to_word());
-                    }
-                }
-            }
         }
         prev = Some(point);
     }
@@ -406,21 +379,12 @@ mod tests {
                             target: Location::Reg(4),
                             bases: vec![(Location::Slot(BaseReg::Fp, 0), Sign::Plus)],
                         }],
-                        killed: vec![],
                     },
                     GcPointTables {
                         pc: 20,
                         live_stack: vec![0, 2],
                         regs: RegSet::single(3),
                         derivations: vec![],
-                        killed: vec![1],
-                    },
-                    GcPointTables {
-                        pc: 32,
-                        live_stack: vec![0, 2],
-                        regs: RegSet::single(3),
-                        derivations: vec![],
-                        killed: vec![1],
                     },
                 ],
             }],
@@ -441,11 +405,9 @@ mod tests {
         let without = encode_module(&m, Scheme::DELTA_PACKED);
         let with = encode_module(&m, Scheme::DELTA_MAIN_PP);
         // Second point's stack and reg tables are identical to the first and
-        // must vanish under Previous; the third point's killed table repeats
-        // the second's.
+        // must vanish under Previous.
         assert!(with.sizes.stack < without.sizes.stack);
         assert!(with.sizes.regs < without.sizes.regs);
-        assert!(with.sizes.killed < without.sizes.killed);
     }
 
     #[test]

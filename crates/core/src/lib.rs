@@ -47,7 +47,6 @@
 //!         live_stack: vec![0],
 //!         regs: RegSet::EMPTY,
 //!         derivations: vec![],
-//!         killed: vec![],
 //!     }],
 //! };
 //! let module = ModuleTables { procs: vec![proc_tables] };

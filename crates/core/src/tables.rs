@@ -25,24 +25,13 @@ pub struct GcPointTables {
     /// Derivations of the derived values live here, ordered so a derived
     /// value precedes any of its bases.
     pub derivations: Vec<DerivationRecord>,
-    /// Indices into the ground table of slots whose contents are **dead**
-    /// here: the slot held a pointer at some gc-point, but liveness proved
-    /// its current contents are never read again. The collector nulls these
-    /// slots instead of tracing them, so dead references retain nothing.
-    /// Sorted ascending; disjoint from `live_stack` by construction (the
-    /// runtime oracle checks the disjointness so a corrupted table is caught
-    /// at collection time rather than silently tracing a "killed" slot).
-    pub killed: Vec<u32>,
 }
 
 impl GcPointTables {
-    /// True if all four tables are empty.
+    /// True if all three tables are empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live_stack.is_empty()
-            && self.regs.is_empty()
-            && self.derivations.is_empty()
-            && self.killed.is_empty()
+        self.live_stack.is_empty() && self.regs.is_empty() && self.derivations.is_empty()
     }
 }
 
@@ -71,18 +60,6 @@ impl ProcTables {
     #[must_use]
     pub fn live_slots(&self, index: usize) -> Vec<GroundEntry> {
         self.points[index].live_stack.iter().map(|&i| self.ground[i as usize]).collect()
-    }
-
-    /// The killed (dead pointer) slots at gc-point `index`, resolved through
-    /// the ground table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or a killed index is not a valid
-    /// ground-table index.
-    #[must_use]
-    pub fn killed_slots(&self, index: usize) -> Vec<GroundEntry> {
-        self.points[index].killed.iter().map(|&i| self.ground[i as usize]).collect()
     }
 
     /// Checks internal consistency: points sorted by pc, liveness indices in
@@ -117,25 +94,6 @@ impl ProcTables {
                     }
                 }
                 last_idx = Some(idx);
-            }
-            let mut last_kill = None;
-            for &idx in &p.killed {
-                if idx as usize >= self.ground.len() {
-                    return Err(format!(
-                        "{}: gc-point {i} killed index {idx} out of range ({} ground entries)",
-                        self.name,
-                        self.ground.len()
-                    ));
-                }
-                if let Some(prev) = last_kill {
-                    if idx <= prev {
-                        return Err(format!(
-                            "{}: gc-point {i} killed indices not sorted",
-                            self.name
-                        ));
-                    }
-                }
-                last_kill = Some(idx);
             }
         }
         Ok(())
@@ -238,24 +196,7 @@ mod tests {
     fn empty_point_detection() {
         let p = GcPointTables { pc: 5, ..Default::default() };
         assert!(p.is_empty());
-        let k = GcPointTables { pc: 5, killed: vec![1], ..Default::default() };
-        assert!(!k.is_empty());
-    }
-
-    #[test]
-    fn killed_slot_resolution() {
-        let mut p = sample();
-        p.points[0].killed = vec![1];
-        assert_eq!(p.validate(), Ok(()));
-        assert_eq!(p.killed_slots(0), vec![GroundEntry::new(BaseReg::Fp, 1)]);
-    }
-
-    #[test]
-    fn validate_rejects_bad_killed() {
-        let mut p = sample();
-        p.points[0].killed = vec![9];
-        assert!(p.validate().is_err());
-        p.points[0].killed = vec![1, 1];
-        assert!(p.validate().is_err());
+        let s = GcPointTables { pc: 5, live_stack: vec![1], ..Default::default() };
+        assert!(!s.is_empty());
     }
 }

@@ -17,8 +17,7 @@ use m3gc_compiler::{compile, run_module_par_opts, run_module_serve, Options};
 use m3gc_core::encode::Scheme;
 use m3gc_runtime::scheduler::ExecError;
 use m3gc_runtime::{GcStrategy, RuntimeOptions, ServeLoad};
-use m3gc_vm::machine::{HeapStrategy, VmTrap};
-use m3gc_vm::DEFAULT_TLAB_WORDS;
+use m3gc_vm::machine::VmTrap;
 
 /// Trap kinds shared by the reference interpreter and the VM, for
 /// cross-implementation comparison (the Display strings differ).
@@ -78,36 +77,28 @@ pub fn run_reference(source: &str) -> RunStatus {
     }
 }
 
-/// Runs one VM configuration under torture with shadow mode and the
-/// precision oracle.
+/// Runs one configuration of [`config_matrix`]; `ropts.strategy` picks
+/// the executor (the sequential scheduler for semispace and
+/// generational heaps, the parallel runtime for `par` and `cms`).
 #[must_use]
-pub fn run_vm(source: &str, options: &Options, heap: HeapStrategy, jit: bool) -> RunStatus {
+pub fn run_config(source: &str, options: &Options, ropts: RuntimeOptions) -> RunStatus {
     let module = match compile(source, options) {
         Ok(m) => m,
         Err(d) => return RunStatus::Hard(format!("compiler rejected generated program: {d}")),
     };
-    let mut ropts = RuntimeOptions::new()
-        .semi_words(FUZZ_SEMI_WORDS)
-        .stack_words(1 << 14)
-        .max_threads(4)
-        .torture(true)
-        .oracle(true)
-        .jit(jit);
-    if let HeapStrategy::Generational { nursery_words, promote_age } = heap {
-        ropts = ropts
-            .strategy(GcStrategy::Generational)
-            .nursery_words(nursery_words)
-            .promote_age(promote_age);
-    }
-    let machine = ropts.build_machine(module);
-    let mut ex = match m3gc_runtime::Executor::try_new(machine, ropts) {
-        Ok(ex) => ex,
-        Err(e) => return RunStatus::Hard(format!("gc-map decode failed: {e}")),
+    let result = match ropts.strategy {
+        GcStrategy::Semispace | GcStrategy::Generational => {
+            let machine = ropts.build_machine(module);
+            match m3gc_runtime::Executor::try_new(machine, ropts) {
+                Ok(mut ex) => ex.run_main().map(|out| out.output),
+                Err(e) => return RunStatus::Hard(format!("gc-map decode failed: {e}")),
+            }
+        }
+        GcStrategy::Parallel | GcStrategy::Cms => {
+            run_module_par_opts(module, ropts).map(|out| out.output)
+        }
     };
-    match ex.run_main() {
-        Ok(out) => RunStatus::Ok(out.output),
-        Err(e) => status_of_error(e),
-    }
+    result.map_or_else(status_of_error, RunStatus::Ok)
 }
 
 /// Maps an execution error to a [`RunStatus`], shared by the
@@ -129,84 +120,6 @@ fn status_of_error(e: ExecError) -> RunStatus {
         | ExecError::Oracle(_)
         | ExecError::GcWorkerPanic { .. }
         | ExecError::MutatorPanic { .. }) => RunStatus::Hard(e.to_string()),
-    }
-}
-
-/// Runs one configuration under the *parallel* runtime: a single
-/// mutator (generated programs mutate module globals, which parallel
-/// mutators share, so only one keeps output deterministic) with
-/// `workers` gc workers, under torture with shadow mode and the
-/// precision oracle — the parallel handshake, snapshot stack walk and
-/// work-stealing copy all differentially checked against the reference.
-#[must_use]
-pub fn run_par_vm(
-    source: &str,
-    options: &Options,
-    workers: usize,
-    tlab_words: usize,
-    jit: bool,
-) -> RunStatus {
-    let module = match compile(source, options) {
-        Ok(m) => m,
-        Err(d) => return RunStatus::Hard(format!("compiler rejected generated program: {d}")),
-    };
-    let ropts = RuntimeOptions::new()
-        .strategy(GcStrategy::Parallel)
-        .semi_words(FUZZ_SEMI_WORDS)
-        .stack_words(1 << 15)
-        .threads(1)
-        .gc_workers(workers)
-        .tlab_words(tlab_words)
-        .torture(true)
-        .oracle(true)
-        .jit(jit);
-    match run_module_par_opts(module, ropts) {
-        Ok(out) => RunStatus::Ok(out.output),
-        Err(e) => status_of_error(e),
-    }
-}
-
-/// Runs one configuration under the *concurrent-marking* collector: a
-/// single mutator with `workers` evacuation workers and `conc_workers`
-/// background markers, under torture with shadow mode and the precision
-/// oracle. Torture forces a full snapshot/final pause pair around nearly
-/// every allocation, so the SATB write barrier, the black-allocation
-/// window and the final-pause drain are all exercised on every program,
-/// and every cycle is differentially checked against full STW
-/// reachability by the shadow verifier.
-#[must_use]
-pub fn run_cms_vm(
-    source: &str,
-    options: &Options,
-    workers: usize,
-    conc_workers: usize,
-    jit: bool,
-    conc_evac: bool,
-) -> RunStatus {
-    let module = match compile(source, options) {
-        Ok(m) => m,
-        Err(d) => return RunStatus::Hard(format!("compiler rejected generated program: {d}")),
-    };
-    let mut ropts = RuntimeOptions::new()
-        .strategy(GcStrategy::Cms)
-        .semi_words(FUZZ_SEMI_WORDS)
-        .stack_words(1 << 15)
-        .threads(1)
-        .gc_workers(workers)
-        .conc_workers(conc_workers)
-        .torture(true)
-        .shadow(true)
-        .oracle(true)
-        .jit(jit);
-    if conc_evac {
-        // Tiny regions: every cycle moves objects out of nearly every
-        // region, so forwarding reads, redirected stores and the exit
-        // audit all fire on arbitrary generated programs.
-        ropts = ropts.conc_evac(true).evac_region_words(16);
-    }
-    match run_module_par_opts(module, ropts) {
-        Ok(out) => RunStatus::Ok(out.output),
-        Err(e) => status_of_error(e),
     }
 }
 
@@ -239,97 +152,69 @@ pub fn run_serve_vm(source: &str, options: &Options) -> RunStatus {
     }
 }
 
-/// The parallel side of the matrix: {o0, o2} at the default encoding
-/// with 2 and 4 gc workers, a tiny-TLAB configuration (refill and
-/// retire on nearly every allocation) to stress buffer boundaries under
-/// torture, and a full-map (`nolive`) configuration so liveness-pruned
-/// and unpruned runs are differentially compared on every program.
+/// Runs per program: [`config_matrix`] plus the serve run.
 #[must_use]
-pub fn par_config_matrix() -> Vec<(String, Options, usize, usize, bool)> {
-    vec![
-        ("o2/par-w2".to_string(), Options::o2(), 2, DEFAULT_TLAB_WORDS, false),
-        ("o0/par-w4".to_string(), Options::o0(), 4, DEFAULT_TLAB_WORDS, false),
-        ("o2/par-w2/tlab8".to_string(), Options::o2(), 2, 8, false),
-        (
-            "o2/par-w2/nolive".to_string(),
-            Options::o2().with_live_maps(false),
-            2,
-            DEFAULT_TLAB_WORDS,
-            false,
-        ),
-        // JIT twin: same config as `o2/par-w2`, native bursts instead of
-        // the interpreter — outputs and traps must be identical.
-        ("o2/par-w2/jit".to_string(), Options::o2(), 2, DEFAULT_TLAB_WORDS, true),
-    ]
+pub fn configs_per_program() -> usize {
+    config_matrix().len() + 1
 }
 
-/// The concurrent-marking side of the matrix: {o0, o2} with 2
-/// evacuation workers and 2 background markers, differentially checked
-/// against the reference interpreter under torture, plus a full-map
-/// (`nolive`) configuration — the snapshot-pause kill path and the
-/// unpruned tables must produce identical output on every program.
+/// Every compared configuration, each under torture with shadow mode and
+/// the precision oracle armed, as `(label, compiler options, runtime
+/// options)`:
+///
+/// * sequential: {o0, o2} × all six encodings × {semispace,
+///   generational}, plus JIT twins at the default encoding — every
+///   program also runs natively on both heap shapes, and the twin pair
+///   must agree on output and trap kind exactly. (The encoding schemes
+///   only vary table bytes, which the JIT never reads, so twinning the
+///   whole scheme sweep would re-test identical native code.)
+/// * parallel: a single mutator (generated programs mutate module
+///   globals, which parallel mutators share, so only one keeps output
+///   deterministic) with 2 and 4 gc workers — the handshake, snapshot
+///   stack walk and work-stealing copy — plus a tiny-TLAB configuration
+///   (refill and retire on nearly every allocation) and a JIT twin.
+/// * concurrent marking: {o0, o2} with 2 evacuation workers and 2
+///   markers. Torture forces a snapshot/final pause pair around nearly
+///   every allocation, so the SATB barrier, the black-allocation window
+///   and the final-pause drain run on every program and every cycle is
+///   checked against full STW reachability by the shadow verifier; JIT
+///   twins (the full-helper store barrier in native code) and conc-evac
+///   twins with tiny regions — every cycle moves objects out of nearly
+///   every region, so forwarding reads, redirected stores and the exit
+///   audit all fire on arbitrary generated programs.
 #[must_use]
-pub fn cms_config_matrix() -> Vec<(String, Options, usize, usize, bool, bool)> {
-    vec![
-        ("o2/cms-w2m2".to_string(), Options::o2(), 2, 2, false, false),
-        ("o0/cms-w2m2".to_string(), Options::o0(), 2, 2, false, false),
-        ("o2/cms-w2m2/nolive".to_string(), Options::o2().with_live_maps(false), 2, 2, false, false),
-        // JIT twins at both opt levels: concurrent SATB marking with
-        // the full-helper store barrier in native code.
-        ("o2/cms-w2m2/jit".to_string(), Options::o2(), 2, 2, true, false),
-        ("o0/cms-w2m2/jit".to_string(), Options::o0(), 2, 2, true, false),
-        // Conc-evac twins at both opt levels: incremental evacuation
-        // with tiny regions, the self-healing load/store paths on the
-        // hot path of every generated program.
-        ("o2/cms-w2m2/evac".to_string(), Options::o2(), 2, 2, false, true),
-        ("o0/cms-w2m2/evac".to_string(), Options::o0(), 2, 2, false, true),
-    ]
-}
-
-/// The full VM configuration matrix: {o0, o2} × all six encodings ×
-/// {semispace, generational} with liveness-pruned maps (the default),
-/// plus {o0, o2} × {semi, gen} at the default encoding with pruning
-/// off — every program runs with and without kills and the outputs are
-/// compared through the shared reference.
-#[must_use]
-pub fn config_matrix() -> Vec<(String, Options, HeapStrategy, bool)> {
+pub fn config_matrix() -> Vec<(String, Options, RuntimeOptions)> {
+    let base = RuntimeOptions::new().semi_words(FUZZ_SEMI_WORDS).torture(true).oracle(true);
+    let seq = base.stack_words(1 << 14).max_threads(4);
+    let heaps = [("semi", seq), ("gen", seq.strategy(GcStrategy::Generational))];
     let mut out = Vec::new();
     for (olabel, opts) in [("o0", Options::o0()), ("o2", Options::o2())] {
         for scheme in Scheme::TABLE2 {
-            for (hlabel, heap) in [
-                ("semi", HeapStrategy::Semispace),
-                ("gen", HeapStrategy::generational_for(FUZZ_SEMI_WORDS)),
-            ] {
-                out.push((
-                    format!("{olabel}/{scheme}/{hlabel}"),
-                    opts.with_scheme(scheme),
-                    heap,
-                    false,
-                ));
+            for (hlabel, ropts) in heaps {
+                out.push((format!("{olabel}/{scheme}/{hlabel}"), opts.with_scheme(scheme), ropts));
             }
         }
-        for (hlabel, heap) in [
-            ("semi", HeapStrategy::Semispace),
-            ("gen", HeapStrategy::generational_for(FUZZ_SEMI_WORDS)),
-        ] {
-            out.push((
-                format!("{olabel}/nolive/{hlabel}"),
-                opts.with_live_maps(false),
-                heap,
-                false,
-            ));
+        for (hlabel, ropts) in heaps {
+            out.push((format!("{olabel}/{hlabel}/jit"), opts, ropts.jit(true)));
         }
-        // JIT twins at the default encoding: every program also runs
-        // natively on both heap shapes, and the twin pair must agree on
-        // output and trap kind exactly. (The encoding schemes only vary
-        // table bytes, which the JIT never reads, so twinning the whole
-        // scheme sweep would re-test identical native code.)
-        for (hlabel, heap) in [
-            ("semi", HeapStrategy::Semispace),
-            ("gen", HeapStrategy::generational_for(FUZZ_SEMI_WORDS)),
-        ] {
-            out.push((format!("{olabel}/{hlabel}/jit"), opts, heap, true));
-        }
+    }
+    let (o0, o2) = (Options::o0(), Options::o2());
+    let par = base.strategy(GcStrategy::Parallel).stack_words(1 << 15).threads(1);
+    let cms = par.strategy(GcStrategy::Cms).gc_workers(2).conc_workers(2);
+    let evac = cms.conc_evac(true).evac_region_words(16);
+    for (label, opts, ropts) in [
+        ("o2/par-w2", o2, par.gc_workers(2)),
+        ("o0/par-w4", o0, par.gc_workers(4)),
+        ("o2/par-w2/tlab8", o2, par.gc_workers(2).tlab_words(8)),
+        ("o2/par-w2/jit", o2, par.gc_workers(2).jit(true)),
+        ("o2/cms-w2m2", o2, cms),
+        ("o0/cms-w2m2", o0, cms),
+        ("o2/cms-w2m2/jit", o2, cms.jit(true)),
+        ("o0/cms-w2m2/jit", o0, cms.jit(true)),
+        ("o2/cms-w2m2/evac", o2, evac),
+        ("o0/cms-w2m2/evac", o0, evac),
+    ] {
+        out.push((label.to_string(), opts, ropts));
     }
     out
 }
@@ -348,34 +233,8 @@ pub fn check_program(source: &str) -> Result<bool, String> {
         RunStatus::Inconclusive(_) => return Ok(false), // nothing to compare against
         _ => {}
     }
-    for (label, opts, heap, jit) in config_matrix() {
-        match run_vm(source, &opts, heap, jit) {
-            RunStatus::Hard(msg) => return Err(format!("[{label}] {msg}")),
-            RunStatus::Inconclusive(_) => continue,
-            got => {
-                if got != reference {
-                    return Err(format!(
-                        "[{label}] diverged from reference: got {got:?}, expected {reference:?}"
-                    ));
-                }
-            }
-        }
-    }
-    for (label, opts, workers, tlab_words, jit) in par_config_matrix() {
-        match run_par_vm(source, &opts, workers, tlab_words, jit) {
-            RunStatus::Hard(msg) => return Err(format!("[{label}] {msg}")),
-            RunStatus::Inconclusive(_) => continue,
-            got => {
-                if got != reference {
-                    return Err(format!(
-                        "[{label}] diverged from reference: got {got:?}, expected {reference:?}"
-                    ));
-                }
-            }
-        }
-    }
-    for (label, opts, workers, conc_workers, jit, conc_evac) in cms_config_matrix() {
-        match run_cms_vm(source, &opts, workers, conc_workers, jit, conc_evac) {
+    for (label, opts, ropts) in config_matrix() {
+        match run_config(source, &opts, ropts) {
             RunStatus::Hard(msg) => return Err(format!("[{label}] {msg}")),
             RunStatus::Inconclusive(_) => continue,
             got => {
@@ -393,4 +252,46 @@ pub fn check_program(source: &str) -> Result<bool, String> {
         return Err(format!("[o2/serve-t2g8] {msg}"));
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Reproduction lines in ROADMAP/CHANGES quote these labels.
+    #[test]
+    fn matrix_labels_are_stable() {
+        let mut expected = Vec::new();
+        for o in ["o0", "o2"] {
+            for scheme in [
+                "full-info",
+                "full-info+packing",
+                "delta-main",
+                "delta-main+previous",
+                "delta-main+packing",
+                "delta-main+previous+packing",
+            ] {
+                expected.extend([format!("{o}/{scheme}/semi"), format!("{o}/{scheme}/gen")]);
+            }
+            expected.extend([format!("{o}/semi/jit"), format!("{o}/gen/jit")]);
+        }
+        expected.extend(
+            [
+                "o2/par-w2",
+                "o0/par-w4",
+                "o2/par-w2/tlab8",
+                "o2/par-w2/jit",
+                "o2/cms-w2m2",
+                "o0/cms-w2m2",
+                "o2/cms-w2m2/jit",
+                "o0/cms-w2m2/jit",
+                "o2/cms-w2m2/evac",
+                "o0/cms-w2m2/evac",
+            ]
+            .map(String::from),
+        );
+        let labels: Vec<String> = config_matrix().into_iter().map(|c| c.0).collect();
+        assert_eq!(labels, expected);
+        assert_eq!(configs_per_program(), 39);
+    }
 }

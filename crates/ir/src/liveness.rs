@@ -139,200 +139,6 @@ impl Liveness {
     }
 }
 
-/// Backward liveness over **frame slots** (addressable locals / local
-/// arrays), used to prune dead slots from gc-maps. A slot is live at a point
-/// when its current contents may still be read — either directly
-/// (`LoadSlot`) or through an outstanding alias created by `SlotAddr`
-/// (a VAR argument or WITH binding).
-///
-/// Aliases are tracked by a flow-insensitive taint: `addr_of[t]` is the set
-/// of slots whose address temp `t` may hold, closed over `Copy`/`Bin`/`Un`
-/// (array indexing is address arithmetic). Any instruction *using* a tainted
-/// temp counts as a use of the aliased slots — in particular a `Call` taking
-/// a slot address keeps the slot live across the call, because the callee
-/// may read it through the VAR parameter. If a slot address escapes where we
-/// can no longer see its uses (stored to the heap, a global, another slot,
-/// or returned), the slot is `pinned` live for the whole function.
-///
-/// One interprocedural assumption, guaranteed by the front end: a callee
-/// never retains a byref parameter's address beyond the call (Mini-M3 has no
-/// address-of type, so an address can only be *used* during the call or
-/// passed down another VAR chain).
-#[derive(Debug, Clone)]
-pub struct SlotLiveness {
-    /// Slots live on entry to each block (pinned slots included).
-    pub live_in: Vec<BitSet>,
-    /// Slots live on exit from each block (pinned slots included).
-    pub live_out: Vec<BitSet>,
-    /// Slots whose address escapes the analysis; live everywhere.
-    pub pinned: BitSet,
-    /// Per-temp: slots whose address the temp may hold.
-    addr_of: Vec<BitSet>,
-}
-
-/// Adds the slots an instruction uses (reads or may read through an alias)
-/// to `set`.
-fn slot_gens(ins: &Instr, addr_of: &[BitSet], uses_buf: &mut Vec<Temp>, set: &mut BitSet) {
-    match ins {
-        Instr::LoadSlot { slot, .. } | Instr::SlotAddr { slot, .. } => {
-            set.insert(slot.index());
-        }
-        _ => {}
-    }
-    uses_buf.clear();
-    ins.uses(uses_buf);
-    for t in uses_buf.iter() {
-        set.union_with(&addr_of[t.index()]);
-    }
-}
-
-/// Computes slot liveness for `f`.
-#[must_use]
-pub fn slot_liveness(f: &Function) -> SlotLiveness {
-    let n_blocks = f.blocks.len();
-    let n_slots = f.slots.len();
-    let n_temps = f.temp_count();
-
-    // Taint: which slots' addresses can each temp hold? Flow-insensitive
-    // fixpoint over value-propagating instructions.
-    let mut addr_of = vec![BitSet::new(n_slots); n_temps];
-    for b in &f.blocks {
-        for ins in &b.instrs {
-            if let Instr::SlotAddr { dst, slot } = ins {
-                addr_of[dst.index()].insert(slot.index());
-            }
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in &f.blocks {
-            for ins in &b.instrs {
-                let (dst, srcs) = match ins {
-                    Instr::Copy { dst, src } => (*dst, vec![*src]),
-                    Instr::Bin { dst, a, b, .. } => (*dst, vec![*a, *b]),
-                    Instr::Un { dst, a, .. } => (*dst, vec![*a]),
-                    _ => continue,
-                };
-                for s in srcs {
-                    if s != dst {
-                        let (from, to) = (addr_of[s.index()].clone(), &mut addr_of[dst.index()]);
-                        changed |= to.union_with(&from);
-                    }
-                }
-            }
-        }
-    }
-
-    // Pin slots whose address escapes: stored to memory we do not model, or
-    // returned. Their contents may be read at any later point.
-    let mut pinned = BitSet::new(n_slots);
-    for b in &f.blocks {
-        for ins in &b.instrs {
-            let escaped = match ins {
-                Instr::Store { src, .. }
-                | Instr::StoreSlot { src, .. }
-                | Instr::StoreGlobal { src, .. } => Some(*src),
-                _ => None,
-            };
-            if let Some(t) = escaped {
-                pinned.union_with(&addr_of[t.index()]);
-            }
-        }
-        if let Terminator::Ret(Some(t)) = &b.term {
-            pinned.union_with(&addr_of[t.index()]);
-        }
-    }
-
-    // Backward dataflow. A single-word StoreSlot fully redefines the slot
-    // (kill); a partial store into a multi-word slot kills nothing.
-    let mut live_in = vec![BitSet::new(n_slots); n_blocks];
-    let mut live_out = vec![BitSet::new(n_slots); n_blocks];
-    let rpo = cfg::reverse_postorder(f);
-    let mut uses_buf = Vec::new();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().rev() {
-            let bi = b.index();
-            let succs = f.block(b).term.successors();
-            let mut out_set = BitSet::new(n_slots);
-            for s in succs {
-                out_set.union_with(&live_in[s.index()]);
-            }
-            if out_set != live_out[bi] {
-                live_out[bi] = out_set.clone();
-                changed = true;
-            }
-            let mut set = out_set;
-            let block = f.block(b);
-            uses_buf.clear();
-            block.term.uses(&mut uses_buf);
-            for t in uses_buf.iter() {
-                set.union_with(&addr_of[t.index()]);
-            }
-            for ins in block.instrs.iter().rev() {
-                if let Instr::StoreSlot { slot, .. } = ins {
-                    if f.slots[slot.index()].words == 1 {
-                        set.remove(slot.index());
-                    }
-                }
-                slot_gens(ins, &addr_of, &mut uses_buf, &mut set);
-            }
-            if set != live_in[bi] {
-                live_in[bi] = set;
-                changed = true;
-            }
-        }
-    }
-
-    // Pinned slots are live everywhere.
-    for bi in 0..n_blocks {
-        live_in[bi].union_with(&pinned);
-        live_out[bi].union_with(&pinned);
-    }
-    SlotLiveness { live_in, live_out, pinned, addr_of }
-}
-
-impl SlotLiveness {
-    /// The set of slots live **before** each instruction of block `b` (index
-    /// `i` corresponds to the point just before `instrs[i]`). Gc-maps use
-    /// the *before* set: at a call gc-point the callee may still read the
-    /// caller's slot through a VAR alias passed as an argument, and the
-    /// `Call`'s own use of the address temp is part of the before set.
-    #[must_use]
-    pub fn live_before_each(&self, f: &Function, b: BlockId) -> Vec<BitSet> {
-        let block = f.block(b);
-        let n = block.instrs.len();
-        let n_slots = f.slots.len();
-        let mut result = vec![BitSet::new(n_slots); n];
-        let mut set = self.live_out[b.index()].clone();
-        let mut uses_buf = Vec::new();
-        block.term.uses(&mut uses_buf);
-        for t in uses_buf.iter() {
-            set.union_with(&self.addr_of[t.index()]);
-        }
-        for i in (0..n).rev() {
-            let ins = &block.instrs[i];
-            if let Instr::StoreSlot { slot, .. } = ins {
-                if f.slots[slot.index()].words == 1 {
-                    set.remove(slot.index());
-                }
-            }
-            slot_gens(ins, &self.addr_of, &mut uses_buf, &mut set);
-            set.union_with(&self.pinned);
-            result[i] = set.clone();
-        }
-        result
-    }
-
-    /// True if temp `t` may hold the address of `slot` (test hook).
-    #[must_use]
-    pub fn may_hold_addr(&self, t: Temp, slot: crate::ids::SlotId) -> bool {
-        self.addr_of[t.index()].contains(slot.index())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,132 +213,6 @@ mod tests {
         assert!(lv.live_in[header.index()].contains(x.index()));
         assert!(lv.live_out[body.index()].contains(x.index()));
         assert!(!lv.live_in[exit.index()].contains(x.index()));
-    }
-
-    /// A VAR-param alias: the slot's address is passed to a call, so the
-    /// slot must be live *at* the call gc-point (the callee may read it
-    /// through the VAR parameter) — and dead afterwards, so a later
-    /// gc-point may kill it.
-    #[test]
-    fn var_param_alias_pins_slot_across_call() {
-        use crate::func::SlotInfo;
-        use crate::ids::FuncId;
-        let mut b = FuncBuilder::new("f", &[TempKind::Ptr]);
-        let s = b.slot(SlotInfo::scalar("v", TempKind::Ptr, true));
-        b.store_slot(s, 0, b.param(0));
-        let addr = b.slot_addr(s);
-        b.call(FuncId(1), vec![addr], None);
-        // A gc-point after the call: the slot is never read again.
-        let _o = b.new_object(m3gc_core::heap::TypeId(0), None);
-        b.ret(None);
-        let f = b.finish();
-        let sl = slot_liveness(&f);
-        assert!(!sl.pinned.contains(s.index()), "call alias does not pin forever");
-        let before = sl.live_before_each(&f, f.entry);
-        // instrs: StoreSlot, SlotAddr, Call, New.
-        assert!(before[2].contains(s.index()), "slot live at the call (VAR alias outstanding)");
-        assert!(!before[3].contains(s.index()), "slot dead at the later gc-point");
-    }
-
-    /// A WITH-style local alias: loads through the slot address keep the
-    /// slot live up to the last aliased read, and no further.
-    #[test]
-    fn with_alias_load_keeps_slot_live() {
-        use crate::func::SlotInfo;
-        let mut b = FuncBuilder::new("f", &[TempKind::Ptr]);
-        let s = b.slot(SlotInfo::scalar("w", TempKind::Ptr, true));
-        b.store_slot(s, 0, b.param(0));
-        let addr = b.slot_addr(s);
-        let _gc1 = b.new_object(m3gc_core::heap::TypeId(0), None);
-        let v = b.load(addr, 0, TempKind::Ptr);
-        let _gc2 = b.new_object(m3gc_core::heap::TypeId(0), None);
-        b.ret(Some(v));
-        let mut f = b.finish();
-        f.ret_kind = Some(TempKind::Ptr);
-        let sl = slot_liveness(&f);
-        let before = sl.live_before_each(&f, f.entry);
-        // instrs: StoreSlot, SlotAddr, New, Load, New.
-        assert!(sl.may_hold_addr(addr, s));
-        assert!(before[2].contains(s.index()), "slot live at gc-point before aliased read");
-        assert!(!before[4].contains(s.index()), "slot dead at gc-point after last read");
-    }
-
-    /// Address arithmetic (array indexing) taints the derived address, and
-    /// an escaping address (stored to a global) pins the slot everywhere.
-    #[test]
-    fn escaped_slot_address_pins_forever() {
-        use crate::func::SlotInfo;
-        use crate::ids::GlobalId;
-        let mut b = FuncBuilder::new("f", &[TempKind::Int]);
-        let s = b.slot(SlotInfo {
-            name: "arr".into(),
-            words: 4,
-            ptr_words: vec![0, 1, 2, 3],
-            addressable: true,
-        });
-        let base = b.slot_addr(s);
-        let elem = b.bin(BinOp::Add, base, b.param(0));
-        b.store_global(GlobalId(0), elem);
-        let _gc = b.new_object(m3gc_core::heap::TypeId(0), None);
-        b.ret(None);
-        let f = b.finish();
-        let sl = slot_liveness(&f);
-        assert!(sl.may_hold_addr(elem, s), "taint flows through address arithmetic");
-        assert!(sl.pinned.contains(s.index()), "escaped address pins the slot");
-        let before = sl.live_before_each(&f, f.entry);
-        assert!(before[3].contains(s.index()), "pinned slot live at every gc-point");
-    }
-
-    /// Loop back-edge: a slot read inside a loop body is live around the
-    /// back edge — the fixpoint must propagate the header's live-in to the
-    /// body's live-out (a single backward pass would miss it).
-    #[test]
-    fn slot_loop_backedge_fixpoint() {
-        use crate::func::SlotInfo;
-        let mut b = FuncBuilder::new("f", &[TempKind::Ptr, TempKind::Int]);
-        let s = b.slot(SlotInfo::scalar("v", TempKind::Ptr, true));
-        b.store_slot(s, 0, b.param(0));
-        let header = b.block();
-        let body = b.block();
-        let exit = b.block();
-        b.jump(header);
-        b.switch_to(header);
-        let x = b.load_slot(s, 0, TempKind::Ptr);
-        let c = b.bin(BinOp::Eq, x, b.param(0));
-        b.br(c, body, exit);
-        b.switch_to(body);
-        b.jump(header);
-        b.switch_to(exit);
-        b.ret(None);
-        let f = b.finish();
-        let sl = slot_liveness(&f);
-        assert!(sl.live_in[header.index()].contains(s.index()), "slot live into loop header");
-        assert!(
-            sl.live_out[body.index()].contains(s.index()),
-            "back-edge liveness reaches the body's exit (fixpoint, not one pass)"
-        );
-        assert!(!sl.live_in[exit.index()].contains(s.index()), "slot dead after the loop");
-    }
-
-    /// A full-width store kills the slot backward: a gc-point between the
-    /// last read and a redefinition sees the slot dead.
-    #[test]
-    fn store_kills_slot_backward() {
-        use crate::func::SlotInfo;
-        let mut b = FuncBuilder::new("f", &[TempKind::Ptr]);
-        let s = b.slot(SlotInfo::scalar("v", TempKind::Ptr, true));
-        b.store_slot(s, 0, b.param(0));
-        let _gc = b.new_object(m3gc_core::heap::TypeId(0), None);
-        b.store_slot(s, 0, b.param(0)); // redefinition, old value never read
-        let v = b.load_slot(s, 0, TempKind::Ptr);
-        b.ret(Some(v));
-        let mut f = b.finish();
-        f.ret_kind = Some(TempKind::Ptr);
-        let sl = slot_liveness(&f);
-        let before = sl.live_before_each(&f, f.entry);
-        // instrs: StoreSlot, New, StoreSlot, LoadSlot.
-        assert!(!before[1].contains(s.index()), "old contents dead at the gc-point");
-        assert!(before[3].contains(s.index()), "new contents live before the read");
     }
 
     /// An interior pointer derived from a heap base keeps the *base* temp

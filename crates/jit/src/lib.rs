@@ -10,7 +10,7 @@
 //! resolves such a token — by floor search over the registered native
 //! call-return offsets — to the bytecode gc-point it stands for, after
 //! which the ordinary pc-keyed machinery (table decoder, decode cache,
-//! stack watermarks, killed-slot deltas) applies unchanged. No
+//! stack watermarks) applies unchanged. No
 //! collector source changes: semispace, generational, parallel and
 //! concurrent-marking collectors all walk mixed interpreter/JIT stacks
 //! through the one resolution seam.

@@ -50,9 +50,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use m3gc_vm::par::{CmsHeap, EvacFault, EVAC_BUSY};
-use m3gc_vm::{MutatorLocal, ParMachine, ParWorld};
+use m3gc_vm::{ParMachine, ParWorld};
 
-use crate::collector::{apply_kills, header_extent};
+use crate::collector::header_extent;
 use crate::evac::{extent, CachePadded};
 use crate::parallel::{run_gc_workers, GcJob, ParGcStats, Part, RunCtx, ThreadWorld, WorkerReport};
 use crate::pool::CopySync;
@@ -129,11 +129,6 @@ struct CyclePending {
     mark_started: Instant,
     /// `satb_drained` at cycle start (for the per-cycle delta).
     satb_drained_start: u64,
-    /// Killed slots nulled at the snapshot pause (liveness-pruned maps).
-    roots_killed: u64,
-    /// Words those slots referenced directly (dropped at the *next*
-    /// cycle — the snapshot keeps its start-of-cycle heap).
-    float_words_avoided: u64,
     /// Duration of the evacuation-select handshake (conc-evac only).
     evac_select_pause: Duration,
     /// When the select handshake released and concurrent copying began.
@@ -444,9 +439,6 @@ fn cms_snapshot_pause(
     stopped.oracle("at snapshot pause")?;
     let (from_start, _) = vm.from_space();
     let free_now = vm.free.load(R);
-    let (mut killed_n, mut float_n) = (0u64, 0u64);
-    let mut detached = MutatorLocal::default();
-    let mut world = vm.world(&mut detached);
     heap.clear_marks();
     let mut gray = locked(&run.gray);
     debug_assert!(gray.is_empty(), "gray residue across cycles");
@@ -484,21 +476,6 @@ fn cms_snapshot_pause(
                 gray.push(v);
             }
         }
-        // Killed slots: nulling a reference while a cycle runs is a
-        // deletion, and SATB snapshots the start-of-cycle heap — so the
-        // old value is enqueued (kept marked for *this* cycle, exactly
-        // as the deletion barrier would have) and the slot is nulled;
-        // the referent becomes unreachable at the next cycle's snapshot.
-        for &r in &roots.killed {
-            let RootRef::Mem(a) = r else { continue };
-            let v = vm.word(a);
-            if mark_value(heap, from_start, free_now, v) {
-                gray.push(v);
-            }
-        }
-        let (rk, fw) = apply_kills(&mut world, &roots.killed, &[(from_start, free_now)]);
-        killed_n += rk;
-        float_n += fw;
     }
     run.in_flight.store(gray.len(), Ordering::SeqCst);
     drop(gray);
@@ -511,8 +488,6 @@ fn cms_snapshot_pause(
         snapshot_pause: stopped.t0.elapsed(),
         mark_started: Instant::now(),
         satb_drained_start: heap.satb_drained.load(R),
-        roots_killed: killed_n,
-        float_words_avoided: float_n,
         evac_select_pause: Duration::ZERO,
         evac_started: None,
         evac_pinned: 0,
@@ -931,8 +906,6 @@ fn cms_final_pause(
     stats.evac_words = heap.evac_words.load(R) - pending.evac_words_start;
     stats.evac_healed_loads = heap.evac_healed_loads.load(R) - pending.evac_healed_loads_start;
     stats.evac_healed_stores = heap.evac_healed_stores.load(R) - pending.evac_healed_stores_start;
-    stats.roots_killed += pending.roots_killed;
-    stats.float_words_avoided += pending.float_words_avoided;
     stats.total_time = t0.elapsed();
     locked(&ctx.gc_log).push(stats);
     Ok(())
@@ -1040,11 +1013,6 @@ pub(crate) struct CmsGc<'vm> {
 }
 
 impl CmsGc<'_> {
-    /// The allocated from-space prefix this pause evacuates.
-    pub(crate) fn used(&self) -> (i64, i64) {
-        (self.from_start, self.from_used)
-    }
-
     /// From-space chunks to claim.
     fn chunks(&self) -> usize {
         let span = self.from_used - self.from_start;
@@ -1074,9 +1042,7 @@ fn forwarded(vm: &ParMachine, v: i64) -> i64 {
 /// is no claim CAS and no work stealing — the mark bitmap already
 /// holds the transitive closure, so the copy set is a static partition.
 /// Only frames above each thread's watermark were re-decoded to get
-/// here (everything below was cached at the snapshot pause), and the
-/// killed slots were nulled without an SATB enqueue: marking is over, so
-/// a marked referent is still copied this cycle and dies at the next.
+/// here (everything below was cached at the snapshot pause).
 pub(crate) fn bitmap_copy(
     gc: &CmsGc<'_>,
     w: usize,

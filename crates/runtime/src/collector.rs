@@ -15,7 +15,7 @@ use m3gc_core::heap::{header_type_id, HeapType, TypeTable};
 use m3gc_core::stats::GcKind;
 use m3gc_vm::exec::World;
 use m3gc_vm::machine::{Machine, SeqWorld, GLOBAL_BASE};
-use m3gc_vm::shadow::{Shadow, Tag};
+use m3gc_vm::shadow::Shadow;
 
 use crate::trace::{
     gather_global_roots, gather_stack_roots, read_root, write_root, RegFiles, RootRef, StackRoots,
@@ -42,12 +42,9 @@ pub struct GcStats {
     pub remembered_added: u64,
     /// Tidy root references processed.
     pub roots: u64,
-    /// Killed slots nulled before tracing: frame words the liveness-pruned
-    /// maps list as dead references.
+    /// Always 0 (nothing writes it): `bench/src/workloads/gc.rs` reads it
+    /// and `bench/` is frozen, so it stays until a benchmark PR drops both.
     pub roots_killed: u64,
-    /// Words of heap the nulled slots referenced directly (an estimate of
-    /// float avoided — transitively retained words are not counted).
-    pub float_words_avoided: u64,
     /// Derived values un-derived and re-derived.
     pub derived_updated: u64,
     /// Stack frames traced (spliced frames included).
@@ -143,40 +140,6 @@ pub(crate) fn re_derive<W: World>(
     }
 }
 
-/// Nulls the killed slots of a gathered root set: each is a frame word
-/// whose gc-point tables prove the reference dead, so zeroing it is
-/// invisible to the program and lets this collection (and every later
-/// one) drop the referent. Shadow tags follow (a nulled slot is no longer
-/// a pointer). Returns `(roots_killed, float_words_avoided)` where the
-/// float estimate counts the directly referenced object's words when the
-/// referent lies in one of the live `ranges` (transitively retained words
-/// are not chased — this is a statistic, not a semantics). Nothing has
-/// moved yet when this runs, and the slots belong to stopped threads.
-pub(crate) fn apply_kills<W: World>(
-    w: &mut W,
-    killed: &[RootRef],
-    ranges: &[(i64, i64)],
-) -> (u64, u64) {
-    let mut roots_killed = 0u64;
-    let mut float_words = 0u64;
-    for &r in killed {
-        // Killed entries are always frame words (slots are never
-        // register-allocated), but stay total just in case.
-        let RootRef::Mem(a) = r else { continue };
-        let v = w.word(a);
-        if v == 0 {
-            continue; // already NIL (or killed by an earlier collection)
-        }
-        roots_killed += 1;
-        if ranges.iter().any(|&(s, e)| (s..e).contains(&v)) && w.word(v) >= 0 {
-            float_words += object_extent(&w.module().types, |a| w.word(a), v).words as u64;
-        }
-        w.set_word(a, 0);
-        w.set_mem_tag(a, Tag::NonPtr);
-    }
-    (roots_killed, float_words)
-}
-
 /// The sequential heap mid-evacuation: the machine's memory, shadow tags
 /// and type table borrowed side by side, plus the running statistics.
 pub(crate) struct SeqHeap<'a> {
@@ -227,13 +190,11 @@ impl<'a> SeqHeap<'a> {
 }
 
 /// Gathers every root of a stopped machine and runs step 1 of the
-/// derived-value update plus the kills — the traced part every
-/// sequential collection starts with. `ranges` are the live heap ranges
-/// for the float estimate.
+/// derived-value update — the traced part every sequential collection
+/// starts with.
 pub(crate) fn trace_roots(
     m: &mut Machine,
     stack: StackRoots,
-    ranges: &[(i64, i64)],
     stats: &mut GcStats,
 ) -> (StackRoots, Vec<RootRef>) {
     let globals = gather_global_roots(m);
@@ -244,11 +205,6 @@ pub(crate) fn trace_roots(
     // Step 1 of the derived-value update: recover E from the old bases,
     // derived-before-base order (as emitted), callee frames first.
     un_derive(&mut m.world, &mut m.threads[..], &stack);
-    // Null the killed slots before evacuating, so their referents are
-    // not retained by this collection.
-    let (rk, fw) = apply_kills(&mut m.world, &stack.killed, ranges);
-    stats.roots_killed = rk;
-    stats.float_words_avoided = fw;
     (stack, globals)
 }
 
@@ -269,7 +225,7 @@ pub fn collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     let stack = gather_stack_roots(m, cache);
     record_decode_work(&mut stats, cache.counters().since(before));
     let (from_start, from_end) = m.from_space();
-    let (stack, globals) = trace_roots(m, stack, &[(from_start, m.alloc_ptr)], &mut stats);
+    let (stack, globals) = trace_roots(m, stack, &mut stats);
     let trace_end = t0.elapsed();
 
     // --- Evacuate. ---

@@ -50,24 +50,17 @@ use crate::trace::{
 /// the tenured free space can no longer absorb a worst-case promotion of
 /// the whole live nursery.
 ///
+/// With a watermark cache, minor collections splice unchanged cold
+/// frames from `wm` instead of rescanning them; a major collection
+/// rescans everything and invalidates the cache (its copies move tenured
+/// referents, and the conservative rule is that only minor/parallel
+/// collections trust the watermark).
+///
 /// # Errors
 ///
 /// Returns [`VmTrap::OutOfMemory`] if a major collection's survivors
 /// exceed the tenured semispace. The machine state is not usable
 /// afterwards; the program is dead.
-pub fn collect(m: &mut Machine, cache: &mut DecodeCache) -> Result<GcStats, VmTrap> {
-    collect_with(m, cache, None)
-}
-
-/// [`collect`] with a watermark cache: minor collections splice
-/// unchanged cold frames from `wm` instead of rescanning them; a major
-/// collection rescans everything and invalidates the cache (its copies
-/// move tenured referents, and the conservative rule is that only
-/// minor/parallel collections trust the watermark).
-///
-/// # Errors
-///
-/// As [`collect`].
 pub fn collect_with(
     m: &mut Machine,
     cache: &mut DecodeCache,
@@ -158,8 +151,9 @@ impl MinorSpaces {
     }
 }
 
-/// Runs a minor collection. Every non-finished thread must be stopped at
-/// a gc-point, and the tenured from-space must have at least
+/// Runs a minor collection, with an optional watermark cache (see
+/// [`collect_with`]). Every non-finished thread must be stopped at a
+/// gc-point, and the tenured from-space must have at least
 /// `nursery_used()` free words (the scheduler's escalation policy
 /// guarantees this worst-case promotion headroom by going major instead).
 ///
@@ -167,16 +161,6 @@ impl MinorSpaces {
 ///
 /// Panics if the headroom precondition is violated, or on corrupted heap
 /// state / missing tables (compiler/runtime bugs).
-pub fn minor_collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
-    minor_collect_with(m, cache, None)
-}
-
-/// [`minor_collect`] with an optional watermark cache (see
-/// [`collect_with`]).
-///
-/// # Panics
-///
-/// As [`minor_collect`].
 pub fn minor_collect_with(
     m: &mut Machine,
     cache: &mut DecodeCache,
@@ -187,17 +171,14 @@ pub fn minor_collect_with(
     assert!(m.is_generational(), "minor collection on a semispace heap");
     assert!(m.tenured_free() >= m.nursery_used(), "minor collection without promotion headroom");
 
-    // --- Locate tables and walk the stacks (the traced part). A dead
-    // nursery referent is neither copied nor promoted, and a dead
-    // tenured referent becomes unreachable for the next major
-    // collection. ---
+    // --- Locate tables and walk the stacks (the traced part). ---
     let before = cache.counters();
     let stack = match wm {
         Some(wm) => gather_stack_roots_cached(m, cache, wm),
         None => gather_stack_roots(m, cache),
     };
     record_decode_work(&mut stats, cache.counters().since(before));
-    let (stack, globals) = trace_roots(m, stack, &live_ranges(m), &mut stats);
+    let (stack, globals) = trace_roots(m, stack, &mut stats);
     let trace_end = t0.elapsed();
 
     // --- Evacuate the live nursery. ---
@@ -307,7 +288,7 @@ pub fn major_collect(m: &mut Machine, cache: &mut DecodeCache) -> Result<GcStats
     let stack = gather_stack_roots(m, cache);
     record_decode_work(&mut stats, cache.counters().since(before));
     let [young, old] = live_ranges(m);
-    let (stack, globals) = trace_roots(m, stack, &[young, old], &mut stats);
+    let (stack, globals) = trace_roots(m, stack, &mut stats);
     let trace_end = t0.elapsed();
 
     let (to_start, to_end) = m.tenured_to_space();

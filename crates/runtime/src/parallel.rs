@@ -62,7 +62,7 @@ use m3gc_vm::module::VmModule;
 use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
 use crate::cms::{bitmap_copy, CmsGc};
-use crate::collector::{apply_kills, re_derive, un_derive};
+use crate::collector::{re_derive, un_derive};
 use crate::evac::{forward_root_par, scan_region, trace, GcCtx, WorkerLocal};
 use crate::options::RuntimeOptions;
 use crate::oracle::check_entries;
@@ -112,10 +112,6 @@ pub struct ParGcStats {
     pub idle_parks: u64,
     /// Tidy root references processed.
     pub roots: u64,
-    /// Killed slots nulled before tracing (liveness-pruned maps).
-    pub roots_killed: u64,
-    /// Words of heap the nulled slots referenced directly.
-    pub float_words_avoided: u64,
     /// Derived values un-derived and re-derived.
     pub derived_updated: u64,
     /// Stack frames traced (spliced frames included).
@@ -343,8 +339,6 @@ pub(crate) struct WorkerReport {
     pub(crate) region_objects: u64,
     pub(crate) region_words: u64,
     pub(crate) roots: u64,
-    roots_killed: u64,
-    float_words_avoided: u64,
     derived: u64,
     frames: u64,
     spliced: u64,
@@ -358,17 +352,15 @@ pub(crate) struct WorkerReport {
 /// The frame every stop-the-world copy shares — the §3 bracket around a
 /// collector-specific `copy`: walk this worker's parked threads' stacks
 /// (splicing unchanged cold frames from the per-thread watermark
-/// caches), un-derive, and null the killed slots before anything moves;
-/// `copy` (which owns the barriers: no object may move before every
-/// un-derive is done, and no re-derive may run before every move is
-/// done); then re-derive in exactly the reverse order. `heap` is the
-/// allocated from-space prefix (for the float estimate); `phase` is kept
-/// current for the report of a worker that dies on the way.
+/// caches) and un-derive before anything moves; `copy` (which owns the
+/// barriers: no object may move before every un-derive is done, and no
+/// re-derive may run before every move is done); then re-derive in
+/// exactly the reverse order. `phase` is kept current for the report of
+/// a worker that dies on the way.
 fn gc_worker(
     ctx: &RunCtx<'_>,
     w: usize,
     my: &mut Part,
-    heap: (i64, i64),
     phase: &Cell<&'static str>,
     copy: impl FnOnce(&mut ParWorld<'_>, &mut Part, &mut WorkerReport),
 ) -> WorkerReport {
@@ -389,12 +381,7 @@ fn gc_worker(
                 verify_spliced_roots(&parked, &mut cache, *tid as u32, regs, roots);
             }
         }
-        // Each killed slot is a frame word of this thread's own stack
-        // region, so no other worker touches it.
         un_derive(&mut world, snap, roots);
-        let (rk, fw) = apply_kills(&mut world, &roots.killed, &[heap]);
-        rep.roots_killed += rk;
-        rep.float_words_avoided += fw;
         rep.roots += roots.tidy.len() as u64;
         rep.derived += roots.derivations.len() as u64;
         rep.frames += roots.frames as u64;
@@ -469,13 +456,10 @@ impl GcJob<'_> {
                 rep.record_copy(&local);
                 rep
             }
-            GcJob::Steal(gc) => {
-                let heap = (gc.from_start, gc.vm.free.load(R));
-                gc_worker(ctx, w, my, heap, phase, |world, my, rep| {
-                    steal_copy(ctx, gc, w, world, my, rep);
-                })
-            }
-            GcJob::Bitmap(gc) => gc_worker(ctx, w, my, gc.used(), phase, |world, my, rep| {
+            GcJob::Steal(gc) => gc_worker(ctx, w, my, phase, |world, my, rep| {
+                steal_copy(ctx, gc, w, world, my, rep);
+            }),
+            GcJob::Bitmap(gc) => gc_worker(ctx, w, my, phase, |world, my, rep| {
                 bitmap_copy(gc, w, world, my, rep);
             }),
         }
@@ -543,8 +527,6 @@ pub(crate) fn run_gc_workers<'vm>(
         stats.region_objects_promoted += r.region_objects;
         stats.region_words_promoted += r.region_words;
         stats.roots += r.roots;
-        stats.roots_killed += r.roots_killed;
-        stats.float_words_avoided += r.float_words_avoided;
         stats.derived_updated += r.derived;
         stats.frames_traced += r.frames;
         stats.frames_spliced += r.spliced;

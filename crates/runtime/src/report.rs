@@ -282,18 +282,6 @@ impl StatsReport {
         ))
     }
 
-    /// `--- livemap: K root(s) killed, W float word(s) avoided` — the
-    /// liveness-pruned gc-map ledger: how many dead frame slots the
-    /// collector nulled, and the direct words of heap those slots
-    /// referenced (float the pruned maps stopped retaining).
-    pub fn add_livemap(&mut self, roots_killed: u64, float_words_avoided: u64) -> &mut Self {
-        self.put("roots_killed", roots_killed);
-        self.put("float_words_avoided", float_words_avoided);
-        self.line(format!(
-            "livemap: {roots_killed} root(s) killed, {float_words_avoided} float word(s) avoided"
-        ))
-    }
-
     /// `--- watermark: S frame(s) spliced of T traced (P% hit rate)`.
     pub fn add_watermark(&mut self, spliced: u64, traced: u64) -> &mut Self {
         let pct = if traced == 0 { 0.0 } else { 100.0 * spliced as f64 / traced as f64 };

@@ -344,8 +344,6 @@ impl Executor {
             acc.remembered_processed += s.remembered_processed;
             acc.remembered_added += s.remembered_added;
             acc.roots += s.roots;
-            acc.roots_killed += s.roots_killed;
-            acc.float_words_avoided += s.float_words_avoided;
             acc.derived_updated += s.derived_updated;
             acc.frames_traced += s.frames_traced;
             acc.frames_spliced += s.frames_spliced;

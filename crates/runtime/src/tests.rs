@@ -763,73 +763,6 @@ fn generational_gc_torture_matches_reference() {
     assert!(out.gc_total.promoted_objects > 0);
 }
 
-/// The one `apply_kills` sees both machines through `World`: from the
-/// same image it must null the same slots, report the same `(roots
-/// killed, float words avoided)` and leave the same memory and tags.
-#[test]
-fn apply_kills_agrees_on_both_worlds() {
-    use crate::collector::apply_kills;
-    use crate::trace::RootRef;
-    use m3gc_vm::exec::World;
-    use m3gc_vm::par::{ParLayout, ParMachine};
-    use m3gc_vm::shadow::Tag;
-    use m3gc_vm::MutatorLocal;
-
-    let module = compile(
-        "MODULE K;
-         TYPE R = REF RECORD a, b: INTEGER END; A = REF ARRAY OF INTEGER;
-         VAR r: R; a: A;
-         BEGIN r := NEW(R); a := NEW(A, 5); END K.",
-    );
-    let (semi_words, stack_words) = (128, 64);
-    let mut seq = Machine::new(
-        module.clone(),
-        MachineLayout { semi_words, stack_words, max_threads: 1, ..MachineLayout::default() },
-    );
-    let mut par = ParMachine::new(
-        module,
-        ParLayout { semi_words, stack_words, mutators: 1, tlab_words: 0, region_words: 0 },
-    );
-    seq.enable_shadow();
-    par.enable_shadow();
-    let mut local = MutatorLocal::default();
-    let mut pw = par.world(&mut local);
-
-    // The same image on both: a record and a 5-element array in the
-    // heap, and six frame words — two referencing them, a NIL, an
-    // already-forwarded referent, a value outside the live range, and a
-    // register root (never a killed slot; must be skipped).
-    fn image<W: World>(w: &mut W, frame: i64) -> (Vec<RootRef>, [(i64, i64); 1]) {
-        let rec = w.alloc(0, 0).unwrap().expect("fits");
-        let arr = w.alloc(1, 5).unwrap().expect("fits");
-        let fwd = w.alloc(0, 0).unwrap().expect("fits");
-        w.set_word(fwd, -(arr + 1));
-        for (i, v) in [rec, arr, 0, fwd, 7].into_iter().enumerate() {
-            w.set_word(frame + i as i64, v);
-            w.set_mem_tag(frame + i as i64, if v > 7 { Tag::Ptr } else { Tag::NonPtr });
-        }
-        let mut killed: Vec<RootRef> = (0..5).map(|i| RootRef::Mem(frame + i)).collect();
-        killed.push(RootRef::Reg { thread: 0, reg: 3 });
-        (killed, [(rec, fwd + 3)])
-    }
-    let frame = seq.globals_start() as i64 + 8;
-    let (killed, ranges) = image(&mut seq.world, frame);
-    assert_eq!(image(&mut pw, frame), (killed.clone(), ranges), "same image, same addresses");
-
-    let counts = apply_kills(&mut seq.world, &killed, &ranges);
-    assert_eq!(counts, apply_kills(&mut pw, &killed, &ranges));
-    // Four non-NIL slots die; the record (1 + 2 words) and the array
-    // (2 + 5 words) are live referents, the forwarded one is not sized.
-    assert_eq!(counts, (4, 10));
-    for addr in 0..seq.mem_words() as i64 {
-        assert_eq!(seq.word(addr), pw.word(addr), "word {addr}");
-        assert_eq!(seq.mem_tag(addr), pw.mem_tag(addr), "tag {addr}");
-    }
-    for i in 0..5 {
-        assert_eq!((seq.word(frame + i), seq.mem_tag(frame + i)), (0, Tag::NonPtr));
-    }
-}
-
 /// A gc worker that panics must fail the run with a structured error —
 /// not hang the leader on a barrier the dead worker never reaches, not
 /// leave a helper parked, not poison anything the next run touches.

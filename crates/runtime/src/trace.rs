@@ -57,11 +57,6 @@ pub struct StackRoots {
     /// Derived-value records in un-derive order (callee frames first,
     /// derived before base within a gc-point).
     pub derivations: Vec<ResolvedDerivation>,
-    /// Killed slots: frame words whose gc-point lists them as holding a
-    /// dead reference (liveness-pruned maps). The collector nulls them
-    /// instead of tracing them. Disjoint from `tidy` by construction —
-    /// the runtime oracle checks this.
-    pub killed: Vec<RootRef>,
     /// Number of frames traced (for the §6.3 per-frame cost figures),
     /// spliced frames included.
     pub frames: usize,
@@ -210,10 +205,6 @@ fn scan_frame_into(
     for r in point.regs.iter() {
         out.tidy.push(reg_locs[r as usize]);
     }
-    for entry in &point.killed {
-        let root = resolve_location(Location::Slot(entry.base, entry.offset), fp, ap, sp, reg_locs);
-        out.killed.push(root);
-    }
     let mut ambiguous = false;
     for rec in &point.derivations {
         let target = resolve_location(rec.target(), fp, ap, sp, reg_locs);
@@ -317,8 +308,6 @@ struct CachedFrame {
     tidy: Vec<RootRef>,
     /// Resolved derivations of this frame.
     derivations: Vec<ResolvedDerivation>,
-    /// Resolved killed slots of this frame.
-    killed: Vec<RootRef>,
     /// True if the frame's gc-point carries an ambiguous derivation
     /// (path-variable dependent — never replayed, see
     /// [`scan_frame_into`]).
@@ -411,7 +400,6 @@ pub fn gather_thread_roots_cached(
                     out.frames_spliced += 1;
                     out.tidy.extend_from_slice(&f.tidy);
                     out.derivations.extend_from_slice(&f.derivations);
-                    out.killed.extend_from_slice(&f.killed);
                 }
                 new_frames.extend_from_slice(&prev[i..]);
                 break;
@@ -420,7 +408,6 @@ pub fn gather_thread_roots_cached(
         out.frames += 1;
         let tidy_start = out.tidy.len();
         let deriv_start = out.derivations.len();
-        let killed_start = out.killed.len();
         let entry_reg_locs = reg_locs;
         let ambiguous = scan_frame_into(src, cache, bytes, tid, (pc, fp, ap, sp), &reg_locs, out);
         let (_, meta) = src.module().proc_at(pc).expect("pc within a procedure");
@@ -439,7 +426,6 @@ pub fn gather_thread_roots_cached(
             reg_locs: entry_reg_locs,
             tidy: out.tidy[tidy_start..].to_vec(),
             derivations: out.derivations[deriv_start..].to_vec(),
-            killed: out.killed[killed_start..].to_vec(),
             ambiguous,
         });
         if retpc == RETURN_SENTINEL {
@@ -479,7 +465,6 @@ pub fn verify_spliced_roots(
     assert!(
         spliced.tidy == full.tidy
             && spliced.derivations == full.derivations
-            && spliced.killed == full.killed
             && spliced.frames == full.frames,
         "watermark splice diverged from full rescan for thread {tid}: \
          spliced {} tidy / {} derivations over {} frames, \
@@ -561,7 +546,6 @@ pub fn gather_stack_roots_cached(
         }
         out.tidy.append(&mut per.tidy);
         out.derivations.append(&mut per.derivations);
-        out.killed.append(&mut per.killed);
         out.frames += per.frames;
         out.frames_spliced += per.frames_spliced;
     }

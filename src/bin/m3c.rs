@@ -105,8 +105,12 @@ fn fuzz(args: &[String]) -> ! {
     match result {
         Ok(summary) => {
             println!(
-                "m3c fuzz: ok — {} conclusive, {} skipped (seed {}, {} iters)",
-                summary.checked, summary.skipped, opts.seed, opts.iters
+                "m3c fuzz: ok — {} conclusive, {} skipped (seed {}, {} iters, {} configurations per program)",
+                summary.checked,
+                summary.skipped,
+                opts.seed,
+                opts.iters,
+                m3gc_fuzz::exec::configs_per_program()
             );
             std::process::exit(0);
         }

@@ -114,63 +114,6 @@ fn occupancy_trigger_runs_cycles_without_torture() {
     assert!(out.gc_each.iter().all(|g| g.cms_cycle));
 }
 
-/// A slot killed *during* concurrent marking must not resurrect its old
-/// value through the SATB deletion barrier. Each `Q` invocation puts
-/// `b` in a frame slot (it is passed VAR); `b` dies after `s := b.v`,
-/// so the churn loop's pauses null it — enqueuing the old value first,
-/// per the start-of-cycle snapshot. When the frame is later reused, a
-/// store over the slot hits the deletion barrier on the *nulled* word,
-/// not a stale from-space pointer. A kill that skipped the enqueue or
-/// the null would either lose a snapshot-reachable object or feed the
-/// barrier a dangling pointer — both caught by the per-cycle shadow
-/// verification and the torture run's output check.
-const KILLED_SLOT_CHURN: &str = "MODULE CmsKill;
-TYPE R = REF RECORD v: INTEGER END;
-
-PROCEDURE Fill(VAR r: R; n: INTEGER) =
-BEGIN r := NEW(R); r.v := n; END Fill;
-
-PROCEDURE Q(n: INTEGER): INTEGER =
-VAR b: R; s, j: INTEGER;
-BEGIN
-  Fill(b, n);
-  s := b.v;
-  FOR j := 1 TO 4 DO
-    WITH d = NEW(R) DO d.v := j; s := s + d.v; END;
-  END;
-  RETURN s;
-END Q;
-
-PROCEDURE Work(): INTEGER =
-VAR s, i: INTEGER;
-BEGIN
-  s := 0;
-  FOR i := 1 TO 30 DO
-    s := (s + Q(i)) MOD 1000003;
-  END;
-  RETURN s;
-END Work;
-
-BEGIN
-  PutInt(Work());
-END CmsKill.";
-
-#[test]
-fn killed_slot_during_marking_does_not_resurrect() {
-    let module = compile(KILLED_SLOT_CHURN, &Options::o2()).expect("compiles");
-    let baseline = run_module_with(module.clone(), 1 << 14, RuntimeOptions::new().torture(true))
-        .expect("baseline run");
-
-    let out = run_module_par_opts(module, cms_options().threads(2).torture(true))
-        .expect("cms torture run with killed slots");
-    for (tid, thread_out) in out.outputs.iter().enumerate() {
-        assert_eq!(thread_out, &baseline.output, "mutator {tid} diverged from baseline");
-    }
-    assert!(out.gc_each.iter().all(|g| g.cms_cycle));
-    let killed: u64 = out.gc_each.iter().map(|g| g.roots_killed).sum();
-    assert!(killed > 0, "the dead slot must be killed across the cms cycles");
-}
-
 /// Deterministic lost-object reproducer. Under `--gc cms` torture with
 /// a collection forced at *every* allocation and `hold_marking` set
 /// (markers idle, so only the snapshot seed and the final-pause SATB

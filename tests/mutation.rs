@@ -3,17 +3,20 @@
 //! The differential harness is only as good as its ability to notice a
 //! lying table. These tests corrupt the compiler-emitted gc-maps on
 //! purpose — dropping derivation records, flipping derivation signs,
-//! dropping live register roots — re-encode them, and assert the run is
-//! caught: either by the shadow oracle / stale-pointer check, or by the
-//! output diverging from the reference interpreter. If a mutation ever
-//! slips through silently, the oracle has a blind spot.
+//! dropping live register roots, dropping live stack slots — re-encode
+//! them, and assert the run is caught: either by the shadow oracle /
+//! stale-pointer check, or by the output diverging from the reference
+//! interpreter. If a mutation ever slips through silently, the oracle
+//! has a blind spot. Encoded bytes are outside input too: a flipped
+//! descriptor bit must be a decode error, not a collection.
 
-use m3gc_compiler::{compile, reference_output, Options};
-use m3gc_core::derive::DerivationRecord;
-use m3gc_core::encode::encode_module;
-use m3gc_core::layout::RegSet;
-use m3gc_core::tables::ModuleTables;
-use m3gc_runtime::{Executor, RuntimeOptions};
+use m3gc::compiler::{compile, reference_output, Options};
+use m3gc::core::decode::DecodeCache;
+use m3gc::core::derive::DerivationRecord;
+use m3gc::core::encode::encode_module;
+use m3gc::core::layout::RegSet;
+use m3gc::core::tables::ModuleTables;
+use m3gc::runtime::{Executor, RuntimeOptions};
 
 /// §4 "Indirect References": `Bump(o.inner.v)` pushes an interior
 /// pointer into the `Inner` record, derived from a register base, and
@@ -42,12 +45,33 @@ const SRC: &str = "MODULE M;
        PutInt(o.inner.v);
      END M.";
 
-/// Compiles `SRC` at -O2, corrupts the logical tables with `mutate`
+/// Pointers in frame slots: `a` and `b` are passed VAR, so they live in
+/// the frame, and `a` is read after every gc-point of the loop. A table
+/// that stops listing the slots leaves both stale at the first
+/// collection.
+const SLOT_SRC: &str = "MODULE S;
+     TYPE R = REF RECORD v: INTEGER END;
+     PROCEDURE Fill(VAR r: R; n: INTEGER) =
+     BEGIN r := NEW(R); r.v := n; END Fill;
+     PROCEDURE P() =
+     VAR a, b: R; s, i: INTEGER;
+     BEGIN
+       Fill(a, 100);
+       Fill(b, 10);
+       s := b.v;
+       FOR i := 1 TO 20 DO
+         WITH d = NEW(R) DO d.v := i; s := s + d.v; END;
+       END;
+       PutInt(s + a.v);
+     END P;
+     BEGIN P(); END S.";
+
+/// Compiles `src` at -O2, corrupts the logical tables with `mutate`
 /// (which must report how many sites it hit), re-encodes them, and runs
 /// under torture with shadow mode and the oracle armed.
-fn run_mutated(mutate: impl Fn(&mut ModuleTables) -> usize) -> Result<String, String> {
+fn run_mutated(src: &str, mutate: impl Fn(&mut ModuleTables) -> usize) -> Result<String, String> {
     let opts = Options::o2();
-    let mut module = compile(SRC, &opts).expect("compile");
+    let mut module = compile(src, &opts).expect("compile");
     let hits = mutate(&mut module.logical_maps);
     assert!(hits > 0, "mutation found no site to corrupt — not a real test");
     module.gc_maps = encode_module(&module.logical_maps, opts.codegen.scheme);
@@ -62,8 +86,8 @@ fn run_mutated(mutate: impl Fn(&mut ModuleTables) -> usize) -> Result<String, St
     ex.run_main().map(|out| out.output).map_err(|e| e.to_string())
 }
 
-fn assert_caught(kind: &str, result: Result<String, String>) {
-    let expected = reference_output(SRC).expect("reference");
+fn assert_caught(src: &str, kind: &str, result: Result<String, String>) {
+    let expected = reference_output(src).expect("reference");
     match result {
         Err(e) => {
             eprintln!("{kind}: caught with error: {e}");
@@ -80,15 +104,16 @@ fn assert_caught(kind: &str, result: Result<String, String>) {
 
 #[test]
 fn untouched_tables_pass() {
-    let out = run_mutated(|_| usize::MAX).expect("clean run");
+    let out = run_mutated(SRC, |_| usize::MAX).expect("clean run");
     assert_eq!(out, reference_output(SRC).expect("reference"));
 }
 
 #[test]
 fn dropped_derivation_records_are_caught() {
     assert_caught(
+        SRC,
         "drop-derivations",
-        run_mutated(|tables| {
+        run_mutated(SRC, |tables| {
             let mut hits = 0;
             for proc in &mut tables.procs {
                 for point in &mut proc.points {
@@ -104,8 +129,9 @@ fn dropped_derivation_records_are_caught() {
 #[test]
 fn flipped_derivation_signs_are_caught() {
     assert_caught(
+        SRC,
         "flip-signs",
-        run_mutated(|tables| {
+        run_mutated(SRC, |tables| {
             let mut hits = 0;
             for proc in &mut tables.procs {
                 for point in &mut proc.points {
@@ -137,8 +163,9 @@ fn flipped_derivation_signs_are_caught() {
 #[test]
 fn dropped_register_roots_are_caught() {
     assert_caught(
+        SRC,
         "drop-reg-roots",
-        run_mutated(|tables| {
+        run_mutated(SRC, |tables| {
             let mut hits = 0;
             for proc in &mut tables.procs {
                 for point in &mut proc.points {
@@ -149,4 +176,42 @@ fn dropped_register_roots_are_caught() {
             hits
         }),
     );
+}
+
+#[test]
+fn dropped_stack_slots_are_caught() {
+    let clean = run_mutated(SLOT_SRC, |_| usize::MAX).expect("clean run");
+    assert_eq!(clean, reference_output(SLOT_SRC).expect("reference"));
+    assert_caught(
+        SLOT_SRC,
+        "drop-stack-slots",
+        run_mutated(SLOT_SRC, |tables| {
+            let mut hits = 0;
+            for proc in &mut tables.procs {
+                for point in &mut proc.points {
+                    hits += point.live_stack.drain(..).count();
+                }
+            }
+            hits
+        }),
+    );
+}
+
+/// Bits 6 and 7 of a gc-point descriptor are unassigned: flipping one in
+/// a compiled module's table bytes is a decode error at load (`m3c`
+/// builds the decode cache before it builds a machine).
+#[test]
+fn flipped_descriptor_bit_is_a_decode_error() {
+    let mut module = compile(SRC, &Options::o2()).expect("compile");
+    assert!(DecodeCache::build(&module.gc_maps).is_ok());
+    // The first procedure's first descriptor follows the module and
+    // procedure headers, its ground table and its pc map — the same
+    // offset it has when that procedure is encoded alone.
+    let first = module.logical_maps.procs[0].clone();
+    assert!(!first.points.is_empty(), "first procedure has a gc-point");
+    let alone = encode_module(&ModuleTables { procs: vec![first] }, module.gc_maps.scheme);
+    let at = alone.sizes.headers + alone.sizes.ground + alone.sizes.pcmap;
+    module.gc_maps.bytes[at] ^= 1 << 7;
+    let err = DecodeCache::build(&module.gc_maps).expect_err("unassigned bit must not decode");
+    assert_eq!(err.what, "unassigned descriptor bit set");
 }

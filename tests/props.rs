@@ -135,17 +135,9 @@ fn arb_module(rng: &mut Rng) -> ModuleTables {
             pc += rng.range_u32(1, 200);
             let live: BTreeSet<u32> =
                 (0..rng.index(ng as usize + 1)).map(|_| rng.range_u32(0, ng.max(1))).collect();
-            let live_stack: Vec<u32> = live.iter().copied().filter(|&i| i < ng).collect();
-            // Killed slots are dead — disjoint from the live set by
-            // construction (the runtime oracle owns that invariant).
-            let killed: BTreeSet<u32> = (0..rng.index(ng as usize + 1))
-                .map(|_| rng.range_u32(0, ng.max(1)))
-                .filter(|i| *i < ng && !live.contains(i))
-                .collect();
             tables.points.push(GcPointTables {
                 pc,
-                live_stack,
-                killed: killed.into_iter().collect(),
+                live_stack: live.into_iter().filter(|&i| i < ng).collect(),
                 regs: RegSet(rng.next_u32() & ((1 << NUM_HARD_REGS) - 1)),
                 derivations: (0..rng.index(3)).map(|_| arb_derivation(rng)).collect(),
             });

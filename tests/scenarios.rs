@@ -6,6 +6,7 @@
 //! caught immediately as corrupted data.
 
 use m3gc::compiler::{compile, reference_output, run_module_with, Options};
+use m3gc::core::encode::Scheme;
 use m3gc::runtime::RuntimeOptions;
 
 fn torture(src: &str) {
@@ -374,4 +375,40 @@ fn nested_with_aliases() {
            PutInt(s);
          END M.",
     );
+}
+
+/// Fuzz case seed 1599, minimised: `Bump(r.a)` with `r = NIL` pushes
+/// `NIL + offset` as the VAR argument. At -O0 the address temp is
+/// spilled and still listed, rightly, as derived from `r` at the
+/// allocation that follows; its value is an integer to the shadow
+/// tracker, and every base reads NIL, so the update is the identity and
+/// the oracle must accept it (configuration `o0/full-info/semi`).
+#[test]
+fn var_argument_of_a_nil_record_passes_the_oracle() {
+    let src = "MODULE Fuzz;
+         TYPE A = REF ARRAY OF INTEGER;
+              R = REF RECORD a: INTEGER; nxt: R; arr: A; END;
+              M = REF ARRAY OF A;
+         VAR r: R; a: A; m: M; i, j, s, k: INTEGER;
+         PROCEDURE Bump(VAR v: INTEGER) = BEGIN END Bump;
+         PROCEDURE Sum(p: A): INTEGER = BEGIN RETURN 0; END Sum;
+         PROCEDURE F(x, y: INTEGER): INTEGER = BEGIN RETURN x; END F;
+         BEGIN
+           a := NEW(A, 8);
+           m := NEW(M, 8);
+           FOR k := 0 TO 7 DO m[k] := NEW(A, 8); END;
+           IF Sum(m[j]) > 0 THEN
+             s := F(1, Sum(m[j]));
+           ELSE
+             Bump(r.a);
+           END;
+           r := NEW(R);
+           PutInt(s);
+         END Fuzz.";
+    let expected = reference_output(src).unwrap_or_else(|e| panic!("reference: {e}"));
+    let module = compile(src, &Options::o0().with_scheme(Scheme::FULL_PLAIN)).unwrap();
+    let out = run_module_with(module, 1 << 12, RuntimeOptions::new().torture(true).oracle(true))
+        .unwrap_or_else(|e| panic!("o0/full-info/semi: {e}"));
+    assert_eq!(out.output, expected);
+    assert!(out.collections > 0);
 }
