@@ -2,6 +2,7 @@
 //! function from (source, options) to printable output.
 
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 use m3gc_core::decode::{DecodeCache, DecodeError};
 use m3gc_core::encode::Scheme;
@@ -9,9 +10,11 @@ use m3gc_core::stats::{size_report, table_stats};
 use m3gc_frontend::error::{Diagnostic, Phase};
 use m3gc_ir::verify::VerifyError;
 use m3gc_runtime::scheduler::{ExecError, Executor};
-use m3gc_runtime::{GcStrategy, ParExecutor, RuntimeOptions, ServeLoad, StatsReport};
+use m3gc_runtime::{
+    GcStrategy, ParExecutor, RuntimeOptions, ServeExecutor, ServeLoad, StatsReport,
+};
 
-use crate::{compile, compile_to_ir, run_module_serve, Options};
+use crate::{compile, compile_to_ir, Options};
 
 /// Default per-request region size (words) when `m3c serve` is invoked
 /// without `--region-words`.
@@ -137,7 +140,7 @@ pub fn run(
         return run_parallel(module, opts);
     }
     let total_points = cache.index().gc_point_pcs().count();
-    let machine = opts.build_machine(module);
+    let (machine, load_time) = timed(|| opts.build_machine(module));
     let mut ex = Executor::try_new(machine, opts)?;
     let out = ex.run_main()?;
     let mut s = out.output.clone();
@@ -168,9 +171,18 @@ pub fn run(
         if let Some(jit) = ex.jit_summary() {
             rep.add_jit(&jit);
         }
+        rep.add_load(load_time);
         s.push_str(&rep.to_text());
     }
     Ok(s)
+}
+
+/// Runs `build` and says how long it took: the machine a run loads
+/// before its first instruction, reported as `--- load: machine`.
+fn timed<T>(build: impl FnOnce() -> T) -> (T, Duration) {
+    let started = Instant::now();
+    let built = build();
+    (built, started.elapsed())
 }
 
 /// The `--gc=par` / `--gc=cms` path of [`run`]: `threads` OS-thread
@@ -178,7 +190,7 @@ pub fn run(
 /// collection (or, for cms, concurrent SATB marking and a parallel
 /// bitmap evacuation in the final pause).
 fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<String, DriverError> {
-    let vm = opts.build_par_machine(module);
+    let (vm, load_time) = timed(|| opts.build_par_machine(module));
     let mut ex = ParExecutor::new(vm, opts);
     let out = ex.run_main()?;
     let mut s = out.output.clone();
@@ -217,6 +229,7 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
         if let Some(jit) = ex.jit_summary() {
             rep.add_jit(&jit);
         }
+        rep.add_load(load_time);
         s.push_str(&rep.to_text());
     }
     Ok(s)
@@ -258,9 +271,11 @@ pub fn serve(
         region_words: opts.region_words,
         quantum: opts.quantum.max(1),
     };
-    let out = run_module_serve(module, opts, load)?;
+    let (vm, load_time) = timed(|| opts.build_par_machine(module));
+    let out = ServeExecutor::new(vm, opts, load).run()?;
     let mut rep = StatsReport::new("serve");
     rep.add_serve(view, &out.stats);
+    rep.add_load(load_time);
     Ok(rep.to_text())
 }
 
@@ -916,6 +931,28 @@ mod tests {
         c2.semi_words = 4096;
         let semi = run(ALLOCATING, &o2, c2).unwrap();
         assert!(!semi.contains("watermark:"), "{semi}");
+    }
+
+    /// Every `--stats` run, under each collector, and every serve report
+    /// end with how long loading the machine took.
+    #[test]
+    fn stats_report_the_machine_load_time() {
+        let load_us = |out: &str| -> u64 {
+            let line = out.lines().last().unwrap_or_default();
+            line.strip_prefix("--- load: machine ")
+                .and_then(|rest| rest.strip_suffix(" µs"))
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no load line at the end of {out}"))
+        };
+        for gc in ["semispace", "gen", "par", "cms"] {
+            let (o, mut c) = parse_options(&["--gc".into(), gc.into(), "--stats".into()]).unwrap();
+            c.semi_words = 4096;
+            let out = run(ALLOCATING, &o, c).unwrap();
+            assert!(out.starts_with("1275"), "{gc}: {out}");
+            load_us(&out);
+        }
+        let (o, c, l) = parse_serve_options(&["--requests".into(), "4".into()]).unwrap();
+        load_us(&serve(LOCAL_ALLOCATING, &o, c, l).unwrap());
     }
 
     /// The liveness-pruned maps are retired: their two flags are unknown

@@ -234,6 +234,14 @@ impl StatsReport {
         ))
     }
 
+    /// `--- load: machine N µs` — building the machine (memory, predecoded
+    /// code, shadow and cms state) before its first instruction.
+    pub fn add_load(&mut self, machine: Duration) -> &mut Self {
+        let us = machine.as_micros() as u64;
+        self.put("load_machine_us", us);
+        self.line(format!("load: machine {us} µs"))
+    }
+
     /// `--- decode cache: …`; `total_points` adds the ` of N` suffix.
     pub fn add_decode_cache(
         &mut self,
@@ -631,5 +639,13 @@ mod tests {
         // "--- decode cache: 5 hit(s), ..." — hits at token 3.
         assert_eq!(cache.split_whitespace().nth(3), Some("5"));
         assert!(cache.ends_with("of 11"));
+    }
+
+    #[test]
+    fn load_line_and_key_agree() {
+        let mut r = StatsReport::new("t");
+        r.add_load(Duration::from_micros(1234));
+        assert_eq!(r.get("load_machine_us"), Some(&StatValue::U64(1234)));
+        assert_eq!(r.to_text(), "--- load: machine 1234 µs\n");
     }
 }

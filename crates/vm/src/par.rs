@@ -40,10 +40,17 @@
 //! mutator's [`Mutator::satb_buf`] so concurrent tracing cannot lose an
 //! object that was reachable at the snapshot.
 //!
+//! Memory is zeroed on demand (`zeroed_vec`): a machine's words, tags
+//! and cms bitmaps cost nothing until they are touched, as `Machine`'s
+//! `vec![0; n]` does. On the interpreter's path, [`ParWorld`] reads the
+//! memory slice directly and tests the cms flags inline; the forwarding
+//! and deletion-barrier work sits in cold methods beside it.
+//!
 //! [`Machine`]: crate::machine::Machine
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use m3gc_core::heap::{HeapType, TypeId};
 
@@ -57,6 +64,42 @@ use crate::shadow::Tag;
 /// Relaxed load/store shorthand — see the module docs for why relaxed
 /// ordering is sufficient for interpreter data.
 const R: Ordering = Ordering::Relaxed;
+
+/// Atomics whose all-zero bit pattern is a valid value (`0`, `false`).
+/// Private and implemented for these four only, so [`zeroed_vec`] can
+/// build nothing else.
+trait ZeroIsValid {}
+impl ZeroIsValid for AtomicI64 {}
+impl ZeroIsValid for AtomicU64 {}
+impl ZeroIsValid for AtomicU8 {}
+impl ZeroIsValid for AtomicBool {}
+
+/// `n` zero-valued atomics straight from `alloc_zeroed`. A large block
+/// is fresh pages the kernel zeroes on first touch, so an untouched
+/// word costs no write and no resident memory; collecting
+/// `AtomicI64::new(0)` one at a time wrote (and faulted in) every page
+/// of a 2 M-word machine before its first instruction.
+fn zeroed_vec<T: ZeroIsValid>(n: usize) -> Vec<T> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let layout = Layout::array::<T>(n).expect("machine memory size overflows");
+    // SAFETY: `layout` has a nonzero size (`n > 0`, and every
+    // `ZeroIsValid` type is nonzero-sized), as `alloc_zeroed` requires. A
+    // null result is diverted to `handle_alloc_error`. Otherwise the
+    // block came from the global allocator with `T`'s alignment and room
+    // for exactly `n` `T`s, which is what `from_raw_parts(p, n, n)`
+    // requires of its capacity; and all `n` elements are initialised,
+    // because all-zero bytes are a valid `T` for every `ZeroIsValid`
+    // type.
+    unsafe {
+        let p = alloc_zeroed(layout).cast::<T>();
+        if p.is_null() {
+            handle_alloc_error(layout);
+        }
+        Vec::from_raw_parts(p, n, n)
+    }
+}
 
 /// Sizing and memory layout for a [`ParMachine`].
 ///
@@ -243,7 +286,7 @@ impl CmsHeap {
             marking: AtomicBool::new(false),
             snap_free: AtomicI64::new(0),
             trigger_at: AtomicI64::new(i64::MAX),
-            bits: (0..words.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            bits: zeroed_vec(words.div_ceil(64)),
             satb_sink: std::sync::Mutex::new(Vec::new()),
             satb_enqueued: AtomicU64::new(0),
             satb_drained: AtomicU64::new(0),
@@ -254,13 +297,9 @@ impl CmsHeap {
             evacuating: AtomicBool::new(false),
             evac_snap: AtomicI64::new(0),
             evac_to: AtomicI64::new(0),
-            cset: (0..words.div_ceil(DEFAULT_EVAC_REGION_WORDS))
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            pinned: (0..words.div_ceil(DEFAULT_EVAC_REGION_WORDS))
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            dirty: (0..words.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            cset: zeroed_vec(words.div_ceil(DEFAULT_EVAC_REGION_WORDS)),
+            pinned: zeroed_vec(words.div_ceil(DEFAULT_EVAC_REGION_WORDS)),
+            dirty: zeroed_vec(words.div_ceil(64)),
             evac_fault: AtomicU8::new(0),
             hold_evac: AtomicBool::new(false),
             evac_objects: AtomicU64::new(0),
@@ -282,8 +321,8 @@ impl CmsHeap {
         assert!(words > 0, "evacuation regions must be non-empty");
         self.evac_region_words.store(words as i64, R);
         let regions = mem_words.div_ceil(words);
-        self.cset = (0..regions).map(|_| AtomicBool::new(false)).collect();
-        self.pinned = (0..regions).map(|_| AtomicBool::new(false)).collect();
+        self.cset = zeroed_vec(regions);
+        self.pinned = zeroed_vec(regions);
     }
 
     /// The evacuation-region index containing `addr`.
@@ -453,7 +492,7 @@ pub struct ParShadow {
 
 impl ParShadow {
     fn new(words: usize) -> ParShadow {
-        ParShadow { mem: (0..words).map(|_| AtomicU8::new(0)).collect() }
+        ParShadow { mem: zeroed_vec(words) }
     }
 
     /// Reads a memory word's tag.
@@ -555,6 +594,8 @@ pub struct MutatorLocal {
 pub struct ParWorld<'a> {
     /// The shared machine.
     pub vm: &'a ParMachine,
+    /// `vm.mem`, one indirection closer: what every `Ld`/`St` reads.
+    mem: &'a [AtomicI64],
     /// The calling thread's private state.
     pub mu: &'a mut MutatorLocal,
 }
@@ -656,7 +697,7 @@ impl ParMachine {
         ParMachine {
             module,
             decoded,
-            mem: (0..total).map(|_| AtomicI64::new(0)).collect(),
+            mem: zeroed_vec(total),
             layout,
             stacks_base,
             regions_base,
@@ -677,8 +718,8 @@ impl ParMachine {
             region_alloc_words: AtomicU64::new(0),
             region_escapes: AtomicU64::new(0),
             region_ptrs,
-            region_live: (0..layout.mutators).map(|_| AtomicBool::new(false)).collect(),
-            region_escaped: (0..layout.mutators).map(|_| AtomicBool::new(false)).collect(),
+            region_live: zeroed_vec(layout.mutators),
+            region_escaped: zeroed_vec(layout.mutators),
             shadow: None,
             cms: None,
             code_map: None,
@@ -956,9 +997,7 @@ impl ParMachine {
     pub fn reset_region(&self, slot: usize) -> i64 {
         let (base, _) = self.region_bounds(slot);
         let used = self.region_ptrs[slot].load(R) - base;
-        for w in base..base + used {
-            self.mem[w as usize].store(0, R);
-        }
+        self.zero_words(base, used);
         if let Some(sh) = &self.shadow {
             sh.clear_range(base, used);
         }
@@ -976,6 +1015,16 @@ impl ParMachine {
     /// Unchecked word write (collector use; `addr` must be in range).
     pub fn set_word(&self, addr: i64, v: i64) {
         self.mem[addr as usize].store(v, R);
+    }
+
+    /// Zeroes `words` words from `addr` with relaxed stores — the one
+    /// clear loop behind allocation, TLAB retirement, region reset and
+    /// a `Call`'s frame. The caller owns the range.
+    #[inline]
+    fn zero_words(&self, addr: i64, words: i64) {
+        for w in &self.mem[addr as usize..(addr + words) as usize] {
+            w.store(0, R);
+        }
     }
 
     /// Acquire word read: pairs with [`ParMachine::set_word_release`] so
@@ -1046,7 +1095,7 @@ impl ParMachine {
 
     /// `mu`'s view of this machine, for the execution core.
     pub fn world<'a>(&'a self, mu: &'a mut MutatorLocal) -> ParWorld<'a> {
-        ParWorld { vm: self, mu }
+        ParWorld { vm: self, mem: &self.mem, mu }
     }
 
     /// Executes one instruction of `mu`.
@@ -1103,9 +1152,7 @@ impl ParMachine {
     pub fn retire_tlab(&self, mu: &mut MutatorLocal) {
         let waste = mu.tlab_limit - mu.tlab_ptr;
         if waste > 0 {
-            for w in mu.tlab_ptr..mu.tlab_limit {
-                self.mem[w as usize].store(0, R);
-            }
+            self.zero_words(mu.tlab_ptr, waste);
             if let Some(sh) = &self.shadow {
                 sh.clear_range(mu.tlab_ptr, waste);
             }
@@ -1130,7 +1177,10 @@ impl ParMachine {
             mu.satb_buf.clear();
             return;
         };
-        cms.satb_sink.lock().expect("satb sink poisoned").append(&mut mu.satb_buf);
+        // The sink is a plain `Vec` that a panic cannot leave half
+        // appended, so a poisoned lock is recovered, as the runtime's
+        // `locked` does for the sink's other users.
+        cms.satb_sink.lock().unwrap_or_else(PoisonError::into_inner).append(&mut mu.satb_buf);
     }
 
     /// The SATB deletion barrier behind `StB`: while marking, record the
@@ -1362,9 +1412,7 @@ impl ParMachine {
         // Zero the object (the space may hold stale data from before a
         // previous flip). The words are exclusively ours: either the
         // bump CAS reserved them or they lie inside our TLAB.
-        for w in addr..addr + words {
-            self.mem[w as usize].store(0, R);
-        }
+        self.zero_words(addr, words);
         if let Some(sh) = &self.shadow {
             sh.clear_range(addr, words);
         }
@@ -1431,25 +1479,24 @@ impl World for ParWorld<'_> {
         self.vm.code_map.as_deref()
     }
 
+    #[inline]
     fn mem_words(&self) -> usize {
-        self.vm.mem.len()
+        self.mem.len()
     }
 
     #[inline]
     fn word(&self, addr: i64) -> i64 {
-        self.vm.mem[addr as usize].load(R)
+        self.mem[addr as usize].load(R)
     }
 
     #[inline]
     fn set_word(&mut self, addr: i64, v: i64) {
-        self.vm.mem[addr as usize].store(v, R);
+        self.mem[addr as usize].store(v, R);
     }
 
     #[inline]
     fn zero(&mut self, addr: i64, words: i64) {
-        for w in &self.vm.mem[addr as usize..(addr + words) as usize] {
-            w.store(0, R);
-        }
+        self.vm.zero_words(addr, words);
     }
 
     /// The shared request flag; the loop reads it only at gc-points
@@ -1463,17 +1510,108 @@ impl World for ParWorld<'_> {
         self.vm.try_alloc(self.mu, ty, len)
     }
 
-    /// The `Ld` heap load with the conc-evac self-healing fast path:
-    /// one compare on `evacuating` when no cycle is in flight. During a
-    /// cycle the access address is resolved through forwarding, and a
+    /// The `Ld` heap load. Outside a conc-evac cycle it is the plain
+    /// bounds-checked load, one flag test away; during one,
+    /// `heap_load_cold` heals.
+    #[inline]
+    fn heap_load(&mut self, addr: i64) -> Result<(i64, i64), VmTrap> {
+        let vm = self.vm;
+        match vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
+            Some(cms) => self.heap_load_cold(cms, addr),
+            None => Ok((self.load(addr)?, addr)),
+        }
+    }
+
+    /// The `St` heap store: plain outside a conc-evac cycle, forwarding-
+    /// aware (`heap_store_cold`) during one.
+    #[inline]
+    fn heap_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
+        let vm = self.vm;
+        match vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
+            Some(cms) => self.heap_store_cold(cms, addr, value),
+            None => self.store(addr, value),
+        }
+    }
+
+    /// `StB`: a plain store — exactly as on a semispace `Machine` —
+    /// unless a cms marking or evacuation cycle is live, when
+    /// `barrier_store_cold` runs the deletion barrier and heals.
+    #[inline]
+    fn barrier_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
+        let vm = self.vm;
+        match &vm.cms {
+            Some(c)
+                if c.evacuating.load(Ordering::Acquire) || c.marking.load(Ordering::Acquire) =>
+            {
+                self.barrier_store_cold(addr, value)
+            }
+            _ => self.store(addr, value),
+        }
+    }
+
+    #[inline]
+    fn note_escape(&mut self, addr: i64, value: i64) {
+        if self.vm.layout.region_words > 0 {
+            self.vm.note_escape(addr, value);
+        }
+    }
+
+    fn sys(&mut self, code: u8, arg: i64) -> Result<(), VmTrap> {
+        exec::sys_to(&mut self.mu.output, code, arg)
+    }
+
+    #[inline]
+    fn shadow_on(&self) -> bool {
+        self.vm.shadow.is_some()
+    }
+
+    fn mem_tag(&self, addr: i64) -> Tag {
+        self.vm.shadow.as_ref().map_or(Tag::NonPtr, |sh| sh.mem_tag(addr))
+    }
+
+    fn set_mem_tag(&mut self, addr: i64, tag: Tag) {
+        if let Some(sh) = &self.vm.shadow {
+            sh.set_mem(addr, tag);
+        }
+    }
+
+    fn clear_tags(&mut self, addr: i64, words: i64) {
+        if let Some(sh) = &self.vm.shadow {
+            sh.clear_range(addr, words);
+        }
+    }
+
+    fn in_dead_space(&self, addr: i64) -> bool {
+        self.vm.in_dead_space(addr)
+    }
+
+    fn jit_ports(&mut self) -> JitPorts {
+        JitPorts {
+            // AtomicI64 has the same in-memory representation as i64;
+            // the generated plain 64-bit loads/stores are relaxed atomic
+            // accesses on x86-64, exactly like `word`/`set_word`.
+            mem: self.mem.as_ptr().cast::<i64>().cast_mut(),
+            gc_flag: std::ptr::from_ref(&self.vm.gc_request).cast(),
+            alloc_ptr: std::ptr::null_mut(),
+            alloc_fast_limit: std::ptr::null(),
+            alloc_count: std::ptr::null_mut(),
+            words: std::ptr::null_mut(),
+        }
+    }
+}
+
+/// The cold halves of [`World::heap_load`], [`World::heap_store`] and
+/// [`World::barrier_store`]: taken only while a cms cycle is live.
+impl ParWorld<'_> {
+    /// The `Ld` heap load while a conc-evac cycle is in flight: the
+    /// access address is resolved through forwarding, and a
     /// loaded value whose object already moved is rewritten in place
     /// (memory and, through the returned value, register) as it is
     /// touched.
-    fn heap_load(&mut self, addr: i64) -> Result<(i64, i64), VmTrap> {
+    #[cold]
+    #[inline(never)]
+    fn heap_load_cold(&self, cms: &CmsHeap, addr: i64) -> Result<(i64, i64), VmTrap> {
         let vm = self.vm;
-        let Some(cms) = vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
-            return Ok((self.load(addr)?, addr));
-        };
         // Same trap surface as the plain load, checked on the raw
         // address before any resolution.
         exec::check_addr(addr, vm.mem.len())?;
@@ -1525,11 +1663,10 @@ impl World for ParWorld<'_> {
     ///
     /// Even a non-pointer store must resolve forwarding, since a store
     /// into a claimed object would otherwise be lost.
-    fn heap_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
+    #[cold]
+    #[inline(never)]
+    fn heap_store_cold(&self, cms: &CmsHeap, addr: i64, value: i64) -> Result<(), VmTrap> {
         let vm = self.vm;
-        let Some(cms) = vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
-            return self.store(addr, value);
-        };
         exec::check_addr(addr, vm.mem.len())?;
         if cms.fault_evac() == EvacFault::TornForward {
             vm.mem[addr as usize].store(value, R);
@@ -1579,7 +1716,9 @@ impl World for ParWorld<'_> {
     /// `StB` is a snapshot-at-the-beginning *deletion barrier* while a
     /// cms marking cycle is live, and a plain (forwarding-aware) store
     /// otherwise — exactly as on a semispace `Machine`.
-    fn barrier_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
+    #[cold]
+    #[inline(never)]
+    fn barrier_store_cold(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
         let vm = self.vm;
         // Concurrent evacuation extends the barrier: a stored value
         // whose object already moved is healed to the to-space copy
@@ -1618,60 +1757,178 @@ impl World for ParWorld<'_> {
         }
         Ok(())
     }
-
-    #[inline]
-    fn note_escape(&mut self, addr: i64, value: i64) {
-        if self.vm.layout.region_words > 0 {
-            self.vm.note_escape(addr, value);
-        }
-    }
-
-    fn sys(&mut self, code: u8, arg: i64) -> Result<(), VmTrap> {
-        exec::sys_to(&mut self.mu.output, code, arg)
-    }
-
-    #[inline]
-    fn shadow_on(&self) -> bool {
-        self.vm.shadow.is_some()
-    }
-
-    fn mem_tag(&self, addr: i64) -> Tag {
-        self.vm.shadow.as_ref().map_or(Tag::NonPtr, |sh| sh.mem_tag(addr))
-    }
-
-    fn set_mem_tag(&mut self, addr: i64, tag: Tag) {
-        if let Some(sh) = &self.vm.shadow {
-            sh.set_mem(addr, tag);
-        }
-    }
-
-    fn clear_tags(&mut self, addr: i64, words: i64) {
-        if let Some(sh) = &self.vm.shadow {
-            sh.clear_range(addr, words);
-        }
-    }
-
-    fn in_dead_space(&self, addr: i64) -> bool {
-        self.vm.in_dead_space(addr)
-    }
-
-    fn jit_ports(&mut self) -> JitPorts {
-        JitPorts {
-            // AtomicI64 has the same in-memory representation as i64;
-            // the generated plain 64-bit loads/stores are relaxed atomic
-            // accesses on x86-64, exactly like `word`/`set_word`.
-            mem: self.vm.mem.as_ptr().cast::<i64>().cast_mut(),
-            gc_flag: std::ptr::from_ref(&self.vm.gc_request).cast(),
-            alloc_ptr: std::ptr::null_mut(),
-            alloc_fast_limit: std::ptr::null(),
-            alloc_count: std::ptr::null_mut(),
-            words: std::ptr::null_mut(),
-        }
-    }
 }
+
 #[cfg(test)]
 mod tests {
+    use m3gc_core::encode::{encode_module, Scheme};
+    use m3gc_core::heap::TypeTable;
+    use m3gc_core::tables::ModuleTables;
+
     use super::*;
+    use crate::asm::Assembler;
+    use crate::isa::Instr;
+    use crate::module::ProcMeta;
+
+    /// Words of a `Rec` object: header, pointer field, integer field.
+    const REC_WORDS: i64 = 3;
+
+    /// A module whose `main` (no frame) is `main`, over one record type
+    /// `Rec` (type 0) with a pointer field at word 1.
+    fn module(main: &[Instr]) -> VmModule {
+        let mut a = Assembler::new();
+        for i in main {
+            a.emit(i);
+        }
+        let code = a.finish();
+        let mut types = TypeTable::default();
+        types.add(HeapType::Record { name: "Rec".into(), words: 2, ptr_offsets: vec![0] });
+        let tables = ModuleTables::default();
+        VmModule {
+            procs: vec![ProcMeta {
+                name: "main".into(),
+                entry_pc: 0,
+                end_pc: code.len() as u32,
+                frame_words: 0,
+                save_regs: vec![],
+                n_args: 0,
+            }],
+            code,
+            types,
+            globals_words: 4,
+            global_ptr_roots: vec![],
+            main: 0,
+            poll_pcs: vec![],
+            gc_maps: encode_module(&tables, Scheme::DELTA_MAIN_PP),
+            logical_maps: tables,
+        }
+    }
+
+    fn layout(region_words: usize) -> ParLayout {
+        ParLayout { semi_words: 1 << 12, stack_words: 64, mutators: 2, tlab_words: 0, region_words }
+    }
+
+    /// A cms machine running `main`, with one mutator spawned on it.
+    fn cms_machine(main: &[Instr], shadow: bool) -> (ParMachine, Mutator) {
+        let mut vm = ParMachine::new(module(main), layout(0));
+        if shadow {
+            vm.enable_shadow();
+        }
+        vm.enable_cms();
+        let mu = vm.spawn_mutator(0, 0, &[]);
+        (vm, mu)
+    }
+
+    fn alloc_rec(vm: &ParMachine, mu: &mut Mutator) -> i64 {
+        vm.try_alloc(mu, 0, 0).expect("no trap").expect("room")
+    }
+
+    /// Runs `mu` to completion through `exec::run`.
+    fn run_to_end(vm: &ParMachine, mu: &mut Mutator) {
+        let world = &mut vm.world(&mut mu.local);
+        let (step, _) = exec::run(&mut mu.cpu, vm.decoded(), world, u64::MAX, u64::MAX);
+        assert_eq!(step, Step::Finished);
+    }
+
+    #[test]
+    fn fresh_machine_reads_zero() {
+        let mut vm = ParMachine::new(module(&[Instr::Halt]), layout(0));
+        vm.enable_shadow();
+        vm.enable_cms();
+        vm.enable_conc_evac(64);
+        let words = vm.mem_words() as i64;
+        let cms = vm.cms.as_ref().unwrap();
+        let shadow = vm.shadow.as_ref().unwrap();
+        for a in 0..words {
+            assert_eq!(vm.word(a), 0, "word {a}");
+            assert_eq!(shadow.mem[a as usize].load(R), 0, "tag {a}");
+            assert!(!cms.is_marked(a), "mark bit {a}");
+            assert!(!cms.is_dirty(a), "dirty bit {a}");
+        }
+        for r in 0..cms.evac_region_count() {
+            assert!(!cms.in_cset(r) && !cms.is_pinned(r), "evac region {r}");
+        }
+        let regions = ParMachine::new(module(&[Instr::Halt]), layout(16));
+        for slot in 0..regions.mutators() {
+            assert!(!regions.is_region_live(slot) && !regions.is_region_escaped(slot));
+            assert_eq!(regions.region_used(slot), 0);
+        }
+    }
+
+    #[test]
+    fn stb_records_the_overwritten_pointer_only_while_marking() {
+        let stb = [Instr::StB { base: 1, off: 1, src: 2 }, Instr::Halt];
+        for marking in [false, true] {
+            let (vm, mut mu) = cms_machine(&stb, false);
+            let (a, old, new) =
+                (alloc_rec(&vm, &mut mu), alloc_rec(&vm, &mut mu), alloc_rec(&vm, &mut mu));
+            vm.set_word(a + 1, old);
+            let cms = vm.cms.as_ref().unwrap();
+            cms.snap_free.store(vm.free.load(R), R);
+            cms.marking.store(marking, R);
+            mu.cpu.regs[1] = a;
+            mu.cpu.regs[2] = new;
+            run_to_end(&vm, &mut mu);
+            assert_eq!(vm.word(a + 1), new, "marking {marking}: the store lands");
+            let pushed = if marking { vec![old] } else { vec![] };
+            assert_eq!(mu.satb_buf, pushed, "marking {marking}");
+            assert_eq!(cms.satb_enqueued.load(R), pushed.len() as u64);
+        }
+    }
+
+    #[test]
+    fn ld_reads_the_published_copy_and_heals_while_evacuating() {
+        let ld = [Instr::Ld { dst: 3, base: 1, off: 1 }, Instr::Halt];
+        let (mut vm, mut mu) = cms_machine(&ld, true);
+        vm.enable_conc_evac(64);
+        // `a.f = b`, both in one cset region, both copied and published.
+        let (a, b) = (alloc_rec(&vm, &mut mu), alloc_rec(&vm, &mut mu));
+        vm.set_word(a + 1, b);
+        let shadow = vm.shadow.as_ref().unwrap();
+        shadow.set_mem(a + 1, Tag::Ptr);
+        let cms = vm.cms.as_ref().unwrap();
+        let (to, _) = vm.to_space();
+        let (a2, b2) = (to, to + REC_WORDS);
+        for (from, copy) in [(a, a2), (b, b2)] {
+            for w in 0..REC_WORDS {
+                vm.set_word(copy + w, vm.word(from + w));
+            }
+            shadow.copy_words(from, copy, REC_WORDS);
+            cms.mark_if_unmarked(from);
+            cms.set_cset(cms.evac_region_of(from), true);
+            vm.set_word_release(from, -(copy + 1));
+        }
+        cms.evac_snap.store(vm.free.load(R), R);
+        cms.evac_to.store(b2 + REC_WORDS, R);
+        cms.evacuating.store(true, R);
+        mu.cpu.regs[1] = a;
+        mu.cpu.reg_tags[1] = Tag::Ptr;
+        run_to_end(&vm, &mut mu);
+        assert_eq!(mu.cpu.regs[3], b2, "the stale value is healed");
+        assert_eq!(vm.word(a2 + 1), b2, "healed in place in the copy");
+        assert_eq!(vm.word(a + 1), b, "the original is not read or written");
+        assert_eq!(cms.evac_healed_loads.load(R), 1);
+    }
+
+    #[test]
+    fn flush_satb_survives_a_poisoned_sink() {
+        let (vm, mut mu) = cms_machine(&[Instr::Halt], false);
+        let cms = vm.cms.as_ref().unwrap();
+        cms.satb_sink.lock().unwrap().push(7);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = cms.satb_sink.lock().unwrap();
+                panic!("poisoning the satb sink on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cms.satb_sink.is_poisoned());
+        mu.satb_buf.extend([11, 13]);
+        vm.flush_satb(&mut mu);
+        assert!(mu.satb_buf.is_empty());
+        let sink = cms.satb_sink.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(*sink, vec![7, 11, 13], "no entry lost");
+    }
 
     #[test]
     fn tag_bytes_roundtrip() {
