@@ -199,7 +199,7 @@ impl<'a> FnEmit<'a> {
     fn record_gc_point(
         &mut self,
         pc: u32,
-        live: &BitSet,
+        live: BitSet,
         extra_live: &[Temp],
         extra_targets: &[(Location, Temp)],
     ) {
@@ -212,7 +212,7 @@ impl<'a> FnEmit<'a> {
     fn record_gc_point_with_byref(
         &mut self,
         pc: u32,
-        live: &BitSet,
+        mut live: BitSet,
         extra_live: &[Temp],
         extra_targets: &[(Location, Temp)],
         byref_passthrough: &[(Location, Temp)],
@@ -226,13 +226,15 @@ impl<'a> FnEmit<'a> {
                 return;
             }
         }
-        let is_live = |t: Temp| live.contains(t.index()) || extra_live.contains(&t);
+        for t in extra_live {
+            live.insert(t.index());
+        }
 
         let mut live_stack: Vec<u32> = self.always_live.clone();
         let mut regs = RegSet::EMPTY;
         let mut derived_live: Vec<Temp> = Vec::new();
-        for t in (0..self.f.temp_count() as u32).map(Temp) {
-            if !is_live(t) || self.loc(t) == TempLoc::Unused {
+        for t in live.iter().map(|t| Temp(t as u32)) {
+            if self.loc(t) == TempLoc::Unused {
                 continue;
             }
             let derived = self.deriv.is_some_and(|d| d.is_derived(t));
@@ -330,7 +332,16 @@ fn emit_function(
         asm.bind(labels[bid.index()]);
         let block = f.block(bid);
         let next_in_layout = order.get(oi + 1).copied();
-        let after = alloc.liveness.live_after_each(f, bid, deriv);
+        // Live sets after each gc-point instruction; only those points
+        // record tables.
+        let mut after: Vec<Option<BitSet>> = vec![None; block.instrs.len()];
+        if options.gc.emit_tables {
+            alloc.liveness.walk_back(f, bid, |i, live| {
+                if matches!(block.instrs[i], Ir::Call { .. } | Ir::New { .. } | Ir::GcPoint) {
+                    after[i] = Some(live.clone());
+                }
+            });
+        }
         fresh.clear();
         nonheap.clear();
 
@@ -510,7 +521,7 @@ fn emit_function(
                         // the destination is not written until the callee
                         // returns, so its location holds garbage while a
                         // collection can run.
-                        let mut live = after[i].clone();
+                        let mut live = after[i].take().expect("live set at a call");
                         if let Some(d) = dst {
                             live.remove(d.index());
                         }
@@ -526,7 +537,7 @@ fn emit_function(
                                 );
                                 if d.is_derived(a) {
                                     extra_targets.push((target, a));
-                                    d.expand_support(a, &mut extra_live);
+                                    extra_live.extend_from_slice(alloc.liveness.support(a));
                                 } else if d.is_byref(a) {
                                     // A VAR parameter forwarded as a VAR
                                     // argument: the pushed copy is derived
@@ -540,7 +551,7 @@ fn emit_function(
                         }
                         em.record_gc_point_with_byref(
                             retpc,
-                            &live,
+                            live,
                             &extra_live,
                             &extra_targets,
                             &byref_passthrough,
@@ -569,14 +580,14 @@ fn emit_function(
                         // The collection happens *before* the allocation:
                         // live values are those live just before this
                         // instruction (the result is not yet defined).
-                        let mut before = after[i].clone();
+                        let mut before = after[i].take().expect("live set at an allocation");
                         if let Some(d) = ins.def() {
                             before.remove(d.index());
                         }
                         let mut uses = Vec::new();
                         ins.uses(&mut uses);
                         let alloc_pc = asm.here();
-                        em.record_gc_point(alloc_pc, &before, &uses, &[]);
+                        em.record_gc_point(alloc_pc, before, &uses, &[]);
                     }
                     let rd = def_reg!(*dst);
                     match len_reg {
@@ -588,11 +599,8 @@ fn emit_function(
                 Ir::GcPoint => {
                     if emit_tables {
                         let pc = asm.here();
-                        let mut before = after[i].clone();
-                        if let Some(d) = ins.def() {
-                            before.remove(d.index());
-                        }
-                        em.record_gc_point(pc, &before, &[], &[]);
+                        let before = after[i].take().expect("live set at a poll");
+                        em.record_gc_point(pc, before, &[], &[]);
                         // Flag the explicit poll site: the parallel
                         // runtime's safepoint handshake relies on these
                         // (loop back-edges) to bound how far a mutator

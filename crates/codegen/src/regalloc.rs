@@ -61,6 +61,32 @@ struct Interval {
     crosses_call: bool,
 }
 
+/// Each temp's live interval, as the first and last linear position it
+/// is live at (`u32::MAX`/`0` while it has none).
+struct Spans {
+    start: Vec<u32>,
+    end: Vec<u32>,
+}
+
+impl Spans {
+    fn extend(&mut self, t: Temp, p: u32) {
+        let t = t.index();
+        self.start[t] = self.start[t].min(p);
+        self.end[t] = self.end[t].max(p);
+    }
+
+    /// A use of each of `uses` at `p`: the temp and, under the dead-base
+    /// rule, its support.
+    fn extend_uses(&mut self, lv: &Liveness, uses: &[Temp], p: u32) {
+        for &u in uses {
+            self.extend(u, p);
+            for &s in lv.support(u) {
+                self.extend(s, p);
+            }
+        }
+    }
+}
+
 /// Computes the linear position of every instruction: blocks in `order`,
 /// one position per instruction plus one for the terminator.
 fn block_starts(f: &Function, order: &[BlockId]) -> Vec<u32> {
@@ -84,72 +110,55 @@ pub fn allocate(f: &Function, deriv: Option<&DerivAnalysis>) -> Allocation {
     let block_start = block_starts(f, &order);
     let lv = liveness(f, deriv);
     let n = f.temp_count();
-
-    let mut start = vec![u32::MAX; n];
-    let mut end = vec![0u32; n];
-    let mut extend = |t: usize, p: u32| {
-        if p < start[t] {
-            start[t] = p;
-        }
-        if p > end[t] {
-            end[t] = p;
-        }
-    };
+    let mut span = Spans { start: vec![u32::MAX; n], end: vec![0u32; n] };
 
     // Parameters are live from position 0.
     for p in 0..f.n_params {
-        extend(p, 0);
+        span.extend(Temp(p as u32), 0);
     }
+    // A temp live after an instruction is live out of its block or used
+    // (itself or as support of a derived use) later in the block, so
+    // defs, expanded uses at their own position and the blocks'
+    // live-in/live-out sets span exactly the intervals the live set after
+    // every instruction would.
     let mut call_positions: Vec<u32> = Vec::new();
+    let mut uses = Vec::new();
     for &b in &order {
         let block = f.block(b);
         let p0 = block_start[b.index()];
+        let tpos = p0 + block.instrs.len() as u32;
         for t in lv.live_in[b.index()].iter() {
-            extend(t, p0);
+            span.extend(Temp(t as u32), p0);
         }
         for t in lv.live_out[b.index()].iter() {
-            extend(t, p0 + block.instrs.len() as u32);
+            span.extend(Temp(t as u32), tpos);
         }
-        let after = lv.live_after_each(f, b, deriv);
-        let mut uses = Vec::new();
         for (i, ins) in block.instrs.iter().enumerate() {
             let pos = p0 + i as u32;
             if let Some(d) = ins.def() {
-                extend(d.index(), pos);
+                span.extend(d, pos);
             }
             uses.clear();
             ins.uses(&mut uses);
-            for &u in &uses {
-                extend(u.index(), pos);
-            }
-            for t in after[i].iter() {
-                extend(t, pos + 1);
-            }
+            span.extend_uses(&lv, &uses, pos);
             if let Instr::Call { args, .. } = ins {
                 call_positions.push(pos);
                 // Bases of derived arguments must survive the call so the
                 // collector can update the pushed derived values (§3/§4).
-                if let Some(d) = deriv {
-                    let mut support = Vec::new();
-                    for &a in args {
-                        if d.is_derived(a) {
-                            d.expand_support(a, &mut support);
-                        }
-                    }
-                    for s in support {
-                        extend(s.index(), pos + 1);
+                for &a in args {
+                    for &s in lv.support(a) {
+                        span.extend(s, pos + 1);
                     }
                 }
             }
         }
         uses.clear();
         block.term.uses(&mut uses);
-        let tpos = p0 + block.instrs.len() as u32;
-        for &u in &uses {
-            extend(u.index(), tpos);
-        }
+        span.extend_uses(&lv, &uses, tpos);
     }
-    call_positions.sort_unstable();
+    let Spans { start, end } = span;
+    // Blocks are laid out in order, so the positions are sorted.
+    debug_assert!(call_positions.is_sorted());
 
     let crosses_call = |s: u32, e: u32| -> bool {
         // A value crosses the call at position p when it is live into the
@@ -157,7 +166,8 @@ pub fn allocate(f: &Function, deriv: Option<&DerivAnalysis>) -> Allocation {
         // strictly after it. (A call's own result starts at p and may end
         // later — it is written after the callee returns, so treating it
         // as crossing is conservative but harmless.)
-        call_positions.iter().any(|&p| s <= p && e > p)
+        let first = call_positions.partition_point(|&p| p < s);
+        call_positions.get(first).is_some_and(|&p| p < e)
     };
 
     let mut intervals: Vec<Interval> = (0..n)

@@ -14,7 +14,7 @@ use m3gc_runtime::{
     GcStrategy, ParExecutor, RuntimeOptions, ServeExecutor, ServeLoad, StatsReport,
 };
 
-use crate::{compile, compile_to_ir, Options};
+use crate::{compile, compile_timed, compile_to_ir, Options};
 
 /// Default per-request region size (words) when `m3c serve` is invoked
 /// without `--region-words`.
@@ -326,13 +326,14 @@ pub fn tables(source: &str, options: &Options) -> Result<String, DriverError> {
     Ok(s)
 }
 
-/// `m3c stats`: code size, Table-1 statistics and Table-2 percentages.
+/// `m3c stats`: code size, Table-1 statistics and Table-2 percentages,
+/// then `--- compile:` with the time of each compiler stage.
 ///
 /// # Errors
 ///
 /// Returns compile diagnostics.
 pub fn stats(source: &str, options: &Options) -> Result<String, DriverError> {
-    let module = compile(source, options)?;
+    let (module, times) = compile_timed(source, options)?;
     let st = table_stats(&module.logical_maps);
     let mut s = String::new();
     let _ = writeln!(s, "code size:        {} bytes", module.code_size());
@@ -352,6 +353,7 @@ pub fn stats(source: &str, options: &Options) -> Result<String, DriverError> {
             r.percent_of_code
         );
     }
+    let _ = writeln!(s, "--- compile: {times}");
     Ok(s)
 }
 
@@ -953,6 +955,26 @@ mod tests {
         }
         let (o, c, l) = parse_serve_options(&["--requests".into(), "4".into()]).unwrap();
         load_us(&serve(LOCAL_ALLOCATING, &o, c, l).unwrap());
+    }
+
+    /// `m3c stats` ends with one line timing every compiler stage, in
+    /// pipeline order, each as `<stage> <N> µs`.
+    #[test]
+    fn stats_end_with_the_compile_stage_times() {
+        for level in ["--o0", "--o2"] {
+            let (o, _) = parse_options(&[level.into()]).unwrap();
+            let out = stats(ALLOCATING, &o).unwrap();
+            let line = out.lines().last().unwrap_or_default();
+            let rest = line
+                .strip_prefix("--- compile: ")
+                .unwrap_or_else(|| panic!("no compile line at the end of {out}"));
+            let words: Vec<&str> = rest.split(' ').collect();
+            let keys: Vec<&str> = words.chunks(3).map(|w| w[0]).collect();
+            assert_eq!(keys, ["lex", "parse", "typecheck", "lower", "verify", "opt", "codegen"]);
+            for w in words.chunks(3) {
+                assert!(w[1].parse::<u64>().is_ok() && w[2] == "µs", "{level}: {line}");
+            }
+        }
     }
 
     /// The liveness-pruned maps are retired: their two flags are unknown

@@ -26,6 +26,8 @@
 //! assert_eq!(outcome.output, "55");
 //! ```
 
+use std::time::{Duration, Instant};
+
 use m3gc_codegen::CodegenOptions;
 use m3gc_core::encode::Scheme;
 use m3gc_frontend::lower::LowerOptions;
@@ -118,22 +120,83 @@ impl Default for Options {
     }
 }
 
+/// Wall-clock time of each compiler stage, as [`compile_timed`] measured
+/// it. `verify` sums both IR checks (after lowering, after the
+/// optimizer); at `o0`, `opt` times a call that returns at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompileTimes {
+    /// Lexing.
+    pub lex: Duration,
+    /// Parsing.
+    pub parse: Duration,
+    /// Type checking.
+    pub typecheck: Duration,
+    /// Lowering to IR.
+    pub lower: Duration,
+    /// IR verification.
+    pub verify: Duration,
+    /// The optimizer.
+    pub opt: Duration,
+    /// Code generation: gc-point placement, derivations, register
+    /// allocation, emission and table encoding.
+    pub codegen: Duration,
+}
+
+/// `lex 12 µs parse 40 µs …`: every stage, in pipeline order.
+impl std::fmt::Display for CompileTimes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stages = [
+            ("lex", self.lex),
+            ("parse", self.parse),
+            ("typecheck", self.typecheck),
+            ("lower", self.lower),
+            ("verify", self.verify),
+            ("opt", self.opt),
+            ("codegen", self.codegen),
+        ];
+        for (i, (name, time)) in stages.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name} {} µs", time.as_micros())?;
+        }
+        Ok(())
+    }
+}
+
+/// Runs `stage`, adding its wall-clock time to `slot`.
+fn timed<T>(slot: &mut Duration, stage: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = stage();
+    *slot += started.elapsed();
+    out
+}
+
+/// The front end and optimizer: source → verified, optimized IR.
+fn to_ir(
+    source: &str,
+    options: &Options,
+    times: &mut CompileTimes,
+) -> Result<m3gc_ir::Program, Diagnostic> {
+    let tokens = timed(&mut times.lex, || m3gc_frontend::lexer::lex(source))?;
+    let module = timed(&mut times.parse, || m3gc_frontend::parser::parse(tokens))?;
+    let checked = timed(&mut times.typecheck, || m3gc_frontend::typecheck::check(&module))?;
+    let mut prog = timed(&mut times.lower, || {
+        m3gc_frontend::lower::lower_with(&module, &checked, options.lower)
+    });
+    timed(&mut times.verify, || m3gc_ir::verify::verify_program(&prog))
+        .unwrap_or_else(|e| panic!("lowering produced invalid IR: {e}"));
+    timed(&mut times.opt, || m3gc_opt::optimize_program(&mut prog, &options.opt));
+    timed(&mut times.verify, || m3gc_ir::verify::verify_program(&prog))
+        .unwrap_or_else(|e| panic!("optimizer produced invalid IR: {e}"));
+    Ok(prog)
+}
+
 /// Compiles source text to optimized IR (before code generation).
 ///
 /// # Errors
 ///
 /// Returns the first front-end [`Diagnostic`].
 pub fn compile_to_ir(source: &str, options: &Options) -> Result<m3gc_ir::Program, Diagnostic> {
-    let tokens = m3gc_frontend::lexer::lex(source)?;
-    let module = m3gc_frontend::parser::parse(tokens)?;
-    let checked = m3gc_frontend::typecheck::check(&module)?;
-    let mut prog = m3gc_frontend::lower::lower_with(&module, &checked, options.lower);
-    m3gc_ir::verify::verify_program(&prog)
-        .unwrap_or_else(|e| panic!("lowering produced invalid IR: {e}"));
-    m3gc_opt::optimize_program(&mut prog, &options.opt);
-    m3gc_ir::verify::verify_program(&prog)
-        .unwrap_or_else(|e| panic!("optimizer produced invalid IR: {e}"));
-    Ok(prog)
+    to_ir(source, options, &mut CompileTimes::default())
 }
 
 /// Compiles source text to a VM module with gc maps.
@@ -142,8 +205,23 @@ pub fn compile_to_ir(source: &str, options: &Options) -> Result<m3gc_ir::Program
 ///
 /// Returns the first front-end [`Diagnostic`].
 pub fn compile(source: &str, options: &Options) -> Result<VmModule, Diagnostic> {
-    let mut prog = compile_to_ir(source, options)?;
-    Ok(m3gc_codegen::compile_program(&mut prog, &options.codegen))
+    compile_timed(source, options).map(|(module, _)| module)
+}
+
+/// [`compile`], also returning how long each stage took.
+///
+/// # Errors
+///
+/// Returns the first front-end [`Diagnostic`].
+pub fn compile_timed(
+    source: &str,
+    options: &Options,
+) -> Result<(VmModule, CompileTimes), Diagnostic> {
+    let mut times = CompileTimes::default();
+    let mut prog = to_ir(source, options, &mut times)?;
+    let module =
+        timed(&mut times.codegen, || m3gc_codegen::compile_program(&mut prog, &options.codegen));
+    Ok((module, times))
 }
 
 /// Runs a compiled module to completion with the given semispace size

@@ -71,6 +71,28 @@ impl BitSet {
         changed
     }
 
+    /// Removes every element of `other` from `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if capacities differ.
+    pub fn subtract(&mut self, other: &BitSet) {
+        assert_eq!(self.len, other.len, "bitset capacity mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
+
+    /// Makes `self` equal to `other` without reallocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if capacities differ.
+    pub fn copy_from(&mut self, other: &BitSet) {
+        assert_eq!(self.len, other.len, "bitset capacity mismatch");
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// Number of set bits.
     #[must_use]
     pub fn count(&self) -> usize {
@@ -133,6 +155,26 @@ mod tests {
         assert!(a.union_with(&b));
         assert!(!a.union_with(&b), "second union is a no-op");
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    fn subtract_removes_exactly_the_other_set() {
+        let mut a = BitSet::new(130);
+        let mut b = BitSet::new(130);
+        for i in [0, 5, 64, 100, 129] {
+            a.insert(i);
+        }
+        for i in [5, 63, 129] {
+            b.insert(i);
+        }
+        a.subtract(&b);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 64, 100]);
+        assert_eq!(b.count(), 3, "the subtrahend is untouched");
+        a.subtract(&b);
+        assert_eq!(a.count(), 3, "subtracting twice is a no-op");
+        let mut c = BitSet::new(130);
+        c.copy_from(&a);
+        assert_eq!(c, a);
     }
 
     #[test]

@@ -31,10 +31,7 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let mut stack = vec![(f.entry, 0usize)];
     visited[f.entry.index()] = true;
     while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let mut succs = f.block(b).term.successors();
-        succs.reverse();
-        if *i < succs.len() {
-            let s = succs[*i];
+        if let Some(s) = f.block(b).term.successors().rev().nth(*i) {
             *i += 1;
             if !visited[s.index()] {
                 visited[s.index()] = true;

@@ -369,14 +369,15 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks.
-    #[must_use]
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
-            Terminator::Br { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) => vec![],
-        }
+    /// Successor blocks (at most two; a branch lists `then_bb` first),
+    /// without allocating.
+    pub fn successors(&self) -> impl DoubleEndedIterator<Item = BlockId> + ExactSizeIterator {
+        let (targets, n) = match *self {
+            Terminator::Jump(b) => ([b, b], 1),
+            Terminator::Br { then_bb, else_bb, .. } => ([then_bb, else_bb], 2),
+            Terminator::Ret(_) => ([BlockId(0); 2], 0),
+        };
+        targets.into_iter().take(n)
     }
 
     /// Appends used temps to `out`.
@@ -465,9 +466,11 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jump(BlockId(2)).successors(), vec![BlockId(2)]);
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
+        let succs = |t: &Terminator| t.successors().collect::<Vec<_>>();
+        assert_eq!(succs(&Terminator::Jump(BlockId(2))), vec![BlockId(2)]);
+        assert_eq!(succs(&Terminator::Ret(None)), vec![]);
         let br = Terminator::Br { cond: Temp(0), then_bb: BlockId(1), else_bb: BlockId(2) };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(succs(&br), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(br.successors().rev().collect::<Vec<_>>(), vec![BlockId(2), BlockId(1)]);
     }
 }

@@ -5,13 +5,19 @@
 //! rule, an optimizer may let a base die inside a loop that still uses a
 //! value derived from it, leaving the collector unable to update the
 //! derived value.
+//!
+//! The analysis is solved on block summaries: one backward walk per block
+//! yields its upward-exposed uses (`gen`) and its defs (`kill`), and the
+//! fixpoint then iterates `out = ∪ in[succ]`, `in = gen ∪ (out − kill)`
+//! a word at a time. Each derived temp's support (what a use of it also
+//! uses) is expanded once per analysis and kept for the back end.
 
 use crate::bitset::BitSet;
 use crate::cfg;
 use crate::deriv::DerivAnalysis;
 use crate::func::Function;
 use crate::ids::{BlockId, Temp};
-use crate::instr::{Instr, Terminator};
+use crate::instr::Instr;
 
 /// Per-block liveness sets.
 #[derive(Debug, Clone)]
@@ -20,31 +26,85 @@ pub struct Liveness {
     pub live_in: Vec<BitSet>,
     /// Temps live on exit from each block.
     pub live_out: Vec<BitSet>,
+    /// Upward-exposed uses of each block: temps read before any write in
+    /// it (the fixpoint's `gen` sets, the dead-base rule applied).
+    pub gen: Vec<BitSet>,
+    /// `support_of[support_at[t]..support_at[t + 1]]` is temp `t`'s
+    /// dead-base support; empty when no derivation info was supplied.
+    support_at: Vec<u32>,
+    support_of: Vec<Temp>,
 }
 
-/// Expands a plain use into the full use set: the temp itself plus, under
-/// the dead-base rule, its transitive support.
-fn expand_use(t: Temp, deriv: Option<&DerivAnalysis>, out: &mut Vec<Temp>) {
-    out.push(t);
-    if let Some(d) = deriv {
-        d.expand_support(t, out);
+impl Liveness {
+    /// What a use of `t` also uses under the dead-base rule: for a derived
+    /// temp, its path variable and bases, transitively (the set
+    /// [`DerivAnalysis::expand_support`] lists); empty for any other temp
+    /// and for an analysis run without derivation info.
+    #[must_use]
+    pub fn support(&self, t: Temp) -> &[Temp] {
+        match (self.support_at.get(t.index()), self.support_at.get(t.index() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.support_of[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Inserts `t` and its support into `set`.
+    fn use_temp(&self, t: Temp, set: &mut BitSet) {
+        set.insert(t.index());
+        for s in self.support(t) {
+            set.insert(s.index());
+        }
+    }
+
+    /// One step of a backward walk: `live` goes from the point after `ins`
+    /// to the point before it.
+    fn step_back(&self, ins: &Instr, live: &mut BitSet, uses: &mut Vec<Temp>) {
+        if let Some(d) = ins.def() {
+            live.remove(d.index());
+        }
+        uses.clear();
+        ins.uses(uses);
+        for &t in uses.iter() {
+            self.use_temp(t, live);
+        }
+    }
+
+    /// Walks block `b` backward from its exit, calling `visit(i, live)`
+    /// with the set of temps live just **after** `instrs[i]`. The back
+    /// end uses it to compute live sets at the points it needs them.
+    pub fn walk_back(&self, f: &Function, b: BlockId, mut visit: impl FnMut(usize, &BitSet)) {
+        let block = f.block(b);
+        let mut live = self.live_out[b.index()].clone();
+        let mut uses = Vec::new();
+        block.term.uses(&mut uses);
+        for &t in &uses {
+            self.use_temp(t, &mut live);
+        }
+        for (i, ins) in block.instrs.iter().enumerate().rev() {
+            visit(i, &live);
+            self.step_back(ins, &mut live, &mut uses);
+        }
     }
 }
 
-fn instr_uses(ins: &Instr, deriv: Option<&DerivAnalysis>, out: &mut Vec<Temp>) {
-    let mut plain = Vec::new();
-    ins.uses(&mut plain);
-    for t in plain {
-        expand_use(t, deriv, out);
+/// Every derived temp's support, expanded once, in compressed rows.
+fn supports(n_temps: usize, deriv: Option<&DerivAnalysis>) -> (Vec<u32>, Vec<Temp>) {
+    let Some(d) = deriv else { return (Vec::new(), Vec::new()) };
+    let mut at = Vec::with_capacity(n_temps + 1);
+    let mut of = Vec::new();
+    let mut row = Vec::new();
+    at.push(0);
+    for t in (0..n_temps as u32).map(Temp) {
+        if d.is_derived(t) {
+            row.clear();
+            d.expand_support(t, &mut row);
+            row.sort_unstable();
+            row.dedup();
+            of.extend_from_slice(&row);
+        }
+        at.push(of.len() as u32);
     }
-}
-
-fn term_uses(term: &Terminator, deriv: Option<&DerivAnalysis>, out: &mut Vec<Temp>) {
-    let mut plain = Vec::new();
-    term.uses(&mut plain);
-    for t in plain {
-        expand_use(t, deriv, out);
-    }
+    (at, of)
 }
 
 /// Computes liveness. Pass `Some(deriv)` to apply the dead-base rule; the
@@ -54,89 +114,71 @@ fn term_uses(term: &Terminator, deriv: Option<&DerivAnalysis>, out: &mut Vec<Tem
 pub fn liveness(f: &Function, deriv: Option<&DerivAnalysis>) -> Liveness {
     let n_blocks = f.blocks.len();
     let n_temps = f.temp_count();
-    let mut live_in = vec![BitSet::new(n_temps); n_blocks];
-    let mut live_out = vec![BitSet::new(n_temps); n_blocks];
-    let rpo = cfg::reverse_postorder(f);
-    let mut uses_buf = Vec::new();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // Iterate blocks in post order (reverse of RPO) for fast backward
-        // convergence.
-        for &b in rpo.iter().rev() {
-            let bi = b.index();
-            // live_out = union of successors' live_in.
-            let succs = f.block(b).term.successors();
-            let mut out_set = BitSet::new(n_temps);
-            for s in succs {
-                out_set.union_with(&live_in[s.index()]);
-            }
-            if out_set != live_out[bi] {
-                live_out[bi] = out_set.clone();
-                changed = true;
-            }
-            // live_in = uses ∪ (live_out − defs), walked backward.
-            let mut set = out_set;
-            let block = f.block(b);
-            uses_buf.clear();
-            term_uses(&block.term, deriv, &mut uses_buf);
-            for &t in &uses_buf {
-                set.insert(t.index());
+    let (support_at, support_of) = supports(n_temps, deriv);
+    let mut lv = Liveness {
+        live_in: vec![BitSet::new(n_temps); n_blocks],
+        live_out: vec![BitSet::new(n_temps); n_blocks],
+        gen: Vec::new(),
+        support_at,
+        support_of,
+    };
+
+    // Block summaries, by the same backward walk the fixpoint replaces.
+    let mut kill = vec![BitSet::new(n_temps); n_blocks];
+    let mut uses = Vec::new();
+    let gen = f
+        .blocks
+        .iter()
+        .zip(&mut kill)
+        .map(|(block, kill)| {
+            let mut gen = BitSet::new(n_temps);
+            uses.clear();
+            block.term.uses(&mut uses);
+            for &t in &uses {
+                lv.use_temp(t, &mut gen);
             }
             for ins in block.instrs.iter().rev() {
                 if let Some(d) = ins.def() {
-                    set.remove(d.index());
+                    kill.insert(d.index());
                 }
-                uses_buf.clear();
-                instr_uses(ins, deriv, &mut uses_buf);
-                for &t in &uses_buf {
-                    set.insert(t.index());
-                }
+                lv.step_back(ins, &mut gen, &mut uses);
             }
-            if set != live_in[bi] {
-                live_in[bi] = set;
+            gen
+        })
+        .collect();
+    lv.gen = gen;
+
+    // Iterate in post order (reverse of RPO) for fast backward
+    // convergence; unreachable blocks keep empty sets.
+    let order: Vec<BlockId> = cfg::reverse_postorder(f).into_iter().rev().collect();
+    let succs: Vec<Vec<usize>> = f
+        .blocks
+        .iter()
+        .map(|block| block.term.successors().map(BlockId::index).collect())
+        .collect();
+    let mut set = BitSet::new(n_temps);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &order {
+            let bi = b.index();
+            set.clear();
+            for &s in &succs[bi] {
+                set.union_with(&lv.live_in[s]);
+            }
+            if set != lv.live_out[bi] {
+                lv.live_out[bi].copy_from(&set);
+                changed = true;
+            }
+            set.subtract(&kill[bi]);
+            set.union_with(&lv.gen[bi]);
+            if set != lv.live_in[bi] {
+                lv.live_in[bi].copy_from(&set);
                 changed = true;
             }
         }
     }
-    Liveness { live_in, live_out }
-}
-
-impl Liveness {
-    /// The set of temps live **after** each instruction of block `b` (index
-    /// `i` of the result corresponds to the program point just after
-    /// `instrs[i]`). Used by the back end to compute gc-point live sets.
-    #[must_use]
-    pub fn live_after_each(
-        &self,
-        f: &Function,
-        b: BlockId,
-        deriv: Option<&DerivAnalysis>,
-    ) -> Vec<BitSet> {
-        let block = f.block(b);
-        let n = block.instrs.len();
-        let mut result = vec![BitSet::new(f.temp_count()); n];
-        let mut set = self.live_out[b.index()].clone();
-        let mut uses_buf = Vec::new();
-        uses_buf.clear();
-        term_uses(&block.term, deriv, &mut uses_buf);
-        for &t in &uses_buf {
-            set.insert(t.index());
-        }
-        for i in (0..n).rev() {
-            result[i] = set.clone();
-            let ins = &block.instrs[i];
-            if let Some(d) = ins.def() {
-                set.remove(d.index());
-            }
-            uses_buf.clear();
-            instr_uses(ins, deriv, &mut uses_buf);
-            for &t in &uses_buf {
-                set.insert(t.index());
-            }
-        }
-        result
-    }
+    lv
 }
 
 #[cfg(test)]
@@ -146,6 +188,13 @@ mod tests {
     use crate::deriv::analyze_and_resolve;
     use crate::func::TempKind;
     use crate::instr::BinOp;
+
+    /// The set of temps live after each instruction of block `b`.
+    fn live_after_each(lv: &Liveness, f: &Function, b: BlockId) -> Vec<BitSet> {
+        let mut result = vec![BitSet::new(0); f.block(b).instrs.len()];
+        lv.walk_back(f, b, |i, live| result[i] = live.clone());
+        result
+    }
 
     /// Straight-line: t1 used by t2 is live between.
     #[test]
@@ -157,12 +206,13 @@ mod tests {
         let f = b.finish();
         let lv = liveness(&f, None);
         // After the Const, both the param and t1 are live.
-        let pts = lv.live_after_each(&f, f.entry, None);
+        let pts = live_after_each(&lv, &f, f.entry);
         assert!(pts[0].contains(t1.index()));
         assert!(pts[0].contains(0));
         // After the Add, only t2 is live.
         assert!(pts[1].contains(t2.index()));
         assert!(!pts[1].contains(t1.index()));
+        assert_eq!(lv.gen[f.entry.index()].iter().collect::<Vec<_>>(), vec![0], "only the param");
     }
 
     /// The dead-base rule: without derivation info the base dies after the
@@ -181,14 +231,16 @@ mod tests {
 
         let without = liveness(&f, None);
         let with = liveness(&f, Some(&deriv));
-        let pts_without = without.live_after_each(&f, f.entry, None);
-        let pts_with = with.live_after_each(&f, f.entry, Some(&deriv));
+        let pts_without = live_after_each(&without, &f, f.entry);
+        let pts_with = live_after_each(&with, &f, f.entry);
         // After the derivation of `use1`... p is dead without the rule once
         // d has been consumed, but the rule keeps p live because use1 is
         // (transitively) derived from it.
         let last = pts_without.len() - 1;
         assert!(!pts_without[last].contains(p.index()), "base dead without the rule");
         assert!(pts_with[last].contains(p.index()), "base kept alive by the rule");
+        assert!(without.support(use1).is_empty(), "no rule, no support");
+        assert_eq!(with.support(use1), &[p, d], "the transitive support, sorted");
     }
 
     /// Loop liveness: a temp defined before a loop and used inside is live
@@ -230,7 +282,7 @@ mod tests {
         f.ret_kind = Some(TempKind::Int);
         let deriv = analyze_and_resolve(&mut f);
         let lv = liveness(&f, Some(&deriv));
-        let after = lv.live_after_each(&f, f.entry, Some(&deriv));
+        let after = live_after_each(&lv, &f, f.entry);
         // instrs: Bin (derive), New, Bin (use). After the New, d is live and
         // the dead-base rule keeps p live with it.
         assert!(after[1].contains(d.index()));
@@ -265,5 +317,21 @@ mod tests {
         assert!(lv.live_in[join.index()].contains(pv.index()), "path var live at join");
         assert!(lv.live_in[join.index()].contains(0), "base P live at join");
         assert!(lv.live_in[join.index()].contains(1), "base Q live at join");
+        assert!(lv.support(t).contains(&pv), "the path variable is support");
+    }
+
+    /// Blocks no path from the entry reaches keep empty sets, whatever
+    /// they use: the solver iterates over reachable blocks only.
+    #[test]
+    fn unreachable_blocks_stay_empty() {
+        let mut b = FuncBuilder::new("f", &[TempKind::Int]);
+        let dead = b.block();
+        b.ret(None);
+        b.switch_to(dead);
+        b.ret(Some(b.param(0)));
+        let f = b.finish();
+        let lv = liveness(&f, None);
+        assert!(lv.live_in[dead.index()].is_empty());
+        assert!(lv.gen[dead.index()].contains(0), "its summary is still computed");
     }
 }

@@ -5,35 +5,72 @@
 //! emission, not of program semantics: a base's defining instruction is
 //! never "dead" while a derived value computed from it is used, because
 //! the derivation itself consumes the base.
+//!
+//! Each sweep walks every block backward once, dropping a dead pure
+//! instruction the moment it is found and not adding its uses, so a dead
+//! chain inside a block goes in one walk. Removal is confluent: an
+//! instruction's uses only ever leave, so liveness only shrinks and
+//! whatever is dead stays dead — any removal order reaches the same
+//! fixpoint, the one repeated global rounds reach. Liveness is re-solved
+//! only when a block's upward-exposed uses changed (otherwise the old
+//! solution is still the least one). A dead cycle, such as a
+//! loop-carried `i := i + 1` nothing else reads, keeps itself live and
+//! survives: this is plain-liveness DCE, not faint-variable elimination.
 
+use m3gc_ir::bitset::BitSet;
 use m3gc_ir::liveness::liveness;
 use m3gc_ir::Function;
 
 /// Removes dead pure instructions; returns how many were removed.
 pub fn eliminate_dead_code(f: &mut Function) -> usize {
+    let n_temps = f.temp_count();
+    let (mut live, mut exposed) = (BitSet::new(n_temps), BitSet::new(n_temps));
+    let mut uses = Vec::new();
+    let mut dead = Vec::new();
     let mut removed = 0;
     loop {
         let lv = liveness(f, None);
-        let mut round = 0;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let live_after = lv.live_after_each(f, b, None);
-            let block = f.block_mut(b);
-            let mut keep = Vec::with_capacity(block.instrs.len());
-            for (i, ins) in block.instrs.drain(..).enumerate() {
-                let dead = match ins.def() {
-                    Some(d) => !live_after[i].contains(d.index()),
-                    None => false,
-                };
-                if dead && !ins.has_side_effects() {
-                    round += 1;
-                } else {
-                    keep.push(ins);
+        let mut stale = false;
+        for (bi, block) in f.blocks.iter_mut().enumerate() {
+            // `live` walks back from the block's exit, `exposed` from
+            // nothing: at the top they are the block's live-in and its
+            // upward-exposed uses.
+            live.copy_from(&lv.live_out[bi]);
+            exposed.clear();
+            uses.clear();
+            block.term.uses(&mut uses);
+            for &t in &uses {
+                live.insert(t.index());
+                exposed.insert(t.index());
+            }
+            dead.clear();
+            dead.resize(block.instrs.len(), false);
+            let mut n_dead = 0;
+            for (i, ins) in block.instrs.iter().enumerate().rev() {
+                if let Some(d) = ins.def() {
+                    if !live.contains(d.index()) && !ins.has_side_effects() {
+                        dead[i] = true;
+                        n_dead += 1;
+                        continue;
+                    }
+                    live.remove(d.index());
+                    exposed.remove(d.index());
+                }
+                uses.clear();
+                ins.uses(&mut uses);
+                for &t in &uses {
+                    live.insert(t.index());
+                    exposed.insert(t.index());
                 }
             }
-            block.instrs = keep;
+            if n_dead > 0 {
+                let mut flags = dead.iter();
+                block.instrs.retain(|_| !flags.next().copied().unwrap_or(false));
+                removed += n_dead;
+                stale |= exposed != lv.gen[bi];
+            }
         }
-        removed += round;
-        if round == 0 {
+        if !stale {
             return removed;
         }
     }
@@ -43,7 +80,7 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
 mod tests {
     use super::*;
     use m3gc_ir::builder::FuncBuilder;
-    use m3gc_ir::{BinOp, RuntimeFn, TempKind};
+    use m3gc_ir::{BinOp, Instr, RuntimeFn, TempKind};
 
     #[test]
     fn removes_unused_arithmetic() {
@@ -83,6 +120,54 @@ mod tests {
         b.ret(Some(y));
         let mut f = b.finish();
         assert_eq!(eliminate_dead_code(&mut f), 0);
+    }
+
+    /// A chain whose links sit in three blocks goes entirely: each link
+    /// dies once the block after it drops its only use.
+    #[test]
+    fn removes_a_dead_chain_across_three_blocks() {
+        let mut b = FuncBuilder::with_ret("f", &[TempKind::Int], Some(TempKind::Int));
+        let x1 = b.constant(1);
+        let (second, third) = (b.block(), b.block());
+        b.jump(second);
+        b.switch_to(second);
+        let x2 = b.bin(BinOp::Add, x1, x1);
+        b.jump(third);
+        b.switch_to(third);
+        let _x3 = b.bin(BinOp::Add, x2, x2);
+        let live = b.bin(BinOp::Add, b.param(0), b.param(0));
+        b.ret(Some(live));
+        let mut f = b.finish();
+        assert_eq!(eliminate_dead_code(&mut f), 3);
+        assert_eq!(f.instr_count(), 1, "only the returned value is left");
+        assert_eq!(eliminate_dead_code(&mut f), 0, "a second run finds nothing");
+    }
+
+    /// `i := i + 1` in a loop that never reads `i` otherwise is dead by
+    /// faint-variable reasoning, but each def feeds the next iteration's
+    /// use, so plain liveness keeps the cycle — and so does this pass.
+    #[test]
+    fn keeps_a_dead_loop_carried_increment() {
+        let mut b = FuncBuilder::new("f", &[TempKind::Int]);
+        let i = b.temp(TempKind::Int);
+        b.push(Instr::Const { dst: i, value: 0 });
+        let (header, body, exit) = (b.block(), b.block(), b.block());
+        b.jump(header);
+        b.switch_to(header);
+        let ten = b.constant(10);
+        let c = b.bin(BinOp::Lt, b.param(0), ten);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        let one = b.constant(1);
+        let ni = b.bin(BinOp::Add, i, one);
+        b.push(Instr::Copy { dst: i, src: ni });
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(None);
+        let mut f = b.finish();
+        let before = f.instr_count();
+        assert_eq!(eliminate_dead_code(&mut f), 0);
+        assert_eq!(f.instr_count(), before);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! loop, exactly the paper's virtual-origin example. `vo` is a derived
 //! value live across every gc-point in the loop.
 
-use std::collections::HashSet;
-
 use m3gc_ir::cfg::{self, NaturalLoop};
 use m3gc_ir::{BinOp, BlockId, Function, Instr, Temp, TempKind, Terminator};
 
@@ -79,13 +77,13 @@ pub fn ensure_preheader(f: &mut Function, l: &NaturalLoop) -> BlockId {
     pre
 }
 
-/// Temps with at least one def inside the loop.
-fn defined_in_loop(f: &Function, l: &NaturalLoop) -> HashSet<Temp> {
-    let mut set = HashSet::new();
+/// Which temps have at least one def inside the loop.
+fn defined_in_loop(f: &Function, l: &NaturalLoop) -> Vec<bool> {
+    let mut set = vec![false; f.temp_count()];
     for &b in &l.body {
         for ins in &f.block(b).instrs {
             if let Some(d) = ins.def() {
-                set.insert(d);
+                set[d.index()] = true;
             }
         }
     }
@@ -94,11 +92,11 @@ fn defined_in_loop(f: &Function, l: &NaturalLoop) -> HashSet<Temp> {
 
 /// Reassociates `addr := p + k` / `k := i + adj` into
 /// `vo := p + adj; addr := vo + i` when `p` and `adj` are invariant and
-/// `i` varies, enabling the virtual-origin hoist. Returns rewrites done.
-fn reassociate(f: &mut Function, l: &NaturalLoop) -> usize {
-    let counts = def_counts(f);
-    let in_loop = defined_in_loop(f, l);
-    let invariant = |t: Temp| !in_loop.contains(&t);
+/// `i` varies, enabling the virtual-origin hoist. Returns rewrites done;
+/// each defines one new temp, once, inside the loop, and leaves every
+/// other temp's defs where they were.
+fn reassociate(f: &mut Function, l: &NaturalLoop, counts: &[u32], in_loop: &[bool]) -> usize {
+    let invariant = |t: Temp| !in_loop[t.index()];
     // Map single-def adds inside the loop: dst -> (a, b).
     let mut adds: Vec<Option<(Temp, Temp)>> = vec![None; f.temp_count()];
     for &b in &l.body {
@@ -122,7 +120,7 @@ fn reassociate(f: &mut Function, l: &NaturalLoop) -> usize {
                     continue;
                 }
                 let Some((x, y)) = adds[k.index()] else { continue };
-                if !in_loop.contains(&k) {
+                if !in_loop[k.index()] {
                     continue;
                 }
                 let (varying, inv) = if invariant(x) && !invariant(y) {
@@ -150,36 +148,54 @@ fn reassociate(f: &mut Function, l: &NaturalLoop) -> usize {
     n
 }
 
-/// Hoists invariant pure single-def instructions of loop `l` into its
-/// preheader. Returns how many were hoisted.
-fn hoist_loop(f: &mut Function, l: &NaturalLoop) -> usize {
-    reassociate(f, l);
-    let mut hoisted = 0;
-    loop {
-        let counts = def_counts(f);
-        let in_loop = defined_in_loop(f, l);
-        let mut found: Option<(BlockId, usize)> = None;
-        'search: for &bid in &l.body {
-            for (i, ins) in f.block(bid).instrs.iter().enumerate() {
-                if !is_pure(ins) {
-                    continue;
-                }
-                let Some(dst) = ins.def() else { continue };
-                if counts[dst.index()] != 1 || dst.index() < f.n_params {
-                    continue;
-                }
-                let mut uses = Vec::new();
-                ins.uses(&mut uses);
-                if uses.iter().any(|u| in_loop.contains(u)) {
-                    continue;
-                }
-                found = Some((bid, i));
-                break 'search;
+/// The first instruction of `l`, in body order, that can leave it: pure,
+/// the only def of a non-parameter temp, reading nothing defined in the
+/// loop.
+fn first_hoistable(
+    f: &Function,
+    l: &NaturalLoop,
+    counts: &[u32],
+    in_loop: &[bool],
+    uses: &mut Vec<Temp>,
+) -> Option<(BlockId, usize)> {
+    for &bid in &l.body {
+        for (i, ins) in f.block(bid).instrs.iter().enumerate() {
+            if !is_pure(ins) {
+                continue;
+            }
+            let Some(dst) = ins.def() else { continue };
+            if counts[dst.index()] != 1 || dst.index() < f.n_params {
+                continue;
+            }
+            uses.clear();
+            ins.uses(uses);
+            if uses.iter().all(|u| !in_loop[u.index()]) {
+                return Some((bid, i));
             }
         }
-        let Some((bid, i)) = found else { break };
-        let pre = ensure_preheader(f, l);
+    }
+    None
+}
+
+/// Hoists invariant pure single-def instructions of loop `l` into its
+/// preheader, first hoistable first. Returns how many were hoisted.
+///
+/// Def counts, the in-loop def set and the preheader are computed once:
+/// a hoist moves the single def of its temp, so no count changes and
+/// only that temp leaves the loop.
+fn hoist_loop(f: &mut Function, l: &NaturalLoop) -> usize {
+    let mut counts = def_counts(f);
+    let mut in_loop = defined_in_loop(f, l);
+    reassociate(f, l, &counts, &in_loop);
+    counts.resize(f.temp_count(), 1);
+    in_loop.resize(f.temp_count(), true);
+    let mut preheader = None;
+    let mut uses = Vec::new();
+    let mut hoisted = 0;
+    while let Some((bid, i)) = first_hoistable(f, l, &counts, &in_loop, &mut uses) {
+        let pre = *preheader.get_or_insert_with(|| ensure_preheader(f, l));
         let ins = f.block_mut(bid).instrs.remove(i);
+        in_loop[ins.def().expect("hoisted instructions define").index()] = false;
         f.block_mut(pre).instrs.push(ins);
         hoisted += 1;
     }
@@ -325,6 +341,49 @@ mod tests {
             "virtual origin not hoisted: {}",
             m3gc_ir::pretty::function_to_string(&f)
         );
+    }
+
+    /// `k := 3; prod := n * k; sum := prod + k` inside a loop: each link
+    /// becomes invariant only once the one before it has left, and all of
+    /// them (and the loop's `1`) land, in source order, in the single
+    /// preheader the first hoist creates.
+    #[test]
+    fn hoists_a_dependent_chain_in_order_into_one_preheader() {
+        let mut b = FuncBuilder::with_ret("f", &[], Some(TempKind::Int));
+        let (i, s) = (b.temp(TempKind::Int), b.temp(TempKind::Int));
+        b.push(Instr::Const { dst: i, value: 0 });
+        b.push(Instr::Const { dst: s, value: 0 });
+        let n = b.constant(4);
+        let (header, body, exit) = (b.block(), b.block(), b.block());
+        // A guarded entry, so the loop has no preheader yet.
+        b.br(n, header, exit);
+        b.switch_to(header);
+        let c = b.bin(BinOp::Lt, i, n);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        let k = b.constant(3);
+        let prod = b.bin(BinOp::Mul, n, k);
+        let sum = b.bin(BinOp::Add, prod, k);
+        let ns = b.bin(BinOp::Add, s, sum);
+        b.push(Instr::Copy { dst: s, src: ns });
+        let one = b.constant(1);
+        let ni = b.bin(BinOp::Add, i, one);
+        b.push(Instr::Copy { dst: i, src: ni });
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(Some(s));
+        let mut f = b.finish();
+        let before = run(f.clone());
+        let blocks = f.blocks.len();
+
+        assert_eq!(loop_invariant_code_motion(&mut f), 4);
+        assert_eq!(f.blocks.len(), blocks + 1, "one preheader for every hoist");
+        let pre = f.block(BlockId(blocks as u32));
+        let defs: Vec<Temp> = pre.instrs.iter().filter_map(Instr::def).collect();
+        assert_eq!(defs, vec![k, prod, sum, one]);
+        assert_eq!(pre.term, Terminator::Jump(header));
+        assert_eq!(run(f), before);
+        assert_eq!(before, Some(60));
     }
 
     #[test]

@@ -19,69 +19,119 @@ enum Val {
     Num(u32),
 }
 
-/// Expression key for the numbering table.
+/// Expression key for the numbering table. Memory reads carry the
+/// block's memory epoch, so a store, call or allocation (which starts a
+/// new epoch) makes every earlier read's key unreachable.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
     Bin(m3gc_ir::BinOp, Val, Val),
     Un(m3gc_ir::UnOp, Val),
-    Load(Val, i32),
-    LoadSlot(u32, u32),
+    Load(Val, i32, u32),
+    LoadSlot(u32, u32, u32),
     SlotAddr(u32),
-    LoadGlobal(u32),
+    LoadGlobal(u32, u32),
     GlobalAddr(u32),
     Const(i64),
 }
 
+/// A numbering-table entry: the value and the representative temp
+/// holding it, valid while the representative has had exactly `defs`
+/// definitions.
+#[derive(Clone, Copy)]
+struct Entry {
+    val: Val,
+    rep: Temp,
+    defs: u32,
+}
+
 struct BlockState {
-    /// Current abstract value of each temp.
-    vals: HashMap<Temp, Val>,
-    /// Expression → (value, representative temp holding it).
-    table: HashMap<Key, (Val, Temp)>,
+    /// Current abstract value of each temp (indexed by temp).
+    vals: Vec<Option<Val>>,
+    /// Temps whose `vals` entry this block set, to reset it in O(block).
+    touched: Vec<Temp>,
+    /// Definitions seen so far of each temp: an entry whose
+    /// representative has been redefined since is stale.
+    defs: Vec<u32>,
+    /// Expression → entry.
+    table: HashMap<Key, Entry>,
     next_num: u32,
+    /// Bumped by every store, call and allocation.
+    memory: u32,
 }
 
 impl BlockState {
+    fn new(n_temps: usize) -> BlockState {
+        BlockState {
+            vals: vec![None; n_temps],
+            touched: Vec::new(),
+            defs: vec![0; n_temps],
+            table: HashMap::new(),
+            next_num: 0,
+            memory: 0,
+        }
+    }
+
+    /// Forgets everything: a new block starts.
+    fn reset(&mut self) {
+        for t in self.touched.drain(..) {
+            self.vals[t.index()] = None;
+        }
+        self.table.clear();
+        self.next_num = 0;
+        self.memory = 0;
+    }
+
     fn fresh(&mut self) -> Val {
         let v = Val::Num(self.next_num);
         self.next_num += 1;
         v
     }
 
+    fn set_val(&mut self, t: Temp, v: Val) {
+        if self.vals[t.index()].replace(v).is_none() {
+            self.touched.push(t);
+        }
+    }
+
     fn val_of(&mut self, t: Temp) -> Val {
-        if let Some(v) = self.vals.get(&t) {
-            return *v;
+        if let Some(v) = self.vals[t.index()] {
+            return v;
         }
         let v = self.fresh();
-        self.vals.insert(t, v);
+        self.set_val(t, v);
         v
+    }
+
+    /// The live entry for `key`, if any.
+    fn lookup(&self, key: &Key) -> Option<(Val, Temp)> {
+        self.table.get(key).filter(|e| self.defs[e.rep.index()] == e.defs).map(|e| (e.val, e.rep))
+    }
+
+    fn record(&mut self, key: Key, val: Val, rep: Temp) {
+        self.table.insert(key, Entry { val, rep, defs: self.defs[rep.index()] });
     }
 
     /// Invalidate all memory-derived facts (on stores, calls, allocations).
     fn kill_memory(&mut self) {
-        self.table
-            .retain(|k, _| !matches!(k, Key::Load(..) | Key::LoadSlot(..) | Key::LoadGlobal(..)));
+        self.memory += 1;
     }
 
     /// A temp was (re)defined: any table entry whose representative is the
     /// temp is stale.
     fn kill_temp(&mut self, t: Temp) {
-        self.table.retain(|_, (_, rep)| *rep != t);
-        self.vals.remove(&t);
+        self.defs[t.index()] += 1;
+        self.vals[t.index()] = None;
     }
-}
-
-fn f_kind_matches(kinds: &[m3gc_ir::TempKind], a: Temp, b: Temp) -> bool {
-    kinds[a.index()] == kinds[b.index()]
 }
 
 /// Runs local value numbering over every block; returns the number of
 /// instructions simplified.
 pub fn local_value_numbering(f: &mut Function) -> usize {
     let mut simplified = 0;
-    let fkinds: Vec<m3gc_ir::TempKind> = f.temp_kinds.clone();
-    for bi in 0..f.blocks.len() {
-        let mut st = BlockState { vals: HashMap::new(), table: HashMap::new(), next_num: 0 };
-        let block = &mut f.blocks[bi];
+    let mut st = BlockState::new(f.temp_count());
+    let (kinds, blocks) = (&f.temp_kinds, &mut f.blocks);
+    for block in blocks {
+        st.reset();
         for ins in &mut block.instrs {
             // First rewrite uses: copy-propagate through representatives.
             // (A use of t whose value class has a still-valid representative
@@ -90,12 +140,12 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
             // Constant operands stay as-is (the IR has no immediates).
             let key: Option<Key> = match ins {
                 Instr::Const { value, .. } => Some(Key::Const(*value)),
-                Instr::Copy { src, .. } => {
-                    let v = st.val_of(*src);
+                Instr::Copy { src, dst } => {
+                    let (src, dst) = (*src, *dst);
+                    let v = st.val_of(src);
                     // Copies don't get table entries; the dst just aliases.
-                    let dst = ins.def().expect("copy defines");
                     st.kill_temp(dst);
-                    st.vals.insert(dst, v);
+                    st.set_val(dst, v);
                     continue;
                 }
                 Instr::Bin { op, a, b, dst } => {
@@ -107,8 +157,8 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
                         let folded = op.eval(x, y);
                         *ins = Instr::Const { dst, value: folded };
                         st.kill_temp(dst);
-                        st.vals.insert(dst, Val::Const(folded));
-                        st.table.insert(Key::Const(folded), (Val::Const(folded), dst));
+                        st.set_val(dst, Val::Const(folded));
+                        st.record(Key::Const(folded), Val::Const(folded), dst);
                         simplified += 1;
                         continue;
                     }
@@ -123,7 +173,7 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
                         let folded = op.eval(x);
                         *ins = Instr::Const { dst, value: folded };
                         st.kill_temp(dst);
-                        st.vals.insert(dst, Val::Const(folded));
+                        st.set_val(dst, Val::Const(folded));
                         simplified += 1;
                         continue;
                     }
@@ -131,11 +181,13 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
                 }
                 Instr::Load { addr, offset, .. } => {
                     let va = st.val_of(*addr);
-                    Some(Key::Load(va, *offset))
+                    Some(Key::Load(va, *offset, st.memory))
                 }
-                Instr::LoadSlot { slot, offset, .. } => Some(Key::LoadSlot(slot.0, *offset)),
+                Instr::LoadSlot { slot, offset, .. } => {
+                    Some(Key::LoadSlot(slot.0, *offset, st.memory))
+                }
                 Instr::SlotAddr { slot, .. } => Some(Key::SlotAddr(slot.0)),
-                Instr::LoadGlobal { global, .. } => Some(Key::LoadGlobal(global.0)),
+                Instr::LoadGlobal { global, .. } => Some(Key::LoadGlobal(global.0, st.memory)),
                 Instr::GlobalAddr { global, .. } => Some(Key::GlobalAddr(global.0)),
                 Instr::Store { .. } | Instr::StoreSlot { .. } | Instr::StoreGlobal { .. } => {
                     st.kill_memory();
@@ -146,7 +198,7 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
                     if let Some(dst) = ins.def() {
                         st.kill_temp(dst);
                         let v = st.fresh();
-                        st.vals.insert(dst, v);
+                        st.set_val(dst, v);
                     }
                     continue;
                 }
@@ -158,20 +210,20 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
                 None => continue,
             };
             st.kill_temp(dst);
-            if let Some((v, rep)) = st.table.get(&key).copied() {
-                if rep != dst && f_kind_matches(&fkinds, rep, dst) {
+            if let Some((v, rep)) = st.lookup(&key) {
+                if rep != dst && kinds[rep.index()] == kinds[dst.index()] {
                     // Same kind of value already available: reuse it.
                     // Replacing a load/arith with a copy of the
                     // representative is the CSE step.
                     *ins = Instr::Copy { dst, src: rep };
-                    st.vals.insert(dst, v);
+                    st.set_val(dst, v);
                     simplified += 1;
                     continue;
                 }
             }
             let v = if let Key::Const(c) = key { Val::Const(c) } else { st.fresh() };
-            st.vals.insert(dst, v);
-            st.table.insert(key, (v, dst));
+            st.set_val(dst, v);
+            st.record(key, v, dst);
         }
     }
     simplified
@@ -180,8 +232,9 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m3gc_core::heap::TypeId;
     use m3gc_ir::builder::FuncBuilder;
-    use m3gc_ir::{BinOp, TempKind};
+    use m3gc_ir::{BinOp, FuncId, TempKind};
 
     #[test]
     fn folds_constants() {
@@ -220,20 +273,52 @@ mod tests {
         assert!(matches!(f.blocks[0].instrs[1], Instr::Copy { .. }), "{:?}", f.blocks[0].instrs);
     }
 
+    /// A store, a call and an allocation may each write memory: a load
+    /// after any of them reads again.
     #[test]
-    fn loads_are_killed_by_stores() {
-        let mut b = FuncBuilder::new("f", &[TempKind::Ptr]);
-        let v1 = b.load(b.param(0), 1, TempKind::Int);
-        b.store(b.param(0), 1, v1);
-        let v2 = b.load(b.param(0), 1, TempKind::Int); // must NOT be CSE'd...
-        let s = b.bin(BinOp::Add, v1, v2);
+    fn loads_are_killed_by_stores_calls_and_allocations() {
+        for killer in ["store", "call", "new"] {
+            let mut b = FuncBuilder::new("f", &[TempKind::Ptr]);
+            let v1 = b.load(b.param(0), 1, TempKind::Int);
+            match killer {
+                "store" => b.store(b.param(0), 1, v1),
+                "call" => {
+                    b.call(FuncId(0), vec![], None);
+                }
+                _ => {
+                    b.new_object(TypeId(0), None);
+                }
+            }
+            let v2 = b.load(b.param(0), 1, TempKind::Int); // must NOT be CSE'd...
+            let s = b.bin(BinOp::Add, v1, v2);
+            b.ret(Some(s));
+            let mut f = b.finish();
+            f.ret_kind = Some(TempKind::Int);
+            local_value_numbering(&mut f);
+            assert!(
+                matches!(f.blocks[0].instrs[2], Instr::Load { .. }),
+                "load after {killer} must survive: {:?}",
+                f.blocks[0].instrs
+            );
+        }
+    }
+
+    /// Once the temp holding a value is overwritten, the same expression
+    /// computed again is computed, not copied from the stale holder.
+    #[test]
+    fn a_redefined_representative_is_never_reused() {
+        let mut b = FuncBuilder::new("f", &[TempKind::Int, TempKind::Int]);
+        let t = b.bin(BinOp::Add, b.param(0), b.param(1));
+        b.push(Instr::Const { dst: t, value: 7 });
+        let again = b.bin(BinOp::Add, b.param(0), b.param(1));
+        let s = b.bin(BinOp::Sub, t, again);
         b.ret(Some(s));
         let mut f = b.finish();
         f.ret_kind = Some(TempKind::Int);
         local_value_numbering(&mut f);
         assert!(
-            matches!(f.blocks[0].instrs[2], Instr::Load { .. }),
-            "load after store must survive: {:?}",
+            matches!(f.blocks[0].instrs[2], Instr::Bin { op: BinOp::Add, .. }),
+            "{:?}",
             f.blocks[0].instrs
         );
     }

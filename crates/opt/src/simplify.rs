@@ -81,30 +81,28 @@ fn thread_jumps(f: &mut Function) -> usize {
 
 /// Merges `b -> c` when `b` ends in `Jump(c)` and `c` has exactly one
 /// predecessor (and is not the entry).
+///
+/// A merge moves `c`'s out-edges to `b` and leaves `c` an orphaned
+/// self-loop, so every block keeps its predecessor *count*: one count
+/// taken up front serves every merge, and `b` is retried until its new
+/// jump target no longer qualifies.
 fn merge_blocks(f: &mut Function) -> usize {
+    let n_preds: Vec<usize> = cfg::predecessors(f).iter().map(Vec::len).collect();
     let mut changed = 0;
-    loop {
-        let preds = cfg::predecessors(f);
-        let mut merged = false;
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let Terminator::Jump(c) = f.block(b).term else { continue };
-            if c == b || c == f.entry || preds[c.index()].len() != 1 {
-                continue;
+    for b in f.block_ids() {
+        while let Terminator::Jump(c) = f.block(b).term {
+            if c == b || c == f.entry || n_preds[c.index()] != 1 {
+                break;
             }
             let mut tail = std::mem::take(&mut f.block_mut(c).instrs);
-            let tail_term = f.block(c).term.clone();
-            f.block_mut(c).term = Terminator::Jump(c); // orphaned self-loop
+            let tail_term = std::mem::replace(&mut f.block_mut(c).term, Terminator::Jump(c));
             let head = f.block_mut(b);
             head.instrs.append(&mut tail);
             head.term = tail_term;
             changed += 1;
-            merged = true;
-            break; // predecessor info is stale; recompute
-        }
-        if !merged {
-            return changed;
         }
     }
+    changed
 }
 
 /// Removes unreachable blocks, compacting block ids.

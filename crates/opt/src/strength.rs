@@ -36,8 +36,8 @@ fn def_counts(f: &Function) -> Vec<u32> {
 
 /// Finds basic IVs of loop `l`: temps whose only in-loop def is
 /// `iv := copy(ni)` where `ni := iv + c` (single-def, `c` a constant).
-fn find_basic_ivs(f: &Function, l: &NaturalLoop) -> Vec<BasicIv> {
-    let counts = def_counts(f);
+/// `counts` is [`def_counts`] of `f`.
+fn find_basic_ivs(f: &Function, l: &NaturalLoop, counts: &[u32]) -> Vec<BasicIv> {
     // Constants known in the function (single-def Const temps).
     let mut const_of: Vec<Option<i64>> = vec![None; f.temp_count()];
     for block in &f.blocks {
@@ -87,11 +87,11 @@ fn find_basic_ivs(f: &Function, l: &NaturalLoop) -> Vec<BasicIv> {
 
 /// Applies strength reduction to one loop; returns rewrites performed.
 fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
-    let ivs = find_basic_ivs(f, l);
+    let counts = def_counts(f);
+    let ivs = find_basic_ivs(f, l, &counts);
     if ivs.is_empty() {
         return 0;
     }
-    let counts = def_counts(f);
     let in_loop_def: Vec<bool> = {
         let mut v = vec![false; f.temp_count()];
         for &b in &l.body {
@@ -132,15 +132,18 @@ fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
     if candidates.is_empty() {
         return 0;
     }
+    // The preheader, against the loop with this header that
+    // `natural_loops` lists first. Candidates only insert instructions,
+    // so it serves them all.
+    let loops_now = cfg::natural_loops(f);
+    let Some(l_now) = loops_now.iter().find(|x| x.header == l.header) else { return 0 };
+    let pre = super::licm::ensure_preheader(f, l_now);
     // Apply, one at a time; indices shift, so re-locate by dst each round.
     let n = candidates.len();
     for c in candidates {
         let iv = &ivs[c.iv_index];
         let sr = f.new_temp(TempKind::Int);
         // Preheader: sr := base + iv (uses iv's entry value).
-        let loops_now = cfg::natural_loops(f);
-        let Some(l_now) = loops_now.iter().find(|x| x.header == l.header) else { continue };
-        let pre = super::licm::ensure_preheader(f, l_now);
         f.block_mut(pre).instrs.push(Instr::Bin { dst: sr, op: BinOp::Add, a: c.base, b: iv.iv });
         // Replace the address computation with a copy of sr. Re-locate the
         // defining instruction by its dst (positions may have shifted).
@@ -245,7 +248,7 @@ mod tests {
     fn detects_basic_iv() {
         let f = indexed_sum();
         let loops = cfg::natural_loops(&f);
-        let ivs = find_basic_ivs(&f, &loops[0]);
+        let ivs = find_basic_ivs(&f, &loops[0], &def_counts(&f));
         assert_eq!(ivs.len(), 1);
         assert_eq!(ivs[0].step, 1);
     }
@@ -281,6 +284,62 @@ mod tests {
             .map(Temp)
             .any(|t| deriv.deriv(t).is_some_and(|k| k.base_temps().any(|b| b == Temp(0))));
         assert!(derived_from_param, "strength-reduced pointer not derived from base");
+    }
+
+    /// A header with two latches is two natural loops. The pass reduces
+    /// against the one `natural_loops` lists first; the other latch lies
+    /// outside it, so its edge joins the entry's into the new preheader
+    /// (re-deriving the accumulator from the current `i`, which keeps it
+    /// right).
+    #[test]
+    fn two_latches_reduce_against_the_first_loop() {
+        let mut b = FuncBuilder::with_ret("f", &[TempKind::Ptr], Some(TempKind::Int));
+        let (i, s) = (b.temp(TempKind::Int), b.temp(TempKind::Int));
+        b.push(Instr::Const { dst: i, value: 1 });
+        b.push(Instr::Const { dst: s, value: 0 });
+        let (header, body, low, high, exit) =
+            (b.block(), b.block(), b.block(), b.block(), b.block());
+        b.jump(header);
+        b.switch_to(header);
+        let lim = b.constant(5);
+        let c = b.bin(BinOp::Lt, i, lim);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        let addr = b.bin(BinOp::Add, b.param(0), i);
+        let v = b.load(addr, 0, TempKind::Int);
+        let ns = b.bin(BinOp::Add, s, v);
+        b.push(Instr::Copy { dst: s, src: ns });
+        let one = b.constant(1);
+        let ni = b.bin(BinOp::Add, i, one);
+        b.push(Instr::Copy { dst: i, src: ni });
+        let split = b.constant(25);
+        let small = b.bin(BinOp::Lt, v, split);
+        b.br(small, low, high);
+        b.switch_to(low);
+        b.jump(header);
+        b.switch_to(high);
+        b.jump(header);
+        b.switch_to(exit);
+        b.ret(Some(s));
+        let mut f = b.finish();
+        let first = &cfg::natural_loops(&f)[0];
+        assert_eq!((first.header, first.latch), (header, low));
+        assert!(!first.contains(high));
+        let before = run_with_array(f.clone());
+        let blocks = f.blocks.len();
+
+        assert_eq!(strength_reduce(&mut f), 1);
+        m3gc_ir::verify::verify_function(&f, None, None).unwrap();
+        let pre = BlockId(blocks as u32);
+        assert!(
+            matches!(f.block(pre).instrs[..], [Instr::Bin { op: BinOp::Add, a, b, .. }] if a == Temp(0) && b == i),
+            "{}",
+            m3gc_ir::pretty::function_to_string(&f)
+        );
+        assert_eq!(f.block(high).term, m3gc_ir::Terminator::Jump(pre));
+        assert_eq!(f.block(low).term, m3gc_ir::Terminator::Jump(header));
+        assert_eq!(run_with_array(f), before);
+        assert_eq!(before, Some(100));
     }
 
     #[test]
