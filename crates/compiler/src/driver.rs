@@ -211,15 +211,6 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
                 out.satb_drained,
                 &out.gc_each,
             );
-            if opts.conc_evac {
-                rep.add_evac(
-                    out.evac_objects,
-                    out.evac_words,
-                    out.evac_healed_loads,
-                    out.evac_healed_stores,
-                    &out.gc_each,
-                );
-            }
         }
         rep.add_tlab(opts.tlab_words, out.tlab_refills, out.tlab_allocs, out.tlab_waste_words);
         rep.add_watermark(
@@ -453,18 +444,6 @@ fn parse_all(
                 if config.conc_workers < 1 {
                     return Err(DriverError::usage("bad --conc-workers value `0`"));
                 }
-            }
-            "--conc-evac" => {
-                cms_only = cms_only.or(Some("--conc-evac"));
-                config = config.conc_evac(true);
-            }
-            "--evac-region-words" => {
-                cms_only = cms_only.or(Some("--evac-region-words"));
-                let words = value::<usize>("--evac-region-words", it.next())?;
-                if words < 1 {
-                    return Err(DriverError::usage("bad --evac-region-words value `0`"));
-                }
-                config = config.evac_region_words(words);
             }
             "--tlab-words" => config.tlab_words = value("--tlab-words", it.next())?,
             "--nursery" => {
@@ -822,22 +801,6 @@ mod tests {
         assert_eq!(c.threads, 4);
         assert!(parse_options(&["--conc-workers".into(), "0".into()]).is_err());
         assert!(parse_options(&["--conc-workers".into()]).is_err());
-        // Concurrent evacuation rides on cms.
-        let (_, c) = parse_options(&["--gc=cms".into(), "--conc-evac".into()]).unwrap();
-        assert!(c.conc_evac);
-        let (_, c) = parse_options(&[
-            "--gc=cms".into(),
-            "--conc-evac".into(),
-            "--evac-region-words".into(),
-            "256".into(),
-        ])
-        .unwrap();
-        assert_eq!(c.evac_region_words, Some(256));
-        assert!(parse_options(&["--evac-region-words".into(), "0".into()]).is_err());
-        assert!(parse_options(&["--evac-region-words".into()]).is_err());
-        let (_, c) = parse_options(&[]).unwrap();
-        assert!(!c.conc_evac);
-        assert_eq!(c.evac_region_words, None);
     }
 
     #[test]
@@ -865,32 +828,6 @@ mod tests {
         assert!(cms_line.contains("snapshot pause"), "{cms_line}");
         assert!(cms_line.contains("final pause"), "{cms_line}");
         assert!(out.contains("satb:"), "{out}");
-    }
-
-    #[test]
-    fn run_cms_conc_evac_matches_output_and_reports_evac_lines() {
-        let (o, mut c) = parse_options(&[
-            "--gc=cms".into(),
-            "--threads".into(),
-            "2".into(),
-            "--conc-workers".into(),
-            "2".into(),
-            "--conc-evac".into(),
-            "--torture".into(),
-            "--stats".into(),
-            "--oracle".into(),
-        ])
-        .unwrap();
-        c.semi_words = 1 << 14;
-        let out = run(LOCAL_ALLOCATING, &o, c).unwrap();
-        assert!(out.starts_with("12751275"), "{out}");
-        let evac_line = out
-            .lines()
-            .find(|l| l.contains("evac:") && l.contains("region(s)"))
-            .unwrap_or_else(|| panic!("no evac line in {out}"));
-        assert!(evac_line.contains("cycle(s)"), "{evac_line}");
-        assert!(out.contains("select pause"), "{out}");
-        assert!(out.contains("healed"), "{out}");
     }
 
     #[test]
@@ -977,14 +914,27 @@ mod tests {
         }
     }
 
-    /// The liveness-pruned maps are retired: their two flags are unknown
-    /// options like any other.
+    /// Retired features leave no flags behind: the liveness-pruned maps'
+    /// two and concurrent evacuation's two are unknown options like any
+    /// other, under `run` and `serve` alike.
     #[test]
-    fn retired_livemap_flags_are_usage_errors() {
-        for flag in ["--live-maps", "--no-live-maps"] {
-            let e = parse_options(&[flag.into()]).unwrap_err();
-            assert!(matches!(e, DriverError::Usage(_)), "{e:?}");
-            assert_eq!(e.to_string(), format!("unknown option `{flag}`"));
+    fn retired_flags_are_usage_errors() {
+        let cases: [&[&str]; 4] = [
+            &["--live-maps"],
+            &["--no-live-maps"],
+            &["--conc-evac"],
+            &["--evac-region-words", "64"],
+        ];
+        for args in cases {
+            let argv: Vec<String> = args.iter().map(ToString::to_string).collect();
+            let errors = [
+                parse_options(&argv).map(|_| ()).unwrap_err(),
+                parse_serve_options(&argv).map(|_| ()).unwrap_err(),
+            ];
+            for e in errors {
+                assert!(matches!(e, DriverError::Usage(_)), "{e:?}");
+                assert_eq!(e.to_string(), format!("unknown option `{}`", args[0]));
+            }
         }
     }
 
@@ -993,9 +943,7 @@ mod tests {
     /// both sides.
     #[test]
     fn contradictory_flags_are_usage_errors() {
-        let cases: [(&[&str], &str, &str); 7] = [
-            (&["--conc-evac"], "--conc-evac", "--gc cms"),
-            (&["--gc", "par", "--evac-region-words", "64"], "--evac-region-words", "--gc cms"),
+        let cases: [(&[&str], &str, &str); 5] = [
             (&["--gc=gen", "--conc-workers", "2"], "--conc-workers", "--gc cms"),
             (&["--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc=cms", "--nursery", "64"], "--nursery", "--gc gen"),
@@ -1013,12 +961,12 @@ mod tests {
         }
         // The order of the flags does not matter, and the legal pairings
         // still parse.
-        assert!(parse_options(&["--conc-evac".into(), "--gc=cms".into()]).is_ok());
+        assert!(parse_options(&["--conc-workers".into(), "2".into(), "--gc=cms".into()]).is_ok());
         assert!(parse_options(&["--nursery".into(), "64".into(), "--gc=gen".into()]).is_ok());
         assert!(parse_options(&["--gc-workers".into(), "2".into(), "--gc=par".into()]).is_ok());
         // Serve is the parallel runtime whatever `--gc` says.
         assert!(parse_serve_options(&["--gc-workers".into(), "2".into()]).is_ok());
-        assert!(parse_serve_options(&["--conc-evac".into()]).is_err());
+        assert!(parse_serve_options(&["--conc-workers".into(), "2".into()]).is_err());
         // ... except that regions and concurrent marking exclude each
         // other: a usage error naming both, not `enable_cms`'s assertion.
         for (serve, args, regions) in [

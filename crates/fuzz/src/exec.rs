@@ -177,11 +177,8 @@ pub fn configs_per_program() -> usize {
 ///   markers. Torture forces a snapshot/final pause pair around nearly
 ///   every allocation, so the SATB barrier, the black-allocation window
 ///   and the final-pause drain run on every program and every cycle is
-///   checked against full STW reachability by the shadow verifier; JIT
-///   twins (the full-helper store barrier in native code) and conc-evac
-///   twins with tiny regions — every cycle moves objects out of nearly
-///   every region, so forwarding reads, redirected stores and the exit
-///   audit all fire on arbitrary generated programs.
+///   checked against full STW reachability by the shadow verifier; and
+///   JIT twins (the full-helper store barrier in native code).
 #[must_use]
 pub fn config_matrix() -> Vec<(String, Options, RuntimeOptions)> {
     let base = RuntimeOptions::new().semi_words(FUZZ_SEMI_WORDS).torture(true).oracle(true);
@@ -201,7 +198,6 @@ pub fn config_matrix() -> Vec<(String, Options, RuntimeOptions)> {
     let (o0, o2) = (Options::o0(), Options::o2());
     let par = base.strategy(GcStrategy::Parallel).stack_words(1 << 15).threads(1);
     let cms = par.strategy(GcStrategy::Cms).gc_workers(2).conc_workers(2);
-    let evac = cms.conc_evac(true).evac_region_words(16);
     for (label, opts, ropts) in [
         ("o2/par-w2", o2, par.gc_workers(2)),
         ("o0/par-w4", o0, par.gc_workers(4)),
@@ -211,8 +207,6 @@ pub fn config_matrix() -> Vec<(String, Options, RuntimeOptions)> {
         ("o0/cms-w2m2", o0, cms),
         ("o2/cms-w2m2/jit", o2, cms.jit(true)),
         ("o0/cms-w2m2/jit", o0, cms.jit(true)),
-        ("o2/cms-w2m2/evac", o2, evac),
-        ("o0/cms-w2m2/evac", o0, evac),
     ] {
         out.push((label.to_string(), opts, ropts));
     }
@@ -285,13 +279,11 @@ mod tests {
                 "o0/cms-w2m2",
                 "o2/cms-w2m2/jit",
                 "o0/cms-w2m2/jit",
-                "o2/cms-w2m2/evac",
-                "o0/cms-w2m2/evac",
             ]
             .map(String::from),
         );
         let labels: Vec<String> = config_matrix().into_iter().map(|c| c.0).collect();
         assert_eq!(labels, expected);
-        assert_eq!(configs_per_program(), 39);
+        assert_eq!(configs_per_program(), 37);
     }
 }

@@ -116,9 +116,6 @@ pub(crate) struct Flavor {
     /// Concurrent marking possible: `StB` must run the SATB barrier
     /// helper instead of a plain store.
     pub cms: bool,
-    /// Concurrent evacuation possible: `Ld`/`St` must run the
-    /// self-healing forwarding helpers instead of plain accesses.
-    pub conc_evac: bool,
 }
 
 /// Absolute addresses of the runtime call-out functions.
@@ -128,10 +125,6 @@ pub(crate) struct Helpers {
     pub stb: i64,
     pub sys: i64,
     pub shadow: i64,
-    /// Forwarding-aware heap load (emitted for the conc-evac flavor only).
-    pub heap_load: i64,
-    /// Forwarding-aware heap store (emitted for the conc-evac flavor only).
-    pub heap_store: i64,
 }
 
 /// One compiled procedure, offsets blob-relative except where noted.
@@ -456,44 +449,14 @@ impl<'a> ProcCompiler<'a> {
                 self.store_vm_reg(dst, Reg::Rax);
             }
             Instr::Ld { dst, base, off } => {
-                if self.flavor.conc_evac {
-                    // Concurrent evacuation: the load must resolve
-                    // forwarding and self-heal stale references, so the
-                    // whole access (bounds checks included) runs in the
-                    // helper, byte-identical to the interpreter's.
-                    self.load_vm_reg(Reg::Rsi, base);
-                    if off != 0 {
-                        self.e.add_ri(Reg::Rsi, off);
-                    }
-                    self.e.mov_ri(Reg::Rdx, i64::from(dst));
-                    self.emit_helper_call(self.helpers.heap_load);
-                    self.e.test_rr(Reg::Rax, Reg::Rax);
-                    let out = self.stub(StubKind::HelperOutcome { pc });
-                    self.e.jcc(Cc::Ne, out);
-                } else {
-                    self.emit_reg_addr(pc, base, off);
-                    self.e.load_sib8(Reg::Rax, Reg::R14, Reg::Rcx, 0);
-                    self.store_vm_reg(dst, Reg::Rax);
-                }
+                self.emit_reg_addr(pc, base, off);
+                self.e.load_sib8(Reg::Rax, Reg::R14, Reg::Rcx, 0);
+                self.store_vm_reg(dst, Reg::Rax);
             }
             Instr::St { base, off, src } => {
-                if self.flavor.conc_evac {
-                    // Concurrent evacuation: the store must replay into
-                    // a published copy if the object moved under it.
-                    self.load_vm_reg(Reg::Rsi, base);
-                    if off != 0 {
-                        self.e.add_ri(Reg::Rsi, off);
-                    }
-                    self.load_vm_reg(Reg::Rdx, src);
-                    self.emit_helper_call(self.helpers.heap_store);
-                    self.e.test_rr(Reg::Rax, Reg::Rax);
-                    let out = self.stub(StubKind::HelperOutcome { pc });
-                    self.e.jcc(Cc::Ne, out);
-                } else {
-                    self.emit_reg_addr(pc, base, off);
-                    self.load_vm_reg(Reg::Rax, src);
-                    self.e.store_sib8(Reg::R14, Reg::Rcx, 0, Reg::Rax);
-                }
+                self.emit_reg_addr(pc, base, off);
+                self.load_vm_reg(Reg::Rax, src);
+                self.e.store_sib8(Reg::R14, Reg::Rcx, 0, Reg::Rax);
             }
             Instr::StB { base, off, src } => {
                 if self.flavor.cms || !self.flavor.par {

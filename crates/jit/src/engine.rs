@@ -326,8 +326,7 @@ impl JitEngine {
     /// runs interpreted.
     #[must_use]
     pub fn for_machine(m: &Machine) -> JitEngine {
-        let flavor =
-            Flavor { par: false, shadow: m.shadow.is_some(), cms: false, conc_evac: false };
+        let flavor = Flavor { par: false, shadow: m.shadow.is_some(), cms: false };
         build_engine::<SeqWorld>(&m.world, m.decoded(), flavor, None)
     }
 
@@ -337,12 +336,7 @@ impl JitEngine {
     #[must_use]
     pub fn for_par(vm: &ParMachine) -> JitEngine {
         let structural = (vm.region_words() > 0).then_some(Fallback::RegionMode);
-        let flavor = Flavor {
-            par: true,
-            shadow: vm.shadow.is_some(),
-            cms: vm.cms.is_some(),
-            conc_evac: vm.cms.as_ref().is_some_and(|h| h.conc_evac.load(Ordering::Relaxed)),
-        };
+        let flavor = Flavor { par: true, shadow: vm.shadow.is_some(), cms: vm.cms.is_some() };
         let mut gc_scratch = m3gc_vm::MutatorLocal::default();
         let world = vm.world(&mut gc_scratch);
         build_engine::<ParWorld<'static>>(&world, vm.decoded(), flavor, structural)
@@ -635,24 +629,6 @@ mod helpers {
         code(w.barrier_store(addr, value).map(|()| true))
     }
 
-    unsafe extern "sysv64" fn heap_load<W: World>(
-        ctx: *mut JitContext,
-        addr: i64,
-        dst: i64,
-    ) -> i64 {
-        let (_, cpu, w) = unsafe { parts::<W>(ctx) };
-        code(exec::load_into(cpu, w, dst as u8, addr).map(|()| true))
-    }
-
-    unsafe extern "sysv64" fn heap_store<W: World>(
-        ctx: *mut JitContext,
-        addr: i64,
-        value: i64,
-    ) -> i64 {
-        let (_, _, w) = unsafe { parts::<W>(ctx) };
-        code(w.heap_store(addr, value).map(|()| true))
-    }
-
     unsafe extern "sysv64" fn sys<W: World>(ctx: *mut JitContext, service: i64, arg: i64) -> i64 {
         let (_, _, w) = unsafe { parts::<W>(ctx) };
         code(w.sys(service as u8, arg).map(|()| true))
@@ -678,8 +654,6 @@ mod helpers {
             stb: stb::<W> as *const () as usize as i64,
             sys: sys::<W> as *const () as usize as i64,
             shadow: shadow::<W> as *const () as usize as i64,
-            heap_load: heap_load::<W> as *const () as usize as i64,
-            heap_store: heap_store::<W> as *const () as usize as i64,
         }
     }
 }

@@ -34,7 +34,10 @@
 //!    mark bitmap already is the transitive closure. Root slots and
 //!    copied objects' fields are rewritten through plain forwarding
 //!    loads after a barrier. The only stop-the-world work left is the
-//!    copy itself.
+//!    copy itself — and it is the cycle's only evacuation: nothing moves
+//!    while the mutators run, so derived values get the same §3
+//!    un-derive → move → re-derive bracket as under every other
+//!    collector, and mutator loads and stores never check forwarding.
 //!
 //! With the oracle armed, every cycle is shadow-verified in the final
 //! pause before anything moves: a sequential trace from the *current*
@@ -49,14 +52,13 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use m3gc_vm::par::{CmsHeap, EvacFault, EVAC_BUSY};
+use m3gc_vm::par::CmsHeap;
 use m3gc_vm::{ParMachine, ParWorld};
 
-use crate::collector::header_extent;
 use crate::evac::{extent, CachePadded};
 use crate::parallel::{run_gc_workers, GcJob, ParGcStats, Part, RunCtx, ThreadWorld, WorkerReport};
 use crate::pool::CopySync;
-use crate::safepoint::{contain, lead, lead_when, locked, try_lead, waited, Stopped};
+use crate::safepoint::{contain, lead, locked, try_lead, waited, Stopped};
 use crate::scheduler::ExecError;
 use crate::trace::{
     gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
@@ -84,10 +86,6 @@ struct CmsState {
     /// coordinator after joining them). The final-pause leader waits on
     /// this before touching the gray stack.
     markers_idle: bool,
-    /// True once the current cycle's concurrent copiers have exited
-    /// (conc-evac only; trivially true otherwise). The final-pause
-    /// leader waits on this before moving anything itself.
-    copiers_idle: bool,
     /// Set at end of run; the coordinator exits once no cycle is open.
     stop: bool,
 }
@@ -107,19 +105,6 @@ pub(crate) struct CmsRun {
     in_flight: AtomicUsize,
     /// Stats carried from the snapshot pause to the final pause.
     pending: Mutex<Option<CyclePending>>,
-    /// This cycle's evacuation set: region start addresses, sparsest
-    /// first, fixed by the select handshake (conc-evac only).
-    evac_list: Mutex<Vec<i64>>,
-    /// Next unclaimed index into `evac_list` (copier work cursor).
-    evac_next: AtomicUsize,
-    /// To-space addresses of every copy the concurrent copiers
-    /// published this cycle — the updater's and the final pause's
-    /// rewrite worklist (to-space has no mark bitmap to iterate).
-    evac_copies: Mutex<Vec<i64>>,
-    /// Set once the concurrent reference updater has rewritten every
-    /// to-space copy's cset references. A final pause that interrupts
-    /// the cycle before this point must do that rewrite itself.
-    updater_done: AtomicBool,
 }
 
 struct CyclePending {
@@ -129,41 +114,18 @@ struct CyclePending {
     mark_started: Instant,
     /// `satb_drained` at cycle start (for the per-cycle delta).
     satb_drained_start: u64,
-    /// Duration of the evacuation-select handshake (conc-evac only).
-    evac_select_pause: Duration,
-    /// When the select handshake released and concurrent copying began.
-    evac_started: Option<Instant>,
-    /// Regions pinned out of this cycle's cset by frame derivations.
-    evac_pinned: u64,
-    /// Regions selected into this cycle's cset.
-    evac_regions: u64,
-    /// `CmsHeap` evacuation counters at the select handshake, for
-    /// per-cycle deltas (the heap counters accumulate across cycles).
-    evac_objects_start: u64,
-    evac_words_start: u64,
-    evac_healed_loads_start: u64,
-    evac_healed_stores_start: u64,
 }
 
 impl CmsRun {
     pub(crate) fn new(workers: usize) -> CmsRun {
         CmsRun {
             workers,
-            mx: Mutex::new(CmsState {
-                cycles_started: 0,
-                markers_idle: true,
-                copiers_idle: true,
-                stop: false,
-            }),
+            mx: Mutex::new(CmsState { cycles_started: 0, markers_idle: true, stop: false }),
             cv: Condvar::new(),
             finish_requested: AtomicBool::new(false),
             gray: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             pending: Mutex::new(None),
-            evac_list: Mutex::new(Vec::new()),
-            evac_next: AtomicUsize::new(0),
-            evac_copies: Mutex::new(Vec::new()),
-            updater_done: AtomicBool::new(false),
         }
     }
 
@@ -282,15 +244,13 @@ fn marker_loop(ctx: &RunCtx<'_>) {
     }
 }
 
-/// Runs one of the coordinator's concurrent workers (`body`, as worker
-/// `w` of `phase`) with its unwind caught at this boundary: a panic
+/// Runs marker `w` with its unwind caught at this boundary: a panic
 /// fails the run instead of taking the coordinator's scope — and with it
-/// the `markers_idle`/`copiers_idle` flip a final-pause leader waits
-/// for — down with it.
-fn conc_worker(ctx: &RunCtx<'_>, w: usize, phase: &'static str, body: fn(&RunCtx<'_>)) {
-    let died = |message| ExecError::GcWorkerPanic { worker: w, phase, message };
+/// the `markers_idle` flip a final-pause leader waits for — down with it.
+fn conc_worker(ctx: &RunCtx<'_>, w: usize) {
+    let died = |message| ExecError::GcWorkerPanic { worker: w, phase: "mark", message };
     contain(ctx, died, || {
-        body(ctx);
+        marker_loop(ctx);
         Ok(())
     });
 }
@@ -304,11 +264,6 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
     let vm = ctx.vm;
     let heap = vm.cms.as_ref().expect("coordinator without cms heap");
     let run = ctx.cms.as_ref().expect("coordinator without cms run");
-    // What tells the coordinator to leave a pause to somebody else, or
-    // to nobody: a final pause already requested, or shutdown.
-    let stand_down = || {
-        run.finish_requested.load(Ordering::Acquire) || ctx.coord.halted() || locked(&run.mx).stop
-    };
     let mut seen = 0u64;
     loop {
         {
@@ -323,7 +278,7 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
         }
         std::thread::scope(|s| {
             for w in 0..run.workers {
-                s.spawn(move || conc_worker(ctx, w, "mark", marker_loop));
+                s.spawn(move || conc_worker(ctx, w));
             }
         });
         {
@@ -341,81 +296,21 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
         {
             continue;
         }
-        if !heap.conc_evac.load(R) {
-            if try_lead(ctx) {
-                drop(lead(ctx, None, false));
-            }
-            continue;
+        if try_lead(ctx) {
+            drop(lead(ctx, None, false));
         }
-        // With conc-evac the coordinator leads *two* more handshakes:
-        // first the evacuation-select pause (pick the cset, verify the
-        // mark closure, pin derivation targets), then — after its
-        // copiers have published every cset forwarding and the updater
-        // has rewritten the copies' references concurrently — the final
-        // pause, which only flushes the in-flight allocation window and
-        // re-fixes roots and derivations. A mutator-led forced pause
-        // closing the cycle turns `marking` (and `evacuating`) off.
-        lead_when(ctx, || {
-            !heap.marking.load(Ordering::Acquire)
-                || heap.evacuating.load(Ordering::Acquire)
-                || heap.hold_marking.load(R)
-                || stand_down()
-        });
-        if !heap.evacuating.load(Ordering::Acquire) || ctx.coord.halted() {
-            continue;
-        }
-        std::thread::scope(|s| {
-            for w in 0..run.workers {
-                s.spawn(move || conc_worker(ctx, w, "conc-copy", cms_conc_copier));
-            }
-        });
-        if !run.finish_requested.load(Ordering::Acquire) {
-            cms_conc_update(ctx);
-        }
-        // Only now may a final-pause leader proceed: the updater polls
-        // `finish_requested` and has stood down, so nothing races the
-        // pause's rewrites.
-        {
-            let mut cs = locked(&run.mx);
-            cs.copiers_idle = true;
-            run.cv.notify_all();
-        }
-        // Test knob: stand down with every forwarding word published,
-        // so mutators provably run against them.
-        while heap.hold_evac.load(R) && !ctx.coord.halted() {
-            let cs = locked(&run.mx);
-            if cs.stop {
-                break;
-            }
-            drop(run.cv.wait_timeout(cs, Duration::from_millis(1)));
-        }
-        lead_when(ctx, || {
-            heap.hold_evac.load(R) || !heap.evacuating.load(Ordering::Acquire) || stand_down()
-        });
     }
 }
 
 /// A cms run's stopped-world work: which pause depends on the cycle —
-/// a snapshot pause if none is open, the final pause otherwise, and at
-/// mark quiescence under conc-evac the evacuation-select pause.
+/// a snapshot pause if none is open, the final pause otherwise.
 pub(crate) fn cms_pause(stopped: &Stopped<'_, '_>, run: &CmsRun) -> Result<(), ExecError> {
     let heap = stopped.ctx.vm.cms.as_ref().expect("cms run without cms heap");
     let marking = heap.marking.load(Ordering::Acquire);
-    // Coordinator-led at mark quiescence with conc-evac on: pick the
-    // evacuation set instead of finishing the cycle. (A *mutator*-led
-    // pause here means the heap is full and cannot wait for a concurrent
-    // copy; it takes the one-pause evacuation.)
-    let select = marking
-        && heap.conc_evac.load(R)
-        && !heap.evacuating.load(Ordering::Acquire)
-        && !stopped.by_mutator
-        && !run.finish_requested.load(Ordering::Acquire);
-    // Only the final pause frees anything: the others never run the
-    // no-progress check.
-    stopped.cause(marking && !select)?;
-    if select {
-        cms_evac_select_pause(stopped, heap, run)
-    } else if marking {
+    // Only the final pause frees anything: the snapshot pause never runs
+    // the no-progress check.
+    stopped.cause(marking)?;
+    if marking {
         cms_final_pause(stopped, heap, run)
     } else if stopped.by_mutator {
         cms_snapshot_pause(stopped, heap, run)
@@ -488,342 +383,11 @@ fn cms_snapshot_pause(
         snapshot_pause: stopped.t0.elapsed(),
         mark_started: Instant::now(),
         satb_drained_start: heap.satb_drained.load(R),
-        evac_select_pause: Duration::ZERO,
-        evac_started: None,
-        evac_pinned: 0,
-        evac_regions: 0,
-        evac_objects_start: 0,
-        evac_words_start: 0,
-        evac_healed_loads_start: 0,
-        evac_healed_stores_start: 0,
     });
     let mut cs = locked(&run.mx);
     cs.cycles_started += 1;
     cs.markers_idle = false;
     run.cv.notify_all();
-    Ok(())
-}
-
-/// The evacuation-select handshake (world stopped, coordinator-led,
-/// conc-evac only). Runs at mark quiescence, *before* anything moves:
-/// drains the mark residue to closure, verifies the cycle pre-motion
-/// (the final pause cannot re-trace once objects relocate), pins every
-/// region holding a frame derivation's target out of the candidate set,
-/// computes per-region occupancy from the mark bitmap, and fixes the
-/// evacuation set sparsest-first. `evacuating` is published before the
-/// release handshake resumes the world, so every mutator arms its
-/// self-healing forwarding paths.
-fn cms_evac_select_pause(
-    stopped: &Stopped<'_, '_>,
-    heap: &CmsHeap,
-    run: &CmsRun,
-) -> Result<(), ExecError> {
-    let (ctx, vm) = (stopped.ctx, stopped.ctx.vm);
-    cms_finish_mark(ctx, heap, run);
-    stopped.oracle("at evacuation select")?;
-    if ctx.options.oracle && vm.shadow.is_some() {
-        cms_shadow_verify(ctx, heap).map_err(ExecError::Oracle)?;
-    }
-
-    let (from_start, _) = vm.from_space();
-    let free_now = vm.free.load(R);
-
-    // Pin the region of every object a parked frame derives into. A
-    // pinned object never moves concurrently, so mid-phase derivation
-    // arithmetic on its interior stays valid; the object relocates at
-    // the final pause, bracketed by the usual un-derive/re-derive. This
-    // pins *all* derivation targets — a conservative superset of the
-    // ambiguous frames the rule exists for.
-    let mut pinned_n = 0u64;
-    {
-        let mut cache = locked(&ctx.caches[0]);
-        for (tid, slot) in ctx.slots.iter().enumerate() {
-            let slot = locked(slot);
-            let Some(snap) = slot.as_ref() else { continue };
-            let parked = ThreadWorld { vm, tid: tid as u32, snap };
-            let mut roots = StackRoots::default();
-            gather_thread_roots(
-                &parked,
-                &mut cache,
-                tid as u32,
-                (snap.pc, snap.fp, snap.ap, snap.sp),
-                &mut roots,
-            );
-            for d in &roots.derivations {
-                for &(b, _) in &d.bases {
-                    let v = read_root_in(&parked, b);
-                    if v >= from_start && v < free_now && heap.pin_region(heap.evac_region_of(v)) {
-                        pinned_n += 1;
-                    }
-                }
-                // Belt and suspenders: also pin through the derived
-                // value itself (back-scan to its containing header), in
-                // case a base was not decodable as a tidy root.
-                let dv = read_root_in(&parked, d.target);
-                if dv >= from_start && dv < free_now {
-                    let mut h = dv;
-                    while h >= from_start && !heap.is_marked(h) {
-                        h -= 1;
-                    }
-                    if h >= from_start && heap.pin_region(heap.evac_region_of(h)) {
-                        pinned_n += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // Per-region occupancy from the mark bitmap (an object straddling a
-    // region boundary counts — and is evacuated — with its header's
-    // region).
-    let mut occ: Vec<u64> = vec![0; heap.evac_region_count()];
-    heap.for_each_marked(from_start, free_now, |addr| {
-        occ[heap.evac_region_of(addr)] += extent(vm, addr).words as u64;
-    });
-    let mut cand: Vec<(u64, usize)> = occ
-        .iter()
-        .enumerate()
-        .filter(|&(r, &w)| w > 0 && !heap.is_pinned(r))
-        .map(|(r, &w)| (w, r))
-        .collect();
-    cand.sort_unstable();
-
-    {
-        let mut list = locked(&run.evac_list);
-        list.clear();
-        for &(_, r) in &cand {
-            heap.set_cset(r, true);
-            list.push(r as i64);
-        }
-    }
-    run.evac_next.store(0, R);
-    locked(&run.evac_copies).clear();
-    run.updater_done.store(false, Ordering::Release);
-    heap.clear_dirty();
-    heap.evac_snap.store(free_now, R);
-    let (to_start, _) = vm.to_space();
-    heap.evac_to.store(to_start, R);
-    heap.evac_pinned.fetch_add(pinned_n, R);
-    if let Some(p) = locked(&run.pending).as_mut() {
-        p.evac_select_pause = stopped.t0.elapsed();
-        p.evac_started = Some(Instant::now());
-        p.evac_pinned = pinned_n;
-        p.evac_regions = cand.len() as u64;
-        p.evac_objects_start = heap.evac_objects.load(R);
-        p.evac_words_start = heap.evac_words.load(R);
-        p.evac_healed_loads_start = heap.evac_healed_loads.load(R);
-        p.evac_healed_stores_start = heap.evac_healed_stores.load(R);
-    }
-    {
-        let mut cs = locked(&run.mx);
-        cs.copiers_idle = false;
-    }
-    // The release handshake that resumes the world publishes this to
-    // every mutator's load/store fast path.
-    heap.evacuating.store(true, Ordering::Release);
-    Ok(())
-}
-
-/// One concurrent copier (coordinator-spawned, mutators running).
-/// Claims cset regions off the shared cursor and evacuates their marked
-/// objects: CAS the header to the `EVAC_BUSY` claim, bump the shared
-/// to-space frontier, copy body and shadow tags, publish the forwarding
-/// word `-(new+1)` with release ordering. A mutator store to a claimed
-/// object spins on the BUSY word and lands in the copy; a store that
-/// committed into the original before the claim is visible to the
-/// post-claim body read (SeqCst claim + fences on both sides). Aborts
-/// between objects when a final pause is requested — whatever is left
-/// unforwarded is flushed by that pause's residual copy.
-fn cms_conc_copier(ctx: &RunCtx<'_>) {
-    let vm = ctx.vm;
-    let heap = vm.cms.as_ref().expect("copier without cms heap");
-    let run = ctx.cms.as_ref().expect("copier without cms run");
-    #[cfg(test)]
-    if ctx.fault == Some(crate::parallel::Fault::Copier) {
-        panic!("injected copier fault");
-    }
-    let (from_start, _) = vm.from_space();
-    let (_, to_end) = vm.to_space();
-    let free_snap = heap.evac_snap.load(R);
-    let rw = heap.evac_region_words.load(R);
-    let double = heap.fault_evac() == EvacFault::DoubleCopy;
-    let regions: Vec<i64> = locked(&run.evac_list).clone();
-    let mut my_copies: Vec<i64> = Vec::new();
-    let mut addrs: Vec<i64> = Vec::new();
-    let (mut objs, mut words_copied, mut regions_done) = (0u64, 0u64, 0u64);
-    'regions: loop {
-        let i = run.evac_next.fetch_add(1, R);
-        if i >= regions.len() {
-            break;
-        }
-        let region = regions[i];
-        let lo = (region * rw).max(from_start);
-        let hi = ((region + 1) * rw).min(free_snap);
-        addrs.clear();
-        heap.for_each_marked(lo, hi, |a| addrs.push(a));
-        for &addr in &addrs {
-            if run.finish_requested.load(Ordering::Acquire) {
-                break 'regions;
-            }
-            let header = vm.word(addr);
-            debug_assert!(header >= 0, "cset region claimed twice at {addr}");
-            // Under the DoubleCopy fault the claim is skipped and the
-            // object copied (and published) twice — the orphaned first
-            // copy is what the audit's accounting check must catch.
-            if !double && vm.cas_word(addr, header, EVAC_BUSY).is_err() {
-                continue;
-            }
-            // Pairs with the mutator store path's fence: every store
-            // that committed before this claim is visible to the body
-            // reads below.
-            std::sync::atomic::fence(Ordering::SeqCst);
-            let obj_words = header_extent(&vm.module.types, header, || vm.word(addr + 1)).words;
-            for _ in 0..if double { 2 } else { 1 } {
-                let new = heap.evac_to.fetch_add(obj_words, R);
-                assert!(
-                    new + obj_words <= to_end,
-                    "to-space overflow during concurrent evacuation"
-                );
-                vm.set_word(new, header);
-                for off in 1..obj_words {
-                    vm.set_word(new + off, vm.word(addr + off));
-                }
-                if let Some(sh) = &vm.shadow {
-                    sh.copy_words(addr, new, obj_words);
-                }
-                vm.set_word_release(addr, -(new + 1));
-                my_copies.push(new);
-                objs += 1;
-                words_copied += obj_words as u64;
-            }
-        }
-        regions_done += 1;
-    }
-    heap.evac_objects.fetch_add(objs, R);
-    heap.evac_words.fetch_add(words_copied, R);
-    heap.evac_regions.fetch_add(regions_done, R);
-    locked(&run.evac_copies).append(&mut my_copies);
-}
-
-/// The concurrent reference updater (coordinator thread, mutators
-/// running): one type-directed pass over the published copies,
-/// rewriting each stale cset reference through its — by now fully
-/// published — forwarding word. A CAS per slot keeps racing mutator
-/// stores safe: if the CAS loses, the racing store's value was healed
-/// on its own path. The pass is convergence work, not a correctness
-/// requirement — self-healing loads and the final-pause rewrite would
-/// get there without it — but it takes the bulk of the rewrite off
-/// both. Aborts (leaving `updater_done` unset) when a pause interrupts.
-fn cms_conc_update(ctx: &RunCtx<'_>) {
-    let vm = ctx.vm;
-    let heap = vm.cms.as_ref().expect("updater without cms heap");
-    let run = ctx.cms.as_ref().expect("updater without cms run");
-    let (from_start, _) = vm.from_space();
-    let free_snap = heap.evac_snap.load(R);
-    let copies: Vec<i64> = locked(&run.evac_copies).clone();
-    for &new in &copies {
-        if run.finish_requested.load(Ordering::Acquire) {
-            return; // the final pause finishes the rewrite itself
-        }
-        for slot in extent(vm, new).pointer_slots(new) {
-            let v = vm.word(slot);
-            if v < from_start
-                || v >= free_snap
-                || !heap.in_cset(heap.evac_region_of(v))
-                || !heap.is_marked(v)
-            {
-                continue;
-            }
-            let hval = vm.word_acquire(v);
-            if hval >= 0 || hval == EVAC_BUSY {
-                continue; // unclaimed (pause will move it) / defensive
-            }
-            if vm.cas_word(slot, v, -(hval + 1)).is_ok() {
-                heap.set_dirty(slot);
-            }
-        }
-    }
-    run.updater_done.store(true, Ordering::Release);
-}
-
-/// The forwarding audit (oracle runs only; world stopped, or the
-/// coordinator stood down under `hold_evac`): proves the concurrent
-/// copy phase lost nothing. Walks every cset region's marked objects
-/// and checks that (a) each one is forwarded to a structurally
-/// identical copy — a body word that diverges with no recorded
-/// to-space write is a store torn across the forwarding publish — and
-/// (b) the forwarding targets account for every to-space word the
-/// copiers allocated, so a double copy (orphaned twin) or a lost
-/// publish cannot hide. Vacuously passes on a cycle the final pause
-/// interrupted (`updater_done` unset): partial forwarding is legal
-/// there and the pause's residual copy flushes it.
-pub(crate) fn cms_evac_audit(ctx: &RunCtx<'_>) -> Result<(), String> {
-    let vm = ctx.vm;
-    let heap = vm.cms.as_ref().expect("evac audit without cms heap");
-    let run = ctx.cms.as_ref().expect("evac audit without cms run");
-    if !run.updater_done.load(Ordering::Acquire) {
-        return Ok(());
-    }
-    let (from_start, _) = vm.from_space();
-    let (to_start, _) = vm.to_space();
-    let free_snap = heap.evac_snap.load(R);
-    let evac_to = heap.evac_to.load(R);
-    let rw = heap.evac_region_words.load(R);
-    let regions: Vec<i64> = locked(&run.evac_list).clone();
-    let mut covered = 0i64;
-    let mut addrs: Vec<i64> = Vec::new();
-    for &region in &regions {
-        let lo = (region * rw).max(from_start);
-        let hi = ((region + 1) * rw).min(free_snap);
-        addrs.clear();
-        heap.for_each_marked(lo, hi, |a| addrs.push(a));
-        for &addr in &addrs {
-            let h = vm.word_acquire(addr);
-            if h == m3gc_vm::par::EVAC_BUSY {
-                return Err(format!("evac audit: claim at {addr} was never published"));
-            }
-            if h >= 0 {
-                return Err(format!(
-                    "evac audit: marked cset object at {addr} was never copied \
-                     (lost claim or forwarding publish)"
-                ));
-            }
-            let new = -(h + 1);
-            if new < to_start || new >= evac_to {
-                return Err(format!(
-                    "evac audit: forwarding at {addr} points to {new}, outside the \
-                     copied to-space window [{to_start},{evac_to})"
-                ));
-            }
-            let copy_header = vm.word(new);
-            if copy_header < 0 {
-                return Err(format!(
-                    "evac audit: copy at {new} carries a forwarding word, not a header"
-                ));
-            }
-            let obj_words = extent(vm, new).words;
-            covered += obj_words;
-            for off in 1..obj_words {
-                let ov = vm.word(addr + off);
-                let cv = vm.word(new + off);
-                if ov != cv && !heap.is_dirty(new + off) {
-                    return Err(format!(
-                        "evac audit: object at {addr} (copy {new}) diverges at word \
-                         {off} ({ov} vs {cv}) with no recorded to-space write — a \
-                         store was torn across the forwarding publish and lost"
-                    ));
-                }
-            }
-        }
-    }
-    let span = evac_to - to_start;
-    if covered != span {
-        return Err(format!(
-            "evac audit: forwarding words account for {covered} to-space words but \
-             the copiers allocated {span} — an object was copied more than once or \
-             a publish was lost"
-        ));
-    }
     Ok(())
 }
 
@@ -844,11 +408,7 @@ fn cms_final_pause(
         // the request above).
         let mut cs = locked(&run.mx);
         run.cv.notify_all(); // wake the coordinator if it hasn't started this cycle yet
-        while !cs.markers_idle || !cs.copiers_idle {
-            // Concurrent copiers and the updater poll `finish_requested`
-            // per object and stand down; the coordinator flips
-            // `copiers_idle` once they have, so nothing races the
-            // rewrites below.
+        while !cs.markers_idle {
             cs = waited(&run.cv, cs);
         }
     }
@@ -864,31 +424,12 @@ fn cms_final_pause(
 
     cms_finish_mark(ctx, heap, run);
 
-    let evacuating = heap.evacuating.load(Ordering::Acquire);
     stopped.oracle("at final pause")?;
     if ctx.options.oracle && vm.shadow.is_some() {
-        // Once objects have moved the sequential re-trace cannot run
-        // (forwarded headers are not walkable); it ran pre-motion at the
-        // select handshake instead. What *can* be proven here is the
-        // forwarding protocol itself.
-        let verified = if evacuating { cms_evac_audit(ctx) } else { cms_shadow_verify(ctx, heap) };
-        verified.map_err(ExecError::Oracle)?;
+        cms_shadow_verify(ctx, heap).map_err(ExecError::Oracle)?;
     }
 
-    let mut stats = cms_evacuate(ctx, run)?;
-    if evacuating {
-        // The cycle's relocation state dies with the flip: the copies
-        // now live inside the ordinary from-space prefix.
-        heap.evacuating.store(false, Ordering::Release);
-        heap.clear_evac_sets();
-        heap.clear_dirty();
-        heap.evac_snap.store(0, R);
-        heap.evac_to.store(0, R);
-        locked(&run.evac_list).clear();
-        locked(&run.evac_copies).clear();
-        run.evac_next.store(0, R);
-        run.updater_done.store(false, Ordering::Release);
-    }
+    let mut stats = cms_evacuate(ctx)?;
     stopped.oracle("after evacuation")?;
     heap.marking.store(false, Ordering::Release);
     stats.handshake_time = stopped.handshake_time;
@@ -896,16 +437,6 @@ fn cms_final_pause(
     stats.snapshot_pause = pending.snapshot_pause;
     stats.mark_concurrent = mark_concurrent;
     stats.satb_drained = heap.satb_drained.load(R) - pending.satb_drained_start;
-    stats.evac_cycle = evacuating;
-    stats.evac_select_pause = pending.evac_select_pause;
-    stats.evac_conc_time =
-        pending.evac_started.map_or(Duration::ZERO, |s| t0.saturating_duration_since(s));
-    stats.evac_regions = pending.evac_regions;
-    stats.evac_pinned = pending.evac_pinned;
-    stats.evac_objects = heap.evac_objects.load(R) - pending.evac_objects_start;
-    stats.evac_words = heap.evac_words.load(R) - pending.evac_words_start;
-    stats.evac_healed_loads = heap.evac_healed_loads.load(R) - pending.evac_healed_loads_start;
-    stats.evac_healed_stores = heap.evac_healed_stores.load(R) - pending.evac_healed_stores_start;
     stats.total_time = t0.elapsed();
     locked(&ctx.gc_log).push(stats);
     Ok(())
@@ -1003,13 +534,6 @@ pub(crate) struct CmsGc<'vm> {
     /// Next unclaimed chunk index.
     chunk_next: AtomicUsize,
     pub(crate) sync: CopySync,
-    /// True when this pause closes a concurrent-evacuation cycle: the
-    /// copy phase skips already-forwarded objects, and the rewrite
-    /// phase also walks the concurrently published copies.
-    evacuating: bool,
-    /// The concurrent copies (to-space has no mark bitmap to iterate).
-    conc_copies: Vec<i64>,
-    workers: usize,
 }
 
 impl CmsGc<'_> {
@@ -1020,10 +544,9 @@ impl CmsGc<'_> {
     }
 
     /// True if worker `w` has a share of the copy whether or not it was
-    /// dealt a parked thread: a from-space chunk to claim, or its stride
-    /// of the concurrent copies to rewrite.
+    /// dealt a parked thread: a from-space chunk to claim.
     pub(crate) fn has_share(&self, w: usize) -> bool {
-        w < self.chunks().max(self.conc_copies.len())
+        w < self.chunks()
     }
 }
 
@@ -1078,13 +601,7 @@ pub(crate) fn bitmap_copy(
         let lo = gc.from_start + c as i64 * CHUNK_WORDS;
         let hi = (lo + CHUNK_WORDS).min(gc.from_used);
         gc.heap.for_each_marked(lo, hi, |addr| {
-            let header = vm.word(addr);
-            if gc.evacuating && header < 0 {
-                // Evacuated concurrently; its forwarding word is
-                // already published and its copy already in to-space.
-                return;
-            }
-            assert!(header >= 0, "mark bit on a non-header word at {addr}");
+            assert!(vm.word(addr) >= 0, "mark bit on a non-header word at {addr}");
             let obj_words = extent(vm, addr).words;
             let new = gc.free.0.fetch_add(obj_words, R);
             assert!(new + obj_words <= gc.to_end, "to-space overflow during cms evacuation");
@@ -1105,13 +622,6 @@ pub(crate) fn bitmap_copy(
     // Rewrite my copied objects' pointer fields, my threads' tidy roots,
     // and (worker 0) the globals through plain forwarding loads.
     copied.iter().copied().for_each(rewrite_fields);
-    // Concurrent copies: their fields may still reference objects this
-    // *pause* moved (pinned regions, the in-flight allocation window,
-    // cset stragglers of an interrupted cycle) — and stale cset
-    // references too, if the cycle was interrupted before the updater
-    // finished. One type-directed pass over a strided share fixes both;
-    // every forwarding word is published by the barrier above.
-    gc.conc_copies.iter().copied().skip(w).step_by(gc.workers).for_each(rewrite_fields);
     if w == 0 {
         for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
             let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
@@ -1137,27 +647,20 @@ pub(crate) fn bitmap_copy(
 /// The final pause's parallel evacuation of the marked set (leader
 /// only, world stopped): `collect_parallel`'s frame around a
 /// bitmap-driven copy.
-fn cms_evacuate(ctx: &RunCtx<'_>, run: &CmsRun) -> Result<ParGcStats, ExecError> {
+fn cms_evacuate(ctx: &RunCtx<'_>) -> Result<ParGcStats, ExecError> {
     let vm = ctx.vm;
     let heap = vm.cms.as_ref().expect("cms evacuation without cms heap");
-    let workers = ctx.caches.len();
     let (from_start, _) = vm.from_space();
     let (to_start, to_end) = vm.to_space();
-    let evacuating = heap.evacuating.load(Ordering::Acquire);
     let gc = Arc::new(CmsGc {
         vm,
         heap,
-        // A conc-evac pause continues the copiers' frontier: to-space
-        // already holds `[to_start, evac_to)` of published copies.
-        free: CachePadded(AtomicI64::new(if evacuating { heap.evac_to.load(R) } else { to_start })),
+        free: CachePadded(AtomicI64::new(to_start)),
         to_end,
         from_start,
         from_used: vm.free.load(R),
         chunk_next: AtomicUsize::new(0),
         sync: CopySync::new(),
-        evacuating,
-        conc_copies: if evacuating { locked(&run.evac_copies).clone() } else { Vec::new() },
-        workers,
     });
     // No chunk is ever published, so `steals` reads 0 for every worker:
     // the bitmap partitions the copy.

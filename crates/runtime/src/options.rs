@@ -70,14 +70,6 @@ pub struct RuntimeOptions {
     pub gc_workers: usize,
     /// Concurrent marking workers ([`GcStrategy::Cms`] only).
     pub conc_workers: usize,
-    /// Concurrent region evacuation (`--conc-evac`; [`GcStrategy::Cms`]
-    /// only): the cset copy overlaps the mutators, leaving only
-    /// root/derivation fixup and the in-flight window stop-the-world.
-    pub conc_evac: bool,
-    /// Words per evacuation region (`None` = the vm default; conc-evac
-    /// only). Tiny regions are a torture knob: every region becomes a
-    /// cset candidate every cycle.
-    pub evac_region_words: Option<usize>,
     /// Words per thread-local allocation buffer (0 disables TLABs).
     pub tlab_words: usize,
     /// Words per nursery half (`None` = a quarter semispace), used by
@@ -126,8 +118,6 @@ impl Default for RuntimeOptions {
             threads: 1,
             gc_workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             conc_workers: 2,
-            conc_evac: false,
-            evac_region_words: None,
             tlab_words: DEFAULT_TLAB_WORDS,
             nursery_words: None,
             promote_age: 2,
@@ -202,18 +192,12 @@ impl RuntimeOptions {
         self
     }
 
-    /// Concurrent region evacuation (cms strategy only).
+    /// A no-op: concurrent evacuation is retired, and every cms cycle
+    /// copies in its final pause. Kept because `bench/src/workloads/gc.rs`
+    /// still builds its `cms-evac` cell with it and `bench/` is frozen;
+    /// it goes when a benchmark PR drops that cell.
     #[must_use]
-    pub fn conc_evac(mut self, on: bool) -> Self {
-        self.conc_evac = on;
-        self
-    }
-
-    /// Words per evacuation region (conc-evac only; tiny values are a
-    /// torture knob).
-    #[must_use]
-    pub fn evac_region_words(mut self, words: usize) -> Self {
-        self.evac_region_words = Some(words);
+    pub fn conc_evac(self, _on: bool) -> Self {
         self
     }
 
@@ -386,11 +370,6 @@ impl RuntimeOptions {
         }
         if self.strategy == GcStrategy::Cms {
             m.enable_cms();
-            if self.conc_evac {
-                m.enable_conc_evac(
-                    self.evac_region_words.unwrap_or(m3gc_vm::par::DEFAULT_EVAC_REGION_WORDS),
-                );
-            }
         }
         m
     }

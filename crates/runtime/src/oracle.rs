@@ -58,22 +58,12 @@ fn root_tag(m: &Machine, r: RootRef) -> Tag {
 }
 
 /// Checks that `v` is the address of a live, plausible object.
-/// `forwarded_ok` whitelists values whose forwarded header is a legal
-/// transient (a cset original mid-evacuation, healed lazily).
-fn check_object(
-    src: &impl RootSource,
-    ranges: &[(i64, i64)],
-    forwarded_ok: &impl Fn(i64) -> bool,
-    v: i64,
-) -> Result<(), String> {
+fn check_object(src: &impl RootSource, ranges: &[(i64, i64)], v: i64) -> Result<(), String> {
     if !ranges.iter().any(|&(s, e)| (s..e).contains(&v)) {
         return Err(format!("value {v} is outside the live heap"));
     }
     let header = src.mem_word(v);
     if header < 0 {
-        if forwarded_ok(v) {
-            return Ok(());
-        }
         return Err(format!("value {v} points at a forwarded header"));
     }
     let tid = header_type_id(header);
@@ -90,7 +80,6 @@ pub(crate) fn check_entries(
     src: &impl RootSource,
     tag_of: impl Fn(RootRef) -> Tag,
     ranges: &[(i64, i64)],
-    forwarded_ok: impl Fn(i64) -> bool,
     stack: &StackRoots,
     globals: &[RootRef],
 ) -> Result<(), String> {
@@ -99,7 +88,7 @@ pub(crate) fn check_entries(
         if v == 0 {
             continue; // NIL
         }
-        check_object(src, ranges, &forwarded_ok, v).map_err(|e| format!("tidy root {r:?}: {e}"))?;
+        check_object(src, ranges, v).map_err(|e| format!("tidy root {r:?}: {e}"))?;
         let tag = tag_of(r);
         if tag != Tag::Ptr {
             return Err(format!("tidy root {r:?} = {v} carries shadow tag {tag:?}, expected Ptr"));
@@ -114,7 +103,7 @@ pub(crate) fn check_entries(
                 continue;
             }
             bases_all_nil = false;
-            check_object(src, ranges, &forwarded_ok, v)
+            check_object(src, ranges, v)
                 .map_err(|e| format!("derivation base {b:?} (target {:?}): {e}", d.target))?;
             let tag = tag_of(b);
             if tag != Tag::Ptr {
@@ -153,5 +142,5 @@ pub fn check(m: &Machine, cache: &mut DecodeCache) -> Result<(), String> {
     let stack = gather_stack_roots(m, cache);
     let globals = gather_global_roots(m);
     let ranges = live_ranges(m);
-    check_entries(m, |r| root_tag(m, r), &ranges, |_| false, &stack, &globals)
+    check_entries(m, |r| root_tag(m, r), &ranges, &stack, &globals)
 }

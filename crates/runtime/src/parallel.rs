@@ -156,27 +156,12 @@ pub struct ParGcStats {
     /// concurrent draining and the final-pause residue together (cms
     /// only).
     pub satb_drained: u64,
-    /// True if this cycle evacuated its cset concurrently
-    /// (`--conc-evac`): the fields below are populated and
-    /// `total_time` is the root/derivation-fixup final pause only.
+    /// Always `false` (nothing sets it since concurrent evacuation was
+    /// retired): `bench/src/workloads/gc.rs` reads it and `bench/` is
+    /// frozen, so it stays until a benchmark PR drops both.
     pub evac_cycle: bool,
-    /// Duration of the evacuation-select handshake (conc-evac only).
+    /// Always zero, for the same reason as `evac_cycle`.
     pub evac_select_pause: Duration,
-    /// Wall-clock time the copiers/updater overlapped the mutators,
-    /// select-handshake end to final-pause start (conc-evac only).
-    pub evac_conc_time: Duration,
-    /// Regions in this cycle's evacuation set.
-    pub evac_regions: u64,
-    /// Regions pinned out of the cset by frame derivations.
-    pub evac_pinned: u64,
-    /// Objects copied concurrently (mutators running).
-    pub evac_objects: u64,
-    /// Words copied concurrently.
-    pub evac_words: u64,
-    /// Stale references healed in place by mutator loads.
-    pub evac_healed_loads: u64,
-    /// Mutator stores redirected or replayed into published copies.
-    pub evac_healed_stores: u64,
 }
 
 /// Result of a completed parallel run.
@@ -202,13 +187,9 @@ pub struct ParOutcome {
     pub satb_enqueued: u64,
     /// SATB entries drained by marking (cms runs only).
     pub satb_drained: u64,
-    /// Objects evacuated concurrently with the mutators (conc-evac).
-    pub evac_objects: u64,
-    /// Words evacuated concurrently with the mutators (conc-evac).
-    pub evac_words: u64,
-    /// Stale references healed in place by mutator loads (conc-evac).
-    pub evac_healed_loads: u64,
-    /// Stores redirected/replayed into published copies (conc-evac).
+    /// Always 0 (no store is healed since concurrent evacuation was
+    /// retired): `bench/src/workloads/gc.rs` reads it and `bench/` is
+    /// frozen, so it stays until a benchmark PR drops both.
     pub evac_healed_stores: u64,
     /// Instructions executed (all mutators).
     pub steps: u64,
@@ -252,8 +233,6 @@ pub(crate) enum Fault {
     Worker(usize, u64),
     /// A concurrent marker panics on the first gray object it takes.
     Marker,
-    /// A concurrent copier panics as it starts.
-    Copier,
 }
 
 /// Everything the mutator threads and gc workers share for one run.
@@ -647,17 +626,6 @@ pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
     // else — free region slots included — is dead space, and a root
     // pointing there is a precision violation.
     let mut ranges: Vec<(i64, i64)> = vec![(from_start, vm.free.load(R))];
-    if let Some(cms) = &vm.cms {
-        // While a cset is being copied concurrently, healed references
-        // legally point at published to-space copies.
-        if cms.evacuating.load(Ordering::Acquire) {
-            let (to_start, _) = vm.to_space();
-            let evac_to = cms.evac_to.load(R);
-            if evac_to > to_start {
-                ranges.push((to_start, evac_to));
-            }
-        }
-    }
     if vm.region_words() > 0 {
         for slot in 0..vm.mutators() {
             if vm.is_region_live(slot) || vm.is_region_escaped(slot) {
@@ -687,10 +655,7 @@ pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
         };
         let g: &[RootRef] = if first { &globals } else { &[] };
         first = false;
-        // Mid-evacuation, roots legally still hold stale cset
-        // addresses: healing is lazy, and the pause's own fixup
-        // rewrites them right after this check.
-        check_entries(&world, tag_of, &ranges, |v| vm.evac_root_forwarded(v), &roots, g)?;
+        check_entries(&world, tag_of, &ranges, &roots, g)?;
     }
     Ok(())
 }
@@ -859,17 +824,6 @@ impl ParExecutor {
             vm.retire_tlab(&mut mu);
             res.map(|_| mu)
         })?;
-        if let Some(heap) = vm.cms.as_ref() {
-            if self.options.oracle && heap.evacuating.load(Ordering::Acquire) {
-                // A `hold_evac` run ends with forwarding still published
-                // (the coordinator stood down instead of pausing); this
-                // audit is the pause's replacement proof that no store
-                // or publish was torn or lost.
-                if let Err(msg) = crate::cms::cms_evac_audit(&ctx) {
-                    return Err(ExecError::Oracle(msg));
-                }
-            }
-        }
         let outputs: Vec<String> = done.iter().map(|mu| mu.output.clone()).collect();
         Ok(ParOutcome {
             output: outputs.concat(),
@@ -882,10 +836,7 @@ impl ParExecutor {
             tlab_waste_words: vm.tlab_waste_words.load(R),
             satb_enqueued: vm.cms.as_ref().map_or(0, |c| c.satb_enqueued.load(R)),
             satb_drained: vm.cms.as_ref().map_or(0, |c| c.satb_drained.load(R)),
-            evac_objects: vm.cms.as_ref().map_or(0, |c| c.evac_objects.load(R)),
-            evac_words: vm.cms.as_ref().map_or(0, |c| c.evac_words.load(R)),
-            evac_healed_loads: vm.cms.as_ref().map_or(0, |c| c.evac_healed_loads.load(R)),
-            evac_healed_stores: vm.cms.as_ref().map_or(0, |c| c.evac_healed_stores.load(R)),
+            evac_healed_stores: 0,
             steps: done.iter().map(|mu| mu.steps).sum(),
             gc_each: ctx.gc_log.into_inner().unwrap(),
         })

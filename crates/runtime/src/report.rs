@@ -433,59 +433,6 @@ impl StatsReport {
         ))
     }
 
-    /// The concurrent-evacuation section: per-cycle select pause and
-    /// concurrent copy time, region/object volumes, and the mutator
-    /// self-healing counters. Call after [`StatsReport::add_cms`].
-    pub fn add_evac(
-        &mut self,
-        evac_objects: u64,
-        evac_words: u64,
-        evac_healed_loads: u64,
-        evac_healed_stores: u64,
-        gc_each: &[ParGcStats],
-    ) -> &mut Self {
-        let cycles: Vec<&ParGcStats> = gc_each.iter().filter(|g| g.evac_cycle).collect();
-        let n = cycles.len().max(1) as u32;
-        let mean_us = |total: Duration| (total / n).as_micros() as u64;
-        let select_total: Duration = cycles.iter().map(|g| g.evac_select_pause).sum();
-        let conc_total: Duration = cycles.iter().map(|g| g.evac_conc_time).sum();
-        let final_total: Duration = cycles.iter().map(|g| g.total_time).sum();
-        let final_max = cycles.iter().map(|g| g.total_time).max().unwrap_or_default();
-        let regions: u64 = cycles.iter().map(|g| g.evac_regions).sum();
-        let pinned: u64 = cycles.iter().map(|g| g.evac_pinned).sum();
-        self.put("evac_cycles", cycles.len());
-        self.put("evac_regions", regions);
-        self.put("evac_pinned", pinned);
-        self.put("evac_objects", evac_objects);
-        self.put("evac_words", evac_words);
-        self.put("evac_healed_loads", evac_healed_loads);
-        self.put("evac_healed_stores", evac_healed_stores);
-        self.put("evac_select_pause_mean_us", mean_us(select_total));
-        self.put("evac_conc_copy_mean_us", mean_us(conc_total));
-        self.put("evac_final_pause_mean_us", mean_us(final_total));
-        self.put("evac_final_pause_max_us", final_max.as_micros() as u64);
-        self.line(format!(
-            "evac: {} cycle(s) moved {} object(s) / {} word(s) out of {} region(s) \
-             ({} pinned)",
-            cycles.len(),
-            evac_objects,
-            evac_words,
-            regions,
-            pinned
-        ));
-        self.line(format!(
-            "evac: select pause mean {} µs, concurrent copy mean {} µs, final pause \
-             mean {} µs / max {} µs",
-            mean_us(select_total),
-            mean_us(conc_total),
-            mean_us(final_total),
-            final_max.as_micros()
-        ));
-        self.line(format!(
-            "evac: healed {evac_healed_loads} load(s), {evac_healed_stores} store(s)"
-        ))
-    }
-
     /// The allocation-service section: throughput, pauses, latency and
     /// the region ledger.
     pub fn add_serve(&mut self, view: ServeConfigView, s: &ServeStats) -> &mut Self {

@@ -439,22 +439,6 @@ pub(crate) fn request_gc(ctx: &RunCtx<'_>, mu: &mut Mutator) -> Result<bool, Exe
     }
 }
 
-/// The cms coordinator's way to lead a pause of its own. Its request CAS
-/// can transiently fail against a leader that is still releasing
-/// (markers quiesce in microseconds on a small live set, before the
-/// snapshot pause's leader has cleared the request), so it keeps trying
-/// until the cycle's own state says `stand_down`. The pause's error, if
-/// any, has already failed the run.
-pub(crate) fn lead_when(ctx: &RunCtx<'_>, stand_down: impl Fn() -> bool) {
-    while !stand_down() {
-        if try_lead(ctx) {
-            drop(lead(ctx, None, false));
-            return;
-        }
-        std::thread::yield_now();
-    }
-}
-
 impl RunCtx<'_> {
     /// The run scaffold: arms gc-torture, runs `body(t)` on one OS thread
     /// per `active` thread of the handshake (plus, under cms, the

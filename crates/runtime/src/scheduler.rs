@@ -78,7 +78,7 @@ pub enum ExecError {
         worker: usize,
         /// What it was doing: `un-derive`, `copy` or `re-derive` in a
         /// stop-the-world copy, `pause` for the leader's other work,
-        /// `mark` or `conc-copy` for cms's concurrent workers.
+        /// `mark` for cms's concurrent markers.
         phase: &'static str,
         /// The panic message.
         message: String,

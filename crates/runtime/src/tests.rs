@@ -1083,11 +1083,11 @@ mod safepoint_protocol {
     }
 }
 
-/// A concurrent marker or copier that panics must fail the run with a
-/// structured error naming its phase — not take the coordinator's scope
-/// down with it and leave the next final-pause leader waiting forever
-/// for `markers_idle`/`copiers_idle`, nor leave a second marker spinning
-/// on the gray work the dead one took with it.
+/// A concurrent marker that panics must fail the run with a structured
+/// error naming its phase — not take the coordinator's scope down with
+/// it and leave the next final-pause leader waiting forever for
+/// `markers_idle`, nor leave a second marker spinning on the gray work
+/// the dead one took with it.
 #[test]
 fn a_panicking_concurrent_gc_thread_fails_the_run_instead_of_hanging_it() {
     use crate::options::GcStrategy;
@@ -1096,8 +1096,7 @@ fn a_panicking_concurrent_gc_thread_fails_the_run_instead_of_hanging_it() {
 
     // `Build` makes a live chain (gray work for every snapshot), `Fill`
     // churns past the occupancy trigger, and the allocation-free `Walk`
-    // is long enough for marking — and under conc-evac the evacuation
-    // select and the concurrent copy — to get going underneath it.
+    // is long enough for marking to get going underneath it.
     let src = "MODULE Victim;
     TYPE Node = REF RECORD v: INTEGER; next: Node END;
     PROCEDURE Work(): INTEGER =
@@ -1115,31 +1114,24 @@ fn a_panicking_concurrent_gc_thread_fails_the_run_instead_of_hanging_it() {
     END Work;
     BEGIN PutInt(Work()); END Victim.";
     let module = compile(src);
-    for (fault, conc_evac, phase) in
-        [(Fault::Marker, false, "mark"), (Fault::Copier, true, "conc-copy")]
-    {
-        // No TLABs: retirement waste would fill the heap during `Fill`
-        // and a mutator-led final pause would close the cycle first.
-        let options = RuntimeOptions::new()
-            .strategy(GcStrategy::Cms)
-            .semi_words(1 << 12)
-            .threads(1)
-            .tlab_words(0)
-            .gc_workers(2)
-            .conc_workers(2)
-            .conc_evac(conc_evac)
-            .evac_region_words(16);
-        let module = module.clone();
-        let result = within(5, phase, move || {
-            let mut ex = ParExecutor::new(options.build_par_machine(module), options);
-            ex.fault = Some(fault);
-            ex.run_main()
-        });
-        match result {
-            Err(ExecError::GcWorkerPanic { phase: p, message, .. }) if p == phase => {
-                assert!(message.starts_with("injected"), "{message}");
-            }
-            other => panic!("expected GcWorkerPanic during {phase}, got {other:?}"),
+    // No TLABs: retirement waste would fill the heap during `Fill` and a
+    // mutator-led final pause would close the cycle first.
+    let options = RuntimeOptions::new()
+        .strategy(GcStrategy::Cms)
+        .semi_words(1 << 12)
+        .threads(1)
+        .tlab_words(0)
+        .gc_workers(2)
+        .conc_workers(2);
+    let result = within(5, "mark", move || {
+        let mut ex = ParExecutor::new(options.build_par_machine(module), options);
+        ex.fault = Some(Fault::Marker);
+        ex.run_main()
+    });
+    match result {
+        Err(ExecError::GcWorkerPanic { phase: "mark", message, .. }) => {
+            assert!(message.starts_with("injected"), "{message}");
         }
+        other => panic!("expected GcWorkerPanic during mark, got {other:?}"),
     }
 }

@@ -25,8 +25,7 @@
 //! translates on entry, at `Ret` and on exit.
 //!
 //! Everything that *does* depend on the memory format sits behind
-//! [`World`]: word access (plain vs relaxed atomic, with forwarding
-//! resolution under concurrent evacuation), allocation (bump pointer
+//! [`World`]: word access (plain vs relaxed atomic), allocation (bump pointer
 //! and generational large-object path vs TLAB/region/CAS frontier), the
 //! `StB` barrier (remembered set vs SATB deletion barrier), program
 //! output, shadow-tag storage, and the collection request. The functions
@@ -166,20 +165,6 @@ pub trait World {
         Ok(())
     }
 
-    /// The heap load of [`Instr::Ld`]: the value and the address it was
-    /// actually read from (they differ only while a concurrent
-    /// evacuation redirects accesses to published copies).
-    #[inline]
-    fn heap_load(&mut self, addr: i64) -> Result<(i64, i64), VmTrap> {
-        Ok((self.load(addr)?, addr))
-    }
-
-    /// The heap store of [`Instr::St`].
-    #[inline]
-    fn heap_store(&mut self, addr: i64, v: i64) -> Result<(), VmTrap> {
-        self.store(addr, v)
-    }
-
     /// Hook run after every `St`/`StB`/`StG`: `v` was stored at `addr`
     /// (per-request regions watch these for escaping pointers).
     #[inline]
@@ -291,20 +276,6 @@ pub fn alloc_into<W: World>(
         cpu.reg_tags[dst as usize] = Tag::Ptr;
     }
     Ok(true)
-}
-
-/// `dst := mem[addr]` through [`World::heap_load`]. Shared by [`run`]
-/// and the JIT's forwarding-aware load call-out.
-#[inline]
-pub fn load_into<W: World>(cpu: &mut Cpu, w: &mut W, dst: u8, addr: i64) -> Result<(), VmTrap> {
-    let (v, at) = w.heap_load(addr)?;
-    cpu.regs[dst as usize] = v;
-    if at != addr && w.shadow_on() {
-        // `shadow_step` tagged `dst` from the raw address; the value
-        // came from the published copy.
-        cpu.reg_tags[dst as usize] = w.mem_tag(at);
-    }
-    Ok(())
 }
 
 /// The tag combination rule for additive ALU operations.
@@ -492,15 +463,14 @@ fn interpret<W: World, const SHADOW: bool>(
             }
             Instr::UnAlu { op, dst, a } => cpu.regs[dst as usize] = op.eval(cpu.regs[a as usize]),
             Instr::Ld { dst, base, off } => {
-                let addr = cpu.regs[base as usize] + i64::from(off);
-                trap!(load_into(cpu, w, dst, addr));
+                cpu.regs[dst as usize] = trap!(w.load(cpu.regs[base as usize] + i64::from(off)));
             }
             Instr::St { base, off, src } => {
                 // Unbarriered store: codegen proved the old value needs no
                 // protection (non-pointer value or nursery-fresh target).
                 let addr = cpu.regs[base as usize] + i64::from(off);
                 let v = cpu.regs[src as usize];
-                trap!(w.heap_store(addr, v));
+                trap!(w.store(addr, v));
                 w.note_escape(addr, v);
             }
             Instr::StB { base, off, src } => {

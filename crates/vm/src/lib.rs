@@ -39,6 +39,5 @@ pub use isa::{AluOp, Instr, UnAluOp};
 pub use machine::{Machine, MachineLayout, SeqWorld, Thread, ThreadStatus, VmTrap};
 pub use module::{ProcMeta, VmModule};
 pub use par::{
-    CmsHeap, EvacFault, Mutator, MutatorLocal, ParLayout, ParMachine, ParWorld, SatbFault,
-    DEFAULT_TLAB_WORDS,
+    CmsHeap, Mutator, MutatorLocal, ParLayout, ParMachine, ParWorld, SatbFault, DEFAULT_TLAB_WORDS,
 };

@@ -43,8 +43,8 @@
 //! Memory is zeroed on demand (`zeroed_vec`): a machine's words, tags
 //! and cms bitmaps cost nothing until they are touched, as `Machine`'s
 //! `vec![0; n]` does. On the interpreter's path, [`ParWorld`] reads the
-//! memory slice directly and tests the cms flags inline; the forwarding
-//! and deletion-barrier work sits in cold methods beside it.
+//! memory slice directly and tests the cms marking flag inline; the
+//! deletion-barrier work sits in a cold method beside it.
 //!
 //! [`Machine`]: crate::machine::Machine
 
@@ -158,35 +158,6 @@ pub enum SatbFault {
     Reorder,
 }
 
-/// Injected concurrent-evacuation faults, for mutation testing that the
-/// oracle notices a broken forwarding protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvacFault {
-    /// The protocol works as designed (default).
-    None,
-    /// Pointer loads skip the self-healing forwarding check, so a
-    /// mutator keeps reading a from-space original after its copy was
-    /// published — the classic stale-read hazard.
-    StaleRead,
-    /// Stores skip the forwarding redirect and the post-store recheck,
-    /// so a mutation lands in the from-space original after the copy
-    /// was published and is silently lost — a torn forwarding publish.
-    TornForward,
-    /// The copier skips the header claim, so the same object is copied
-    /// (and its forwarding word published) twice.
-    DoubleCopy,
-}
-
-/// The header claim word used by concurrent copiers: a worker CASes
-/// this into an object header before copying, then publishes the
-/// forwarding word `-(new+1)` with release ordering. Mirrors
-/// `m3gc_runtime::evac::BUSY`, re-declared here because mutators must
-/// recognise an in-flight claim on their self-healing fast path.
-pub const EVAC_BUSY: i64 = i64::MIN;
-
-/// Default words per evacuation region (conc-evac cset granularity).
-pub const DEFAULT_EVAC_REGION_WORDS: usize = 1 << 12;
-
 /// Shared concurrent-marking state ([`ParMachine::enable_cms`]).
 ///
 /// The snapshot-at-the-beginning invariant this state maintains: every
@@ -228,56 +199,6 @@ pub struct CmsHeap {
     /// barrier (not the tracing race) must save is provably saved by the
     /// barrier alone. Used by the deterministic lost-object reproducer.
     pub hold_marking: AtomicBool,
-
-    /// Concurrent evacuation enabled (`--conc-evac`). Set once before
-    /// the machine is shared.
-    pub conc_evac: AtomicBool,
-    /// Words per evacuation region (cset granularity).
-    pub evac_region_words: AtomicI64,
-    /// True while an evacuation set is being copied concurrently: from
-    /// the select handshake until the final pause completes. Mutators
-    /// read it (acquire) on heap loads and stores to decide whether the
-    /// self-healing forwarding path is live.
-    pub evacuating: AtomicBool,
-    /// Value of `free` at the evacuation-select handshake: only objects
-    /// below it are candidates for the cset; allocations at or above it
-    /// are the "in-flight region" the final pause flushes.
-    pub evac_snap: AtomicI64,
-    /// To-space copy frontier for concurrent copiers (CAS bump). The
-    /// final pause's residual copy continues from its final value.
-    pub evac_to: AtomicI64,
-    /// Per-region cset membership, indexed by `addr / evac_region_words`
-    /// over the whole memory. Written by the select handshake (world
-    /// stopped), read by mutator fast paths while `evacuating`.
-    cset: Vec<AtomicBool>,
-    /// Per-region pin flags: regions holding targets of ambiguous frame
-    /// derivations, excluded from the cset for this cycle.
-    pinned: Vec<AtomicBool>,
-    /// Per-word dirty bits over to-space copies: set by redirected
-    /// mutator stores and updater rewrites, so the final-pause audit can
-    /// tell a legitimate post-publish divergence from a torn (lost)
-    /// store, and so the pause can re-fix deferred words cheaply.
-    dirty: Vec<AtomicU64>,
-    /// Injected forwarding fault (mutation tests only).
-    pub evac_fault: AtomicU8,
-    /// Test knob: after publishing every cset copy the coordinator
-    /// stands down instead of requesting the final pause, so mutators
-    /// deterministically run against published forwarding words. The
-    /// exit audit still runs, so faults are caught without the pause.
-    pub hold_evac: AtomicBool,
-
-    /// Objects copied concurrently this run (claims won; stat).
-    pub evac_objects: AtomicU64,
-    /// Words copied concurrently this run (stat).
-    pub evac_words: AtomicU64,
-    /// Regions evacuated concurrently this run (stat).
-    pub evac_regions: AtomicU64,
-    /// Regions pinned out of csets this run (stat).
-    pub evac_pinned: AtomicU64,
-    /// Stale references healed by the load fast path (stat).
-    pub evac_healed_loads: AtomicU64,
-    /// Stores redirected or replayed into a published copy (stat).
-    pub evac_healed_stores: AtomicU64,
 }
 
 impl CmsHeap {
@@ -292,106 +213,6 @@ impl CmsHeap {
             satb_drained: AtomicU64::new(0),
             satb_fault: AtomicU8::new(0),
             hold_marking: AtomicBool::new(false),
-            conc_evac: AtomicBool::new(false),
-            evac_region_words: AtomicI64::new(DEFAULT_EVAC_REGION_WORDS as i64),
-            evacuating: AtomicBool::new(false),
-            evac_snap: AtomicI64::new(0),
-            evac_to: AtomicI64::new(0),
-            cset: zeroed_vec(words.div_ceil(DEFAULT_EVAC_REGION_WORDS)),
-            pinned: zeroed_vec(words.div_ceil(DEFAULT_EVAC_REGION_WORDS)),
-            dirty: zeroed_vec(words.div_ceil(64)),
-            evac_fault: AtomicU8::new(0),
-            hold_evac: AtomicBool::new(false),
-            evac_objects: AtomicU64::new(0),
-            evac_words: AtomicU64::new(0),
-            evac_regions: AtomicU64::new(0),
-            evac_pinned: AtomicU64::new(0),
-            evac_healed_loads: AtomicU64::new(0),
-            evac_healed_stores: AtomicU64::new(0),
-        }
-    }
-
-    /// Reconfigures the evacuation-region granularity (and resizes the
-    /// cset/pin tables to match). Must run before the machine is shared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is zero.
-    pub fn set_evac_region_words(&mut self, words: usize, mem_words: usize) {
-        assert!(words > 0, "evacuation regions must be non-empty");
-        self.evac_region_words.store(words as i64, R);
-        let regions = mem_words.div_ceil(words);
-        self.cset = zeroed_vec(regions);
-        self.pinned = zeroed_vec(regions);
-    }
-
-    /// The evacuation-region index containing `addr`.
-    #[must_use]
-    pub fn evac_region_of(&self, addr: i64) -> usize {
-        (addr / self.evac_region_words.load(R)) as usize
-    }
-
-    /// The number of evacuation regions covering memory.
-    #[must_use]
-    pub fn evac_region_count(&self) -> usize {
-        self.cset.len()
-    }
-
-    /// True if `region` is in this cycle's evacuation set.
-    #[must_use]
-    pub fn in_cset(&self, region: usize) -> bool {
-        self.cset.get(region).is_some_and(|r| r.load(R))
-    }
-
-    /// Adds `region` to the evacuation set (select handshake, world
-    /// stopped).
-    pub fn set_cset(&self, region: usize, on: bool) {
-        if let Some(r) = self.cset.get(region) {
-            r.store(on, R);
-        }
-    }
-
-    /// True if `region` is pinned out of this cycle's evacuation set.
-    #[must_use]
-    pub fn is_pinned(&self, region: usize) -> bool {
-        self.pinned.get(region).is_some_and(|r| r.load(R))
-    }
-
-    /// Pins `region` out of the evacuation set for this cycle. Returns
-    /// `true` if this call set the flag.
-    pub fn pin_region(&self, region: usize) -> bool {
-        self.pinned.get(region).is_some_and(|r| !r.swap(true, R))
-    }
-
-    /// Clears cset membership and pins (cycle boundary, world stopped).
-    pub fn clear_evac_sets(&self) {
-        for r in &self.cset {
-            r.store(false, R);
-        }
-        for r in &self.pinned {
-            r.store(false, R);
-        }
-    }
-
-    /// Marks the word at `addr` dirty: its post-publish value was
-    /// legitimately changed (redirected store or updater rewrite), so
-    /// the torn-store audit must not flag its divergence.
-    pub fn set_dirty(&self, addr: i64) {
-        let a = addr as usize;
-        self.dirty[a / 64].fetch_or(1 << (a % 64), R);
-    }
-
-    /// True if the word at `addr` is dirty.
-    #[must_use]
-    pub fn is_dirty(&self, addr: i64) -> bool {
-        let a = addr as usize;
-        self.dirty[a / 64].load(R) & (1 << (a % 64)) != 0
-    }
-
-    /// Clears the whole dirty bitmap (cycle boundary, world stopped).
-    pub fn clear_dirty(&self) {
-        for w in &self.dirty {
-            w.store(0, R);
         }
     }
 
@@ -413,28 +234,6 @@ impl CmsHeap {
             SatbFault::Reorder => 2,
         };
         self.satb_fault.store(b, R);
-    }
-
-    /// The injected forwarding fault.
-    #[must_use]
-    pub fn fault_evac(&self) -> EvacFault {
-        match self.evac_fault.load(R) {
-            1 => EvacFault::StaleRead,
-            2 => EvacFault::TornForward,
-            3 => EvacFault::DoubleCopy,
-            _ => EvacFault::None,
-        }
-    }
-
-    /// Injects a forwarding fault (mutation tests).
-    pub fn set_evac_fault(&self, f: EvacFault) {
-        let b = match f {
-            EvacFault::None => 0,
-            EvacFault::StaleRead => 1,
-            EvacFault::TornForward => 2,
-            EvacFault::DoubleCopy => 3,
-        };
-        self.evac_fault.store(b, R);
     }
 
     /// Atomically marks the word at `addr`, returning `true` if this
@@ -767,21 +566,6 @@ impl ParMachine {
         self.cms = Some(cms);
     }
 
-    /// Turns on incremental, mutator-concurrent evacuation for the cms
-    /// collector (`--conc-evac`), with the given cset region
-    /// granularity. Must be called after [`ParMachine::enable_cms`] and
-    /// before the machine is shared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if cms is not enabled.
-    pub fn enable_conc_evac(&mut self, region_words: usize) {
-        let words = self.mem.len();
-        let cms = self.cms.as_mut().expect("conc-evac requires the cms collector");
-        cms.conc_evac.store(true, R);
-        cms.set_evac_region_words(region_words.max(1), words);
-    }
-
     /// The number of mutator stack regions.
     #[must_use]
     pub fn mutators(&self) -> usize {
@@ -876,14 +660,6 @@ impl ParMachine {
     pub fn in_dead_space(&self, addr: i64) -> bool {
         let (s, e) = self.to_space();
         if (s..e).contains(&addr) {
-            // During a concurrent evacuation phase the to-space prefix
-            // below the copy frontier holds live, published copies that
-            // mutators legitimately access through healed pointers.
-            if let Some(cms) = &self.cms {
-                if cms.evacuating.load(Ordering::Acquire) && addr < cms.evac_to.load(R) {
-                    return false;
-                }
-            }
             return true;
         }
         match self.region_slot_of(addr) {
@@ -1025,32 +801,6 @@ impl ParMachine {
         for w in &self.mem[addr as usize..(addr + words) as usize] {
             w.store(0, R);
         }
-    }
-
-    /// Acquire word read: pairs with [`ParMachine::set_word_release`] so
-    /// a reader that observes a published forwarding word also observes
-    /// the copied body it points to.
-    #[must_use]
-    pub fn word_acquire(&self, addr: i64) -> i64 {
-        self.mem[addr as usize].load(Ordering::Acquire)
-    }
-
-    /// Release word write: publishes everything written before it (the
-    /// concurrent copier's forwarding-word publish).
-    pub fn set_word_release(&self, addr: i64, v: i64) {
-        self.mem[addr as usize].store(v, Ordering::Release)
-    }
-
-    /// Sequentially consistent compare-and-swap on one memory word
-    /// (concurrent copier claims, updater rewrites, load healing).
-    /// Returns `Ok(old)` on success, `Err(actual)` otherwise.
-    ///
-    /// SeqCst on the claim CAS is load-bearing: paired with the SeqCst
-    /// fence in the mutator's store path it forbids the store-buffer
-    /// outcome where a copier misses a committed store *and* the mutator
-    /// misses the claim — one side always sees the other.
-    pub fn cas_word(&self, addr: i64, old: i64, new: i64) -> Result<i64, i64> {
-        self.mem[addr as usize].compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
     }
 
     /// Completes a collection: the spaces flip and allocation resumes at
@@ -1198,130 +948,6 @@ impl ParMachine {
         if mu.satb_buf.len() >= SATB_FLUSH {
             self.flush_satb(mu);
         }
-    }
-
-    /// Words of the object whose header word lives at `addr` (the
-    /// header must be intact, i.e. a type id — use the to-space copy's
-    /// header for forwarded originals).
-    fn object_words_at(&self, addr: i64) -> i64 {
-        let ty = self.mem[addr as usize].load(R);
-        let desc = self.module.types.get(TypeId(ty as u32));
-        let len = if matches!(desc, HeapType::Array { .. }) {
-            self.mem[addr as usize + 1].load(R)
-        } else {
-            0
-        };
-        i64::from(desc.object_words(len as u32))
-    }
-
-    /// The header address of the cset object containing `addr`, if the
-    /// access falls inside this cycle's evacuation candidates. Live
-    /// object headers are exactly the marked bits (SATB guarantees
-    /// every reachable pre-snapshot object is marked by the time
-    /// evacuation starts), so the containing header is the nearest
-    /// marked bit at or below `addr`.
-    fn evac_header_of(&self, cms: &CmsHeap, addr: i64) -> Option<i64> {
-        let (from_start, _) = self.from_space();
-        if addr < from_start || addr >= cms.evac_snap.load(R) {
-            return None;
-        }
-        let mut h = addr;
-        while h >= from_start && !cms.is_marked(h) {
-            h -= 1;
-        }
-        if h < from_start || !cms.in_cset(cms.evac_region_of(h)) {
-            return None;
-        }
-        Some(h)
-    }
-
-    /// Resolves `addr` through the forwarding word of the claimed object
-    /// headed at `h`: spins out an in-flight claim, then returns the
-    /// equivalent to-space address once the copy is published. `None`
-    /// while the object is still unclaimed (the original is current), or
-    /// if `addr` turns out to lie past the object (a value that merely
-    /// aliases the heap range).
-    fn evac_forwarded_from(&self, h: i64, addr: i64) -> Option<i64> {
-        let mut hval = self.mem[h as usize].load(Ordering::Acquire);
-        while hval == EVAC_BUSY {
-            std::thread::yield_now();
-            hval = self.mem[h as usize].load(Ordering::Acquire);
-        }
-        if hval >= 0 {
-            return None;
-        }
-        let new = -(hval + 1);
-        if addr - h >= self.object_words_at(new) {
-            return None;
-        }
-        Some(new + (addr - h))
-    }
-
-    /// The self-healing read's address resolution: one cset compare,
-    /// then forwarding. Under the injected [`EvacFault::StaleRead`] the
-    /// resolution is skipped, so loads keep hitting published originals.
-    fn evac_resolve_load(&self, cms: &CmsHeap, addr: i64) -> i64 {
-        if cms.fault_evac() == EvacFault::StaleRead {
-            return addr;
-        }
-        match self.evac_header_of(cms, addr) {
-            Some(h) => self.evac_forwarded_from(h, addr).unwrap_or(addr),
-            None => addr,
-        }
-    }
-
-    /// True if `addr` lies inside a from-space original whose copy has
-    /// been published — an address no healthy access can land on, since
-    /// resolution always redirects it. The shadow oracle traps such an
-    /// access as stale.
-    fn evac_is_published_original(&self, cms: &CmsHeap, addr: i64) -> bool {
-        match self.evac_header_of(cms, addr) {
-            Some(h) => self.mem[h as usize].load(Ordering::Acquire) < 0,
-            None => false,
-        }
-    }
-
-    /// Heals a pointer *value*: if `v` is the address of a cset object
-    /// whose copy is published, the to-space address. Values that merely
-    /// alias the heap range but are not marked headers are left alone.
-    fn evac_heal_value(&self, cms: &CmsHeap, v: i64) -> Option<i64> {
-        let (from_start, _) = self.from_space();
-        if v < from_start || v >= cms.evac_snap.load(R) {
-            return None;
-        }
-        if !cms.in_cset(cms.evac_region_of(v)) || !cms.is_marked(v) {
-            return None;
-        }
-        let mut hval = self.mem[v as usize].load(Ordering::Acquire);
-        while hval == EVAC_BUSY {
-            std::thread::yield_now();
-            hval = self.mem[v as usize].load(Ordering::Acquire);
-        }
-        if hval < 0 {
-            Some(-(hval + 1))
-        } else {
-            None
-        }
-    }
-
-    /// True if `v` is the address of a cset original whose evacuation
-    /// is claimed or published. During a concurrent-evacuation pause,
-    /// roots legally still hold such stale values — healing is lazy,
-    /// and the pause's own fixup rewrites them right after the oracle
-    /// check — so the oracle must not reject them.
-    #[must_use]
-    pub fn evac_root_forwarded(&self, v: i64) -> bool {
-        let Some(cms) = self.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) else {
-            return false;
-        };
-        let (from_start, _) = self.from_space();
-        if v < from_start || v >= cms.evac_snap.load(R) {
-            return false;
-        }
-        if !cms.in_cset(cms.evac_region_of(v)) || !cms.is_marked(v) {
-            return false;
-        }
-        self.mem[v as usize].load(Ordering::Acquire) < 0
     }
 
     /// Allocation: TLAB bump fast path, one-CAS refill slow path,
@@ -1510,41 +1136,14 @@ impl World for ParWorld<'_> {
         self.vm.try_alloc(self.mu, ty, len)
     }
 
-    /// The `Ld` heap load. Outside a conc-evac cycle it is the plain
-    /// bounds-checked load, one flag test away; during one,
-    /// `heap_load_cold` heals.
-    #[inline]
-    fn heap_load(&mut self, addr: i64) -> Result<(i64, i64), VmTrap> {
-        let vm = self.vm;
-        match vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
-            Some(cms) => self.heap_load_cold(cms, addr),
-            None => Ok((self.load(addr)?, addr)),
-        }
-    }
-
-    /// The `St` heap store: plain outside a conc-evac cycle, forwarding-
-    /// aware (`heap_store_cold`) during one.
-    #[inline]
-    fn heap_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
-        let vm = self.vm;
-        match vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
-            Some(cms) => self.heap_store_cold(cms, addr, value),
-            None => self.store(addr, value),
-        }
-    }
-
     /// `StB`: a plain store — exactly as on a semispace `Machine` —
-    /// unless a cms marking or evacuation cycle is live, when
-    /// `barrier_store_cold` runs the deletion barrier and heals.
+    /// unless a cms marking cycle is live, when `barrier_store_cold`
+    /// runs the deletion barrier.
     #[inline]
     fn barrier_store(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
         let vm = self.vm;
         match &vm.cms {
-            Some(c)
-                if c.evacuating.load(Ordering::Acquire) || c.marking.load(Ordering::Acquire) =>
-            {
-                self.barrier_store_cold(addr, value)
-            }
+            Some(c) if c.marking.load(Ordering::Acquire) => self.barrier_store_cold(c, addr, value),
             _ => self.store(addr, value),
         }
     }
@@ -1600,159 +1199,29 @@ impl World for ParWorld<'_> {
     }
 }
 
-/// The cold halves of [`World::heap_load`], [`World::heap_store`] and
-/// [`World::barrier_store`]: taken only while a cms cycle is live.
+/// The cold half of [`World::barrier_store`]: taken only while a cms
+/// marking cycle is live.
 impl ParWorld<'_> {
-    /// The `Ld` heap load while a conc-evac cycle is in flight: the
-    /// access address is resolved through forwarding, and a
-    /// loaded value whose object already moved is rewritten in place
-    /// (memory and, through the returned value, register) as it is
-    /// touched.
+    /// `StB` as a snapshot-at-the-beginning *deletion barrier*.
     #[cold]
     #[inline(never)]
-    fn heap_load_cold(&self, cms: &CmsHeap, addr: i64) -> Result<(i64, i64), VmTrap> {
-        let vm = self.vm;
-        // Same trap surface as the plain load, checked on the raw
-        // address before any resolution.
-        exec::check_addr(addr, vm.mem.len())?;
-        let mut a2 = vm.evac_resolve_load(cms, addr);
-        if vm.shadow.is_some() && vm.evac_is_published_original(cms, a2) {
-            // A copier may have published between the resolution and
-            // this check — a benign race the second resolution (ordered
-            // after the publish by its Acquire header read) repairs.
-            // Only a faulted-off resolution still lands on a published
-            // original twice: a healthy load never does.
-            a2 = vm.evac_resolve_load(cms, addr);
-            if vm.evac_is_published_original(cms, a2) {
-                return Err(VmTrap::StalePointer);
-            }
-        }
-        let v = vm.mem[a2 as usize].load(R);
-        // Rewrite a stale loaded *value* in place — but only when the
-        // word is provably a pointer. `Ld` loads integer fields too,
-        // and an integer that numerically aliases a marked cset header
-        // must not be "healed" into a to-space address; the shadow tag
-        // is the ground truth. Untagged (non-shadow) runs skip the
-        // in-place rewrite: resolution redirects every later use of
-        // the stale value, and the final pause's type-directed rewrite
-        // fixes it durably.
-        let is_ptr = vm.shadow.as_ref().is_some_and(|sh| sh.mem_tag(a2) == Tag::Ptr);
-        let v = match vm.evac_heal_value(cms, v).filter(|_| is_ptr) {
-            Some(nv) => {
-                // A racing store wins (its value was healed on its own
-                // path).
-                if vm.mem[a2 as usize].compare_exchange(v, nv, R, R).is_ok() {
-                    cms.set_dirty(a2);
-                    cms.evac_healed_loads.fetch_add(1, R);
-                }
-                nv
-            }
-            None => v,
-        };
-        Ok((v, a2))
-    }
-
-    /// The heap store with the conc-evac redirect and post-store
-    /// recheck. If the target object's copy is already published the
-    /// store lands in the copy; if it is unclaimed the store hits the
-    /// original and the header is re-checked afterwards — a copier may
-    /// have claimed the object between the check and the store, so the
-    /// value is replayed into the published copy rather than lost.
-    /// Under [`EvacFault::TornForward`] both the redirect and the
-    /// recheck are skipped, modelling exactly that lost store.
-    ///
-    /// Even a non-pointer store must resolve forwarding, since a store
-    /// into a claimed object would otherwise be lost.
-    #[cold]
-    #[inline(never)]
-    fn heap_store_cold(&self, cms: &CmsHeap, addr: i64, value: i64) -> Result<(), VmTrap> {
-        let vm = self.vm;
-        exec::check_addr(addr, vm.mem.len())?;
-        if cms.fault_evac() == EvacFault::TornForward {
-            vm.mem[addr as usize].store(value, R);
-            return Ok(());
-        }
-        // Lands `value` in the published copy word `a2` of `addr`.
-        let replay = |a2: i64| {
-            vm.mem[a2 as usize].store(value, R);
-            cms.set_dirty(a2);
-            cms.evac_healed_stores.fetch_add(1, R);
-            if let Some(sh) = &vm.shadow {
-                sh.set_mem(a2, sh.mem_tag(addr));
-            }
-        };
-        let recheck = match vm.evac_header_of(cms, addr) {
-            None => None,
-            Some(h) => match vm.evac_forwarded_from(h, addr) {
-                Some(a2) => {
-                    replay(a2);
-                    return Ok(());
-                }
-                None => Some(h),
-            },
-        };
-        // A store through an already-healed pointer lands directly in
-        // to-space: the copy then legitimately diverges from its frozen
-        // original, and the torn-store audit must not read that as a
-        // lost store.
-        let (to_start, _) = vm.to_space();
-        if addr >= to_start && addr < cms.evac_to.load(Ordering::Acquire) {
-            cms.set_dirty(addr);
-        }
-        vm.mem[addr as usize].store(value, R);
-        // The fence pairs with the copier's SeqCst claim CAS (+ its own
-        // fence before reading the body): without it the store and the
-        // recheck below could reorder (the classic store-buffer outcome)
-        // and a claim racing this store would be missed by both sides.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        // Claimed between the check and the store: the copy may have
-        // missed this value, so replay it.
-        if let Some(a2) = recheck.and_then(|h| vm.evac_forwarded_from(h, addr)) {
-            replay(a2);
-        }
-        Ok(())
-    }
-
-    /// `StB` is a snapshot-at-the-beginning *deletion barrier* while a
-    /// cms marking cycle is live, and a plain (forwarding-aware) store
-    /// otherwise — exactly as on a semispace `Machine`.
-    #[cold]
-    #[inline(never)]
-    fn barrier_store_cold(&mut self, addr: i64, value: i64) -> Result<(), VmTrap> {
-        let vm = self.vm;
-        // Concurrent evacuation extends the barrier: a stored value
-        // whose object already moved is healed to the to-space copy
-        // before it re-enters the heap, and the store itself goes
-        // through the forwarding-aware path.
-        let value = match vm.cms.as_ref().filter(|c| c.evacuating.load(Ordering::Acquire)) {
-            Some(cms) => match vm.evac_heal_value(cms, value) {
-                Some(nv) => {
-                    cms.evac_healed_stores.fetch_add(1, R);
-                    nv
-                }
-                None => value,
-            },
-            None => value,
-        };
-        let Some(cms) = vm.cms.as_ref().filter(|c| c.marking.load(Ordering::Acquire)) else {
-            return self.heap_store(addr, value);
-        };
+    fn barrier_store_cold(&mut self, cms: &CmsHeap, addr: i64, value: i64) -> Result<(), VmTrap> {
         match cms.fault() {
             SatbFault::None => {
                 // Deletion barrier: read the old value *before*
                 // overwriting it.
                 let old = self.load(addr)?;
-                self.heap_store(addr, value)?;
-                vm.satb_record_old(cms, self.mu, old);
+                self.store(addr, value)?;
+                self.vm.satb_record_old(cms, self.mu, old);
             }
-            SatbFault::Drop => self.heap_store(addr, value)?,
+            SatbFault::Drop => self.store(addr, value)?,
             SatbFault::Reorder => {
                 // Buggy ordering: store first, then "record the old
                 // value" — which now reads the new one, so the
                 // barrier enqueues the wrong pointer.
-                self.heap_store(addr, value)?;
+                self.store(addr, value)?;
                 let old = self.load(addr)?;
-                vm.satb_record_old(cms, self.mu, old);
+                self.vm.satb_record_old(cms, self.mu, old);
             }
         }
         Ok(())
@@ -1769,9 +1238,6 @@ mod tests {
     use crate::asm::Assembler;
     use crate::isa::Instr;
     use crate::module::ProcMeta;
-
-    /// Words of a `Rec` object: header, pointer field, integer field.
-    const REC_WORDS: i64 = 3;
 
     /// A module whose `main` (no frame) is `main`, over one record type
     /// `Rec` (type 0) with a pointer field at word 1.
@@ -1809,11 +1275,8 @@ mod tests {
     }
 
     /// A cms machine running `main`, with one mutator spawned on it.
-    fn cms_machine(main: &[Instr], shadow: bool) -> (ParMachine, Mutator) {
+    fn cms_machine(main: &[Instr]) -> (ParMachine, Mutator) {
         let mut vm = ParMachine::new(module(main), layout(0));
-        if shadow {
-            vm.enable_shadow();
-        }
         vm.enable_cms();
         let mu = vm.spawn_mutator(0, 0, &[]);
         (vm, mu)
@@ -1835,7 +1298,6 @@ mod tests {
         let mut vm = ParMachine::new(module(&[Instr::Halt]), layout(0));
         vm.enable_shadow();
         vm.enable_cms();
-        vm.enable_conc_evac(64);
         let words = vm.mem_words() as i64;
         let cms = vm.cms.as_ref().unwrap();
         let shadow = vm.shadow.as_ref().unwrap();
@@ -1843,10 +1305,6 @@ mod tests {
             assert_eq!(vm.word(a), 0, "word {a}");
             assert_eq!(shadow.mem[a as usize].load(R), 0, "tag {a}");
             assert!(!cms.is_marked(a), "mark bit {a}");
-            assert!(!cms.is_dirty(a), "dirty bit {a}");
-        }
-        for r in 0..cms.evac_region_count() {
-            assert!(!cms.in_cset(r) && !cms.is_pinned(r), "evac region {r}");
         }
         let regions = ParMachine::new(module(&[Instr::Halt]), layout(16));
         for slot in 0..regions.mutators() {
@@ -1859,7 +1317,7 @@ mod tests {
     fn stb_records_the_overwritten_pointer_only_while_marking() {
         let stb = [Instr::StB { base: 1, off: 1, src: 2 }, Instr::Halt];
         for marking in [false, true] {
-            let (vm, mut mu) = cms_machine(&stb, false);
+            let (vm, mut mu) = cms_machine(&stb);
             let (a, old, new) =
                 (alloc_rec(&vm, &mut mu), alloc_rec(&vm, &mut mu), alloc_rec(&vm, &mut mu));
             vm.set_word(a + 1, old);
@@ -1877,42 +1335,8 @@ mod tests {
     }
 
     #[test]
-    fn ld_reads_the_published_copy_and_heals_while_evacuating() {
-        let ld = [Instr::Ld { dst: 3, base: 1, off: 1 }, Instr::Halt];
-        let (mut vm, mut mu) = cms_machine(&ld, true);
-        vm.enable_conc_evac(64);
-        // `a.f = b`, both in one cset region, both copied and published.
-        let (a, b) = (alloc_rec(&vm, &mut mu), alloc_rec(&vm, &mut mu));
-        vm.set_word(a + 1, b);
-        let shadow = vm.shadow.as_ref().unwrap();
-        shadow.set_mem(a + 1, Tag::Ptr);
-        let cms = vm.cms.as_ref().unwrap();
-        let (to, _) = vm.to_space();
-        let (a2, b2) = (to, to + REC_WORDS);
-        for (from, copy) in [(a, a2), (b, b2)] {
-            for w in 0..REC_WORDS {
-                vm.set_word(copy + w, vm.word(from + w));
-            }
-            shadow.copy_words(from, copy, REC_WORDS);
-            cms.mark_if_unmarked(from);
-            cms.set_cset(cms.evac_region_of(from), true);
-            vm.set_word_release(from, -(copy + 1));
-        }
-        cms.evac_snap.store(vm.free.load(R), R);
-        cms.evac_to.store(b2 + REC_WORDS, R);
-        cms.evacuating.store(true, R);
-        mu.cpu.regs[1] = a;
-        mu.cpu.reg_tags[1] = Tag::Ptr;
-        run_to_end(&vm, &mut mu);
-        assert_eq!(mu.cpu.regs[3], b2, "the stale value is healed");
-        assert_eq!(vm.word(a2 + 1), b2, "healed in place in the copy");
-        assert_eq!(vm.word(a + 1), b, "the original is not read or written");
-        assert_eq!(cms.evac_healed_loads.load(R), 1);
-    }
-
-    #[test]
     fn flush_satb_survives_a_poisoned_sink() {
-        let (vm, mut mu) = cms_machine(&[Instr::Halt], false);
+        let (vm, mut mu) = cms_machine(&[Instr::Halt]);
         let cms = vm.cms.as_ref().unwrap();
         cms.satb_sink.lock().unwrap().push(7);
         std::thread::scope(|s| {
@@ -1971,40 +1395,5 @@ mod tests {
             cms.set_fault(f);
             assert_eq!(cms.fault(), f);
         }
-    }
-
-    #[test]
-    fn evac_fault_roundtrip() {
-        let cms = CmsHeap::new(64);
-        assert_eq!(cms.fault_evac(), EvacFault::None);
-        for f in
-            [EvacFault::StaleRead, EvacFault::TornForward, EvacFault::DoubleCopy, EvacFault::None]
-        {
-            cms.set_evac_fault(f);
-            assert_eq!(cms.fault_evac(), f);
-        }
-    }
-
-    #[test]
-    fn evac_cset_pin_and_dirty_roundtrip() {
-        let mut cms = CmsHeap::new(1 << 14);
-        cms.set_evac_region_words(64, 1 << 14);
-        assert_eq!(cms.evac_region_count(), (1 << 14) / 64);
-        assert_eq!(cms.evac_region_of(130), 2);
-        assert!(!cms.in_cset(2));
-        cms.set_cset(2, true);
-        assert!(cms.in_cset(2));
-        assert!(!cms.is_pinned(3));
-        assert!(cms.pin_region(3), "first pin wins");
-        assert!(!cms.pin_region(3), "second pin loses");
-        assert!(cms.is_pinned(3));
-        cms.set_dirty(777);
-        assert!(cms.is_dirty(777));
-        assert!(!cms.is_dirty(776));
-        cms.clear_evac_sets();
-        cms.clear_dirty();
-        assert!(!cms.in_cset(2));
-        assert!(!cms.is_pinned(3));
-        assert!(!cms.is_dirty(777));
     }
 }

@@ -14,13 +14,16 @@
 //!   verification as an [`ExecError::Oracle`], using a deterministic
 //!   lost-object reproducer (store-then-unlink during marking). The
 //!   same program with the barrier intact must run clean and enqueue.
+//! * A gc map with its roots dropped must trap as a stale read.
 
 use std::sync::atomic::Ordering;
 
 use m3gc::compiler::{compile, run_module_par_opts, run_module_with, Options};
+use m3gc::core::encode::encode_module;
+use m3gc::core::layout::RegSet;
 use m3gc::runtime::scheduler::ExecError;
 use m3gc::runtime::{GcStrategy, ParExecutor, RuntimeOptions};
-use m3gc::vm::{EvacFault, SatbFault, VmTrap};
+use m3gc::vm::{SatbFault, VmTrap};
 
 /// Allocation-heavy program whose mutable state is all procedure-local
 /// (globals are shared between mutators, so a deterministic
@@ -208,162 +211,51 @@ fn reordered_satb_enqueue_is_caught_by_shadow_verification() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Concurrent evacuation.
-// ---------------------------------------------------------------------
+/// `a` lives across every allocation of the loop and is read after each
+/// one, so some read follows the first final pause's flip. Records
+/// without pointer fields keep the heap graph edgeless, so a root the
+/// tables omit is reachable from nothing else.
+const STALE_VICTIM: &str = "MODULE StaleVictim;
+TYPE R = REF RECORD v: INTEGER END;
 
-/// Tiny-region conc-evac options: with 16-word regions every live chunk
-/// of the heap lands in its own region, so each cycle's cset covers
-/// essentially the whole live set and the self-healing load/store paths
-/// are exercised on every object.
-fn evac_options() -> RuntimeOptions {
-    cms_options().conc_evac(true).evac_region_words(16)
-}
-
-#[test]
-fn four_mutator_conc_evac_tiny_region_torture_matches_baseline() {
-    let module = compile(LOCAL_CHURN, &Options::o2()).expect("compiles");
-    let baseline = run_module_with(module.clone(), 1 << 14, RuntimeOptions::new().torture(true))
-        .expect("baseline run");
-
-    // 4 OS-thread mutators, collection forced at every allocation,
-    // shadow + oracle armed, every region a cset candidate: forced
-    // pauses constantly interrupt concurrent copies mid-flight, so the
-    // pause-side frontier flush and the forwarding audit both run hot.
-    let out = run_module_par_opts(module, evac_options().threads(4).torture(true))
-        .expect("conc-evac torture run");
-    assert_eq!(out.outputs.len(), 4);
-    for (tid, thread_out) in out.outputs.iter().enumerate() {
-        assert_eq!(thread_out, &baseline.output, "mutator {tid} diverged from baseline");
-    }
-    assert!(out.collections > 0, "conc-evac torture must complete cycles");
-    assert!(out.gc_each.iter().all(|g| g.cms_cycle));
-}
-
-/// Two-phase reproducer for the forwarding hazards: `Build` makes a
-/// small live chain, `Fill` churns past the occupancy trigger, and the
-/// allocation-free `Walk` then reads and writes the chain for long
-/// enough that marking, evacuation select and the concurrent copy all
-/// complete underneath it. With `hold_evac` set the evacuation window
-/// stays open to program exit, so every late `Walk` access runs against
-/// published copies and the exit audit stands in for the final pause's.
-const EVAC_VICTIM: &str = "MODULE EvacVictim;
-TYPE Node = REF RECORD v: INTEGER; next: Node END;
-
-PROCEDURE Build(n: INTEGER): Node =
-VAR head, t: Node; i: INTEGER;
+PROCEDURE P() =
+VAR a: R; s, i: INTEGER;
 BEGIN
-  head := NIL;
-  FOR i := 1 TO n DO
-    t := NEW(Node);
-    t.v := i;
-    t.next := head;
-    head := t;
-  END;
-  RETURN head;
-END Build;
-
-PROCEDURE Fill(rounds: INTEGER): INTEGER =
-VAR t: Node; i, s: INTEGER;
-BEGIN
+  a := NEW(R);
+  a.v := 100;
   s := 0;
-  FOR i := 1 TO rounds DO
-    t := NEW(Node);
-    t.v := i;
-    s := (s + t.v) MOD 1000003;
+  FOR i := 1 TO 20 DO
+    WITH d = NEW(R) DO d.v := i; s := s + d.v + a.v; END;
   END;
-  RETURN s;
-END Fill;
-
-PROCEDURE Walk(head: Node; rounds: INTEGER): INTEGER =
-VAR p: Node; i, s: INTEGER;
-BEGIN
-  s := 0;
-  FOR i := 1 TO rounds DO
-    p := head;
-    WHILE p # NIL DO
-      p.v := p.v + 1;
-      s := (s + p.v) MOD 1000003;
-      p := p.next;
-    END;
-  END;
-  RETURN s;
-END Walk;
-
-PROCEDURE Work(): INTEGER =
-VAR head: Node; s: INTEGER;
-BEGIN
-  head := Build(64);
-  s := Fill(1000);
-  RETURN (s + Walk(head, 20000)) MOD 1000003;
-END Work;
+  PutInt(s);
+END P;
 
 BEGIN
-  PutInt(Work());
-END EvacVictim.";
+  P();
+END StaleVictim.";
 
-fn run_evac_victim(fault: EvacFault) -> Result<m3gc::runtime::parallel::ParOutcome, ExecError> {
-    let module = compile(EVAC_VICTIM, &Options::o2()).expect("compiles");
-    // No TLABs: retirement waste would push the frontier past the heap
-    // end during `Fill` and force a mutator-led one-pause evacuation
-    // before the coordinator ever reaches the select handshake.
-    let options = evac_options().semi_words(1 << 12).threads(1).gc_workers(2).tlab_words(0);
-    let vm = options.build_par_machine(module);
-    {
-        let cms = vm.cms.as_ref().expect("cms strategy arms the cms heap");
-        cms.set_evac_fault(fault);
-        // Hold the evacuation window open to program exit: the final
-        // pause never runs, so a surviving hazard cannot be papered
-        // over by the pause-time rewrite — only the self-healing
-        // mutator paths and the exit audit stand between the fault and
-        // the program.
-        cms.hold_evac.store(true, Ordering::Relaxed);
-    }
-    let mut ex = ParExecutor::new(vm, options);
-    ex.run_main()
-}
-
-#[test]
-fn intact_conc_evac_runs_clean_and_moves_objects() {
-    let module = compile(EVAC_VICTIM, &Options::o2()).expect("compiles");
-    let baseline = run_module_with(module, 1 << 14, RuntimeOptions::new()).expect("baseline run");
-    let out = run_evac_victim(EvacFault::None).expect("intact forwarding must pass the audit");
-    assert_eq!(out.output, baseline.output, "healed walk diverged from baseline");
-    assert!(out.evac_objects > 0, "the walk must run against concurrently moved objects");
-}
-
+/// A gc map that stops listing pointers leaves them holding from-space
+/// addresses once the final pause flips the spaces; the shadow run must
+/// trap the first read through one as a stale pointer. (The oracle only
+/// judges the entries a table *does* list, and the cycle's shadow
+/// verification walks the same tables, so neither can see the omission:
+/// this trap is what catches it on the parallel machine.)
 #[test]
 fn stale_read_is_trapped_by_the_shadow_oracle() {
-    // Healing faulted off: loads keep landing on published originals,
-    // which the shadow run traps as a stale pointer the moment the walk
-    // touches a moved node.
-    match run_evac_victim(EvacFault::StaleRead) {
+    let opts = Options::o2();
+    let mut module = compile(STALE_VICTIM, &opts).expect("compiles");
+    let options = cms_options().threads(1).torture(true);
+    let clean = run_module_par_opts(module.clone(), options).expect("intact tables run clean");
+    assert_eq!(clean.output, "2210");
+    let mut dropped = 0;
+    for point in module.logical_maps.procs.iter_mut().flat_map(|p| &mut p.points) {
+        dropped += point.regs.len() + point.live_stack.drain(..).count();
+        point.regs = RegSet::EMPTY;
+    }
+    assert!(dropped > 0, "the mutation found no root to drop");
+    module.gc_maps = encode_module(&module.logical_maps, opts.codegen.scheme);
+    match run_module_par_opts(module, options) {
         Err(ExecError::Trap(VmTrap::StalePointer)) => {}
-        other => panic!("stale reads must trap as StalePointer, got {other:?}"),
-    }
-}
-
-#[test]
-fn torn_forward_store_is_caught_by_the_evac_audit() {
-    // The store-side redirect and post-store recheck are skipped, so a
-    // mutator store lands only in the original after its copy is
-    // published: the copy silently diverges, which the audit flags as a
-    // torn store (divergent word with no healed-dirty bit).
-    match run_evac_victim(EvacFault::TornForward) {
-        Err(ExecError::Oracle(msg)) => {
-            assert!(msg.contains("torn"), "diagnostic names the torn store: {msg}");
-        }
-        other => panic!("torn forwarding stores must fail the audit, got {other:?}"),
-    }
-}
-
-#[test]
-fn double_copy_is_caught_by_the_evac_audit() {
-    // The claim CAS is skipped and the copy published twice: to-space
-    // coverage no longer accounts for every cset object exactly once,
-    // which the audit reports as a lost/duplicated publish.
-    match run_evac_victim(EvacFault::DoubleCopy) {
-        Err(ExecError::Oracle(_)) => {}
-        other => panic!("double copies must fail the audit, got {other:?}"),
+        other => panic!("a read through a dropped root must trap as StalePointer, got {other:?}"),
     }
 }
