@@ -99,6 +99,21 @@ impl HeapType {
         }
     }
 
+    /// [`HeapType::object_words`] for a length a program computed: `None`
+    /// when `len` does not fit an array's length header (`u32`) or the
+    /// object's size overflows `u32`. On every allocation's path.
+    #[inline]
+    #[must_use]
+    pub fn checked_object_words(&self, len: i64) -> Option<u32> {
+        let len = u32::try_from(len).ok()?;
+        match self {
+            HeapType::Record { words, .. } => RECORD_HEADER_WORDS.checked_add(*words),
+            HeapType::Array { elem_words, .. } => {
+                elem_words.checked_mul(len)?.checked_add(ARRAY_HEADER_WORDS)
+            }
+        }
+    }
+
     /// Offsets (in words, relative to the object header) of every pointer
     /// field of an instance with `len` elements.
     ///
@@ -245,6 +260,20 @@ mod tests {
         let t = HeapType::Array { name: "Refs".into(), elem_words: 2, elem_ptr_offsets: vec![0] };
         assert_eq!(t.object_words(3), 2 + 6);
         assert_eq!(t.pointer_offsets(3), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn checked_sizes_refuse_what_a_header_cannot_hold() {
+        let words =
+            HeapType::Array { name: "Ints".into(), elem_words: 1, elem_ptr_offsets: vec![] };
+        let pairs =
+            HeapType::Array { name: "Pairs".into(), elem_words: 2, elem_ptr_offsets: vec![] };
+        assert_eq!(words.checked_object_words(3), Some(5));
+        assert_eq!(words.checked_object_words(1 << 32), None);
+        assert_eq!(words.checked_object_words(-1), None);
+        assert_eq!(words.checked_object_words(i64::from(u32::MAX)), None);
+        assert_eq!(pairs.checked_object_words(1 << 31), None);
+        assert_eq!(pairs.checked_object_words((1 << 31) - 2), Some(u32::MAX - 1));
     }
 
     #[test]

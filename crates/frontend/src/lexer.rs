@@ -2,21 +2,28 @@
 //!
 //! Keywords are upper-case as in Modula-3; identifiers are case-sensitive.
 //! Comments are `(* ... *)` and nest.
+//!
+//! Tokens borrow the source: an identifier is a slice of it, and a text
+//! literal is the raw slice between its quotes (the lexer validates its
+//! escapes, [`unescape`] decodes them once). Identifiers, keywords,
+//! numbers and punctuation are ASCII, so the lexer scans bytes; non-ASCII
+//! text can only appear in comments and literals, where columns still
+//! count characters. The token vector is the only allocation.
 
 use crate::error::{Diagnostic, Phase, Pos};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token, borrowing the source it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'src> {
     // Literals and identifiers.
     /// Integer literal.
     Int(i64),
     /// Character literal (code point).
     Char(i64),
     /// Identifier.
-    Ident(String),
-    /// Text (string) literal.
-    Text(String),
+    Ident(&'src str),
+    /// Text (string) literal, as written between the quotes.
+    Text(&'src str),
 
     // Keywords.
     Module,
@@ -82,7 +89,7 @@ pub enum Tok {
     Eof,
 }
 
-impl std::fmt::Display for Tok {
+impl std::fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Tok::Int(v) => write!(f, "{v}"),
@@ -90,12 +97,12 @@ impl std::fmt::Display for Tok {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
             Tok::Text(_) => write!(f, "text literal"),
             Tok::Eof => write!(f, "end of input"),
-            other => write!(f, "`{}`", keyword_or_symbol(other)),
+            other => write!(f, "`{}`", keyword_or_symbol(*other)),
         }
     }
 }
 
-fn keyword_or_symbol(t: &Tok) -> &'static str {
+fn keyword_or_symbol(t: Tok<'_>) -> &'static str {
     match t {
         Tok::Module => "MODULE",
         Tok::Type => "TYPE",
@@ -159,15 +166,15 @@ fn keyword_or_symbol(t: &Tok) -> &'static str {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Where it starts.
     pub pos: Pos,
 }
 
-fn keyword(s: &str) -> Option<Tok> {
+fn keyword(s: &str) -> Option<Tok<'static>> {
     Some(match s {
         "MODULE" => Tok::Module,
         "TYPE" => Tok::Type,
@@ -210,35 +217,158 @@ fn keyword(s: &str) -> Option<Tok> {
     })
 }
 
-struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+struct Lexer<'src> {
+    src: &'src str,
+    /// Byte offset of the next character.
+    at: usize,
     line: u32,
-    col: u32,
+    /// Byte offset where the current line starts.
+    line_start: usize,
+    /// Bytes of the current line that continue a multi-byte character: a
+    /// column counts characters, so it is `at - line_start - extra + 1`.
+    extra: usize,
 }
 
-impl<'a> Lexer<'a> {
+impl<'src> Lexer<'src> {
     fn pos(&self) -> Pos {
-        Pos::new(self.line, self.col)
+        Pos::new(self.line, (self.at - self.line_start - self.extra + 1) as u32)
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.at).copied()
+    }
+
+    /// Consumes the newline at `at`.
+    fn newline(&mut self) {
+        self.at += 1;
+        self.line += 1;
+        self.line_start = self.at;
+        self.extra = 0;
+    }
+
+    /// Consumes one character, whatever its encoding.
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+        let b = *self.src.as_bytes().get(self.at)?;
+        if b == b'\n' {
+            self.newline();
+            return Some('\n');
         }
+        let c = if b.is_ascii() {
+            char::from(b)
+        } else {
+            self.src[self.at..].chars().next().expect("the lexer stops on character boundaries")
+        };
+        self.at += c.len_utf8();
+        self.extra += c.len_utf8() - 1;
         Some(c)
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
     }
 
     fn err(&self, msg: impl Into<String>) -> Diagnostic {
         Diagnostic::new(Phase::Lex, self.pos(), msg)
     }
+
+    /// Skips white space, Unicode white space included.
+    fn skip_space(&mut self) {
+        while let Some(b) = self.peek() {
+            match b {
+                b'\n' => self.newline(),
+                b' ' | b'\t' | b'\r' | 0x0B | 0x0C => self.at += 1,
+                0x80.. if self.src[self.at..].starts_with(char::is_whitespace) => {
+                    self.bump();
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// Skips the rest of a comment whose `(*` is consumed; comments nest.
+    fn skip_comment(&mut self) -> Result<(), Diagnostic> {
+        let mut depth = 1;
+        loop {
+            let Some(b) = self.peek() else { return Err(self.err("unterminated comment")) };
+            match b {
+                b'\n' => {
+                    self.newline();
+                    continue;
+                }
+                b'*' if self.src.as_bytes().get(self.at + 1) == Some(&b')') => {
+                    self.at += 2;
+                    depth -= 1;
+                    if depth == 0 {
+                        return Ok(());
+                    }
+                    continue;
+                }
+                b'(' if self.src.as_bytes().get(self.at + 1) == Some(&b'*') => {
+                    self.at += 2;
+                    depth += 1;
+                    continue;
+                }
+                // Counted in `extra`: the byte continues a character.
+                0x80..=0xBF => self.extra += 1,
+                _ => {}
+            }
+            self.at += 1;
+        }
+    }
+
+    /// A character literal after its opening quote.
+    fn char_literal(&mut self) -> Result<i64, Diagnostic> {
+        let ch = match self.bump() {
+            Some('\\') => match self.bump() {
+                Some('n') => '\n' as i64,
+                Some('t') => '\t' as i64,
+                Some('\\') => '\\' as i64,
+                Some('\'') => '\'' as i64,
+                Some('0') => 0,
+                _ => return Err(self.err("bad escape in character literal")),
+            },
+            Some(c) => c as i64,
+            None => return Err(self.err("unterminated character literal")),
+        };
+        if self.bump() != Some('\'') {
+            return Err(self.err("unterminated character literal"));
+        }
+        Ok(ch)
+    }
+
+    /// A text literal after its opening quote: the raw text up to the
+    /// closing quote, escapes checked but not decoded.
+    fn text_literal(&mut self) -> Result<&'src str, Diagnostic> {
+        let start = self.at;
+        loop {
+            match self.bump() {
+                None => return Err(self.err("unterminated text literal")),
+                Some('"') => return Ok(&self.src[start..self.at - 1]),
+                Some('\\') => {
+                    if !matches!(self.bump(), Some('n' | 't' | '\\' | '"')) {
+                        return Err(self.err("bad escape in text literal"));
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+    }
+}
+
+/// Decodes the escapes of a text literal's raw source ([`Tok::Text`]).
+#[must_use]
+pub fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                // `\\` and `\"`: the lexer admits no other escape.
+                Some(other) => other,
+                None => break,
+            },
+            c => c,
+        });
+    }
+    out
 }
 
 /// Tokenizes `source`.
@@ -247,164 +377,92 @@ impl<'a> Lexer<'a> {
 ///
 /// Returns a [`Diagnostic`] on malformed input (bad character, unterminated
 /// comment or literal, overflowing number).
-pub fn lex(source: &str) -> Result<Vec<Spanned>, Diagnostic> {
-    let mut lx = Lexer { chars: source.chars().peekable(), line: 1, col: 1 };
-    let mut out = Vec::new();
+pub fn lex(source: &str) -> Result<Vec<Spanned<'_>>, Diagnostic> {
+    let mut lx = Lexer { src: source, at: 0, line: 1, line_start: 0, extra: 0 };
+    // About one token per two bytes of source, so rarely a reallocation.
+    let mut out = Vec::with_capacity(source.len() / 2);
     loop {
-        // Skip whitespace.
-        while matches!(lx.peek(), Some(c) if c.is_whitespace()) {
-            lx.bump();
-        }
+        lx.skip_space();
         let pos = lx.pos();
-        let Some(c) = lx.peek() else {
+        let start = lx.at;
+        let Some(b) = lx.peek() else {
             out.push(Spanned { tok: Tok::Eof, pos });
             return Ok(out);
         };
-        // Comments: (* ... *) nesting.
-        if c == '(' {
-            lx.bump();
-            if lx.peek() == Some('*') {
-                lx.bump();
-                let mut depth = 1;
-                loop {
-                    match lx.bump() {
-                        None => return Err(lx.err("unterminated comment")),
-                        Some('*') if lx.peek() == Some(')') => {
-                            lx.bump();
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
+        let tok = match b {
+            b'(' => {
+                lx.at += 1;
+                if lx.peek() == Some(b'*') {
+                    lx.at += 1;
+                    lx.skip_comment()?;
+                    continue;
+                }
+                Tok::LParen
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while matches!(lx.peek(), Some(b) if b.is_ascii_alphanumeric() || b == b'_') {
+                    lx.at += 1;
+                }
+                let s = &source[start..lx.at];
+                let kw = if b.is_ascii_uppercase() { keyword(s) } else { None };
+                kw.unwrap_or(Tok::Ident(s))
+            }
+            b'0'..=b'9' => {
+                let mut v: i64 = 0;
+                while let Some(d @ b'0'..=b'9') = lx.peek() {
+                    lx.at += 1;
+                    v = v
+                        .checked_mul(10)
+                        .and_then(|x| x.checked_add(i64::from(d - b'0')))
+                        .ok_or_else(|| {
+                            Diagnostic::new(Phase::Lex, pos, "integer literal overflows")
+                        })?;
+                }
+                Tok::Int(v)
+            }
+            b'\'' => {
+                lx.at += 1;
+                Tok::Char(lx.char_literal()?)
+            }
+            b'"' => {
+                lx.at += 1;
+                Tok::Text(lx.text_literal()?)
+            }
+            _ => {
+                let c = lx.bump().expect("peeked");
+                let two =
+                    |lx: &mut Lexer<'_>, next: u8, long: Tok<'static>, short: Tok<'static>| {
+                        if lx.peek() == Some(next) {
+                            lx.at += 1;
+                            long
+                        } else {
+                            short
                         }
-                        Some('(') if lx.peek() == Some('*') => {
-                            lx.bump();
-                            depth += 1;
-                        }
-                        Some(_) => {}
+                    };
+                match c {
+                    ';' => Tok::Semi,
+                    ',' => Tok::Comma,
+                    ')' => Tok::RParen,
+                    '[' => Tok::LBracket,
+                    ']' => Tok::RBracket,
+                    '^' => Tok::Caret,
+                    '+' => Tok::Plus,
+                    '-' => Tok::Minus,
+                    '*' => Tok::Star,
+                    '=' => Tok::Eq,
+                    '#' => Tok::Hash,
+                    '.' => two(&mut lx, b'.', Tok::DotDot, Tok::Dot),
+                    ':' => two(&mut lx, b'=', Tok::Assign, Tok::Colon),
+                    '<' => two(&mut lx, b'=', Tok::Le, Tok::Lt),
+                    '>' => two(&mut lx, b'=', Tok::Ge, Tok::Gt),
+                    other => {
+                        return Err(Diagnostic::new(
+                            Phase::Lex,
+                            pos,
+                            format!("unexpected character `{other}`"),
+                        ))
                     }
                 }
-                continue;
-            }
-            out.push(Spanned { tok: Tok::LParen, pos });
-            continue;
-        }
-        // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
-            let mut s = String::new();
-            while matches!(lx.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-                s.push(lx.bump().expect("peeked"));
-            }
-            let tok = keyword(&s).unwrap_or(Tok::Ident(s));
-            out.push(Spanned { tok, pos });
-            continue;
-        }
-        // Numbers.
-        if c.is_ascii_digit() {
-            let mut v: i64 = 0;
-            while matches!(lx.peek(), Some(c) if c.is_ascii_digit()) {
-                let d = lx.bump().expect("peeked") as i64 - '0' as i64;
-                v = v
-                    .checked_mul(10)
-                    .and_then(|x| x.checked_add(d))
-                    .ok_or_else(|| Diagnostic::new(Phase::Lex, pos, "integer literal overflows"))?;
-            }
-            out.push(Spanned { tok: Tok::Int(v), pos });
-            continue;
-        }
-        // Character literals.
-        if c == '\'' {
-            lx.bump();
-            let ch = match lx.bump() {
-                Some('\\') => match lx.bump() {
-                    Some('n') => '\n' as i64,
-                    Some('t') => '\t' as i64,
-                    Some('\\') => '\\' as i64,
-                    Some('\'') => '\'' as i64,
-                    Some('0') => 0,
-                    _ => return Err(lx.err("bad escape in character literal")),
-                },
-                Some(c) => c as i64,
-                None => return Err(lx.err("unterminated character literal")),
-            };
-            if lx.bump() != Some('\'') {
-                return Err(lx.err("unterminated character literal"));
-            }
-            out.push(Spanned { tok: Tok::Char(ch), pos });
-            continue;
-        }
-        // Text literals.
-        if c == '"' {
-            lx.bump();
-            let mut s = String::new();
-            loop {
-                match lx.bump() {
-                    None => return Err(lx.err("unterminated text literal")),
-                    Some('"') => break,
-                    Some('\\') => match lx.bump() {
-                        Some('n') => s.push('\n'),
-                        Some('t') => s.push('\t'),
-                        Some('\\') => s.push('\\'),
-                        Some('"') => s.push('"'),
-                        _ => return Err(lx.err("bad escape in text literal")),
-                    },
-                    Some(c) => s.push(c),
-                }
-            }
-            out.push(Spanned { tok: Tok::Text(s), pos });
-            continue;
-        }
-        // Operators and punctuation.
-        lx.bump();
-        let tok = match c {
-            ';' => Tok::Semi,
-            ',' => Tok::Comma,
-            ')' => Tok::RParen,
-            '[' => Tok::LBracket,
-            ']' => Tok::RBracket,
-            '^' => Tok::Caret,
-            '+' => Tok::Plus,
-            '-' => Tok::Minus,
-            '*' => Tok::Star,
-            '=' => Tok::Eq,
-            '#' => Tok::Hash,
-            '.' => {
-                if lx.peek() == Some('.') {
-                    lx.bump();
-                    Tok::DotDot
-                } else {
-                    Tok::Dot
-                }
-            }
-            ':' => {
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    Tok::Assign
-                } else {
-                    Tok::Colon
-                }
-            }
-            '<' => {
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    Tok::Le
-                } else {
-                    Tok::Lt
-                }
-            }
-            '>' => {
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    Tok::Ge
-                } else {
-                    Tok::Gt
-                }
-            }
-            other => {
-                return Err(Diagnostic::new(
-                    Phase::Lex,
-                    pos,
-                    format!("unexpected character `{other}`"),
-                ))
             }
         };
         out.push(Spanned { tok, pos });
@@ -415,16 +473,13 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, Diagnostic> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
     #[test]
     fn keywords_and_idents() {
-        assert_eq!(
-            toks("MODULE Foo;"),
-            vec![Tok::Module, Tok::Ident("Foo".into()), Tok::Semi, Tok::Eof]
-        );
+        assert_eq!(toks("MODULE Foo;"), vec![Tok::Module, Tok::Ident("Foo"), Tok::Semi, Tok::Eof]);
     }
 
     #[test]
@@ -432,7 +487,7 @@ mod tests {
         assert_eq!(
             toks("x := 1 + 23 * 4"),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Assign,
                 Tok::Int(1),
                 Tok::Plus,
@@ -450,18 +505,12 @@ mod tests {
             toks("[1..10]"),
             vec![Tok::LBracket, Tok::Int(1), Tok::DotDot, Tok::Int(10), Tok::RBracket, Tok::Eof]
         );
-        assert_eq!(
-            toks("a.b"),
-            vec![Tok::Ident("a".into()), Tok::Dot, Tok::Ident("b".into()), Tok::Eof]
-        );
+        assert_eq!(toks("a.b"), vec![Tok::Ident("a"), Tok::Dot, Tok::Ident("b"), Tok::Eof]);
     }
 
     #[test]
     fn comments_nest() {
-        assert_eq!(
-            toks("a (* x (* y *) z *) b"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
-        );
+        assert_eq!(toks("a (* x (* y *) z *) b"), vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]);
     }
 
     #[test]
@@ -473,7 +522,8 @@ mod tests {
     fn char_and_text_literals() {
         assert_eq!(toks("'a'"), vec![Tok::Char('a' as i64), Tok::Eof]);
         assert_eq!(toks("'\\n'"), vec![Tok::Char('\n' as i64), Tok::Eof]);
-        assert_eq!(toks("\"hi\\n\""), vec![Tok::Text("hi\n".into()), Tok::Eof]);
+        assert_eq!(toks("\"hi\\n\""), vec![Tok::Text("hi\\n"), Tok::Eof]);
+        assert_eq!(unescape("hi\\n\\t\\\\\\\"é"), "hi\n\t\\\"é");
     }
 
     #[test]
@@ -489,6 +539,18 @@ mod tests {
         let ts = lex("a\n  b").unwrap();
         assert_eq!(ts[0].pos, Pos::new(1, 1));
         assert_eq!(ts[1].pos, Pos::new(2, 3));
+    }
+
+    #[test]
+    fn columns_count_characters_in_comments_and_literals() {
+        let ts = lex("(* é→ *) x \"ü\" 'ß' y\n  z").unwrap();
+        let cols: Vec<_> = ts.iter().map(|t| (t.pos.line, t.pos.col)).collect();
+        assert_eq!(cols, vec![(1, 10), (1, 12), (1, 16), (1, 20), (2, 3), (2, 4)]);
+    }
+
+    #[test]
+    fn unicode_white_space_separates_tokens() {
+        assert_eq!(toks("a\u{a0}b"), vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! the procedure), in which case they get frame slots; local fixed arrays
 //! always get frame slots. Pointer slots are NIL-initialized at entry, so
 //! the collector may trace them at any gc-point.
-
-use std::collections::HashSet;
+//!
+//! The checker's results are read by [`ExprId`] from dense tables, and
+//! types and signatures are borrowed from it, never cloned per
+//! expression.
 
 use m3gc_core::heap::{HeapType, TypeId, ARRAY_HEADER_WORDS, RECORD_HEADER_WORDS};
 use m3gc_ir::builder::FuncBuilder;
@@ -63,7 +65,7 @@ pub fn lower_with(module: &Module, checked: &Checked, options: LowerOptions) -> 
 }
 
 /// A mutable location, as lowering sees it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum LValue {
     /// A scalar variable held in a temp.
     TempVar(Temp),
@@ -76,7 +78,7 @@ enum LValue {
 }
 
 /// Where a source variable lives.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Storage {
     /// Scalar in a temp.
     Temp(Temp),
@@ -108,7 +110,7 @@ enum ArrLoc {
 
 struct Lowerer<'a> {
     module: &'a Module,
-    checked: &'a Checked,
+    checked: &'a Checked<'a>,
     options: LowerOptions,
     program: Program,
     /// Cache mapping semantic referent types to heap type descriptors.
@@ -118,7 +120,7 @@ struct Lowerer<'a> {
 
 struct ProcCtx<'a> {
     b: FuncBuilder,
-    vars: &'a [VarInfo],
+    vars: &'a [VarInfo<'a>],
     storage: Vec<Option<Storage>>,
     /// Exit blocks of enclosing loops, innermost last.
     loop_exits: Vec<BlockId>,
@@ -139,8 +141,12 @@ impl ProcCtx<'_> {
 }
 
 impl<'a> Lowerer<'a> {
-    fn arena(&self) -> &TypeArena {
+    fn arena(&self) -> &'a TypeArena {
         &self.checked.arena
+    }
+
+    fn name_res(&self, e: &Expr) -> NameRes {
+        self.checked.name_res[e.id as usize].expect("checker resolved the name")
     }
 
     fn temp_kind_of(&self, t: TypeRef) -> TempKind {
@@ -157,7 +163,7 @@ impl<'a> Lowerer<'a> {
         {
             return id;
         }
-        let desc = match self.arena().get(referent).clone() {
+        let desc = match self.arena().get(referent) {
             Type::Record { fields } => {
                 let ptr_offsets = fields
                     .iter()
@@ -173,7 +179,7 @@ impl<'a> Lowerer<'a> {
             }
             Type::Array { elem, .. } | Type::OpenArray { elem } => {
                 let elem_ptr_offsets =
-                    if self.temp_kind_of(elem) == TempKind::Ptr { vec![0] } else { vec![] };
+                    if self.temp_kind_of(*elem) == TempKind::Ptr { vec![0] } else { vec![] };
                 HeapType::Array {
                     name: self.arena().display(referent),
                     elem_words: 1,
@@ -194,18 +200,18 @@ impl<'a> Lowerer<'a> {
 
     fn lower_module(mut self) -> Program {
         // Globals, in checker order so GlobalId == checker global index.
-        for (name, ty) in &self.checked.globals {
-            let info = match self.arena().get(*ty).clone() {
+        for &(name, ty) in &self.checked.globals {
+            let info = match *self.arena().get(ty) {
                 Type::Array { lo, hi, elem } => {
-                    let len = (hi - lo + 1) as u32;
+                    let len = array_len(lo, hi);
                     let ptr_words = if self.temp_kind_of(elem) == TempKind::Ptr {
                         (0..len).collect()
                     } else {
                         vec![]
                     };
-                    GlobalInfo { name: name.clone(), words: len, ptr_words }
+                    GlobalInfo { name: name.to_owned(), words: len, ptr_words }
                 }
-                _ => GlobalInfo::scalar(name.clone(), self.temp_kind_of(*ty)),
+                _ => GlobalInfo::scalar(name, self.temp_kind_of(ty)),
             };
             self.program.add_global(info);
         }
@@ -231,94 +237,6 @@ impl<'a> Lowerer<'a> {
             .collect()
     }
 
-    /// Variables that are passed as VAR arguments somewhere in `stmts`
-    /// (only simple names matter: fields/elements are addressed directly).
-    fn collect_addressed(&self, stmts: &[Stmt], out: &mut HashSet<u32>) {
-        for s in stmts {
-            self.collect_addressed_stmt(s, out);
-        }
-    }
-
-    fn collect_addressed_stmt(&self, s: &Stmt, out: &mut HashSet<u32>) {
-        let mut walk_expr = |e: &Expr| self.collect_addressed_expr(e, out);
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs } => {
-                walk_expr(lhs);
-                walk_expr(rhs);
-            }
-            StmtKind::Call(e) => walk_expr(e),
-            StmtKind::If { arms, else_body } => {
-                for (c, b) in arms {
-                    self.collect_addressed_expr(c, out);
-                    self.collect_addressed(b, out);
-                }
-                self.collect_addressed(else_body, out);
-            }
-            StmtKind::While { cond, body } => {
-                self.collect_addressed_expr(cond, out);
-                self.collect_addressed(body, out);
-            }
-            StmtKind::Repeat { body, cond } => {
-                self.collect_addressed(body, out);
-                self.collect_addressed_expr(cond, out);
-            }
-            StmtKind::Loop { body } => self.collect_addressed(body, out),
-            StmtKind::For { from, to, by, body, .. } => {
-                self.collect_addressed_expr(from, out);
-                self.collect_addressed_expr(to, out);
-                if let Some(b) = by {
-                    self.collect_addressed_expr(b, out);
-                }
-                self.collect_addressed(body, out);
-            }
-            StmtKind::Exit => {}
-            StmtKind::Return(v) => {
-                if let Some(v) = v {
-                    self.collect_addressed_expr(v, out);
-                }
-            }
-            StmtKind::With { bindings, body } => {
-                for (_, d) in bindings {
-                    self.collect_addressed_expr(d, out);
-                }
-                self.collect_addressed(body, out);
-            }
-        }
-    }
-
-    fn collect_addressed_expr(&self, e: &Expr, out: &mut HashSet<u32>) {
-        match &e.kind {
-            ExprKind::Call { args, .. } => {
-                if let Some(CallRes::Proc(pi)) = self.checked.call_res.get(&e.id) {
-                    let sig = &self.checked.proc_sigs[*pi as usize];
-                    for (arg, (by_ref, _)) in args.iter().zip(&sig.params) {
-                        if *by_ref {
-                            if let ExprKind::Name(_) = arg.kind {
-                                if let Some(NameRes::Var(id)) = self.checked.name_res.get(&arg.id) {
-                                    out.insert(*id);
-                                }
-                            }
-                        }
-                        self.collect_addressed_expr(arg, out);
-                    }
-                    return;
-                }
-                for a in args {
-                    self.collect_addressed_expr(a, out);
-                }
-            }
-            ExprKind::Field(b, _) | ExprKind::Deref(b) | ExprKind::Un(_, b) => {
-                self.collect_addressed_expr(b, out);
-            }
-            ExprKind::Index(b, i) | ExprKind::Bin(_, b, i) => {
-                self.collect_addressed_expr(b, out);
-                self.collect_addressed_expr(i, out);
-            }
-            ExprKind::New { len: Some(l), .. } => self.collect_addressed_expr(l, out),
-            _ => {}
-        }
-    }
-
     fn lower_proc(&mut self, idx: usize, p: &ast::ProcDecl) -> m3gc_ir::Function {
         let params = self.param_kinds(idx);
         let ret = self.checked.proc_sigs[idx].ret.map(|t| self.temp_kind_of(t));
@@ -331,8 +249,6 @@ impl<'a> Lowerer<'a> {
             .map(|(i, _)| i)
             .collect();
         let vars = &self.checked.proc_vars[idx];
-        let mut addressed = HashSet::new();
-        self.collect_addressed(&p.body, &mut addressed);
         let mut ctx = ProcCtx {
             b,
             vars,
@@ -348,10 +264,10 @@ impl<'a> Lowerer<'a> {
                     let pt = Temp(index);
                     if by_ref {
                         ctx.storage[vid as usize] = Some(Storage::RefParam(pt));
-                    } else if addressed.contains(&vid) {
+                    } else if v.addressed {
                         // Copy the incoming value into an addressable slot.
                         let kind = self.temp_kind_of(v.ty);
-                        let slot = ctx.b.slot(SlotInfo::scalar(&v.name, kind, true));
+                        let slot = ctx.b.slot(SlotInfo::scalar(v.name, kind, true));
                         ctx.b.store_slot(slot, 0, pt);
                         ctx.storage[vid as usize] = Some(Storage::Slot(slot));
                     } else {
@@ -359,7 +275,7 @@ impl<'a> Lowerer<'a> {
                     }
                 }
                 VarClass::Local => {
-                    let st = self.local_storage(&mut ctx, v, addressed.contains(&vid));
+                    let st = self.local_storage(&mut ctx, v);
                     ctx.storage[vid as usize] = Some(st);
                 }
                 // FOR and WITH variables get storage at their statement.
@@ -372,7 +288,7 @@ impl<'a> Lowerer<'a> {
                 for name in &l.names {
                     let vid = vars
                         .iter()
-                        .position(|v| v.name == *name && v.class == VarClass::Local)
+                        .position(|v| v.name == name && v.class == VarClass::Local)
                         .expect("checker bound the local") as u32;
                     let val = self.eval_expr(&mut ctx, init);
                     let lv = self.storage_lvalue(&mut ctx, vid);
@@ -402,8 +318,6 @@ impl<'a> Lowerer<'a> {
     fn lower_main(&mut self) -> m3gc_ir::Function {
         let b = FuncBuilder::new("main", &[]);
         let vars: &[VarInfo] = &self.checked.main_vars;
-        let mut addressed = HashSet::new();
-        self.collect_addressed(&self.module.body, &mut addressed);
         let mut ctx = ProcCtx {
             b,
             vars,
@@ -429,17 +343,17 @@ impl<'a> Lowerer<'a> {
         ctx.b.finish()
     }
 
-    fn local_storage(&mut self, ctx: &mut ProcCtx<'_>, v: &VarInfo, addressed: bool) -> Storage {
-        match self.arena().get(v.ty).clone() {
+    fn local_storage(&mut self, ctx: &mut ProcCtx<'_>, v: &VarInfo) -> Storage {
+        match *self.arena().get(v.ty) {
             Type::Array { lo, hi, elem } => {
-                let len = (hi - lo + 1) as u32;
+                let len = array_len(lo, hi);
                 let ptr_words = if self.temp_kind_of(elem) == TempKind::Ptr {
                     (0..len).collect()
                 } else {
                     vec![]
                 };
                 let slot = ctx.b.slot(SlotInfo {
-                    name: v.name.clone(),
+                    name: v.name.to_owned(),
                     words: len,
                     ptr_words,
                     addressable: true,
@@ -448,8 +362,8 @@ impl<'a> Lowerer<'a> {
             }
             _ => {
                 let kind = self.temp_kind_of(v.ty);
-                if addressed {
-                    let slot = ctx.b.slot(SlotInfo::scalar(&v.name, kind, true));
+                if v.addressed {
+                    let slot = ctx.b.slot(SlotInfo::scalar(v.name, kind, true));
                     Storage::Slot(slot)
                 } else {
                     // NIL/zero initialize so pointer temps are always tidy.
@@ -464,7 +378,7 @@ impl<'a> Lowerer<'a> {
     // ---- lvalues ----
 
     fn storage_lvalue(&mut self, ctx: &mut ProcCtx<'_>, vid: u32) -> LValue {
-        match ctx.storage[vid as usize].clone().expect("storage assigned") {
+        match ctx.storage[vid as usize].expect("storage assigned") {
             Storage::Temp(t) => LValue::TempVar(t),
             Storage::Slot(s) => LValue::Slot(s, 0),
             Storage::RefParam(addr) => LValue::Mem { addr, offset: 0 },
@@ -481,14 +395,14 @@ impl<'a> Lowerer<'a> {
     /// The lvalue a designator denotes.
     fn eval_designator(&mut self, ctx: &mut ProcCtx<'_>, e: &Expr) -> LValue {
         match &e.kind {
-            ExprKind::Name(_) => match self.checked.name_res[&e.id] {
+            ExprKind::Name(_) => match self.name_res(e) {
                 NameRes::Var(vid) => self.storage_lvalue(ctx, vid),
                 NameRes::Global(g) => LValue::Global(GlobalId(g)),
                 NameRes::Const(_) => panic!("constant used as designator"),
             },
             ExprKind::Field(base, fname) => {
                 let (ptr, rec_ty) = self.record_pointer(ctx, base);
-                let Type::Record { fields } = self.arena().get(rec_ty).clone() else {
+                let Type::Record { fields } = self.arena().get(rec_ty) else {
                     panic!("field access on non-record");
                 };
                 let fi = fields.iter().position(|(n, _)| n == fname).expect("checked field");
@@ -527,7 +441,7 @@ impl<'a> Lowerer<'a> {
     /// Locates the array a designator denotes.
     fn array_loc(&mut self, ctx: &mut ProcCtx<'_>, base: &Expr) -> ArrLoc {
         let bt = self.expr_type(base);
-        match self.arena().get(bt).clone() {
+        match *self.arena().get(bt) {
             Type::Ref(inner) => {
                 let ptr = self.eval_expr(ctx, base);
                 let bounds = match self.arena().get(inner) {
@@ -540,9 +454,9 @@ impl<'a> Lowerer<'a> {
             Type::Array { lo, hi, .. } => {
                 // A direct fixed array: local slot, global, or deref.
                 match &base.kind {
-                    ExprKind::Name(_) => match self.checked.name_res[&base.id] {
+                    ExprKind::Name(_) => match self.name_res(base) {
                         NameRes::Var(vid) => {
-                            match ctx.storage[vid as usize].clone().expect("storage") {
+                            match ctx.storage[vid as usize].expect("storage") {
                                 Storage::ArraySlot { slot, lo, len } => {
                                     ArrLoc::Frame { slot, lo, len }
                                 }
@@ -556,7 +470,7 @@ impl<'a> Lowerer<'a> {
                             }
                         }
                         NameRes::Global(g) => {
-                            ArrLoc::GlobalArr { id: GlobalId(g), lo, len: (hi - lo + 1) as u32 }
+                            ArrLoc::GlobalArr { id: GlobalId(g), lo, len: array_len(lo, hi) }
                         }
                         NameRes::Const(_) => panic!("constant as array"),
                     },
@@ -574,7 +488,7 @@ impl<'a> Lowerer<'a> {
                 }
                 other => panic!("open-array designator {other:?}"),
             },
-            other => panic!("indexing a {other:?}"),
+            ref other => panic!("indexing a {other:?}"),
         }
     }
 
@@ -727,7 +641,7 @@ impl<'a> Lowerer<'a> {
             }
             ExprKind::Nil => ctx.b.nil(),
             ExprKind::Text(s) => self.lower_text(ctx, s),
-            ExprKind::Name(_) => match self.checked.name_res[&e.id] {
+            ExprKind::Name(_) => match self.name_res(e) {
                 NameRes::Const(v) => {
                     let t = ctx.b.temp(TempKind::Int);
                     ctx.b.push(Instr::Const { dst: t, value: v });
@@ -773,11 +687,11 @@ impl<'a> Lowerer<'a> {
                 ctx.b.bin(ir_op, ta, tb)
             }
             ExprKind::New { len, .. } => {
-                let referent = self.checked.new_types[&e.id];
+                let referent = self.checked.new_types[e.id as usize].expect("checker typed NEW");
                 let ty_id = self.heap_type_id(referent);
-                match self.arena().get(referent).clone() {
+                match *self.arena().get(referent) {
                     Type::Array { lo, hi, .. } => {
-                        let l = ctx.b.constant(hi - lo + 1);
+                        let l = ctx.b.constant(i64::from(array_len(lo, hi)));
                         ctx.b.new_object(ty_id, Some(l))
                     }
                     Type::OpenArray { .. } => {
@@ -831,11 +745,10 @@ impl<'a> Lowerer<'a> {
                 t
             }
         };
-        let chars: Vec<i64> = s.chars().map(|c| c as i64).collect();
-        let len = ctx.b.constant(chars.len() as i64);
+        let len = ctx.b.constant(s.chars().count() as i64);
         let arr = ctx.b.new_object(ty_id, Some(len));
-        for (i, c) in chars.iter().enumerate() {
-            let cv = ctx.b.constant(*c);
+        for (i, c) in s.chars().enumerate() {
+            let cv = ctx.b.constant(c as i64);
             ctx.b.store(arr, (ARRAY_HEADER_WORDS as usize + i) as i32, cv);
         }
         arr
@@ -849,9 +762,9 @@ impl<'a> Lowerer<'a> {
         _name: &str,
         args: &[Expr],
     ) -> Option<Temp> {
-        match self.checked.call_res[&e.id] {
+        match self.checked.call_res[e.id as usize].expect("checker resolved the call") {
             CallRes::Proc(pi) => {
-                let sig = self.checked.proc_sigs[pi as usize].clone();
+                let sig = &self.checked.proc_sigs[pi as usize];
                 let mut arg_temps = Vec::with_capacity(args.len());
                 for (arg, (by_ref, _)) in args.iter().zip(&sig.params) {
                     if *by_ref {
@@ -926,12 +839,12 @@ impl<'a> Lowerer<'a> {
                     Type::Ref(inner) => *inner,
                     _ => t,
                 };
-                match self.arena().get(arr_ty).clone() {
+                match *self.arena().get(arr_ty) {
                     Type::Array { lo, hi, .. } => {
                         let v = match b {
                             Builtin::First => lo,
                             Builtin::Last => hi,
-                            _ => hi - lo + 1,
+                            _ => i64::from(array_len(lo, hi)),
                         };
                         Some(ctx.b.constant(v))
                     }
@@ -947,7 +860,7 @@ impl<'a> Lowerer<'a> {
                             }
                         }
                     }
-                    other => panic!("FIRST/LAST/NUMBER of {other:?}"),
+                    ref other => panic!("FIRST/LAST/NUMBER of {other:?}"),
                 }
             }
             Builtin::Inc | Builtin::Dec => {
@@ -1122,6 +1035,11 @@ impl<'a> Lowerer<'a> {
             }
         }
     }
+}
+
+/// Elements of `ARRAY [lo..hi]`; the checker admits only counts that fit.
+fn array_len(lo: i64, hi: i64) -> u32 {
+    u32::try_from(hi - lo + 1).expect("checker bounds array lengths")
 }
 
 fn is_designator(e: &Expr) -> bool {
@@ -1376,6 +1294,17 @@ mod tests {
              BEGIN Bump(x); RETURN x; END F;
              BEGIN PutInt(F(41)); END M.");
         assert_eq!(out, "42");
+    }
+
+    #[test]
+    fn var_argument_in_a_local_initializer_gets_a_slot() {
+        let out = run("MODULE M;
+             PROCEDURE Bump(VAR v: INTEGER): INTEGER = BEGIN v := v + 1; RETURN v; END Bump;
+             PROCEDURE F(x: INTEGER): INTEGER =
+             VAR y: INTEGER := Bump(x);
+             BEGIN RETURN x + y; END F;
+             BEGIN PutInt(F(1)); END M.");
+        assert_eq!(out, "4");
     }
 
     #[test]

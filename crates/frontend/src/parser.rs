@@ -2,31 +2,63 @@
 
 use crate::ast::*;
 use crate::error::{Diagnostic, Phase, Pos};
-use crate::lexer::{Spanned, Tok};
+use crate::lexer::{unescape, Spanned, Tok};
 
-struct Parser {
-    toks: Vec<Spanned>,
+/// Tokens are `Copy` and borrow the source, so looking at or consuming
+/// one is a copy; a name becomes a `String` only when the AST stores it.
+struct Parser<'src> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
     next_expr_id: ExprId,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+// Precedence levels, loosest first. `NOT` is a prefix between `AND` and
+// the relations; a relation does not associate (`a < b < c` is an error).
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const REL: u8 = 4;
+const ADD: u8 = 5;
+const MUL: u8 = 6;
+const OPERAND: u8 = 7;
+
+/// The binary operator `t` spells, with its level.
+fn binop(t: Tok<'_>) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::Or => (BinOp::Or, OR),
+        Tok::And => (BinOp::And, AND),
+        Tok::Eq => (BinOp::Eq, REL),
+        Tok::Hash => (BinOp::Ne, REL),
+        Tok::Lt => (BinOp::Lt, REL),
+        Tok::Le => (BinOp::Le, REL),
+        Tok::Gt => (BinOp::Gt, REL),
+        Tok::Ge => (BinOp::Ge, REL),
+        Tok::Plus => (BinOp::Add, ADD),
+        Tok::Minus => (BinOp::Sub, ADD),
+        Tok::Star => (BinOp::Mul, MUL),
+        Tok::Div => (BinOp::Div, MUL),
+        Tok::Mod => (BinOp::Mod, MUL),
+        _ => return None,
+    })
+}
+
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Tok<'src> {
+        self.toks[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
+    fn peek2(&self) -> Tok<'src> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
     }
 
     fn here(&self) -> Pos {
         self.toks[self.pos].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -37,7 +69,7 @@ impl Parser {
         Err(Diagnostic::new(Phase::Parse, self.here(), msg))
     }
 
-    fn expect(&mut self, t: &Tok) -> PResult<()> {
+    fn expect(&mut self, t: Tok<'_>) -> PResult<()> {
         if self.peek() == t {
             self.bump();
             Ok(())
@@ -46,7 +78,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok<'_>) -> bool {
         if self.peek() == t {
             self.bump();
             true
@@ -55,14 +87,20 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
-        match self.peek().clone() {
+    /// An identifier, still borrowed from the source.
+    fn name(&mut self) -> PResult<&'src str> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
+    }
+
+    /// An identifier the AST stores.
+    fn ident(&mut self) -> PResult<String> {
+        self.name().map(str::to_owned)
     }
 
     fn mk(&mut self, pos: Pos, kind: ExprKind) -> Expr {
@@ -75,7 +113,7 @@ impl Parser {
 
     fn type_expr(&mut self) -> PResult<TypeExpr> {
         let pos = self.here();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             Tok::Integer => {
                 self.bump();
                 TypeExprKind::Int
@@ -90,7 +128,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 self.bump();
-                TypeExprKind::Named(name)
+                TypeExprKind::Named(name.to_owned())
             }
             Tok::Ref => {
                 self.bump();
@@ -98,31 +136,31 @@ impl Parser {
             }
             Tok::Array => {
                 self.bump();
-                if self.eat(&Tok::LBracket) {
+                if self.eat(Tok::LBracket) {
                     let lo = self.expr()?;
-                    self.expect(&Tok::DotDot)?;
+                    self.expect(Tok::DotDot)?;
                     let hi = self.expr()?;
-                    self.expect(&Tok::RBracket)?;
-                    self.expect(&Tok::Of)?;
+                    self.expect(Tok::RBracket)?;
+                    self.expect(Tok::Of)?;
                     let elem = self.type_expr()?;
                     TypeExprKind::Array { lo: Box::new(lo), hi: Box::new(hi), elem: Box::new(elem) }
                 } else {
-                    self.expect(&Tok::Of)?;
+                    self.expect(Tok::Of)?;
                     TypeExprKind::OpenArray(Box::new(self.type_expr()?))
                 }
             }
             Tok::Record => {
                 self.bump();
                 let mut fields = Vec::new();
-                while !self.eat(&Tok::End) {
+                while !self.eat(Tok::End) {
                     let mut names = vec![self.ident()?];
-                    while self.eat(&Tok::Comma) {
+                    while self.eat(Tok::Comma) {
                         names.push(self.ident()?);
                     }
-                    self.expect(&Tok::Colon)?;
+                    self.expect(Tok::Colon)?;
                     let fty = self.type_expr()?;
                     // The semicolon after the last field is optional.
-                    if !self.eat(&Tok::Semi) && self.peek() != &Tok::End {
+                    if !self.eat(Tok::Semi) && self.peek() != Tok::End {
                         return self.err(format!("expected `;` or END, found {}", self.peek()));
                     }
                     for n in names {
@@ -139,94 +177,40 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.or_expr()
+        self.binary(OR)
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::Or {
+    /// An expression whose operators bind at least as tightly as `min`.
+    /// One loop climbs every level, so an operand costs a few calls
+    /// rather than one per level.
+    fn binary(&mut self, min: u8) -> PResult<Expr> {
+        let (mut lhs, mut level) = if min <= NOT && self.peek() == Tok::Not {
             let pos = self.here();
             self.bump();
-            let rhs = self.and_expr()?;
-            lhs = self.mk(pos, ExprKind::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.peek() == &Tok::And {
-            let pos = self.here();
-            self.bump();
-            let rhs = self.not_expr()?;
-            lhs = self.mk(pos, ExprKind::Bin(BinOp::And, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> PResult<Expr> {
-        if self.peek() == &Tok::Not {
-            let pos = self.here();
-            self.bump();
-            let e = self.not_expr()?;
-            Ok(self.mk(pos, ExprKind::Un(UnOp::Not, Box::new(e))))
+            let e = self.binary(NOT)?;
+            (self.mk(pos, ExprKind::Un(UnOp::Not, Box::new(e))), NOT)
         } else {
-            self.rel_expr()
-        }
-    }
-
-    fn rel_expr(&mut self) -> PResult<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Tok::Eq => BinOp::Eq,
-            Tok::Hash => BinOp::Ne,
-            Tok::Lt => BinOp::Lt,
-            Tok::Le => BinOp::Le,
-            Tok::Gt => BinOp::Gt,
-            Tok::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
+            (self.unary_expr()?, OPERAND)
         };
-        let pos = self.here();
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(self.mk(pos, ExprKind::Bin(op, Box::new(lhs), Box::new(rhs))))
-    }
-
-    fn add_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
+        // `level` is the loosest operator in `lhs`: an operator takes
+        // `lhs` as its left operand only if that binds no looser than the
+        // operator itself, strictly tighter for a relation.
+        while let Some((op, prec)) = binop(self.peek()) {
+            let needs = if prec == REL { REL + 1 } else { prec };
+            if prec < min || level < needs {
+                break;
+            }
             let pos = self.here();
             self.bump();
-            let rhs = self.mul_expr()?;
+            let rhs = self.binary(prec + 1)?;
             lhs = self.mk(pos, ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> PResult<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Div => BinOp::Div,
-                Tok::Mod => BinOp::Mod,
-                _ => break,
-            };
-            let pos = self.here();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = self.mk(pos, ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)));
+            level = prec;
         }
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
-        if self.peek() == &Tok::Minus {
+        if self.peek() == Tok::Minus {
             let pos = self.here();
             self.bump();
             let e = self.unary_expr()?;
@@ -249,7 +233,7 @@ impl Parser {
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.expr()?;
-                    self.expect(&Tok::RBracket)?;
+                    self.expect(Tok::RBracket)?;
                     e = self.mk(pos, ExprKind::Index(Box::new(e), Box::new(idx)));
                 }
                 Tok::Caret => {
@@ -264,7 +248,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> PResult<Expr> {
         let pos = self.here();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(self.mk(pos, ExprKind::Int(v)))
@@ -273,9 +257,9 @@ impl Parser {
                 self.bump();
                 Ok(self.mk(pos, ExprKind::CharLit(c)))
             }
-            Tok::Text(s) => {
+            Tok::Text(raw) => {
                 self.bump();
-                Ok(self.mk(pos, ExprKind::Text(s)))
+                Ok(self.mk(pos, ExprKind::Text(unescape(raw))))
             }
             Tok::True => {
                 self.bump();
@@ -292,32 +276,32 @@ impl Parser {
             Tok::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) if name == "NEW" => {
+            Tok::Ident("NEW") => {
                 self.bump();
-                self.expect(&Tok::LParen)?;
+                self.expect(Tok::LParen)?;
                 let ty = self.type_expr()?;
-                let len = if self.eat(&Tok::Comma) { Some(Box::new(self.expr()?)) } else { None };
-                self.expect(&Tok::RParen)?;
+                let len = if self.eat(Tok::Comma) { Some(Box::new(self.expr()?)) } else { None };
+                self.expect(Tok::RParen)?;
                 Ok(self.mk(pos, ExprKind::New { ty, len }))
             }
             Tok::Ident(name) => {
                 self.bump();
-                if self.peek() == &Tok::LParen {
+                if self.peek() == Tok::LParen {
                     self.bump();
                     let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
+                    if self.peek() != Tok::RParen {
                         args.push(self.expr()?);
-                        while self.eat(&Tok::Comma) {
+                        while self.eat(Tok::Comma) {
                             args.push(self.expr()?);
                         }
                     }
-                    self.expect(&Tok::RParen)?;
-                    Ok(self.mk(pos, ExprKind::Call { name, args }))
+                    self.expect(Tok::RParen)?;
+                    Ok(self.mk(pos, ExprKind::Call { name: name.to_owned(), args }))
                 } else {
-                    Ok(self.mk(pos, ExprKind::Name(name)))
+                    Ok(self.mk(pos, ExprKind::Name(name.to_owned())))
                 }
             }
             other => self.err(format!("expected an expression, found {other}")),
@@ -326,9 +310,9 @@ impl Parser {
 
     // ---- statements ----
 
-    fn stmt_list(&mut self, enders: &[Tok]) -> PResult<Vec<Stmt>> {
+    fn stmt_list(&mut self, enders: &[Tok<'_>]) -> PResult<Vec<Stmt>> {
         let mut out = Vec::new();
-        while !enders.contains(self.peek()) {
+        while !enders.contains(&self.peek()) {
             out.push(self.stmt()?);
         }
         Ok(out)
@@ -336,73 +320,73 @@ impl Parser {
 
     fn stmt(&mut self) -> PResult<Stmt> {
         let pos = self.here();
-        let kind = match self.peek().clone() {
+        let kind = match self.peek() {
             Tok::If => {
                 self.bump();
                 let mut arms = Vec::new();
                 let cond = self.expr()?;
-                self.expect(&Tok::Then)?;
+                self.expect(Tok::Then)?;
                 let body = self.stmt_list(&[Tok::Elsif, Tok::Else, Tok::End])?;
                 arms.push((cond, body));
-                while self.eat(&Tok::Elsif) {
+                while self.eat(Tok::Elsif) {
                     let c = self.expr()?;
-                    self.expect(&Tok::Then)?;
+                    self.expect(Tok::Then)?;
                     let b = self.stmt_list(&[Tok::Elsif, Tok::Else, Tok::End])?;
                     arms.push((c, b));
                 }
                 let else_body =
-                    if self.eat(&Tok::Else) { self.stmt_list(&[Tok::End])? } else { Vec::new() };
-                self.expect(&Tok::End)?;
-                self.expect(&Tok::Semi)?;
+                    if self.eat(Tok::Else) { self.stmt_list(&[Tok::End])? } else { Vec::new() };
+                self.expect(Tok::End)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::If { arms, else_body }
             }
             Tok::While => {
                 self.bump();
                 let cond = self.expr()?;
-                self.expect(&Tok::Do)?;
+                self.expect(Tok::Do)?;
                 let body = self.stmt_list(&[Tok::End])?;
-                self.expect(&Tok::End)?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::End)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::While { cond, body }
             }
             Tok::Repeat => {
                 self.bump();
                 let body = self.stmt_list(&[Tok::Until])?;
-                self.expect(&Tok::Until)?;
+                self.expect(Tok::Until)?;
                 let cond = self.expr()?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::Repeat { body, cond }
             }
             Tok::Loop => {
                 self.bump();
                 let body = self.stmt_list(&[Tok::End])?;
-                self.expect(&Tok::End)?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::End)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::Loop { body }
             }
             Tok::For => {
                 self.bump();
                 let var = self.ident()?;
-                self.expect(&Tok::Assign)?;
+                self.expect(Tok::Assign)?;
                 let from = self.expr()?;
-                self.expect(&Tok::To)?;
+                self.expect(Tok::To)?;
                 let to = self.expr()?;
-                let by = if self.eat(&Tok::By) { Some(self.expr()?) } else { None };
-                self.expect(&Tok::Do)?;
+                let by = if self.eat(Tok::By) { Some(self.expr()?) } else { None };
+                self.expect(Tok::Do)?;
                 let body = self.stmt_list(&[Tok::End])?;
-                self.expect(&Tok::End)?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::End)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::For { var, from, to, by, body }
             }
             Tok::Exit => {
                 self.bump();
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::Exit
             }
             Tok::Return => {
                 self.bump();
-                let value = if self.peek() == &Tok::Semi { None } else { Some(self.expr()?) };
-                self.expect(&Tok::Semi)?;
+                let value = if self.peek() == Tok::Semi { None } else { Some(self.expr()?) };
+                self.expect(Tok::Semi)?;
                 StmtKind::Return(value)
             }
             Tok::With => {
@@ -410,25 +394,25 @@ impl Parser {
                 let mut bindings = Vec::new();
                 loop {
                     let name = self.ident()?;
-                    self.expect(&Tok::Eq)?;
+                    self.expect(Tok::Eq)?;
                     let e = self.expr()?;
                     bindings.push((name, e));
-                    if !self.eat(&Tok::Comma) {
+                    if !self.eat(Tok::Comma) {
                         break;
                     }
                 }
-                self.expect(&Tok::Do)?;
+                self.expect(Tok::Do)?;
                 let body = self.stmt_list(&[Tok::End])?;
-                self.expect(&Tok::End)?;
-                self.expect(&Tok::Semi)?;
+                self.expect(Tok::End)?;
+                self.expect(Tok::Semi)?;
                 StmtKind::With { bindings, body }
             }
             Tok::Ident(_) => {
                 // Either an assignment to a designator or a call statement.
                 let e = self.postfix_expr()?;
-                if self.eat(&Tok::Assign) {
+                if self.eat(Tok::Assign) {
                     let rhs = self.expr()?;
-                    self.expect(&Tok::Semi)?;
+                    self.expect(Tok::Semi)?;
                     StmtKind::Assign { lhs: e, rhs }
                 } else {
                     if !matches!(e.kind, ExprKind::Call { .. }) {
@@ -438,7 +422,7 @@ impl Parser {
                             "expected `:=` or a call statement",
                         ));
                     }
-                    self.expect(&Tok::Semi)?;
+                    self.expect(Tok::Semi)?;
                     StmtKind::Call(e)
                 }
             }
@@ -452,49 +436,49 @@ impl Parser {
     fn var_decl(&mut self) -> PResult<VarDecl> {
         let pos = self.here();
         let mut names = vec![self.ident()?];
-        while self.eat(&Tok::Comma) {
+        while self.eat(Tok::Comma) {
             names.push(self.ident()?);
         }
-        self.expect(&Tok::Colon)?;
+        self.expect(Tok::Colon)?;
         let ty = self.type_expr()?;
-        let init = if self.eat(&Tok::Assign) { Some(self.expr()?) } else { None };
-        self.expect(&Tok::Semi)?;
+        let init = if self.eat(Tok::Assign) { Some(self.expr()?) } else { None };
+        self.expect(Tok::Semi)?;
         Ok(VarDecl { names, ty, init, pos })
     }
 
     fn proc_decl(&mut self) -> PResult<ProcDecl> {
         let pos = self.here();
-        let name = self.ident()?;
-        self.expect(&Tok::LParen)?;
+        let name = self.name()?;
+        self.expect(Tok::LParen)?;
         let mut formals = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
-                let var = self.eat(&Tok::Var);
+                let var = self.eat(Tok::Var);
                 let mut names = vec![self.ident()?];
-                while self.eat(&Tok::Comma) {
+                while self.eat(Tok::Comma) {
                     names.push(self.ident()?);
                 }
-                self.expect(&Tok::Colon)?;
+                self.expect(Tok::Colon)?;
                 let ty = self.type_expr()?;
                 formals.push(Formal { var, names, ty });
-                if !self.eat(&Tok::Semi) {
+                if !self.eat(Tok::Semi) {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
-        let ret = if self.eat(&Tok::Colon) { Some(self.type_expr()?) } else { None };
-        self.expect(&Tok::Eq)?;
+        self.expect(Tok::RParen)?;
+        let ret = if self.eat(Tok::Colon) { Some(self.type_expr()?) } else { None };
+        self.expect(Tok::Eq)?;
         let mut locals = Vec::new();
-        while self.eat(&Tok::Var) {
+        while self.eat(Tok::Var) {
             while matches!(self.peek(), Tok::Ident(_)) {
                 locals.push(self.var_decl()?);
             }
         }
-        self.expect(&Tok::Begin)?;
+        self.expect(Tok::Begin)?;
         let body = self.stmt_list(&[Tok::End])?;
-        self.expect(&Tok::End)?;
-        let end_name = self.ident()?;
+        self.expect(Tok::End)?;
+        let end_name = self.name()?;
         if end_name != name {
             return Err(Diagnostic::new(
                 Phase::Parse,
@@ -502,16 +486,16 @@ impl Parser {
                 format!("procedure `{name}` ends with mismatched name `{end_name}`"),
             ));
         }
-        self.expect(&Tok::Semi)?;
-        Ok(ProcDecl { name, formals, ret, locals, body, pos })
+        self.expect(Tok::Semi)?;
+        Ok(ProcDecl { name: name.to_owned(), formals, ret, locals, body, pos })
     }
 
     fn module(&mut self) -> PResult<Module> {
-        self.expect(&Tok::Module)?;
-        let name = self.ident()?;
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::Module)?;
+        let name = self.name()?;
+        self.expect(Tok::Semi)?;
         let mut module = Module {
-            name: name.clone(),
+            name: name.to_owned(),
             types: Vec::new(),
             consts: Vec::new(),
             vars: Vec::new(),
@@ -520,26 +504,26 @@ impl Parser {
             n_exprs: 0,
         };
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Type => {
                     self.bump();
-                    while matches!(self.peek(), Tok::Ident(_)) && self.peek2() == &Tok::Eq {
+                    while matches!(self.peek(), Tok::Ident(_)) && self.peek2() == Tok::Eq {
                         let pos = self.here();
                         let tname = self.ident()?;
-                        self.expect(&Tok::Eq)?;
+                        self.expect(Tok::Eq)?;
                         let ty = self.type_expr()?;
-                        self.expect(&Tok::Semi)?;
+                        self.expect(Tok::Semi)?;
                         module.types.push(TypeDecl { name: tname, ty, pos });
                     }
                 }
                 Tok::Const => {
                     self.bump();
-                    while matches!(self.peek(), Tok::Ident(_)) && self.peek2() == &Tok::Eq {
+                    while matches!(self.peek(), Tok::Ident(_)) && self.peek2() == Tok::Eq {
                         let pos = self.here();
                         let cname = self.ident()?;
-                        self.expect(&Tok::Eq)?;
+                        self.expect(Tok::Eq)?;
                         let value = self.expr()?;
-                        self.expect(&Tok::Semi)?;
+                        self.expect(Tok::Semi)?;
                         module.consts.push(ConstDecl { name: cname, value, pos });
                     }
                 }
@@ -559,14 +543,14 @@ impl Parser {
                 }
             }
         }
-        self.expect(&Tok::Begin)?;
+        self.expect(Tok::Begin)?;
         module.body = self.stmt_list(&[Tok::End])?;
-        self.expect(&Tok::End)?;
-        let end_name = self.ident()?;
+        self.expect(Tok::End)?;
+        let end_name = self.name()?;
         if end_name != name {
             return self.err(format!("module `{name}` ends with mismatched name `{end_name}`"));
         }
-        self.expect(&Tok::Dot)?;
+        self.expect(Tok::Dot)?;
         module.n_exprs = self.next_expr_id;
         Ok(module)
     }
@@ -577,7 +561,7 @@ impl Parser {
 /// # Errors
 ///
 /// Returns the first syntax [`Diagnostic`].
-pub fn parse(tokens: Vec<Spanned>) -> Result<Module, Diagnostic> {
+pub fn parse(tokens: Vec<Spanned<'_>>) -> Result<Module, Diagnostic> {
     let mut p = Parser { toks: tokens, pos: 0, next_expr_id: 0 };
     p.module()
 }
@@ -703,6 +687,24 @@ mod tests {
         let ExprKind::Bin(BinOp::And, l, r) = &rhs.kind else { panic!("{rhs:?}") };
         assert!(matches!(l.kind, ExprKind::Bin(BinOp::Lt, _, _)));
         assert!(matches!(r.kind, ExprKind::Un(UnOp::Not, _)));
+    }
+
+    #[test]
+    fn not_binds_below_relations_which_do_not_associate() {
+        let m =
+            parse_src("MODULE M; VAR x: BOOLEAN; a: INTEGER; BEGIN x := NOT a = 1 OR x; END M.");
+        let StmtKind::Assign { rhs, .. } = &m.body[0].kind else { panic!() };
+        let ExprKind::Bin(BinOp::Or, l, _) = &rhs.kind else { panic!("{rhs:?}") };
+        let ExprKind::Un(UnOp::Not, e) = &l.kind else { panic!("{l:?}") };
+        assert!(matches!(e.kind, ExprKind::Bin(BinOp::Eq, _, _)));
+        for src in [
+            "MODULE M; VAR x: BOOLEAN; BEGIN x := 1 < 2 < 3; END M.",
+            "MODULE M; VAR x: BOOLEAN; BEGIN x := x AND 1 < 2 < 3; END M.",
+            "MODULE M; VAR x: BOOLEAN; BEGIN x := NOT 1 < 2 = x; END M.",
+        ] {
+            let e = parse(lex(src).unwrap()).unwrap_err();
+            assert!(e.message.starts_with("expected `;`, found `"), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub fn run_reference(source: &str) -> RunStatus {
             m3gc_ir::interp::Trap::AssertError => RunStatus::Trap(TrapKind::Assert),
             m3gc_ir::interp::Trap::StackOverflow => RunStatus::Trap(TrapKind::StackOverflow),
             m3gc_ir::interp::Trap::WildAddress => RunStatus::Trap(TrapKind::Wild),
+            m3gc_ir::interp::Trap::OutOfMemory => {
+                RunStatus::Inconclusive("reference heap".to_string())
+            }
             m3gc_ir::interp::Trap::OutOfFuel => {
                 RunStatus::Inconclusive("reference fuel".to_string())
             }

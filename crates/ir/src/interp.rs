@@ -37,6 +37,8 @@ pub enum Trap {
     StackOverflow,
     /// A memory access fell outside every region (a compiler bug).
     WildAddress,
+    /// An array length too large for an object's length header.
+    OutOfMemory,
 }
 
 impl std::fmt::Display for Trap {
@@ -48,6 +50,7 @@ impl std::fmt::Display for Trap {
             Trap::OutOfFuel => "step budget exhausted",
             Trap::StackOverflow => "call depth exceeded",
             Trap::WildAddress => "wild memory address",
+            Trap::OutOfMemory => "heap exhausted",
         };
         write!(f, "{s}")
     }
@@ -172,15 +175,15 @@ impl<'a> Interp<'a> {
         let ty = &self.program.types.types[ty_id as usize];
         let len = match len {
             Some(l) if l < 0 => return Err(Trap::RangeError),
-            Some(l) => l as u32,
+            Some(l) => l,
             None => 0,
         };
-        let words = ty.object_words(len) as usize;
+        let words = ty.checked_object_words(len).ok_or(Trap::OutOfMemory)? as usize;
         let base = self.heap.len();
         self.heap.resize(base + words, 0);
         self.heap[base] = i64::from(ty_id);
         if matches!(ty, HeapType::Array { .. }) {
-            self.heap[base + 1] = i64::from(len);
+            self.heap[base + 1] = len;
         }
         self.allocations += 1;
         Ok(HEAP_BASE + base as i64)

@@ -937,7 +937,7 @@ impl World for SeqWorld {
             return Err(VmTrap::RangeError);
         }
         let desc = self.module.types.get(TypeId(u32::from(ty)));
-        let words = i64::from(desc.object_words(len as u32));
+        let words = i64::from(desc.checked_object_words(len).ok_or(VmTrap::OutOfMemory)?);
         let addr = self.alloc_ptr;
         if addr + words <= self.alloc_fast_limit {
             let is_array = matches!(desc, HeapType::Array { .. });

@@ -976,7 +976,7 @@ impl ParMachine {
             }
         }
         let desc = self.module.types.get(TypeId(u32::from(ty)));
-        let words = i64::from(desc.object_words(len as u32));
+        let words = i64::from(desc.checked_object_words(len).ok_or(VmTrap::OutOfMemory)?);
         if words > self.layout.semi_words as i64 {
             return Err(VmTrap::OutOfMemory);
         }

@@ -5,9 +5,11 @@
 //! any derived value the tables fail to describe — or mis-describe — is
 //! caught immediately as corrupted data.
 
-use m3gc::compiler::{compile, reference_output, run_module_with, Options};
+use m3gc::compiler::{compile, reference_output, run_module_par, run_module_with, Options};
 use m3gc::core::encode::Scheme;
+use m3gc::runtime::scheduler::ExecError;
 use m3gc::runtime::RuntimeOptions;
+use m3gc::vm::VmTrap;
 
 fn torture(src: &str) {
     let expected = reference_output(src).unwrap_or_else(|e| panic!("reference: {e}"));
@@ -411,4 +413,64 @@ fn var_argument_of_a_nil_record_passes_the_oracle() {
         .unwrap_or_else(|e| panic!("o0/full-info/semi: {e}"));
     assert_eq!(out.output, expected);
     assert!(out.collections > 0);
+}
+
+/// An array length is never truncated to its low 32 bits. A fixed range
+/// whose element count does not fit the `u32` length header is a type
+/// error, wherever the type appears.
+#[test]
+fn oversized_array_ranges_are_type_errors() {
+    for (what, decls, body) in [
+        ("REF ARRAY", "TYPE A = REF ARRAY [0..4294967296] OF INTEGER; VAR a: A;", "a := NEW(A);"),
+        ("global ARRAY", "VAR a: ARRAY [0..4294967296] OF INTEGER;", "a[1] := 7;"),
+        (
+            "range wider than INTEGER",
+            "CONST Lo = -9223372036854775807 - 1; Hi = 9223372036854775807;
+             VAR a: ARRAY [Lo..Hi] OF INTEGER;",
+            "",
+        ),
+    ] {
+        let src = format!("MODULE Big; {decls} BEGIN {body} END Big.");
+        let err = compile(&src, &Options::o0()).expect_err(what).to_string();
+        assert!(err.starts_with("type error"), "{what}: {err}");
+        assert!(err.contains("has more than 4294967295 elements"), "{what}: {err}");
+    }
+}
+
+/// `NEW(A, n)` with `n` past the length header's range traps
+/// `OutOfMemory` before writing anything, on both machines, with and
+/// without gc-torture, as the reference interpreter does. Truncated, it
+/// allocated one element, and `a[1] := 7` overwrote the record behind it.
+#[test]
+fn open_array_lengths_past_u32_trap_out_of_memory() {
+    let src = "MODULE Big;
+         TYPE A = REF ARRAY OF INTEGER;
+              R = REF RECORD x: INTEGER END;
+         VAR a: A; r: R; n: INTEGER;
+         BEGIN
+           r := NEW(R);
+           r.x := 5;
+           n := 4294967297;
+           a := NEW(A, n);
+           a[1] := 7;
+           PutInt(r.x);
+         END Big.";
+    assert_eq!(reference_output(src), Err("heap exhausted".to_string()));
+    for (name, opts) in [("O0", Options::o0()), ("O2", Options::o2())] {
+        for torture in [false, true] {
+            let module = compile(src, &opts).unwrap();
+            let semi = run_module_with(module, 1 << 15, RuntimeOptions::new().torture(torture));
+            assert!(
+                matches!(semi, Err(ExecError::Trap(VmTrap::OutOfMemory))),
+                "{name} semi torture={torture}: {semi:?}"
+            );
+            let module = compile(src, &opts).unwrap();
+            let par =
+                run_module_par(module, 1 << 15, 1, false, RuntimeOptions::new().torture(torture));
+            assert!(
+                matches!(par, Err(ExecError::Trap(VmTrap::OutOfMemory))),
+                "{name} par torture={torture}: {par:?}"
+            );
+        }
+    }
 }
