@@ -166,7 +166,6 @@ pub fn run(
                     out.barrier.filtered(),
                 ),
             );
-            rep.add_watermark(out.gc_total.frames_spliced, out.gc_total.frames_traced);
         }
         if let Some(jit) = ex.jit_summary() {
             rep.add_jit(&jit);
@@ -213,10 +212,6 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
             );
         }
         rep.add_tlab(opts.tlab_words, out.tlab_refills, out.tlab_allocs, out.tlab_waste_words);
-        rep.add_watermark(
-            out.gc_each.iter().map(|g| g.frames_spliced).sum(),
-            out.gc_each.iter().map(|g| g.frames_traced).sum(),
-        );
         if let Some(jit) = ex.jit_summary() {
             rep.add_jit(&jit);
         }
@@ -831,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn par_stats_report_tlab_and_watermark_counters() {
+    fn par_stats_report_tlab_counters() {
         let (o, mut c) = parse_options(&[
             "--gc=par".into(),
             "--threads".into(),
@@ -851,25 +846,30 @@ mod tests {
             .unwrap_or_else(|| panic!("no tlab line in {out}"));
         assert!(tlab_line.contains("16 word(s) per buffer"), "{tlab_line}");
         assert!(tlab_line.contains("refill(s)"), "{tlab_line}");
-        assert!(out.contains("watermark:"), "{out}");
-        assert!(out.contains("hit rate"), "{out}");
     }
 
+    /// The stack-watermark splice cache is retired: no `--stats` run, under
+    /// any collector, prints its line.
     #[test]
-    fn gen_stats_report_watermark_hit_rate() {
-        let (o, mut c) =
-            parse_options(&["--gc=gen".into(), "--nursery".into(), "64".into(), "--stats".into()])
-                .unwrap();
-        c.semi_words = 4096;
-        let out = run(ALLOCATING, &o, c).unwrap();
-        assert!(out.starts_with("1275"), "{out}");
-        assert!(out.contains("watermark:"), "{out}");
-        assert!(out.contains("hit rate"), "{out}");
-        // Semispace full collections always rescan: no watermark line.
-        let (o2, mut c2) = parse_options(&["--stats".into()]).unwrap();
-        c2.semi_words = 4096;
-        let semi = run(ALLOCATING, &o2, c2).unwrap();
-        assert!(!semi.contains("watermark:"), "{semi}");
+    fn stats_reports_print_no_watermark_line() {
+        for args in [
+            vec!["--stats"],
+            vec!["--gc=gen", "--nursery", "64", "--stats"],
+            vec!["--gc=par", "--threads", "2", "--torture", "--stats"],
+            vec!["--gc=cms", "--threads", "2", "--torture", "--stats"],
+        ] {
+            let args: Vec<String> = args.into_iter().map(String::from).collect();
+            let (o, mut c) = parse_options(&args).unwrap();
+            c.semi_words = 4096;
+            let src = if args.iter().any(|a| a.contains("--threads")) {
+                LOCAL_ALLOCATING
+            } else {
+                ALLOCATING
+            };
+            let out = run(src, &o, c).unwrap();
+            assert!(out.contains("--- load:"), "{args:?}: {out}");
+            assert!(!out.contains("watermark:"), "{args:?}: {out}");
+        }
     }
 
     /// Every `--stats` run, under each collector, and every serve report

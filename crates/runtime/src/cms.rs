@@ -10,10 +10,9 @@
 //!    one `stop_world` around the work [`cms_pause`] picks), but instead
 //!    of copying anything it seeds the mark state: the bitmap is
 //!    cleared, every root *value* — globals plus each parked thread's
-//!    tidy roots, gathered with the watermark-spliced stack walk — is
-//!    marked and pushed on the shared gray stack, `snap_free` records
-//!    the allocation frontier, and the `marking` flag arms the `StB`
-//!    deletion barrier. The world resumes.
+//!    tidy roots — is marked and pushed on the shared gray stack,
+//!    `snap_free` records the allocation frontier, and the `marking`
+//!    flag arms the `StB` deletion barrier. The world resumes.
 //! 2. **Concurrent mark.** `conc_workers` markers (owned by a
 //!    coordinator thread that sleeps between cycles) trace the gray
 //!    stack to closure while the mutators keep running. The SATB
@@ -61,8 +60,8 @@ use crate::pool::CopySync;
 use crate::safepoint::{contain, lead, locked, try_lead, waited, Stopped};
 use crate::scheduler::ExecError;
 use crate::trace::{
-    gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
-    read_root_in, write_root, RootRef, StackRoots,
+    gather_global_roots, gather_thread_roots, read_root, read_root_in, write_root, RootRef,
+    StackRoots,
 };
 
 /// Relaxed shorthand; cross-thread ordering comes from the handshake
@@ -340,7 +339,7 @@ fn cms_snapshot_pause(
     debug_assert!(locked(&heap.satb_sink).is_empty(), "satb residue across cycles");
     gray.clear();
     let mut cache = locked(&ctx.caches[0]);
-    for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
+    for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
         let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
         let v = vm.word(a);
         if mark_value(heap, from_start, free_now, v) {
@@ -352,17 +351,15 @@ fn cms_snapshot_pause(
         let Some(snap) = slot.as_ref() else { continue };
         let parked = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
-        let mut wm = locked(&ctx.watermarks[tid]);
         // The value snapshot: tidy roots only. Derived values point
         // *into* objects whose base pointers are tidy roots of the same
         // frame, and marking works on whole objects, so bases cover
         // them. Nothing moves until the final pause re-walks the stack.
-        gather_thread_roots_cached(
+        gather_thread_roots(
             &parked,
             &mut cache,
             tid as u32,
             (snap.pc, snap.fp, snap.ap, snap.sp),
-            &mut wm,
             &mut roots,
         );
         for &r in &roots.tidy {
@@ -490,7 +487,7 @@ pub(crate) fn cms_shadow_verify(ctx: &RunCtx<'_>, heap: &CmsHeap) -> Result<(), 
         stack.push(v);
         Ok(())
     };
-    for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
+    for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
         let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
         reach(&mut stack, &mut visited, vm.word(a))?;
     }
@@ -500,8 +497,6 @@ pub(crate) fn cms_shadow_verify(ctx: &RunCtx<'_>, heap: &CmsHeap) -> Result<(), 
         let Some(snap) = slot.as_ref() else { continue };
         let parked = ThreadWorld { vm, tid: tid as u32, snap };
         let mut roots = StackRoots::default();
-        // A fresh, cache-free walk: the verifier must not trust the
-        // watermark splices it is part of the net for.
         gather_thread_roots(
             &parked,
             &mut cache,
@@ -564,8 +559,6 @@ fn forwarded(vm: &ParMachine, v: i64) -> i64 {
 /// copy, then forwarding rewrite. Unlike the stop-the-world trace there
 /// is no claim CAS and no work stealing — the mark bitmap already
 /// holds the transitive closure, so the copy set is a static partition.
-/// Only frames above each thread's watermark were re-decoded to get
-/// here (everything below was cached at the snapshot pause).
 pub(crate) fn bitmap_copy(
     gc: &CmsGc<'_>,
     w: usize,
@@ -623,7 +616,7 @@ pub(crate) fn bitmap_copy(
     // and (worker 0) the globals through plain forwarding loads.
     copied.iter().copied().for_each(rewrite_fields);
     if w == 0 {
-        for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
+        for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
             let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
             let v = vm.word(a);
             if v >= gc.from_start && v < gc.from_used {

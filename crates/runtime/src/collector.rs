@@ -47,12 +47,8 @@ pub struct GcStats {
     pub roots_killed: u64,
     /// Derived values un-derived and re-derived.
     pub derived_updated: u64,
-    /// Stack frames traced (spliced frames included).
+    /// Stack frames traced.
     pub frames_traced: u64,
-    /// Of `frames_traced`, frames satisfied from the watermark cache
-    /// without decoding or re-resolving (minor collections only; a full
-    /// or major collection always rescans and invalidates).
-    pub frames_spliced: u64,
     /// Gc-point table lookups served from the decode cache's memos.
     pub decode_hits: u64,
     /// Gc-point table lookups that had to decode at least one point.
@@ -197,9 +193,8 @@ pub(crate) fn trace_roots(
     stack: StackRoots,
     stats: &mut GcStats,
 ) -> (StackRoots, Vec<RootRef>) {
-    let globals = gather_global_roots(m);
+    let globals = gather_global_roots(&m.module, m.globals_start() as i64);
     stats.frames_traced = stack.frames as u64;
-    stats.frames_spliced = stack.frames_spliced as u64;
     stats.roots = (stack.tidy.len() + globals.len()) as u64;
     stats.derived_updated = stack.derivations.len() as u64;
     // Step 1 of the derived-value update: recover E from the old bases,

@@ -40,9 +40,7 @@ use m3gc_core::stats::GcKind;
 use m3gc_vm::machine::{Machine, VmTrap};
 
 use crate::collector::{re_derive, record_decode_work, trace_roots, GcStats, SeqHeap};
-use crate::trace::{
-    gather_stack_roots, gather_stack_roots_cached, read_root, write_root, StackWatermarks,
-};
+use crate::trace::{gather_stack_roots, read_root, write_root};
 
 /// Picks and runs the appropriate generational collection: minor by
 /// default, escalating to major when the machine requested one (oversized
@@ -50,30 +48,16 @@ use crate::trace::{
 /// the tenured free space can no longer absorb a worst-case promotion of
 /// the whole live nursery.
 ///
-/// With a watermark cache, minor collections splice unchanged cold
-/// frames from `wm` instead of rescanning them; a major collection
-/// rescans everything and invalidates the cache (its copies move tenured
-/// referents, and the conservative rule is that only minor/parallel
-/// collections trust the watermark).
-///
 /// # Errors
 ///
 /// Returns [`VmTrap::OutOfMemory`] if a major collection's survivors
 /// exceed the tenured semispace. The machine state is not usable
 /// afterwards; the program is dead.
-pub fn collect_with(
-    m: &mut Machine,
-    cache: &mut DecodeCache,
-    wm: Option<&mut StackWatermarks>,
-) -> Result<GcStats, VmTrap> {
+pub fn collect(m: &mut Machine, cache: &mut DecodeCache) -> Result<GcStats, VmTrap> {
     if m.wants_major_gc || m.tenured_free() < m.nursery_used() {
-        let stats = major_collect(m, cache);
-        if let Some(wm) = wm {
-            wm.invalidate_all();
-        }
-        stats
+        major_collect(m, cache)
     } else {
-        Ok(minor_collect_with(m, cache, wm))
+        Ok(minor_collect(m, cache))
     }
 }
 
@@ -151,9 +135,8 @@ impl MinorSpaces {
     }
 }
 
-/// Runs a minor collection, with an optional watermark cache (see
-/// [`collect_with`]). Every non-finished thread must be stopped at a
-/// gc-point, and the tenured from-space must have at least
+/// Runs a minor collection. Every non-finished thread must be stopped
+/// at a gc-point, and the tenured from-space must have at least
 /// `nursery_used()` free words (the scheduler's escalation policy
 /// guarantees this worst-case promotion headroom by going major instead).
 ///
@@ -161,11 +144,7 @@ impl MinorSpaces {
 ///
 /// Panics if the headroom precondition is violated, or on corrupted heap
 /// state / missing tables (compiler/runtime bugs).
-pub fn minor_collect_with(
-    m: &mut Machine,
-    cache: &mut DecodeCache,
-    wm: Option<&mut StackWatermarks>,
-) -> GcStats {
+pub fn minor_collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     let t0 = Instant::now();
     let mut stats = GcStats { kind: GcKind::Minor, ..GcStats::default() };
     assert!(m.is_generational(), "minor collection on a semispace heap");
@@ -173,10 +152,7 @@ pub fn minor_collect_with(
 
     // --- Locate tables and walk the stacks (the traced part). ---
     let before = cache.counters();
-    let stack = match wm {
-        Some(wm) => gather_stack_roots_cached(m, cache, wm),
-        None => gather_stack_roots(m, cache),
-    };
+    let stack = gather_stack_roots(m, cache);
     record_decode_work(&mut stats, cache.counters().since(before));
     let (stack, globals) = trace_roots(m, stack, &mut stats);
     let trace_end = t0.elapsed();

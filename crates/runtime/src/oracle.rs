@@ -140,7 +140,7 @@ pub(crate) fn check_entries(
 pub fn check(m: &Machine, cache: &mut DecodeCache) -> Result<(), String> {
     assert!(m.shadow_on(), "oracle requires shadow mode");
     let stack = gather_stack_roots(m, cache);
-    let globals = gather_global_roots(m);
+    let globals = gather_global_roots(&m.module, m.globals_start() as i64);
     let ranges = live_ranges(m);
     check_entries(m, |r| root_tag(m, r), &ranges, &stack, &globals)
 }

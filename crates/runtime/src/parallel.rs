@@ -70,8 +70,8 @@ use crate::pool::{CopySync, GcPool};
 use crate::safepoint::{locked, park, request_gc, Coord, Stopped};
 use crate::scheduler::ExecError;
 use crate::trace::{
-    gather_global_roots_in, gather_thread_roots, gather_thread_roots_cached, read_root,
-    verify_spliced_roots, write_root, RootRef, RootSource, StackCache, StackRoots,
+    gather_global_roots, gather_thread_roots, read_root, write_root, RootRef, RootSource,
+    StackRoots,
 };
 
 /// Relaxed shorthand for counters; cross-thread ordering comes from the
@@ -114,10 +114,11 @@ pub struct ParGcStats {
     pub roots: u64,
     /// Derived values un-derived and re-derived.
     pub derived_updated: u64,
-    /// Stack frames traced (spliced frames included).
+    /// Stack frames traced.
     pub frames_traced: u64,
-    /// Of `frames_traced`, frames spliced from the per-thread watermark
-    /// caches without decoding or re-resolving.
+    /// Always 0 (nothing writes it since the stack-watermark splice cache
+    /// was retired): `bench/src/workloads/gc.rs` reads it and `bench/` is
+    /// frozen, so it stays until a benchmark PR drops both.
     pub frames_spliced: u64,
     /// Decode-cache memo hits during the stack walks.
     pub decode_hits: u64,
@@ -245,10 +246,6 @@ pub(crate) struct RunCtx<'vm> {
     /// snapshot stays deposited here, so collections trace queued
     /// requests exactly like parked OS threads.
     pub(crate) slots: Vec<Mutex<Option<Snapshot>>>,
-    /// One watermark cache per mutator, persistent across collections.
-    /// Keyed by tid (not worker) because the round-robin deal can hand a
-    /// thread to a different worker each cycle.
-    pub(crate) watermarks: Vec<Mutex<StackCache>>,
     /// Persistent per-worker decode caches (shared `DecoderIndex`).
     pub(crate) caches: Vec<Mutex<DecodeCache>>,
     /// The run's parked gc helpers (workers `1..gc_workers`).
@@ -292,7 +289,6 @@ impl<'vm> RunCtx<'vm> {
             options,
             coord: Coord::new(active),
             slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-            watermarks: (0..slots).map(|_| Mutex::new(StackCache::default())).collect(),
             caches,
             pool: GcPool::new(workers),
             #[cfg(test)]
@@ -320,7 +316,6 @@ pub(crate) struct WorkerReport {
     pub(crate) roots: u64,
     derived: u64,
     frames: u64,
-    spliced: u64,
     decode: DecodeCounters,
     pub(crate) copy_time: Duration,
     chunks_published: u64,
@@ -330,8 +325,7 @@ pub(crate) struct WorkerReport {
 
 /// The frame every stop-the-world copy shares — the §3 bracket around a
 /// collector-specific `copy`: walk this worker's parked threads' stacks
-/// (splicing unchanged cold frames from the per-thread watermark
-/// caches) and un-derive before anything moves; `copy` (which owns the
+/// and un-derive before anything moves; `copy` (which owns the
 /// barriers: no object may move before every un-derive is done, and no
 /// re-derive may run before every move is done); then re-derive in
 /// exactly the reverse order. `phase` is kept current for the report of
@@ -351,20 +345,18 @@ fn gc_worker(
     let decode_before = cache.counters();
     let mut rep = WorkerReport::default();
     for (tid, snap, roots) in my.iter_mut() {
-        {
-            let parked = ThreadWorld { vm, tid: *tid as u32, snap };
-            let regs = (snap.pc, snap.fp, snap.ap, snap.sp);
-            let mut wm = locked(&ctx.watermarks[*tid]);
-            gather_thread_roots_cached(&parked, &mut cache, *tid as u32, regs, &mut wm, roots);
-            if ctx.options.oracle {
-                verify_spliced_roots(&parked, &mut cache, *tid as u32, regs, roots);
-            }
-        }
+        let parked = ThreadWorld { vm, tid: *tid as u32, snap };
+        gather_thread_roots(
+            &parked,
+            &mut cache,
+            *tid as u32,
+            (snap.pc, snap.fp, snap.ap, snap.sp),
+            roots,
+        );
         un_derive(&mut world, snap, roots);
         rep.roots += roots.tidy.len() as u64;
         rep.derived += roots.derivations.len() as u64;
         rep.frames += roots.frames as u64;
-        rep.spliced += roots.frames_spliced as u64;
     }
     phase.set("copy");
     copy(&mut world, my, &mut rep);
@@ -508,7 +500,6 @@ pub(crate) fn run_gc_workers<'vm>(
         stats.roots += r.roots;
         stats.derived_updated += r.derived;
         stats.frames_traced += r.frames;
-        stats.frames_spliced += r.spliced;
         stats.decode_hits += r.decode.hits;
         stats.decode_misses += r.decode.misses;
         stats.decode_ops += r.decode.points_decoded;
@@ -552,7 +543,7 @@ fn steal_copy(
 
     // Forward roots. Worker 0 owns the globals.
     if w == 0 {
-        for g in gather_global_roots_in(&vm.module, vm.globals_start() as i64) {
+        for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
             let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
             if let Some(new) = forward_root_par(gc, &mut local, vm.word(a)) {
                 vm.set_word(a, new);
@@ -634,7 +625,7 @@ pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
             }
         }
     }
-    let globals = gather_global_roots_in(&vm.module, vm.globals_start() as i64);
+    let globals = gather_global_roots(&vm.module, vm.globals_start() as i64);
     let mut cache = locked(&ctx.caches[0]);
     let mut first = true;
     for (tid, slot) in ctx.slots.iter().enumerate() {

@@ -290,17 +290,6 @@ impl StatsReport {
         ))
     }
 
-    /// `--- watermark: S frame(s) spliced of T traced (P% hit rate)`.
-    pub fn add_watermark(&mut self, spliced: u64, traced: u64) -> &mut Self {
-        let pct = if traced == 0 { 0.0 } else { 100.0 * spliced as f64 / traced as f64 };
-        self.put("frames_spliced", spliced);
-        self.put("wm_frames_traced", traced);
-        self.put("splice_ratio", if traced == 0 { 0.0 } else { spliced as f64 / traced as f64 });
-        self.line(format!(
-            "watermark: {spliced} frame(s) spliced of {traced} traced ({pct:.1}% hit rate)"
-        ))
-    }
-
     /// The parallel-runtime section: summary, handshake timing, worker
     /// breakdown, park sites and decode counters from `gc_each`.
     pub fn add_parallel(

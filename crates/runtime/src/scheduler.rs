@@ -15,7 +15,6 @@ use m3gc_vm::machine::{Machine, RunOutcome, ThreadStatus, VmTrap};
 use crate::collector::{self, GcStats};
 use crate::gengc;
 use crate::options::RuntimeOptions;
-use crate::trace::StackWatermarks;
 
 /// What happens when a collection is due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,11 +126,6 @@ pub struct Executor {
     /// load and bound to the machine's module token: across all the
     /// collections of a run, each gc-point's tables decode at most once.
     cache: DecodeCache,
-    /// Per-thread stack watermark caches: minor collections splice the
-    /// unchanged cold suffix of each stack instead of rescanning it.
-    /// Verification (splice vs. full rescan) is armed whenever the
-    /// oracle is.
-    watermarks: StackWatermarks,
     next_forced: Option<u64>,
     /// What threads run on: the native baseline engine under `--jit`,
     /// an engine with no native code (the interpreter) otherwise. The
@@ -168,7 +162,6 @@ impl Executor {
         machine.set_force_gc_after(next_forced);
         let mut cache = DecodeCache::build(&machine.module.gc_maps)?;
         cache.bind_module(machine.module_token());
-        let watermarks = StackWatermarks::new(options.oracle);
         let engine = Box::new(if options.jit {
             let engine = JitEngine::for_machine(&machine);
             machine.set_code_map(engine.code_map());
@@ -176,15 +169,7 @@ impl Executor {
         } else {
             JitEngine::interpreter(Arc::clone(machine.decoded()))
         });
-        Ok(Executor {
-            machine,
-            options,
-            gc_each: Vec::new(),
-            cache,
-            watermarks,
-            next_forced,
-            engine,
-        })
+        Ok(Executor { machine, options, gc_each: Vec::new(), cache, next_forced, engine })
     }
 
     /// A snapshot of the JIT engine's statistics, if `--jit` was set.
@@ -254,16 +239,9 @@ impl Executor {
         }
         let stats = match self.options.gc_mode {
             GcMode::Full if self.machine.is_generational() => {
-                gengc::collect_with(&mut self.machine, &mut self.cache, Some(&mut self.watermarks))
-                    .map_err(ExecError::Trap)?
+                gengc::collect(&mut self.machine, &mut self.cache).map_err(ExecError::Trap)?
             }
-            GcMode::Full => {
-                // Full semispace collections always rescan; keep the
-                // watermark state cold so a later mode switch cannot
-                // splice stale frames.
-                self.watermarks.invalidate_all();
-                collector::collect(&mut self.machine, &mut self.cache)
-            }
+            GcMode::Full => collector::collect(&mut self.machine, &mut self.cache),
             // No flip happens in these modes: pretend a collection
             // happened at the same spot and release the threads by hand.
             GcMode::TraceOnly => {
@@ -346,7 +324,6 @@ impl Executor {
             acc.roots += s.roots;
             acc.derived_updated += s.derived_updated;
             acc.frames_traced += s.frames_traced;
-            acc.frames_spliced += s.frames_spliced;
             acc.decode_hits += s.decode_hits;
             acc.decode_misses += s.decode_misses;
             acc.decode_ops += s.decode_ops;

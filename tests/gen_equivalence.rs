@@ -60,7 +60,7 @@ fn heap_signature(m: &Machine) -> Vec<ObjSig> {
         FieldSig::Ref(idx)
     };
 
-    for r in gather_global_roots(m) {
+    for r in gather_global_roots(&m.module, m.globals_start() as i64) {
         enqueue(read_root_in(m, r), &mut index, &mut order);
     }
 
