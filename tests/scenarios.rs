@@ -474,3 +474,45 @@ fn open_array_lengths_past_u32_trap_out_of_memory() {
         }
     }
 }
+
+/// A self-recursive procedure `depth` calls deep, under the reference.
+fn deep_recursion(depth: i64) -> String {
+    format!(
+        "MODULE Deep;
+         PROCEDURE Down(n: INTEGER): INTEGER =
+         BEGIN
+           IF n = 0 THEN RETURN 0; END;
+           RETURN Down(n - 1) + 1;
+         END Down;
+         BEGIN
+           PutInt(Down({depth}));
+         END Deep."
+    )
+}
+
+/// The reference bounds call depth by its own limit (40 000 frames), not
+/// by the native stack: on a 1 MiB thread a recursion just inside the
+/// limit returns its value and one just past it is `StackOverflow`, which
+/// the differential fuzzer's reference run reports as that trap kind.
+/// Each interpreted call used to cost native stack, and all three runs
+/// aborted the process.
+#[test]
+fn reference_call_depth_is_bounded_by_its_limit_not_the_native_stack() {
+    use m3gc::ir::interp::{run_program, Trap};
+    use m3gc_fuzz::exec::{run_reference, RunStatus, TrapKind};
+    std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(|| {
+            let inside = m3gc::frontend::compile_to_ir(&deep_recursion(39_990)).unwrap();
+            assert_eq!(run_program(&inside).map(|o| o.output), Ok("39990".to_string()));
+            let past = m3gc::frontend::compile_to_ir(&deep_recursion(40_010)).unwrap();
+            assert_eq!(run_program(&past), Err(Trap::StackOverflow));
+            assert_eq!(
+                run_reference(&deep_recursion(40_010)),
+                RunStatus::Trap(TrapKind::StackOverflow)
+            );
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
