@@ -33,9 +33,22 @@
 //! transition; an idle worker spins a bounded number of times, then parks
 //! on the collection's [`CopySync`] until a publish or the end of the
 //! trace wakes it.
+//!
+//! **Solo.** A collection that starts one worker touches no shared
+//! memory per object until that worker wakes somebody, because nobody
+//! else can reach the heap before then. The worker copies *solo*: its
+//! claim is a plain load of the header (no `BUSY` CAS) and its bump an
+//! add to a private to-space frontier (no `fetch_add` on `free`). It
+//! leaves solo in [`WorkerLocal::leave_solo`], storing its frontier into
+//! `free`, right before its first [`GcPool::wake_one`] — the pool mutex
+//! that call releases, and the woken helper acquires before it reads its
+//! mail, orders every solo store before the helper's first claim — or
+//! when its trace ends. The copy body is the same in both modes; only
+//! the claim and the bump differ, and the gray stack keeps its
+//! depth-first order.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use m3gc_vm::machine::GLOBAL_BASE;
@@ -44,8 +57,9 @@ use m3gc_vm::ParMachine;
 use crate::collector::{header_extent, object_extent, Extent};
 use crate::pool::{Backoff, CopySync, GcPool};
 
-/// Relaxed shorthand; cross-thread ordering comes from the handshake
-/// and the forwarding CAS protocol.
+/// Relaxed shorthand; cross-thread ordering comes from the handshake,
+/// the forwarding CAS protocol and, for what a solo worker stored, the
+/// pool mutex of its first wake.
 const R: Ordering = Ordering::Relaxed;
 
 /// Header claim sentinel: a worker that wins the forwarding CAS holds
@@ -81,8 +95,12 @@ pub(crate) struct CachePadded<T>(pub(crate) T);
 /// Shared state of one collection's copy phase.
 pub(crate) struct GcCtx<'vm> {
     pub(crate) vm: &'vm ParMachine,
-    /// To-space copy frontier (fetch-add bump).
+    /// To-space copy frontier (fetch-add bump). A solo worker keeps its
+    /// own and stores it here when it leaves solo.
     pub(crate) free: CachePadded<AtomicI64>,
+    /// Exactly one worker was started with the collection: it copies
+    /// solo until it first wakes a helper (set by [`GcCtx::begin`]).
+    solo: AtomicBool,
     pub(crate) to_end: i64,
     pub(crate) from_start: i64,
     pub(crate) from_end: i64,
@@ -137,16 +155,18 @@ impl<'vm> GcCtx<'vm> {
                 })
                 .collect(),
             outstanding: CachePadded(AtomicUsize::new(0)),
+            solo: AtomicBool::new(false),
             sync: CopySync::new(),
         }
     }
 
     /// Arms the barriers and the termination detector for the `starters`
     /// workers woken with the collection; each counts as busy until its
-    /// own [`trace`] first runs dry.
+    /// own [`trace`] first runs dry. A lone starter copies solo.
     pub(crate) fn begin(&self, starters: usize) {
         self.sync.set_parties(starters);
         self.outstanding.0.store(starters, Ordering::SeqCst);
+        self.solo.store(starters == 1, R);
     }
 
     fn chunk_available(&self) -> bool {
@@ -179,8 +199,12 @@ pub(crate) struct WorkerLocal<'a, 'vm> {
     /// To-space objects copied by this worker and not yet scanned. Plain
     /// memory: nothing here is shared until [`WorkerLocal::publish`].
     gray: Vec<i64>,
+    /// The private to-space frontier while this worker copies solo.
+    solo: Option<i64>,
     pub(crate) objects: u64,
     pub(crate) words: u64,
+    /// The part of `words` copied solo, before the hand-off.
+    pub(crate) solo_words: u64,
     pub(crate) region_objects: u64,
     pub(crate) region_words: u64,
     /// Chunks moved from the private stack to the shared deque.
@@ -192,13 +216,22 @@ pub(crate) struct WorkerLocal<'a, 'vm> {
 }
 
 impl<'a, 'vm> WorkerLocal<'a, 'vm> {
-    pub(crate) fn new(w: usize, pool: &'a GcPool<'vm>) -> WorkerLocal<'a, 'vm> {
+    /// Worker `w`'s copy state; solo if `gc` started it alone.
+    pub(crate) fn new(
+        gc: &GcCtx<'_>,
+        w: usize,
+        pool: &'a GcPool<'vm>,
+        starter: bool,
+    ) -> WorkerLocal<'a, 'vm> {
+        let solo = (starter && gc.solo.load(R)).then(|| gc.free.0.load(R));
         WorkerLocal {
             w,
             pool,
             gray: Vec::with_capacity(GRAY_LIMIT + 1),
+            solo,
             objects: 0,
             words: 0,
+            solo_words: 0,
             region_objects: 0,
             region_words: 0,
             chunks_published: 0,
@@ -231,7 +264,19 @@ impl<'a, 'vm> WorkerLocal<'a, 'vm> {
         }
         self.chunks_published += 1;
         if !gc.sync.wake_parked() && self.pool.has_sleepers() {
+            self.leave_solo(gc);
             self.pool.wake_one();
+        }
+    }
+
+    /// Ends solo copying, if this worker is in it: the private frontier
+    /// becomes the shared one. Called before the first wake (the pool
+    /// mutex then orders every solo store before the helper's first
+    /// read) and at the end of the trace.
+    pub(crate) fn leave_solo(&mut self, gc: &GcCtx<'_>) {
+        if let Some(free) = self.solo.take() {
+            gc.free.0.store(free, R);
+            self.solo_words = self.words;
         }
     }
 
@@ -310,59 +355,69 @@ pub(crate) fn trace(gc: &GcCtx<'_>, local: &mut WorkerLocal<'_, '_>, mut busy: b
     }
 }
 
-/// Forwards one object pointer, copying the object on first claim.
-/// `addr` must point at an object header in the evacuation set. Loser
-/// workers back off (bounded spin, then yield) on the BUSY sentinel until
-/// the winner publishes the forwarding pointer with release ordering.
-/// The claim CAS and the to-space bump are the only shared memory a copy
-/// touches: the new gray object goes on the worker's private stack.
-pub(crate) fn forward_par(gc: &GcCtx<'_>, local: &mut WorkerLocal<'_, '_>, addr: i64) -> i64 {
-    let vm = gc.vm;
+/// Claims the object whose header word is `cell` against the other
+/// workers: returns its header (`>= 0`) once this worker has swapped in
+/// the BUSY sentinel, or the forwarding word (`< 0`) another worker
+/// published. Losers back off (bounded spin, then yield) on BUSY until the
+/// winner publishes the forwarding pointer with release ordering.
+fn claim(gc: &GcCtx<'_>, cell: &AtomicI64) -> i64 {
     let mut backoff = Backoff::default();
     loop {
-        let header = vm.mem[addr as usize].load(Ordering::Acquire);
+        let header = cell.load(Ordering::Acquire);
         if header == BUSY {
             // The claimant may have died mid-copy.
             gc.sync.check();
             backoff.snooze();
             continue;
         }
-        if header < 0 {
-            // Already forwarded: header holds -(new+1).
-            return -(header + 1);
+        if header < 0 || cell.compare_exchange(header, BUSY, Ordering::Acquire, R).is_ok() {
+            return header;
         }
-        if vm.mem[addr as usize]
-            .compare_exchange(header, BUSY, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            continue;
-        }
-        // Claimed: the words are exclusively ours until we publish.
-        let ext = header_extent(&vm.module.types, header, || vm.word(addr + 1));
-        let words = ext.words;
-        let new = gc.free.0.fetch_add(words, R);
-        assert!(new + words <= gc.to_end, "to-space overflow during parallel copy");
-        vm.set_word(new, header);
-        for off in 1..words {
-            vm.set_word(new + off, vm.word(addr + off));
-        }
-        if let Some(sh) = &vm.shadow {
-            sh.copy_words(addr, new, words);
-        }
-        vm.mem[addr as usize].store(-(new + 1), Ordering::Release);
-        if (gc.from_start..gc.from_end).contains(&addr) {
-            local.objects += 1;
-            local.words += words as u64;
-        } else {
-            // The only other evacuation sources are escaped regions.
-            local.region_objects += 1;
-            local.region_words += words as u64;
-        }
-        if ext.pointer_slots(new).next().is_some() {
-            local.push_gray(gc, new);
-        }
-        return new;
     }
+}
+
+/// Forwards one object pointer, copying the object on first claim.
+/// `addr` must point at an object header in the evacuation set. Shared
+/// with other workers, the claim CAS and the to-space bump are the only
+/// shared memory a copy touches; solo, the claim is a plain load and the
+/// bump is private. Either way the new gray object goes on the worker's
+/// private stack.
+pub(crate) fn forward_par(gc: &GcCtx<'_>, local: &mut WorkerLocal<'_, '_>, addr: i64) -> i64 {
+    let vm = gc.vm;
+    let cell = &vm.mem[addr as usize];
+    let header = if local.solo.is_some() { cell.load(R) } else { claim(gc, cell) };
+    if header < 0 {
+        // Already forwarded: header holds -(new+1).
+        return -(header + 1);
+    }
+    // Claimed: the words are exclusively ours until we publish.
+    let ext = header_extent(&vm.module.types, header, || vm.word(addr + 1));
+    let words = ext.words;
+    let new = match &mut local.solo {
+        Some(free) => std::mem::replace(free, *free + words),
+        None => gc.free.0.fetch_add(words, R),
+    };
+    assert!(new + words <= gc.to_end, "to-space overflow during parallel copy");
+    vm.set_word(new, header);
+    for off in 1..words {
+        vm.set_word(new + off, vm.word(addr + off));
+    }
+    if let Some(sh) = &vm.shadow {
+        sh.copy_words(addr, new, words);
+    }
+    cell.store(-(new + 1), Ordering::Release);
+    if (gc.from_start..gc.from_end).contains(&addr) {
+        local.objects += 1;
+        local.words += words as u64;
+    } else {
+        // The only other evacuation sources are escaped regions.
+        local.region_objects += 1;
+        local.region_words += words as u64;
+    }
+    if ext.pointer_slots(new).next().is_some() {
+        local.push_gray(gc, new);
+    }
+    new
 }
 
 /// Forwards a root slot if it still holds a pointer into the evacuation

@@ -32,7 +32,16 @@
 //!    the forwarding pointer appears. A worker whose gray stack outgrows
 //!    a fixed bound publishes its oldest half as one chunk and wakes a
 //!    sleeping helper to steal it; the trace terminates when every woken
-//!    worker is idle and no chunk is outstanding (`evac.rs`).
+//!    worker is idle and no chunk is outstanding (`evac.rs`). A
+//!    collection that starts only the leader (one mutator, or one
+//!    configured worker) has nobody to race, so the leader copies
+//!    *solo*: a plain header load is its claim and a private frontier
+//!    its bump. Solo ends right before the leader's first helper wake,
+//!    when it stores its frontier into the shared one; the pool mutex
+//!    that wake takes orders the helper after every solo store, and
+//!    both then claim by CAS. A collection that never wakes a helper
+//!    (every pause of a narrow heap like destroy's) copies solo
+//!    throughout, and the frontier is stored when the trace ends.
 //! 3. **Release.** After a final barrier each worker re-derives its
 //!    threads' derived values in exactly the reverse order and the
 //!    leader flips the semispaces; the handshake's release wakes the
@@ -105,6 +114,10 @@ pub struct ParGcStats {
     pub steals: Vec<u64>,
     /// Chunks workers published from their private gray stacks.
     pub chunks_published: u64,
+    /// The part of `words_copied` copied solo: by the one worker a
+    /// collection started with, before it first woke a helper (all of
+    /// it if it never did; 0 if the collection started two workers).
+    pub solo_words: u64,
     /// Pool helpers that took part in this cycle: woken with it for a
     /// root partition (or a bitmap share), or later by a published chunk.
     pub helpers_woken: u64,
@@ -321,6 +334,7 @@ pub(crate) struct WorkerReport {
     chunks_published: u64,
     steals: u64,
     idle_parks: u64,
+    solo_words: u64,
 }
 
 /// The frame every stop-the-world copy shares — the §3 bracket around a
@@ -422,7 +436,7 @@ impl GcJob<'_> {
             GcJob::Steal(gc) if !starter => {
                 phase.set("copy");
                 let mut rep = WorkerReport::default();
-                let mut local = WorkerLocal::new(w, &ctx.pool);
+                let mut local = WorkerLocal::new(gc, w, &ctx.pool, false);
                 trace(gc, &mut local, false);
                 rep.record_copy(&local);
                 rep
@@ -505,6 +519,7 @@ pub(crate) fn run_gc_workers<'vm>(
         stats.decode_ops += r.decode.points_decoded;
         stats.chunks_published += r.chunks_published;
         stats.idle_parks += r.idle_parks;
+        stats.solo_words += r.solo_words;
     }
     Ok(stats)
 }
@@ -518,6 +533,7 @@ impl WorkerReport {
         self.chunks_published = local.chunks_published;
         self.steals = local.steals;
         self.idle_parks = local.idle_parks;
+        self.solo_words = local.solo_words;
     }
 }
 
@@ -532,7 +548,7 @@ fn steal_copy(
     rep: &mut WorkerReport,
 ) {
     let vm = gc.vm;
-    let mut local = WorkerLocal::new(w, &ctx.pool);
+    let mut local = WorkerLocal::new(gc, w, &ctx.pool, true);
     // No object moves before every un-derive is done.
     gc.sync.barrier();
     let t_copy = Instant::now();
@@ -573,6 +589,7 @@ fn steal_copy(
     // detector from the collection's start until its own stack first
     // runs dry, so nobody can see "terminated" while roots are pending.
     trace(gc, &mut local, true);
+    local.leave_solo(gc);
     // No re-derive runs before every move is done.
     gc.sync.barrier();
     rep.copy_time = t_copy.elapsed();

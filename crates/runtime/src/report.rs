@@ -339,15 +339,18 @@ impl StatsReport {
         let published: u64 = gc_each.iter().map(|g| g.chunks_published).sum();
         let woken: u64 = gc_each.iter().map(|g| g.helpers_woken).sum();
         let idle_parks: u64 = gc_each.iter().map(|g| g.idle_parks).sum();
+        let solo_words: u64 = gc_each.iter().map(|g| g.solo_words).sum();
         self.line(format!(
             "workers: copied words {per_words:?}, steals {per_steals:?} of {published} chunk(s) \
-             published, {woken} helper wake(s), {idle_parks} idle park(s)"
+             published, {woken} helper wake(s), {idle_parks} idle park(s), {solo_words} \
+             word(s) copied solo"
         ));
         self.put("per_worker_words", per_words);
         self.put("per_worker_steals", per_steals);
         self.put("chunks_published", published);
         self.put("helpers_woken", woken);
         self.put("idle_parks", idle_parks);
+        self.put("solo_words", solo_words);
 
         let polls: u64 = gc_each.iter().map(|g| g.parked_at_polls).sum();
         let allocs: u64 = gc_each.iter().map(|g| g.parked_at_allocs).sum();

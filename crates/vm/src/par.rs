@@ -783,12 +783,15 @@ impl ParMachine {
     }
 
     /// Unchecked word read (collector use; `addr` must be in range).
+    /// Inlined: the copier in `m3gc-runtime` calls it per heap word.
+    #[inline]
     #[must_use]
     pub fn word(&self, addr: i64) -> i64 {
         self.mem[addr as usize].load(R)
     }
 
     /// Unchecked word write (collector use; `addr` must be in range).
+    #[inline]
     pub fn set_word(&self, addr: i64, v: i64) {
         self.mem[addr as usize].store(v, R);
     }

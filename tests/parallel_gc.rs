@@ -13,10 +13,12 @@
 //!   [`ExecError::StuckThread`], never hang — on both the cooperative
 //!   scheduler and the OS-thread parallel runtime.
 //! * The persistent gc-worker pool and the chunked gray hand-off (the
-//!   four `pool_*` cases): any worker count gives the sequential output
+//!   `pool_*` cases): any worker count gives the sequential output
 //!   and copies the same words; a wide heap wakes the helpers and gets
-//!   chunks stolen; a narrow heap wakes nobody; 2 000 collections with
-//!   4 mutators × 4 workers terminate under a watchdog.
+//!   chunks stolen; the lone starter's solo copy hands off to a woken
+//!   helper under the oracle; a narrow heap wakes nobody and copies
+//!   solo throughout; 2 000 collections with 4 mutators × 4 workers
+//!   terminate under a watchdog.
 //! * A panic on a mutator thread, or on one of cms's concurrent gc
 //!   threads, is a structured error under a watchdog — not a process
 //!   abort, not a hang (root twins of the safepoint-protocol unit tests
@@ -386,6 +388,46 @@ fn pool_wide_heap_wakes_the_helper_and_gets_chunks_stolen() {
 }
 
 #[test]
+fn pool_solo_hand_off_under_the_oracle() {
+    // The wide heap with shadow tags and the precision oracle armed. The
+    // one started worker copies solo (plain claims, private frontier)
+    // until its first published chunk wakes the helper; from then on both
+    // claim under the CAS. A solo copy the helper could not see, or a
+    // frontier handed off stale, would diverge or trip the shadow tags.
+    let module = compile(&wide_source(20_000, 100_000), &Options::o2()).expect("compiles");
+    let expected = run_module_with(module.clone(), 200_000, RuntimeOptions::new())
+        .expect("sequential run")
+        .output;
+    let run = |workers: usize| {
+        let module = module.clone();
+        within(120, &format!("solo hand-off, gc_workers = {workers}"), move || {
+            let config = RuntimeOptions::new().gc_workers(workers).oracle(true);
+            run_module_par(module, 200_000, 1, true, config).expect("parallel run")
+        })
+    };
+    let (one, two) = (run(1), run(2));
+    assert_eq!(two.output, expected);
+    let woken: u64 = two.gc_each.iter().map(|gc| gc.helpers_woken).sum();
+    assert!(woken > 0, "solo was never left: no helper woken");
+    for (i, gc) in two.gc_each.iter().enumerate() {
+        // The hand-off comes while the table's 20 000 heads are forwarded.
+        if gc.helpers_woken > 0 {
+            assert!(gc.solo_words < gc.words_copied, "collection {i}: solo ends at the wake");
+        } else {
+            assert_eq!(gc.solo_words, gc.words_copied, "collection {i}: solo throughout");
+        }
+    }
+    for (i, gc) in one.gc_each.iter().enumerate() {
+        assert_eq!(gc.solo_words, gc.words_copied, "collection {i}: one worker is always solo");
+    }
+    assert_eq!(
+        (two.collections, words_copied(&two)),
+        (one.collections, words_copied(&one)),
+        "two workers vs one: same collections, same words"
+    );
+}
+
+#[test]
 fn pool_narrow_heap_wakes_nobody() {
     // A 10 000-cell list: the depth-first trace never holds more than
     // one gray object, so nothing is published and no helper is woken.
@@ -420,6 +462,7 @@ END Narrow.";
     for (i, gc) in out.gc_each.iter().enumerate() {
         assert_eq!(gc.per_worker_words[1..], [0, 0, 0], "collection {i}: helpers copied");
         assert_eq!(gc.per_worker_words[0], gc.words_copied, "collection {i}");
+        assert_eq!(gc.solo_words, gc.words_copied, "collection {i}: the leader copied solo");
         assert_eq!(
             (gc.helpers_woken, gc.chunks_published, gc.idle_parks),
             (0, 0, 0),
