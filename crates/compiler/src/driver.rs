@@ -251,16 +251,11 @@ pub fn serve(
     }
     let module = compile(source, options)?;
     DecodeCache::build(&module.gc_maps)?;
-    let view = m3gc_runtime::ServeConfigView {
-        threads: opts.threads.max(1),
-        green_slots: opts.green_slots,
-        region_words: opts.region_words,
-        quantum: opts.quantum.max(1),
-    };
     let (vm, load_time) = timed(|| opts.build_par_machine(module));
-    let out = ServeExecutor::new(vm, opts, load).run()?;
+    let mut ex = ServeExecutor::new(vm, opts, load);
+    let out = ex.run()?;
     let mut rep = StatsReport::new("serve");
-    rep.add_serve(view, &out.stats);
+    rep.add_serve(ex.config_view(), &out.stats);
     rep.add_load(load_time);
     Ok(rep.to_text())
 }

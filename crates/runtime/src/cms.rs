@@ -47,22 +47,22 @@
 //! mutation tests.
 
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use m3gc_vm::par::CmsHeap;
-use m3gc_vm::{ParMachine, ParWorld};
+use m3gc_vm::{MutatorLocal, ParMachine, ParWorld};
 
 use crate::evac::{extent, CachePadded};
-use crate::parallel::{run_gc_workers, GcJob, ParGcStats, Part, RunCtx, ThreadWorld, WorkerReport};
+use crate::parallel::{
+    forward_roots, run_gc_workers, walk_parked, GcJob, ParGcStats, Part, RunCtx, WorkerReport,
+};
 use crate::pool::CopySync;
 use crate::safepoint::{contain, lead, locked, try_lead, waited, Stopped};
 use crate::scheduler::ExecError;
-use crate::trace::{
-    gather_global_roots, gather_thread_roots, read_root, read_root_in, write_root, RootRef,
-    StackRoots,
-};
+use crate::trace::{gather_global_roots, read_root};
 
 /// Relaxed shorthand; cross-thread ordering comes from the handshake
 /// locks, the marking flag's acquire/release pair and the evacuation
@@ -338,37 +338,24 @@ fn cms_snapshot_pause(
     debug_assert!(gray.is_empty(), "gray residue across cycles");
     debug_assert!(locked(&heap.satb_sink).is_empty(), "satb residue across cycles");
     gray.clear();
-    let mut cache = locked(&ctx.caches[0]);
-    for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
-        let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
-        let v = vm.word(a);
+    let mut seed = |v| {
         if mark_value(heap, from_start, free_now, v) {
             gray.push(v);
         }
+    };
+    for a in gather_global_roots(&vm.module, vm.globals_start() as i64) {
+        seed(vm.word(a));
     }
-    for (tid, slot) in ctx.slots.iter().enumerate() {
-        let slot = locked(slot);
-        let Some(snap) = slot.as_ref() else { continue };
-        let parked = ThreadWorld { vm, tid: tid as u32, snap };
-        let mut roots = StackRoots::default();
-        // The value snapshot: tidy roots only. Derived values point
-        // *into* objects whose base pointers are tidy roots of the same
-        // frame, and marking works on whole objects, so bases cover
-        // them. Nothing moves until the final pause re-walks the stack.
-        gather_thread_roots(
-            &parked,
-            &mut cache,
-            tid as u32,
-            (snap.pc, snap.fp, snap.ap, snap.sp),
-            &mut roots,
-        );
-        for &r in &roots.tidy {
-            let v = read_root_in(&parked, r);
-            if mark_value(heap, from_start, free_now, v) {
-                gray.push(v);
-            }
-        }
-    }
+    // The value snapshot: tidy roots only. Derived values point *into*
+    // objects whose base pointers are tidy roots of the same frame, and
+    // marking works on whole objects, so bases cover them. Nothing moves
+    // until the final pause re-walks the stack.
+    let mut detached = MutatorLocal::default();
+    let world = vm.world(&mut detached);
+    let Ok(()) = walk_parked(ctx, &world, |snap, roots| {
+        roots.tidy.iter().for_each(|&r| seed(read_root(&world, snap, r)));
+        Ok::<_, Infallible>(())
+    });
     run.in_flight.store(gray.len(), Ordering::SeqCst);
     drop(gray);
     heap.snap_free.store(free_now, R);
@@ -487,27 +474,15 @@ pub(crate) fn cms_shadow_verify(ctx: &RunCtx<'_>, heap: &CmsHeap) -> Result<(), 
         stack.push(v);
         Ok(())
     };
-    for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
-        let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
+    for a in gather_global_roots(&vm.module, vm.globals_start() as i64) {
         reach(&mut stack, &mut visited, vm.word(a))?;
     }
-    let mut cache = locked(&ctx.caches[0]);
-    for (tid, slot) in ctx.slots.iter().enumerate() {
-        let slot = locked(slot);
-        let Some(snap) = slot.as_ref() else { continue };
-        let parked = ThreadWorld { vm, tid: tid as u32, snap };
-        let mut roots = StackRoots::default();
-        gather_thread_roots(
-            &parked,
-            &mut cache,
-            tid as u32,
-            (snap.pc, snap.fp, snap.ap, snap.sp),
-            &mut roots,
-        );
-        for &r in &roots.tidy {
-            reach(&mut stack, &mut visited, read_root_in(&parked, r))?;
-        }
-    }
+    let mut detached = MutatorLocal::default();
+    let world = vm.world(&mut detached);
+    walk_parked(ctx, &world, |snap, roots| {
+        let mut tidy = roots.tidy.iter().map(|&r| read_root(&world, snap, r));
+        tidy.try_for_each(|v| reach(&mut stack, &mut visited, v))
+    })?;
     while let Some(addr) = stack.pop() {
         for slot in extent(vm, addr).pointer_slots(addr) {
             reach(&mut stack, &mut visited, vm.word(slot))?;
@@ -612,27 +587,11 @@ pub(crate) fn bitmap_copy(
     }
     gc.sync.barrier();
 
-    // Rewrite my copied objects' pointer fields, my threads' tidy roots,
-    // and (worker 0) the globals through plain forwarding loads.
+    // Rewrite my copied objects' pointer fields, (worker 0) the globals
+    // and my threads' tidy roots through plain forwarding loads.
     copied.iter().copied().for_each(rewrite_fields);
-    if w == 0 {
-        for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
-            let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
-            let v = vm.word(a);
-            if v >= gc.from_start && v < gc.from_used {
-                vm.set_word(a, forwarded(vm, v));
-            }
-        }
-        rep.roots += vm.module.global_ptr_roots.len() as u64;
-    }
-    for (_, snap, roots) in my.iter_mut() {
-        for &r in &roots.tidy {
-            let v = read_root(world, &*snap, r);
-            if v >= gc.from_start && v < gc.from_used {
-                write_root(world, snap, r, forwarded(vm, v));
-            }
-        }
-    }
+    let in_from = |v| (gc.from_start..gc.from_used).contains(&v);
+    forward_roots(world, w, my, rep, |v| in_from(v).then(|| forwarded(vm, v)));
     gc.sync.barrier();
     rep.copy_time = t_copy.elapsed();
 }

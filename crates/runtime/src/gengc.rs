@@ -39,8 +39,8 @@ use m3gc_core::heap::{header_age, header_with_age};
 use m3gc_core::stats::GcKind;
 use m3gc_vm::machine::{Machine, VmTrap};
 
-use crate::collector::{re_derive, record_decode_work, trace_roots, GcStats, SeqHeap};
-use crate::trace::{gather_stack_roots, read_root, write_root};
+use crate::collector::{cheney, re_derive_traced, trace_roots, GcStats, SeqHeap};
+use crate::trace::{read_root, write_root};
 
 /// Picks and runs the appropriate generational collection: minor by
 /// default, escalating to major when the machine requested one (oversized
@@ -151,11 +151,7 @@ pub fn minor_collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     assert!(m.tenured_free() >= m.nursery_used(), "minor collection without promotion headroom");
 
     // --- Locate tables and walk the stacks (the traced part). ---
-    let before = cache.counters();
-    let stack = gather_stack_roots(m, cache);
-    record_decode_work(&mut stats, cache.counters().since(before));
-    let (stack, globals) = trace_roots(m, stack, &mut stats);
-    let trace_end = t0.elapsed();
+    let (stack, globals) = trace_roots(m, cache, &mut stats);
 
     // --- Evacuate the live nursery. ---
     let (young_from_start, _) = m.nursery_from_space();
@@ -220,11 +216,7 @@ pub fn minor_collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
         }
     }
 
-    // Step 2: re-derive from the relocated bases, in reverse order.
-    let t2 = Instant::now();
-    re_derive(&mut m.world, &mut m.threads[..], &stack);
-    let rederive_time = t2.elapsed();
-
+    re_derive_traced(m, &stack, &mut stats);
     m.finish_minor_collection(spaces.young_free, spaces.tenured_free);
     stats.promoted_objects = spaces.promoted_objects;
     stats.promoted_words = spaces.promoted_words;
@@ -232,7 +224,6 @@ pub fn minor_collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     for slot in spaces.still_remembered {
         m.remember_slot(slot);
     }
-    stats.trace_time = trace_end + rederive_time;
     stats.total_time = t0.elapsed();
     stats
 }
@@ -260,57 +251,17 @@ pub fn major_collect(m: &mut Machine, cache: &mut DecodeCache) -> Result<GcStats
     let mut stats = GcStats { kind: GcKind::Major, ..GcStats::default() };
     assert!(m.is_generational(), "major collection on a semispace heap");
 
-    let before = cache.counters();
-    let stack = gather_stack_roots(m, cache);
-    record_decode_work(&mut stats, cache.counters().since(before));
+    let (stack, globals) = trace_roots(m, cache, &mut stats);
     let [young, old] = live_ranges(m);
-    let (stack, globals) = trace_roots(m, stack, &mut stats);
-    let trace_end = t0.elapsed();
-
-    let (to_start, to_end) = m.tenured_to_space();
-    let mut free = to_start;
     let in_from = |v: i64| (young.0..young.1).contains(&v) || (old.0..old.1).contains(&v);
-    // Unlike the semispace collector's forward, evacuation can overflow
-    // (nursery + tenured survivors may exceed one semispace). Ages only
-    // matter inside the nursery; tenured headers stay clean.
-    let forward = |heap: &mut SeqHeap, free: &mut i64, v: i64| {
-        let bump = |header, words| {
-            *free += words;
-            (*free <= to_end).then(|| (*free - words, header_with_age(header, 0)))
-        };
-        heap.move_object(v, bump).ok_or(VmTrap::OutOfMemory)
-    };
-
-    {
-        let Machine { threads, world, .. } = &mut *m;
-        for &r in globals.iter().chain(&stack.tidy) {
-            let v = read_root(world, &threads[..], r);
-            if in_from(v) {
-                let new = forward(&mut SeqHeap::of(world, &mut stats), &mut free, v)?;
-                write_root(world, &mut threads[..], r, new);
-            }
-        }
-        let mut heap = SeqHeap::of(world, &mut stats);
-        let mut scan = to_start;
-        while scan < free {
-            let ext = heap.extent(scan);
-            assert!(ext.header >= 0, "forwarded header in to-space at {scan}");
-            for slot in ext.pointer_slots(scan) {
-                let v = heap.mem[slot as usize];
-                if in_from(v) {
-                    heap.mem[slot as usize] = forward(&mut heap, &mut free, v)?;
-                }
-            }
-            scan += ext.words;
-        }
-    }
-
-    let t2 = Instant::now();
-    re_derive(&mut m.world, &mut m.threads[..], &stack);
-    let rederive_time = t2.elapsed();
-
+    // Unlike a semispace's, this evacuation can overflow (nursery +
+    // tenured survivors may exceed one semispace). Ages only matter
+    // inside the nursery; tenured headers stay clean.
+    let to = m.tenured_to_space();
+    let free = cheney(m, (&stack, &globals), in_from, to, |h| header_with_age(h, 0), &mut stats)
+        .ok_or(VmTrap::OutOfMemory)?;
+    re_derive_traced(m, &stack, &mut stats);
     m.finish_major_collection(free);
-    stats.trace_time = trace_end + rederive_time;
     stats.total_time = t0.elapsed();
     Ok(stats)
 }

@@ -31,11 +31,11 @@
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::heap::header_type_id;
 use m3gc_vm::exec::World;
-use m3gc_vm::machine::Machine;
+use m3gc_vm::machine::{Machine, GLOBAL_BASE};
 use m3gc_vm::shadow::Tag;
 
 use crate::trace::{
-    gather_global_roots, gather_stack_roots, read_root_in, RootRef, RootSource, StackRoots,
+    gather_global_roots, gather_stack_roots, read_root, RegFiles, RootRef, StackRoots,
 };
 
 /// The live (allocated) heap ranges: the from-space prefix for a
@@ -49,63 +49,79 @@ fn live_ranges(m: &Machine) -> [(i64, i64); 2] {
     }
 }
 
-/// The shadow tag a table entry's location currently carries.
-fn root_tag(m: &Machine, r: RootRef) -> Tag {
-    match r {
-        RootRef::Mem(a) => m.mem_tag(a),
-        RootRef::Reg { thread, reg } => m.threads[thread as usize].reg_tags[reg as usize],
-    }
-}
-
 /// Checks that `v` is the address of a live, plausible object.
-fn check_object(src: &impl RootSource, ranges: &[(i64, i64)], v: i64) -> Result<(), String> {
+fn check_object(w: &impl World, ranges: &[(i64, i64)], v: i64) -> Result<(), String> {
     if !ranges.iter().any(|&(s, e)| (s..e).contains(&v)) {
         return Err(format!("value {v} is outside the live heap"));
     }
-    let header = src.mem_word(v);
+    let header = w.word(v);
     if header < 0 {
         return Err(format!("value {v} points at a forwarded header"));
     }
     let tid = header_type_id(header);
-    if tid.0 as usize >= src.module().types.len() {
+    if tid.0 as usize >= w.module().types.len() {
         return Err(format!("value {v} has implausible type id {tid}"));
+    }
+    Ok(())
+}
+
+/// Checks one tidy root `r` holding `v` whose location carries shadow
+/// tag `tag`.
+fn check_tidy(
+    w: &impl World,
+    ranges: &[(i64, i64)],
+    r: RootRef,
+    v: i64,
+    tag: Tag,
+) -> Result<(), String> {
+    if v == 0 {
+        return Ok(()); // NIL
+    }
+    check_object(w, ranges, v).map_err(|e| format!("tidy root {r:?}: {e}"))?;
+    if tag != Tag::Ptr {
+        return Err(format!("tidy root {r:?} = {v} carries shadow tag {tag:?}, expected Ptr"));
+    }
+    Ok(())
+}
+
+/// Validates the global roots of a stopped world (both machines keep
+/// their globals at `GLOBAL_BASE`).
+pub(crate) fn check_globals<W: World>(w: &W, ranges: &[(i64, i64)]) -> Result<(), String> {
+    for a in gather_global_roots(w.module(), GLOBAL_BASE as i64) {
+        check_tidy(w, ranges, RootRef::Mem(a), w.word(a), w.mem_tag(a))?;
     }
     Ok(())
 }
 
 /// The validation core, shared by the single-threaded [`check`] and the
 /// parallel runtime's pre-collection check: confronts already-gathered
-/// roots with the shadow tags `tag_of` reports.
-pub(crate) fn check_entries(
-    src: &impl RootSource,
-    tag_of: impl Fn(RootRef) -> Tag,
+/// stack roots with the shadow tags of their locations — memory tags
+/// through the [`World`], register tags from the `RegFiles`.
+pub(crate) fn check_entries<W: World>(
+    w: &W,
+    cpus: &(impl RegFiles + ?Sized),
     ranges: &[(i64, i64)],
     stack: &StackRoots,
-    globals: &[RootRef],
 ) -> Result<(), String> {
-    for &r in globals.iter().chain(&stack.tidy) {
-        let v = read_root_in(src, r);
-        if v == 0 {
-            continue; // NIL
-        }
-        check_object(src, ranges, v).map_err(|e| format!("tidy root {r:?}: {e}"))?;
-        let tag = tag_of(r);
-        if tag != Tag::Ptr {
-            return Err(format!("tidy root {r:?} = {v} carries shadow tag {tag:?}, expected Ptr"));
-        }
+    let tag_at = |r: RootRef| match r {
+        RootRef::Mem(a) => w.mem_tag(a),
+        RootRef::Reg { thread, reg } => cpus.cpu(thread).reg_tags[reg as usize],
+    };
+    for &r in &stack.tidy {
+        check_tidy(w, ranges, r, read_root(w, cpus, r), tag_at(r))?;
     }
 
     for d in &stack.derivations {
         let mut bases_all_nil = true;
         for &(b, _sign) in &d.bases {
-            let v = read_root_in(src, b);
+            let v = read_root(w, cpus, b);
             if v == 0 {
                 continue;
             }
             bases_all_nil = false;
-            check_object(src, ranges, v)
+            check_object(w, ranges, v)
                 .map_err(|e| format!("derivation base {b:?} (target {:?}): {e}", d.target))?;
-            let tag = tag_of(b);
+            let tag = tag_at(b);
             if tag != Tag::Ptr {
                 return Err(format!(
                     "derivation base {b:?} = {v} carries shadow tag {tag:?}, expected Ptr"
@@ -115,7 +131,7 @@ pub(crate) fn check_entries(
         // `NIL + offset` (the address of a field of a NIL record, pushed
         // as a VAR argument) is an integer to the shadow tracker, and the
         // update leaves it alone: every base contributes 0 both ways.
-        let tag = tag_of(d.target);
+        let tag = tag_at(d.target);
         if !tag.pointerish() && !bases_all_nil {
             return Err(format!(
                 "derivation target {:?} carries shadow tag {tag:?}, expected Ptr/Derived",
@@ -140,7 +156,7 @@ pub(crate) fn check_entries(
 pub fn check(m: &Machine, cache: &mut DecodeCache) -> Result<(), String> {
     assert!(m.shadow_on(), "oracle requires shadow mode");
     let stack = gather_stack_roots(m, cache);
-    let globals = gather_global_roots(&m.module, m.globals_start() as i64);
     let ranges = live_ranges(m);
-    check_entries(m, |r| root_tag(m, r), &ranges, &stack, &globals)
+    check_globals(&m.world, &ranges)?;
+    check_entries(&m.world, &m.threads[..], &ranges, &stack)
 }

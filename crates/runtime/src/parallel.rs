@@ -21,7 +21,7 @@
 //!    per run and parked between collections). Parked threads are dealt
 //!    to workers round-robin and exactly the helpers that were dealt a
 //!    thread are woken; each started worker walks its threads' stacks
-//!    (through the shared [`RootSource`] trace code, against the
+//!    (reading memory through a [`ParWorld`] and registers from the
 //!    deposited snapshots) and un-derives their derived values. After a
 //!    barrier among the started workers, each forwards its threads'
 //!    roots (worker 0 also takes the globals) and traces the object
@@ -67,21 +67,17 @@ use std::time::{Duration, Instant};
 use m3gc_core::decode::{DecodeCache, DecodeCounters, DecoderIndex};
 use m3gc_jit::{JitEngine, JitSummary};
 use m3gc_vm::exec::{Cpu, Step};
-use m3gc_vm::module::VmModule;
 use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
 use crate::cms::{bitmap_copy, CmsGc};
 use crate::collector::{re_derive, un_derive};
 use crate::evac::{forward_root_par, scan_region, trace, GcCtx, WorkerLocal};
 use crate::options::RuntimeOptions;
-use crate::oracle::check_entries;
+use crate::oracle::{check_entries, check_globals};
 use crate::pool::{CopySync, GcPool};
 use crate::safepoint::{locked, park, request_gc, Coord, Stopped};
 use crate::scheduler::ExecError;
-use crate::trace::{
-    gather_global_roots, gather_thread_roots, read_root, write_root, RootRef, RootSource,
-    StackRoots,
-};
+use crate::trace::{gather_global_roots, gather_thread_roots, read_root, write_root, StackRoots};
 
 /// Relaxed shorthand for counters; cross-thread ordering comes from the
 /// handshake mutex/condvar and the forwarding CAS protocol.
@@ -211,33 +207,6 @@ pub struct ParOutcome {
     pub gc_each: Vec<ParGcStats>,
 }
 
-/// A stack-walk view of one parked mutator: shared memory plus its
-/// deposited register snapshot.
-pub(crate) struct ThreadWorld<'a> {
-    pub(crate) vm: &'a ParMachine,
-    pub(crate) tid: u32,
-    pub(crate) snap: &'a Snapshot,
-}
-
-impl RootSource for ThreadWorld<'_> {
-    fn mem_word(&self, addr: i64) -> i64 {
-        self.vm.word(addr)
-    }
-
-    fn reg_word(&self, thread: u32, reg: u8) -> i64 {
-        debug_assert_eq!(thread, self.tid, "stack walk crossed threads");
-        self.snap.regs[reg as usize]
-    }
-
-    fn module(&self) -> &VmModule {
-        &self.vm.module
-    }
-
-    fn resolve_retpc(&self, retpc: i64) -> u32 {
-        self.vm.resolve_retpc(retpc)
-    }
-}
-
 /// An injected fault (unit tests).
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,14 +328,7 @@ fn gc_worker(
     let decode_before = cache.counters();
     let mut rep = WorkerReport::default();
     for (tid, snap, roots) in my.iter_mut() {
-        let parked = ThreadWorld { vm, tid: *tid as u32, snap };
-        gather_thread_roots(
-            &parked,
-            &mut cache,
-            *tid as u32,
-            (snap.pc, snap.fp, snap.ap, snap.sp),
-            roots,
-        );
+        gather_thread_roots(&world, &*snap, &mut cache, *tid as u32, roots);
         un_derive(&mut world, snap, roots);
         rep.roots += roots.tidy.len() as u64;
         rep.derived += roots.derivations.len() as u64;
@@ -537,6 +499,34 @@ impl WorkerReport {
     }
 }
 
+/// Rewrites the roots of worker `w`'s share to `fwd(value)` wherever
+/// that is `Some`: the globals first if `w` is worker 0, which owns them,
+/// then the tidy roots of its parked threads.
+pub(crate) fn forward_roots(
+    world: &mut ParWorld<'_>,
+    w: usize,
+    my: &mut Part,
+    rep: &mut WorkerReport,
+    mut fwd: impl FnMut(i64) -> Option<i64>,
+) {
+    let vm = world.vm;
+    if w == 0 {
+        for a in gather_global_roots(&vm.module, vm.globals_start() as i64) {
+            if let Some(new) = fwd(vm.word(a)) {
+                vm.set_word(a, new);
+            }
+        }
+        rep.roots += vm.module.global_ptr_roots.len() as u64;
+    }
+    for (_, snap, roots) in my.iter_mut() {
+        for &r in &roots.tidy {
+            if let Some(new) = fwd(read_root(world, &*snap, r)) {
+                write_root(world, snap, r, new);
+            }
+        }
+    }
+}
+
 /// The work-stealing copy between the §3 brackets of [`gc_worker`]:
 /// forward roots, trace to the collection-wide fixpoint.
 fn steal_copy(
@@ -547,34 +537,17 @@ fn steal_copy(
     my: &mut Part,
     rep: &mut WorkerReport,
 ) {
-    let vm = gc.vm;
     let mut local = WorkerLocal::new(gc, w, &ctx.pool, true);
     // No object moves before every un-derive is done.
     gc.sync.barrier();
     let t_copy = Instant::now();
     #[cfg(test)]
-    if ctx.fault == Some(Fault::Worker(w, vm.collections.load(R) + 1)) {
+    if ctx.fault == Some(Fault::Worker(w, gc.vm.collections.load(R) + 1)) {
         panic!("injected gc worker fault");
     }
 
-    // Forward roots. Worker 0 owns the globals.
-    if w == 0 {
-        for g in gather_global_roots(&vm.module, vm.globals_start() as i64) {
-            let RootRef::Mem(a) = g else { unreachable!("global root in a register") };
-            if let Some(new) = forward_root_par(gc, &mut local, vm.word(a)) {
-                vm.set_word(a, new);
-            }
-        }
-        rep.roots += vm.module.global_ptr_roots.len() as u64;
-    }
-    for (_, snap, roots) in my.iter_mut() {
-        for &r in &roots.tidy {
-            let v = read_root(world, &*snap, r);
-            if let Some(new) = forward_root_par(gc, &mut local, v) {
-                write_root(world, snap, r, new);
-            }
-        }
-    }
+    // Forward roots, then the regions.
+    forward_roots(world, w, my, rep, |v| forward_root_par(gc, &mut local, v));
     // Live non-escaped regions are extra root sets: their objects stay
     // put, but pointer slots into the evacuation set must be forwarded.
     // Workers pull regions from the shared queue until it is dry.
@@ -623,11 +596,31 @@ pub(crate) fn collect_parallel(
     Ok(stats)
 }
 
-/// The leader's oracle pass: validate every parked thread's decoded
-/// tables against the shadow ground truth, before anything moves.
+/// Walks the stack of every thread parked with a deposited snapshot, in
+/// slot order, with worker 0's decode cache, and hands `f` each snapshot
+/// with its roots; stops at `f`'s first error. The world is stopped.
+pub(crate) fn walk_parked<E>(
+    ctx: &RunCtx<'_>,
+    world: &ParWorld<'_>,
+    mut f: impl FnMut(&Snapshot, &StackRoots) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut cache = locked(&ctx.caches[0]);
+    for (tid, slot) in ctx.slots.iter().enumerate() {
+        let slot = locked(slot);
+        let Some(snap) = slot.as_ref() else { continue };
+        let mut roots = StackRoots::default();
+        gather_thread_roots(world, snap, &mut cache, tid as u32, &mut roots);
+        f(snap, &roots)?;
+    }
+    Ok(())
+}
+
+/// The leader's oracle pass: validate the globals and every parked
+/// thread's decoded tables against the shadow ground truth, before
+/// anything moves.
 pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
     let vm = ctx.vm;
-    let sh = vm.shadow.as_ref().expect("oracle requires shadow mode");
+    assert!(vm.shadow.is_some(), "oracle requires shadow mode");
     let (from_start, _) = vm.from_space();
     // Legal pointer targets: the allocated from-space prefix plus the
     // used prefix of every live or escaped (zombie) region. Anything
@@ -642,30 +635,10 @@ pub(crate) fn par_oracle_check(ctx: &RunCtx<'_>) -> Result<(), String> {
             }
         }
     }
-    let globals = gather_global_roots(&vm.module, vm.globals_start() as i64);
-    let mut cache = locked(&ctx.caches[0]);
-    let mut first = true;
-    for (tid, slot) in ctx.slots.iter().enumerate() {
-        let slot = locked(slot);
-        let Some(snap) = slot.as_ref() else { continue };
-        let world = ThreadWorld { vm, tid: tid as u32, snap };
-        let mut roots = StackRoots::default();
-        gather_thread_roots(
-            &world,
-            &mut cache,
-            tid as u32,
-            (snap.pc, snap.fp, snap.ap, snap.sp),
-            &mut roots,
-        );
-        let tag_of = |r: RootRef| match r {
-            RootRef::Mem(a) => sh.mem_tag(a),
-            RootRef::Reg { reg, .. } => snap.reg_tags[reg as usize],
-        };
-        let g: &[RootRef] = if first { &globals } else { &[] };
-        first = false;
-        check_entries(&world, tag_of, &ranges, &roots, g)?;
-    }
-    Ok(())
+    let mut detached = MutatorLocal::default();
+    let world = vm.world(&mut detached);
+    check_globals(&world, &ranges)?;
+    walk_parked(ctx, &world, |snap, roots| check_entries(&world, snap, &ranges, roots))
 }
 
 /// A parallel run's stopped-world work: decide why, validate the tables,

@@ -854,7 +854,7 @@ mod safepoint_protocol {
 
     use super::{compile, within};
     use crate::options::{GcStrategy, RuntimeOptions};
-    use crate::parallel::RunCtx;
+    use crate::parallel::{par_oracle_check, RunCtx};
     use crate::safepoint::{locked, park, stop_world, try_lead, Cause};
     use crate::scheduler::ExecError;
 
@@ -1080,6 +1080,25 @@ mod safepoint_protocol {
         assert_eq!(led, Err(ExecError::Oracle(what)));
         assert_eq!(ctx.coord.probe(), (0, 1, true));
         assert!(!vm.gc_request.load(Ordering::SeqCst));
+    }
+
+    /// The oracle validates the globals at every pause, also one where
+    /// no thread deposited a snapshot (serve's zombie-reclaim collection
+    /// with no live request is one).
+    #[test]
+    fn the_oracle_checks_globals_when_nothing_is_deposited() {
+        let options =
+            RuntimeOptions::new().strategy(GcStrategy::Parallel).semi_words(1 << 12).oracle(true);
+        let vm = options.build_par_machine(compile(SRC));
+        let ctx = RunCtx::new(&vm, options, 1, 1, None);
+        assert_eq!(par_oracle_check(&ctx), Ok(()));
+        // `n`, the module's one pointer global, now points nowhere.
+        let n = vm.globals_start() as i64 + i64::from(vm.module.global_ptr_roots[0]);
+        vm.set_word(n, 12345);
+        assert_eq!(
+            par_oracle_check(&ctx),
+            Err(format!("tidy root Mem({n}): value 12345 is outside the live heap"))
+        );
     }
 }
 

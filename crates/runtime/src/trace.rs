@@ -11,11 +11,12 @@
 //! ambiguous derivations read their path variable's current value to
 //! select the variant that actually happened (§4).
 //!
-//! The walk itself is expressed over a [`RootSource`] view so that the
-//! same code traces both worlds: the single-threaded [`Machine`] (whose
-//! threads are suspended in place) and the parallel machine of
-//! `crate::parallel` (whose mutators deposit register snapshots when
-//! they park at a safepoint).
+//! Every root is read and written through one seam: memory through the
+//! machine's [`World`], registers through `RegFiles` — the threads of
+//! the single-threaded [`Machine`] (suspended in place), or the [`Cpu`]
+//! a parallel mutator deposited when it parked at a safepoint. The walk,
+//! the precision oracle, the §3 un-derive/re-derive and every copy use
+//! the same `read_root`/`write_root` pair.
 
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::derive::{BaseRef, DerivationRecord, Sign};
@@ -59,54 +60,6 @@ pub struct StackRoots {
     pub derivations: Vec<ResolvedDerivation>,
     /// Number of frames traced (for the §6.3 per-frame cost figures).
     pub frames: usize,
-}
-
-/// A read-only view of one machine world, sufficient for a stack walk:
-/// memory words, register contents, and the loaded module. The stack
-/// walk only ever reads registers of the thread it is walking.
-pub trait RootSource {
-    /// Reads memory word `addr` (must be in range).
-    fn mem_word(&self, addr: i64) -> i64;
-    /// Reads register `reg` of thread `thread`.
-    fn reg_word(&self, thread: u32, reg: u8) -> i64;
-    /// The loaded module.
-    fn module(&self) -> &VmModule;
-    /// Resolves a frame's return linkage word to a bytecode pc. Plain
-    /// interpreter frames store the pc directly; JIT frames store a
-    /// biased native return address that the machine's installed
-    /// [`CodeMap`](m3gc_vm::CodeMap) maps back to the gc-point pc of
-    /// the call. This is the *only* JIT awareness in the collectors:
-    /// once resolved, the pc-keyed tables apply unchanged.
-    fn resolve_retpc(&self, retpc: i64) -> u32 {
-        retpc as u32
-    }
-}
-
-impl RootSource for Machine {
-    fn mem_word(&self, addr: i64) -> i64 {
-        self.mem[addr as usize]
-    }
-
-    fn reg_word(&self, thread: u32, reg: u8) -> i64 {
-        self.threads[thread as usize].regs[reg as usize]
-    }
-
-    fn module(&self) -> &VmModule {
-        &self.module
-    }
-
-    fn resolve_retpc(&self, retpc: i64) -> u32 {
-        self.world.resolve_retpc(retpc)
-    }
-}
-
-/// Reads a [`RootRef`] through a [`RootSource`].
-#[must_use]
-pub fn read_root_in(src: &impl RootSource, r: RootRef) -> i64 {
-    match r {
-        RootRef::Mem(a) => src.mem_word(a),
-        RootRef::Reg { thread, reg } => src.reg_word(thread, reg),
-    }
 }
 
 /// The register files a [`RootRef::Reg`] can name: every thread of a
@@ -176,19 +129,19 @@ fn resolve_location(loc: Location, fp: i64, ap: i64, sp: i64, regs: &RegLocs) ->
 
 /// Decodes one frame's gc-point tables and appends its resolved roots
 /// to `out`.
-fn scan_frame_into(
-    src: &impl RootSource,
+fn scan_frame_into<W: World>(
+    w: &W,
+    cpus: &(impl RegFiles + ?Sized),
     cache: &mut DecodeCache,
-    bytes: &[u8],
     tid: u32,
     (pc, fp, ap, sp): (u32, i64, i64, i64),
     reg_locs: &RegLocs,
     out: &mut StackRoots,
 ) {
-    let point = cache.lookup(bytes, pc).unwrap_or_else(|| {
+    let point = cache.lookup(&w.module().gc_maps.bytes, pc).unwrap_or_else(|| {
         panic!(
             "no gc tables for pc {pc} in `{}` (thread {tid})",
-            src.module().proc_at(pc).map_or("?", |(_, p)| p.name.as_str())
+            w.module().proc_at(pc).map_or("?", |(_, p)| p.name.as_str())
         )
     });
     for entry in &point.stack_slots {
@@ -204,7 +157,7 @@ fn scan_frame_into(
             DerivationRecord::Simple { bases, .. } => bases,
             DerivationRecord::Ambiguous { path_var, variants, .. } => {
                 let pv = resolve_location(*path_var, fp, ap, sp, reg_locs);
-                let which = read_root_in(src, pv);
+                let which = read_root(w, cpus, pv);
                 let idx = usize::try_from(which)
                     .ok()
                     .filter(|i| *i < variants.len())
@@ -220,44 +173,49 @@ fn scan_frame_into(
     }
 }
 
-/// Walks one thread's stack from its suspension point `(pc, fp, ap, sp)`
-/// outward, appending roots to `out`. `cache` must be bound to the same
-/// module.
+/// Walks thread `tid`'s stack outward from its suspension point (the
+/// pc and frame cursor of `cpus.cpu(tid)`), appending roots to `out`.
+/// `cache` must be bound to the same module.
 ///
 /// # Panics
 ///
 /// Panics if a frame's pc has no gc-point tables — that would be a
 /// compiler bug (a collection at a point the compiler did not describe).
-pub fn gather_thread_roots(
-    src: &impl RootSource,
+pub(crate) fn gather_thread_roots<W: World>(
+    w: &W,
+    cpus: &(impl RegFiles + ?Sized),
     cache: &mut DecodeCache,
     tid: u32,
-    (mut pc, mut fp, mut ap, mut sp): (u32, i64, i64, i64),
     out: &mut StackRoots,
 ) {
-    let bytes: &[u8] = &src.module().gc_maps.bytes;
+    let cpu = cpus.cpu(tid);
+    let (mut pc, mut fp, mut ap, mut sp) = (cpu.pc, cpu.fp, cpu.ap, cpu.sp);
     // Register contents start out in the actual machine registers.
     let mut reg_locs: RegLocs = std::array::from_fn(|r| RootRef::Reg { thread: tid, reg: r as u8 });
     loop {
         out.frames += 1;
-        scan_frame_into(src, cache, bytes, tid, (pc, fp, ap, sp), &reg_locs, out);
+        scan_frame_into(w, cpus, cache, tid, (pc, fp, ap, sp), &reg_locs, out);
         // Unwind to the caller: registers saved by this procedure live
         // in its save area, so the caller's view of those registers is
         // those stack slots.
-        let (_, meta) = src.module().proc_at(pc).expect("pc within a procedure");
+        let (_, meta) = w.module().proc_at(pc).expect("pc within a procedure");
         for &(reg, off) in &meta.save_regs {
             reg_locs[reg as usize] = RootRef::Mem(fp + i64::from(off));
         }
-        let retpc = src.mem_word(fp - 3);
+        let retpc = w.word(fp - 3);
         if retpc == RETURN_SENTINEL {
             break;
         }
         // The caller's SP at the time of the call: the arg block plus
         // linkage had been pushed, so its SP was `ap` before pushing.
         sp = ap;
-        let old_fp = src.mem_word(fp - 2);
-        let old_ap = src.mem_word(fp - 1);
-        pc = src.resolve_retpc(retpc);
+        let old_fp = w.word(fp - 2);
+        let old_ap = w.word(fp - 1);
+        // A JIT frame's linkage holds a biased native return token; the
+        // world's code map resolves it to the call's gc-point pc, and the
+        // pc-keyed tables apply unchanged (the collectors' only JIT
+        // awareness).
+        pc = w.resolve_retpc(retpc);
         fp = old_fp;
         ap = old_ap;
     }
@@ -291,18 +249,16 @@ pub fn gather_stack_roots(m: &Machine, cache: &mut DecodeCache) -> StackRoots {
             ThreadStatus::BlockedAtGcPoint,
             "thread {tid} not at a gc-point"
         );
-        gather_thread_roots(m, cache, tid as u32, (t.pc, t.fp, t.ap, t.sp), &mut out);
+        gather_thread_roots(&m.world, &m.threads[..], cache, tid as u32, &mut out);
     }
     out
 }
 
-/// Gathers the global-area roots of a module whose globals start at
-/// `globals_start`.
-#[must_use]
-pub fn gather_global_roots(module: &VmModule, globals_start: i64) -> Vec<RootRef> {
-    module
-        .global_ptr_roots
-        .iter()
-        .map(|&off| RootRef::Mem(globals_start + i64::from(off)))
-        .collect()
+/// The addresses of the global-area roots of a module whose globals
+/// start at `globals_start`.
+pub fn gather_global_roots(
+    module: &VmModule,
+    globals_start: i64,
+) -> impl Iterator<Item = i64> + '_ {
+    module.global_ptr_roots.iter().map(move |&off| globals_start + i64::from(off))
 }

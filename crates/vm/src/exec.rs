@@ -106,8 +106,10 @@ pub struct JitPorts {
     pub words: *mut u64,
 }
 
-/// One thread's view of a machine minus its [`Cpu`]: the write half of
-/// the seam whose read half is the runtime's `RootSource`.
+/// One thread's view of a machine minus its [`Cpu`]. With the threads'
+/// `Cpu`s it is also the runtime's one root seam: every stack walk,
+/// oracle check, derived-value update and copy reads and writes roots
+/// through a `World` (memory) and register files (registers).
 ///
 /// The required methods are the decisions the two machines actually
 /// differ on; the provided ones are the shared behaviour built on them.

@@ -19,7 +19,8 @@
 //!                        default: a quarter semispace)
 //!   --threads N          mutator threads with --gc par (run; default 1);
 //!                        scheduler threads (serve)
-//!   --gc-workers M       gc worker threads with --gc par/cms (run; default 4)
+//!   --gc-workers M       gc worker threads with --gc par/cms (run; default
+//!                        the host's cores, at most 4)
 //!   --conc-workers M     concurrent marker threads with --gc cms (run;
 //!                        default 2)
 //!   --tlab-words N       thread-local allocation buffer size in words

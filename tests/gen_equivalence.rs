@@ -22,7 +22,7 @@ use m3gc::compiler::{compile, Options};
 use m3gc::core::encode::Scheme;
 use m3gc::core::heap::{header_type_id, HeapType};
 use m3gc::runtime::scheduler::Executor;
-use m3gc::runtime::trace::{gather_global_roots, read_root_in};
+use m3gc::runtime::trace::gather_global_roots;
 use m3gc::runtime::RuntimeOptions;
 use m3gc::vm::machine::{HeapStrategy, Machine, MachineLayout};
 use m3gc_testkit::run_cases;
@@ -61,7 +61,7 @@ fn heap_signature(m: &Machine) -> Vec<ObjSig> {
     };
 
     for r in gather_global_roots(&m.module, m.globals_start() as i64) {
-        enqueue(read_root_in(m, r), &mut index, &mut order);
+        enqueue(m.mem[r as usize], &mut index, &mut order);
     }
 
     let mut sig = Vec::new();
