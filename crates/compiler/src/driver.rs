@@ -254,8 +254,10 @@ pub fn serve(
     let (vm, load_time) = timed(|| opts.build_par_machine(module));
     let mut ex = ServeExecutor::new(vm, opts, load);
     let out = ex.run()?;
+    let (view, st) = (ex.config_view(), &out.stats);
     let mut rep = StatsReport::new("serve");
-    rep.add_serve(ex.config_view(), &out.stats);
+    rep.add_serve(view, st);
+    rep.add_tlab(view.tlab_words, st.tlab_refills, st.tlab_allocs, st.tlab_waste_words);
     rep.add_load(load_time);
     Ok(rep.to_text())
 }
@@ -435,7 +437,10 @@ fn parse_all(
                     return Err(DriverError::usage("bad --conc-workers value `0`"));
                 }
             }
-            "--tlab-words" => config.tlab_words = value("--tlab-words", it.next())?,
+            "--tlab-words" => {
+                par_only = par_only.or((!serve).then_some("--tlab-words"));
+                config.tlab_words = value("--tlab-words", it.next())?;
+            }
             "--nursery" => {
                 gen_only = gen_only.or(Some("--nursery"));
                 config.nursery_words = Some(value("--nursery", it.next())?);
@@ -773,10 +778,12 @@ mod tests {
         assert!(parse_options(&["--gc-workers".into(), "zero".into()]).is_err());
         let (_, c) = parse_options(&[]).unwrap();
         assert_eq!(c.tlab_words, DEFAULT_TLAB_WORDS);
-        let (_, c) = parse_options(&["--tlab-words".into(), "8".into()]).unwrap();
+        let (_, c) =
+            parse_options(&["--gc=par".into(), "--tlab-words".into(), "8".into()]).unwrap();
         assert_eq!(c.tlab_words, 8);
         // 0 disables TLABs (shared-frontier CAS per allocation).
-        let (_, c) = parse_options(&["--tlab-words".into(), "0".into()]).unwrap();
+        let (_, c) =
+            parse_options(&["--gc=par".into(), "--tlab-words".into(), "0".into()]).unwrap();
         assert_eq!(c.tlab_words, 0);
         assert!(parse_options(&["--tlab-words".into(), "lots".into()]).is_err());
         assert!(parse_options(&["--tlab-words".into()]).is_err());
@@ -938,12 +945,13 @@ mod tests {
     /// both sides.
     #[test]
     fn contradictory_flags_are_usage_errors() {
-        let cases: [(&[&str], &str, &str); 5] = [
+        let cases: [(&[&str], &str, &str); 6] = [
             (&["--gc=gen", "--conc-workers", "2"], "--conc-workers", "--gc cms"),
             (&["--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc=cms", "--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc", "semispace", "--gc-workers", "8"], "--gc-workers", "--gc par"),
             (&["--gc-workers", "2", "--gc=gen"], "--gc-workers", "--gc par"),
+            (&["--gc", "gen", "--tlab-words", "8"], "--tlab-words", "--gc par"),
         ];
         for (args, flag, needs) in cases {
             let args: Vec<String> = args.iter().map(ToString::to_string).collect();
@@ -1024,5 +1032,6 @@ mod tests {
         assert!(out.contains("regions:"), "{out}");
         assert!(out.contains("latency:"), "{out}");
         assert!(out.contains("pauses:"), "{out}");
+        assert!(out.contains("tlab:"), "{out}");
     }
 }

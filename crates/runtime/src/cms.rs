@@ -60,7 +60,7 @@ use crate::parallel::{
     forward_roots, run_gc_workers, walk_parked, GcJob, ParGcStats, Part, RunCtx, WorkerReport,
 };
 use crate::pool::CopySync;
-use crate::safepoint::{contain, lead, locked, try_lead, waited, Stopped};
+use crate::safepoint::{contain, lead_while, locked, waited, Stopped};
 use crate::scheduler::ExecError;
 use crate::trace::{gather_global_roots, read_root};
 
@@ -286,18 +286,15 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
             run.cv.notify_all();
         }
         // Quiescent with no final pause pending: finish the cycle now,
-        // as its leader. Losing the request CAS means a mutator-led
-        // pause is already under way.
-        if !heap.marking.load(Ordering::Acquire)
-            || run.finish_requested.load(Ordering::Acquire)
-            || ctx.coord.halted()
-            || heap.hold_marking.load(R)
-        {
-            continue;
-        }
-        if try_lead(ctx) {
-            drop(lead(ctx, None, false));
-        }
+        // as its leader, unless a mutator-led final pause closes it
+        // first. A cycle opened after that is the next iteration's.
+        lead_while(ctx, || {
+            heap.marking.load(Ordering::Acquire)
+                && !run.finish_requested.load(Ordering::Acquire)
+                && !ctx.coord.halted()
+                && !heap.hold_marking.load(R)
+                && locked(&run.mx).cycles_started == seen
+        });
     }
 }
 

@@ -70,7 +70,10 @@ pub struct RuntimeOptions {
     pub gc_workers: usize,
     /// Concurrent marking workers ([`GcStrategy::Cms`] only).
     pub conc_workers: usize,
-    /// Words per thread-local allocation buffer (0 disables TLABs).
+    /// Words per thread-local allocation buffer (0 disables TLABs) for
+    /// the parallel machine, serve's region overflow included. Kept as
+    /// an option so one binary can A/B the TLAB against a shared-frontier
+    /// CAS per object (EXPERIMENTS.md A17).
     pub tlab_words: usize,
     /// Words per nursery half (`None` = a quarter semispace), used by
     /// [`GcStrategy::Generational`].
@@ -335,8 +338,8 @@ impl RuntimeOptions {
 
     /// The parallel machine layout these options describe. In
     /// allocation-service mode (`region_words > 0`) the mutator slots
-    /// are the green-request slots and TLABs are disabled — request
-    /// allocation bumps regions instead.
+    /// are the green-request slots; request allocation bumps regions,
+    /// and what overflows a region takes the slot's TLAB.
     #[must_use]
     pub fn par_layout(&self) -> ParLayout {
         let serve = self.region_words > 0;
@@ -344,7 +347,7 @@ impl RuntimeOptions {
             semi_words: self.semi_words,
             stack_words: self.stack_words,
             mutators: if serve { self.green_slots.max(self.threads).max(1) } else { self.threads },
-            tlab_words: if serve { 0 } else { self.tlab_words },
+            tlab_words: self.tlab_words,
             region_words: self.region_words,
         }
     }
@@ -408,12 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_layout_disables_tlabs() {
+    fn serve_layout_keeps_tlabs() {
         let o = RuntimeOptions::new().strategy(GcStrategy::Parallel).threads(2).serve(256, 8);
         let l = o.par_layout();
         assert_eq!(l.mutators, 8, "slots are green requests in serve mode");
         assert_eq!(l.region_words, 256);
-        assert_eq!(l.tlab_words, 0, "regions replace TLABs");
+        assert_eq!(l.tlab_words, DEFAULT_TLAB_WORDS, "region overflow goes through TLABs");
     }
 
     #[test]

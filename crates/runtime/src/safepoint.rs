@@ -428,6 +428,28 @@ pub(crate) fn lead(
     }
 }
 
+/// Leads a pause no thread owes (the cms coordinator closing a traced
+/// cycle) for as long as `wanted()` holds. A lost request CAS waits for
+/// that pause's release and asks again rather than giving up: the pause
+/// under way need not be the one wanted — it may be the snapshot pause
+/// that opened this very cycle, still releasing the world.
+pub(crate) fn lead_while(ctx: &RunCtx<'_>, wanted: impl Fn() -> bool) {
+    loop {
+        let gen = locked(&ctx.coord.state).generation;
+        if !wanted() {
+            return;
+        }
+        if try_lead(ctx) {
+            drop(lead(ctx, None, false));
+            return;
+        }
+        let mut st = locked(&ctx.coord.state);
+        while st.generation == gen && !st.halt {
+            st = waited(&ctx.coord.cv, st);
+        }
+    }
+}
+
 /// A failed allocation: win the request and lead, or join the handshake
 /// another thread is already running. On `Ok(true)` the allocation is
 /// simply retried.

@@ -61,6 +61,9 @@ pub struct ServeConfigView {
     pub green_slots: usize,
     /// Words per request region.
     pub region_words: usize,
+    /// Words per TLAB, which takes what overflows a region (0: a
+    /// shared-frontier CAS per overflowing object).
+    pub tlab_words: usize,
     /// Scheduling quantum in instructions.
     pub quantum: u64,
 }
@@ -120,6 +123,12 @@ pub struct ServeStats {
     /// Deposited request snapshots traced across all collections
     /// (requests parked at safepoints, queued greens included).
     pub parked_at_safepoints: u64,
+    /// TLABs claimed from the shared frontier for region overflow.
+    pub tlab_refills: u64,
+    /// Region-overflow allocations bumped inside a TLAB without a CAS.
+    pub tlab_allocs: u64,
+    /// Retired TLAB tails that could not go back to the frontier.
+    pub tlab_waste_words: u64,
 }
 
 impl ServeStats {
@@ -363,6 +372,7 @@ impl ServeExecutor {
             threads: self.options.threads.max(1),
             green_slots: self.vm.mutators(),
             region_words: self.vm.region_words(),
+            tlab_words: self.options.tlab_words,
             quantum: self.options.quantum.max(1),
         }
     }
@@ -457,6 +467,9 @@ impl ServeExecutor {
             region_words_promoted: gc_each.iter().map(|g| g.region_words_promoted).sum(),
             region_words_reset: gc_each.iter().map(|g| g.region_words_reset).sum(),
             parked_at_safepoints: gc_each.iter().map(|g| g.stacks_traced).sum(),
+            tlab_refills: vm.tlab_refills.load(R),
+            tlab_allocs: vm.tlab_allocs.load(R),
+            tlab_waste_words: vm.tlab_waste_words.load(R),
         };
         Ok(ServeOutcome { stats, outputs: shared.outputs.into_inner().unwrap(), gc_each })
     }

@@ -846,7 +846,7 @@ fn within<T: Send + 'static>(secs: u64, what: &str, run: impl FnOnce() -> T + Se
 /// threads over a real `RunCtx`, the interleavings forced by a barrier
 /// and by waiting on the handshake's own counters.
 mod safepoint_protocol {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Barrier, Mutex};
 
     use m3gc_vm::exec::Step;
@@ -855,7 +855,7 @@ mod safepoint_protocol {
     use super::{compile, within};
     use crate::options::{GcStrategy, RuntimeOptions};
     use crate::parallel::{par_oracle_check, RunCtx};
-    use crate::safepoint::{locked, park, stop_world, try_lead, Cause};
+    use crate::safepoint::{lead_while, locked, park, stop_world, try_lead, Cause};
     use crate::scheduler::ExecError;
 
     const SRC: &str = "MODULE P;
@@ -1028,6 +1028,37 @@ mod safepoint_protocol {
                 });
             }
         }
+    }
+
+    /// A pause no thread owes (the cms coordinator closing a cycle) that
+    /// loses the request CAS to another pause waits out that pause's
+    /// release, asks again whether it is still wanted, and leads it: the
+    /// pause under way need not be the one wanted.
+    #[test]
+    fn a_wanted_pause_outlasts_a_lost_request() {
+        let (vm, options) = machine(1);
+        let ctx = RunCtx::new(&vm, options.gc_workers(1), 1, 0, None);
+        let asked = AtomicUsize::new(0);
+        let wanted = || {
+            asked.fetch_add(1, Ordering::SeqCst);
+            vm.collections.load(Ordering::SeqCst) == 0
+        };
+        assert!(try_lead(&ctx), "another pause holds the request");
+        std::thread::scope(|s| {
+            s.spawn(|| lead_while(&ctx, wanted));
+            // Release the other pause only once the waiting leader has
+            // asked, so its request CAS meets the held request.
+            let other = stop_world(&ctx, None, false, |_| {
+                while asked.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                Ok(())
+            });
+            assert_eq!(other, Ok(true));
+        });
+        assert_eq!(vm.collections.load(Ordering::SeqCst), 1, "the wanted pause ran once");
+        assert!(asked.load(Ordering::SeqCst) >= 2, "asked again after the release");
+        assert!(!vm.gc_request.load(Ordering::SeqCst), "request left pending");
     }
 
     /// The collection-cause policy, on one thread that leads every pause

@@ -116,8 +116,8 @@ pub struct ParLayout {
     /// Words per thread-local allocation buffer. Each mutator claims a
     /// buffer of this size from the shared frontier with one CAS, then
     /// bump-allocates privately inside it. `0` disables TLABs: every
-    /// allocation CASes the shared frontier directly (the contended
-    /// baseline the `allocfast` bench measures against).
+    /// allocation outside a region CASes the shared frontier directly
+    /// (the contended baseline; EXPERIMENTS.md A17 measures it).
     pub tlab_words: usize,
     /// Words per per-request region. `0` (the default) disables regions.
     /// Nonzero puts the machine in allocation-service mode: each mutator
@@ -125,7 +125,8 @@ pub struct ParLayout {
     /// inside it, and the interpreter watches every `St`/`StB`/`StG` for
     /// stores that leak a region pointer outside its region (see
     /// [`ParMachine::is_region_escaped`]). Regions are reclaimed in O(1)
-    /// at request exit unless they escaped.
+    /// at request exit unless they escaped. An object that overflows its
+    /// region goes through the slot's TLAB like any shared allocation.
     pub region_words: usize,
 }
 
@@ -897,14 +898,18 @@ impl ParMachine {
     }
 
     /// Retires `mu`'s TLAB (if any) and flushes its allocation stats.
-    /// The unused tail is zeroed and accounted as waste so the shared
-    /// frontier is exact again: gc workers and the collection leader see
-    /// no words in limbo. Must be called before the mutator parks at a
-    /// safepoint or exits; after a collection the old buffer would lie
-    /// in dead space, so parking without retiring would be unsound.
+    /// A buffer that is still the newest claim (`free == tlab_limit`:
+    /// nothing above it was claimed) hands its unused tail back to the
+    /// frontier; those words were never handed out, and `try_alloc`
+    /// zeroes whatever it hands out. Otherwise the tail is zeroed and
+    /// accounted as waste. Either way the shared frontier is exact
+    /// again: gc workers and the collection leader see no words in
+    /// limbo. Must be called before the mutator parks at a safepoint or
+    /// exits; after a collection the old buffer would lie in dead space,
+    /// so parking without retiring would be unsound.
     pub fn retire_tlab(&self, mu: &mut MutatorLocal) {
         let waste = mu.tlab_limit - mu.tlab_ptr;
-        if waste > 0 {
+        if waste > 0 && self.free.compare_exchange(mu.tlab_limit, mu.tlab_ptr, R, R).is_err() {
             self.zero_words(mu.tlab_ptr, waste);
             if let Some(sh) = &self.shadow {
                 sh.clear_range(mu.tlab_ptr, waste);
@@ -953,9 +958,9 @@ impl ParMachine {
         }
     }
 
-    /// Allocation: TLAB bump fast path, one-CAS refill slow path,
-    /// direct shared CAS for oversized objects; `Ok(None)` means "needs
-    /// gc".
+    /// Allocation: region bump in serve mode, else TLAB bump fast path,
+    /// one-CAS refill slow path, direct shared CAS for oversized
+    /// objects; `Ok(None)` means "needs gc".
     pub fn try_alloc(
         &self,
         mu: &mut MutatorLocal,
@@ -983,24 +988,16 @@ impl ParMachine {
         if words > self.layout.semi_words as i64 {
             return Err(VmTrap::OutOfMemory);
         }
-        let addr = if self.layout.region_words > 0 && self.region_live[mu.tid].load(R) {
-            // Allocation-service mode: request-local bump into the
-            // slot's region, no shared traffic. Objects that would
-            // overflow the region fall back to the shared frontier and
-            // are traced like any shared allocation.
-            let (_, limit) = self.region_bounds(mu.tid);
-            let ptr = self.region_ptrs[mu.tid].load(R);
-            if ptr + words <= limit {
-                self.region_ptrs[mu.tid].store(ptr + words, R);
-                mu.pending_region_allocs += 1;
-                mu.pending_region_words += words as u64;
-                ptr
-            } else {
-                match self.cas_claim(words) {
-                    Some(a) => a,
-                    None => return Ok(None),
-                }
-            }
+        // Allocation-service mode: request-local bump into the slot's
+        // region, no shared traffic. An object that would overflow the
+        // region is a shared allocation like any other, TLAB first.
+        let region = self.layout.region_words > 0 && self.region_live[mu.tid].load(R);
+        let ptr = if region { self.region_ptrs[mu.tid].load(R) } else { 0 };
+        let addr = if region && ptr + words <= self.region_bounds(mu.tid).1 {
+            self.region_ptrs[mu.tid].store(ptr + words, R);
+            mu.pending_region_allocs += 1;
+            mu.pending_region_words += words as u64;
+            ptr
         } else if mu.tlab_ptr + words <= mu.tlab_limit {
             // Fast path: private bump inside the TLAB, no shared traffic.
             let a = mu.tlab_ptr;

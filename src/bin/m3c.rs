@@ -24,7 +24,8 @@
 //!   --conc-workers M     concurrent marker threads with --gc cms (run;
 //!                        default 2)
 //!   --tlab-words N       thread-local allocation buffer size in words
-//!                        with --gc par; 0 disables TLABs (run; default 1024)
+//!                        with --gc par/cms (run) and for what overflows a
+//!                        region (serve); 0 disables TLABs (default 1024)
 //!   --torture            collect at every allocation (run, serve)
 //!   --jit                baseline-compile procedures to native x86-64 at
 //!                        load time (run; unsupported hosts or procedures

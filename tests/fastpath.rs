@@ -3,8 +3,10 @@
 //! * TLAB protocol invariants, driven directly against [`ParMachine`]:
 //!   refills land exactly at the buffer boundary (an aligned buffer
 //!   retires with zero waste), oversized objects bypass the buffer
-//!   without disturbing it, and retirement accounts for every word the
-//!   shared frontier has moved past — no dead words go missing.
+//!   without disturbing it, a buffer that is still the newest claim
+//!   hands its tail back to the frontier, and retirement accounts for
+//!   every word the shared frontier has moved past — no dead words go
+//!   missing.
 //! * Deep stacks stay sound across collector transitions: a generational
 //!   run that escalates minor → major walks a 60-frame recursion with
 //!   the precision oracle armed and still produces semispace-identical
@@ -123,20 +125,50 @@ fn oversized_allocation_bypasses_the_tlab() {
 }
 
 #[test]
-fn retire_accounts_for_every_frontier_word() {
+fn retiring_the_newest_buffer_hands_its_tail_back() {
     let vm = tiny_par_machine(256, 16);
     let main = vm.module.main;
     let mut mu = vm.spawn_mutator(0, main, &[]);
     let ty = record4_type(&vm);
     let (from_start, _) = vm.from_space();
 
-    // Three 4-word records leave a 4-word tail in the 16-word buffer.
+    // Three 4-word records leave a 4-word tail in the 16-word buffer,
+    // and nothing was claimed above it.
     for _ in 0..3 {
         vm.try_alloc(&mut mu, ty, 0).expect("no trap").expect("fits");
     }
+    let tail = mu.tlab_ptr;
+    assert_eq!((tail, vm.free.load(REL)), (from_start + 12, mu.tlab_limit));
+    vm.retire_tlab(&mut mu);
+    assert_eq!(vm.free.load(REL), tail, "the unused tail goes back to the frontier");
+    assert_eq!(vm.tlab_waste_words.load(REL), 0, "a handed-back tail is not waste");
+    assert_eq!((mu.tlab_ptr, mu.tlab_limit), (0, 0));
+    // The next buffer starts where the last object ended.
+    let next = vm.try_alloc(&mut mu, ty, 0).expect("no trap").expect("fits");
+    assert_eq!(next, tail);
+    assert_eq!(vm.free.load(REL), tail + 16);
+}
+
+#[test]
+fn retire_accounts_for_every_frontier_word() {
+    let vm = tiny_par_machine(256, 16);
+    let main = vm.module.main;
+    let mut mu = vm.spawn_mutator(0, main, &[]);
+    let ty = record4_type(&vm);
+    let arr = int_array_type(&vm);
+    let (from_start, _) = vm.from_space();
+
+    // Three 4-word records leave a 4-word tail in the 16-word buffer;
+    // an oversized 2+30-word array then claims directly from the
+    // frontier above it, so the buffer is no longer the newest claim
+    // and its tail cannot go back.
+    for _ in 0..3 {
+        vm.try_alloc(&mut mu, ty, 0).expect("no trap").expect("fits");
+    }
+    vm.try_alloc(&mut mu, arr, 30).expect("no trap").expect("fits");
     vm.retire_tlab(&mut mu);
     assert_eq!(vm.tlab_waste_words.load(REL), 4, "the partial tail is accounted as waste");
-    assert_eq!(vm.words_allocated.load(REL), 12);
+    assert_eq!(vm.words_allocated.load(REL), 12 + 32);
     // Every word the shared frontier moved past is either an allocated
     // object or recorded waste — nothing leaks.
     let moved = (vm.free.load(REL) - from_start) as u64;

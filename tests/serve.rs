@@ -186,3 +186,48 @@ fn mostly_local_load_reclaims_ninety_percent_by_region_reset() {
         s.region_alloc_words
     );
 }
+
+/// Every request allocates three times its region: the overflow is a
+/// shared allocation, bumped inside the slot's TLAB rather than CASed
+/// onto the shared frontier object by object. Under torture and the
+/// oracle on two threads the live overflow lists survive every
+/// collection; on one thread each retiring buffer is still the newest
+/// claim, so every unused tail goes back to the frontier.
+#[test]
+fn region_overflow_allocates_through_the_tlab() {
+    let src = "MODULE Over;
+        TYPE Node = REF RECORD v: INTEGER; next: Node END;
+        PROCEDURE Handle(id: INTEGER) =
+        VAR l: Node; i, s: INTEGER;
+        BEGIN
+          l := NIL;
+          FOR i := 1 TO 64 DO
+            WITH c = NEW(Node) DO c.v := id + i; c.next := l; l := c; END;
+          END;
+          s := 0;
+          WHILE l # NIL DO s := s + l.v; l := l.next; END;
+          PutInt(s);
+        END Handle;
+        BEGIN PutInt(0); END Over.";
+    let requests = 24;
+    let opts = RuntimeOptions::new().semi_words(1 << 14).serve(64, 8).gc_workers(2).oracle(true);
+    let two = serve(src, opts.threads(2).torture(true), requests, 8);
+    // 64 three-word nodes summing to 64 * id + 1 + 2 + … + 64.
+    for (id, reply) in two.outputs.iter().enumerate() {
+        assert_eq!(*reply, (64 * id + 2080).to_string(), "request {id}");
+    }
+    let s = &two.stats;
+    assert_eq!(s.requests, requests);
+    assert!(s.tlab_refills > 0, "region overflow must refill TLABs");
+    assert!(
+        s.region_alloc_words < s.words_allocated,
+        "the overflow must leave the region: {} of {} word(s) in regions",
+        s.region_alloc_words,
+        s.words_allocated
+    );
+
+    let one = serve(src, opts.threads(1), requests, 8);
+    assert_eq!(one.outputs, two.outputs);
+    assert!(one.stats.tlab_refills > 0);
+    assert_eq!(one.stats.tlab_waste_words, 0, "one thread: every retired tail goes back");
+}
