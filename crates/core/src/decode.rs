@@ -24,6 +24,7 @@ use crate::derive::{DerivationRecord, Sign};
 use crate::encode::{descriptor, EncodedTables, Scheme, TableLayout};
 use crate::layout::{GroundEntry, Location, RegSet};
 use crate::pack;
+use crate::tables::ModuleTables;
 
 /// The fully resolved tables for one gc-point, as the collector consumes
 /// them.
@@ -44,13 +45,20 @@ pub struct DecodedPoint {
 pub struct DecodeError {
     /// Byte offset of the failure.
     pub offset: usize,
+    /// The gc-point whose tables hold the bad byte, when the failure is
+    /// inside one (headers, ground tables and pc maps belong to none).
+    pub pc: Option<u32>,
     /// Human-readable description.
     pub what: &'static str,
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "gc-table decode error at byte {}: {}", self.offset, self.what)
+        write!(f, "gc-table decode error at byte {}", self.offset)?;
+        if let Some(pc) = self.pc {
+            write!(f, " (gc-point pc {pc})")?;
+        }
+        write!(f, ": {}", self.what)
     }
 }
 
@@ -64,7 +72,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn err(&self, what: &'static str) -> DecodeError {
-        DecodeError { offset: self.pos, what }
+        DecodeError { offset: self.pos, pc: None, what }
     }
 
     fn word(&mut self) -> Result<i32, DecodeError> {
@@ -237,8 +245,9 @@ impl DecoderIndex {
             let mut prev = DecodedPoint::default();
             let idx = procs.last().expect("just pushed");
             let ground = Self::read_ground(scheme, &encoded.bytes, idx)?;
-            for _ in 0..n_points {
-                prev = Self::read_point(scheme, &mut r, &ground, &prev)?;
+            for &pc in &idx.pcs {
+                prev = Self::read_point(scheme, &mut r, &ground, &prev)
+                    .map_err(|e| DecodeError { pc: Some(pc), ..e })?;
             }
         }
         point_index.sort_unstable();
@@ -640,6 +649,69 @@ impl DecodeCache {
     }
 }
 
+/// Proves `encoded` a lossless encoding of `tables`, the way a collector
+/// reads it: a [`DecodeCache`] is built from the bytes (so a malformed
+/// byte is a [`DecodeError`]), every gc-point pc of `tables` is looked up
+/// in an order shuffled by `order_seed` (so misses resume from prefix
+/// checkpoints at varied depths), each decoded point must equal the
+/// logical one, and the pc map may hold no pc that `tables` lacks.
+///
+/// # Errors
+///
+/// Returns the first difference, naming the scheme and the gc-point pc.
+pub fn check_lossless(
+    tables: &ModuleTables,
+    encoded: &EncodedTables,
+    order_seed: u64,
+) -> Result<(), String> {
+    let scheme = encoded.scheme;
+    let mut cache = DecodeCache::build(encoded).map_err(|e| format!("{scheme}: {e}"))?;
+    let mut order: Vec<(usize, usize)> = tables
+        .procs
+        .iter()
+        .enumerate()
+        .flat_map(|(p, proc)| (0..proc.points.len()).map(move |i| (p, i)))
+        .collect();
+    // Fisher–Yates over a SplitMix64 stream.
+    let mut state = order_seed;
+    for k in (1..order.len()).rev() {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        order.swap(k, ((z ^ (z >> 31)) % (k as u64 + 1)) as usize);
+    }
+    for &(p, i) in &order {
+        let proc = &tables.procs[p];
+        let point = &proc.points[i];
+        let pc = point.pc;
+        let want = DecodedPoint {
+            pc,
+            stack_slots: proc.live_slots(i),
+            regs: point.regs,
+            derivations: point.derivations.clone(),
+        };
+        match cache.lookup(&encoded.bytes, pc) {
+            None => return Err(format!("{scheme}: pc {pc}: gc-point missing from the pc map")),
+            Some(got) if *got != want => {
+                return Err(format!("{scheme}: pc {pc}: decodes as {got:?}, tables say {want:?}"));
+            }
+            Some(_) => {}
+        }
+    }
+    if cache.index().gc_point_pcs().count() != order.len() {
+        let mut known: Vec<u32> =
+            tables.procs.iter().flat_map(|p| p.points.iter().map(|pt| pt.pc)).collect();
+        known.sort_unstable();
+        let extra = cache.index().gc_point_pcs().find(|pc| known.binary_search(pc).is_err());
+        return Err(match extra {
+            Some(pc) => format!("{scheme}: pc {pc}: in the pc map but not in the tables"),
+            None => format!("{scheme}: the pc map lists a gc-point pc twice"),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -705,15 +777,9 @@ mod tests {
     fn expect_roundtrip(scheme: Scheme) {
         let m = sample_module();
         let enc = encode_module(&m, scheme);
-        let dec = TableDecoder::build(&enc).unwrap();
-        assert_eq!(dec.num_procs(), 2);
-        for proc in &m.procs {
-            for (i, pt) in proc.points.iter().enumerate() {
-                let d = dec.lookup(pt.pc).unwrap_or_else(|| panic!("{scheme}: pc {}", pt.pc));
-                assert_eq!(d.stack_slots, proc.live_slots(i), "{scheme} stack at pc {}", pt.pc);
-                assert_eq!(d.regs, pt.regs, "{scheme} regs at pc {}", pt.pc);
-                assert_eq!(d.derivations, pt.derivations, "{scheme} derivs at pc {}", pt.pc);
-            }
+        assert_eq!(TableDecoder::build(&enc).unwrap().num_procs(), 2);
+        for order_seed in 0..4 {
+            check_lossless(&m, &enc, order_seed).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
@@ -791,8 +857,29 @@ mod tests {
                 bad.bytes[at] |= 1 << bit;
                 let err = TableDecoder::build(&bad).err().expect("unassigned bit must not decode");
                 assert_eq!(err.what, "unassigned descriptor bit set", "{scheme} bit {bit}");
+                assert_eq!(err.pc, Some(4), "{scheme} bit {bit}");
                 assert!(DecodeCache::build(&bad).is_err(), "{scheme} bit {bit}");
+                assert_eq!(check_lossless(&one_point, &bad, 0), Err(format!("{scheme}: {err}")));
             }
+        }
+    }
+
+    /// Tables that lose a register root, or a whole gc-point, no longer
+    /// match their encoding: the check names the scheme and the pc.
+    #[test]
+    fn check_lossless_names_the_scheme_and_pc_of_a_difference() {
+        for scheme in Scheme::TABLE2 {
+            let enc = encode_module(&sample_module(), scheme);
+            let mut dropped_reg = sample_module();
+            dropped_reg.procs[0].points[1].regs = RegSet::EMPTY;
+            let err = check_lossless(&dropped_reg, &enc, 7).unwrap_err();
+            assert!(err.starts_with(&format!("{scheme}: pc 14: decodes as ")), "{err}");
+            let mut dropped_point = sample_module();
+            dropped_point.procs[1].points.clear();
+            assert_eq!(
+                check_lossless(&dropped_point, &enc, 7),
+                Err(format!("{scheme}: pc 108: in the pc map but not in the tables"))
+            );
         }
     }
 

@@ -6,17 +6,24 @@
 //! silently. This crate checks it from two independent directions:
 //!
 //! 1. **Differential execution** ([`exec`]): seeded random programs
-//!    ([`gen`]) run through the reference interpreter and the full VM
-//!    matrix ({o0, o2} × six table encodings × two collectors) under gc
-//!    torture; outputs and traps must agree everywhere.
+//!    ([`gen`]) are compiled once at o0 and once at o2, and run through
+//!    the reference interpreter and the VM matrix ({o0, o2} × two
+//!    collectors on a table encoding rotated by the case seed, JIT twins,
+//!    the parallel and concurrent collectors, serve) under gc torture;
+//!    outputs and traps must agree everywhere.
 //! 2. **The precision oracle**: every VM run executes in shadow mode
 //!    (`m3gc_vm::shadow`), so missed pointers surface as stale-pointer
 //!    traps and lying table entries are caught by the runtime oracle
 //!    (`m3gc_runtime::oracle`) at each collection.
 //!
+//! Beside both, every case proves its two modules' tables lossless under
+//! all six encodings without running them
+//! (`m3gc_core::decode::check_lossless`).
+//!
 //! Failures report the reproducing case seed (re-run with
-//! `m3c fuzz --seed <s> --iters 1`) and, with shrinking enabled,
-//! a 1-minimal failing program ([`shrink`]).
+//! `m3c fuzz --seed <s> --iters 1`; the seed also fixes the rotated
+//! encodings) and, with shrinking enabled, a 1-minimal program that
+//! still fails first in the same configuration ([`shrink`]).
 
 pub mod exec;
 pub mod gen;
@@ -96,12 +103,14 @@ pub fn run_campaign(
         let case_seed = opts.seed.wrapping_add(iteration);
         let module = gen::generate(case_seed);
         let program = render_module(&module);
-        match exec::check_program(&program) {
+        match exec::check_program(&program, case_seed) {
             Ok(true) => summary.checked += 1,
             Ok(false) => summary.skipped += 1,
             Err(detail) => {
                 let minimized = if opts.shrink {
-                    let min = shrink::shrink(&module, |src| exec::check_program(src).is_err());
+                    let min = shrink::shrink(&module, |src| {
+                        exec::same_failure(&detail, &exec::check_program(src, case_seed))
+                    });
                     (min != program).then_some(min)
                 } else {
                     None

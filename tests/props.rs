@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use m3gc::core::decode::{DecodeCache, TableDecoder};
+use m3gc::core::decode::{check_lossless, DecodeCache, TableDecoder};
 use m3gc::core::derive::{DerivationRecord, Sign};
 use m3gc::core::encode::{encode_module, Scheme};
 use m3gc::core::layout::{BaseReg, GroundEntry, Location, RegSet, NUM_HARD_REGS};
@@ -157,15 +157,7 @@ fn schemes_are_lossless() {
         assert_eq!(module.validate(), Ok(()));
         for scheme in Scheme::TABLE2 {
             let encoded = encode_module(&module, scheme);
-            let decoder = TableDecoder::build(&encoded).unwrap();
-            for proc in &module.procs {
-                for (i, pt) in proc.points.iter().enumerate() {
-                    let d = decoder.lookup(pt.pc).unwrap();
-                    assert_eq!(d.stack_slots, proc.live_slots(i), "{scheme} stack");
-                    assert_eq!(d.regs, pt.regs, "{scheme} regs");
-                    assert_eq!(d.derivations, pt.derivations, "{scheme} derivs");
-                }
-            }
+            check_lossless(&module, &encoded, rng.next_u64()).unwrap_or_else(|e| panic!("{e}"));
         }
     });
 }
