@@ -138,6 +138,18 @@ impl<'a> FnEmit<'a> {
         e
     }
 
+    /// The pc of an allocation or poll about to be emitted. A call's
+    /// table is keyed by its return address; where that would be this
+    /// pc too (a call falling through into a block that starts with an
+    /// allocation or a poll), one pad instruction gives the park site a
+    /// key of its own, since one table cannot describe both points.
+    fn park_site_pc(&self, asm: &mut Assembler) -> u32 {
+        if self.points.last().is_some_and(|last| last.pc == asm.here()) {
+            asm.emit(&Vm::Mov { dst: 0, src: 0 });
+        }
+        asm.here()
+    }
+
     fn add_ground(&mut self, entry: GroundEntry) -> u32 {
         if let Some(i) = self.ground.iter().position(|&g| g == entry) {
             return i as u32;
@@ -217,15 +229,10 @@ impl<'a> FnEmit<'a> {
         extra_targets: &[(Location, Temp)],
         byref_passthrough: &[(Location, Temp)],
     ) {
-        if let Some(last) = self.points.last() {
-            if last.pc == pc {
-                // Two gc-points at the same program point (e.g. a call
-                // immediately followed by an allocation): one table
-                // suffices, and the first (the call's, which includes the
-                // pushed-argument derivations) is the superset.
-                return;
-            }
-        }
+        debug_assert!(
+            self.points.last().is_none_or(|last| last.pc < pc),
+            "two gc-points at pc {pc}"
+        );
         for t in extra_live {
             live.insert(t.index());
         }
@@ -297,7 +304,6 @@ fn emit_function(
     global_offsets: &[u32],
     allocating: &[bool],
     options: &CodegenOptions,
-    poll_pcs: &mut Vec<u32>,
 ) -> (ProcMeta, ProcTables) {
     let alloc = regalloc::allocate(f, deriv);
     let frame = Frame::layout(f, &alloc);
@@ -586,7 +592,7 @@ fn emit_function(
                         }
                         let mut uses = Vec::new();
                         ins.uses(&mut uses);
-                        let alloc_pc = asm.here();
+                        let alloc_pc = em.park_site_pc(asm);
                         em.record_gc_point(alloc_pc, before, &uses, &[]);
                     }
                     let rd = def_reg!(*dst);
@@ -598,14 +604,9 @@ fn emit_function(
                 }
                 Ir::GcPoint => {
                     if emit_tables {
-                        let pc = asm.here();
+                        let pc = em.park_site_pc(asm);
                         let before = after[i].take().expect("live set at a poll");
                         em.record_gc_point(pc, before, &[], &[]);
-                        // Flag the explicit poll site: the parallel
-                        // runtime's safepoint handshake relies on these
-                        // (loop back-edges) to bound how far a mutator
-                        // can run before noticing a collection request.
-                        poll_pcs.push(pc);
                     }
                     asm.emit(&Vm::GcPoint);
                 }
@@ -722,7 +723,6 @@ pub(crate) fn compile(prog: &mut Program, options: &CodegenOptions) -> VmModule 
     let mut asm = Assembler::new();
     let mut procs = Vec::new();
     let mut tables = ModuleTables::default();
-    let mut poll_pcs = Vec::new();
     for (i, f) in prog.funcs.iter().enumerate() {
         let (meta, pt) = emit_function(
             &mut asm,
@@ -731,7 +731,6 @@ pub(crate) fn compile(prog: &mut Program, options: &CodegenOptions) -> VmModule 
             &global_offsets,
             &allocating,
             options,
-            &mut poll_pcs,
         );
         procs.push(meta);
         if options.gc.emit_tables {
@@ -748,7 +747,6 @@ pub(crate) fn compile(prog: &mut Program, options: &CodegenOptions) -> VmModule 
         globals_words: prog.globals_words(),
         global_ptr_roots: prog.global_ptr_roots(),
         main: prog.main.0 as u16,
-        poll_pcs,
         gc_maps,
         logical_maps: tables,
     }

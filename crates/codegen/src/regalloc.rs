@@ -7,7 +7,6 @@
 //! suspended frame from callee save areas (§3): caller-save registers
 //! never carry gc-relevant values across a call.
 
-use m3gc_ir::bitset::BitSet;
 use m3gc_ir::cfg;
 use m3gc_ir::deriv::DerivAnalysis;
 use m3gc_ir::liveness::{liveness, Liveness};
@@ -240,16 +239,6 @@ pub fn allocate(f: &Function, deriv: Option<&DerivAnalysis>) -> Allocation {
     used_callee_saves.sort_unstable();
     debug_assert!(used_callee_saves.iter().all(|r| *r >= FIRST_CALLEE_SAVE));
     Allocation { locs, used_callee_saves, n_spills, liveness: lv, order, block_start }
-}
-
-/// The set of temps live at a given linear program point, restricted to
-/// those with a real location.
-#[must_use]
-pub fn live_located(alloc: &Allocation, live: &BitSet) -> Vec<Temp> {
-    live.iter()
-        .map(|i| Temp(i as u32))
-        .filter(|t| alloc.locs[t.index()] != TempLoc::Unused)
-        .collect()
 }
 
 #[cfg(test)]

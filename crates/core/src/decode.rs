@@ -561,13 +561,6 @@ impl DecodeCache {
         &self.index
     }
 
-    /// A clonable handle to the underlying index, for building sibling
-    /// caches without re-indexing.
-    #[must_use]
-    pub fn shared_index(&self) -> Arc<DecoderIndex> {
-        Arc::clone(&self.index)
-    }
-
     /// Binds the cache to a module identity token (e.g.
     /// `Machine::module_token`). The first bind sticks; rebinding to a
     /// different token panics, because memoized points from one module's
@@ -593,11 +586,6 @@ impl DecodeCache {
     #[must_use]
     pub fn counters(&self) -> DecodeCounters {
         self.counters
-    }
-
-    /// Resets the counters (the memoized points stay).
-    pub fn reset_counters(&mut self) {
-        self.counters = DecodeCounters::default();
     }
 
     /// Number of gc-points currently memoized (the memory bound is the

@@ -22,8 +22,9 @@
 //!
 //! Failures report the reproducing case seed (re-run with
 //! `m3c fuzz --seed <s> --iters 1`; the seed also fixes the rotated
-//! encodings) and, with shrinking enabled, a 1-minimal program that
-//! still fails first in the same configuration ([`shrink`]).
+//! encodings), the campaign prefix that ends at it, and, with shrinking
+//! enabled, a 1-minimal program that still fails first in the same
+//! configuration ([`shrink`]).
 
 pub mod exec;
 pub mod gen;
@@ -73,6 +74,14 @@ impl std::fmt::Display for FuzzFailure {
         )?;
         writeln!(f, "  {}", self.detail)?;
         writeln!(f, "reproduce with: m3c fuzz --seed {} --iters 1", self.case_seed)?;
+        // A stop that depends on thread timing may not recur in a lone
+        // case; the campaign prefix replays the cases before it too.
+        let start = self.case_seed.wrapping_sub(self.iteration);
+        writeln!(
+            f,
+            "or the campaign prefix: m3c fuzz --seed {start} --iters {}",
+            self.iteration + 1
+        )?;
         let src = self.minimized.as_deref().unwrap_or(&self.program);
         let kind = if self.minimized.is_some() { "minimized" } else { "generated" };
         write!(f, "--- {kind} program ---\n{src}")
@@ -132,6 +141,21 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_failure_prints_the_case_and_the_campaign_prefix() {
+        let failure = FuzzFailure {
+            case_seed: 95,
+            iteration: 35,
+            detail: "[o2/serve-t2g8] boom".into(),
+            program: "MODULE F; END F.".into(),
+            minimized: None,
+        };
+        let text = failure.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines.contains(&"reproduce with: m3c fuzz --seed 95 --iters 1"), "{text}");
+        assert!(lines.contains(&"or the campaign prefix: m3c fuzz --seed 60 --iters 36"), "{text}");
+    }
 
     #[test]
     fn small_campaign_passes() {

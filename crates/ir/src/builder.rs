@@ -59,12 +59,6 @@ impl FuncBuilder {
         self.terminated = false;
     }
 
-    /// The current insertion block.
-    #[must_use]
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Appends a raw instruction.
     pub fn push(&mut self, ins: Instr) {
         assert!(!self.terminated, "appending to a terminated block");

@@ -196,12 +196,6 @@ impl RuntimeFn {
             _ => 0,
         }
     }
-
-    /// True if the service aborts the program.
-    #[must_use]
-    pub fn is_fatal(self) -> bool {
-        matches!(self, RuntimeFn::RangeError | RuntimeFn::NilError | RuntimeFn::AssertError)
-    }
 }
 
 impl std::fmt::Display for RuntimeFn {

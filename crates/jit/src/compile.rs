@@ -30,12 +30,12 @@
 //! interpreter at the target.
 //!
 //! Per-instruction template order mirrors the interpreter's `step`:
-//! `[safepoint poll if the pc is a gc-point] [fuel decrement] [shadow
+//! `[safepoint poll if the pc is a park site] [fuel decrement] [shadow
 //! call-out if instrumented] [body]`. Fuel is *decremented* by every
 //! instruction and *checked* wherever a burst may end: at polls, taken
-//! back-edges, before a call transfers, and where a return lands (the
-//! continuation's poll, or an explicit check when the continuation is
-//! no gc-point). Every instruction start is registered as a native
+//! back-edges, before a call transfers, and where a return lands (an
+//! explicit check, since a return address is no park site). Every
+//! instruction start is registered as a native
 //! re-entry point, so the engine can resume native execution at any
 //! interpreter pc (mixed stacks, gc resume, allocation retry).
 
@@ -257,7 +257,8 @@ impl<'a> ProcCompiler<'a> {
         self.e.store(Reg::R13, Self::vm_reg_disp(r), src);
     }
 
-    /// Safepoint poll + fuel check, emitted at every gc-point pc.
+    /// Safepoint poll + fuel check, emitted at every park site (an
+    /// allocation or a poll the module's tables describe).
     fn emit_poll(&mut self, pc: u32) {
         self.e.inc_mem(Reg::Rbx, OFF_POLLS);
         self.e.load(Reg::Rax, Reg::Rbx, OFF_GC_FLAG);
@@ -572,12 +573,14 @@ impl<'a> ProcCompiler<'a> {
                 let at = self.e.jmp(engine);
                 self.relocs.push((at, proc));
                 // The continuation: this native offset *is* the return
-                // address the token denotes, and the gc-point for the
-                // bytecode return pc. A direct return lands here, so a
-                // burst must be able to end here: the continuation's
-                // poll checks the fuel, and where the tables declare no
-                // gc-point (hand-assembled modules) an explicit check
-                // stands in.
+                // address the token denotes, and the key of the bytecode
+                // return pc's table, which describes this frame while
+                // the callee runs. A return address is no park site, so
+                // no poll is emitted for it. A direct return lands here,
+                // so a burst must be able to end here: a fuel check does
+                // that, unless the next op is a park site (hand-assembled
+                // modules only; codegen pads those) whose poll checks the
+                // fuel itself.
                 let cont = self.e.here();
                 self.e.patch_imm64(token_at, JIT_RETPC_BIAS + i64::from(self.global_base + cont));
                 self.gc_points.push((self.global_base + cont, next_pc));
@@ -722,8 +725,8 @@ fn global_slot_disp(goff: u32) -> Option<i32> {
 
 /// Compiles one procedure. `global_base` is the blob's offset within
 /// the engine's code region (gc-point keys and entry offsets are
-/// registered globally); gc-points are the ops `decoded` flagged from
-/// the module's gc maps.
+/// registered globally); park sites are the ops `decoded` flagged from
+/// the module's gc maps and opcodes.
 #[allow(clippy::too_many_arguments)] // one call site, in the engine's compile loop
 pub(crate) fn compile_proc(
     module: &VmModule,

@@ -83,7 +83,7 @@ pub struct JitContext {
     /// and the exit thunk stores it back.
     pub fuel: i64,
     /// The world's gc-request flag — the *same* byte
-    /// [`World::gc_requested`] reads, polled at every native gc-point.
+    /// [`World::gc_requested`] reads, polled at every native park site.
     pub gc_flag: *const u8,
     /// Exit trampoline: restores callee-save registers and returns to
     /// [`JitEngine`]'s enter call. Compiled code leaves via an indirect

@@ -19,7 +19,7 @@
 //! no register allocation (VM registers stay in memory), every
 //! interpreter-observable effect reproduced exactly — the same bounds
 //! checks, the same trap codes, the same safepoint protocol (native
-//! code polls the *same* gc flag at the *same* gc-point pcs and parks
+//! code polls the *same* gc flag at the *same* park sites and parks
 //! with the same blocked status), the same allocation fast path
 //! discipline (one compare against the torture-aware fast limit).
 //! Anything the templates cannot express falls back per-procedure to

@@ -31,7 +31,6 @@ fn module_with(code: Vec<u8>, procs: Vec<ProcMeta>, types: TypeTable) -> VmModul
         globals_words: 8,
         global_ptr_roots: vec![],
         main: 0,
-        poll_pcs: vec![],
         gc_maps: encode_module(&ModuleTables::default(), Scheme::DELTA_MAIN_PP),
         logical_maps: ModuleTables::default(),
     }
@@ -478,7 +477,6 @@ fn a_burst_past_poll_after_ends_at_a_loop_poll() {
         }],
     };
     let module = VmModule {
-        poll_pcs: vec![poll_pc],
         gc_maps: encode_module(&tables, Scheme::DELTA_MAIN_PP),
         logical_maps: tables,
         ..module_with(code, vec![main], TypeTable::default())

@@ -5,15 +5,15 @@
 //!
 //! 1. **Safepoint handshake.** The thread whose allocation fails wins
 //!    the collection request and becomes the *leader*; every other
-//!    mutator notices the request at its next gc-point — an allocation
-//!    site or one of the loop back-edge polls `codegen::gcpoints`
-//!    inserts (§5.3: the explicit loop gc-points bound how far a thread
-//!    can run before reaching a describable state, so handshake latency
-//!    is bounded by the longest gc-point-free path, not by loop trip
-//!    counts) — deposits a [`Snapshot`] of its registers and frame
-//!    cursor, and parks until the leader releases it. The protocol
-//!    itself (request, park, stop, release, and what happens when a
-//!    thread fails or panics on the way) is `safepoint.rs`'s; this
+//!    mutator notices the request at its next park site — an allocation
+//!    site or one of the polls `codegen::gcpoints` inserts (§5.3: the
+//!    polls bound how far a thread can run before reaching a describable
+//!    state, so handshake latency is bounded by the longest park-free
+//!    path, not by loop trip counts) — deposits a [`Snapshot`] of its
+//!    registers and frame cursor, and parks until the leader releases
+//!    it. The protocol itself (request, park, stop, release, and what
+//!    happens when a thread fails or panics on the way) is
+//!    `safepoint.rs`'s; this
 //!    module supplies the mutator loop around it ([`run_mutator`]) and
 //!    the work of a stopped world ([`collect_pause`]).
 //! 2. **Parallel copy.** The leader becomes gc worker 0 of the run's

@@ -11,7 +11,7 @@
 //!
 //! * **Running → Requested.** A thread that needs the world stopped wins
 //!   the request CAS ([`try_lead`]) and becomes the *leader*; every other
-//!   thread sees the flag at its next gc-point and [`park`]s, depositing
+//!   thread sees the flag at its next park site and [`park`]s, depositing
 //!   its [`Cpu`](m3gc_vm::exec::Cpu) for the collector ([`deposit`]).
 //! * **Requested → Stopped.** The leader ([`stop_world`]) waits until
 //!   `parked == active`. A *counted* leader — a mutator, a serve
@@ -19,7 +19,7 @@
 //!   itself; the cms coordinator is not, and waits for everyone.
 //! * **Stopped → Released.** The leader runs the pause's work, then
 //!   clears the request *before* bumping the generation, both under the
-//!   lock: a woken thread still sitting at a gc-point pc must not
+//!   lock: a woken thread still sitting at a park site must not
 //!   observe a stale request and park again.
 //!
 //! Failure policy. The first error of a run is latched in [`Coord`] and
@@ -204,12 +204,12 @@ pub(crate) fn retire<T>(
 /// # Errors
 ///
 /// With the oracle armed, [`ExecError::Oracle`] if `mu` does not stand
-/// at a gc-point: its stack would be scanned with tables of a pc it is
-/// not parked at.
+/// at a park site (an allocation or a poll with tables): its stack would
+/// be scanned with tables of a pc it is not parked at.
 pub(crate) fn deposit(ctx: &RunCtx<'_>, mu: &mut Mutator) -> Result<(), ExecError> {
     let (vm, pc) = (ctx.vm, mu.cpu.pc);
-    if !(vm.is_gc_point_pc(pc) || vm.is_poll_pc(pc)) {
-        let what = format!("thread {} deposited at pc {pc}, which has no gc tables", mu.tid);
+    if !vm.is_gc_point_pc(pc) {
+        let what = format!("thread {} deposited at pc {pc}, which is no park site", mu.tid);
         if ctx.options.oracle {
             return Err(ExecError::Oracle(what));
         }

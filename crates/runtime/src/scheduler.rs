@@ -2,8 +2,9 @@
 //!
 //! Threads run in fixed quanta (simulated pre-emption). When a thread's
 //! allocation fails, a collection becomes pending; all other threads are
-//! resumed and run until each blocks at a gc-point (bounded, thanks to
-//! loop gc-points), then the collector runs and everyone resumes.
+//! resumed and run until each blocks at a park site (bounded, thanks to
+//! the polls codegen places), then the collector runs and everyone
+//! resumes.
 
 use std::sync::Arc;
 

@@ -1094,10 +1094,10 @@ mod safepoint_protocol {
         );
     }
 
-    /// `deposit` checks what it stores: a thread that is not at a
-    /// gc-point has no tables to be scanned with, and with the oracle
-    /// armed says so itself — with thread and pc — instead of surfacing
-    /// a walk later as a root outside the heap.
+    /// `deposit` checks what it stores: a thread that is not at a park
+    /// site has no tables to be scanned with, and with the oracle armed
+    /// says so itself — with thread and pc — instead of surfacing a walk
+    /// later as a root outside the heap.
     #[test]
     fn depositing_off_a_gc_point_is_an_oracle_error() {
         let (vm, options) = machine(1);
@@ -1107,7 +1107,7 @@ mod safepoint_protocol {
         let ctx = RunCtx::new(&vm, options.oracle(true), 1, 1, None);
         assert!(try_lead(&ctx));
         let led = stop_world(&ctx, Some(&mut mu), true, |_| panic!("the world must not stop"));
-        let what = format!("thread 0 deposited at pc {pc}, which has no gc tables");
+        let what = format!("thread 0 deposited at pc {pc}, which is no park site");
         assert_eq!(led, Err(ExecError::Oracle(what)));
         assert_eq!(ctx.coord.probe(), (0, 1, true));
         assert!(!vm.gc_request.load(Ordering::SeqCst));

@@ -177,15 +177,20 @@ impl DecodedOp {
         self.flags == 0
     }
 
-    /// True if the module's gc tables describe this pc: a thread may be
-    /// stopped *before* this instruction, and nowhere else (§5.3).
+    /// True if this is a park site: an `Alloc`, `AllocA` or `GcPoint`
+    /// whose pc the module's gc tables describe. With a collection
+    /// pending a thread stops *before* such an instruction, and nowhere
+    /// else (§5.3). A call's table is keyed by its return address but
+    /// describes the caller's frame while the callee runs, so a return
+    /// address is never a park site.
     #[inline]
     #[must_use]
     pub fn is_gc_point(&self) -> bool {
         self.flags & DecodedOp::GC_POINT != 0
     }
 
-    /// True if this is one of the module's loop polls (`poll_pcs`).
+    /// True if this park site is a `GcPoint`: a poll, which codegen
+    /// places at loop headers and recursive entries.
     #[inline]
     #[must_use]
     pub fn is_poll(&self) -> bool {
@@ -246,12 +251,12 @@ impl DecodedCode {
     /// bug).
     #[must_use]
     pub fn new(code: &[u8]) -> DecodedCode {
-        DecodedCode::build(code, &[], std::iter::empty(), &[])
+        DecodedCode::build(code, &[], std::iter::empty())
     }
 
     /// Predecodes a module: branch targets and callees resolved and
-    /// validated, gc-points flagged from the module's gc tables, loop
-    /// polls from its `poll_pcs`.
+    /// validated, park sites flagged where the module's gc tables
+    /// describe an allocation or a poll.
     ///
     /// # Panics
     ///
@@ -260,14 +265,13 @@ impl DecodedCode {
     #[must_use]
     pub fn of(module: &VmModule) -> DecodedCode {
         let index = DecoderIndex::build(&module.gc_maps).expect("valid gc maps");
-        DecodedCode::build(&module.code, &module.procs, index.gc_point_pcs(), &module.poll_pcs)
+        DecodedCode::build(&module.code, &module.procs, index.gc_point_pcs())
     }
 
     fn build(
         code: &[u8],
         procs: &[ProcMeta],
         gc_point_pcs: impl Iterator<Item = u32>,
-        poll_pcs: &[u32],
     ) -> DecodedCode {
         let mut ops = Vec::new();
         let mut pcs = Vec::new();
@@ -303,17 +307,18 @@ impl DecodedCode {
                 None => op.flags |= DecodedOp::INVALID,
             }
         }
-        // A table pc that starts no instruction can never be reached, so
-        // there is nothing to flag for it.
+        // The park decision lives in the opcode: a table pc is a park
+        // site only before an allocation or a poll. A return address's
+        // table serves only the walk of a frame whose callee parked, and
+        // a table pc that starts no instruction is never reached.
         for pc in gc_point_pcs {
-            if let Some(i) = decoded.index_of(pc) {
-                decoded.ops[i].flags |= DecodedOp::GC_POINT;
-            }
-        }
-        for &pc in poll_pcs {
-            if let Some(i) = decoded.index_of(pc) {
-                decoded.ops[i].flags |= DecodedOp::POLL;
-            }
+            let Some(i) = decoded.index_of(pc) else { continue };
+            let op = &mut decoded.ops[i];
+            op.flags |= match op.ins {
+                Instr::Alloc { .. } | Instr::AllocA { .. } => DecodedOp::GC_POINT,
+                Instr::GcPoint => DecodedOp::GC_POINT | DecodedOp::POLL,
+                _ => 0,
+            };
         }
         decoded
     }
@@ -363,14 +368,14 @@ impl DecodedCode {
         (&self.ops[idx].ins, self.pcs[idx + 1])
     }
 
-    /// True if `pc` is a gc-point.
+    /// True if `pc` is a park site (see [`DecodedOp::is_gc_point`]).
     #[must_use]
     pub fn is_gc_point_pc(&self, pc: u32) -> bool {
         self.index_of(pc).is_some_and(|i| self.ops[i].is_gc_point())
     }
 
-    /// True if `pc` is an explicit poll site (a `GcPoint` instruction,
-    /// as opposed to an allocation gc-point).
+    /// True if `pc` is a poll park site (a `GcPoint` instruction, as
+    /// opposed to an allocation).
     #[must_use]
     pub fn is_poll_pc(&self, pc: u32) -> bool {
         self.index_of(pc).is_some_and(|i| self.ops[i].is_poll())

@@ -83,7 +83,7 @@ pub enum Step {
     /// can proceed. No state changed; the pc still addresses the
     /// `ALLOC`.
     NeedGc,
-    /// A collection is pending and the pc is at a gc-point: the thread
+    /// A collection is pending and the pc is at a park site: the thread
     /// must stop here (§5.3). No state changed.
     AtSafepoint,
     /// The thread returned from its bottom frame (or executed `HALT`).
@@ -127,7 +127,7 @@ pub trait World {
     /// Zeroes `words` words starting at `addr`.
     fn zero(&mut self, addr: i64, words: i64);
     /// True if a collection is pending: the thread must stop before
-    /// executing the next gc-point. [`run`] asks only there.
+    /// executing the next park site. [`run`] asks only there.
     fn gc_requested(&self) -> bool;
     /// Attempts a heap allocation; `Ok(None)` means "needs gc".
     fn alloc(&mut self, ty: u16, len: i64) -> Result<Option<i64>, VmTrap>;
@@ -369,11 +369,13 @@ pub fn shadow_step<W: World>(cpu: &mut Cpu, w: &mut W, ins: &Instr) -> Option<Vm
 /// before it; §5.3 bounds the distance). `u64::MAX` never stops at
 /// polls.
 ///
-/// At a gc-point a pending collection stops the thread *before* the
-/// instruction executes — an allocation must not race the collection,
-/// and §5.3's tables describe exactly this pc. Nothing is asked of the
-/// world on any other instruction. The caller owns the bookkeeping
-/// around the outcome (step counters, thread status, parking).
+/// At a park site (an allocation or a poll with tables, see
+/// [`crate::decode::DecodedOp::is_gc_point`]) a pending collection
+/// stops the thread *before* the instruction executes — an allocation
+/// must not race the collection, and §5.3's tables describe exactly
+/// this pc. Nothing is asked of the world on any other instruction.
+/// The caller owns the bookkeeping around the outcome (step counters,
+/// thread status, parking).
 ///
 /// Nothing here panics on a bad transfer: an entry pc or a frame's
 /// return word that starts no instruction, a branch or call for which
@@ -615,9 +617,9 @@ mod tests {
         init: fn(&mut Cpu),
         heap_full: bool,
         /// Indices into `main` of the instructions the module's gc
-        /// tables describe, and of those that are loop polls.
+        /// tables describe (a park site where one is an allocation or a
+        /// poll).
         gc_points: Vec<usize>,
-        polls: Vec<usize>,
         /// A collection is already requested when the thread starts.
         gc_requested: bool,
         end: Step,
@@ -637,7 +639,6 @@ mod tests {
                 init: |_| {},
                 heap_full: false,
                 gc_points: vec![],
-                polls: vec![],
                 gc_requested: false,
                 end: Step::Finished,
                 output: "",
@@ -691,7 +692,6 @@ mod tests {
             globals_words: 4,
             global_ptr_roots: vec![],
             main: 0,
-            poll_pcs: case.polls.iter().map(|&i| main_pcs[i]).collect(),
             gc_maps: encode_module(&tables, Scheme::DELTA_MAIN_PP),
             logical_maps: tables,
         }
@@ -915,7 +915,8 @@ mod tests {
                     Ld { dst: 0, base: 3, off: 0 },
                     Ret,
                 ],
-                // The call's gc-point is its return address.
+                // The call's table is keyed by its return address, which
+                // is no park site: a pending request never stops here.
                 gc_points: vec![5],
                 output: "42",
                 check: |m| assert_eq!(m.threads[0].sp, m.threads[0].fp, "stack fully popped"),
@@ -974,7 +975,6 @@ mod tests {
                     Jmp { target: 20 },
                 ],
                 gc_points: vec![5],
-                polls: vec![5],
                 ..Case::default()
             },
             Case {
@@ -988,14 +988,12 @@ mod tests {
                     Halt,
                 ],
                 gc_points: vec![1],
-                polls: vec![1],
                 ..Case::default()
             },
             Case {
                 name: "collection requested before a poll",
                 main: vec![MovI { dst: 1, imm: 1 }, GcPoint, Halt],
                 gc_points: vec![1],
-                polls: vec![1],
                 gc_requested: true,
                 end: Step::AtSafepoint,
                 ..Case::default()
@@ -1222,7 +1220,9 @@ mod tests {
     #[test]
     fn a_burst_past_poll_after_ends_at_the_next_loop_poll() {
         let case = cases().into_iter().find(|c| c.name == "loop with a poll").unwrap();
-        let poll_pc = module_of(&case).poll_pcs[0];
+        let code = DecodedCode::of(&module_of(&case));
+        let poll_pc = (0..code.ops().len()).map(|i| code.pc_of(i)).find(|&pc| code.is_poll_pc(pc));
+        let poll_pc = poll_pc.expect("the loop has a poll");
         for side in [Side::Seq, Side::Par] {
             // The poll is reached after 1, 4 and 7 instructions; the run
             // is 11 long.

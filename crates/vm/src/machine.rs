@@ -14,8 +14,8 @@
 //! Garbage collection protocol: `ALLOC` reports [`Step::NeedGc`]
 //! without changing any state when the heap is full; the runtime crate's
 //! collector then stops every thread at a gc-point (threads block when
-//! their pc reaches a marked gc-point while a collection is pending,
-//! §5.3), traces and moves objects, calls
+//! their pc reaches a park site — an allocation or a poll — while a
+//! collection is pending, §5.3), traces and moves objects, calls
 //! [`Machine::finish_collection`], and execution resumes by re-trying the
 //! `ALLOC`.
 
@@ -631,13 +631,6 @@ impl SeqWorld {
         self.module_token
     }
 
-    /// The module's encoded gc-map byte stream (what a decode cache or
-    /// decoder index reads at collection time).
-    #[must_use]
-    pub fn gc_map_bytes(&self) -> &[u8] {
-        &self.module.gc_maps.bytes
-    }
-
     /// The from-space (currently allocated-into) bounds `[start, end)`.
     #[must_use]
     pub fn from_space(&self) -> (i64, i64) {
@@ -654,13 +647,6 @@ impl SeqWorld {
     fn semispace(&self, base: usize, lower: bool) -> (i64, i64) {
         let start = if lower { base } else { base + self.layout.semi_words };
         (start as i64, (start + self.layout.semi_words) as i64)
-    }
-
-    /// True if `addr` points into the from-space.
-    #[must_use]
-    pub fn in_from_space(&self, addr: i64) -> bool {
-        let (s, e) = self.from_space();
-        (s..e).contains(&addr)
     }
 
     /// True under [`HeapStrategy::Generational`].
@@ -1027,7 +1013,6 @@ mod tests {
             globals_words: 4,
             global_ptr_roots: vec![],
             main: 0,
-            poll_pcs: vec![],
             gc_maps: encode_module(&ModuleTables::default(), Scheme::DELTA_MAIN_PP),
             logical_maps: ModuleTables::default(),
         }

@@ -46,13 +46,6 @@ pub struct VmModule {
     pub global_ptr_roots: Vec<u32>,
     /// The entry procedure.
     pub main: u16,
-    /// Pcs of explicit `GcPoint` poll instructions (loop back-edges and
-    /// other non-allocating gc-points inserted by `codegen::gcpoints`).
-    /// Allocation sites are gc-points too but need no poll — the
-    /// allocation itself synchronizes with the collector. The parallel
-    /// runtime uses this to distinguish parks at poll sites from parks
-    /// at allocations in its handshake statistics.
-    pub poll_pcs: Vec<u32>,
     /// Encoded gc-map tables.
     pub gc_maps: EncodedTables,
     /// The logical tables (for statistics and debugging; the collector
@@ -104,7 +97,6 @@ mod tests {
             globals_words: 0,
             global_ptr_roots: vec![],
             main: 0,
-            poll_pcs: vec![],
             gc_maps: encode_module(&ModuleTables::default(), Scheme::DELTA_MAIN_PP),
             logical_maps: ModuleTables::default(),
         }

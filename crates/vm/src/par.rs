@@ -24,10 +24,9 @@
 //! collection. Allocation is a CAS bump loop; collection forwarding
 //! CASes a claim into object headers (see `m3gc_runtime::parallel`).
 //!
-//! Safepoints: the machine checks the shared request flag only at
-//! gc-point pcs (allocation sites and the explicit loop back-edge polls
-//! `codegen::gcpoints` inserts — §5.3's guarantee that a thread reaches
-//! a describable state in bounded time). [`Step::AtSafepoint`] hands
+//! Safepoints: the machine checks the shared request flag only at park
+//! sites (allocations and the polls `codegen::gcpoints` inserts — §5.3's
+//! guarantee that a thread reaches a describable state in bounded time). [`Step::AtSafepoint`] hands
 //! control to the runtime, which parks the thread and deposits its
 //! state for the gc workers.
 //!
@@ -604,12 +603,6 @@ impl ParMachine {
         self.module_token
     }
 
-    /// The module's encoded gc-map byte stream.
-    #[must_use]
-    pub fn gc_map_bytes(&self) -> &[u8] {
-        &self.module.gc_maps.bytes
-    }
-
     /// The module's predecoded program (shared with the JIT engine
     /// built for this machine).
     #[must_use]
@@ -1125,8 +1118,8 @@ impl World for ParWorld<'_> {
         self.vm.zero_words(addr, words);
     }
 
-    /// The shared request flag; the loop reads it only at gc-points
-    /// (allocation sites and the explicit loop back-edge polls).
+    /// The shared request flag; the loop reads it only at park sites
+    /// (allocations and polls).
     #[inline]
     fn gc_requested(&self) -> bool {
         self.vm.gc_request.load(R)
@@ -1264,7 +1257,6 @@ mod tests {
             globals_words: 4,
             global_ptr_roots: vec![],
             main: 0,
-            poll_pcs: vec![],
             gc_maps: encode_module(&tables, Scheme::DELTA_MAIN_PP),
             logical_maps: tables,
         }

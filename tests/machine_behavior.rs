@@ -110,7 +110,7 @@ fn ground_tables_are_frame_relative() {
 }
 
 /// While a collection is pending, a runnable thread stops exactly at the
-/// next gc-point pc — not before, not after.
+/// next park site — not before, not after.
 #[test]
 fn threads_block_exactly_at_gc_points() {
     let module = compile(CALLS, &Options::o2()).unwrap();
@@ -238,14 +238,14 @@ impl Driven for Par {
 }
 
 /// `exec::run` is `exec::step` repeated, whatever the budget: over
-/// compiled code (calls, allocations, a loop poll), on machine `D`,
+/// compiled code (calls and 12 allocations), on machine `D`,
 /// `run(k)` then `run(rest)` ends in the same outcome, `Cpu`, memory,
 /// output and executed count as single steps, for every split `k`; the
 /// pc at every exit is an instruction boundary; and with a collection
 /// requested after `k` instructions the burst stops before the first
 /// flagged op it reaches, never on an unflagged one.
 fn bursts_are_their_single_steps<D: Driven>(shadow: bool) {
-    let module = compile(CALLS.replace("Work(30)", "Work(6)").as_str(), &Options::o2()).unwrap();
+    let module = compile(CALLS.replace("Work(30)", "Work(12)").as_str(), &Options::o2()).unwrap();
     let mut d = D::load(&module, shadow);
     let mut cpus = vec![d.cpu().clone()];
     let end = loop {
@@ -259,10 +259,10 @@ fn bursts_are_their_single_steps<D: Driven>(shadow: bool) {
     assert_eq!(end, Step::Finished);
     let total = cpus.len() as u64 - 1;
     let reference = d.image();
-    assert_eq!(reference.1, "21", "Work(6)");
+    assert_eq!(reference.1, "78", "Work(12)");
     let code = Arc::clone(d.code());
     let flagged = |cpu: &Cpu| code.is_gc_point_pc(cpu.pc);
-    assert!(cpus.iter().filter(|c| flagged(c)).count() >= 12, "the run must cross gc-points");
+    assert!(cpus.iter().filter(|c| flagged(c)).count() >= 12, "the run must cross park sites");
 
     for k in 0..total {
         let mut d = D::load(&module, shadow);

@@ -5,8 +5,8 @@
 //!   identical to the single-threaded semispace baseline — the parallel
 //!   handshake, snapshot stack walks, work-stealing copy and two-phase
 //!   derived-value update may not perturb program semantics.
-//! * Loop back-edge gc-points are what bound the safepoint handshake
-//!   (§5.3): every explicit poll site must also be a gc-point with a
+//! * Compiler-placed polls are what bound the safepoint handshake
+//!   (§5.3): every explicit poll site must also be a park site with a
 //!   table entry.
 //! * A mutator that *cannot* reach a gc-point within the advance budget
 //!   (loop gc-points compiled out) must surface a structured
@@ -23,6 +23,11 @@
 //!   threads, is a structured error under a watchdog — not a process
 //!   abort, not a hang (root twins of the safepoint-protocol unit tests
 //!   in `crates/runtime/src/tests.rs`, which force the interleavings).
+//! * Threads park only at allocations and polls (the `park_*` cases): a
+//!   loop over `r := Make(i)` runs clean 20 times on interpreted and
+//!   jitted `par` and on `cms`, although the call's table omits the
+//!   pointer it returns; and tree recursion and a loop over a leaf call,
+//!   whose returns are no park sites, still reach one in bounded time.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -487,4 +492,132 @@ fn pool_termination_stress_four_mutators_four_workers() {
     });
     assert_eq!(out.output, expected.repeat(4));
     assert!(out.collections >= 2000, "got {} collections", out.collections);
+}
+
+/// A loop over `r := Make(i)`, where `Make` returns `NEW(R)`: the call's
+/// table (keyed by its return address) omits the returned pointer, which
+/// sits in `r0` there. A thread parked at that pc had its result left
+/// stale by a collection; park sites are only allocations and polls.
+const MAKE_LOOP: &str = "MODULE M;
+TYPE R = REF RECORD v: INTEGER; next: R END;
+PROCEDURE Make(i: INTEGER): R =
+VAR r: R;
+BEGIN
+  r := NEW(R);
+  r.v := i;
+  RETURN r;
+END Make;
+PROCEDURE Loop(n: INTEGER): INTEGER =
+VAR r, prev: R; i, s: INTEGER;
+BEGIN
+  s := 0;
+  FOR i := 1 TO n DO
+    r := Make(i);
+    r.next := prev;
+    prev := r;
+    IF i MOD 8 = 0 THEN prev := NIL; END;
+    s := (s + r.v) MOD 1000003;
+  END;
+  RETURN s;
+END Loop;
+BEGIN
+  PutInt(Loop(400));
+END M.";
+
+/// Runs [`MAKE_LOOP`] 20 times on `mutators` OS threads under torture
+/// with the oracle armed; every run must print the sequential answer.
+fn make_loop_runs_clean(what: &str, mutators: usize, options: RuntimeOptions) {
+    let module = compile(MAKE_LOOP, &Options::o2()).expect("compiles");
+    let options = options.semi_words(4000).threads(mutators).torture(true).oracle(true);
+    for run in 0..20 {
+        let module = module.clone();
+        let out = within(60, what, move || run_module_par_opts(module, options));
+        let out = out.unwrap_or_else(|e| panic!("{what}, run {run}: {e}"));
+        assert_eq!(out.output, "80200".repeat(mutators), "{what}, run {run}");
+    }
+}
+
+#[test]
+fn park_make_loop_on_four_interpreted_par_mutators() {
+    make_loop_runs_clean("par", 4, RuntimeOptions::new().strategy(GcStrategy::Parallel));
+}
+
+#[test]
+fn park_make_loop_on_four_jitted_par_mutators() {
+    let options = RuntimeOptions::new().strategy(GcStrategy::Parallel).jit(true);
+    make_loop_runs_clean("par --jit", 4, options);
+}
+
+#[test]
+fn park_make_loop_on_two_cms_mutators() {
+    let options = RuntimeOptions::new().strategy(GcStrategy::Cms).conc_workers(2);
+    make_loop_runs_clean("cms", 2, options);
+}
+
+/// Runs `src` on 3 parallel mutators under torture with a tight advance
+/// budget: a thread between park sites for longer than the budget while
+/// a collection waits would end the run in `StuckThread`.
+fn finishes_on_three_mutators(src: &str, expected: &str) {
+    let module = compile(src, &Options::o2()).expect("compiles");
+    let config = RuntimeOptions::new().torture(true).max_advance(20_000);
+    let out = within(60, "3 mutators under torture", move || {
+        run_module_par(module, 1 << 14, 3, false, config)
+    });
+    let out = out.unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(out.output, expected.repeat(3));
+    assert!(out.collections >= 8, "torture must collect ({})", out.collections);
+}
+
+/// `Fib` allocates nothing, and returns are no park sites: its two
+/// calls into itself earn it an entry poll, without which a thread
+/// inside `Fib(22)` runs its 57 313 calls past a pending request.
+#[test]
+fn park_tree_recursion_between_allocations_finishes() {
+    let src = "MODULE F;
+    TYPE R = REF RECORD v: INTEGER END;
+    PROCEDURE Fib(n: INTEGER): INTEGER =
+    BEGIN
+      IF n < 2 THEN RETURN n; END;
+      RETURN Fib(n - 1) + Fib(n - 2);
+    END Fib;
+    PROCEDURE Work(): INTEGER =
+    VAR r: R; i, s: INTEGER;
+    BEGIN
+      s := 0;
+      FOR i := 1 TO 4 DO r := NEW(R); r.v := Fib(18 + i); s := s + r.v; END;
+      RETURN s;
+    END Work;
+    BEGIN PutInt(Work()); END F.";
+    finishes_on_three_mutators(src, "39603");
+}
+
+/// A loop whose only call is to a leaf that never parks gets its own
+/// poll: the call's return is no park site.
+#[test]
+fn park_loop_over_a_leaf_call_finishes() {
+    let src = "MODULE L;
+    TYPE R = REF RECORD v: INTEGER END;
+    PROCEDURE Leaf(x: INTEGER): INTEGER =
+    BEGIN RETURN (x * 17 + 3) MOD 97; END Leaf;
+    PROCEDURE Work(): INTEGER =
+    VAR r: R; round, i, s: INTEGER;
+    BEGIN
+      s := 0;
+      FOR round := 1 TO 4 DO
+        r := NEW(R);
+        r.v := round;
+        FOR i := 1 TO 30000 DO s := (s + Leaf(i)) MOD 1000003; END;
+        s := s + r.v;
+      END;
+      RETURN s;
+    END Work;
+    BEGIN PutInt(Work()); END L.";
+    let expected = run_module_with(
+        compile(src, &Options::o2()).expect("compiles"),
+        1 << 14,
+        RuntimeOptions::new(),
+    )
+    .expect("sequential run")
+    .output;
+    finishes_on_three_mutators(src, &expected);
 }

@@ -1,13 +1,15 @@
 //! Predecode is the tables: the flags and pre-resolved targets the
 //! interpreter loop runs on are exactly what the module says — the
-//! gc-map index, `poll_pcs`, `procs` — over the paper's programs and a
-//! sample of generated ones, and running on them changes no step count.
+//! gc-map index and the opcodes, `procs` — over the paper's programs and
+//! a sample of generated ones, and running on them changes no step
+//! count.
 
 use std::collections::BTreeSet;
 
 use m3gc::compiler::{compile, Options};
 use m3gc::core::decode::DecoderIndex;
 use m3gc::frontend::render::render_module;
+use m3gc::opt::PathStrategy;
 use m3gc::runtime::{Executor, RuntimeOptions};
 use m3gc::vm::decode::DecodedCode;
 use m3gc::vm::isa::Instr;
@@ -20,25 +22,43 @@ const PAPER: [(&str, &str); 4] = [
     ("destroy", include_str!("../crates/bench/programs/destroy.m3")),
 ];
 
-/// The four paper programs and 64 generated ones, each at `o0` and `o2`.
-fn corpus() -> Vec<(String, VmModule)> {
-    let fuzz = (0..64)
+/// The four paper programs and `generated` generated ones, each under
+/// every one of `configs`.
+fn corpus_of(generated: u64, configs: &[(&str, Options)]) -> Vec<(String, VmModule)> {
+    let fuzz = (0..generated)
         .map(|seed| (format!("fuzz-{seed}"), render_module(&m3gc_fuzz::gen::generate(seed))));
     let sources = PAPER.iter().map(|&(name, src)| (name.to_string(), src.to_string())).chain(fuzz);
     let mut modules = Vec::new();
     for (name, source) in sources {
-        for (level, options) in [("o0", Options::o0()), ("o2", Options::o2())] {
-            let module = compile(&source, &options).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (level, options) in configs {
+            let module = compile(&source, options).unwrap_or_else(|e| panic!("{name}: {e}"));
             modules.push((format!("{name}/{level}"), module));
         }
     }
     modules
 }
 
+/// The four paper programs and 64 generated ones, each at `o0` and `o2`.
+fn corpus() -> Vec<(String, VmModule)> {
+    corpus_of(64, &[("o0", Options::o0()), ("o2", Options::o2())])
+}
+
+/// A park site is a table pc whose op is an allocation or a poll; every
+/// call's return address has a table and no flag; and no pc holds two
+/// gc-points (a call whose return address is an allocation or a poll
+/// gets a pad, so both keep a table of their own). The corpus is
+/// `tests/compile_golden.rs`'s: the paper's programs and 256 generated
+/// ones at `o0` and `o2` under both path strategies.
 #[test]
 fn flags_are_the_tables() {
-    let mut gc_points = 0;
-    for (name, module) in corpus() {
+    let configs = [
+        ("o0/variables", Options::o0()),
+        ("o0/splitting", Options::o0().with_path_strategy(PathStrategy::Splitting)),
+        ("o2/variables", Options::o2()),
+        ("o2/splitting", Options::o2().with_path_strategy(PathStrategy::Splitting)),
+    ];
+    let mut park_sites = 0;
+    for (name, module) in corpus_of(256, &configs) {
         let decoded = DecodedCode::of(&module);
         let ops = decoded.ops();
         let index_of = |pc: u32| {
@@ -47,17 +67,40 @@ fn flags_are_the_tables() {
 
         let index = DecoderIndex::build(&module.gc_maps).expect("valid gc maps");
         let from_tables: BTreeSet<usize> = index.gc_point_pcs().map(index_of).collect();
+        let parks = |ins: &Instr| {
+            matches!(ins, Instr::Alloc { .. } | Instr::AllocA { .. } | Instr::GcPoint)
+        };
+        let expected: BTreeSet<usize> =
+            from_tables.iter().copied().filter(|&i| parks(&ops[i].ins)).collect();
         let flagged: BTreeSet<usize> = (0..ops.len()).filter(|&i| ops[i].is_gc_point()).collect();
-        assert_eq!(flagged, from_tables, "{name}: gc-point flags");
-        gc_points += flagged.len();
+        assert_eq!(flagged, expected, "{name}: park-site flags");
+        park_sites += flagged.len();
 
-        let polls: BTreeSet<usize> = module.poll_pcs.iter().map(|&pc| index_of(pc)).collect();
+        let polls: BTreeSet<usize> =
+            (0..ops.len()).filter(|&i| ops[i].ins == Instr::GcPoint).collect();
         let flagged: BTreeSet<usize> = (0..ops.len()).filter(|&i| ops[i].is_poll()).collect();
         assert_eq!(flagged, polls, "{name}: poll flags");
         for &i in &polls {
             assert!(ops[i].is_gc_point(), "{name}: poll {i} has no tables");
-            assert_eq!(ops[i].ins, Instr::GcPoint, "{name}: poll {i}");
         }
+
+        // One table per gc-point: a table for every allocation and poll,
+        // one for every call's return address, and nothing else.
+        let mut sites = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match op.ins {
+                Instr::Call { .. } => {
+                    let ret = i + 1;
+                    assert!(!ops[ret].is_gc_point(), "{name}: return address {ret} is flagged");
+                    sites.push(ret);
+                }
+                ref ins if parks(ins) => sites.push(i),
+                _ => {}
+            }
+        }
+        let distinct: BTreeSet<usize> = sites.iter().copied().collect();
+        assert_eq!(distinct.len(), sites.len(), "{name}: two gc-points share a pc");
+        assert_eq!(distinct, from_tables, "{name}: gc-point sites against table entries");
 
         for (i, op) in ops.iter().enumerate() {
             assert!(op.is_valid(), "{name}: compiled op {i} has no target");
@@ -75,7 +118,7 @@ fn flags_are_the_tables() {
             }
         }
     }
-    assert!(gc_points > 1000, "the corpus must have gc-points to flag ({gc_points})");
+    assert!(park_sites > 500, "the corpus must have park sites to flag ({park_sites})");
 }
 
 /// The interpreter and the template JIT execute the same instructions:

@@ -7,6 +7,7 @@
 
 use m3gc::compiler::{compile, reference_output, run_module_par, run_module_with, Options};
 use m3gc::core::encode::Scheme;
+use m3gc::frontend::render::render_module;
 use m3gc::runtime::scheduler::ExecError;
 use m3gc::runtime::RuntimeOptions;
 use m3gc::vm::VmTrap;
@@ -515,4 +516,20 @@ fn reference_call_depth_is_bounded_by_its_limit_not_the_native_stack() {
         .unwrap()
         .join()
         .unwrap();
+}
+
+/// The 5141 family: generated programs where a call falls through into a
+/// block that starts with an allocation, so the call's return address
+/// and the allocation's pc were one table key. One table served both
+/// points, and on the path that never made the call it listed a
+/// register holding an integer as a tidy root. A pad before the
+/// allocation gives each point its own key; every case now passes the
+/// whole fuzz matrix with the oracle armed.
+#[test]
+fn calls_and_the_allocations_after_them_keep_their_own_tables() {
+    for seed in [5141, 12385, 13995, 14458, 41034, 41704, 47647, 72408, 92728] {
+        let program = render_module(&m3gc_fuzz::gen::generate(seed));
+        let checked = m3gc_fuzz::exec::check_program(&program, seed);
+        assert_eq!(checked, Ok(true), "case seed {seed}");
+    }
 }
