@@ -9,7 +9,7 @@
 //! off, a thread spinning in a pure loop never reaches a gc-point and the
 //! collection protocol gets stuck.
 
-use m3gc_compiler::{compile, CallPolicy, GcConfig, Options};
+use m3gc_compiler::{compile, GcConfig, Options};
 use m3gc_core::stats::table_stats;
 use m3gc_runtime::scheduler::{ExecError, Executor};
 use m3gc_runtime::RuntimeOptions;
@@ -37,12 +37,7 @@ BEGIN
 END Spin.";
 
 fn build(loop_gc_points: bool) -> m3gc_vm::VmModule {
-    let gc = GcConfig {
-        emit_tables: true,
-        calls: CallPolicy::AllCalls,
-        loop_gc_points,
-        ..GcConfig::default()
-    };
+    let gc = GcConfig { emit_tables: true, loop_gc_points };
     compile(SRC, &Options::o2().with_gc(gc)).expect("compiles")
 }
 

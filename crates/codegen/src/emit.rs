@@ -11,7 +11,7 @@ use m3gc_vm::asm::Assembler;
 use m3gc_vm::isa::{AluOp, Instr as Vm, UnAluOp};
 use m3gc_vm::module::{ProcMeta, VmModule};
 
-use crate::gcpoints::{self, is_gc_point_instr};
+use crate::gcpoints::{self, parks};
 use crate::regalloc::{self, Allocation, TempLoc, SCRATCH};
 use crate::CodegenOptions;
 
@@ -88,6 +88,8 @@ struct FnEmit<'a> {
     temp_ground: Vec<Option<u32>>,
     /// Collected gc-points (pc ascending).
     points: Vec<GcPointTables>,
+    /// The return address of the last call emitted.
+    last_return: Option<u32>,
 }
 
 impl<'a> FnEmit<'a> {
@@ -107,6 +109,7 @@ impl<'a> FnEmit<'a> {
             param_ground: vec![None; f.n_params],
             temp_ground: vec![None; f.temp_count()],
             points: Vec::new(),
+            last_return: None,
         };
         // Source-slot pointer words: every pointer in a frame slot is a
         // separate ground entry (§5.2) and is traced at every gc-point
@@ -138,13 +141,14 @@ impl<'a> FnEmit<'a> {
         e
     }
 
-    /// The pc of an allocation or poll about to be emitted. A call's
-    /// table is keyed by its return address; where that would be this
-    /// pc too (a call falling through into a block that starts with an
+    /// The pc of an allocation or poll about to be emitted. Where that
+    /// would be a call's return address (a call falling through into an
     /// allocation or a poll), one pad instruction gives the park site a
-    /// key of its own, since one table cannot describe both points.
+    /// pc of its own: a call's table is keyed by its return address and
+    /// one table cannot describe both points, and a return address is
+    /// never a park site, whether or not its call has a table.
     fn park_site_pc(&self, asm: &mut Assembler) -> u32 {
-        if self.points.last().is_some_and(|last| last.pc == asm.here()) {
+        if self.last_return == Some(asm.here()) {
             asm.emit(&Vm::Mov { dst: 0, src: 0 });
         }
         asm.here()
@@ -302,7 +306,7 @@ fn emit_function(
     f: &Function,
     deriv: Option<&DerivAnalysis>,
     global_offsets: &[u32],
-    allocating: &[bool],
+    may_park: &[bool],
     options: &CodegenOptions,
 ) -> (ProcMeta, ProcTables) {
     let alloc = regalloc::allocate(f, deriv);
@@ -330,8 +334,8 @@ fn emit_function(
     // create an old→young edge); `nonheap` holds temps bound to frame-slot
     // or global addresses (never inside a heap object). Both survive only
     // through `Copy`; any other redefinition clears the temp, and every
-    // potential collection point (calls, allocations, explicit gc-points)
-    // clears `fresh` entirely — a collection may promote the object.
+    // gc-point (allocations, polls, calls that may park) clears `fresh`
+    // entirely — a collection may promote the object.
     let mut fresh = BitSet::new(f.temp_count());
     let mut nonheap = BitSet::new(f.temp_count());
     for (oi, &bid) in order.iter().enumerate() {
@@ -343,7 +347,7 @@ fn emit_function(
         let mut after: Vec<Option<BitSet>> = vec![None; block.instrs.len()];
         if options.gc.emit_tables {
             alloc.liveness.walk_back(f, bid, |i, live| {
-                if matches!(block.instrs[i], Ir::Call { .. } | Ir::New { .. } | Ir::GcPoint) {
+                if parks(&block.instrs[i], may_park) {
                     after[i] = Some(live.clone());
                 }
             });
@@ -470,8 +474,7 @@ fn emit_function(
                     //   overwritten pointer was already marked at the
                     //   snapshot; only heap-to-heap edges can delete
                     //   the last unmarked path to an object.
-                    let needs_barrier = options.gc.write_barriers
-                        && f.kind(*src) == TempKind::Ptr
+                    let needs_barrier = f.kind(*src) == TempKind::Ptr
                         && !fresh.contains(addr.index())
                         && !nonheap.contains(addr.index());
                     if needs_barrier {
@@ -521,7 +524,8 @@ fn emit_function(
                     }
                     asm.emit(&Vm::Call { proc: func.0 as u16, nargs: args.len() as u8 });
                     let retpc = asm.here();
-                    if emit_tables && is_gc_point_instr(ins, options.gc.calls, allocating) {
+                    em.last_return = Some(retpc);
+                    if emit_tables && parks(ins, may_park) {
                         // The live set during the callee's execution: live
                         // after the call, *minus the call's own result* —
                         // the destination is not written until the callee
@@ -613,10 +617,13 @@ fn emit_function(
             }
 
             // Update the barrier-elision state for the instruction just
-            // emitted. A redefinition always clears the temp first; `Copy`
-            // propagates both properties; a collection opportunity (call,
-            // allocation, explicit gc-point) drops every freshness fact
-            // because the collector may promote the objects.
+            // emitted. A gc-point drops every freshness fact because the
+            // collector may promote the objects; a call that cannot park
+            // keeps them. A redefinition always clears the temp first;
+            // `Copy` propagates both properties.
+            if parks(ins, may_park) {
+                fresh.clear();
+            }
             match ins {
                 Ir::Copy { dst, src } => {
                     let src_fresh = fresh.contains(src.index());
@@ -631,15 +638,8 @@ fn emit_function(
                     }
                 }
                 Ir::New { dst, .. } => {
-                    fresh.clear();
                     nonheap.remove(dst.index());
                     fresh.insert(dst.index());
-                }
-                Ir::Call { .. } | Ir::GcPoint => {
-                    fresh.clear();
-                    if let Some(d) = ins.def() {
-                        nonheap.remove(d.index());
-                    }
                 }
                 Ir::SlotAddr { dst, .. } | Ir::GlobalAddr { dst, .. } => {
                     fresh.remove(dst.index());
@@ -709,7 +709,7 @@ pub(crate) fn compile(prog: &mut Program, options: &CodegenOptions) -> VmModule 
     if options.gc.emit_tables {
         gcpoints::place_gc_points(prog, &options.gc);
     }
-    let allocating = prog.compute_allocating();
+    let may_park = gcpoints::may_park(prog);
     let global_offsets: Vec<u32> =
         (0..prog.globals.len()).map(|i| prog.global_offset(m3gc_ir::GlobalId(i as u32))).collect();
 
@@ -729,7 +729,7 @@ pub(crate) fn compile(prog: &mut Program, options: &CodegenOptions) -> VmModule 
             f,
             derivs[i].as_deref_ref(),
             &global_offsets,
-            &allocating,
+            &may_park,
             options,
         );
         procs.push(meta);
@@ -1090,26 +1090,40 @@ mod tests {
         assert_eq!(stb_count(&mut p, &CodegenOptions::default()), 0);
     }
 
-    #[test]
-    fn call_invalidates_freshness() {
-        // A call between the allocation and the store is a gc-point: the
-        // callee may allocate and force a collection that promotes `c`,
-        // so the store needs its barrier back.
+    /// `main` allocates `a` then `c`, calls `callee`, then stores `a`
+    /// into `c`: how many barriers does the store get?
+    fn barriers_after_call(callee: FuncBuilder) -> usize {
         let mut p = Program::new();
         let ty = ptr_record(&mut p);
-        let mut leaf = FuncBuilder::new("leaf", &[]);
-        leaf.ret(None);
-        let leaf_fn = leaf.finish();
-        let leaf_id = p.add_func(leaf_fn);
+        let callee_id = p.add_func(callee.finish());
         let mut b = FuncBuilder::new("main", &[]);
         let a = b.new_object(ty, None);
         let c = b.new_object(ty, None);
-        b.call(leaf_id, vec![], None);
+        b.call(callee_id, vec![], None);
         b.store(c, 0, a);
         b.ret(None);
-        let id = b.finish();
-        p.main = p.add_func(id);
-        assert_eq!(stb_count(&mut p, &CodegenOptions::default()), 1);
+        p.main = p.add_func(b.finish());
+        stb_count(&mut p, &CodegenOptions::default())
+    }
+
+    #[test]
+    fn call_invalidates_freshness() {
+        // A call between the allocation and the store is a gc-point when
+        // its callee allocates: the allocation may force a collection
+        // that promotes `c`, so the store needs its barrier back.
+        let mut callee = FuncBuilder::new("allocate", &[]);
+        let _ = callee.new_object(m3gc_core::heap::TypeId(0), None);
+        callee.ret(None);
+        assert_eq!(barriers_after_call(callee), 1);
+    }
+
+    #[test]
+    fn never_parking_call_keeps_freshness() {
+        // A leaf that never parks cannot let a collection run, so `c` is
+        // still nursery-fresh at the store.
+        let mut leaf = FuncBuilder::new("leaf", &[]);
+        leaf.ret(None);
+        assert_eq!(barriers_after_call(leaf), 0);
     }
 
     #[test]
@@ -1130,21 +1144,5 @@ mod tests {
         let id = b.finish();
         p.main = p.add_func(id);
         assert_eq!(stb_count(&mut p, &CodegenOptions::default()), 0);
-    }
-
-    #[test]
-    fn barriers_can_be_disabled() {
-        let mut p = Program::new();
-        let ty = ptr_record(&mut p);
-        let mut b = FuncBuilder::new("main", &[]);
-        let a = b.new_object(ty, None);
-        let c = b.new_object(ty, None);
-        b.store(a, 0, c);
-        b.ret(None);
-        let id = b.finish();
-        p.main = p.add_func(id);
-        let mut opts = CodegenOptions::default();
-        opts.gc.write_barriers = false;
-        assert_eq!(stb_count(&mut p, &opts), 0);
     }
 }

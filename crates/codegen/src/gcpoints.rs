@@ -1,11 +1,13 @@
 //! Gc-point placement (§5.3).
 //!
-//! Calls, allocations and polls all get gc-point tables, but a thread
-//! *parks* for a pending collection only at a **park site**: an
-//! allocation or a `GcPoint` poll. A call's table is keyed by its return
-//! address and describes the caller's frame while the callee runs, so
-//! returns do not bound the time a pre-empted thread needs to park.
-//! Placement bounds it:
+//! A thread *parks* for a pending collection only at a **park site**: an
+//! allocation or a `GcPoint` poll. Both get gc-point tables. A call gets
+//! one exactly when its callee **may park** (holds a park site or calls
+//! a procedure that may park): its table is keyed by the return address
+//! and describes the caller's frame while the callee runs, and a stopped
+//! thread's top frame sits at a park site, so every return address
+//! beneath it belongs to such a call. Returns do not bound the time a
+//! pre-empted thread needs to park. Placement bounds it:
 //!
 //! * a procedure **must park** when a reachable block that dominates all
 //!   its returns holds a park site: an allocation, a poll or a call of a
@@ -25,29 +27,39 @@
 use m3gc_ir::cfg;
 use m3gc_ir::{BlockId, Function, Instr, Program, Terminator};
 
-use crate::{CallPolicy, GcConfig};
+use crate::GcConfig;
 
-/// Does this instruction get a gc-point table under `policy`?
-/// (`allocating[f]` = may procedure `f` transitively allocate.)
+/// Is this instruction a park site, or a call of a procedure flagged in
+/// `callee_parks`? Over [`may_park`] this is "is a gc-point", over the
+/// must-park flags "is sure to reach a park site". Runtime services are
+/// statically known not to allocate (§5.3).
 #[must_use]
-pub fn is_gc_point_instr(ins: &Instr, policy: CallPolicy, allocating: &[bool]) -> bool {
+pub fn parks(ins: &Instr, callee_parks: &[bool]) -> bool {
     match ins {
         Instr::New { .. } | Instr::GcPoint => true,
-        Instr::Call { func, .. } => match policy {
-            CallPolicy::AllCalls => true,
-            CallPolicy::AllocatingOnly => allocating[func.index()],
-        },
-        // Runtime services are statically known not to allocate (§5.3).
+        Instr::Call { func, .. } => callee_parks[func.index()],
         _ => false,
     }
 }
 
-/// Is this instruction a park site, or a call that must reach one?
-fn parks(ins: &Instr, must_park: &[bool]) -> bool {
-    match ins {
-        Instr::New { .. } | Instr::GcPoint => true,
-        Instr::Call { func, .. } => must_park[func.index()],
-        _ => false,
+/// Which procedures may park: those holding an allocation or a poll, or
+/// calling a procedure that may park (the least fixpoint, so recursion
+/// alone does not make a procedure may-park). Computed after placement,
+/// since a poll makes its procedure may-park.
+#[must_use]
+pub fn may_park(prog: &Program) -> Vec<bool> {
+    let mut may = vec![false; prog.funcs.len()];
+    loop {
+        let mut changed = false;
+        for (i, f) in prog.funcs.iter().enumerate() {
+            if !may[i] && f.blocks.iter().flat_map(|b| &b.instrs).any(|ins| parks(ins, &may)) {
+                may[i] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            return may;
+        }
     }
 }
 
@@ -434,11 +446,21 @@ mod tests {
         assert_eq!(polls(&placed(vec![f]).funcs[0]), 0);
     }
 
+    /// A poll alone makes a procedure may-park, and so its callers;
+    /// recursion alone does not.
     #[test]
-    fn call_policy_distinguishes_allocating() {
-        let call = Instr::Call { dst: None, func: FuncId(0), args: vec![] };
-        assert!(is_gc_point_instr(&call, CallPolicy::AllCalls, &[false]));
-        assert!(!is_gc_point_instr(&call, CallPolicy::AllocatingOnly, &[false]));
-        assert!(is_gc_point_instr(&call, CallPolicy::AllocatingOnly, &[true]));
+    fn may_park_is_the_least_fixpoint() {
+        let mut spin = leaf(false);
+        let entry = spin.entry;
+        spin.block_mut(entry).instrs.insert(0, Instr::GcPoint);
+        let p = placed(vec![spin, loop_calling(FuncId(0))]);
+        assert_eq!(may_park(&p), [true, true]);
+        let p = placed(vec![recursive(false), leaf(false), leaf(true)]);
+        assert_eq!(may_park(&p), [false, false, true]);
+        let mut rec = recursive(false);
+        let entry = rec.entry;
+        let t = rec.new_temp(TempKind::Ptr);
+        rec.block_mut(entry).instrs.insert(0, Instr::New { dst: t, ty: TypeId(0), len: None });
+        assert_eq!(may_park(&placed(vec![rec])), [true]);
     }
 }

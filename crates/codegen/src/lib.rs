@@ -2,12 +2,12 @@
 //!
 //! This crate implements the compiler-side half of the paper:
 //!
-//! * **gc-point placement** (§5.3): calls are gc-points (all of them, or —
-//!   with the interprocedural refinement — only calls to transitively
-//!   allocating procedures), allocations are gc-points, and loops that do
-//!   not execute a guaranteed gc-point on every iteration get an explicit
-//!   one on the back edge so pre-empted threads reach a gc-point in
-//!   bounded time;
+//! * **gc-point placement** (§5.3): allocations are gc-points, loops
+//!   that do not execute a guaranteed gc-point on every iteration get an
+//!   explicit poll at their header so pre-empted threads reach a gc-point
+//!   in bounded time, and a call is a gc-point exactly when its callee
+//!   may park — holds an allocation or a poll, or calls a procedure that
+//!   may park ([`gcpoints::may_park`]);
 //! * **liveness-driven map emission**: at every gc-point the generator
 //!   records which frame slots and registers hold live tidy pointers and
 //!   the derivation of every live derived value (with path variables for
@@ -30,47 +30,28 @@ use m3gc_core::encode::Scheme;
 use m3gc_ir::Program;
 use m3gc_vm::VmModule;
 
-/// Which calls are gc-points (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallPolicy {
-    /// Every call except non-allocating runtime services — the paper's
-    /// implementation (required for pre-emptive threads).
-    AllCalls,
-    /// Only calls to (transitively) allocating procedures — the
-    /// interprocedural refinement the paper mentions; sound only
-    /// single-threaded.
-    AllocatingOnly,
-}
-
-/// GC-related code generation configuration.
+/// GC-related code generation configuration: the two knobs a paper
+/// experiment turns. Which calls are gc-points is not a knob: a call is
+/// one exactly when its callee may park (see [`gcpoints`]).
+///
+/// Pointer stores into heap objects always get a write barrier
+/// ([`m3gc_vm::isa::Instr::StB`]), elided when the stored value is
+/// statically a non-pointer, the target object is provably nursery-fresh
+/// (allocated in this block with no gc-point since) or provably outside
+/// the heap (a frame-slot or global address). On a non-generational heap
+/// the barrier degenerates to a plain store.
 #[derive(Debug, Clone, Copy)]
 pub struct GcConfig {
     /// Emit gc maps and apply gc liveness rules. Turning this off gives
-    /// the §6.2 baseline compiler for code-difference measurements.
+    /// the §6.2 baseline compiler for code-difference measurements (E62).
     pub emit_tables: bool,
-    /// Which calls are gc-points.
-    pub calls: CallPolicy,
-    /// Insert gc-points in loops without a guaranteed one.
+    /// Insert gc-points in loops without a guaranteed one (ablation A2).
     pub loop_gc_points: bool,
-    /// Emit write barriers ([`m3gc_vm::isa::Instr::StB`]) at pointer
-    /// stores into heap objects, for generational collection. Barriers
-    /// are elided when the stored value is statically a non-pointer or
-    /// the target object is provably nursery-fresh (allocated in this
-    /// block with no gc-point since) or provably outside the heap (a
-    /// frame-slot or global address). On a non-generational heap the
-    /// barrier instruction degenerates to a plain store, so barrier-
-    /// compiled code runs unchanged under either collector.
-    pub write_barriers: bool,
 }
 
 impl Default for GcConfig {
     fn default() -> Self {
-        GcConfig {
-            emit_tables: true,
-            calls: CallPolicy::AllCalls,
-            loop_gc_points: true,
-            write_barriers: true,
-        }
+        GcConfig { emit_tables: true, loop_gc_points: true }
     }
 }
 

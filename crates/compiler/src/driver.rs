@@ -1,6 +1,7 @@
 //! The guts of the `m3c` command-line tool: each subcommand as a testable
 //! function from (source, options) to printable output.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -13,6 +14,8 @@ use m3gc_runtime::scheduler::{ExecError, Executor};
 use m3gc_runtime::{
     GcStrategy, ParExecutor, RuntimeOptions, ServeExecutor, ServeLoad, StatsReport,
 };
+use m3gc_vm::decode::decode_instr;
+use m3gc_vm::{Instr, VmModule};
 
 use crate::{compile, compile_timed, compile_to_ir, Options};
 
@@ -321,6 +324,8 @@ pub fn stats(source: &str, options: &Options) -> Result<String, DriverError> {
     let mut s = String::new();
     let _ = writeln!(s, "code size:        {} bytes", module.code_size());
     let _ = writeln!(s, "gc-points:        {} ({} non-empty)", st.total_gc_points, st.ngc);
+    let (calls, with_tables) = call_tables(&module);
+    let _ = writeln!(s, "calls:            {calls} ({with_tables} with tables)");
     let _ = writeln!(
         s,
         "tables:           NPTRS {} NDEL {} NREG {} NDER {}",
@@ -338,6 +343,23 @@ pub fn stats(source: &str, options: &Options) -> Result<String, DriverError> {
     }
     let _ = writeln!(s, "--- compile: {times}");
     Ok(s)
+}
+
+/// How many calls `module` makes, and how many of their return addresses
+/// key a gc-point table (those whose callee may park).
+fn call_tables(module: &VmModule) -> (usize, usize) {
+    let pcs: HashSet<u32> =
+        module.logical_maps.procs.iter().flat_map(|p| &p.points).map(|pt| pt.pc).collect();
+    let (mut calls, mut with_tables) = (0, 0);
+    let mut pos = 0;
+    while let Some((ins, n)) = decode_instr(&module.code, pos) {
+        pos += n;
+        if matches!(ins, Instr::Call { .. }) {
+            calls += 1;
+            with_tables += usize::from(pcs.contains(&(pos as u32)));
+        }
+    }
+    (calls, with_tables)
 }
 
 /// Parses CLI-style option flags shared by the subcommands.
@@ -647,6 +669,20 @@ mod tests {
         let s = stats(ALLOCATING, &o).unwrap();
         assert!(s.contains("delta-main+previous+packing"), "{s}");
         assert!(s.contains("full-info"), "{s}");
+    }
+
+    #[test]
+    fn stats_count_calls_and_their_tables() {
+        let src = "MODULE C;
+            TYPE R = REF RECORD v: INTEGER END;
+            PROCEDURE Pure(x: INTEGER): INTEGER = BEGIN RETURN x * 3; END Pure;
+            PROCEDURE Make(x: INTEGER): R =
+            VAR r: R;
+            BEGIN r := NEW(R); r.v := x; RETURN r; END Make;
+            BEGIN PutInt(Pure(2) + Make(5).v); END C.";
+        let (o, _) = parse_options(&[]).unwrap();
+        let s = stats(src, &o).unwrap();
+        assert!(s.contains("calls:            2 (1 with tables)"), "{s}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use m3gc_runtime::serve::{ServeExecutor, ServeLoad, ServeOutcome};
 use m3gc_runtime::{GcStrategy, RuntimeOptions};
 use m3gc_vm::VmModule;
 
-pub use m3gc_codegen::{CallPolicy, GcConfig};
+pub use m3gc_codegen::GcConfig;
 pub use m3gc_runtime::parallel::{ParGcStats, ParOutcome as ParExecOutcome};
 
 /// Complete compiler configuration.

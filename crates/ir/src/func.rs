@@ -175,6 +175,18 @@ impl Function {
         self.temp_kinds.len()
     }
 
+    /// How many instructions define each temp, across the whole function.
+    #[must_use]
+    pub fn def_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.temp_count()];
+        for ins in self.blocks.iter().flat_map(|b| &b.instrs) {
+            if let Some(d) = ins.def() {
+                counts[d.index()] += 1;
+            }
+        }
+        counts
+    }
+
     /// The declared kind of `t`.
     ///
     /// # Panics
@@ -274,47 +286,6 @@ impl Program {
         &self.funcs[f.index()]
     }
 
-    /// Computes, for each function, whether it may (transitively) allocate.
-    ///
-    /// The paper considers all calls gc-points except calls to procedures
-    /// statically known not to allocate (§5.3); this is the interprocedural
-    /// refinement it mentions as an option. The result is a fixpoint over
-    /// the call graph: a function allocates if it contains `New` or calls
-    /// an allocating function.
-    #[must_use]
-    pub fn compute_allocating(&self) -> Vec<bool> {
-        let n = self.funcs.len();
-        let mut allocating = vec![false; n];
-        for (i, f) in self.funcs.iter().enumerate() {
-            if f.blocks.iter().any(|b| b.instrs.iter().any(|ins| matches!(ins, Instr::New { .. })))
-            {
-                allocating[i] = true;
-            }
-        }
-        loop {
-            let mut changed = false;
-            for (i, f) in self.funcs.iter().enumerate() {
-                if allocating[i] {
-                    continue;
-                }
-                let calls_allocating = f.blocks.iter().any(|b| {
-                    b.instrs.iter().any(|ins| match ins {
-                        Instr::Call { func, .. } => allocating[func.index()],
-                        _ => false,
-                    })
-                });
-                if calls_allocating {
-                    allocating[i] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        allocating
-    }
-
     /// Word offsets of all tidy-pointer roots in the global area, given the
     /// globals' packed layout (each global occupies `words` consecutive
     /// words, in id order).
@@ -354,7 +325,6 @@ impl Default for Program {
 mod tests {
     use super::*;
     use crate::instr::BinOp;
-    use m3gc_core::heap::{HeapType, TypeId};
 
     #[test]
     fn function_construction() {
@@ -378,23 +348,6 @@ mod tests {
         assert_eq!(s.ptr_words, vec![0]);
         let s = SlotInfo::scalar("i", TempKind::Int, false);
         assert!(s.ptr_words.is_empty());
-    }
-
-    #[test]
-    fn allocating_fixpoint() {
-        let mut p = Program::new();
-        // f0 allocates directly; f1 calls f0; f2 calls nothing.
-        let mut f0 = Function::new("alloc", FuncId(0), &[], None);
-        let t = f0.new_temp(TempKind::Ptr);
-        f0.blocks[0].instrs.push(Instr::New { dst: t, ty: TypeId(0), len: None });
-        p.add_func(f0);
-        let mut f1 = Function::new("caller", FuncId(0), &[], None);
-        f1.blocks[0].instrs.push(Instr::Call { dst: None, func: FuncId(0), args: vec![] });
-        p.add_func(f1);
-        let f2 = Function::new("leaf", FuncId(0), &[], None);
-        p.add_func(f2);
-        p.types.add(HeapType::Record { name: "T".into(), words: 1, ptr_offsets: vec![] });
-        assert_eq!(p.compute_allocating(), vec![true, true, false]);
     }
 
     #[test]

@@ -141,7 +141,9 @@ impl std::fmt::Display for UnOp {
 
 /// Non-allocating runtime services. Calls to these are **not** gc-points:
 /// the paper statically exempts known non-allocating procedures (run-time
-/// error reporting and the like) from gc-point status (§5.3).
+/// error reporting and the like) from gc-point status (§5.3). A service
+/// never parks, so it is the base case of codegen's may-park rule, under
+/// which a procedure call is a gc-point exactly when its callee may park.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeFn {
     /// Print an integer (no newline).

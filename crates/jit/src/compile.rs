@@ -575,12 +575,14 @@ impl<'a> ProcCompiler<'a> {
                 // The continuation: this native offset *is* the return
                 // address the token denotes, and the key of the bytecode
                 // return pc's table, which describes this frame while
-                // the callee runs. A return address is no park site, so
-                // no poll is emitted for it. A direct return lands here,
-                // so a burst must be able to end here: a fuel check does
-                // that, unless the next op is a park site (hand-assembled
-                // modules only; codegen pads those) whose poll checks the
-                // fuel itself.
+                // the callee runs. Every continuation is recorded, but
+                // only a call whose callee may park has a table, and only
+                // such a call's frame is ever walked while it waits. A
+                // return address is no park site, so no poll is emitted
+                // for it. A direct return lands here, so a burst must be
+                // able to end here: a fuel check does that, unless the
+                // next op is a park site (hand-assembled modules only;
+                // codegen pads those) whose poll checks the fuel itself.
                 let cont = self.e.here();
                 self.e.patch_imm64(token_at, JIT_RETPC_BIAS + i64::from(self.global_base + cont));
                 self.gc_points.push((self.global_base + cont, next_pc));

@@ -26,19 +26,6 @@ fn is_pure(ins: &Instr) -> bool {
     )
 }
 
-/// Count of defs per temp across the whole function.
-fn def_counts(f: &Function) -> Vec<u32> {
-    let mut counts = vec![0u32; f.temp_count()];
-    for block in &f.blocks {
-        for ins in &block.instrs {
-            if let Some(d) = ins.def() {
-                counts[d.index()] += 1;
-            }
-        }
-    }
-    counts
-}
-
 /// Ensures `l.header` has a preheader: a block that is the only loop entry
 /// edge source. Returns its id.
 pub fn ensure_preheader(f: &mut Function, l: &NaturalLoop) -> BlockId {
@@ -184,7 +171,7 @@ fn first_hoistable(
 /// a hoist moves the single def of its temp, so no count changes and
 /// only that temp leaves the loop.
 fn hoist_loop(f: &mut Function, l: &NaturalLoop) -> usize {
-    let mut counts = def_counts(f);
+    let mut counts = f.def_counts();
     let mut in_loop = defined_in_loop(f, l);
     reassociate(f, l, &counts, &in_loop);
     counts.resize(f.temp_count(), 1);

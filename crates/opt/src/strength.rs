@@ -22,21 +22,9 @@ struct BasicIv {
     update: (BlockId, usize),
 }
 
-fn def_counts(f: &Function) -> Vec<u32> {
-    let mut counts = vec![0u32; f.temp_count()];
-    for block in &f.blocks {
-        for ins in &block.instrs {
-            if let Some(d) = ins.def() {
-                counts[d.index()] += 1;
-            }
-        }
-    }
-    counts
-}
-
 /// Finds basic IVs of loop `l`: temps whose only in-loop def is
 /// `iv := copy(ni)` where `ni := iv + c` (single-def, `c` a constant).
-/// `counts` is [`def_counts`] of `f`.
+/// `counts` is [`Function::def_counts`] of `f`.
 fn find_basic_ivs(f: &Function, l: &NaturalLoop, counts: &[u32]) -> Vec<BasicIv> {
     // Constants known in the function (single-def Const temps).
     let mut const_of: Vec<Option<i64>> = vec![None; f.temp_count()];
@@ -87,7 +75,7 @@ fn find_basic_ivs(f: &Function, l: &NaturalLoop, counts: &[u32]) -> Vec<BasicIv>
 
 /// Applies strength reduction to one loop; returns rewrites performed.
 fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
-    let counts = def_counts(f);
+    let counts = f.def_counts();
     let ivs = find_basic_ivs(f, l, &counts);
     if ivs.is_empty() {
         return 0;
@@ -248,7 +236,7 @@ mod tests {
     fn detects_basic_iv() {
         let f = indexed_sum();
         let loops = cfg::natural_loops(&f);
-        let ivs = find_basic_ivs(&f, &loops[0], &def_counts(&f));
+        let ivs = find_basic_ivs(&f, &loops[0], &f.def_counts());
         assert_eq!(ivs.len(), 1);
         assert_eq!(ivs[0].step, 1);
     }

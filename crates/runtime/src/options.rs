@@ -78,8 +78,6 @@ pub struct RuntimeOptions {
     /// Words per nursery half (`None` = a quarter semispace), used by
     /// [`GcStrategy::Generational`].
     pub nursery_words: Option<usize>,
-    /// Minor-collection survivals before promotion to tenured space.
-    pub promote_age: u32,
     /// Words per per-request region (allocation-service mode; 0 = off).
     pub region_words: usize,
     /// Green-request slots multiplexed over `threads` OS threads
@@ -123,7 +121,6 @@ impl Default for RuntimeOptions {
             conc_workers: 2,
             tlab_words: DEFAULT_TLAB_WORDS,
             nursery_words: None,
-            promote_age: 2,
             region_words: 0,
             green_slots: 0,
             quantum: 10_000,
@@ -219,14 +216,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Sets the survival count at which nursery objects are promoted
-    /// (generational strategy only).
-    #[must_use]
-    pub fn promote_age(mut self, age: u32) -> Self {
-        self.promote_age = age;
-        self
-    }
-
     /// Allocation-service mode: per-request regions of `words` words
     /// across `slots` green-request slots.
     #[must_use]
@@ -314,9 +303,10 @@ impl RuntimeOptions {
     pub fn heap_strategy(&self) -> HeapStrategy {
         match self.strategy {
             GcStrategy::Generational => match self.nursery_words {
-                Some(n) => {
-                    HeapStrategy::Generational { nursery_words: n, promote_age: self.promote_age }
-                }
+                Some(n) => HeapStrategy::Generational {
+                    nursery_words: n,
+                    promote_age: HeapStrategy::DEFAULT_PROMOTE_AGE,
+                },
                 None => HeapStrategy::generational_for(self.semi_words),
             },
             GcStrategy::Semispace | GcStrategy::Parallel | GcStrategy::Cms => {

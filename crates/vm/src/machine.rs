@@ -70,11 +70,18 @@ pub enum HeapStrategy {
 }
 
 impl HeapStrategy {
+    /// Minor-collection survivals before promotion to tenured space,
+    /// unless a layout sets its own.
+    pub const DEFAULT_PROMOTE_AGE: u32 = 2;
+
     /// A generational strategy with the default nursery-to-semispace ratio
-    /// (one quarter) and promotion age 2.
+    /// (one quarter) and [`Self::DEFAULT_PROMOTE_AGE`].
     #[must_use]
     pub fn generational_for(semi_words: usize) -> HeapStrategy {
-        HeapStrategy::Generational { nursery_words: (semi_words / 4).max(64), promote_age: 2 }
+        HeapStrategy::Generational {
+            nursery_words: (semi_words / 4).max(64),
+            promote_age: Self::DEFAULT_PROMOTE_AGE,
+        }
     }
 }
 

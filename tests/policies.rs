@@ -1,10 +1,19 @@
-//! Gc-point policy tests (§5.3): the interprocedural allocating-only
-//! refinement vs the all-calls default, loop gc-points, and scheme
-//! orthogonality — policies change table sizes, never semantics.
+//! Gc-point policy tests (§5.3): a call is a gc-point exactly when its
+//! callee may park (holds an allocation or a poll, or calls a procedure
+//! that may park), loop gc-points, and scheme orthogonality — placement
+//! and encoding change table sizes, never semantics.
 
-use m3gc::codegen::{CallPolicy, GcConfig};
-use m3gc::compiler::{compile, reference_output, run_module, Options};
+use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::time::Duration;
+
+use m3gc::codegen::GcConfig;
+use m3gc::compiler::{compile, reference_output, run_module, run_module_par_opts, Options};
+use m3gc::core::encode::Scheme;
 use m3gc::core::stats::table_stats;
+use m3gc::runtime::{GcStrategy, RuntimeOptions};
+use m3gc::vm::decode::decode_instr;
+use m3gc::vm::{Instr, VmModule};
 
 const SRC: &str = "MODULE P;
 TYPE R = REF RECORD v: INTEGER END;
@@ -30,53 +39,62 @@ BEGIN
   PutInt(s);
 END P.";
 
-fn with_policy(calls: CallPolicy, loop_gc_points: bool) -> Options {
-    Options::o2().with_gc(GcConfig {
-        emit_tables: true,
-        calls,
-        loop_gc_points,
-        ..GcConfig::default()
-    })
+fn with_loops(loop_gc_points: bool) -> Options {
+    Options::o2().with_gc(GcConfig { emit_tables: true, loop_gc_points })
+}
+
+/// For each call in `caller` to a procedure named in `callees`, in code
+/// order: the callee's name and whether the call's return address has
+/// a gc-point table.
+fn call_tables(module: &VmModule, caller: &str, callees: &[&str]) -> Vec<(String, bool)> {
+    let pcs: BTreeSet<u32> =
+        module.logical_maps.procs.iter().flat_map(|p| &p.points).map(|pt| pt.pc).collect();
+    let meta = module.procs.iter().find(|p| p.name == caller).expect("caller");
+    let mut calls = Vec::new();
+    let mut pos = meta.entry_pc as usize;
+    while pos < meta.end_pc as usize {
+        let (ins, n) = decode_instr(&module.code, pos).expect("valid code");
+        pos += n;
+        if let Instr::Call { proc, .. } = ins {
+            let name = &module.procs[proc as usize].name;
+            if callees.contains(&name.as_str()) {
+                calls.push((name.clone(), pcs.contains(&(pos as u32))));
+            }
+        }
+    }
+    calls
 }
 
 #[test]
-fn allocating_only_emits_fewer_gc_points() {
-    let all = compile(SRC, &with_policy(CallPolicy::AllCalls, true)).unwrap();
-    let refined = compile(SRC, &with_policy(CallPolicy::AllocatingOnly, true)).unwrap();
-    let s_all = table_stats(&all.logical_maps);
-    let s_ref = table_stats(&refined.logical_maps);
-    // Calls to PureMath are gc-points only under AllCalls.
-    assert!(
-        s_ref.total_gc_points < s_all.total_gc_points,
-        "refined {} vs all {}",
-        s_ref.total_gc_points,
-        s_all.total_gc_points
+fn calls_get_tables_exactly_when_the_callee_may_park() {
+    let module = compile(SRC, &Options::o2()).unwrap();
+    let calls = call_tables(&module, "main", &["PureMath", "Allocate"]);
+    assert_eq!(
+        calls,
+        [("PureMath".to_string(), false), ("Allocate".to_string(), true)],
+        "PureMath never parks, Allocate allocates"
     );
-    // And the refined tables are smaller.
-    assert!(refined.gc_maps.bytes.len() < all.gc_maps.bytes.len());
 }
 
 #[test]
 fn every_policy_preserves_semantics() {
     let expected = reference_output(SRC).unwrap();
-    for calls in [CallPolicy::AllCalls, CallPolicy::AllocatingOnly] {
+    for scheme in Scheme::TABLE2 {
         for loops in [true, false] {
-            let module = compile(SRC, &with_policy(calls, loops)).unwrap();
+            let module = compile(SRC, &with_loops(loops).with_scheme(scheme)).unwrap();
             let out =
-                run_module(module, 128).unwrap_or_else(|e| panic!("{calls:?}/loops={loops}: {e}"));
-            assert_eq!(out.output, expected, "{calls:?}/loops={loops}");
-            assert!(out.collections > 0, "{calls:?}/loops={loops}");
+                run_module(module, 128).unwrap_or_else(|e| panic!("{scheme}/loops={loops}: {e}"));
+            assert_eq!(out.output, expected, "{scheme}/loops={loops}");
+            assert!(out.collections > 0, "{scheme}/loops={loops}");
         }
     }
 }
 
 #[test]
-fn allocating_only_is_sound_single_threaded() {
-    // Under the refinement, frames suspended at non-gc-point calls can
-    // never be on the stack during a collection: a collection only
-    // triggers under an allocating call chain, and every call in such a
-    // chain is (transitively) allocating, hence a gc-point. A recursive
-    // allocating workload checks this end to end.
+fn recursive_allocating_chain_is_sound_single_threaded() {
+    // `Chain` allocates and recurses; `Count` allocates nothing, and its
+    // loop poll alone makes it may-park, so the call to it has a table.
+    // Without loop gc-points `Count` never parks and its call has none.
     let src = "MODULE S;
         TYPE T = REF RECORD v: INTEGER; next: T END;
         PROCEDURE Chain(n: INTEGER; acc: T): INTEGER =
@@ -100,16 +118,19 @@ fn allocating_only_is_sound_single_threaded() {
           PutInt(Chain(80, NIL));
         END S.";
     let expected = reference_output(src).unwrap();
-    let module = compile(src, &with_policy(CallPolicy::AllocatingOnly, false)).unwrap();
-    let out = run_module(module, 384).unwrap();
-    assert_eq!(out.output, expected);
-    assert!(out.collections > 0);
+    for loops in [true, false] {
+        let module = compile(src, &with_loops(loops)).unwrap();
+        let calls = call_tables(&module, "Chain", &["Chain", "Count"]);
+        assert!(calls.contains(&("Chain".to_string(), true)), "loops={loops}: {calls:?}");
+        assert!(calls.contains(&("Count".to_string(), loops)), "loops={loops}: {calls:?}");
+        let out = run_module(module, 384).unwrap();
+        assert_eq!(out.output, expected, "loops={loops}");
+        assert!(out.collections > 0, "loops={loops}");
+    }
 }
 
 #[test]
 fn disabling_loop_gc_points_shrinks_tables() {
-    let with_loops = compile(SRC, &with_policy(CallPolicy::AllCalls, true)).unwrap();
-    let without = compile(SRC, &with_policy(CallPolicy::AllCalls, false)).unwrap();
     // SRC's FOR loop has a guaranteed gc-point (it allocates every
     // iteration), so counts can tie; use a program with a pure loop.
     let pure = "MODULE Q;
@@ -119,11 +140,89 @@ fn disabling_loop_gc_points_shrinks_tables() {
           FOR i := 1 TO 10 DO s := s + i; END;
           PutInt(s);
         END Q.";
-    let w = compile(pure, &with_policy(CallPolicy::AllCalls, true)).unwrap();
-    let wo = compile(pure, &with_policy(CallPolicy::AllCalls, false)).unwrap();
+    let w = compile(pure, &with_loops(true)).unwrap();
+    let wo = compile(pure, &with_loops(false)).unwrap();
     assert!(
         table_stats(&w.logical_maps).total_gc_points
             > table_stats(&wo.logical_maps).total_gc_points
     );
-    let _ = (with_loops, without);
+}
+
+/// `Work` keeps a pointer live across calls of `Spin`, which allocates
+/// nothing but polls in its loop, and of `Leaf`, which never parks. A
+/// thread parked at `Spin`'s poll has `Work`'s frame beneath it, so the
+/// call to `Spin` needs a table; no thread is ever stopped inside `Leaf`.
+const WORK_LOOP: &str = "MODULE W;
+TYPE R = REF RECORD v: INTEGER; next: R END;
+PROCEDURE Leaf(x: INTEGER): INTEGER =
+BEGIN
+  RETURN (x * 17 + 3) MOD 97;
+END Leaf;
+PROCEDURE Spin(n: INTEGER): INTEGER =
+VAR i, s: INTEGER;
+BEGIN
+  s := 0;
+  FOR i := 1 TO n DO s := (s + i * i) MOD 1009; END;
+  RETURN s;
+END Spin;
+PROCEDURE Work(): INTEGER =
+VAR r, prev: R; i, s: INTEGER;
+BEGIN
+  s := 0;
+  FOR i := 1 TO 200 DO
+    r := NEW(R);
+    r.next := prev;
+    prev := r;
+    r.v := Spin(i MOD 13 + 20);
+    r.v := r.v + Leaf(i);
+    IF i MOD 8 = 0 THEN prev := NIL; END;
+    s := (s + r.v) MOD 1000003;
+  END;
+  RETURN s;
+END Work;
+BEGIN
+  PutInt(Work());
+END W.";
+
+#[test]
+fn work_loop_calls_spin_with_a_table_and_leaf_without() {
+    let module = compile(WORK_LOOP, &Options::o2()).unwrap();
+    let calls = call_tables(&module, "Work", &["Spin", "Leaf"]);
+    assert_eq!(calls, [("Spin".to_string(), true), ("Leaf".to_string(), false)]);
+}
+
+/// Runs [`WORK_LOOP`] 20 times on `mutators` OS threads under torture
+/// with the oracle armed; every run must print the reference answer.
+fn work_loop_runs_clean(what: &str, mutators: usize, options: RuntimeOptions) {
+    let expected = reference_output(WORK_LOOP).unwrap();
+    let module = compile(WORK_LOOP, &Options::o2()).expect("compiles");
+    let options = options.semi_words(4000).threads(mutators).torture(true).oracle(true);
+    for run in 0..20 {
+        let module = module.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || drop(tx.send(run_module_par_opts(module, options))));
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what}, run {run}: no result within 60 s"))
+            .unwrap_or_else(|e| panic!("{what}, run {run}: {e}"));
+        assert_eq!(out.output, expected.repeat(mutators), "{what}, run {run}");
+        assert!(out.collections > 0, "{what}, run {run}");
+    }
+}
+
+#[test]
+fn work_loop_on_four_interpreted_par_mutators() {
+    work_loop_runs_clean("par", 4, RuntimeOptions::new().strategy(GcStrategy::Parallel));
+}
+
+#[test]
+fn work_loop_on_four_jitted_par_mutators() {
+    let options = RuntimeOptions::new().strategy(GcStrategy::Parallel).jit(true);
+    work_loop_runs_clean("par --jit", 4, options);
+}
+
+#[test]
+fn work_loop_on_two_cms_mutators() {
+    let options = RuntimeOptions::new().strategy(GcStrategy::Cms).conc_workers(2);
+    work_loop_runs_clean("cms", 2, options);
 }

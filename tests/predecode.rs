@@ -43,10 +43,12 @@ fn corpus() -> Vec<(String, VmModule)> {
     corpus_of(64, &[("o0", Options::o0()), ("o2", Options::o2())])
 }
 
-/// A park site is a table pc whose op is an allocation or a poll; every
-/// call's return address has a table and no flag; and no pc holds two
-/// gc-points (a call whose return address is an allocation or a poll
-/// gets a pad, so both keep a table of their own). The corpus is
+/// A park site is a table pc whose op is an allocation or a poll; a
+/// call's return address has a table exactly when its callee may park
+/// (holds an allocation or a poll, or calls a procedure that may park),
+/// and never a flag; and no pc holds two gc-points (a call whose return
+/// address is an allocation or a poll gets a pad, so both keep a table
+/// of their own). The corpus is
 /// `tests/compile_golden.rs`'s: the paper's programs and 256 generated
 /// ones at `o0` and `o2` under both path strategies.
 #[test]
@@ -84,15 +86,41 @@ fn flags_are_the_tables() {
             assert!(ops[i].is_gc_point(), "{name}: poll {i} has no tables");
         }
 
+        // May-park procedures, from the code alone: the least fixpoint
+        // of "holds a park site or calls a procedure that may park".
+        let proc_of: Vec<usize> = (0..ops.len())
+            .map(|i| module.proc_at(decoded.pc_of(i)).map_or(usize::MAX, |(p, _)| usize::from(p)))
+            .collect();
+        let mut may_park = vec![false; module.procs.len()];
+        loop {
+            let mut changed = false;
+            for (i, op) in ops.iter().enumerate() {
+                let here = match op.ins {
+                    Instr::Call { proc, .. } => may_park[usize::from(proc)],
+                    ref ins => parks(ins),
+                };
+                if here && proc_of[i] != usize::MAX && !may_park[proc_of[i]] {
+                    may_park[proc_of[i]] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+
         // One table per gc-point: a table for every allocation and poll,
-        // one for every call's return address, and nothing else.
+        // one for the return address of every call whose callee may
+        // park, and nothing else.
         let mut sites = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match op.ins {
-                Instr::Call { .. } => {
+                Instr::Call { proc, .. } => {
                     let ret = i + 1;
                     assert!(!ops[ret].is_gc_point(), "{name}: return address {ret} is flagged");
-                    sites.push(ret);
+                    if may_park[usize::from(proc)] {
+                        sites.push(ret);
+                    }
                 }
                 ref ins if parks(ins) => sites.push(i),
                 _ => {}
