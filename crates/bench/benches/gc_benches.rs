@@ -22,7 +22,8 @@ use m3gc_bench::{compile_benchmark, program};
 use m3gc_core::decode::{DecodeCache, DecoderIndex, TableDecoder};
 use m3gc_core::encode::{encode_module, Scheme};
 use m3gc_runtime::collector;
-use m3gc_vm::machine::{Machine, MachineLayout, RunOutcome, ThreadStatus};
+use m3gc_vm::exec::Step;
+use m3gc_vm::machine::{Machine, MachineLayout};
 
 /// Times `f` over `iters` iterations (after one warmup call) and prints a
 /// per-iteration figure.
@@ -66,22 +67,17 @@ fn encode_benchmarks() {
 }
 
 /// Runs destroy until its first genuine heap exhaustion and returns the
-/// machine with every thread blocked at a gc-point.
+/// machine with its thread stopped at that allocation.
 fn paused_destroy() -> Machine {
     let module = compile_benchmark(program("destroy"), true);
     let mut machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words: 8 * 1024,
-            stack_words: 1 << 15,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words: 8 * 1024, stack_words: 1 << 15, ..MachineLayout::default() },
     );
     let main = machine.module.main;
-    let tid = machine.spawn(main, &[]);
-    match machine.run_thread(tid, u64::MAX) {
-        RunOutcome::NeedGc => machine,
+    machine.spawn(main, &[]);
+    match machine.run_thread(u64::MAX) {
+        Step::NeedGc => machine,
         other => panic!("destroy did not reach a collection: {other:?}"),
     }
 }
@@ -102,16 +98,9 @@ fn collect_benchmarks() {
     let mut machine = paused_destroy();
     let mut cache = DecodeCache::build(&machine.module.gc_maps).expect("valid maps");
     bench("collect/full", 100, || {
-        // Each collection flips semispaces; re-block the threads (their
-        // pcs have not moved) so the next iteration can collect again.
-        let stats = collector::collect(&mut machine, &mut cache);
-        machine.gc_pending = true;
-        for t in &mut machine.threads {
-            if t.status == ThreadStatus::Runnable {
-                t.status = ThreadStatus::BlockedAtGcPoint;
-            }
-        }
-        black_box(stats);
+        // Each collection flips semispaces; the thread's pc has not
+        // moved, so the next iteration can collect again.
+        black_box(collector::collect(&mut machine, &mut cache));
     });
     let _ = DecoderIndex::build(&machine.module.gc_maps).expect("valid maps");
 }

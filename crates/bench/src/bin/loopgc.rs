@@ -5,17 +5,18 @@
 //! gc-point in every loop without a guaranteed one so resumed threads
 //! reach a gc-point in bounded time. This experiment measures what the
 //! insertion costs (gc-points, table bytes, code bytes, dynamic steps)
-//! and demonstrates the failure mode it prevents: with loop gc-points
-//! off, a thread spinning in a pure loop never reaches a gc-point and the
-//! collection protocol gets stuck.
+//! and demonstrates the failure mode it prevents on two OS-thread
+//! mutators: with loop gc-points off, a mutator spinning in a pure loop
+//! never reaches a gc-point and the stop-the-world handshake gets stuck.
 
-use m3gc_compiler::{compile, GcConfig, Options};
+use m3gc_compiler::{compile, run_module_par, GcConfig, Options};
 use m3gc_core::stats::table_stats;
-use m3gc_runtime::scheduler::{ExecError, Executor};
+use m3gc_runtime::scheduler::ExecError;
 use m3gc_runtime::RuntimeOptions;
 
-/// Thread 1 spins in a non-allocating loop; thread 0 allocates until a
-/// collection is needed.
+/// Each mutator alternates an allocation with a long allocation-free
+/// spin. Once two mutators drift apart, a collection requested by one
+/// finds the other mid-spin.
 const SRC: &str = "MODULE Spin;
 TYPE R = REF RECORD x: INTEGER END;
 PROCEDURE Spin(n: INTEGER): INTEGER =
@@ -27,13 +28,19 @@ BEGIN
   END;
   RETURN s;
 END Spin;
-VAR r: R; i: INTEGER;
+PROCEDURE Work(): INTEGER =
+VAR r: R; round, s: INTEGER;
 BEGIN
-  FOR i := 1 TO 300 DO
+  s := 0;
+  FOR round := 1 TO 4 DO
     r := NEW(R);
-    r.x := i;
+    r.x := round;
+    s := (s + r.x + Spin(2000000)) MOD 1000003;
   END;
-  PutInt(r.x);
+  RETURN s;
+END Work;
+BEGIN
+  PutInt(Work());
 END Spin.";
 
 fn build(loop_gc_points: bool) -> m3gc_vm::VmModule {
@@ -41,19 +48,13 @@ fn build(loop_gc_points: bool) -> m3gc_vm::VmModule {
     compile(SRC, &Options::o2().with_gc(gc)).expect("compiles")
 }
 
-fn run_two_threads(loop_gc_points: bool) -> Result<(u64, u64), ExecError> {
+/// Two OS-thread mutators under torture (a collection at every
+/// allocation); a mutator that runs 200 000 instructions past a
+/// collection request without reaching a gc-point ends the run.
+fn run_two_mutators(loop_gc_points: bool) -> Result<(u64, u64), ExecError> {
     let module = build(loop_gc_points);
-    let opts =
-        RuntimeOptions::new().semi_words(256).stack_words(4096).max_threads(3).max_advance(200_000);
-    let machine = opts.build_machine(module);
-    let mut ex = Executor::new(machine, opts);
-    ex.machine.spawn(ex.machine.module.main, &[]);
-    let spin =
-        ex.machine.module.procs.iter().position(|p| p.name == "Spin").expect("spin proc") as u16;
-    // A long spin: far more iterations than the advance budget allows
-    // without a gc-point.
-    ex.machine.spawn(spin, &[2_000_000]);
-    let out = ex.run()?;
+    let opts = RuntimeOptions::new().gc_workers(2).torture(true).max_advance(200_000);
+    let out = run_module_par(module, 1 << 12, 2, false, opts)?;
     Ok((out.collections, out.steps))
 }
 
@@ -70,20 +71,20 @@ fn main() {
             stats.total_gc_points,
         );
     }
-    println!("\nTwo threads: one allocating, one spinning in a pure loop:");
-    match run_two_threads(true) {
+    println!("\nTwo mutators, each allocating between pure-loop spins:");
+    match run_two_mutators(true) {
         Ok((gcs, steps)) => {
             println!("  ON : completed, {gcs} collections, {steps} steps");
         }
         Err(e) => println!("  ON : UNEXPECTED failure: {e}"),
     }
-    match run_two_threads(false) {
+    match run_two_mutators(false) {
         Ok((gcs, steps)) => println!(
             "  OFF: completed ({gcs} collections, {steps} steps) — only possible if \
-             the spinner finished before the first collection"
+             no collection was requested while the other mutator spun"
         ),
-        Err(ExecError::StuckThread { thread }) => println!(
-            "  OFF: stuck — thread {thread} never reached a gc-point \
+        Err(ExecError::StuckThread { .. }) => println!(
+            "  OFF: stuck — a mutator never reached a gc-point \
              (the §5.3 failure mode the loop gc-points prevent)"
         ),
         Err(e) => println!("  OFF: failed: {e}"),

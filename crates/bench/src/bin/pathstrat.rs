@@ -112,14 +112,13 @@ fn measure(mut prog: Program) -> Measured {
     let stats = m3gc_core::stats::table_stats(&module.logical_maps);
     let table_bytes = module.gc_maps.bytes.len();
     let code_bytes = module.code_size();
-    let opts = m3gc_runtime::RuntimeOptions::new().semi_words(512).stack_words(4096).max_threads(2);
+    let opts = m3gc_runtime::RuntimeOptions::new().semi_words(512).stack_words(4096);
     let machine = opts.build_machine(module);
     let mut ex = m3gc_runtime::Executor::new(machine, opts);
     let out = match ex.run_main() {
         Ok(o) => o,
         Err(e) => panic!("figure2 run failed: {e}"),
     };
-    let _ = ex.machine.run_thread(0, 0); // keep the machine alive for inspection
     Measured {
         code_bytes,
         table_bytes,

@@ -24,7 +24,6 @@ fn run(semi: usize, mode: GcMode, force: Option<u64>) -> m3gc_runtime::scheduler
     let opts = RuntimeOptions::new()
         .semi_words(semi)
         .stack_words(1 << 15)
-        .max_threads(2)
         .gc_mode(mode)
         .force_every_allocs(force);
     let machine = opts.build_machine(module);

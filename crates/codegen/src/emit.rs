@@ -768,24 +768,20 @@ mod tests {
     use super::*;
     use m3gc_ir::builder::FuncBuilder;
     use m3gc_ir::{BinOp, Program, RuntimeFn, TempKind};
-    use m3gc_vm::machine::{Machine, MachineLayout, RunOutcome};
+    use m3gc_vm::exec::Step;
+    use m3gc_vm::machine::{Machine, MachineLayout};
 
     fn run_no_gc(mut prog: Program) -> String {
         let opts = CodegenOptions::default();
         let module = compile(&mut prog, &opts);
         let mut vm = Machine::new(
             module,
-            MachineLayout {
-                semi_words: 1 << 16,
-                stack_words: 4096,
-                max_threads: 2,
-                ..MachineLayout::default()
-            },
+            MachineLayout { semi_words: 1 << 16, stack_words: 4096, ..MachineLayout::default() },
         );
         let main = vm.module.main;
-        let tid = vm.spawn(main, &[]);
-        let r = vm.run_thread(tid, 10_000_000);
-        assert_eq!(r, RunOutcome::Finished, "output so far: {}", vm.output);
+        vm.spawn(main, &[]);
+        let r = vm.run_thread(10_000_000);
+        assert_eq!(r, Step::Finished, "output so far: {}", vm.output);
         vm.output.clone()
     }
 

@@ -479,7 +479,6 @@ fn parse_all(
                     return Err(DriverError::usage("bad --green value `0`"));
                 }
             }
-            "--quantum" => config.quantum = value("--quantum", it.next())?,
             "--requests" => load.requests = value("--requests", it.next())?,
             "--burst" => load.burst = value("--burst", it.next())?,
             "--entry" => {
@@ -953,15 +952,17 @@ mod tests {
     }
 
     /// Retired features leave no flags behind: the liveness-pruned maps'
-    /// two and concurrent evacuation's two are unknown options like any
-    /// other, under `run` and `serve` alike.
+    /// two, concurrent evacuation's two and serve's `--quantum` (now a
+    /// constant) are unknown options like any other, under `run` and
+    /// `serve` alike.
     #[test]
     fn retired_flags_are_usage_errors() {
-        let cases: [&[&str]; 4] = [
+        let cases: [&[&str]; 5] = [
             &["--live-maps"],
             &["--no-live-maps"],
             &["--conc-evac"],
             &["--evac-region-words", "64"],
+            &["--quantum", "100"],
         ];
         for args in cases {
             let argv: Vec<String> = args.iter().map(ToString::to_string).collect();

@@ -196,7 +196,7 @@ pub fn opt_levels() -> [(&'static str, Options); 2] {
 #[must_use]
 pub fn config_matrix(case_seed: u64) -> Vec<(String, usize, Scheme, RuntimeOptions)> {
     let base = RuntimeOptions::new().semi_words(FUZZ_SEMI_WORDS).torture(true).oracle(true);
-    let seq = base.stack_words(1 << 14).max_threads(4);
+    let seq = base.stack_words(1 << 14);
     let heaps = [("semi", seq), ("gen", seq.strategy(GcStrategy::Generational))];
     let default = Scheme::DELTA_MAIN_PP;
     let mut out = Vec::new();

@@ -37,7 +37,7 @@ use m3gc_vm::codemap::JIT_RETPC_BIAS;
 use m3gc_vm::decode::DecodedCode;
 use m3gc_vm::exec::{self, Cpu, Step, World};
 use m3gc_vm::isa::Instr;
-use m3gc_vm::machine::{Machine, RunOutcome, SeqWorld};
+use m3gc_vm::machine::{Machine, SeqWorld};
 use m3gc_vm::par::{ParMachine, ParWorld};
 use m3gc_vm::VmTrap;
 
@@ -512,12 +512,11 @@ impl JitEngine {
     }
 
     /// Drop-in replacement for [`Machine::run_thread`]: [`JitEngine::run`]
-    /// on thread `tid`, with the sequential machine's thread-status
-    /// bookkeeping applied to the outcome.
-    pub fn run_thread(&self, m: &mut Machine, tid: usize, fuel: u64) -> RunOutcome {
-        let (cpu, world) = m.split(tid);
-        let (step, executed) = self.run(cpu, world, fuel, u64::MAX);
-        m.settle(tid, step, executed)
+    /// on the machine's thread, counting the instructions it ran.
+    pub fn run_thread(&self, m: &mut Machine, fuel: u64) -> Step {
+        let (step, executed) = self.run(&mut m.cpu, &mut m.world, fuel, u64::MAX);
+        m.steps += executed;
+        step
     }
 }
 

@@ -14,7 +14,7 @@ use m3gc_jit::JitEngine;
 use m3gc_vm::asm::Assembler;
 use m3gc_vm::codemap::JIT_RETPC_BIAS;
 use m3gc_vm::exec::{Cpu, Step};
-use m3gc_vm::machine::{Machine, MachineLayout, RunOutcome};
+use m3gc_vm::machine::{Machine, MachineLayout};
 use m3gc_vm::module::{ProcMeta, VmModule};
 use m3gc_vm::{AluOp, Instr, UnAluOp, VmTrap};
 
@@ -37,28 +37,28 @@ fn module_with(code: Vec<u8>, procs: Vec<ProcMeta>, types: TypeTable) -> VmModul
 }
 
 fn layout() -> MachineLayout {
-    MachineLayout { semi_words: 4096, stack_words: 512, max_threads: 2, ..MachineLayout::default() }
+    MachineLayout { semi_words: 4096, stack_words: 512, ..MachineLayout::default() }
 }
 
 /// One engine's result: `(outcome, output, steps, final cpu)`.
-type EngineRun = (RunOutcome, String, u64, Cpu);
+type EngineRun = (Step, String, u64, Cpu);
 
 /// Runs `module` to completion (or trap) under the interpreter and
 /// under the JIT, returning `(outcome, output, steps, cpu)` of each.
 fn run_both(module: &VmModule) -> (EngineRun, EngineRun) {
     let interp = {
         let mut m = Machine::new(module.clone(), layout());
-        let tid = m.spawn(0, &[]);
-        let out = m.run_thread(tid, 1_000_000);
-        (out, m.output.clone(), m.steps, m.threads[tid].cpu.clone())
+        m.spawn(0, &[]);
+        let out = m.run_thread(1_000_000);
+        (out, m.output.clone(), m.steps, m.cpu.clone())
     };
     let jit = {
         let mut m = Machine::new(module.clone(), layout());
         let engine = JitEngine::for_machine(&m);
         m.set_code_map(engine.code_map());
-        let tid = m.spawn(0, &[]);
-        let out = engine.run_thread(&mut m, tid, 1_000_000);
-        (out, m.output.clone(), m.steps, m.threads[tid].cpu.clone())
+        m.spawn(0, &[]);
+        let out = engine.run_thread(&mut m, 1_000_000);
+        (out, m.output.clone(), m.steps, m.cpu.clone())
     };
     (interp, jit)
 }
@@ -200,9 +200,9 @@ fn mixed_jit_and_interpreter_stacks() {
     let module = call_heavy_module();
     let baseline = {
         let mut m = Machine::new(module.clone(), layout());
-        let tid = m.spawn(0, &[]);
-        let out = m.run_thread(tid, 1_000_000);
-        assert_eq!(out, RunOutcome::Finished);
+        m.spawn(0, &[]);
+        let out = m.run_thread(1_000_000);
+        assert_eq!(out, Step::Finished);
         (m.output.clone(), m.steps)
     };
     // Exclude each procedure in turn: calls then cross the JIT/interp
@@ -215,9 +215,9 @@ fn mixed_jit_and_interpreter_stacks() {
         let engine = JitEngine::for_machine(&m);
         std::env::remove_var("M3GC_JIT_EXCLUDE");
         m.set_code_map(engine.code_map());
-        let tid = m.spawn(0, &[]);
-        let out = engine.run_thread(&mut m, tid, 1_000_000);
-        assert_eq!(out, RunOutcome::Finished, "excluded={excluded}");
+        m.spawn(0, &[]);
+        let out = engine.run_thread(&mut m, 1_000_000);
+        assert_eq!(out, Step::Finished, "excluded={excluded}");
         assert_eq!(m.output, baseline.0, "excluded={excluded}");
         assert_eq!(m.steps, baseline.1, "excluded={excluded}");
         let summary = engine.summary();
@@ -238,8 +238,8 @@ fn mixed_jit_and_interpreter_stacks() {
     let mut m = Machine::new(module, layout());
     let engine = JitEngine::for_machine(&m);
     m.set_code_map(engine.code_map());
-    let tid = m.spawn(0, &[]);
-    assert_eq!(engine.run_thread(&mut m, tid, 1_000_000), RunOutcome::Finished);
+    m.spawn(0, &[]);
+    assert_eq!(engine.run_thread(&mut m, 1_000_000), Step::Finished);
     let summary = engine.summary();
     if summary.enabled {
         assert_eq!((summary.relocs_patched, summary.relocs_total), (1, 1));
@@ -311,7 +311,7 @@ fn traps_match_interpreter_exactly() {
             TypeTable::default(),
         );
         let (interp, jit) = run_both(&m);
-        assert_eq!(interp.0, RunOutcome::Trap(*expect), "case {i}: interpreter trap");
+        assert_eq!(interp.0, Step::Trap(*expect), "case {i}: interpreter trap");
         assert_eq!(interp.0, jit.0, "case {i}: trap diverged");
         assert_eq!(interp.3, jit.3, "case {i}: trapping pc (or cpu) diverged");
         assert_eq!(interp.2, jit.2, "case {i}: steps diverged");
@@ -360,7 +360,7 @@ fn traps_match_interpreter_exactly() {
     let words = offsets.iter().map(|&k| JIT_RETPC_BIAS + i64::from(k)).chain([JIT_RETPC_BIAS << 1]);
     for word in words {
         let (interp, jit) = run_both(&forger(word));
-        assert_eq!(interp.0, RunOutcome::Trap(VmTrap::WildAddress), "word {word:#x}");
+        assert_eq!(interp.0, Step::Trap(VmTrap::WildAddress), "word {word:#x}");
         assert_eq!(interp, jit, "word {word:#x}");
         // main's frame is linkage + 1 word, the callee's linkage follows.
         assert_eq!(jit.3.fp, jit.3.stack_base + 7, "word {word:#x}: a frame was popped");
@@ -397,7 +397,7 @@ fn globals_and_push_overflow() {
         TypeTable::default(),
     );
     let (interp, jit) = run_both(&m);
-    assert_eq!(interp.0, RunOutcome::Trap(VmTrap::StackOverflow));
+    assert_eq!(interp.0, Step::Trap(VmTrap::StackOverflow));
     assert_eq!(interp, jit);
 }
 
@@ -426,13 +426,13 @@ fn fuel_exhaustion_stops_cleanly() {
         TypeTable::default(),
     );
     let mut mi = Machine::new(m.clone(), layout());
-    let ti = mi.spawn(0, &[]);
-    assert_eq!(mi.run_thread(ti, 10_000), m3gc_vm::machine::RunOutcome::OutOfFuel);
+    mi.spawn(0, &[]);
+    assert_eq!(mi.run_thread(10_000), Step::Normal);
     let mut mj = Machine::new(m, layout());
     let engine = JitEngine::for_machine(&mj);
     mj.set_code_map(engine.code_map());
-    let tj = mj.spawn(0, &[]);
-    assert_eq!(engine.run_thread(&mut mj, tj, 10_000), RunOutcome::OutOfFuel);
+    mj.spawn(0, &[]);
+    assert_eq!(engine.run_thread(&mut mj, 10_000), Step::Normal);
     // Native code checks fuel only at polls and backward edges, so it
     // may overshoot the budget by up to one loop body (2 instructions
     // here) before the backedge check fires.
@@ -485,8 +485,8 @@ fn a_burst_past_poll_after_ends_at_a_loop_poll() {
     let mut m = Machine::new(module, layout());
     let engine = JitEngine::for_machine(&m);
     m.set_code_map(engine.code_map());
-    let tid = m.spawn(0, &[]);
-    let (cpu, world) = m.split(tid);
+    m.spawn(0, &[]);
+    let (cpu, world) = (&mut m.cpu, &mut m.world);
     let (step, first) = engine.run(cpu, world, 1_000_000, 100);
     assert_eq!((step, cpu.pc), (Step::Normal, poll_pc), "stopped off the poll");
     assert!((100..=103).contains(&first), "stopped after {first} instructions");
@@ -532,7 +532,7 @@ fn deep_recursion_module() -> VmModule {
     )
 }
 
-/// Runs thread 0 of a fresh machine to the end in bursts of `budget`
+/// Runs the thread of a fresh machine to the end in bursts of `budget`
 /// instructions, returning the machine, the total executed and the
 /// largest single burst.
 fn run_in_bursts(module: &VmModule, budget: u64, jit: bool) -> (Machine, u64, u64) {
@@ -545,10 +545,10 @@ fn run_in_bursts(module: &VmModule, budget: u64, jit: bool) -> (Machine, u64, u6
     } else {
         JitEngine::interpreter(m.decoded().clone())
     };
-    let tid = m.spawn(0, &[]);
+    m.spawn(0, &[]);
     let (mut total, mut longest) = (0, 0);
     loop {
-        let (cpu, world) = m.split(tid);
+        let (cpu, world) = (&mut m.cpu, &mut m.world);
         let (step, n) = engine.run(cpu, world, budget, u64::MAX);
         total += n;
         longest = longest.max(n);
@@ -577,7 +577,7 @@ fn bursts_of_every_budget_add_up_to_the_interpreters_run() {
             assert_eq!(total, steps, "budget {budget}: instruction count");
             assert!(longest < budget + longest_run, "budget {budget}: a burst ran {longest}");
             assert_eq!(m.output, reference.output, "budget {budget}: output");
-            let (cpu, want) = (&m.threads[0].cpu, &reference.threads[0].cpu);
+            let (cpu, want) = (&m.cpu, &reference.cpu);
             assert_eq!(cpu, want, "budget {budget}: final cpu");
             // Everything but the dead stack above sp, where popped jit
             // frames leave tokens and interpreted ones leave pcs.
@@ -610,13 +610,13 @@ fn unbounded_recursion_overflows_where_the_interpreter_does() {
         TypeTable::default(),
     );
     let (interp, jit) = run_both(&m);
-    assert_eq!(interp.0, RunOutcome::Trap(VmTrap::StackOverflow));
+    assert_eq!(interp.0, Step::Trap(VmTrap::StackOverflow));
     assert_eq!(interp, jit);
     // And a budget far below the overflow still ends the burst: at a call.
     let mut mj = Machine::new(m, layout());
     let engine = JitEngine::for_machine(&mj);
     mj.set_code_map(engine.code_map());
-    let tid = mj.spawn(0, &[]);
-    assert_eq!(engine.run_thread(&mut mj, tid, 10), RunOutcome::OutOfFuel);
+    mj.spawn(0, &[]);
+    assert_eq!(engine.run_thread(&mut mj, 10), Step::Normal);
     assert_eq!(mj.steps, 10);
 }

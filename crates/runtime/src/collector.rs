@@ -13,12 +13,12 @@ use std::time::{Duration, Instant};
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::heap::{header_type_id, HeapType, TypeTable};
 use m3gc_core::stats::GcKind;
-use m3gc_vm::exec::World;
+use m3gc_vm::exec::{Cpu, World};
 use m3gc_vm::machine::{Machine, SeqWorld};
 use m3gc_vm::shadow::Shadow;
 
 use crate::trace::{
-    gather_global_roots, gather_stack_roots, read_root, write_root, RegFiles, RootRef, StackRoots,
+    gather_global_roots, gather_stack_roots, read_root, write_root, RootRef, StackRoots,
 };
 
 /// Statistics for one collection.
@@ -106,33 +106,25 @@ pub(crate) fn header_extent(
 /// Step 1 of the derived-value update (§3): recover `E := derived − Σ
 /// ±base` using the old base values, in un-derive order (callee frames
 /// before callers, derived values before their bases, as gathered).
-pub(crate) fn un_derive<W: World>(
-    w: &mut W,
-    cpus: &mut (impl RegFiles + ?Sized),
-    stack: &StackRoots,
-) {
+pub(crate) fn un_derive<W: World>(w: &mut W, cpu: &mut Cpu, stack: &StackRoots) {
     for d in &stack.derivations {
-        let mut v = read_root(w, cpus, d.target);
+        let mut v = read_root(w, cpu, d.target);
         for &(b, sign) in &d.bases {
-            v -= sign.factor() * read_root(w, cpus, b);
+            v -= sign.factor() * read_root(w, cpu, b);
         }
-        write_root(w, cpus, d.target, v);
+        write_root(w, cpu, d.target, v);
     }
 }
 
 /// Step 2 of the derived-value update (§3): `derived := E + Σ ±base` from
 /// the relocated bases, in exactly the reverse of the un-derive order.
-pub(crate) fn re_derive<W: World>(
-    w: &mut W,
-    cpus: &mut (impl RegFiles + ?Sized),
-    stack: &StackRoots,
-) {
+pub(crate) fn re_derive<W: World>(w: &mut W, cpu: &mut Cpu, stack: &StackRoots) {
     for d in stack.derivations.iter().rev() {
-        let mut v = read_root(w, cpus, d.target);
+        let mut v = read_root(w, cpu, d.target);
         for &(b, sign) in &d.bases {
-            v += sign.factor() * read_root(w, cpus, b);
+            v += sign.factor() * read_root(w, cpu, b);
         }
-        write_root(w, cpus, d.target, v);
+        write_root(w, cpu, d.target, v);
     }
 }
 
@@ -190,7 +182,7 @@ impl<'a> SeqHeap<'a> {
     }
 }
 
-/// Walks every stopped thread's stack, gathers the globals and runs step
+/// Walks the stopped thread's stack, gathers the globals and runs step
 /// 1 of the derived-value update — the traced part every sequential
 /// collection starts with, timed into `stats.trace_time`. Returns the
 /// stack roots and the global roots.
@@ -213,7 +205,7 @@ pub(crate) fn trace_roots(
     stats.derived_updated = stack.derivations.len() as u64;
     // Step 1 of the derived-value update: recover E from the old bases,
     // derived-before-base order (as emitted), callee frames first.
-    un_derive(&mut m.world, &mut m.threads[..], &stack);
+    un_derive(&mut m.world, &mut m.cpu, &stack);
     stats.trace_time = t0.elapsed();
     (stack, globals)
 }
@@ -223,7 +215,7 @@ pub(crate) fn trace_roots(
 /// joins the traced part's in `stats.trace_time`.
 pub(crate) fn re_derive_traced(m: &mut Machine, stack: &StackRoots, stats: &mut GcStats) {
     let t0 = Instant::now();
-    re_derive(&mut m.world, &mut m.threads[..], stack);
+    re_derive(&mut m.world, &mut m.cpu, stack);
     stats.trace_time += t0.elapsed();
 }
 
@@ -242,7 +234,7 @@ pub(crate) fn cheney(
     header: impl Fn(i64) -> i64,
     stats: &mut GcStats,
 ) -> Option<i64> {
-    let Machine { threads, world, .. } = m;
+    let Machine { cpu, world, .. } = m;
     let mut free = to_start;
     let forward = |heap: &mut SeqHeap, free: &mut i64, v: i64| {
         let bump = |old, words| {
@@ -252,7 +244,7 @@ pub(crate) fn cheney(
         heap.move_object(v, bump)
     };
     for &r in globals.iter().chain(&stack.tidy) {
-        let v = read_root(world, &threads[..], r);
+        let v = read_root(world, cpu, r);
         if !in_from(v) {
             // NIL, or an already-updated duplicate root (e.g. a pointer
             // parameter listed both in a register and its AP home after
@@ -264,7 +256,7 @@ pub(crate) fn cheney(
             continue;
         }
         let new = forward(&mut SeqHeap::of(world, stats), &mut free, v)?;
-        write_root(world, &mut threads[..], r, new);
+        write_root(world, cpu, r, new);
     }
     let mut heap = SeqHeap::of(world, stats);
     let mut scan = to_start;
@@ -282,8 +274,7 @@ pub(crate) fn cheney(
     Some(free)
 }
 
-/// Runs a full collection. Every non-finished thread must be stopped at a
-/// gc-point.
+/// Runs a full collection. The thread must be stopped at a gc-point.
 ///
 /// # Panics
 ///

@@ -175,15 +175,15 @@ pub fn minor_collect(m: &mut Machine, cache: &mut DecodeCache) -> GcStats {
     stats.remembered_processed = remembered.len() as u64;
 
     {
-        let Machine { threads, world, .. } = &mut *m;
+        let Machine { cpu, world, .. } = &mut *m;
         // Precise roots: globals, then stack slots and registers. NIL,
         // tenured, or an already-updated duplicate root: nothing to move
         // in a minor collection.
         for &r in globals.iter().chain(&stack.tidy) {
-            let v = read_root(world, &threads[..], r);
+            let v = read_root(world, cpu, r);
             if spaces.in_young_from(v) {
                 let new = spaces.forward(&mut SeqHeap::of(world, &mut stats), v);
-                write_root(world, &mut threads[..], r, new);
+                write_root(world, cpu, r, new);
             }
         }
         let mut heap = SeqHeap::of(world, &mut stats);

@@ -10,12 +10,16 @@
 //!   objects move, visiting callee frames before callers and derived
 //!   values before their bases; re-derive afterwards in exactly the
 //!   reverse order.
-//! * [`scheduler`] — a round-robin executor implementing §5.3's protocol:
-//!   when a collection is requested, threads that are not at gc-points
-//!   are resumed until they all reach one (loop gc-points bound the
-//!   wait), then the collector runs.
-//! * `safepoint` — the same protocol over real OS threads, written
-//!   once for every multi-threaded executor: mutators poll the request
+//! * [`scheduler`] — the sequential executor: one thread on the
+//!   sequential machine, collected where its allocation finds the heap
+//!   full (that allocation is a gc-point and nothing else runs), under
+//!   the forced / no-progress / minor-to-major collection policy. It is
+//!   the deterministic reference the parallel runtime is compared with.
+//! * `safepoint` — §5.3's protocol over real OS threads: when a
+//!   collection is requested, threads that are not at gc-points run on
+//!   until they all reach one (loop gc-points bound the wait), then the
+//!   collector runs. It is written once for every multi-threaded
+//!   executor: mutators poll the request
 //!   flag at gc-points and park in a stop-the-world handshake; the
 //!   collection-cause policy, the first-error latch, the panic/poison
 //!   policy and the run scaffold live there too.

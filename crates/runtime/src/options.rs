@@ -28,8 +28,8 @@ use crate::scheduler::GcMode;
 /// Which collector the runtime drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GcStrategy {
-    /// Two semispaces, full-heap collections, simulated threads on one
-    /// OS thread (the seed behaviour).
+    /// Two semispaces, full-heap collections, one thread (the seed
+    /// behaviour).
     #[default]
     Semispace,
     /// Nursery + tenured generations with an SSB remembered set.
@@ -60,8 +60,6 @@ pub struct RuntimeOptions {
     pub semi_words: usize,
     /// Words per thread (or green-request) stack.
     pub stack_words: usize,
-    /// Maximum simulated threads (sequential strategies).
-    pub max_threads: usize,
     /// OS mutator threads ([`GcStrategy::Parallel`]).
     pub threads: usize,
     /// Gc worker threads per stop-the-world collection. Defaults to the
@@ -83,13 +81,11 @@ pub struct RuntimeOptions {
     /// Green-request slots multiplexed over `threads` OS threads
     /// (allocation-service mode).
     pub green_slots: usize,
-    /// Instructions per scheduling quantum (sequential scheduler and
-    /// the serve executor's green-thread deschedule period).
-    pub quantum: u64,
     /// Total instruction budget (per OS thread under
     /// [`GcStrategy::Parallel`]).
     pub fuel: u64,
-    /// Max instructions a thread may run while advancing to a gc-point.
+    /// Max instructions a parallel mutator may run while advancing to a
+    /// gc-point.
     pub max_advance: u64,
     /// Collection behaviour at collection events.
     pub gc_mode: GcMode,
@@ -115,7 +111,6 @@ impl Default for RuntimeOptions {
             strategy: GcStrategy::Semispace,
             semi_words: 1 << 16,
             stack_words: 1 << 15,
-            max_threads: 8,
             threads: 1,
             gc_workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             conc_workers: 2,
@@ -123,7 +118,6 @@ impl Default for RuntimeOptions {
             nursery_words: None,
             region_words: 0,
             green_slots: 0,
-            quantum: 10_000,
             fuel: 2_000_000_000,
             max_advance: 1_000_000,
             gc_mode: GcMode::Full,
@@ -164,10 +158,12 @@ impl RuntimeOptions {
         self
     }
 
-    /// Maximum simulated threads (sequential strategies).
+    /// A no-op: the sequential machine runs one thread. Kept because
+    /// `bench/src/cell.rs` and `bench/src/workloads/compile.rs` still
+    /// call it and `bench/` is frozen; it goes when a benchmark PR drops
+    /// those calls.
     #[must_use]
-    pub fn max_threads(mut self, n: usize) -> Self {
-        self.max_threads = n;
+    pub fn max_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -225,13 +221,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Instructions per scheduling quantum.
-    #[must_use]
-    pub fn quantum(mut self, q: u64) -> Self {
-        self.quantum = q;
-        self
-    }
-
     /// Total instruction budget.
     #[must_use]
     pub fn fuel(mut self, fuel: u64) -> Self {
@@ -239,7 +228,8 @@ impl RuntimeOptions {
         self
     }
 
-    /// Max instructions a thread may run while advancing to a gc-point.
+    /// Max instructions a parallel mutator may run while advancing to a
+    /// gc-point.
     #[must_use]
     pub fn max_advance(mut self, n: u64) -> Self {
         self.max_advance = n;
@@ -321,7 +311,6 @@ impl RuntimeOptions {
         MachineLayout {
             semi_words: self.semi_words,
             stack_words: self.stack_words,
-            max_threads: self.max_threads,
             heap: self.heap_strategy(),
         }
     }

@@ -30,13 +30,11 @@
 
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::heap::header_type_id;
-use m3gc_vm::exec::World;
+use m3gc_vm::exec::{Cpu, World};
 use m3gc_vm::machine::{Machine, GLOBAL_BASE};
 use m3gc_vm::shadow::Tag;
 
-use crate::trace::{
-    gather_global_roots, gather_stack_roots, read_root, RegFiles, RootRef, StackRoots,
-};
+use crate::trace::{gather_global_roots, gather_stack_roots, read_root, RootRef, StackRoots};
 
 /// The live (allocated) heap ranges: the from-space prefix for a
 /// semispace heap; the nursery prefix plus the tenured prefix for a
@@ -96,25 +94,25 @@ pub(crate) fn check_globals<W: World>(w: &W, ranges: &[(i64, i64)]) -> Result<()
 /// The validation core, shared by the single-threaded [`check`] and the
 /// parallel runtime's pre-collection check: confronts already-gathered
 /// stack roots with the shadow tags of their locations — memory tags
-/// through the [`World`], register tags from the `RegFiles`.
+/// through the [`World`], register tags from the stopped thread's `Cpu`.
 pub(crate) fn check_entries<W: World>(
     w: &W,
-    cpus: &(impl RegFiles + ?Sized),
+    cpu: &Cpu,
     ranges: &[(i64, i64)],
     stack: &StackRoots,
 ) -> Result<(), String> {
     let tag_at = |r: RootRef| match r {
         RootRef::Mem(a) => w.mem_tag(a),
-        RootRef::Reg { thread, reg } => cpus.cpu(thread).reg_tags[reg as usize],
+        RootRef::Reg { reg, .. } => cpu.reg_tags[reg as usize],
     };
     for &r in &stack.tidy {
-        check_tidy(w, ranges, r, read_root(w, cpus, r), tag_at(r))?;
+        check_tidy(w, ranges, r, read_root(w, cpu, r), tag_at(r))?;
     }
 
     for d in &stack.derivations {
         let mut bases_all_nil = true;
         for &(b, _sign) in &d.bases {
-            let v = read_root(w, cpus, b);
+            let v = read_root(w, cpu, b);
             if v == 0 {
                 continue;
             }
@@ -143,7 +141,7 @@ pub(crate) fn check_entries<W: World>(
 }
 
 /// Validates every decoded table entry against the shadow ground truth.
-/// Must run with all threads at gc-points and no collection in progress.
+/// Must run with the thread at a gc-point and no collection in progress.
 ///
 /// # Errors
 ///
@@ -158,5 +156,5 @@ pub fn check(m: &Machine, cache: &mut DecodeCache) -> Result<(), String> {
     let stack = gather_stack_roots(m, cache);
     let ranges = live_ranges(m);
     check_globals(&m.world, &ranges)?;
-    check_entries(&m.world, &m.threads[..], &ranges, &stack)
+    check_entries(&m.world, &m.cpu, &ranges, &stack)
 }

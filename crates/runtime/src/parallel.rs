@@ -734,8 +734,8 @@ pub(crate) fn run_mutator(
 
 /// The parallel executor: a shared machine plus run configuration.
 ///
-/// Unlike [`crate::scheduler::Executor`], which time-slices simulated
-/// threads on one OS thread, this spawns one OS thread per mutator and
+/// Unlike [`crate::scheduler::Executor`], which runs one thread on the
+/// caller's OS thread, this spawns one OS thread per mutator and
 /// `gc_workers - 1` gc helpers per run (the collection's leader is the
 /// remaining worker).
 pub struct ParExecutor {

@@ -431,7 +431,7 @@ impl StatsReport {
         self.put("threads", view.threads);
         self.put("green_slots", view.green_slots);
         self.put("region_words", view.region_words);
-        self.put("quantum", view.quantum);
+        self.put("quantum", crate::serve::QUANTUM);
         self.put("requests", s.requests);
         self.put("elapsed_s", s.elapsed.as_secs_f64());
         self.put("requests_per_sec", s.requests_per_sec);

@@ -1,17 +1,18 @@
-//! Round-robin execution with the §5.3 collection protocol.
+//! The sequential executor: one thread on the sequential machine.
 //!
-//! Threads run in fixed quanta (simulated pre-emption). When a thread's
-//! allocation fails, a collection becomes pending; all other threads are
-//! resumed and run until each blocks at a park site (bounded, thanks to
-//! the polls codegen places), then the collector runs and everyone
-//! resumes.
+//! The thread runs until it finishes, traps, or its allocation finds
+//! the heap full. That allocation is a gc-point, and nothing else runs,
+//! so the collector runs right there and the allocation is retried.
+//! Several threads, and §5.3's wait for each to reach a gc-point, are
+//! the parallel runtime's (`crate::parallel`, `crate::safepoint`).
 
 use std::sync::Arc;
 
 use m3gc_core::decode::{DecodeCache, DecodeError};
 use m3gc_core::stats::{BarrierCounters, GcKind};
 use m3gc_jit::{JitEngine, JitSummary};
-use m3gc_vm::machine::{Machine, RunOutcome, ThreadStatus, VmTrap};
+use m3gc_vm::exec::Step;
+use m3gc_vm::machine::{Machine, VmTrap};
 
 use crate::collector::{self, GcStats};
 use crate::gengc;
@@ -61,8 +62,8 @@ pub enum ExecError {
     Trap(VmTrap),
     /// The instruction budget ran out.
     OutOfFuel,
-    /// A thread failed to reach a gc-point within the advance budget
-    /// (missing loop gc-points).
+    /// A parallel mutator failed to reach a gc-point within the advance
+    /// budget (missing loop gc-points).
     StuckThread {
         /// The offending thread.
         thread: usize,
@@ -115,7 +116,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The executor: a machine plus scheduling state.
+/// The executor: a machine plus its collection state.
 pub struct Executor {
     /// The machine.
     pub machine: Machine,
@@ -128,7 +129,7 @@ pub struct Executor {
     /// collections of a run, each gc-point's tables decode at most once.
     cache: DecodeCache,
     next_forced: Option<u64>,
-    /// What threads run on: the native baseline engine under `--jit`,
+    /// What the thread runs on: the native baseline engine under `--jit`,
     /// an engine with no native code (the interpreter) otherwise. The
     /// collectors never see this — JIT frames resolve to bytecode pcs
     /// through the machine's installed code map.
@@ -194,44 +195,10 @@ impl Executor {
         Some(swapped)
     }
 
-    /// Runs `tid` for up to `fuel` instructions.
-    fn run_thread(&mut self, tid: usize, fuel: u64) -> RunOutcome {
-        self.engine.run_thread(&mut self.machine, tid, fuel)
-    }
-
     /// The decode cache (for inspecting hit/miss counters and memo size).
     #[must_use]
     pub fn decode_cache(&self) -> &DecodeCache {
         &self.cache
-    }
-
-    /// Spawns the module's main procedure as thread 0 and runs to
-    /// completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExecError`] on trap, fuel exhaustion, heap exhaustion
-    /// or a stuck thread.
-    pub fn run_main(&mut self) -> Result<ExecOutcome, ExecError> {
-        let main = self.machine.module.main;
-        self.machine.spawn(main, &[]);
-        self.run()
-    }
-
-    /// Brings every non-finished thread to a gc-point.
-    fn advance_all(&mut self) -> Result<(), ExecError> {
-        debug_assert!(self.machine.gc_pending);
-        for tid in 0..self.machine.threads.len() {
-            if self.machine.threads[tid].status != ThreadStatus::Runnable {
-                continue;
-            }
-            match self.run_thread(tid, self.options.max_advance) {
-                RunOutcome::AtGcPoint | RunOutcome::Finished | RunOutcome::NeedGc => {}
-                RunOutcome::OutOfFuel => return Err(ExecError::StuckThread { thread: tid }),
-                RunOutcome::Trap(t) => return Err(ExecError::Trap(t)),
-            }
-        }
-        Ok(())
     }
 
     fn do_collection(&mut self) -> Result<(), ExecError> {
@@ -243,16 +210,14 @@ impl Executor {
                 gengc::collect(&mut self.machine, &mut self.cache).map_err(ExecError::Trap)?
             }
             GcMode::Full => collector::collect(&mut self.machine, &mut self.cache),
-            // No flip happens in these modes: pretend a collection
-            // happened at the same spot and release the threads by hand.
+            // No flip happens in these modes: count a collection at the
+            // same spot by hand.
             GcMode::TraceOnly => {
                 let s = collector::trace_only(&mut self.machine, &mut self.cache);
-                self.machine.release_blocked_threads();
                 self.machine.collections += 1;
                 s
             }
             GcMode::Null => {
-                self.machine.release_blocked_threads();
                 self.machine.collections += 1;
                 GcStats::default()
             }
@@ -261,59 +226,55 @@ impl Executor {
         Ok(())
     }
 
-    /// Runs until every thread finishes.
+    /// Runs the module's main procedure to completion: the thread runs
+    /// on all the fuel it has left, and each time its allocation finds
+    /// the heap full, the collection policy runs and the thread resumes.
     ///
     /// # Errors
     ///
-    /// See [`Executor::run_main`].
-    pub fn run(&mut self) -> Result<ExecOutcome, ExecError> {
+    /// Returns an [`ExecError`] on trap, fuel exhaustion or heap
+    /// exhaustion.
+    pub fn run_main(&mut self) -> Result<ExecOutcome, ExecError> {
+        let main = self.machine.module.main;
+        self.machine.spawn(main, &[]);
         let mut fuel = self.options.fuel;
         let mut last_gc_allocations: Option<u64> = None;
-        'sched: loop {
-            for tid in 0..self.machine.threads.len() {
-                if self.machine.threads[tid].status != ThreadStatus::Runnable {
-                    continue;
-                }
-                let quantum = self.options.quantum.min(fuel);
-                if quantum == 0 {
-                    return Err(ExecError::OutOfFuel);
-                }
-                let before = self.machine.steps;
-                let r = self.run_thread(tid, quantum);
-                fuel = fuel.saturating_sub(self.machine.steps - before);
-                match r {
-                    RunOutcome::Finished | RunOutcome::OutOfFuel | RunOutcome::AtGcPoint => {}
-                    RunOutcome::Trap(t) => return Err(ExecError::Trap(t)),
-                    RunOutcome::NeedGc => {
-                        let forced =
-                            self.next_forced.is_some_and(|n| self.machine.allocations >= n);
-                        if forced {
-                            let every =
-                                self.options.force_every_allocs.expect("forced implies configured");
-                            self.next_forced = Some(self.machine.allocations + every.max(1));
-                            self.machine.set_force_gc_after(self.next_forced);
-                        } else if last_gc_allocations == Some(self.machine.allocations) {
-                            // No allocation progress since the previous
-                            // (real) collection. On a generational heap a
-                            // fruitless minor escalates to a major before
-                            // giving up; a fruitless major is the end.
-                            let last_major =
-                                self.gc_each.last().is_some_and(|s| s.kind == GcKind::Major);
-                            if self.machine.is_generational() && !last_major {
-                                self.machine.wants_major_gc = true;
-                            } else {
-                                return Err(ExecError::Trap(VmTrap::OutOfMemory));
-                            }
+        loop {
+            let before = self.machine.steps;
+            let step = self.engine.run_thread(&mut self.machine, fuel);
+            // Native code checks fuel only at polls, back-edges and calls,
+            // so a burst may run a little past it.
+            fuel = fuel.saturating_sub(self.machine.steps - before);
+            match step {
+                Step::Finished => break,
+                Step::Normal => return Err(ExecError::OutOfFuel),
+                Step::Trap(t) => return Err(ExecError::Trap(t)),
+                Step::AtSafepoint => unreachable!("nothing requests a collection on this machine"),
+                Step::NeedGc => {
+                    let forced = self.next_forced.is_some_and(|n| self.machine.allocations >= n);
+                    if forced {
+                        let every =
+                            self.options.force_every_allocs.expect("forced implies configured");
+                        self.next_forced = Some(self.machine.allocations + every.max(1));
+                        self.machine.set_force_gc_after(self.next_forced);
+                    } else if last_gc_allocations == Some(self.machine.allocations) {
+                        // No allocation progress since the previous (real)
+                        // collection. On a generational heap a fruitless
+                        // minor escalates to a major before giving up; a
+                        // fruitless major is the end.
+                        let last_major =
+                            self.gc_each.last().is_some_and(|s| s.kind == GcKind::Major);
+                        if self.machine.is_generational() && !last_major {
+                            self.machine.wants_major_gc = true;
                         } else {
-                            last_gc_allocations = Some(self.machine.allocations);
+                            return Err(ExecError::Trap(VmTrap::OutOfMemory));
                         }
-                        self.advance_all()?;
-                        self.do_collection()?;
+                    } else {
+                        last_gc_allocations = Some(self.machine.allocations);
                     }
+                    self.do_collection()?;
                 }
-                continue 'sched;
             }
-            break;
         }
         let gc_total = self.gc_each.iter().fold(GcStats::default(), |mut acc, s| {
             acc.objects_copied += s.objects_copied;

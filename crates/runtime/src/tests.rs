@@ -25,12 +25,7 @@ fn run_with_heap(src: &str, semi_words: usize) -> (String, u64) {
     let module = compile(src);
     let machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words,
-            stack_words: 1 << 14,
-            max_threads: 4,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words, stack_words: 1 << 14, ..MachineLayout::default() },
     );
     let mut ex = Executor::new(machine, RuntimeOptions::new());
     let out = ex.run_main().unwrap_or_else(|e| panic!("{e}\noutput: {}", ex.machine.output));
@@ -249,12 +244,7 @@ fn gc_torture_collects_at_every_gc_point() {
     let module = compile(src);
     let machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words: 4096,
-            stack_words: 4096,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words: 4096, stack_words: 4096, ..MachineLayout::default() },
     );
     let mut ex = Executor::new(machine, RuntimeOptions::new().torture(true));
     let out = ex.run_main().unwrap_or_else(|e| panic!("{e}"));
@@ -276,12 +266,7 @@ fn trace_only_mode_preserves_semantics() {
     let module = compile(src);
     let machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words: 1 << 16,
-            stack_words: 4096,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words: 1 << 16, stack_words: 4096, ..MachineLayout::default() },
     );
     let mut ex = Executor::new(
         machine,
@@ -312,12 +297,7 @@ fn out_of_memory_is_detected() {
     let module = compile(&src);
     let machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words: 512,
-            stack_words: 4096,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words: 512, stack_words: 4096, ..MachineLayout::default() },
     );
     let mut ex = Executor::new(machine, RuntimeOptions::new());
     let r = ex.run_main();
@@ -328,53 +308,6 @@ fn out_of_memory_is_detected() {
         )),
         Some(true)
     );
-}
-
-#[test]
-fn two_threads_advance_to_gc_points() {
-    // Spawn two threads running the same allocating procedure; when one
-    // triggers a collection the other must advance to a gc-point.
-    let src = "MODULE M;
-         TYPE R = REF RECORD x: INTEGER END;
-         PROCEDURE Work(n: INTEGER): INTEGER =
-         VAR i, s: INTEGER; r: R;
-         BEGIN
-           s := 0;
-           FOR i := 1 TO n DO
-             r := NEW(R);
-             r.x := i;
-             s := s + r.x;
-           END;
-           RETURN s;
-         END Work;
-         BEGIN
-           PutInt(Work(100));
-         END M.";
-    let module = compile(src);
-    let machine = Machine::new(
-        module,
-        MachineLayout {
-            semi_words: 128,
-            stack_words: 4096,
-            max_threads: 4,
-            ..MachineLayout::default()
-        },
-    );
-    let mut ex = Executor::new(machine, RuntimeOptions::new());
-    // Thread 0: main. Threads 1, 2: Work(50) directly.
-    ex.machine.spawn(ex.machine.module.main, &[]);
-    let work =
-        ex.machine.module.procs.iter().position(|p| p.name == "Work").expect("Work proc") as u16;
-    ex.machine.spawn(work, &[50]);
-    ex.machine.spawn(work, &[50]);
-    let out = ex.run().unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(out.output, "5050");
-    assert!(out.collections >= 1);
-    assert!(ex
-        .machine
-        .threads
-        .iter()
-        .all(|t| t.status == m3gc_vm::machine::ThreadStatus::Finished));
 }
 
 #[test]
@@ -394,12 +327,7 @@ fn decode_cache_amortizes_repeated_collections() {
     let module = compile(src);
     let machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words: 1 << 14,
-            stack_words: 4096,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words: 1 << 14, stack_words: 4096, ..MachineLayout::default() },
     );
     let mut ex = Executor::new(machine, RuntimeOptions::new().torture(true));
     let out = ex.run_main().unwrap_or_else(|e| panic!("{e}"));
@@ -443,12 +371,7 @@ fn collection_stats_are_plausible() {
     let module = compile(src);
     let machine = Machine::new(
         module,
-        MachineLayout {
-            semi_words: 256,
-            stack_words: 4096,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
+        MachineLayout { semi_words: 256, stack_words: 4096, ..MachineLayout::default() },
     );
     let mut ex = Executor::new(machine, RuntimeOptions::new());
     let out = ex.run_main().unwrap_or_else(|e| panic!("{e}"));
@@ -469,7 +392,6 @@ fn run_gen(src: &str, semi_words: usize, nursery_words: usize) -> ExecOutcome {
         MachineLayout {
             semi_words,
             stack_words: 1 << 14,
-            max_threads: 4,
             heap: HeapStrategy::Generational { nursery_words, promote_age: 2 },
         },
     );
@@ -649,7 +571,6 @@ fn generational_out_of_memory_is_detected() {
         MachineLayout {
             semi_words: 512,
             stack_words: 4096,
-            max_threads: 2,
             heap: HeapStrategy::Generational { nursery_words: 64, promote_age: 2 },
         },
     );
@@ -752,7 +673,6 @@ fn generational_gc_torture_matches_reference() {
         MachineLayout {
             semi_words: 4096,
             stack_words: 4096,
-            max_threads: 2,
             heap: HeapStrategy::Generational { nursery_words: 128, promote_age: 2 },
         },
     );

@@ -12,17 +12,17 @@
 //! select the variant that actually happened (§4).
 //!
 //! Every root is read and written through one seam: memory through the
-//! machine's [`World`], registers through `RegFiles` — the threads of
-//! the single-threaded [`Machine`] (suspended in place), or the [`Cpu`]
-//! a parallel mutator deposited when it parked at a safepoint. The walk,
-//! the precision oracle, the §3 un-derive/re-derive and every copy use
-//! the same `read_root`/`write_root` pair.
+//! machine's [`World`], registers through the stopped thread's [`Cpu`] —
+//! the single-threaded [`Machine`]'s own (suspended in place), or the
+//! one a parallel mutator deposited when it parked at a safepoint. The
+//! walk, the precision oracle, the §3 un-derive/re-derive and every copy
+//! use the same `read_root`/`write_root` pair.
 
 use m3gc_core::decode::DecodeCache;
 use m3gc_core::derive::{BaseRef, DerivationRecord, Sign};
 use m3gc_core::layout::{BaseReg, Location, NUM_HARD_REGS};
 use m3gc_vm::exec::{Cpu, World};
-use m3gc_vm::machine::{Machine, Thread, ThreadStatus, RETURN_SENTINEL};
+use m3gc_vm::machine::{Machine, RETURN_SENTINEL};
 use m3gc_vm::module::VmModule;
 
 /// A reference to a root: either a memory word or a live machine register
@@ -32,8 +32,9 @@ pub enum RootRef {
     /// A memory word (stack slot, save-area slot, or global).
     Mem(i64),
     /// An actual machine register of a thread (innermost frames only).
+    /// Every walk reads registers from the one stopped thread's `Cpu`.
     Reg {
-        /// Thread index.
+        /// Thread index, for messages.
         thread: u32,
         /// Register number.
         reg: u8,
@@ -62,51 +63,19 @@ pub struct StackRoots {
     pub frames: usize,
 }
 
-/// The register files a [`RootRef::Reg`] can name: every thread of a
-/// sequential machine, or the one parked mutator whose deposited
-/// [`Cpu`] a gc worker is fixing up (whatever thread index the root
-/// carries — a stack walk never crosses threads).
-pub(crate) trait RegFiles {
-    fn cpu(&self, thread: u32) -> &Cpu;
-    fn cpu_mut(&mut self, thread: u32) -> &mut Cpu;
-}
-
-impl RegFiles for [Thread] {
-    fn cpu(&self, thread: u32) -> &Cpu {
-        &self[thread as usize].cpu
-    }
-    fn cpu_mut(&mut self, thread: u32) -> &mut Cpu {
-        &mut self[thread as usize].cpu
-    }
-}
-
-impl RegFiles for Cpu {
-    fn cpu(&self, _thread: u32) -> &Cpu {
-        self
-    }
-    fn cpu_mut(&mut self, _thread: u32) -> &mut Cpu {
-        self
-    }
-}
-
 /// Reads a [`RootRef`] of a world being collected.
-pub(crate) fn read_root<W: World>(w: &W, cpus: &(impl RegFiles + ?Sized), r: RootRef) -> i64 {
+pub(crate) fn read_root<W: World>(w: &W, cpu: &Cpu, r: RootRef) -> i64 {
     match r {
         RootRef::Mem(a) => w.word(a),
-        RootRef::Reg { thread, reg } => cpus.cpu(thread).regs[reg as usize],
+        RootRef::Reg { reg, .. } => cpu.regs[reg as usize],
     }
 }
 
 /// Writes a [`RootRef`] of a world being collected.
-pub(crate) fn write_root<W: World>(
-    w: &mut W,
-    cpus: &mut (impl RegFiles + ?Sized),
-    r: RootRef,
-    v: i64,
-) {
+pub(crate) fn write_root<W: World>(w: &mut W, cpu: &mut Cpu, r: RootRef, v: i64) {
     match r {
         RootRef::Mem(a) => w.set_word(a, v),
-        RootRef::Reg { thread, reg } => cpus.cpu_mut(thread).regs[reg as usize] = v,
+        RootRef::Reg { reg, .. } => cpu.regs[reg as usize] = v,
     }
 }
 
@@ -131,7 +100,7 @@ fn resolve_location(loc: Location, fp: i64, ap: i64, sp: i64, regs: &RegLocs) ->
 /// to `out`.
 fn scan_frame_into<W: World>(
     w: &W,
-    cpus: &(impl RegFiles + ?Sized),
+    cpu: &Cpu,
     cache: &mut DecodeCache,
     tid: u32,
     (pc, fp, ap, sp): (u32, i64, i64, i64),
@@ -157,7 +126,7 @@ fn scan_frame_into<W: World>(
             DerivationRecord::Simple { bases, .. } => bases,
             DerivationRecord::Ambiguous { path_var, variants, .. } => {
                 let pv = resolve_location(*path_var, fp, ap, sp, reg_locs);
-                let which = read_root(w, cpus, pv);
+                let which = read_root(w, cpu, pv);
                 let idx = usize::try_from(which)
                     .ok()
                     .filter(|i| *i < variants.len())
@@ -173,9 +142,10 @@ fn scan_frame_into<W: World>(
     }
 }
 
-/// Walks thread `tid`'s stack outward from its suspension point (the
-/// pc and frame cursor of `cpus.cpu(tid)`), appending roots to `out`.
-/// `cache` must be bound to the same module.
+/// Walks a stopped thread's stack outward from its suspension point (the
+/// pc and frame cursor of `cpu`), appending roots to `out`; `tid` names
+/// the thread in its [`RootRef::Reg`]s and messages. `cache` must be
+/// bound to the same module.
 ///
 /// # Panics
 ///
@@ -183,18 +153,17 @@ fn scan_frame_into<W: World>(
 /// compiler bug (a collection at a point the compiler did not describe).
 pub(crate) fn gather_thread_roots<W: World>(
     w: &W,
-    cpus: &(impl RegFiles + ?Sized),
+    cpu: &Cpu,
     cache: &mut DecodeCache,
     tid: u32,
     out: &mut StackRoots,
 ) {
-    let cpu = cpus.cpu(tid);
     let (mut pc, mut fp, mut ap, mut sp) = (cpu.pc, cpu.fp, cpu.ap, cpu.sp);
     // Register contents start out in the actual machine registers.
     let mut reg_locs: RegLocs = std::array::from_fn(|r| RootRef::Reg { thread: tid, reg: r as u8 });
     loop {
         out.frames += 1;
-        scan_frame_into(w, cpus, cache, tid, (pc, fp, ap, sp), &reg_locs, out);
+        scan_frame_into(w, cpu, cache, tid, (pc, fp, ap, sp), &reg_locs, out);
         // Unwind to the caller: registers saved by this procedure live
         // in its save area, so the caller's view of those registers is
         // those stack slots.
@@ -221,15 +190,15 @@ pub(crate) fn gather_thread_roots<W: World>(
     }
 }
 
-/// Walks every suspended thread's stack and gathers roots.
+/// Walks the machine's stack and gathers roots.
 ///
 /// Table lookups go through the [`DecodeCache`]: the first collection
 /// pays the sequential decode the *Previous* compression requires, and
 /// every later consultation of the same pc is a memo hit (the tables are
 /// immutable for the module's lifetime).
 ///
-/// Every thread must be stopped at a gc-point (the scheduler guarantees
-/// this before invoking the collector).
+/// The thread must be stopped at a gc-point (the executor collects only
+/// when its allocation stopped it).
 ///
 /// # Panics
 ///
@@ -240,17 +209,7 @@ pub(crate) fn gather_thread_roots<W: World>(
 pub fn gather_stack_roots(m: &Machine, cache: &mut DecodeCache) -> StackRoots {
     cache.bind_module(m.module_token());
     let mut out = StackRoots::default();
-    for (tid, t) in m.threads.iter().enumerate() {
-        if t.status == ThreadStatus::Finished {
-            continue;
-        }
-        debug_assert_eq!(
-            t.status,
-            ThreadStatus::BlockedAtGcPoint,
-            "thread {tid} not at a gc-point"
-        );
-        gather_thread_roots(&m.world, &m.threads[..], cache, tid as u32, &mut out);
-    }
+    gather_thread_roots(&m.world, &m.cpu, cache, 0, &mut out);
     out
 }
 

@@ -7,9 +7,10 @@
 //! shares relaxed-atomic words between OS-thread mutators. Everything
 //! that does not depend on that choice lives here, exactly once:
 //!
-//! * [`Cpu`] — the per-thread register file and frame cursor, embedded
-//!   in both `Thread` and `Mutator` (and deposited as-is at safepoints:
-//!   it *is* the parallel runtime's snapshot);
+//! * [`Cpu`] — the per-thread register file and frame cursor, held by
+//!   the `Machine` for its one thread and by every `Mutator` (and
+//!   deposited as-is at safepoints: it *is* the parallel runtime's
+//!   snapshot);
 //! * [`run`] — the interpreter loop, the only place a `match` over
 //!   [`Instr`] executes ([`step`] is `run` with a budget of one);
 //! * [`shadow_step`] — the only function that propagates shadow
@@ -106,10 +107,10 @@ pub struct JitPorts {
     pub words: *mut u64,
 }
 
-/// One thread's view of a machine minus its [`Cpu`]. With the threads'
-/// `Cpu`s it is also the runtime's one root seam: every stack walk,
-/// oracle check, derived-value update and copy reads and writes roots
-/// through a `World` (memory) and register files (registers).
+/// One thread's view of a machine minus its [`Cpu`]. With the stopped
+/// thread's `Cpu` it is also the runtime's one root seam: every stack
+/// walk, oracle check, derived-value update and copy reads and writes
+/// roots through a `World` (memory) and that `Cpu` (registers).
 ///
 /// The required methods are the decisions the two machines actually
 /// differ on; the provided ones are the shared behaviour built on them.
@@ -375,7 +376,7 @@ pub fn shadow_step<W: World>(cpu: &mut Cpu, w: &mut W, ins: &Instr) -> Option<Vm
 /// must not race the collection, and §5.3's tables describe exactly
 /// this pc. Nothing is asked of the world on any other instruction.
 /// The caller owns the bookkeeping around the outcome (step counters,
-/// thread status, parking).
+/// parking).
 ///
 /// Nothing here panics on a bad transfer: an entry pc or a frame's
 /// return word that starts no instruction, a branch or call for which
@@ -620,8 +621,6 @@ mod tests {
         /// tables describe (a park site where one is an allocation or a
         /// poll).
         gc_points: Vec<usize>,
-        /// A collection is already requested when the thread starts.
-        gc_requested: bool,
         end: Step,
         output: &'static str,
         /// Anything else the sequential machine must show at the end
@@ -639,7 +638,6 @@ mod tests {
                 init: |_| {},
                 heap_full: false,
                 gc_points: vec![],
-                gc_requested: false,
                 end: Step::Finished,
                 output: "",
                 check: |_| {},
@@ -717,7 +715,6 @@ mod tests {
     /// `main`.
     struct Rig {
         seq: Machine,
-        tid: usize,
         par: ParMachine,
         mu: Mutator,
     }
@@ -730,7 +727,6 @@ mod tests {
                 MachineLayout {
                     semi_words: SEMI,
                     stack_words: STACK,
-                    max_threads: 2,
                     heap: HeapStrategy::Semispace,
                 },
             );
@@ -739,7 +735,7 @@ mod tests {
                 ParLayout {
                     semi_words: SEMI,
                     stack_words: STACK,
-                    mutators: 2,
+                    mutators: 1,
                     tlab_words: 0,
                     region_words: 0,
                 },
@@ -752,18 +748,11 @@ mod tests {
                 seq.set_force_gc_after(Some(0));
                 par.force_gc_at.store(0, Relaxed);
             }
-            let tid = seq.spawn(0, &[]);
-            let mut mu = par.spawn_mutator(tid, 0, &[]);
-            (case.init)(&mut seq.threads[tid].cpu);
+            seq.spawn(0, &[]);
+            let mut mu = par.spawn_mutator(0, 0, &[]);
+            (case.init)(&mut seq.cpu);
             (case.init)(&mut mu.cpu);
-            let mut rig = Rig { seq, tid, par, mu };
-            rig.request_gc(case.gc_requested);
-            rig
-        }
-
-        fn request_gc(&mut self, on: bool) {
-            self.seq.gc_pending = on;
-            self.par.gc_request.store(on, Relaxed);
+            Rig { seq, par, mu }
         }
 
         fn code(&self) -> Arc<DecodedCode> {
@@ -774,8 +763,7 @@ mod tests {
             match side {
                 Side::Seq => {
                     let code = self.code();
-                    let (cpu, world) = self.seq.split(self.tid);
-                    run(cpu, &code, world, max, poll_after)
+                    run(&mut self.seq.cpu, &code, &mut self.seq.world, max, poll_after)
                 }
                 Side::Par => {
                     let world = &mut self.par.world(&mut self.mu.local);
@@ -788,7 +776,7 @@ mod tests {
             let words = 0..self.seq.mem_words() as i64;
             match side {
                 Side::Seq => State {
-                    cpu: self.seq.threads[self.tid].cpu.clone(),
+                    cpu: self.seq.cpu.clone(),
                     words: words.clone().map(|a| self.seq.word(a)).collect(),
                     tags: words.map(|a| self.seq.mem_tag(a)).collect(),
                     output: self.seq.output.clone(),
@@ -810,7 +798,7 @@ mod tests {
 
         fn pc(&self, side: Side) -> u32 {
             match side {
-                Side::Seq => self.seq.threads[self.tid].pc,
+                Side::Seq => self.seq.cpu.pc,
                 Side::Par => self.mu.cpu.pc,
             }
         }
@@ -876,7 +864,7 @@ mod tests {
 
     fn cases() -> Vec<Case> {
         use Instr::*;
-        let heap = (GLOBAL_BASE + 4 + 2 * STACK) as i64;
+        let heap = (GLOBAL_BASE + 4 + STACK) as i64;
         vec![
             Case {
                 name: "arithmetic and output",
@@ -919,7 +907,7 @@ mod tests {
                 // is no park site: a pending request never stops here.
                 gc_points: vec![5],
                 output: "42",
-                check: |m| assert_eq!(m.threads[0].sp, m.threads[0].fp, "stack fully popped"),
+                check: |m| assert_eq!(m.cpu.sp, m.cpu.fp, "stack fully popped"),
                 ..Case::default()
             },
             Case {
@@ -990,14 +978,6 @@ mod tests {
                 gc_points: vec![1],
                 ..Case::default()
             },
-            Case {
-                name: "collection requested before a poll",
-                main: vec![MovI { dst: 1, imm: 1 }, GcPoint, Halt],
-                gc_points: vec![1],
-                gc_requested: true,
-                end: Step::AtSafepoint,
-                ..Case::default()
-            },
             trap("jump past the end of the code", vec![Jmp { target: 9999 }], VmTrap::WildAddress),
             trap(
                 "branch into the middle of an instruction",
@@ -1019,8 +999,7 @@ mod tests {
                 ],
                 end: Step::Trap(VmTrap::WildAddress),
                 check: |m| {
-                    let t = &m.threads[0];
-                    assert_eq!(t.fp, t.stack_base + 8, "the trapping `Ret` popped nothing");
+                    assert_eq!(m.cpu.fp, m.cpu.stack_base + 8, "the trapping `Ret` popped nothing");
                 },
                 ..Case::default()
             },
@@ -1034,8 +1013,7 @@ mod tests {
                 ],
                 end: Step::Trap(VmTrap::WildAddress),
                 check: |m| {
-                    let t = &m.threads[0];
-                    assert_eq!(t.fp, t.stack_base + 8, "the trapping `Ret` popped nothing");
+                    assert_eq!(m.cpu.fp, m.cpu.stack_base + 8, "the trapping `Ret` popped nothing");
                 },
                 ..Case::default()
             },
@@ -1181,37 +1159,37 @@ mod tests {
         }
     }
 
-    /// With a collection requested, a burst stops before the first
-    /// flagged op it reaches — having executed exactly the instructions
-    /// before it — and never anywhere else.
+    /// With a collection requested on the parallel machine (the
+    /// sequential one has nothing that could request one while its
+    /// thread runs), a burst stops before the first flagged op it
+    /// reaches — having executed exactly the instructions before it —
+    /// and never anywhere else.
     #[test]
     fn a_pending_request_stops_a_burst_at_the_first_gc_point_only() {
         let mut stopped = 0;
-        for case in cases().into_iter().filter(|c| !c.gc_requested) {
-            for side in [Side::Seq, Side::Par] {
-                let name = format!("{} ({side:?})", case.name);
-                let (states, end) = reference(&case, false, side);
-                let total = states.len() - 1;
-                let mut rig = Rig::new(&case, false);
-                let code = rig.code();
-                // `states[i].cpu.pc` is the instruction executed `i + 1`th.
-                let first_gc_point = (0..total).find(|&i| code.is_gc_point_pc(states[i].cpu.pc));
-                rig.request_gc(true);
-                let (step, executed) = rig.run(side, 1000, u64::MAX);
-                match first_gc_point {
-                    Some(i) => {
-                        assert_eq!((step, executed), (Step::AtSafepoint, i as u64), "{name}");
-                        assert!(rig.state(side) == states[i], "{name}: state at the safepoint");
-                        stopped += 1;
-                    }
-                    None => {
-                        assert_eq!((step, executed), (end, total as u64), "{name}");
-                        assert!(rig.state(side) == states[total], "{name}: end state");
-                    }
+        for case in cases() {
+            let name = case.name;
+            let (states, end) = reference(&case, false, Side::Par);
+            let total = states.len() - 1;
+            let mut rig = Rig::new(&case, false);
+            let code = rig.code();
+            // `states[i].cpu.pc` is the instruction executed `i + 1`th.
+            let first_gc_point = (0..total).find(|&i| code.is_gc_point_pc(states[i].cpu.pc));
+            rig.par.gc_request.store(true, Relaxed);
+            let (step, executed) = rig.run(Side::Par, 1000, u64::MAX);
+            match first_gc_point {
+                Some(i) => {
+                    assert_eq!((step, executed), (Step::AtSafepoint, i as u64), "{name}");
+                    assert!(rig.state(Side::Par) == states[i], "{name}: state at the safepoint");
+                    stopped += 1;
+                }
+                None => {
+                    assert_eq!((step, executed), (end, total as u64), "{name}");
+                    assert!(rig.state(Side::Par) == states[total], "{name}: end state");
                 }
             }
         }
-        assert!(stopped >= 6, "the table must hold rows with gc-points ({stopped} stops)");
+        assert!(stopped >= 3, "the table must hold rows with gc-points ({stopped} stops)");
     }
 
     /// Past `poll_after` instructions a burst ends at the next loop

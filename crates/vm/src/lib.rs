@@ -36,7 +36,7 @@ pub mod shadow;
 pub use codemap::{CodeMap, CodeMapBuilder, ProcRange, JIT_RETPC_BIAS};
 pub use exec::{Cpu, Step, World};
 pub use isa::{AluOp, Instr, UnAluOp};
-pub use machine::{Machine, MachineLayout, SeqWorld, Thread, ThreadStatus, VmTrap};
+pub use machine::{Machine, MachineLayout, SeqWorld, VmTrap};
 pub use module::{ProcMeta, VmModule};
 pub use par::{
     CmsHeap, Mutator, MutatorLocal, ParLayout, ParMachine, ParWorld, SatbFault, DEFAULT_TLAB_WORDS,

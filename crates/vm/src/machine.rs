@@ -2,20 +2,21 @@
 //!
 //! Memory is a single word-addressed array: a small reserved prefix (so
 //! that address 0 is never valid and NIL dereferences trap), the global
-//! area, one stack region per thread, and two heap semispaces. Pointers
-//! are untagged `i64` word addresses — exactly the paper's setting: only
-//! the compiler-emitted tables distinguish pointers from integers.
+//! area, the thread's stack, and two heap semispaces. Pointers are
+//! untagged `i64` word addresses — exactly the paper's setting: only the
+//! compiler-emitted tables distinguish pointers from integers.
 //!
 //! Instruction semantics live in [`crate::exec`]; this module is the
 //! sequential *world* they run against ([`SeqWorld`]: plain `i64` words,
 //! bump allocation with the generational large-object path, the
-//! remembered-set barrier) plus the thread table around it.
+//! remembered-set barrier) beside the one [`Cpu`] that runs on it.
+//! Several threads, and the §5.3 wait for each to reach a gc-point, are
+//! the parallel machine's ([`crate::par`]): it runs them on OS threads.
 //!
 //! Garbage collection protocol: `ALLOC` reports [`Step::NeedGc`]
-//! without changing any state when the heap is full; the runtime crate's
-//! collector then stops every thread at a gc-point (threads block when
-//! their pc reaches a park site — an allocation or a poll — while a
-//! collection is pending, §5.3), traces and moves objects, calls
+//! without changing any state when the heap is full. The thread is then
+//! stopped at that allocation, a gc-point, so the runtime crate's
+//! collector traces and moves objects at once, calls
 //! [`Machine::finish_collection`], and execution resumes by re-trying the
 //! `ALLOC`.
 
@@ -29,6 +30,7 @@ use m3gc_core::stats::BarrierCounters;
 use crate::codemap::CodeMap;
 use crate::decode::DecodedCode;
 use crate::exec::{self, Cpu, JitPorts, Step, World};
+use crate::isa::NUM_REGS;
 use crate::module::VmModule;
 use crate::shadow::{Shadow, Tag};
 
@@ -37,6 +39,10 @@ pub const GLOBAL_BASE: usize = 16;
 
 /// Return-pc sentinel marking the bottom frame of a thread.
 pub const RETURN_SENTINEL: i64 = -1;
+
+/// The collection-request cell the JIT's polls read on this machine: see
+/// [`SeqWorld::gc_requested`].
+static NO_GC_REQUEST: bool = false;
 
 /// Source of unique module-lifetime tokens (see [`Machine::module_token`]).
 static NEXT_MODULE_TOKEN: AtomicU64 = AtomicU64::new(1);
@@ -94,22 +100,15 @@ pub struct MachineLayout {
     /// Words per heap semispace (the tenured generation under
     /// [`HeapStrategy::Generational`]).
     pub semi_words: usize,
-    /// Words per thread stack.
+    /// Words of the thread's stack.
     pub stack_words: usize,
-    /// Maximum number of threads.
-    pub max_threads: usize,
     /// Heap organisation.
     pub heap: HeapStrategy,
 }
 
 impl Default for MachineLayout {
     fn default() -> Self {
-        MachineLayout {
-            semi_words: 1 << 20,
-            stack_words: 1 << 16,
-            max_threads: 8,
-            heap: HeapStrategy::Semispace,
-        }
+        MachineLayout { semi_words: 1 << 20, stack_words: 1 << 16, heap: HeapStrategy::Semispace }
     }
 }
 
@@ -196,63 +195,13 @@ impl std::fmt::Display for VmTrap {
 
 impl std::error::Error for VmTrap {}
 
-/// Thread scheduling state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadStatus {
-    /// May execute.
-    Runnable,
-    /// Stopped at a gc-point while a collection is pending.
-    BlockedAtGcPoint,
-    /// Returned from its bottom frame.
-    Finished,
-}
-
-/// One thread of execution: a [`Cpu`] (reachable through `Deref`, so
-/// `thread.regs`, `thread.pc`, … read as before) plus its scheduling
-/// state.
-#[derive(Debug, Clone)]
-pub struct Thread {
-    /// Register file and frame cursor.
-    pub cpu: Cpu,
-    /// Scheduling state.
-    pub status: ThreadStatus,
-}
-
-impl Deref for Thread {
-    type Target = Cpu;
-    fn deref(&self) -> &Cpu {
-        &self.cpu
-    }
-}
-
-impl DerefMut for Thread {
-    fn deref_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
-    }
-}
-
-/// Result of running a thread for a while.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The thread finished.
-    Finished,
-    /// Collection required (triggered by this thread's allocation).
-    NeedGc,
-    /// The thread blocked at a gc-point.
-    AtGcPoint,
-    /// The fuel budget ran out.
-    OutOfFuel,
-    /// Abnormal termination.
-    Trap(VmTrap),
-}
-
-/// The virtual machine: the thread table plus everything the threads
-/// share. All shared state is reachable through `Deref`
-/// (`machine.mem`, `machine.output`, …).
+/// The virtual machine: one thread's [`Cpu`] beside the world it runs
+/// on. The world is reachable through `Deref` (`machine.mem`,
+/// `machine.output`, …).
 pub struct Machine {
-    /// Threads (never removed; finished threads stay).
-    pub threads: Vec<Thread>,
-    /// Module, memory, heap and counters: the [`World`] threads step
+    /// The thread's register file and frame cursor.
+    pub cpu: Cpu,
+    /// Module, memory, heap and counters: the [`World`] the thread steps
     /// against.
     pub world: SeqWorld,
     /// The module's predecoded program, beside the world rather than in
@@ -274,11 +223,11 @@ impl DerefMut for Machine {
     }
 }
 
-/// The sequential machine minus its threads.
+/// The sequential machine minus its thread.
 pub struct SeqWorld {
     /// The loaded module.
     pub module: VmModule,
-    /// Flat memory: reserved | globals | stacks | semispace A | semispace B.
+    /// Flat memory: reserved | globals | stack | semispace A | semispace B.
     pub mem: Vec<i64>,
     /// Accumulated program output.
     pub output: String,
@@ -290,8 +239,6 @@ pub struct SeqWorld {
     pub words_allocated: u64,
     /// Collections completed (incremented by `finish_collection`).
     pub collections: u64,
-    /// True while a collection is pending (threads advance to gc-points).
-    pub gc_pending: bool,
     /// Testing/measurement hook: when set, allocations report "needs gc"
     /// once `allocations` reaches this count, even with heap space left.
     /// Private so every write goes through
@@ -311,7 +258,6 @@ pub struct SeqWorld {
     /// safely reused across every collection of this machine.
     module_token: u64,
     layout: MachineLayout,
-    stacks_base: usize,
     heap_base: usize,
     /// True when semispace A (lower) is the from-space (allocation space).
     from_is_lower: bool,
@@ -354,7 +300,7 @@ pub struct SeqWorld {
     pub wants_major_gc: bool,
     /// Shadow memory tags for the gc-map precision oracle (see
     /// [`crate::shadow`]); `None` unless [`SeqWorld::enable_shadow`] was
-    /// called. Register tags live in each thread's [`Cpu`].
+    /// called. Register tags live in the thread's [`Cpu`].
     pub shadow: Option<Box<Shadow>>,
     /// Native-code address map installed by the JIT engine. When set,
     /// frame linkage words may hold biased return tokens
@@ -374,11 +320,11 @@ impl Machine {
     pub fn new(module: VmModule, layout: impl Into<MachineLayout>) -> Machine {
         let layout = layout.into();
         let decoded = Arc::new(DecodedCode::of(&module));
-        let stacks_base = GLOBAL_BASE + module.globals_words as usize;
-        let heap_base = stacks_base + layout.stack_words * layout.max_threads;
+        let stack_base = GLOBAL_BASE + module.globals_words as usize;
+        let heap_base = stack_base + layout.stack_words;
         // Memory layout:
-        //   semispace:    reserved | globals | stacks | semi A | semi B
-        //   generational: reserved | globals | stacks | nursery A | nursery B
+        //   semispace:    reserved | globals | stack | semi A | semi B
+        //   generational: reserved | globals | stack | nursery A | nursery B
         //                 | tenured A | tenured B
         let nursery_words = match layout.heap {
             HeapStrategy::Semispace => 0,
@@ -412,12 +358,10 @@ impl Machine {
             allocations: 0,
             words_allocated: 0,
             collections: 0,
-            gc_pending: false,
             force_gc_after: None,
             alloc_fast_limit: alloc_limit,
             module_token: next_module_token(),
             layout,
-            stacks_base,
             heap_base,
             from_is_lower: true,
             alloc_ptr,
@@ -435,12 +379,24 @@ impl Machine {
             shadow: None,
             code_map: None,
         };
-        Machine { threads: Vec::new(), world, decoded }
+        // Idle until `spawn` builds a bottom frame.
+        let (stack_base, stack_limit) = (stack_base as i64, heap_base as i64);
+        let cpu = Cpu {
+            regs: [0; NUM_REGS],
+            reg_tags: [Tag::NonPtr; NUM_REGS],
+            pc: 0,
+            fp: stack_base,
+            sp: stack_base,
+            ap: stack_base,
+            stack_base,
+            stack_limit,
+        };
+        Machine { cpu, world, decoded }
     }
 
-    /// Completes a collection: the spaces flip, allocation resumes at
+    /// Completes a collection: the spaces flip and allocation resumes at
     /// `new_alloc_ptr` (one past the last evacuated word in the old
-    /// to-space), the pending flag clears, and blocked threads wake.
+    /// to-space).
     pub fn finish_collection(&mut self, new_alloc_ptr: i64) {
         let (to_start, to_end) = self.to_space();
         assert!((to_start..=to_end).contains(&new_alloc_ptr), "alloc ptr outside new space");
@@ -453,7 +409,7 @@ impl Machine {
     /// Completes a minor collection: the nursery halves flip, nursery
     /// allocation resumes at `new_young_alloc` (one past the survivors in
     /// the old to-half), promotion advanced the tenured frontier to
-    /// `new_tenured_alloc`, and blocked threads wake. The remembered set
+    /// `new_tenured_alloc`. The remembered set
     /// must already have been drained by [`SeqWorld::take_remembered_slots`];
     /// the collector re-records surviving old→young edges afterwards.
     ///
@@ -479,8 +435,7 @@ impl Machine {
     /// Completes a major collection: the tenured semispaces flip with the
     /// survivor frontier at `new_tenured_alloc`, the nursery empties (every
     /// live object was promoted), the remembered set clears (no
-    /// tenured→nursery edges can exist into an empty nursery), and blocked
-    /// threads wake.
+    /// tenured→nursery edges can exist into an empty nursery).
     ///
     /// # Panics
     ///
@@ -501,106 +456,38 @@ impl Machine {
     }
 
     /// The tail every `finish_*` shares: re-derive the fast-path limit,
-    /// clear the pending flags, count the collection, wake the threads.
+    /// clear the major-collection request, count the collection.
     fn resume_after_collection(&mut self) {
         self.refresh_alloc_fast_limit();
         self.wants_major_gc = false;
         self.collections += 1;
-        self.release_blocked_threads();
     }
 
-    /// Clears the pending flag and makes every thread blocked at a
-    /// gc-point runnable again.
-    pub fn release_blocked_threads(&mut self) {
-        self.gc_pending = false;
-        for t in &mut self.threads {
-            if t.status == ThreadStatus::BlockedAtGcPoint {
-                t.status = ThreadStatus::Runnable;
-            }
-        }
-    }
-
-    /// Spawns a thread running procedure `proc` with the given argument
-    /// words; returns the thread index.
+    /// Points the thread at procedure `proc` with the given argument
+    /// words, on a fresh bottom frame.
     ///
     /// # Panics
     ///
-    /// Panics if the thread limit is exceeded or `proc` is invalid.
-    pub fn spawn(&mut self, proc: u16, args: &[i64]) -> usize {
-        let tid = self.threads.len();
-        assert!(tid < self.layout.max_threads, "too many threads");
-        let stack_base = (self.stacks_base + tid * self.layout.stack_words) as i64;
-        let stack = (stack_base, stack_base + self.layout.stack_words as i64);
-        let cpu = exec::spawn(&mut self.world, stack, proc, args);
-        self.threads.push(Thread { cpu, status: ThreadStatus::Runnable });
-        tid
+    /// Panics if `proc` is invalid or `args` does not match its arity.
+    pub fn spawn(&mut self, proc: u16, args: &[i64]) {
+        let stack = (self.cpu.stack_base, self.cpu.stack_limit);
+        self.cpu = exec::spawn(&mut self.world, stack, proc, args);
     }
 
-    /// Splits the borrow for the execution core: thread `tid`'s register
-    /// file, and the world it steps against.
-    pub fn split(&mut self, tid: usize) -> (&mut Cpu, &mut SeqWorld) {
-        (&mut self.threads[tid].cpu, &mut self.world)
-    }
-
-    /// Translates what [`exec::run`] (or a JIT burst) reported for
-    /// thread `tid` into thread-status bookkeeping, after `executed`
-    /// instructions. `Step::Normal` means the budget ran out.
-    pub fn settle(&mut self, tid: usize, step: Step, executed: u64) -> RunOutcome {
+    /// Runs the thread until it finishes, needs a collection, traps, or
+    /// exhausts `fuel` instructions ([`Step::Normal`]), and counts the
+    /// instructions it ran.
+    pub fn run_thread(&mut self, fuel: u64) -> Step {
+        let (step, executed) =
+            exec::run(&mut self.cpu, &self.decoded, &mut self.world, fuel, u64::MAX);
         self.steps += executed;
-        let status = &mut self.threads[tid].status;
-        match step {
-            Step::Normal => RunOutcome::OutOfFuel,
-            Step::AtSafepoint => {
-                *status = ThreadStatus::BlockedAtGcPoint;
-                RunOutcome::AtGcPoint
-            }
-            Step::NeedGc => {
-                *status = ThreadStatus::BlockedAtGcPoint;
-                self.gc_pending = true;
-                RunOutcome::NeedGc
-            }
-            Step::Finished => {
-                *status = ThreadStatus::Finished;
-                RunOutcome::Finished
-            }
-            Step::Trap(t) => RunOutcome::Trap(t),
-        }
-    }
-
-    /// Executes one instruction of thread `tid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range or its thread is not runnable.
-    pub fn step(&mut self, tid: usize) -> Step {
-        debug_assert_eq!(
-            self.threads[tid].status,
-            ThreadStatus::Runnable,
-            "stepping a non-runnable thread"
-        );
-        let step = exec::step(&mut self.threads[tid].cpu, &self.decoded, &mut self.world);
-        self.settle(tid, step, u64::from(step != Step::AtSafepoint));
         step
-    }
-
-    /// Runs thread `tid` until it finishes, needs a collection, blocks at
-    /// a gc-point, traps, or exhausts `fuel` instructions.
-    pub fn run_thread(&mut self, tid: usize, fuel: u64) -> RunOutcome {
-        let cpu = &mut self.threads[tid].cpu;
-        let (step, executed) = exec::run(cpu, &self.decoded, &mut self.world, fuel, u64::MAX);
-        self.settle(tid, step, executed)
     }
 
     /// The module's predecoded program.
     #[must_use]
     pub fn decoded(&self) -> &Arc<DecodedCode> {
         &self.decoded
-    }
-
-    /// True if `pc` is a gc-point.
-    #[must_use]
-    pub fn is_gc_point_pc(&self, pc: u32) -> bool {
-        self.decoded.is_gc_point_pc(pc)
     }
 }
 
@@ -911,12 +798,11 @@ impl World for SeqWorld {
         self.mem[addr as usize..(addr + words) as usize].fill(0);
     }
 
-    /// While a collection is pending, a thread reaching any gc-point
-    /// blocks there (§5.3: resumed threads run until they all reach
-    /// gc-points, without allocating).
+    /// Never: the one thread is the only thing that could ask for a
+    /// collection, and it does so by stopping at an allocation.
     #[inline]
     fn gc_requested(&self) -> bool {
-        self.gc_pending
+        false
     }
 
     /// The fast path bumps through the allocation space (the active
@@ -992,7 +878,7 @@ impl World for SeqWorld {
     fn jit_ports(&mut self) -> JitPorts {
         JitPorts {
             mem: self.mem.as_mut_ptr(),
-            gc_flag: (&raw const self.gc_pending).cast(),
+            gc_flag: (&raw const NO_GC_REQUEST).cast(),
             alloc_ptr: &raw mut self.alloc_ptr,
             // The cell moves with every collection, the field does not.
             alloc_fast_limit: &raw const self.alloc_fast_limit,
@@ -1026,12 +912,7 @@ mod tests {
     }
 
     fn small_config() -> MachineLayout {
-        MachineLayout {
-            semi_words: 256,
-            stack_words: 256,
-            max_threads: 2,
-            ..MachineLayout::default()
-        }
+        MachineLayout { semi_words: 256, stack_words: 256, ..MachineLayout::default() }
     }
 
     fn small_gen_config() -> MachineLayout {
@@ -1065,17 +946,17 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        let r = vm.run_thread(tid, 1000);
-        assert_eq!(r, RunOutcome::NeedGc);
-        assert!(vm.gc_pending);
+        vm.spawn(0, &[]);
+        let r = vm.run_thread(1000);
+        assert_eq!(r, Step::NeedGc);
         // Two 101-word objects fit in a 256-word semispace; the third fails.
         assert_eq!(vm.allocations, 2);
         // The pc still addresses the ALLOC: finish a (no-op) collection and
-        // the thread can be resumed.
+        // the thread allocates again.
         let (to_start, _) = vm.to_space();
         vm.finish_collection(to_start);
-        assert_eq!(vm.threads[tid].status, ThreadStatus::Runnable);
+        assert_eq!(vm.run_thread(1000), Step::NeedGc);
+        assert_eq!(vm.allocations, 4);
     }
 
     #[test]
@@ -1111,9 +992,9 @@ mod tests {
         assert_eq!(tte - tt, 256);
         assert_eq!(nfe, nt, "nursery halves adjacent");
         assert_eq!(nte, tf, "tenured follows nursery");
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100), RunOutcome::Finished);
-        let addr = vm.threads[tid].regs[1];
+        vm.spawn(0, &[]);
+        assert_eq!(vm.run_thread(100), Step::Finished);
+        let addr = vm.cpu.regs[1];
         assert!(vm.in_active_nursery(addr), "small object allocates in nursery");
         assert_eq!(vm.nursery_used(), 3);
         assert_eq!(vm.tenured_free(), 256);
@@ -1142,9 +1023,9 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_gen_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100), RunOutcome::Finished);
-        let addr = vm.threads[tid].regs[1];
+        vm.spawn(0, &[]);
+        assert_eq!(vm.run_thread(100), Step::Finished);
+        let addr = vm.cpu.regs[1];
         assert!(vm.in_tenured(addr), "oversized object bypasses the nursery");
         assert_eq!(vm.nursery_used(), 0);
         // Both pointer slots eagerly remembered (barrier elision on fresh
@@ -1181,8 +1062,8 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_gen_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100), RunOutcome::Finished);
+        vm.spawn(0, &[]);
+        assert_eq!(vm.run_thread(100), Step::Finished);
         assert_eq!(vm.barrier.executed, 4);
         // Eager remembering already holds the slot (same card entry), so
         // both explicit barrier hits on it dedup.
@@ -1216,8 +1097,8 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_config());
-        let tid = vm.spawn(0, &[]);
-        assert_eq!(vm.run_thread(tid, 100), RunOutcome::Finished);
+        vm.spawn(0, &[]);
+        assert_eq!(vm.run_thread(100), Step::Finished);
         assert_eq!(vm.output, "1");
         assert_eq!(vm.remembered_len(), 0);
         assert_eq!(vm.barrier.executed, 1);

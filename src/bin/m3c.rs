@@ -38,7 +38,6 @@
 //!   --green N            green-request slots (default 4 per thread)
 //!   --region-words N     words per per-request region (default 4096)
 //!   --burst N            requests admitted per scheduling gap (default 1)
-//!   --quantum N          instructions per green-thread quantum
 //!   --entry P            handler procedure (default: the module body;
 //!                        may take the request id as its one argument)
 //!   --oracle             shadow-verify gc maps before every collection
@@ -60,7 +59,7 @@ fn usage() -> ! {
          [--gc-workers M] [--conc-workers M] [--tlab-words N] [--torture] \
          [--jit] [--stats]\n\
          \x20      m3c serve <file.m3> [--requests N] [--green N] \
-         [--region-words N] [--burst N] [--quantum N] [--entry P] [--oracle]\n\
+         [--region-words N] [--burst N] [--entry P] [--oracle]\n\
          \x20      m3c fuzz [--seed N] [--iters N] [--no-shrink]"
     );
     std::process::exit(2);

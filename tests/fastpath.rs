@@ -246,10 +246,8 @@ fn deep_stacks_survive_minor_major_escalation() {
         }
         HeapStrategy::Semispace => unreachable!(),
     };
-    let mut machine = Machine::new(
-        module,
-        MachineLayout { semi_words: semi, stack_words: 1 << 14, max_threads: 4, heap },
-    );
+    let mut machine =
+        Machine::new(module, MachineLayout { semi_words: semi, stack_words: 1 << 14, heap });
     // Shadow + oracle: every root of every collection is checked against
     // the shadow ground truth.
     machine.enable_shadow();

@@ -100,10 +100,8 @@ fn heap_signature(m: &Machine) -> Vec<ObjSig> {
 /// program output, collection count, and final heap signature.
 fn run_and_sign(src: &str, scheme: Scheme, heap: HeapStrategy) -> (String, u64, Vec<ObjSig>) {
     let module = compile(src, &Options::o2().with_scheme(scheme)).expect("compiles");
-    let machine = Machine::new(
-        module,
-        MachineLayout { semi_words: 4096, stack_words: 1 << 14, max_threads: 2, heap },
-    );
+    let machine =
+        Machine::new(module, MachineLayout { semi_words: 4096, stack_words: 1 << 14, heap });
     let mut ex = Executor::new(machine, RuntimeOptions::new());
     let out = ex.run_main().unwrap_or_else(|e| panic!("{e}\noutput so far: {}", ex.machine.output));
     let sig = heap_signature(&ex.machine);
@@ -225,7 +223,6 @@ fn gen_heaps_survive_collection_pressure() {
             MachineLayout {
                 semi_words: 512,
                 stack_words: 1 << 14,
-                max_threads: 2,
                 heap: HeapStrategy::Generational { nursery_words: 32, promote_age: 1 },
             },
         );

@@ -256,11 +256,11 @@ fn native_bursts_of_every_budget_add_up_to_the_interpreters_run() {
         } else {
             JitEngine::interpreter(m.decoded().clone())
         };
-        let tid = m.spawn(m.module.main, &[]);
+        let main = m.module.main;
+        m.spawn(main, &[]);
         let (mut total, mut longest) = (0, 0);
         loop {
-            let (cpu, world) = m.split(tid);
-            let (step, n) = engine.run(cpu, world, budget, u64::MAX);
+            let (step, n) = engine.run(&mut m.cpu, &mut m.world, budget, u64::MAX);
             total += n;
             longest = longest.max(n);
             match step {
@@ -278,13 +278,13 @@ fn native_bursts_of_every_budget_add_up_to_the_interpreters_run() {
         // No straight-line run between two fuel checks is 32 long here.
         assert!(longest < budget + 32, "budget {budget}: a burst ran {longest}");
         assert_eq!(m.output, reference.output, "budget {budget}: output");
-        assert_eq!(m.threads[0].cpu, reference.threads[0].cpu, "budget {budget}: cpu");
+        assert_eq!(m.cpu, reference.cpu, "budget {budget}: cpu");
     }
 }
 
 /// Root twin of the unbounded-recursion parity test: with no loop and no
-/// base case, native code must still end a burst (fuel is checked at
-/// calls) and overflow the stack exactly where the interpreter does.
+/// base case, native code must overflow the stack exactly where the
+/// interpreter does (the parity test also ends a short burst at a call).
 #[test]
 fn unbounded_native_recursion_overflows_where_the_interpreter_does() {
     const DOWN: &str = "MODULE Down;
@@ -298,10 +298,10 @@ END Down.
 ";
     let run = |jit: bool| {
         let module = compile(DOWN, &Options::o2()).expect("compiles");
-        let opts = RuntimeOptions::new().stack_words(1 << 12).quantum(100).jit(jit);
+        let opts = RuntimeOptions::new().stack_words(1 << 12).jit(jit);
         let mut ex = Executor::try_new(opts.build_machine(module), opts).expect("valid maps");
         let err = ex.run_main().expect_err("the stack is finite");
-        (err, ex.machine.steps, ex.machine.threads[0].cpu.clone())
+        (err, ex.machine.steps, ex.machine.cpu.clone())
     };
     let (interp, jit) = (run(false), run(true));
     assert_eq!(interp.0, ExecError::Trap(VmTrap::StackOverflow));

@@ -1,5 +1,5 @@
 //! Machine-level behavioral tests across the whole pipeline: register
-//! save/restore discipline, gc-point blocking, table/disassembly golden
+//! save/restore discipline, parking at gc-points, table/disassembly golden
 //! shapes, and the OOM boundary.
 
 use std::sync::atomic::Ordering::Relaxed;
@@ -10,7 +10,7 @@ use m3gc::core::layout::BaseReg;
 use m3gc::vm::decode::DecodedCode;
 use m3gc::vm::exec::{self, Cpu, Step};
 use m3gc::vm::isa::{Instr, FIRST_CALLEE_SAVE};
-use m3gc::vm::machine::{Machine, MachineLayout, RunOutcome};
+use m3gc::vm::machine::{Machine, MachineLayout};
 use m3gc::vm::{Mutator, ParLayout, ParMachine, VmModule};
 
 const CALLS: &str = "MODULE C;
@@ -109,34 +109,6 @@ fn ground_tables_are_frame_relative() {
     }
 }
 
-/// While a collection is pending, a runnable thread stops exactly at the
-/// next park site — not before, not after.
-#[test]
-fn threads_block_exactly_at_gc_points() {
-    let module = compile(CALLS, &Options::o2()).unwrap();
-    let mut machine = Machine::new(
-        module,
-        MachineLayout {
-            semi_words: 1 << 14,
-            stack_words: 4096,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
-    );
-    let main = machine.module.main;
-    let tid = machine.spawn(main, &[]);
-    // Let it run a little, then pretend a collection is pending.
-    assert_eq!(machine.run_thread(tid, 50), RunOutcome::OutOfFuel);
-    machine.gc_pending = true;
-    match machine.run_thread(tid, 1_000_000) {
-        RunOutcome::AtGcPoint => {
-            let pc = machine.threads[tid].pc;
-            assert!(machine.is_gc_point_pc(pc), "blocked at non-gc-point pc {pc}");
-        }
-        other => panic!("expected AtGcPoint, got {other:?}"),
-    }
-}
-
 /// One thread of one of the two machines, driven through `exec::run`
 /// directly.
 trait Driven {
@@ -145,47 +117,36 @@ trait Driven {
     fn cpu(&self) -> &Cpu;
     /// Every memory word, and the program output.
     fn image(&self) -> (Vec<i64>, String);
-    fn request_gc(&mut self);
     fn code(&self) -> &Arc<DecodedCode>;
 }
 
 struct Seq {
     machine: Machine,
-    tid: usize,
 }
 
 impl Driven for Seq {
     fn load(module: &VmModule, shadow: bool) -> Seq {
-        let layout = MachineLayout {
-            semi_words: 1 << 12,
-            stack_words: 1 << 10,
-            max_threads: 1,
-            ..MachineLayout::default()
-        };
+        let layout =
+            MachineLayout { semi_words: 1 << 12, stack_words: 1 << 10, ..MachineLayout::default() };
         let mut machine = Machine::new(module.clone(), layout);
         if shadow {
             machine.enable_shadow();
         }
-        let tid = machine.spawn(module.main, &[]);
-        Seq { machine, tid }
+        machine.spawn(module.main, &[]);
+        Seq { machine }
     }
 
     fn run(&mut self, max: u64) -> (Step, u64) {
         let code = Arc::clone(self.machine.decoded());
-        let (cpu, world) = self.machine.split(self.tid);
-        exec::run(cpu, &code, world, max, u64::MAX)
+        exec::run(&mut self.machine.cpu, &code, &mut self.machine.world, max, u64::MAX)
     }
 
     fn cpu(&self) -> &Cpu {
-        &self.machine.threads[self.tid].cpu
+        &self.machine.cpu
     }
 
     fn image(&self) -> (Vec<i64>, String) {
         (self.machine.mem.clone(), self.machine.output.clone())
-    }
-
-    fn request_gc(&mut self) {
-        self.machine.gc_pending = true;
     }
 
     fn code(&self) -> &Arc<DecodedCode> {
@@ -228,12 +189,14 @@ impl Driven for Par {
         (self.vm.mem.iter().map(|w| w.load(Relaxed)).collect(), self.mu.output.clone())
     }
 
-    fn request_gc(&mut self) {
-        self.vm.gc_request.store(true, Relaxed);
-    }
-
     fn code(&self) -> &Arc<DecodedCode> {
         self.vm.decoded()
+    }
+}
+
+impl Par {
+    fn request_gc(&mut self) {
+        self.vm.gc_request.store(true, Relaxed);
     }
 }
 
@@ -241,10 +204,11 @@ impl Driven for Par {
 /// compiled code (calls and 12 allocations), on machine `D`,
 /// `run(k)` then `run(rest)` ends in the same outcome, `Cpu`, memory,
 /// output and executed count as single steps, for every split `k`; the
-/// pc at every exit is an instruction boundary; and with a collection
-/// requested after `k` instructions the burst stops before the first
-/// flagged op it reaches, never on an unflagged one.
-fn bursts_are_their_single_steps<D: Driven>(shadow: bool) {
+/// pc at every exit is an instruction boundary; and, on a machine where
+/// something can `request_gc`, with a collection requested after `k`
+/// instructions the burst stops before the first flagged op it reaches,
+/// never on an unflagged one.
+fn bursts_are_their_single_steps<D: Driven>(shadow: bool, request_gc: Option<fn(&mut D)>) {
     let module = compile(CALLS.replace("Work(30)", "Work(12)").as_str(), &Options::o2()).unwrap();
     let mut d = D::load(&module, shadow);
     let mut cpus = vec![d.cpu().clone()];
@@ -273,9 +237,10 @@ fn bursts_are_their_single_steps<D: Driven>(shadow: bool) {
         assert_eq!(d.cpu(), &cpus[total as usize], "final cpu, split at {k}");
         assert!(d.image() == reference, "memory or output, split at {k}");
 
+        let Some(request_gc) = request_gc else { continue };
         let mut d = D::load(&module, shadow);
         d.run(k);
-        d.request_gc();
+        request_gc(&mut d);
         let stop = (k..total).find(|&i| flagged(&cpus[i as usize]));
         match stop {
             Some(i) => {
@@ -290,14 +255,14 @@ fn bursts_are_their_single_steps<D: Driven>(shadow: bool) {
 
 #[test]
 fn bursts_are_their_single_steps_on_the_sequential_machine() {
-    bursts_are_their_single_steps::<Seq>(false);
-    bursts_are_their_single_steps::<Seq>(true);
+    bursts_are_their_single_steps::<Seq>(false, None);
+    bursts_are_their_single_steps::<Seq>(true, None);
 }
 
 #[test]
 fn bursts_are_their_single_steps_on_the_parallel_machine() {
-    bursts_are_their_single_steps::<Par>(false);
-    bursts_are_their_single_steps::<Par>(true);
+    bursts_are_their_single_steps::<Par>(false, Some(Par::request_gc));
+    bursts_are_their_single_steps::<Par>(true, Some(Par::request_gc));
 }
 
 /// A barely-sufficient heap completes; one word less hits OutOfMemory —

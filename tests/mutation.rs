@@ -75,12 +75,8 @@ fn run_mutated(src: &str, mutate: impl Fn(&mut ModuleTables) -> usize) -> Result
     let hits = mutate(&mut module.logical_maps);
     assert!(hits > 0, "mutation found no site to corrupt — not a real test");
     module.gc_maps = encode_module(&module.logical_maps, opts.codegen.scheme);
-    let ropts = RuntimeOptions::new()
-        .semi_words(1 << 12)
-        .stack_words(1 << 14)
-        .max_threads(4)
-        .torture(true)
-        .oracle(true);
+    let ropts =
+        RuntimeOptions::new().semi_words(1 << 12).stack_words(1 << 14).torture(true).oracle(true);
     let machine = ropts.build_machine(module);
     let mut ex = Executor::try_new(machine, ropts).map_err(|e| e.to_string())?;
     ex.run_main().map(|out| out.output).map_err(|e| e.to_string())

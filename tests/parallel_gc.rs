@@ -10,8 +10,7 @@
 //!   table entry.
 //! * A mutator that *cannot* reach a gc-point within the advance budget
 //!   (loop gc-points compiled out) must surface a structured
-//!   [`ExecError::StuckThread`], never hang — on both the cooperative
-//!   scheduler and the OS-thread parallel runtime.
+//!   [`ExecError::StuckThread`], never hang.
 //! * The persistent gc-worker pool and the chunked gray hand-off (the
 //!   `pool_*` cases): any worker count gives the sequential output
 //!   and copies the same words; a wide heap wakes the helpers and gets
@@ -34,9 +33,8 @@ use std::time::Duration;
 
 use m3gc::compiler::{compile, run_module_par, run_module_par_opts, run_module_with, Options};
 use m3gc::core::heap::HeapType;
-use m3gc::runtime::scheduler::{ExecError, Executor};
+use m3gc::runtime::scheduler::ExecError;
 use m3gc::runtime::{GcStrategy, ParOutcome, RuntimeOptions};
-use m3gc::vm::machine::{Machine, MachineLayout};
 use m3gc::vm::{ParLayout, ParMachine};
 
 /// Allocation-heavy program whose mutable state is all procedure-local:
@@ -165,35 +163,6 @@ fn no_loop_points() -> Options {
     let mut opts = Options::o2();
     opts.codegen.gc.loop_gc_points = false;
     opts
-}
-
-#[test]
-fn scheduler_max_advance_exhaustion_is_a_structured_error() {
-    // Deterministic single-threaded scheduler variant: thread 0
-    // allocates under torture while thread 1 crunches an allocation-free
-    // loop with no gc-points; thread 1 can never stand at a gc-point,
-    // so the collection protocol must give up with a structured error
-    // instead of spinning the scheduler forever.
-    let module = compile(SPIN_SRC, &no_loop_points()).expect("compiles");
-    let machine = Machine::new(
-        module,
-        MachineLayout {
-            semi_words: 1 << 12,
-            stack_words: 1 << 13,
-            max_threads: 2,
-            ..MachineLayout::default()
-        },
-    );
-    let mut ex = Executor::new(machine, RuntimeOptions::new().torture(true).max_advance(10_000));
-    ex.machine.spawn(ex.machine.module.main, &[]);
-    let crunch =
-        ex.machine.module.procs.iter().position(|p| p.name == "Crunch").expect("Crunch exists")
-            as u16;
-    ex.machine.spawn(crunch, &[2_000_000_000]);
-    match ex.run() {
-        Err(ExecError::StuckThread { thread }) => assert_eq!(thread, 1),
-        other => panic!("expected StuckThread, got {other:?}"),
-    }
 }
 
 #[test]
