@@ -1,50 +1,19 @@
 //! Executable memory for JIT-compiled code.
 //!
-//! One `mmap`'d region per engine, written read-write and then flipped
-//! to read-execute (W^X). The libc symbols are declared directly — the
-//! Rust standard library already links libc on unix targets, so no
-//! crate dependency is needed — and everything is gated to
-//! `x86_64`/unix; other targets get the structural fallback path in
+//! One mapping per engine, written read-write and then flipped to
+//! read-execute (W^X). It is an [`m3gc_vm::pages::Mapping`], the
+//! workspace's one seam to `mmap`; everything is gated to
+//! `x86_64`/unix, and other targets get the structural fallback path in
 //! [`crate::engine`].
 
 #![cfg(all(target_arch = "x86_64", unix))]
 
-use std::ffi::c_void;
-use std::ptr;
-
-extern "C" {
-    fn mmap(
-        addr: *mut c_void,
-        len: usize,
-        prot: i32,
-        flags: i32,
-        fd: i32,
-        offset: i64,
-    ) -> *mut c_void;
-    fn munmap(addr: *mut c_void, len: usize) -> i32;
-    fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
-}
-
-const PROT_READ: i32 = 1;
-const PROT_WRITE: i32 = 2;
-const PROT_EXEC: i32 = 4;
-const MAP_PRIVATE: i32 = 2;
-#[cfg(target_os = "linux")]
-const MAP_ANONYMOUS: i32 = 0x20;
-#[cfg(not(target_os = "linux"))]
-const MAP_ANONYMOUS: i32 = 0x1000;
-const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+use m3gc_vm::pages::Mapping;
 
 /// A mapped read-execute code region. Unmapped on drop.
 pub struct ExecMem {
-    base: *mut u8,
-    len: usize,
+    map: Mapping,
 }
-
-// The region is immutable (RX) after construction; sharing raw pointers
-// to it across threads is safe.
-unsafe impl Send for ExecMem {}
-unsafe impl Sync for ExecMem {}
 
 impl ExecMem {
     /// Maps `code` into fresh executable memory. `None` when the kernel
@@ -54,51 +23,29 @@ impl ExecMem {
     pub fn new(code: &[u8]) -> Option<ExecMem> {
         assert!(!code.is_empty(), "mapping an empty code region");
         let page = 4096usize;
-        let len = code.len().div_ceil(page) * page;
-        // SAFETY: anonymous private mapping; no aliasing with any Rust
-        // allocation.
-        let base = unsafe {
-            mmap(ptr::null_mut(), len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
-        };
-        if base == MAP_FAILED || base.is_null() {
-            return None;
-        }
-        // SAFETY: `base..base+len` is exactly the region just mapped RW.
-        unsafe {
-            ptr::copy_nonoverlapping(code.as_ptr(), base.cast::<u8>(), code.len());
-            if mprotect(base, len, PROT_READ | PROT_EXEC) != 0 {
-                munmap(base, len);
-                return None;
-            }
-        }
-        Some(ExecMem { base: base.cast(), len })
+        let mut map = Mapping::new(code.len().div_ceil(page) * page)?;
+        // SAFETY: the mapping is fresh, read-write and at least
+        // `code.len()` bytes long.
+        unsafe { std::ptr::copy_nonoverlapping(code.as_ptr(), map.base(), code.len()) };
+        map.make_executable().then_some(ExecMem { map })
     }
 
     /// Base address of the mapped code.
     #[must_use]
     pub fn base(&self) -> *const u8 {
-        self.base
+        self.map.base()
     }
 
     /// Mapped length in bytes (page-rounded).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// Always false — empty regions are never mapped.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false
-    }
-}
-
-impl Drop for ExecMem {
-    fn drop(&mut self) {
-        // SAFETY: base/len are the exact mapping from `new`.
-        unsafe {
-            munmap(self.base.cast(), self.len);
-        }
     }
 }
 

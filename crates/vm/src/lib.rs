@@ -16,6 +16,8 @@
 //! * one execution core ([`exec`]: a `Cpu`, one `step`, one shadow
 //!   tracker) run against two memory formats behind the `World` trait —
 //!   the sequential [`machine`] and the thread-safe [`par`] machine.
+//!   Both keep their memory in [`pages::Zeroed`] slices: fresh pages,
+//!   resident only where the program touches them.
 //!   `ALLOC` *pauses* the thread when the heap is full — the collector
 //!   (in `m3gc-runtime`) runs and the instruction is retried — and the
 //!   frame layout (`CALL` pushes return pc, saved FP, saved AP) is what
@@ -30,6 +32,7 @@ pub mod exec;
 pub mod isa;
 pub mod machine;
 pub mod module;
+pub mod pages;
 pub mod par;
 pub mod shadow;
 

@@ -32,6 +32,7 @@ use crate::decode::DecodedCode;
 use crate::exec::{self, Cpu, JitPorts, Step, World};
 use crate::isa::NUM_REGS;
 use crate::module::VmModule;
+use crate::pages::Zeroed;
 use crate::shadow::{Shadow, Tag};
 
 /// Start of the global area; addresses below this always trap.
@@ -228,7 +229,7 @@ pub struct SeqWorld {
     /// The loaded module.
     pub module: VmModule,
     /// Flat memory: reserved | globals | stack | semispace A | semispace B.
-    pub mem: Vec<i64>,
+    pub mem: Zeroed<i64>,
     /// Accumulated program output.
     pub output: String,
     /// Instructions executed.
@@ -352,7 +353,7 @@ impl Machine {
         };
         let world = SeqWorld {
             module,
-            mem: vec![0; total],
+            mem: Zeroed::new(total),
             output: String::new(),
             steps: 0,
             allocations: 0,

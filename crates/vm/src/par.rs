@@ -39,15 +39,14 @@
 //! mutator's [`Mutator::satb_buf`] so concurrent tracing cannot lose an
 //! object that was reachable at the snapshot.
 //!
-//! Memory is zeroed on demand (`zeroed_vec`): a machine's words, tags
-//! and cms bitmaps cost nothing until they are touched, as `Machine`'s
-//! `vec![0; n]` does. On the interpreter's path, [`ParWorld`] reads the
+//! A machine's words, tags and cms bitmap are [`Zeroed`] memory, fresh
+//! pages that cost nothing until they are touched, as on the sequential
+//! machine. On the interpreter's path, [`ParWorld`] reads the
 //! memory slice directly and tests the cms marking flag inline; the
 //! deletion-barrier work sits in a cold method beside it.
 //!
 //! [`Machine`]: crate::machine::Machine
 
-use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, PoisonError};
 
@@ -58,47 +57,12 @@ use crate::decode::DecodedCode;
 use crate::exec::{self, Cpu, JitPorts, Step, World};
 use crate::machine::{VmTrap, GLOBAL_BASE};
 use crate::module::VmModule;
+use crate::pages::Zeroed;
 use crate::shadow::Tag;
 
 /// Relaxed load/store shorthand — see the module docs for why relaxed
 /// ordering is sufficient for interpreter data.
 const R: Ordering = Ordering::Relaxed;
-
-/// Atomics whose all-zero bit pattern is a valid value (`0`, `false`).
-/// Private and implemented for these four only, so [`zeroed_vec`] can
-/// build nothing else.
-trait ZeroIsValid {}
-impl ZeroIsValid for AtomicI64 {}
-impl ZeroIsValid for AtomicU64 {}
-impl ZeroIsValid for AtomicU8 {}
-impl ZeroIsValid for AtomicBool {}
-
-/// `n` zero-valued atomics straight from `alloc_zeroed`. A large block
-/// is fresh pages the kernel zeroes on first touch, so an untouched
-/// word costs no write and no resident memory; collecting
-/// `AtomicI64::new(0)` one at a time wrote (and faulted in) every page
-/// of a 2 M-word machine before its first instruction.
-fn zeroed_vec<T: ZeroIsValid>(n: usize) -> Vec<T> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let layout = Layout::array::<T>(n).expect("machine memory size overflows");
-    // SAFETY: `layout` has a nonzero size (`n > 0`, and every
-    // `ZeroIsValid` type is nonzero-sized), as `alloc_zeroed` requires. A
-    // null result is diverted to `handle_alloc_error`. Otherwise the
-    // block came from the global allocator with `T`'s alignment and room
-    // for exactly `n` `T`s, which is what `from_raw_parts(p, n, n)`
-    // requires of its capacity; and all `n` elements are initialised,
-    // because all-zero bytes are a valid `T` for every `ZeroIsValid`
-    // type.
-    unsafe {
-        let p = alloc_zeroed(layout).cast::<T>();
-        if p.is_null() {
-            handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(p, n, n)
-    }
-}
 
 /// Sizing and memory layout for a [`ParMachine`].
 ///
@@ -185,7 +149,7 @@ pub struct CmsHeap {
     /// Mark bitmap, one bit per memory word; bits are only ever set on
     /// object header addresses. Cleared by the snapshot leader, written
     /// by marking workers and born-black allocation.
-    bits: Vec<AtomicU64>,
+    bits: Zeroed<AtomicU64>,
     /// Overflow sink for retired per-mutator SATB buffers; marking
     /// workers drain it between gray-stack batches.
     pub satb_sink: std::sync::Mutex<Vec<i64>>,
@@ -207,7 +171,7 @@ impl CmsHeap {
             marking: AtomicBool::new(false),
             snap_free: AtomicI64::new(0),
             trigger_at: AtomicI64::new(i64::MAX),
-            bits: zeroed_vec(words.div_ceil(64)),
+            bits: Zeroed::new(words.div_ceil(64)),
             satb_sink: std::sync::Mutex::new(Vec::new()),
             satb_enqueued: AtomicU64::new(0),
             satb_drained: AtomicU64::new(0),
@@ -253,7 +217,7 @@ impl CmsHeap {
 
     /// Clears the whole bitmap (snapshot leader, world stopped).
     pub fn clear_marks(&self) {
-        for w in &self.bits {
+        for w in self.bits.iter() {
             w.store(0, R);
         }
     }
@@ -286,12 +250,12 @@ impl CmsHeap {
 #[derive(Debug)]
 pub struct ParShadow {
     /// One tag byte per memory word.
-    pub mem: Vec<AtomicU8>,
+    pub mem: Zeroed<AtomicU8>,
 }
 
 impl ParShadow {
     fn new(words: usize) -> ParShadow {
-        ParShadow { mem: zeroed_vec(words) }
+        ParShadow { mem: Zeroed::new(words) }
     }
 
     /// Reads a memory word's tag.
@@ -402,6 +366,20 @@ pub struct ParWorld<'a> {
 /// Flush threshold for a mutator's private SATB buffer.
 const SATB_FLUSH: usize = 64;
 
+/// One mutator slot's region (allocation-service mode).
+#[derive(Debug)]
+struct Region {
+    /// Bump pointer. Single writer — the owning mutator — while
+    /// running; the collection leader reads it with the world stopped
+    /// (the handshake provides the ordering).
+    ptr: AtomicI64,
+    /// A request currently owns this region.
+    live: AtomicBool,
+    /// A pointer into this region was stored outside it. Sticky until
+    /// the region is reset.
+    escaped: AtomicBool,
+}
+
 /// The shared half of a parallel machine. See the module docs.
 pub struct ParMachine {
     /// The loaded module.
@@ -409,7 +387,7 @@ pub struct ParMachine {
     decoded: Arc<DecodedCode>,
     /// Flat memory: reserved | globals | stacks | regions | semi A | semi B
     /// (the region area is empty unless `layout.region_words > 0`).
-    pub mem: Vec<AtomicI64>,
+    pub mem: Zeroed<AtomicI64>,
     layout: ParLayout,
     stacks_base: usize,
     regions_base: usize,
@@ -452,15 +430,8 @@ pub struct ParMachine {
     pub region_alloc_words: AtomicU64,
     /// Regions marked escaped (first escaping store per region).
     pub region_escapes: AtomicU64,
-    /// Per-slot region bump pointers. Single writer — the owning
-    /// mutator — while running; the collection leader reads them with
-    /// the world stopped (the handshake provides the ordering).
-    region_ptrs: Vec<AtomicI64>,
-    /// Per-slot "a request currently owns this region" flags.
-    region_live: Vec<AtomicBool>,
-    /// Per-slot "a pointer into this region was stored outside it"
-    /// flags. Sticky until the region is reset.
-    region_escaped: Vec<AtomicBool>,
+    /// Each mutator slot's region.
+    regions: Vec<Region>,
 
     /// Shadow tags, when instrumented ([`ParMachine::enable_shadow`]).
     pub shadow: Option<ParShadow>,
@@ -490,13 +461,17 @@ impl ParMachine {
         let heap_base = regions_base + layout.region_words * layout.mutators;
         let total = heap_base + 2 * layout.semi_words;
         let module_token = crate::machine::next_module_token();
-        let region_ptrs = (0..layout.mutators)
-            .map(|slot| AtomicI64::new((regions_base + slot * layout.region_words) as i64))
+        let regions = (0..layout.mutators)
+            .map(|slot| Region {
+                ptr: AtomicI64::new((regions_base + slot * layout.region_words) as i64),
+                live: AtomicBool::new(false),
+                escaped: AtomicBool::new(false),
+            })
             .collect();
         ParMachine {
             module,
             decoded,
-            mem: zeroed_vec(total),
+            mem: Zeroed::new(total),
             layout,
             stacks_base,
             regions_base,
@@ -516,9 +491,7 @@ impl ParMachine {
             region_allocs: AtomicU64::new(0),
             region_alloc_words: AtomicU64::new(0),
             region_escapes: AtomicU64::new(0),
-            region_ptrs,
-            region_live: zeroed_vec(layout.mutators),
-            region_escaped: zeroed_vec(layout.mutators),
+            regions,
             shadow: None,
             cms: None,
             code_map: None,
@@ -657,7 +630,7 @@ impl ParMachine {
             return true;
         }
         match self.region_slot_of(addr) {
-            Some(slot) => !self.region_live[slot].load(R) && !self.region_escaped[slot].load(R),
+            Some(slot) => !self.regions[slot].live.load(R) && !self.regions[slot].escaped.load(R),
             None => false,
         }
     }
@@ -691,27 +664,27 @@ impl ParMachine {
     /// Words currently allocated in `slot`'s region.
     #[must_use]
     pub fn region_used(&self, slot: usize) -> i64 {
-        self.region_ptrs[slot].load(R) - self.region_bounds(slot).0
+        self.regions[slot].ptr.load(R) - self.region_bounds(slot).0
     }
 
     /// One past the last allocated word of `slot`'s region (collector
     /// use: the linear-scan upper bound).
     #[must_use]
     pub fn region_top(&self, slot: usize) -> i64 {
-        self.region_ptrs[slot].load(R)
+        self.regions[slot].ptr.load(R)
     }
 
     /// True while a request owns `slot`'s region.
     #[must_use]
     pub fn is_region_live(&self, slot: usize) -> bool {
-        self.region_live[slot].load(R)
+        self.regions[slot].live.load(R)
     }
 
     /// True once a pointer into `slot`'s region has been stored outside
     /// it (sticky until the region resets).
     #[must_use]
     pub fn is_region_escaped(&self, slot: usize) -> bool {
-        self.region_escaped[slot].load(R)
+        self.regions[slot].escaped.load(R)
     }
 
     /// True if `slot` holds a zombie region: its request exited but a
@@ -719,7 +692,7 @@ impl ParMachine {
     /// stop-the-world collection evacuates the reachable objects.
     #[must_use]
     pub fn is_region_zombie(&self, slot: usize) -> bool {
-        !self.region_live[slot].load(R) && self.region_escaped[slot].load(R)
+        !self.regions[slot].live.load(R) && self.regions[slot].escaped.load(R)
     }
 
     /// Opens `slot`'s region for a new request.
@@ -730,10 +703,10 @@ impl ParMachine {
     /// reset it first) or is already live.
     pub fn begin_region(&self, slot: usize) {
         assert!(!self.is_region_zombie(slot), "slot holds an uncollected zombie region");
-        assert!(!self.region_live[slot].load(R), "region already live");
-        self.region_ptrs[slot].store(self.region_bounds(slot).0, R);
-        self.region_escaped[slot].store(false, R);
-        self.region_live[slot].store(true, R);
+        assert!(!self.regions[slot].live.load(R), "region already live");
+        self.regions[slot].ptr.store(self.region_bounds(slot).0, R);
+        self.regions[slot].escaped.store(false, R);
+        self.regions[slot].live.store(true, R);
     }
 
     /// Closes `slot`'s region at request exit. If no pointer escaped,
@@ -749,8 +722,8 @@ impl ParMachine {
     /// pointer by loading it from shared memory, i.e. after such a
     /// store), and it happens-before the owner's exit in program order.
     pub fn end_region(&self, slot: usize) -> Option<i64> {
-        self.region_live[slot].store(false, R);
-        if self.region_escaped[slot].load(R) {
+        self.regions[slot].live.store(false, R);
+        if self.regions[slot].escaped.load(R) {
             return None;
         }
         Some(self.reset_region(slot))
@@ -766,13 +739,13 @@ impl ParMachine {
     /// reference into the region has been rewritten by then.
     pub fn reset_region(&self, slot: usize) -> i64 {
         let (base, _) = self.region_bounds(slot);
-        let used = self.region_ptrs[slot].load(R) - base;
+        let used = self.regions[slot].ptr.load(R) - base;
         self.zero_words(base, used);
         if let Some(sh) = &self.shadow {
             sh.clear_range(base, used);
         }
-        self.region_ptrs[slot].store(base, R);
-        self.region_escaped[slot].store(false, R);
+        self.regions[slot].ptr.store(base, R);
+        self.regions[slot].escaped.store(false, R);
         used
     }
 
@@ -984,10 +957,10 @@ impl ParMachine {
         // Allocation-service mode: request-local bump into the slot's
         // region, no shared traffic. An object that would overflow the
         // region is a shared allocation like any other, TLAB first.
-        let region = self.layout.region_words > 0 && self.region_live[mu.tid].load(R);
-        let ptr = if region { self.region_ptrs[mu.tid].load(R) } else { 0 };
+        let region = self.layout.region_words > 0 && self.regions[mu.tid].live.load(R);
+        let ptr = if region { self.regions[mu.tid].ptr.load(R) } else { 0 };
         let addr = if region && ptr + words <= self.region_bounds(mu.tid).1 {
-            self.region_ptrs[mu.tid].store(ptr + words, R);
+            self.regions[mu.tid].ptr.store(ptr + words, R);
             mu.pending_region_allocs += 1;
             mu.pending_region_words += words as u64;
             ptr
@@ -1072,7 +1045,7 @@ impl ParMachine {
     /// as a zombie and traced), never an unsound reclaim.
     fn note_escape(&self, addr: i64, value: i64) {
         let Some(vs) = self.region_slot_of(value) else { return };
-        if !self.region_live[vs].load(R) {
+        if !self.regions[vs].live.load(R) {
             return;
         }
         let (rb, re) = self.region_bounds(vs);
@@ -1083,7 +1056,7 @@ impl ParMachine {
         if (sb..sb + self.layout.stack_words as i64).contains(&addr) {
             return; // the owner's private stack dies with the request
         }
-        if !self.region_escaped[vs].swap(true, R) {
+        if !self.regions[vs].escaped.swap(true, R) {
             self.region_escapes.fetch_add(1, R);
         }
     }

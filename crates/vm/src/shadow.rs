@@ -37,17 +37,22 @@
 //!    "tidy pointer" slot whose tag is `NonPtr`, or a derivation whose
 //!    base is not a `Ptr`, is a table lying about the frame contents.
 
-/// What the instrumented execution knows a word to be.
+use crate::pages::Zeroed;
+
+/// What the instrumented execution knows a word to be. One byte, and
+/// the zero byte is `NonPtr`, so a shadow starts as zeroed memory
+/// ([`crate::pages::Zeroed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum Tag {
     /// Not known to involve a pointer.
     #[default]
-    NonPtr,
+    NonPtr = 0,
     /// The address of an object header, as returned by an allocation.
-    Ptr,
+    Ptr = 1,
     /// A value computed by pointer arithmetic (interior pointer, virtual
     /// array origin, …).
-    Derived,
+    Derived = 2,
 }
 
 impl Tag {
@@ -61,11 +66,7 @@ impl Tag {
     /// Byte encoding, for atomic shadow storage (`crate::par`).
     #[must_use]
     pub fn to_byte(self) -> u8 {
-        match self {
-            Tag::NonPtr => 0,
-            Tag::Ptr => 1,
-            Tag::Derived => 2,
-        }
+        self as u8
     }
 
     /// Inverse of [`Tag::to_byte`]; unknown bytes decode as `NonPtr`.
@@ -92,17 +93,17 @@ impl Tag {
 }
 
 /// The sequential machine's memory shadow: one tag per memory word.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Shadow {
     /// Per-word tags, parallel to `Machine::mem`.
-    pub mem: Vec<Tag>,
+    pub mem: Zeroed<Tag>,
 }
 
 impl Shadow {
     /// Creates a shadow for a machine with `mem_words` words of memory.
     #[must_use]
     pub fn new(mem_words: usize) -> Shadow {
-        Shadow { mem: vec![Tag::NonPtr; mem_words] }
+        Shadow { mem: Zeroed::new(mem_words) }
     }
 
     /// Reads a memory word's tag.

@@ -1,7 +1,9 @@
 //! Loading a machine costs what the program touches. `ParMachine`'s
-//! memory, shadow tags and cms bitmaps come from zeroed allocations the
-//! kernel fills in on first touch, so building one is as cheap as
-//! `Machine`'s `vec![0; n]` however large its semispaces are. This file
+//! memory, shadow tags and cms bitmap are fresh anonymous mappings
+//! (`m3gc_vm::pages::Zeroed`) the kernel fills in on first touch, so
+//! building one costs no writes however large its semispaces are
+//! (`tests/rebuild_cost.rs` holds the same for a process's later
+//! machines, `tests/shadow_cost.rs` for `Machine`'s shadow). This file
 //! holds one test on purpose: it reads the process's resident set,
 //! which a second test running beside it would disturb.
 

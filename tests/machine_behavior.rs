@@ -146,7 +146,7 @@ impl Driven for Seq {
     }
 
     fn image(&self) -> (Vec<i64>, String) {
-        (self.machine.mem.clone(), self.machine.output.clone())
+        (self.machine.mem.to_vec(), self.machine.output.clone())
     }
 
     fn code(&self) -> &Arc<DecodedCode> {
