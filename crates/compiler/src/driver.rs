@@ -207,12 +207,7 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
             &out.gc_each,
         );
         if opts.strategy == GcStrategy::Cms {
-            rep.add_cms(
-                opts.conc_workers.max(1),
-                out.satb_enqueued,
-                out.satb_drained,
-                &out.gc_each,
-            );
+            rep.add_cms(out.satb_enqueued, out.satb_drained, &out.gc_each);
         }
         rep.add_tlab(opts.tlab_words, out.tlab_refills, out.tlab_allocs, out.tlab_waste_words);
         if let Some(jit) = ex.jit_summary() {
@@ -396,7 +391,7 @@ fn parse_all(
     let mut load = ServeLoad::default();
     // Collector-specific flags that were *present* — several of their
     // fields have plain-value defaults, so the struct alone cannot tell.
-    let (mut cms_only, mut gen_only, mut par_only) = (None, None, None);
+    let (mut gen_only, mut par_only) = (None, None);
     let mut it = args.iter();
     // A required numeric flag value, parsed or a usage error.
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, DriverError> {
@@ -452,13 +447,6 @@ fn parse_all(
                     return Err(DriverError::usage("bad --gc-workers value `0`"));
                 }
             }
-            "--conc-workers" => {
-                cms_only = cms_only.or(Some("--conc-workers"));
-                config.conc_workers = value::<usize>("--conc-workers", it.next())?;
-                if config.conc_workers < 1 {
-                    return Err(DriverError::usage("bad --conc-workers value `0`"));
-                }
-            }
             "--tlab-words" => {
                 par_only = par_only.or((!serve).then_some("--tlab-words"));
                 config.tlab_words = value("--tlab-words", it.next())?;
@@ -504,7 +492,6 @@ fn parse_all(
     // A flag the selected collector would silently ignore is a mistake.
     let parallel = matches!(config.strategy, GcStrategy::Parallel | GcStrategy::Cms);
     let contradiction = [
-        (cms_only.filter(|_| config.strategy != GcStrategy::Cms), "--gc cms"),
         (gen_only.filter(|_| config.strategy != GcStrategy::Generational), "--gc gen"),
         (par_only.filter(|_| !parallel && config.region_words == 0), "--gc par or --gc cms"),
     ];
@@ -822,17 +809,12 @@ mod tests {
         assert_eq!(c.tlab_words, 0);
         assert!(parse_options(&["--tlab-words".into(), "lots".into()]).is_err());
         assert!(parse_options(&["--tlab-words".into()]).is_err());
-        // Concurrent marking: `--gc cms` with its own marker count.
+        // Concurrent marking: `--gc cms`.
         let (_, c) = parse_options(&["--gc".into(), "cms".into()]).unwrap();
         assert_eq!(c.strategy, GcStrategy::Cms);
-        let (_, c) =
-            parse_options(&["--gc=cms".into(), "--conc-workers".into(), "3".into()]).unwrap();
-        assert_eq!((c.strategy, c.conc_workers), (GcStrategy::Cms, 3));
         // Multiple mutators are legal under cms, as under par.
         let (_, c) = parse_options(&["--gc=cms".into(), "--threads".into(), "4".into()]).unwrap();
         assert_eq!(c.threads, 4);
-        assert!(parse_options(&["--conc-workers".into(), "0".into()]).is_err());
-        assert!(parse_options(&["--conc-workers".into()]).is_err());
     }
 
     #[test]
@@ -840,8 +822,6 @@ mod tests {
         let (o, mut c) = parse_options(&[
             "--gc=cms".into(),
             "--threads".into(),
-            "2".into(),
-            "--conc-workers".into(),
             "2".into(),
             "--torture".into(),
             "--stats".into(),
@@ -952,17 +932,18 @@ mod tests {
     }
 
     /// Retired features leave no flags behind: the liveness-pruned maps'
-    /// two, concurrent evacuation's two and serve's `--quantum` (now a
-    /// constant) are unknown options like any other, under `run` and
-    /// `serve` alike.
+    /// two, concurrent evacuation's two, serve's `--quantum` (now a
+    /// constant) and cms's `--conc-workers` (one marker) are unknown
+    /// options like any other, under `run` and `serve` alike.
     #[test]
     fn retired_flags_are_usage_errors() {
-        let cases: [&[&str]; 5] = [
+        let cases: [&[&str]; 6] = [
             &["--live-maps"],
             &["--no-live-maps"],
             &["--conc-evac"],
             &["--evac-region-words", "64"],
             &["--quantum", "100"],
+            &["--conc-workers", "2"],
         ];
         for args in cases {
             let argv: Vec<String> = args.iter().map(ToString::to_string).collect();
@@ -982,8 +963,7 @@ mod tests {
     /// both sides.
     #[test]
     fn contradictory_flags_are_usage_errors() {
-        let cases: [(&[&str], &str, &str); 6] = [
-            (&["--gc=gen", "--conc-workers", "2"], "--conc-workers", "--gc cms"),
+        let cases: [(&[&str], &str, &str); 5] = [
             (&["--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc=cms", "--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc", "semispace", "--gc-workers", "8"], "--gc-workers", "--gc par"),
@@ -1001,17 +981,14 @@ mod tests {
         }
         // The order of the flags does not matter, and the legal pairings
         // still parse.
-        assert!(parse_options(&["--conc-workers".into(), "2".into(), "--gc=cms".into()]).is_ok());
         assert!(parse_options(&["--nursery".into(), "64".into(), "--gc=gen".into()]).is_ok());
         assert!(parse_options(&["--gc-workers".into(), "2".into(), "--gc=par".into()]).is_ok());
         // Serve is the parallel runtime whatever `--gc` says.
         assert!(parse_serve_options(&["--gc-workers".into(), "2".into()]).is_ok());
-        assert!(parse_serve_options(&["--conc-workers".into(), "2".into()]).is_err());
         // ... except that regions and concurrent marking exclude each
         // other: a usage error naming both, not `enable_cms`'s assertion.
         for (serve, args, regions) in [
             (true, vec!["--gc", "cms"], "serve"),
-            (true, vec!["--gc=cms", "--conc-workers", "2"], "serve"),
             (false, vec!["--gc=cms", "--region-words", "64"], "--region-words"),
         ] {
             let args: Vec<String> = args.iter().map(ToString::to_string).collect();

@@ -187,12 +187,13 @@ pub fn opt_levels() -> [(&'static str, Options); 2] {
 ///   deterministic) with 2 and 4 gc workers — the handshake, snapshot
 ///   stack walk and work-stealing copy — plus a tiny-TLAB configuration
 ///   (refill and retire on nearly every allocation) and a JIT twin.
-/// * concurrent marking: {o0, o2} with 2 evacuation workers and 2
-///   markers. Torture forces a snapshot/final pause pair around nearly
-///   every allocation, so the SATB barrier, the black-allocation window
-///   and the final-pause drain run on every program and every cycle is
-///   checked against full STW reachability by the shadow verifier; and
-///   JIT twins (the full-helper store barrier in native code).
+/// * concurrent marking: {o0, o2} with 2 evacuation workers (the
+///   coordinator is the one marker). Torture forces a snapshot/final
+///   pause pair around nearly every allocation, so the SATB barrier, the
+///   black-allocation window and the final-pause drain run on every
+///   program and every cycle is checked against full STW reachability by
+///   the shadow verifier; and JIT twins (the full-helper store barrier in
+///   native code).
 #[must_use]
 pub fn config_matrix(case_seed: u64) -> Vec<(String, usize, Scheme, RuntimeOptions)> {
     let base = RuntimeOptions::new().semi_words(FUZZ_SEMI_WORDS).torture(true).oracle(true);
@@ -211,16 +212,16 @@ pub fn config_matrix(case_seed: u64) -> Vec<(String, usize, Scheme, RuntimeOptio
         }
     }
     let par = base.strategy(GcStrategy::Parallel).stack_words(1 << 15).threads(1);
-    let cms = par.strategy(GcStrategy::Cms).gc_workers(2).conc_workers(2);
+    let cms = par.strategy(GcStrategy::Cms).gc_workers(2);
     for (label, opt, ropts) in [
         ("o2/par-w2", 1, par.gc_workers(2)),
         ("o0/par-w4", 0, par.gc_workers(4)),
         ("o2/par-w2/tlab8", 1, par.gc_workers(2).tlab_words(8)),
         ("o2/par-w2/jit", 1, par.gc_workers(2).jit(true)),
-        ("o2/cms-w2m2", 1, cms),
-        ("o0/cms-w2m2", 0, cms),
-        ("o2/cms-w2m2/jit", 1, cms.jit(true)),
-        ("o0/cms-w2m2/jit", 0, cms.jit(true)),
+        ("o2/cms-w2", 1, cms),
+        ("o0/cms-w2", 0, cms),
+        ("o2/cms-w2/jit", 1, cms.jit(true)),
+        ("o0/cms-w2/jit", 0, cms.jit(true)),
     ] {
         out.push((label.to_string(), opt, default, ropts));
     }
@@ -309,10 +310,10 @@ mod tests {
             "o0/par-w4",
             "o2/par-w2/tlab8",
             "o2/par-w2/jit",
-            "o2/cms-w2m2",
-            "o0/cms-w2m2",
-            "o2/cms-w2m2/jit",
-            "o0/cms-w2m2/jit",
+            "o2/cms-w2",
+            "o0/cms-w2",
+            "o2/cms-w2/jit",
+            "o0/cms-w2/jit",
         ];
         for (case_seed, [o0_semi, o0_gen, o2_semi, o2_gen]) in [
             (0, ["full-info", "full-info+packing", "delta-main", "delta-main+previous"]),

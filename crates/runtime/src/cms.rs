@@ -10,22 +10,21 @@
 //!    one `stop_world` around the work [`cms_pause`] picks), but instead
 //!    of copying anything it seeds the mark state: the bitmap is
 //!    cleared, every root *value* — globals plus each parked thread's
-//!    tidy roots — is marked and pushed on the shared gray stack,
+//!    tidy roots — is marked and pushed on the cycle's gray stack,
 //!    `snap_free` records the allocation frontier, and the `marking`
 //!    flag arms the `StB` deletion barrier. The world resumes.
-//! 2. **Concurrent mark.** `conc_workers` markers (owned by a
-//!    coordinator thread that sleeps between cycles) trace the gray
-//!    stack to closure while the mutators keep running. The SATB
-//!    invariant keeps this sound: any pointer a mutator overwrites
-//!    while marking is enqueued (old value first) into a per-mutator
-//!    buffer the markers drain, and every object allocated during
-//!    marking is born black — so no object reachable at the snapshot
-//!    can be lost, only floating garbage can be retained. When the
-//!    markers go quiescent (no gray work, empty SATB sink, nothing in
-//!    flight) the coordinator requests the final pause itself rather
-//!    than waiting for the heap to fill.
+//! 2. **Concurrent mark.** The run's coordinator thread, which sleeps
+//!    between cycles, takes the gray stack and traces it to closure
+//!    while the mutators keep running. The SATB invariant keeps this
+//!    sound: any pointer a mutator overwrites while marking is enqueued
+//!    (old value first) into a per-mutator buffer the marker drains, and
+//!    every object allocated during marking is born black — so no object
+//!    reachable at the snapshot can be lost, only floating garbage can
+//!    be retained. When marking goes quiescent (an empty gray stack and
+//!    an empty SATB sink) the coordinator requests the final pause
+//!    itself rather than waiting for the heap to fill.
 //! 3. **Final pause.** A second handshake stops the world; the leader
-//!    waits for the markers to stand down, sequentially drains the
+//!    waits for the marker to stand down, sequentially drains the
 //!    residual gray stack and SATB buffers to closure, and then runs a
 //!    *bitmap evacuation*: workers claim fixed-size from-space chunks
 //!    with one fetch-add each and copy that chunk's marked objects —
@@ -69,41 +68,36 @@ use crate::trace::{gather_global_roots, read_root};
 /// barriers.
 const R: Ordering = Ordering::Relaxed;
 
-/// Gray-stack objects a marker takes (and keeps locally) per refill.
-const MARK_BATCH: usize = 64;
-
 /// From-space words per evacuation chunk (fetch-add claim granularity).
 /// A multiple of 64 so bitmap words never straddle chunks.
 const CHUNK_WORDS: i64 = 1 << 12;
 
-/// Coordinator/marker state, guarded by [`CmsRun::mx`].
+/// Coordinator state, guarded by [`CmsRun::mx`].
 struct CmsState {
-    /// Bumped by every snapshot pause; the coordinator runs one marker
-    /// generation per increment.
+    /// Bumped by every snapshot pause; the coordinator marks once per
+    /// increment.
     cycles_started: u64,
-    /// True once the current cycle's markers have exited (set by the
-    /// coordinator after joining them). The final-pause leader waits on
-    /// this before touching the gray stack.
+    /// True once the coordinator has stopped marking the current cycle
+    /// and handed its leftover work back. The final-pause leader waits
+    /// on this before touching the gray stack.
     markers_idle: bool,
     /// Set at end of run; the coordinator exits once no cycle is open.
     stop: bool,
+    /// Marked-but-unscanned objects while the coordinator is not
+    /// marking: the snapshot pause's seeds, or what the coordinator
+    /// stopped with, for the final pause.
+    gray: Vec<i64>,
+    /// Stats carried from the snapshot pause to the final pause.
+    pending: Option<CyclePending>,
 }
 
 /// Per-run concurrent-marking state (lives in `RunCtx`).
 pub(crate) struct CmsRun {
-    /// Concurrent marking workers per cycle.
-    workers: usize,
     mx: Mutex<CmsState>,
     cv: Condvar,
-    /// Set by the final-pause leader; markers poll it and stand down.
+    /// Set by the final-pause leader; the marking coordinator polls it
+    /// and stands down.
     finish_requested: AtomicBool,
-    /// Shared gray stack of marked-but-unscanned objects.
-    gray: Mutex<Vec<i64>>,
-    /// Objects pushed gray but not yet fully scanned — the markers'
-    /// quiescence detector (0 + empty gray + empty sink = cycle traced).
-    in_flight: AtomicUsize,
-    /// Stats carried from the snapshot pause to the final pause.
-    pending: Mutex<Option<CyclePending>>,
 }
 
 struct CyclePending {
@@ -116,15 +110,18 @@ struct CyclePending {
 }
 
 impl CmsRun {
-    pub(crate) fn new(workers: usize) -> CmsRun {
+    pub(crate) fn new() -> CmsRun {
+        let state = CmsState {
+            cycles_started: 0,
+            markers_idle: true,
+            stop: false,
+            gray: Vec::new(),
+            pending: None,
+        };
         CmsRun {
-            workers,
-            mx: Mutex::new(CmsState { cycles_started: 0, markers_idle: true, stop: false }),
+            mx: Mutex::new(state),
             cv: Condvar::new(),
             finish_requested: AtomicBool::new(false),
-            gray: Mutex::new(Vec::new()),
-            in_flight: AtomicUsize::new(0),
-            pending: Mutex::new(None),
         }
     }
 
@@ -144,128 +141,56 @@ fn mark_value(heap: &CmsHeap, from_start: i64, limit: i64, v: i64) -> bool {
     v >= from_start && v < limit && heap.mark_if_unmarked(v)
 }
 
-/// Scans one marked object's pointer fields, marking and collecting the
-/// unmarked children. Returns how many were pushed.
-fn scan_mark(
-    vm: &ParMachine,
-    heap: &CmsHeap,
-    from_start: i64,
-    from_end: i64,
-    addr: i64,
-    out: &mut Vec<i64>,
-) -> usize {
-    debug_assert!(vm.word(addr) >= 0, "forwarding pointer during marking at {addr}");
-    let mut pushed = 0;
-    for slot in extent(vm, addr).pointer_slots(addr) {
-        let v = vm.word(slot);
-        if mark_value(heap, from_start, from_end, v) {
-            out.push(v);
-            pushed += 1;
-        }
-    }
-    pushed
-}
-
-/// One concurrent marking worker. Runs while the mutators run: pops
-/// gray batches, drains the SATB sink when the gray stack is dry, and
-/// exits on quiescence, on a final-pause request, on shutdown (a marker
-/// that died holding gray work would otherwise keep `in_flight` above
-/// zero forever), or under the `hold_marking` test knob. Field reads
-/// race mutator stores by design;
-/// every word is an atomic, and a stale read is always safe — the
-/// overwritten value the marker missed is exactly what the deletion
-/// barrier enqueued.
-fn marker_loop(ctx: &RunCtx<'_>) {
-    let vm = ctx.vm;
-    let heap = vm.cms.as_ref().expect("marker without cms heap");
-    let run = ctx.cms.as_ref().expect("marker without cms run");
+/// Traces `gray` to closure, refilling it from the SATB sink whenever it
+/// runs dry, until both are empty or `stop()` holds; whatever is left
+/// unscanned stays on `gray`. SATB entries flushed after the last sink
+/// check are the final pause's residue — draining them there is the
+/// same work, just not concurrent.
+fn trace_gray(vm: &ParMachine, heap: &CmsHeap, gray: &mut Vec<i64>, stop: impl Fn() -> bool) {
     let (from_start, from_end) = vm.from_space();
-    let mut local: Vec<i64> = Vec::new();
-    loop {
-        if run.finish_requested.load(Ordering::Acquire)
-            || heap.hold_marking.load(R)
-            || ctx.coord.halted()
-        {
-            break;
-        }
-        if local.is_empty() {
-            let mut gray = locked(&run.gray);
-            let n = gray.len().min(MARK_BATCH);
-            if n > 0 {
-                let at = gray.len() - n;
-                local.extend(gray.drain(at..));
+    while !stop() {
+        if let Some(addr) = gray.pop() {
+            debug_assert!(vm.word(addr) >= 0, "forwarding pointer during marking at {addr}");
+            for slot in extent(vm, addr).pointer_slots(addr) {
+                let v = vm.word(slot);
+                if mark_value(heap, from_start, from_end, v) {
+                    gray.push(v);
+                }
             }
-        }
-        if local.is_empty() {
-            let taken = std::mem::take(&mut *locked(&heap.satb_sink));
-            if !taken.is_empty() {
-                heap.satb_drained.fetch_add(taken.len() as u64, R);
-                let before = local.len();
-                local.extend(
-                    taken.into_iter().filter(|&v| mark_value(heap, from_start, from_end, v)),
-                );
-                run.in_flight.fetch_add(local.len() - before, Ordering::SeqCst);
-            }
-        }
-        let Some(addr) = local.pop() else {
-            if run.in_flight.load(Ordering::SeqCst) == 0 {
-                // Nothing gray anywhere, the sink was just dry and no
-                // marker holds unscanned work: the cycle is quiescent.
-                // (SATB entries flushed after our sink check are the
-                // final pause's residue — draining them there is the
-                // same work, just not concurrent.)
-                break;
-            }
-            std::thread::yield_now();
             continue;
-        };
-        #[cfg(test)]
-        if ctx.fault == Some(crate::parallel::Fault::Marker) {
-            panic!("injected marker fault");
         }
-        let pushed = scan_mark(vm, heap, from_start, from_end, addr, &mut local);
-        // Count the children in flight before retiring their parent, so
-        // `in_flight == 0` still means "fully traced".
-        if pushed > 0 {
-            run.in_flight.fetch_add(pushed, Ordering::SeqCst);
+        let taken = std::mem::take(&mut *locked(&heap.satb_sink));
+        if taken.is_empty() {
+            return;
         }
-        run.in_flight.fetch_sub(1, Ordering::SeqCst);
-        if local.len() >= 2 * MARK_BATCH {
-            // Share the surplus so idle markers can help.
-            let at = local.len() - MARK_BATCH;
-            locked(&run.gray).extend(local.drain(at..));
-        }
-    }
-    // Hand any unscanned work back for the final pause (or the other
-    // markers); it is already counted in `in_flight`.
-    if !local.is_empty() {
-        locked(&run.gray).append(&mut local);
+        heap.satb_drained.fetch_add(taken.len() as u64, R);
+        gray.extend(taken.into_iter().filter(|&v| mark_value(heap, from_start, from_end, v)));
     }
 }
 
-/// Runs marker `w` with its unwind caught at this boundary: a panic
-/// fails the run instead of taking the coordinator's scope — and with it
-/// the `markers_idle` flip a final-pause leader waits for — down with it.
-fn conc_worker(ctx: &RunCtx<'_>, w: usize) {
-    let died = |message| ExecError::GcWorkerPanic { worker: w, phase: "mark", message };
-    contain(ctx, died, || {
-        marker_loop(ctx);
-        Ok(())
-    });
-}
-
-/// The coordinator thread: one per cms run, spawned by the run scaffold.
-/// It sleeps until a snapshot pause opens a cycle, drives that cycle's
-/// markers, and — when they quiesce with no pause pending — leads the
-/// final pause itself so a traced cycle doesn't float until the heap
-/// fills.
+/// The coordinator thread: one per cms run, spawned by the run scaffold,
+/// and the run's only concurrent marker. It sleeps until a snapshot
+/// pause opens a cycle, then traces that cycle's seeds from a private
+/// stack while the mutators run, and stands down on quiescence, on a
+/// final-pause request, on shutdown or under the `hold_marking` test
+/// knob. Field reads race mutator stores by design; every word is an
+/// atomic, and a stale read is always safe — the overwritten value the
+/// marker missed is exactly what the deletion barrier enqueued. When
+/// marking quiesces with no pause pending, it leads the final pause
+/// itself so a traced cycle doesn't float until the heap fills.
 pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
     let vm = ctx.vm;
     let heap = vm.cms.as_ref().expect("coordinator without cms heap");
     let run = ctx.cms.as_ref().expect("coordinator without cms run");
+    // Why the coordinator stops marking, or stops wanting a final pause.
+    let stand_down = || {
+        run.finish_requested.load(Ordering::Acquire)
+            || heap.hold_marking.load(R)
+            || ctx.coord.halted()
+    };
     let mut seen = 0u64;
     loop {
-        {
+        let mut gray = {
             let mut cs = locked(&run.mx);
             while cs.cycles_started == seen && !cs.stop {
                 cs = waited(&run.cv, cs);
@@ -274,14 +199,23 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
                 return; // stopped with no open cycle
             }
             seen = cs.cycles_started;
-        }
-        std::thread::scope(|s| {
-            for w in 0..run.workers {
-                s.spawn(move || conc_worker(ctx, w));
+            std::mem::take(&mut cs.gray)
+        };
+        // A panic fails the run here instead of taking the coordinator —
+        // and with it the `markers_idle` flip a final-pause leader waits
+        // for — down with it.
+        let died = |message| ExecError::GcWorkerPanic { worker: 0, phase: "mark", message };
+        contain(ctx, died, || {
+            #[cfg(test)]
+            if ctx.fault == Some(crate::parallel::Fault::Marker) && !gray.is_empty() {
+                panic!("injected marker fault");
             }
+            trace_gray(vm, heap, &mut gray, stand_down);
+            Ok(())
         });
         {
             let mut cs = locked(&run.mx);
+            cs.gray.append(&mut gray);
             cs.markers_idle = true;
             run.cv.notify_all();
         }
@@ -290,9 +224,7 @@ pub(crate) fn cms_coordinator(ctx: &RunCtx<'_>) {
         // first. A cycle opened after that is the next iteration's.
         lead_while(ctx, || {
             heap.marking.load(Ordering::Acquire)
-                && !run.finish_requested.load(Ordering::Acquire)
-                && !ctx.coord.halted()
-                && !heap.hold_marking.load(R)
+                && !stand_down()
                 && locked(&run.mx).cycles_started == seen
         });
     }
@@ -331,10 +263,8 @@ fn cms_snapshot_pause(
     let (from_start, _) = vm.from_space();
     let free_now = vm.free.load(R);
     heap.clear_marks();
-    let mut gray = locked(&run.gray);
-    debug_assert!(gray.is_empty(), "gray residue across cycles");
     debug_assert!(locked(&heap.satb_sink).is_empty(), "satb residue across cycles");
-    gray.clear();
+    let mut gray = Vec::new();
     let mut seed = |v| {
         if mark_value(heap, from_start, free_now, v) {
             gray.push(v);
@@ -353,19 +283,19 @@ fn cms_snapshot_pause(
         roots.tidy.iter().for_each(|&r| seed(read_root(&world, snap, r)));
         Ok::<_, Infallible>(())
     });
-    run.in_flight.store(gray.len(), Ordering::SeqCst);
-    drop(gray);
     heap.snap_free.store(free_now, R);
     run.finish_requested.store(false, Ordering::Release);
     // Arm the deletion barrier before the world resumes (the release
     // handshake publishes this to every mutator).
     heap.marking.store(true, Ordering::Release);
-    *locked(&run.pending) = Some(CyclePending {
+    let mut cs = locked(&run.mx);
+    debug_assert!(cs.gray.is_empty(), "gray residue across cycles");
+    cs.gray = gray;
+    cs.pending = Some(CyclePending {
         snapshot_pause: stopped.t0.elapsed(),
         mark_started: Instant::now(),
         satb_drained_start: heap.satb_drained.load(R),
     });
-    let mut cs = locked(&run.mx);
     cs.cycles_started += 1;
     cs.markers_idle = false;
     run.cv.notify_all();
@@ -373,7 +303,7 @@ fn cms_snapshot_pause(
 }
 
 /// The final pause proper (world stopped, leader only): stand the
-/// markers down, drain the residue to closure, verify, evacuate.
+/// marker down, drain the residue to closure, verify, evacuate.
 fn cms_final_pause(
     stopped: &Stopped<'_, '_>,
     heap: &CmsHeap,
@@ -381,29 +311,34 @@ fn cms_final_pause(
 ) -> Result<(), ExecError> {
     let (ctx, vm, t0) = (stopped.ctx, stopped.ctx.vm, stopped.t0);
     run.finish_requested.store(true, Ordering::Release);
-    if stopped.counted {
-        // A mutator-led pause must wait for the marker threads to stand
-        // down before touching the gray stack; the coordinator joins
-        // them and flips `markers_idle` (spawning them first if it has
-        // not yet caught up with this cycle — they exit immediately on
-        // the request above).
+    let (pending, mut gray) = {
         let mut cs = locked(&run.mx);
-        run.cv.notify_all(); // wake the coordinator if it hasn't started this cycle yet
-        while !cs.markers_idle {
-            cs = waited(&run.cv, cs);
+        if stopped.counted {
+            // A mutator-led pause must wait for the coordinator to stop
+            // marking and hand its work back (it stops at once on the
+            // request above, even if it has only now caught up with this
+            // cycle).
+            run.cv.notify_all();
+            while !cs.markers_idle {
+                cs = waited(&run.cv, cs);
+            }
         }
-    }
-    // A coordinator-led pause never waits: marker threads exist only
-    // inside the coordinator's own spawn/join section, so none can be
-    // running here — but `markers_idle` may legitimately read false if
-    // a snapshot pause opened a *newer* cycle between the coordinator
-    // joining its markers and winning the request CAS. Waiting would
-    // deadlock on itself; draining sequentially below is sound either
-    // way.
-    let pending = locked(&run.pending).take().expect("final pause without an open cycle");
+        // A coordinator-led pause never waits: the coordinator marks only
+        // between taking a cycle's seeds and flipping `markers_idle`, and
+        // leads only after that — but `markers_idle` may legitimately
+        // read false if a snapshot pause opened a *newer* cycle between
+        // the flip and winning the request CAS. Waiting would deadlock on
+        // itself; draining sequentially below is sound either way.
+        let pending = cs.pending.take().expect("final pause without an open cycle");
+        (pending, std::mem::take(&mut cs.gray))
+    };
     let mark_concurrent = t0.saturating_duration_since(pending.mark_started);
 
-    cms_finish_mark(ctx, heap, run);
+    // Drain the leftover gray stack and every flushed SATB buffer to
+    // transitive closure. After this, the mark bitmap covers everything
+    // reachable at the snapshot plus everything allocated since — a
+    // superset of everything any live root can reach.
+    trace_gray(vm, heap, &mut gray, || false);
 
     stopped.oracle("at final pause")?;
     if ctx.options.oracle && vm.shadow.is_some() {
@@ -421,28 +356,6 @@ fn cms_final_pause(
     stats.total_time = t0.elapsed();
     locked(&ctx.gc_log).push(stats);
     Ok(())
-}
-
-/// Sequentially drains the leftover gray stack and every flushed SATB
-/// buffer to transitive closure (world stopped). After this, the mark
-/// bitmap covers everything reachable at the snapshot plus everything
-/// allocated since — a superset of everything any live root can reach.
-fn cms_finish_mark(ctx: &RunCtx<'_>, heap: &CmsHeap, run: &CmsRun) {
-    let vm = ctx.vm;
-    let (from_start, from_end) = vm.from_space();
-    let mut gray = std::mem::take(&mut *locked(&run.gray));
-    loop {
-        while let Some(addr) = gray.pop() {
-            scan_mark(vm, heap, from_start, from_end, addr, &mut gray);
-        }
-        let taken = std::mem::take(&mut *locked(&heap.satb_sink));
-        if taken.is_empty() {
-            break;
-        }
-        heap.satb_drained.fetch_add(taken.len() as u64, R);
-        gray.extend(taken.into_iter().filter(|&v| mark_value(heap, from_start, from_end, v)));
-    }
-    run.in_flight.store(0, Ordering::SeqCst);
 }
 
 /// The cycle's shadow verification: a sequential trace from the

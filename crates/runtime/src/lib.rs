@@ -30,9 +30,9 @@
 //!   (CAS-claimed forwarding pointers, private gray stacks, surplus
 //!   shared in chunks).
 //! * [`cms`] — concurrent SATB marking on the parallel runtime: a short
-//!   snapshot pause seeds marking from root *values*, `conc_workers`
-//!   markers trace while mutators run (the `StB` deletion barrier
-//!   preserves the snapshot), and a final pause drains residual SATB
+//!   snapshot pause seeds marking from root *values*, the run's
+//!   coordinator thread traces while mutators run (the `StB` deletion
+//!   barrier preserves the snapshot), and a final pause drains residual SATB
 //!   buffers and evacuates the marked set — copy is the only remaining
 //!   stop-the-world work.
 

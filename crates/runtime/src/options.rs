@@ -36,9 +36,9 @@ pub enum GcStrategy {
     Generational,
     /// OS-thread mutators with stop-the-world parallel collection.
     Parallel,
-    /// OS-thread mutators with concurrent SATB marking: tracing runs on
-    /// dedicated workers while mutators execute, and only evacuation
-    /// remains stop-the-world (see `--gc cms`).
+    /// OS-thread mutators with concurrent SATB marking: the run's
+    /// coordinator thread traces while mutators execute, and only
+    /// evacuation remains stop-the-world (see `--gc cms`).
     Cms,
 }
 
@@ -66,8 +66,6 @@ pub struct RuntimeOptions {
     /// host's parallelism, capped at 4: workers beyond the cores only
     /// take turns.
     pub gc_workers: usize,
-    /// Concurrent marking workers ([`GcStrategy::Cms`] only).
-    pub conc_workers: usize,
     /// Words per thread-local allocation buffer (0 disables TLABs) for
     /// the parallel machine, serve's region overflow included. Kept as
     /// an option so one binary can A/B the TLAB against a shared-frontier
@@ -113,7 +111,6 @@ impl Default for RuntimeOptions {
             stack_words: 1 << 15,
             threads: 1,
             gc_workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
-            conc_workers: 2,
             tlab_words: DEFAULT_TLAB_WORDS,
             nursery_words: None,
             region_words: 0,
@@ -181,10 +178,12 @@ impl RuntimeOptions {
         self
     }
 
-    /// Concurrent marking workers (cms strategy only).
+    /// A no-op: cms marks on its coordinator thread alone (DESIGN.md,
+    /// *Retired: parallel marking*). Kept because
+    /// `bench/src/workloads/gc.rs` still calls it and `bench/` is frozen;
+    /// it goes when a benchmark PR drops that call.
     #[must_use]
-    pub fn conc_workers(mut self, n: usize) -> Self {
-        self.conc_workers = n;
+    pub fn conc_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -409,8 +408,7 @@ mod tests {
 
     #[test]
     fn cms_strategy_enables_cms_heap() {
-        let o = RuntimeOptions::new().strategy(GcStrategy::Cms).conc_workers(3);
-        assert_eq!(o.conc_workers, 3);
+        let o = RuntimeOptions::new().strategy(GcStrategy::Cms);
         assert_eq!(o.heap_strategy(), HeapStrategy::Semispace);
     }
 }

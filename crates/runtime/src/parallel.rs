@@ -214,7 +214,8 @@ pub(crate) enum Fault {
     /// That gc worker panics in the copy phase of that (1-based)
     /// collection.
     Worker(usize, u64),
-    /// A concurrent marker panics on the first gray object it takes.
+    /// The cms coordinator panics as it starts marking a cycle's gray
+    /// work.
     Marker,
 }
 
@@ -278,7 +279,7 @@ impl<'vm> RunCtx<'vm> {
             gc_log: Mutex::new(Vec::new()),
             poll_parks: AtomicU64::new(0),
             alloc_parks: AtomicU64::new(0),
-            cms: vm.cms.as_ref().map(|_| crate::cms::CmsRun::new(options.conc_workers.max(1))),
+            cms: vm.cms.as_ref().map(|_| crate::cms::CmsRun::new()),
             engine: engine
                 .unwrap_or_else(|| Arc::new(JitEngine::interpreter(Arc::clone(vm.decoded())))),
         }

@@ -384,7 +384,6 @@ impl StatsReport {
     /// skipped.
     pub fn add_cms(
         &mut self,
-        conc_workers: usize,
         satb_enqueued: u64,
         satb_drained: u64,
         gc_each: &[ParGcStats],
@@ -400,7 +399,6 @@ impl StatsReport {
         let snap_max = max_us(|g| g.snapshot_pause);
         let final_max = max_us(|g| g.total_time);
         self.put("cms_cycles", cycles.len());
-        self.put("conc_workers", conc_workers);
         self.put("cms_snapshot_pause_mean_us", mean_us(snap_total));
         self.put("cms_snapshot_pause_max_us", snap_max.as_micros() as u64);
         self.put("cms_final_pause_mean_us", mean_us(final_total));
@@ -409,10 +407,9 @@ impl StatsReport {
         self.put("satb_enqueued", satb_enqueued);
         self.put("satb_drained", satb_drained);
         self.line(format!(
-            "cms: {} cycle(s) with {} marker(s), snapshot pause mean {} µs / max {} µs, \
-             final pause mean {} µs / max {} µs",
+            "cms: {} cycle(s), snapshot pause mean {} µs / max {} µs, final pause mean {} µs \
+             / max {} µs",
             cycles.len(),
-            conc_workers,
             mean_us(snap_total),
             snap_max.as_micros(),
             mean_us(final_total),

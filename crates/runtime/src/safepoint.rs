@@ -482,8 +482,8 @@ impl RunCtx<'_> {
         let mut done = Vec::with_capacity(threads);
         std::thread::scope(|s| {
             let (ctx, body) = (self, &body);
-            // The cms coordinator owns the concurrent marking workers;
-            // it sleeps until a snapshot pause opens a cycle.
+            // The cms coordinator is the run's concurrent marker; it
+            // sleeps until a snapshot pause opens a cycle.
             if ctx.cms.is_some() {
                 s.spawn(move || crate::cms::cms_coordinator(ctx));
             }

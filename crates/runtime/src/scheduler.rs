@@ -79,7 +79,7 @@ pub enum ExecError {
         worker: usize,
         /// What it was doing: `un-derive`, `copy` or `re-derive` in a
         /// stop-the-world copy, `pause` for the leader's other work,
-        /// `mark` for cms's concurrent markers.
+        /// `mark` for cms's concurrent marker (the coordinator, worker 0).
         phase: &'static str,
         /// The panic message.
         message: String,

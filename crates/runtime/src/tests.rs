@@ -1091,8 +1091,7 @@ fn a_panicking_concurrent_gc_thread_fails_the_run_instead_of_hanging_it() {
         .semi_words(1 << 12)
         .threads(1)
         .tlab_words(0)
-        .gc_workers(2)
-        .conc_workers(2);
+        .gc_workers(2);
     let result = within(5, "mark", move || {
         let mut ex = ParExecutor::new(options.build_par_machine(module), options);
         ex.fault = Some(Fault::Marker);

@@ -21,8 +21,6 @@
 //!                        scheduler threads (serve)
 //!   --gc-workers M       gc worker threads with --gc par/cms (run; default
 //!                        the host's cores, at most 4)
-//!   --conc-workers M     concurrent marker threads with --gc cms (run;
-//!                        default 2)
 //!   --tlab-words N       thread-local allocation buffer size in words
 //!                        with --gc par/cms (run) and for what overflows a
 //!                        region (serve); 0 disables TLABs (default 1024)
@@ -56,8 +54,7 @@ fn usage() -> ! {
         "usage: m3c <check|run|serve|ir|disasm|tables|stats> <file.m3> \
          [--o0|--o2] [--no-gc] [--split-paths] [--scheme S] [--heap N] \
          [--gc semispace|gen|par|cms] [--nursery N] [--threads N] \
-         [--gc-workers M] [--conc-workers M] [--tlab-words N] [--torture] \
-         [--jit] [--stats]\n\
+         [--gc-workers M] [--tlab-words N] [--torture] [--jit] [--stats]\n\
          \x20      m3c serve <file.m3> [--requests N] [--green N] \
          [--region-words N] [--burst N] [--entry P] [--oracle]\n\
          \x20      m3c fuzz [--seed N] [--iters N] [--no-shrink]"

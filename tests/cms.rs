@@ -14,6 +14,10 @@
 //!   verification as an [`ExecError::Oracle`], using a deterministic
 //!   lost-object reproducer (store-then-unlink during marking). The
 //!   same program with the barrier intact must run clean and enqueue.
+//! * The concurrent marker must drain the SATB sink: a program that
+//!   moves live nodes behind a born-black bag while the coordinator
+//!   marks, with nothing held, runs clean, enqueues, and marks every
+//!   cycle concurrently.
 //! * A gc map with its roots dropped must trap as a stale read.
 
 use std::sync::atomic::Ordering;
@@ -57,7 +61,6 @@ fn cms_options() -> RuntimeOptions {
         .strategy(GcStrategy::Cms)
         .semi_words(1 << 15)
         .gc_workers(4)
-        .conc_workers(2)
         .shadow(true)
         .oracle(true)
 }
@@ -115,6 +118,73 @@ fn occupancy_trigger_runs_cycles_without_torture() {
     }
     assert!(out.collections > 0, "a 4K-word heap must fill at 3/4 and cycle");
     assert!(out.gc_each.iter().all(|g| g.cms_cycle));
+}
+
+/// A live list (`first`, 3 000 nodes) beside a longer one (`ballast`,
+/// 8 000 nodes) under one head, then 30 rounds of: 3 000 garbage words,
+/// which cross the occupancy trigger now and then; a bag allocated after
+/// them, so born black (never scanned by the marker) whenever a cycle is
+/// open; and an allocation-free loop that unlinks the list's first 100
+/// nodes into `x`, cuts each one's `next` and relinks it behind the bag.
+/// Once the first move cuts the chain, a moved node is reachable for the
+/// marker only through the SATB entries of the unlink and the cut — about
+/// two per node, so a round flushes the mutator's buffer into the sink
+/// several times while the marker still walks the ballast.
+const SATB_DRAIN: &str = "MODULE SatbDrain;
+TYPE Node = REF RECORD v: INTEGER; next: Node END;
+     Bag = REF ARRAY OF Node;
+     Bags = REF ARRAY OF Bag;
+     Head = REF RECORD first, ballast: Node; bags: Bags END;
+     Junk = REF ARRAY OF INTEGER;
+
+PROCEDURE Work(): INTEGER =
+VAR h: Head; x: Node; bag: Bag; junk: Junk; i, r, s: INTEGER;
+BEGIN
+  h := NEW(Head);
+  h.bags := NEW(Bags, 30);
+  FOR i := 1 TO 3000 DO
+    x := NEW(Node); x.v := i; x.next := h.first; h.first := x;
+  END;
+  FOR i := 1 TO 8000 DO
+    x := NEW(Node); x.v := i; x.next := h.ballast; h.ballast := x;
+  END;
+  FOR r := 0 TO 29 DO
+    junk := NEW(Junk, 3000);
+    bag := NEW(Bag, 100);
+    h.bags[r] := bag;
+    FOR i := 0 TO 99 DO
+      x := h.first; h.first := x.next; x.next := NIL; bag[i] := x;
+    END;
+  END;
+  s := 0;
+  FOR r := 0 TO 29 DO
+    FOR i := 0 TO 99 DO s := (s * 31 + h.bags[r][i].v) MOD 1000003; END;
+  END;
+  RETURN s;
+END Work;
+
+BEGIN
+  PutInt(Work());
+END SatbDrain.";
+
+/// The concurrent marker drains the SATB sink: with nothing held and no
+/// torture, [`SATB_DRAIN`]'s moves run while the coordinator marks, and a
+/// marker that dropped what it takes from the sink would leave moved
+/// nodes unmarked for the final pause's shadow verification to report.
+#[test]
+fn concurrent_marking_drains_satb_entries_of_a_relinked_list() {
+    let module = compile(SATB_DRAIN, &Options::o2()).expect("compiles");
+    let baseline =
+        run_module_with(module.clone(), 50_000, RuntimeOptions::new()).expect("baseline");
+    let opts = cms_options().semi_words(50_000).threads(1).gc_workers(2);
+    let out = run_module_par_opts(module, opts).expect("cms run");
+    assert_eq!(out.output, baseline.output);
+    assert!(out.satb_enqueued > 0, "the relink loop must run while marking");
+    assert!(out.collections > 0, "the garbage rounds must cross the occupancy trigger");
+    for (i, gc) in out.gc_each.iter().enumerate() {
+        assert!(gc.cms_cycle, "collection {i} must be a cms cycle");
+        assert!(gc.mark_concurrent.as_nanos() > 0, "cycle {i} marks concurrently");
+    }
 }
 
 /// Deterministic lost-object reproducer. Under `--gc cms` torture with

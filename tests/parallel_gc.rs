@@ -244,8 +244,7 @@ fn a_panicking_cms_marker_is_a_structured_error() {
         .semi_words(1 << 12)
         .threads(1)
         .tlab_words(0)
-        .gc_workers(2)
-        .conc_workers(2);
+        .gc_workers(2);
     let result = within(5, "panicking cms marker", move || run_module_par_opts(module, options));
     match result {
         Err(ExecError::GcWorkerPanic { phase: "mark", message, .. }) => {
@@ -519,7 +518,7 @@ fn park_make_loop_on_four_jitted_par_mutators() {
 
 #[test]
 fn park_make_loop_on_two_cms_mutators() {
-    let options = RuntimeOptions::new().strategy(GcStrategy::Cms).conc_workers(2);
+    let options = RuntimeOptions::new().strategy(GcStrategy::Cms);
     make_loop_runs_clean("cms", 2, options);
 }
 

@@ -223,6 +223,6 @@ fn work_loop_on_four_jitted_par_mutators() {
 
 #[test]
 fn work_loop_on_two_cms_mutators() {
-    let options = RuntimeOptions::new().strategy(GcStrategy::Cms).conc_workers(2);
+    let options = RuntimeOptions::new().strategy(GcStrategy::Cms);
     work_loop_runs_clean("cms", 2, options);
 }
