@@ -15,6 +15,7 @@ use m3gc_runtime::{
     GcStrategy, ParExecutor, RuntimeOptions, ServeExecutor, ServeLoad, StatsReport,
 };
 use m3gc_vm::decode::decode_instr;
+use m3gc_vm::machine::HeapStrategy;
 use m3gc_vm::{Instr, VmModule};
 
 use crate::{compile, compile_timed, compile_to_ir, Options};
@@ -498,6 +499,23 @@ fn parse_all(
     if let Some((flag, needs)) = contradiction.iter().find_map(|&(f, needs)| Some((f?, needs))) {
         return Err(DriverError::usage(format!("{flag} requires {needs}")));
     }
+    // The generational machine needs a nursery that holds an object and
+    // fits a tenured semispace. The default one is max(--heap / 4, 64)
+    // words, so a small `--heap` breaks the bound as well as `--nursery`.
+    // Serve builds no generational machine whatever `--gc` says.
+    if let HeapStrategy::Generational { nursery_words, .. } = config.heap_strategy() {
+        if !serve && !(8..=config.semi_words).contains(&nursery_words) {
+            let (flag, given) = match config.nursery_words {
+                Some(n) => ("--nursery", n),
+                None => ("--heap", config.semi_words),
+            };
+            return Err(DriverError::usage(format!(
+                "{flag} {given} gives --gc gen a {nursery_words}-word nursery, but it needs \
+                 8 <= nursery <= --heap ({})",
+                config.semi_words
+            )));
+        }
+    }
     // Concurrent marking does not trace per-request regions; the library
     // asserts it (`ParMachine::enable_cms`), the command line says it.
     if config.strategy == GcStrategy::Cms && (serve || config.region_words > 0) {
@@ -960,15 +978,25 @@ mod tests {
 
     /// One row per contradictory pair: a collector-specific flag under a
     /// collector that would silently ignore it is a usage error naming
-    /// both sides.
+    /// both sides, and so is a `--gc gen` nursery the machine cannot lay
+    /// out, naming the flag and the bound.
     #[test]
     fn contradictory_flags_are_usage_errors() {
-        let cases: [(&[&str], &str, &str); 5] = [
+        let cases: [(&[&str], &str, &str); 9] = [
             (&["--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc=cms", "--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc", "semispace", "--gc-workers", "8"], "--gc-workers", "--gc par"),
             (&["--gc-workers", "2", "--gc=gen"], "--gc-workers", "--gc par"),
             (&["--gc", "gen", "--tlab-words", "8"], "--tlab-words", "--gc par"),
+            // A nursery outside 8..=--heap, given or by default.
+            (&["--gc", "gen", "--nursery", "0"], "--nursery 0", "<= --heap (65536)"),
+            (&["--gc", "gen", "--nursery", "1"], "--nursery 1", "<= --heap (65536)"),
+            (
+                &["--gc", "gen", "--heap", "64", "--nursery", "1000"],
+                "--nursery 1000",
+                "<= --heap (64)",
+            ),
+            (&["--gc", "gen", "--heap", "32"], "--heap 32", "<= --heap (32)"),
         ];
         for (args, flag, needs) in cases {
             let args: Vec<String> = args.iter().map(ToString::to_string).collect();
@@ -982,6 +1010,10 @@ mod tests {
         // The order of the flags does not matter, and the legal pairings
         // still parse.
         assert!(parse_options(&["--nursery".into(), "64".into(), "--gc=gen".into()]).is_ok());
+        for args in [["--gc=gen", "--heap", "64"], ["--gc=gen", "--nursery", "8"]] {
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+            assert!(parse_options(&args).is_ok(), "{args:?}");
+        }
         assert!(parse_options(&["--gc-workers".into(), "2".into(), "--gc=par".into()]).is_ok());
         // Serve is the parallel runtime whatever `--gc` says.
         assert!(parse_serve_options(&["--gc-workers".into(), "2".into()]).is_ok());

@@ -1053,11 +1053,11 @@ mod safepoint_protocol {
     }
 }
 
-/// A concurrent marker that panics must fail the run with a structured
-/// error naming its phase — not take the coordinator's scope down with
-/// it and leave the next final-pause leader waiting forever for
-/// `markers_idle`, nor leave a second marker spinning on the gray work
-/// the dead one took with it.
+/// A panic while the cms coordinator marks (it is the run's one marker)
+/// must fail the run with a structured error naming its phase — not take
+/// the coordinator down with it and leave the next final-pause leader
+/// waiting forever for the `markers_idle` flag only the coordinator
+/// sets.
 #[test]
 fn a_panicking_concurrent_gc_thread_fails_the_run_instead_of_hanging_it() {
     use crate::options::GcStrategy;

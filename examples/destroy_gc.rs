@@ -6,7 +6,9 @@
 //! cargo run --release --example destroy_gc
 //! ```
 
-use m3gc::compiler::run_module;
+use m3gc::compiler::{compile, run_module, Options};
+
+const DESTROY: &str = include_str!("../tests/programs/destroy.m3");
 
 fn main() {
     println!("destroy: complete tree (branch 3, depth 6), 60 random subtree replacements\n");
@@ -15,7 +17,7 @@ fn main() {
         "semi(words)", "GCs", "objs/GC", "words/GC", "frames/GC", "trace(us)/GC", "total(us)/GC"
     );
     for semi in [6 * 1024, 8 * 1024, 16 * 1024, 64 * 1024] {
-        let module = m3gc_bench_programs::compile_destroy();
+        let module = compile(DESTROY, &Options::o2()).expect("compiles");
         let out = run_module(module, semi).expect("destroy runs");
         assert_eq!(out.output, "1093 3493\n");
         let n = out.collections.max(1) as f64;
@@ -34,13 +36,4 @@ fn main() {
         "\nSmaller heaps collect more often but copy less per collection; the\n\
          stack-trace share stays a small fraction of total gc time (§6.3)."
     );
-}
-
-/// Inline copy of the benchmark source so the example is self-contained.
-mod m3gc_bench_programs {
-    const DESTROY: &str = include_str!("../crates/bench/programs/destroy.m3");
-
-    pub fn compile_destroy() -> m3gc::vm::VmModule {
-        m3gc::compiler::compile(DESTROY, &m3gc::compiler::Options::o2()).expect("compiles")
-    }
 }

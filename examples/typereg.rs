@@ -10,7 +10,7 @@ use m3gc::compiler::{compile, run_module, Options};
 use m3gc::core::encode::Scheme;
 use m3gc::core::stats::{size_report, table_stats};
 
-const TYPEREG: &str = include_str!("../crates/bench/programs/typereg.m3");
+const TYPEREG: &str = include_str!("../tests/programs/typereg.m3");
 
 fn main() {
     for (label, opts) in [("typereg", Options::o0()), ("typereg-opt", Options::o2())] {

@@ -13,13 +13,9 @@ use m3gc::ir::deriv::analyze_and_resolve;
 use m3gc::ir::liveness::liveness;
 use m3gc::ir::Temp;
 use m3gc::opt::PathStrategy;
+use programs::PAPER;
 
-const PAPER: [(&str, &str); 4] = [
-    ("typereg", include_str!("../crates/bench/programs/typereg.m3")),
-    ("FieldList", include_str!("../crates/bench/programs/fieldlist.m3")),
-    ("takl", include_str!("../crates/bench/programs/takl.m3")),
-    ("destroy", include_str!("../crates/bench/programs/destroy.m3")),
-];
+mod programs;
 
 /// FNV-1a over every module's `code` then `gc_maps.bytes`: program by
 /// program in [`corpus`] order, each in the four [`configs`].

@@ -9,6 +9,9 @@ use std::cell::Cell;
 
 use m3gc::frontend::render::render_module;
 use m3gc::frontend::{lexer, parser, typecheck};
+use programs::PAPER;
+
+mod programs;
 
 struct Counting;
 
@@ -53,13 +56,6 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
-
-const PAPER: [(&str, &str); 4] = [
-    ("typereg", include_str!("../crates/bench/programs/typereg.m3")),
-    ("FieldList", include_str!("../crates/bench/programs/fieldlist.m3")),
-    ("takl", include_str!("../crates/bench/programs/takl.m3")),
-    ("destroy", include_str!("../crates/bench/programs/destroy.m3")),
-];
 
 #[test]
 fn lexing_allocates_only_the_token_vector() {

@@ -208,12 +208,12 @@ fn a_panicking_mutator_thread_is_a_structured_error() {
 
 /// A type descriptor claiming a pointer field far outside its object
 /// makes whoever scans an instance read outside the machine's memory and
-/// panic. Under `--gc cms` that is a concurrent marker: the program
-/// builds a live chain, churns past the occupancy trigger, then walks the
-/// chain without allocating, so no mutator-led pause gets to the chain
-/// first. The run must end with the marker's panic as its error instead
-/// of hanging on the `markers_idle` flag a dead marker's scope never
-/// flips.
+/// panic. Under `--gc cms` that is the coordinator, the run's one
+/// marker: the program builds a live chain, churns past the occupancy
+/// trigger, then walks the chain without allocating, so no mutator-led
+/// pause gets to the chain first. The run must end with the marker's
+/// panic as its error instead of hanging on the `markers_idle` flag the
+/// coordinator sets once its marking call returns.
 #[test]
 fn a_panicking_cms_marker_is_a_structured_error() {
     let src = "MODULE Victim;

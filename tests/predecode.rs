@@ -14,13 +14,9 @@ use m3gc::runtime::{Executor, RuntimeOptions};
 use m3gc::vm::decode::DecodedCode;
 use m3gc::vm::isa::Instr;
 use m3gc::vm::VmModule;
+use programs::PAPER;
 
-const PAPER: [(&str, &str); 4] = [
-    ("typereg", include_str!("../crates/bench/programs/typereg.m3")),
-    ("FieldList", include_str!("../crates/bench/programs/fieldlist.m3")),
-    ("takl", include_str!("../crates/bench/programs/takl.m3")),
-    ("destroy", include_str!("../crates/bench/programs/destroy.m3")),
-];
+mod programs;
 
 /// The four paper programs and `generated` generated ones, each under
 /// every one of `configs`.

@@ -17,13 +17,9 @@ use m3gc::frontend::render::render_module;
 use m3gc::ir::interp::{run_program, Interp, Outcome, Trap, DEFAULT_FUEL};
 use m3gc::ir::Program;
 use m3gc_testkit::Rng;
+use programs::PAPER;
 
-const PAPER: [(&str, &str); 4] = [
-    ("typereg", include_str!("../crates/bench/programs/typereg.m3")),
-    ("FieldList", include_str!("../crates/bench/programs/fieldlist.m3")),
-    ("takl", include_str!("../crates/bench/programs/takl.m3")),
-    ("destroy", include_str!("../crates/bench/programs/destroy.m3")),
-];
+mod programs;
 
 /// FNV-1a over the rendered outcome of every full run: each program in
 /// [`corpus`] order, its unoptimised IR then its `o2` IR.

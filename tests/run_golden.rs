@@ -13,13 +13,9 @@
 use m3gc::compiler::{compile, Options};
 use m3gc::frontend::render::render_module;
 use m3gc::runtime::{Executor, GcStrategy, RuntimeOptions};
+use programs::PAPER;
 
-const PAPER: [(&str, &str); 4] = [
-    ("typereg", include_str!("../crates/bench/programs/typereg.m3")),
-    ("FieldList", include_str!("../crates/bench/programs/fieldlist.m3")),
-    ("takl", include_str!("../crates/bench/programs/takl.m3")),
-    ("destroy", include_str!("../crates/bench/programs/destroy.m3")),
-];
+mod programs;
 
 /// FNV-1a over every run's [`fingerprint`]: program by program in
 /// [`corpus`] order, each under both [`HEAPS`] in both [`PACES`].
