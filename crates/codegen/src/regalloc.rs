@@ -126,11 +126,11 @@ pub fn allocate(f: &Function, deriv: Option<&DerivAnalysis>) -> Allocation {
         let block = f.block(b);
         let p0 = block_start[b.index()];
         let tpos = p0 + block.instrs.len() as u32;
-        for t in lv.live_in[b.index()].iter() {
-            span.extend(Temp(t as u32), p0);
+        for t in lv.live_in(b).iter() {
+            span.extend(t, p0);
         }
-        for t in lv.live_out[b.index()].iter() {
-            span.extend(Temp(t as u32), tpos);
+        for t in lv.live_out(b).iter() {
+            span.extend(t, tpos);
         }
         for (i, ins) in block.instrs.iter().enumerate() {
             let pos = p0 + i as u32;

@@ -309,7 +309,8 @@ pub fn tables(source: &str, options: &Options) -> Result<String, DriverError> {
 }
 
 /// `m3c stats`: code size, Table-1 statistics and Table-2 percentages,
-/// then `--- compile:` with the time of each compiler stage.
+/// then `--- opt:` with the time of each optimizer pass and `--- compile:`
+/// with the time of each compiler stage.
 ///
 /// # Errors
 ///
@@ -337,6 +338,7 @@ pub fn stats(source: &str, options: &Options) -> Result<String, DriverError> {
             r.percent_of_code
         );
     }
+    let _ = writeln!(s, "--- opt: {}", times.passes);
     let _ = writeln!(s, "--- compile: {times}");
     Ok(s)
 }
@@ -372,7 +374,7 @@ pub fn parse_options(args: &[String]) -> Result<(Options, RuntimeOptions), Drive
 /// Parses flags for `m3c serve`: everything [`parse_options`] accepts
 /// plus the load shape (`--requests`, `--burst`, `--entry`). Multiple
 /// OS threads and gc workers are always legal here — serve is the
-/// parallel runtime.
+/// parallel runtime — and a sequential `--gc` or a `--nursery` never is.
 ///
 /// # Errors
 ///
@@ -393,6 +395,9 @@ fn parse_all(
     // Collector-specific flags that were *present* — several of their
     // fields have plain-value defaults, so the struct alone cannot tell.
     let (mut gen_only, mut par_only) = (None, None);
+    // The `--gc` given, if any: serve takes only `par` (and rejects `cms`
+    // with its own message below).
+    let mut gc_flag = None;
     let mut it = args.iter();
     // A required numeric flag value, parsed or a usage error.
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, DriverError> {
@@ -420,6 +425,7 @@ fn parse_all(
                 } else {
                     it.next().ok_or_else(|| DriverError::usage("--gc needs a value"))?
                 };
+                gc_flag = Some(format!("--gc {v}"));
                 config.strategy = match v.as_str() {
                     "gen" => GcStrategy::Generational,
                     "semispace" => GcStrategy::Semispace,
@@ -490,6 +496,18 @@ fn parse_all(
             other => return Err(DriverError::usage(format!("unknown option `{other}`"))),
         }
     }
+    // Serve always runs the parallel runtime, so it would ignore another
+    // collector and a nursery.
+    if serve {
+        let sequential = gc_flag.filter(|_| {
+            matches!(config.strategy, GcStrategy::Semispace | GcStrategy::Generational)
+        });
+        if let Some(flag) = sequential.as_deref().or(gen_only) {
+            return Err(DriverError::usage(format!(
+                "{flag} cannot be combined with serve (serve runs the parallel runtime: --gc par)"
+            )));
+        }
+    }
     // A flag the selected collector would silently ignore is a mistake.
     let parallel = matches!(config.strategy, GcStrategy::Parallel | GcStrategy::Cms);
     let contradiction = [
@@ -502,9 +520,8 @@ fn parse_all(
     // The generational machine needs a nursery that holds an object and
     // fits a tenured semispace. The default one is max(--heap / 4, 64)
     // words, so a small `--heap` breaks the bound as well as `--nursery`.
-    // Serve builds no generational machine whatever `--gc` says.
     if let HeapStrategy::Generational { nursery_words, .. } = config.heap_strategy() {
-        if !serve && !(8..=config.semi_words).contains(&nursery_words) {
+        if !(8..=config.semi_words).contains(&nursery_words) {
             let (flag, given) = match config.nursery_words {
                 Some(n) => ("--nursery", n),
                 None => ("--heap", config.semi_words),
@@ -929,22 +946,43 @@ mod tests {
         load_us(&serve(LOCAL_ALLOCATING, &o, c, l).unwrap());
     }
 
-    /// `m3c stats` ends with one line timing every compiler stage, in
-    /// pipeline order, each as `<stage> <N> µs`.
+    /// `m3c stats` ends with one line timing every optimizer pass and
+    /// one timing every compiler stage, each in pipeline order and each
+    /// entry `<name> <N> µs`. The passes run inside `opt`, so they sum to
+    /// no more than it; at `o0` none runs.
     #[test]
     fn stats_end_with_the_compile_stage_times() {
-        for level in ["--o0", "--o2"] {
+        // `<name> <N> µs` entries after `prefix`, as (name, N).
+        fn entries<'a>(line: &'a str, prefix: &str) -> Vec<(&'a str, u64)> {
+            let rest = line.strip_prefix(prefix).unwrap_or_else(|| panic!("not {prefix}: {line}"));
+            let words: Vec<&str> = rest.split(' ').collect();
+            words
+                .chunks(3)
+                .map(|w| {
+                    assert!(w.len() == 3 && w[2] == "µs", "{line}");
+                    (w[0], w[1].parse().unwrap_or_else(|_| panic!("{line}")))
+                })
+                .collect()
+        }
+        for level in ["--o0", "--o2", "--split-paths"] {
             let (o, _) = parse_options(&[level.into()]).unwrap();
             let out = stats(ALLOCATING, &o).unwrap();
-            let line = out.lines().last().unwrap_or_default();
-            let rest = line
-                .strip_prefix("--- compile: ")
-                .unwrap_or_else(|| panic!("no compile line at the end of {out}"));
-            let words: Vec<&str> = rest.split(' ').collect();
-            let keys: Vec<&str> = words.chunks(3).map(|w| w[0]).collect();
-            assert_eq!(keys, ["lex", "parse", "typecheck", "lower", "verify", "opt", "codegen"]);
-            for w in words.chunks(3) {
-                assert!(w[1].parse::<u64>().is_ok() && w[2] == "µs", "{level}: {line}");
+            let lines: Vec<&str> = out.lines().collect();
+            let [.., opt_line, compile_line] = lines[..] else { panic!("{out}") };
+            let passes = entries(opt_line, "--- opt: ");
+            let stages = entries(compile_line, "--- compile: ");
+            let pass_names: Vec<&str> = passes.iter().map(|&(n, _)| n).collect();
+            let stage_names: Vec<&str> = stages.iter().map(|&(n, _)| n).collect();
+            assert_eq!(pass_names, ["lvn", "licm", "sr", "dce", "simplify", "split"]);
+            assert_eq!(
+                stage_names,
+                ["lex", "parse", "typecheck", "lower", "verify", "opt", "codegen"]
+            );
+            let opt = stages[5].1;
+            let sum: u64 = passes.iter().map(|&(_, us)| us).sum();
+            assert!(sum <= opt + passes.len() as u64, "{level}: passes {sum} µs > opt {opt} µs");
+            if level == "--o0" {
+                assert_eq!(sum, 0, "{opt_line}");
             }
         }
     }
@@ -1032,6 +1070,24 @@ mod tests {
             }
         }
         assert!(parse_serve_options(&["--gc".into(), "par".into()]).is_ok());
+        // Serve builds a parallel machine whatever else is asked for: a
+        // sequential collector or a nursery is a usage error naming it.
+        for (args, flag) in [
+            (vec!["--gc", "gen"], "--gc gen"),
+            (vec!["--gc", "gen", "--nursery", "8"], "--gc gen"),
+            (vec!["--gc", "semispace"], "--gc semispace"),
+            (vec!["--gc=gen"], "--gc gen"),
+            (vec!["--nursery", "8"], "--nursery"),
+        ] {
+            let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+            match parse_serve_options(&args) {
+                Err(DriverError::Usage(msg)) => {
+                    assert!(msg.contains(flag) && msg.contains("serve"), "{args:?}: {msg}");
+                }
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        assert!(parse_serve_options(&[]).is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use m3gc_codegen::CodegenOptions;
 use m3gc_core::encode::Scheme;
 use m3gc_frontend::lower::LowerOptions;
 use m3gc_frontend::Diagnostic;
-use m3gc_opt::{OptLevel, OptOptions, PathStrategy};
+use m3gc_opt::{OptLevel, OptOptions, PassTimes, PathStrategy};
 use m3gc_runtime::parallel::{ParExecutor, ParOutcome};
 use m3gc_runtime::scheduler::{ExecError, ExecOutcome, Executor};
 use m3gc_runtime::serve::{ServeExecutor, ServeLoad, ServeOutcome};
@@ -123,6 +123,8 @@ impl Default for Options {
 /// Wall-clock time of each compiler stage, as [`compile_timed`] measured
 /// it. `verify` sums both IR checks (after lowering, after the
 /// optimizer); at `o0`, `opt` times a call that returns at once.
+/// `passes` splits `opt` by pass; its [`Display`](std::fmt::Display) is
+/// separate, so this one prints the stages only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileTimes {
     /// Lexing.
@@ -137,6 +139,9 @@ pub struct CompileTimes {
     pub verify: Duration,
     /// The optimizer.
     pub opt: Duration,
+    /// The optimizer's passes, which sum to `opt` within the timers' own
+    /// overhead.
+    pub passes: PassTimes,
     /// Code generation: gc-point placement, derivations, register
     /// allocation, emission and table encoding.
     pub codegen: Duration,
@@ -170,11 +175,13 @@ fn timed<T>(slot: &mut Duration, stage: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The front end and optimizer: source → verified, optimized IR.
+/// The front end and optimizer: source → verified, optimized IR. Only
+/// with `time_passes` does the optimizer time each pass.
 fn to_ir(
     source: &str,
     options: &Options,
     times: &mut CompileTimes,
+    time_passes: bool,
 ) -> Result<m3gc_ir::Program, Diagnostic> {
     let tokens = timed(&mut times.lex, || m3gc_frontend::lexer::lex(source))?;
     let module = timed(&mut times.parse, || m3gc_frontend::parser::parse(tokens))?;
@@ -184,7 +191,13 @@ fn to_ir(
     });
     timed(&mut times.verify, || m3gc_ir::verify::verify_program(&prog))
         .unwrap_or_else(|e| panic!("lowering produced invalid IR: {e}"));
-    timed(&mut times.opt, || m3gc_opt::optimize_program(&mut prog, &options.opt));
+    timed(&mut times.opt, || {
+        if time_passes {
+            m3gc_opt::optimize_program_timed(&mut prog, &options.opt, &mut times.passes);
+        } else {
+            m3gc_opt::optimize_program(&mut prog, &options.opt);
+        }
+    });
     timed(&mut times.verify, || m3gc_ir::verify::verify_program(&prog))
         .unwrap_or_else(|e| panic!("optimizer produced invalid IR: {e}"));
     Ok(prog)
@@ -196,7 +209,7 @@ fn to_ir(
 ///
 /// Returns the first front-end [`Diagnostic`].
 pub fn compile_to_ir(source: &str, options: &Options) -> Result<m3gc_ir::Program, Diagnostic> {
-    to_ir(source, options, &mut CompileTimes::default())
+    to_ir(source, options, &mut CompileTimes::default(), false)
 }
 
 /// Compiles source text to a VM module with gc maps.
@@ -205,7 +218,7 @@ pub fn compile_to_ir(source: &str, options: &Options) -> Result<m3gc_ir::Program
 ///
 /// Returns the first front-end [`Diagnostic`].
 pub fn compile(source: &str, options: &Options) -> Result<VmModule, Diagnostic> {
-    compile_timed(source, options).map(|(module, _)| module)
+    compile_with(source, options, false).map(|(module, _)| module)
 }
 
 /// [`compile`], also returning how long each stage took.
@@ -217,8 +230,16 @@ pub fn compile_timed(
     source: &str,
     options: &Options,
 ) -> Result<(VmModule, CompileTimes), Diagnostic> {
+    compile_with(source, options, true)
+}
+
+fn compile_with(
+    source: &str,
+    options: &Options,
+    time_passes: bool,
+) -> Result<(VmModule, CompileTimes), Diagnostic> {
     let mut times = CompileTimes::default();
-    let mut prog = to_ir(source, options, &mut times)?;
+    let mut prog = to_ir(source, options, &mut times, time_passes)?;
     let module =
         timed(&mut times.codegen, || m3gc_codegen::compile_program(&mut prog, &options.codegen));
     Ok((module, times))

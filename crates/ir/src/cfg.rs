@@ -51,11 +51,26 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
 #[must_use]
 pub fn dominators(f: &Function) -> Vec<Option<BlockId>> {
     let rpo = reverse_postorder(f);
+    dominators_in(f, &predecessors(f), &rpo, &rpo_indices(f, &rpo))
+}
+
+/// Each block's position in `rpo` (`usize::MAX` when unreachable).
+fn rpo_indices(f: &Function, rpo: &[BlockId]) -> Vec<usize> {
     let mut rpo_index = vec![usize::MAX; f.blocks.len()];
     for (i, &b) in rpo.iter().enumerate() {
         rpo_index[b.index()] = i;
     }
-    let preds = predecessors(f);
+    rpo_index
+}
+
+/// [`dominators`], given `f`'s [`predecessors`], reverse postorder and
+/// [`rpo_indices`].
+fn dominators_in(
+    f: &Function,
+    preds: &[Vec<BlockId>],
+    rpo: &[BlockId],
+    rpo_index: &[usize],
+) -> Vec<Option<BlockId>> {
     let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
     idom[f.entry.index()] = Some(f.entry);
     let intersect = |idom: &[Option<BlockId>], a: BlockId, b: BlockId| -> BlockId {
@@ -73,7 +88,7 @@ pub fn dominators(f: &Function) -> Vec<Option<BlockId>> {
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             if b == f.entry {
                 continue;
             }
@@ -130,12 +145,58 @@ impl NaturalLoop {
     }
 }
 
+/// The body of the natural loop of back edge `latch → header` under
+/// predecessor lists `preds`: the header, then every block that reaches
+/// the latch without passing through the header, in the order a
+/// depth-first search back from the latch first meets them. `seen` is
+/// scratch, all `false` on entry and on return.
+#[must_use]
+pub fn loop_body(
+    preds: &[Vec<BlockId>],
+    header: BlockId,
+    latch: BlockId,
+    seen: &mut Vec<bool>,
+) -> Vec<BlockId> {
+    seen.resize(preds.len(), false);
+    seen[header.index()] = true;
+    let mut body = vec![header];
+    let mut stack = vec![latch];
+    while let Some(b) = stack.pop() {
+        if std::mem::replace(&mut seen[b.index()], true) {
+            continue;
+        }
+        body.push(b);
+        stack.extend_from_slice(&preds[b.index()]);
+    }
+    for b in &body {
+        seen[b.index()] = false;
+    }
+    body
+}
+
 /// Finds all natural loops (one per back edge `latch → header` where the
-/// header dominates the latch).
+/// header dominates the latch), in order of latch, then of the latch's
+/// successors.
 #[must_use]
 pub fn natural_loops(f: &Function) -> Vec<NaturalLoop> {
-    let idom = dominators(f);
-    let preds = predecessors(f);
+    natural_loops_in(f, &predecessors(f))
+}
+
+/// [`natural_loops`], given `f`'s [`predecessors`].
+#[must_use]
+pub fn natural_loops_in(f: &Function, preds: &[Vec<BlockId>]) -> Vec<NaturalLoop> {
+    let rpo = reverse_postorder(f);
+    let rpo_index = rpo_indices(f, &rpo);
+    // A header dominates its latch, so it comes no later in reverse
+    // postorder: without such an edge there is no loop to look for.
+    let retreats = |&b: &BlockId| {
+        f.block(b).term.successors().any(|s| rpo_index[s.index()] <= rpo_index[b.index()])
+    };
+    if !rpo.iter().any(retreats) {
+        return Vec::new();
+    }
+    let idom = dominators_in(f, preds, &rpo, &rpo_index);
+    let mut seen = Vec::new();
     let mut loops = Vec::new();
     for latch in f.block_ids() {
         // Skip unreachable blocks.
@@ -143,23 +204,10 @@ pub fn natural_loops(f: &Function) -> Vec<NaturalLoop> {
             continue;
         }
         for header in f.block(latch).term.successors() {
-            if !dominates(&idom, header, latch) {
-                continue;
+            if dominates(&idom, header, latch) {
+                let body = loop_body(preds, header, latch, &mut seen);
+                loops.push(NaturalLoop { header, latch, body });
             }
-            // Collect the loop body: header plus everything that reaches
-            // the latch without passing through the header.
-            let mut body = vec![header];
-            let mut stack = vec![latch];
-            while let Some(b) = stack.pop() {
-                if body.contains(&b) {
-                    continue;
-                }
-                body.push(b);
-                for &p in &preds[b.index()] {
-                    stack.push(p);
-                }
-            }
-            loops.push(NaturalLoop { header, latch, body });
         }
     }
     loops

@@ -85,15 +85,15 @@ impl DerivAnalysis {
     /// derived bases. This is what the *dead base* rule (§4) turns into at
     /// liveness time: a use of a derived value is a use of its bases.
     pub fn expand_support(&self, t: Temp, out: &mut Vec<Temp>) {
+        // A support is a handful of temps: a list of the ones seen is
+        // cheaper than a flag per temp of the function.
         let mut stack = vec![t];
-        let mut seen = vec![false; self.derivs.len()];
+        let mut seen = Vec::new();
         while let Some(x) = stack.pop() {
-            if x.index() < seen.len() {
-                if seen[x.index()] {
-                    continue;
-                }
-                seen[x.index()] = true;
+            if seen.contains(&x) {
+                continue;
             }
+            seen.push(x);
             if let Some(kind) = self.deriv(x) {
                 if let DerivKind::Ambiguous { path_var, .. } = kind {
                     out.push(*path_var);

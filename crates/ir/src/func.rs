@@ -179,8 +179,8 @@ impl Function {
     #[must_use]
     pub fn def_counts(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.temp_count()];
-        for ins in self.blocks.iter().flat_map(|b| &b.instrs) {
-            if let Some(d) = ins.def() {
+        for block in &self.blocks {
+            for d in block.instrs.iter().filter_map(Instr::def) {
                 counts[d.index()] += 1;
             }
         }

@@ -276,6 +276,13 @@ impl Instr {
 
     /// Appends the temps this instruction uses to `out`.
     pub fn uses(&self, out: &mut Vec<Temp>) {
+        self.for_each_use(|t| out.push(t));
+    }
+
+    /// Calls `f` on each temp this instruction uses, in [`Instr::uses`]
+    /// order.
+    #[inline]
+    pub fn for_each_use(&self, mut f: impl FnMut(Temp)) {
         match self {
             Instr::Const { .. }
             | Instr::SlotAddr { .. }
@@ -283,22 +290,22 @@ impl Instr {
             | Instr::GlobalAddr { .. }
             | Instr::LoadSlot { .. }
             | Instr::GcPoint => {}
-            Instr::Copy { src, .. } => out.push(*src),
+            Instr::Copy { src, .. } => f(*src),
             Instr::Bin { a, b, .. } => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
-            Instr::Un { a, .. } => out.push(*a),
-            Instr::Load { addr, .. } => out.push(*addr),
+            Instr::Un { a, .. } => f(*a),
+            Instr::Load { addr, .. } => f(*addr),
             Instr::Store { addr, src, .. } => {
-                out.push(*addr);
-                out.push(*src);
+                f(*addr);
+                f(*src);
             }
-            Instr::StoreSlot { src, .. } | Instr::StoreGlobal { src, .. } => out.push(*src),
+            Instr::StoreSlot { src, .. } | Instr::StoreGlobal { src, .. } => f(*src),
             Instr::Call { args, .. } | Instr::CallRuntime { args, .. } => {
-                out.extend(args.iter().copied())
+                args.iter().copied().for_each(f);
             }
-            Instr::New { len, .. } => out.extend(len.iter().copied()),
+            Instr::New { len, .. } => len.iter().copied().for_each(f),
         }
     }
 
@@ -378,9 +385,15 @@ impl Terminator {
 
     /// Appends used temps to `out`.
     pub fn uses(&self, out: &mut Vec<Temp>) {
+        self.for_each_use(|t| out.push(t));
+    }
+
+    /// Calls `f` on each used temp.
+    #[inline]
+    pub fn for_each_use(&self, mut f: impl FnMut(Temp)) {
         match self {
-            Terminator::Br { cond, .. } => out.push(*cond),
-            Terminator::Ret(Some(t)) => out.push(*t),
+            Terminator::Br { cond, .. } => f(*cond),
+            Terminator::Ret(Some(t)) => f(*t),
             _ => {}
         }
     }

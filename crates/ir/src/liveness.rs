@@ -6,10 +6,14 @@
 //! value derived from it, leaving the collector unable to update the
 //! derived value.
 //!
-//! The analysis is solved on block summaries: one backward walk per block
-//! yields its upward-exposed uses (`gen`) and its defs (`kill`), and the
-//! fixpoint then iterates `out = ∪ in[succ]`, `in = gen ∪ (out − kill)`
-//! a word at a time. Each derived temp's support (what a use of it also
+//! The analysis is solved on block summaries: one forward walk per block
+//! yields its upward-exposed uses (`gen`), and the fixpoint then iterates
+//! `out = ∪ in[succ]`, `in = gen ∪ (out − kill)` a word at a time. Only a
+//! temp that is upward-exposed in some block can be live on a block
+//! boundary (the *global names* of Briggs, Cooper, Harvey and Simpson,
+//! 1998), so the sets span just those temps, numbered densely in
+//! ascending temp order: every set iterates in temp order, as a set over
+//! all temps would. Each derived temp's support (what a use of it also
 //! uses) is expanded once per analysis and kept for the back end.
 
 use crate::bitset::BitSet;
@@ -19,20 +23,154 @@ use crate::func::Function;
 use crate::ids::{BlockId, Temp};
 use crate::instr::Instr;
 
-/// Per-block liveness sets.
-#[derive(Debug, Clone)]
+/// `dense` entry of a temp that is live on no block boundary.
+const LOCAL: u32 = u32::MAX;
+
+/// Per-block liveness sets, over the temps that cross a block boundary.
+///
+/// [`Liveness::solve`] re-solves in place, reusing every buffer.
+#[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    /// Temps live on entry to each block.
-    pub live_in: Vec<BitSet>,
-    /// Temps live on exit from each block.
-    pub live_out: Vec<BitSet>,
-    /// Upward-exposed uses of each block: temps read before any write in
-    /// it (the fixpoint's `gen` sets, the dead-base rule applied).
-    pub gen: Vec<BitSet>,
+    /// The temps upward-exposed in some block, ascending.
+    globals: Vec<Temp>,
+    /// Each temp's index in `globals`, or [`LOCAL`].
+    dense: Vec<u32>,
+    /// Words per set.
+    words: usize,
+    /// `words` words per block, block after block.
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+    gen: Vec<u64>,
+    kill: Vec<u64>,
     /// `support_of[support_at[t]..support_at[t + 1]]` is temp `t`'s
     /// dead-base support; empty when no derivation info was supplied.
     support_at: Vec<u32>,
     support_of: Vec<Temp>,
+    summaries: Summaries,
+}
+
+/// Each block's upward-exposed uses, found by one forward walk: a use
+/// counts when no earlier instruction of the block defines it.
+#[derive(Debug, Clone, Default)]
+struct Summaries {
+    /// Block `b`'s exposed temps are `exposed[at[b].0..at[b + 1].0]`,
+    /// the temps it defines `defined[at[b].1..at[b + 1].1]`.
+    exposed: Vec<Temp>,
+    defined: Vec<Temp>,
+    at: Vec<(u32, u32)>,
+    /// The `epoch` of the block that last defined (`def_seen`) or
+    /// exposed (`use_seen`) each temp: one stamp per block, so no set is
+    /// ever cleared.
+    def_seen: Vec<u32>,
+    use_seen: Vec<u32>,
+    epoch: u32,
+}
+
+impl Summaries {
+    fn exposed(&self, b: usize) -> &[Temp] {
+        &self.exposed[self.at[b].0 as usize..self.at[b + 1].0 as usize]
+    }
+
+    fn defined(&self, b: usize) -> &[Temp] {
+        &self.defined[self.at[b].1 as usize..self.at[b + 1].1 as usize]
+    }
+
+    /// A use of `t` in the block stamped `e`.
+    fn expose(&mut self, t: Temp, e: u32) {
+        let i = t.index();
+        if self.def_seen[i] != e && self.use_seen[i] != e {
+            self.use_seen[i] = e;
+            self.exposed.push(t);
+        }
+    }
+
+    /// A use of `t` and of its `support` in the block stamped `e`.
+    fn use_temp(&mut self, t: Temp, support: &[Temp], e: u32) {
+        self.expose(t, e);
+        for &s in support {
+            self.expose(s, e);
+        }
+    }
+
+    fn summarize(&mut self, f: &Function, support_at: &[u32], support_of: &[Temp]) {
+        let n_temps = f.temp_count();
+        self.def_seen.resize(n_temps, 0);
+        self.use_seen.resize(n_temps, 0);
+        self.exposed.clear();
+        self.defined.clear();
+        self.at.clear();
+        self.at.push((0, 0));
+        for block in &f.blocks {
+            self.epoch = self.epoch.wrapping_add(1);
+            if self.epoch == 0 {
+                self.def_seen.fill(0);
+                self.use_seen.fill(0);
+                self.epoch = 1;
+            }
+            let e = self.epoch;
+            for ins in &block.instrs {
+                ins.for_each_use(|u| self.use_temp(u, support_row(support_at, support_of, u), e));
+                if let Some(d) = ins.def() {
+                    if std::mem::replace(&mut self.def_seen[d.index()], e) != e {
+                        self.defined.push(d);
+                    }
+                }
+            }
+            block
+                .term
+                .for_each_use(|u| self.use_temp(u, support_row(support_at, support_of, u), e));
+            self.at.push((self.exposed.len() as u32, self.defined.len() as u32));
+        }
+    }
+}
+
+/// Row `t` of compressed support rows (empty past their end).
+fn support_row<'a>(at: &[u32], of: &'a [Temp], t: Temp) -> &'a [Temp] {
+    match (at.get(t.index()), at.get(t.index() + 1)) {
+        (Some(&lo), Some(&hi)) => &of[lo as usize..hi as usize],
+        _ => &[],
+    }
+}
+
+/// One block's set: membership and ascending iteration by [`Temp`].
+#[derive(Debug, Clone, Copy)]
+pub struct LiveSet<'a> {
+    words: &'a [u64],
+    globals: &'a [Temp],
+    dense: &'a [u32],
+}
+
+impl<'a> LiveSet<'a> {
+    /// Membership test.
+    #[must_use]
+    pub fn contains(&self, t: Temp) -> bool {
+        match self.dense.get(t.index()) {
+            Some(&i) if i != LOCAL => self.words[i as usize / 64] & (1 << (i % 64)) != 0,
+            _ => false,
+        }
+    }
+
+    /// The members, in ascending temp order.
+    pub fn iter(&self) -> impl Iterator<Item = Temp> + 'a {
+        let globals = self.globals;
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(globals[wi * 64 + b])
+            })
+        })
+    }
+
+    /// True if the set is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
 }
 
 impl Liveness {
@@ -42,10 +180,31 @@ impl Liveness {
     /// and for an analysis run without derivation info.
     #[must_use]
     pub fn support(&self, t: Temp) -> &[Temp] {
-        match (self.support_at.get(t.index()), self.support_at.get(t.index() + 1)) {
-            (Some(&lo), Some(&hi)) => &self.support_of[lo as usize..hi as usize],
-            _ => &[],
-        }
+        support_row(&self.support_at, &self.support_of, t)
+    }
+
+    fn row<'s>(&'s self, sets: &'s [u64], b: BlockId) -> LiveSet<'s> {
+        let at = b.index() * self.words;
+        LiveSet { words: &sets[at..at + self.words], globals: &self.globals, dense: &self.dense }
+    }
+
+    /// Temps live on entry to `b`.
+    #[must_use]
+    pub fn live_in(&self, b: BlockId) -> LiveSet<'_> {
+        self.row(&self.live_in, b)
+    }
+
+    /// Temps live on exit from `b`.
+    #[must_use]
+    pub fn live_out(&self, b: BlockId) -> LiveSet<'_> {
+        self.row(&self.live_out, b)
+    }
+
+    /// Upward-exposed uses of `b`: temps read before any write in it (the
+    /// fixpoint's `gen` set, the dead-base rule applied).
+    #[must_use]
+    pub fn gen(&self, b: BlockId) -> LiveSet<'_> {
+        self.row(&self.gen, b)
     }
 
     /// Inserts `t` and its support into `set`.
@@ -70,11 +229,15 @@ impl Liveness {
     }
 
     /// Walks block `b` backward from its exit, calling `visit(i, live)`
-    /// with the set of temps live just **after** `instrs[i]`. The back
-    /// end uses it to compute live sets at the points it needs them.
+    /// with the set of temps live just **after** `instrs[i]`, over all
+    /// temps of `f`. The back end uses it to compute live sets at the
+    /// points it needs them.
     pub fn walk_back(&self, f: &Function, b: BlockId, mut visit: impl FnMut(usize, &BitSet)) {
         let block = f.block(b);
-        let mut live = self.live_out[b.index()].clone();
+        let mut live = BitSet::new(f.temp_count());
+        for t in self.live_out(b).iter() {
+            live.insert(t.index());
+        }
         let mut uses = Vec::new();
         block.term.uses(&mut uses);
         for &t in &uses {
@@ -85,99 +248,103 @@ impl Liveness {
             self.step_back(ins, &mut live, &mut uses);
         }
     }
-}
 
-/// Every derived temp's support, expanded once, in compressed rows.
-fn supports(n_temps: usize, deriv: Option<&DerivAnalysis>) -> (Vec<u32>, Vec<Temp>) {
-    let Some(d) = deriv else { return (Vec::new(), Vec::new()) };
-    let mut at = Vec::with_capacity(n_temps + 1);
-    let mut of = Vec::new();
-    let mut row = Vec::new();
-    at.push(0);
-    for t in (0..n_temps as u32).map(Temp) {
-        if d.is_derived(t) {
-            row.clear();
-            d.expand_support(t, &mut row);
-            row.sort_unstable();
-            row.dedup();
-            of.extend_from_slice(&row);
+    /// Every derived temp's support, expanded once, in compressed rows.
+    fn expand_supports(&mut self, n_temps: usize, deriv: Option<&DerivAnalysis>) {
+        self.support_at.clear();
+        self.support_of.clear();
+        let Some(d) = deriv else { return };
+        self.support_at.reserve(n_temps + 1);
+        self.support_at.push(0);
+        let mut row = Vec::new();
+        for t in (0..n_temps as u32).map(Temp) {
+            if d.is_derived(t) {
+                row.clear();
+                d.expand_support(t, &mut row);
+                row.sort_unstable();
+                row.dedup();
+                self.support_of.extend_from_slice(&row);
+            }
+            self.support_at.push(self.support_of.len() as u32);
         }
-        at.push(of.len() as u32);
     }
-    (at, of)
+
+    /// Solves liveness for `f` in place. Pass `Some(deriv)` to apply the
+    /// dead-base rule; the compiler always does, but `None` is useful to
+    /// measure the rule's cost (the §6.2 experiment compiles with gc
+    /// support off) and is plain liveness, as DCE needs it.
+    pub fn solve(&mut self, f: &Function, deriv: Option<&DerivAnalysis>) {
+        let n_blocks = f.blocks.len();
+        let n_temps = f.temp_count();
+        self.expand_supports(n_temps, deriv);
+        self.summaries.summarize(f, &self.support_at, &self.support_of);
+
+        // Number the global temps densely, in ascending temp order.
+        self.dense.clear();
+        self.dense.resize(n_temps, LOCAL);
+        for &t in &self.summaries.exposed {
+            self.dense[t.index()] = 0;
+        }
+        self.globals.clear();
+        for (t, d) in self.dense.iter_mut().enumerate() {
+            if *d != LOCAL {
+                *d = self.globals.len() as u32;
+                self.globals.push(Temp(t as u32));
+            }
+        }
+        let words = self.globals.len().div_ceil(64);
+        self.words = words;
+        for sets in [&mut self.live_in, &mut self.live_out, &mut self.gen, &mut self.kill] {
+            sets.clear();
+            sets.resize(n_blocks * words, 0);
+        }
+        if words == 0 {
+            return;
+        }
+        for b in 0..n_blocks {
+            let row = b * words;
+            for &t in self.summaries.exposed(b) {
+                let i = self.dense[t.index()] as usize;
+                self.gen[row + i / 64] |= 1 << (i % 64);
+            }
+            for &d in self.summaries.defined(b) {
+                let i = self.dense[d.index()];
+                if i != LOCAL {
+                    self.kill[row + i as usize / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+
+        // Iterate in post order (reverse of RPO) for fast backward
+        // convergence; unreachable blocks keep empty sets. Words are
+        // independent, so each is solved in place.
+        let rpo = cfg::reverse_postorder(f);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in rpo.iter().rev() {
+                let row = b.index() * words;
+                let term = &f.block(b).term;
+                for w in 0..words {
+                    let out = term
+                        .successors()
+                        .fold(0, |out, s| out | self.live_in[s.index() * words + w]);
+                    let live_in = (out & !self.kill[row + w]) | self.gen[row + w];
+                    changed |= out != self.live_out[row + w] || live_in != self.live_in[row + w];
+                    self.live_out[row + w] = out;
+                    self.live_in[row + w] = live_in;
+                }
+            }
+        }
+    }
 }
 
-/// Computes liveness. Pass `Some(deriv)` to apply the dead-base rule; the
-/// compiler always does, but `None` is useful to measure the rule's cost
-/// (the §6.2 experiment compiles with gc support off).
+/// Computes liveness. Pass `Some(deriv)` to apply the dead-base rule (see
+/// [`Liveness::solve`]).
 #[must_use]
 pub fn liveness(f: &Function, deriv: Option<&DerivAnalysis>) -> Liveness {
-    let n_blocks = f.blocks.len();
-    let n_temps = f.temp_count();
-    let (support_at, support_of) = supports(n_temps, deriv);
-    let mut lv = Liveness {
-        live_in: vec![BitSet::new(n_temps); n_blocks],
-        live_out: vec![BitSet::new(n_temps); n_blocks],
-        gen: Vec::new(),
-        support_at,
-        support_of,
-    };
-
-    // Block summaries, by the same backward walk the fixpoint replaces.
-    let mut kill = vec![BitSet::new(n_temps); n_blocks];
-    let mut uses = Vec::new();
-    let gen = f
-        .blocks
-        .iter()
-        .zip(&mut kill)
-        .map(|(block, kill)| {
-            let mut gen = BitSet::new(n_temps);
-            uses.clear();
-            block.term.uses(&mut uses);
-            for &t in &uses {
-                lv.use_temp(t, &mut gen);
-            }
-            for ins in block.instrs.iter().rev() {
-                if let Some(d) = ins.def() {
-                    kill.insert(d.index());
-                }
-                lv.step_back(ins, &mut gen, &mut uses);
-            }
-            gen
-        })
-        .collect();
-    lv.gen = gen;
-
-    // Iterate in post order (reverse of RPO) for fast backward
-    // convergence; unreachable blocks keep empty sets.
-    let order: Vec<BlockId> = cfg::reverse_postorder(f).into_iter().rev().collect();
-    let succs: Vec<Vec<usize>> = f
-        .blocks
-        .iter()
-        .map(|block| block.term.successors().map(BlockId::index).collect())
-        .collect();
-    let mut set = BitSet::new(n_temps);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            let bi = b.index();
-            set.clear();
-            for &s in &succs[bi] {
-                set.union_with(&lv.live_in[s]);
-            }
-            if set != lv.live_out[bi] {
-                lv.live_out[bi].copy_from(&set);
-                changed = true;
-            }
-            set.subtract(&kill[bi]);
-            set.union_with(&lv.gen[bi]);
-            if set != lv.live_in[bi] {
-                lv.live_in[bi].copy_from(&set);
-                changed = true;
-            }
-        }
-    }
+    let mut lv = Liveness::default();
+    lv.solve(f, deriv);
     lv
 }
 
@@ -212,7 +379,7 @@ mod tests {
         // After the Add, only t2 is live.
         assert!(pts[1].contains(t2.index()));
         assert!(!pts[1].contains(t1.index()));
-        assert_eq!(lv.gen[f.entry.index()].iter().collect::<Vec<_>>(), vec![0], "only the param");
+        assert_eq!(lv.gen(f.entry).iter().collect::<Vec<_>>(), vec![Temp(0)], "only the param");
     }
 
     /// The dead-base rule: without derivation info the base dies after the
@@ -262,9 +429,9 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let lv = liveness(&f, None);
-        assert!(lv.live_in[header.index()].contains(x.index()));
-        assert!(lv.live_out[body.index()].contains(x.index()));
-        assert!(!lv.live_in[exit.index()].contains(x.index()));
+        assert!(lv.live_in(header).contains(x));
+        assert!(lv.live_out(body).contains(x));
+        assert!(!lv.live_in(exit).contains(x));
     }
 
     /// An interior pointer derived from a heap base keeps the *base* temp
@@ -314,9 +481,9 @@ mod tests {
             other => panic!("expected ambiguous, got {other:?}"),
         };
         let lv = liveness(&f, Some(&deriv));
-        assert!(lv.live_in[join.index()].contains(pv.index()), "path var live at join");
-        assert!(lv.live_in[join.index()].contains(0), "base P live at join");
-        assert!(lv.live_in[join.index()].contains(1), "base Q live at join");
+        assert!(lv.live_in(join).contains(pv), "path var live at join");
+        assert!(lv.live_in(join).contains(Temp(0)), "base P live at join");
+        assert!(lv.live_in(join).contains(Temp(1)), "base Q live at join");
         assert!(lv.support(t).contains(&pv), "the path variable is support");
     }
 
@@ -331,7 +498,7 @@ mod tests {
         b.ret(Some(b.param(0)));
         let f = b.finish();
         let lv = liveness(&f, None);
-        assert!(lv.live_in[dead.index()].is_empty());
-        assert!(lv.gen[dead.index()].contains(0), "its summary is still computed");
+        assert!(lv.live_in(dead).is_empty());
+        assert!(lv.gen(dead).contains(Temp(0)), "its summary is still computed");
     }
 }

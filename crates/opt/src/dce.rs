@@ -17,61 +17,94 @@
 //! loop-carried `i := i + 1` nothing else reads, keeps itself live and
 //! survives: this is plain-liveness DCE, not faint-variable elimination.
 
-use m3gc_ir::bitset::BitSet;
-use m3gc_ir::liveness::liveness;
-use m3gc_ir::Function;
+use m3gc_ir::liveness::Liveness;
+use m3gc_ir::{BlockId, Function};
 
 /// Removes dead pure instructions; returns how many were removed.
 pub fn eliminate_dead_code(f: &mut Function) -> usize {
-    let n_temps = f.temp_count();
-    let (mut live, mut exposed) = (BitSet::new(n_temps), BitSet::new(n_temps));
-    let mut uses = Vec::new();
-    let mut dead = Vec::new();
-    let mut removed = 0;
-    loop {
-        let lv = liveness(f, None);
-        let mut stale = false;
-        for (bi, block) in f.blocks.iter_mut().enumerate() {
-            // `live` walks back from the block's exit, `exposed` from
-            // nothing: at the top they are the block's live-in and its
-            // upward-exposed uses.
-            live.copy_from(&lv.live_out[bi]);
-            exposed.clear();
-            uses.clear();
-            block.term.uses(&mut uses);
-            for &t in &uses {
-                live.insert(t.index());
-                exposed.insert(t.index());
-            }
-            dead.clear();
-            dead.resize(block.instrs.len(), false);
-            let mut n_dead = 0;
-            for (i, ins) in block.instrs.iter().enumerate().rev() {
-                if let Some(d) = ins.def() {
-                    if !live.contains(d.index()) && !ins.has_side_effects() {
-                        dead[i] = true;
-                        n_dead += 1;
-                        continue;
-                    }
-                    live.remove(d.index());
-                    exposed.remove(d.index());
-                }
-                uses.clear();
-                ins.uses(&mut uses);
-                for &t in &uses {
-                    live.insert(t.index());
-                    exposed.insert(t.index());
-                }
-            }
-            if n_dead > 0 {
-                let mut flags = dead.iter();
-                block.instrs.retain(|_| !flags.next().copied().unwrap_or(false));
-                removed += n_dead;
-                stale |= exposed != lv.gen[bi];
-            }
+    Buffers::default().eliminate(f)
+}
+
+/// What the pass keeps from call to call: the liveness solution's
+/// storage and the walk's two sets. Each set is a stamp array over the
+/// temps (a temp is in it while its stamp is the block's), so a block
+/// starts with both empty for free and a walk costs its instructions
+/// plus its live-out set.
+#[derive(Default)]
+pub(crate) struct Buffers {
+    lv: Liveness,
+    live: Vec<u32>,
+    exposed: Vec<u32>,
+    stamp: u32,
+    dead: Vec<bool>,
+}
+
+impl Buffers {
+    /// A stamp no entry of `live` or `exposed` holds yet.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.live.fill(0);
+            self.exposed.fill(0);
+            self.stamp = 1;
         }
-        if !stale {
-            return removed;
+        self.stamp
+    }
+
+    /// [`eliminate_dead_code`].
+    pub(crate) fn eliminate(&mut self, f: &mut Function) -> usize {
+        let n_temps = f.temp_count();
+        self.live.resize(n_temps, 0);
+        self.exposed.resize(n_temps, 0);
+        let mut removed = 0;
+        loop {
+            self.lv.solve(f, None);
+            let mut stale = false;
+            for (bi, block) in f.blocks.iter_mut().enumerate() {
+                let b = BlockId(bi as u32);
+                // `live` walks back from the block's exit, `exposed` from
+                // nothing: at the top they are the block's live-in and its
+                // upward-exposed uses.
+                let stamp = self.next_stamp();
+                let Buffers { lv, live, exposed, dead, .. } = self;
+                for t in lv.live_out(b).iter() {
+                    live[t.index()] = stamp;
+                }
+                block.term.for_each_use(|t| {
+                    live[t.index()] = stamp;
+                    exposed[t.index()] = stamp;
+                });
+                dead.clear();
+                dead.resize(block.instrs.len(), false);
+                let mut n_dead = 0;
+                for (i, ins) in block.instrs.iter().enumerate().rev() {
+                    if let Some(d) = ins.def() {
+                        if live[d.index()] != stamp && !ins.has_side_effects() {
+                            dead[i] = true;
+                            n_dead += 1;
+                            continue;
+                        }
+                        live[d.index()] = 0;
+                        exposed[d.index()] = 0;
+                    }
+                    ins.for_each_use(|t| {
+                        live[t.index()] = stamp;
+                        exposed[t.index()] = stamp;
+                    });
+                }
+                if n_dead > 0 {
+                    let mut flags = dead.iter();
+                    block.instrs.retain(|_| !flags.next().copied().unwrap_or(false));
+                    removed += n_dead;
+                    // Dropping instructions only removes uses, so the
+                    // block's exposed uses shrank or stayed: they changed
+                    // exactly when one of the old ones is gone.
+                    stale |= lv.gen(b).iter().any(|t| exposed[t.index()] != stamp);
+                }
+            }
+            if !stale {
+                return removed;
+            }
         }
     }
 }

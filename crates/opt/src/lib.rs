@@ -31,6 +31,8 @@ pub mod simplify;
 pub mod split;
 pub mod strength;
 
+use std::time::{Duration, Instant};
+
 use m3gc_ir::{Function, Program};
 
 /// Optimization level.
@@ -70,8 +72,82 @@ impl Default for OptOptions {
     }
 }
 
+/// Wall-clock time of each pass, as [`optimize_program_timed`] measured
+/// it, summed over every function and round.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassTimes {
+    /// Local value numbering.
+    pub lvn: Duration,
+    /// Loop-invariant code motion.
+    pub licm: Duration,
+    /// Strength reduction.
+    pub sr: Duration,
+    /// Dead code elimination.
+    pub dce: Duration,
+    /// CFG simplification.
+    pub simplify: Duration,
+    /// Path splitting.
+    pub split: Duration,
+}
+
+/// `lvn 12 µs licm 3 µs …`: every pass, in pipeline order.
+impl std::fmt::Display for PassTimes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let passes = [
+            ("lvn", self.lvn),
+            ("licm", self.licm),
+            ("sr", self.sr),
+            ("dce", self.dce),
+            ("simplify", self.simplify),
+            ("split", self.split),
+        ];
+        for (i, (name, time)) in passes.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name} {} µs", time.as_micros())?;
+        }
+        Ok(())
+    }
+}
+
+/// Where the driver reports each pass's time: nowhere (`()`, which
+/// compiles to the bare calls) or into a [`PassTimes`].
+trait Clock {
+    fn time<T>(&mut self, pass: fn(&mut PassTimes) -> &mut Duration, run: impl FnOnce() -> T) -> T;
+}
+
+impl Clock for () {
+    fn time<T>(&mut self, _: fn(&mut PassTimes) -> &mut Duration, run: impl FnOnce() -> T) -> T {
+        run()
+    }
+}
+
+impl Clock for PassTimes {
+    fn time<T>(&mut self, pass: fn(&mut PassTimes) -> &mut Duration, run: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = run();
+        *pass(self) += started.elapsed();
+        out
+    }
+}
+
+/// Buffers the passes reuse from one call to the next.
+#[derive(Default)]
+struct Scratch {
+    lvn: local::BlockState,
+    dce: dce::Buffers,
+}
+
 /// Optimizes one function in place.
 pub fn optimize_function(f: &mut Function, options: &OptOptions) {
+    optimize_with(f, options, &mut Scratch::default(), &mut ());
+}
+
+fn optimize_with(
+    f: &mut Function,
+    options: &OptOptions,
+    scratch: &mut Scratch,
+    clock: &mut impl Clock,
+) {
     if options.level == OptLevel::O0 {
         return;
     }
@@ -79,25 +155,34 @@ pub fn optimize_function(f: &mut Function, options: &OptOptions) {
     // so over-iterating is merely wasted work.
     for round in 0..3 {
         let mut changed = false;
-        changed |= local::local_value_numbering(f) > 0;
+        changed |= clock.time(|t| &mut t.lvn, || local::number_values(f, &mut scratch.lvn)) > 0;
         if options.level >= OptLevel::O2 && round == 0 {
-            changed |= licm::loop_invariant_code_motion(f) > 0;
-            changed |= strength::strength_reduce(f) > 0;
+            changed |= clock.time(|t| &mut t.licm, || licm::loop_invariant_code_motion(f)) > 0;
+            changed |= clock.time(|t| &mut t.sr, || strength::strength_reduce(f)) > 0;
         }
-        changed |= dce::eliminate_dead_code(f) > 0;
-        changed |= simplify::simplify_cfg(f) > 0;
+        changed |= clock.time(|t| &mut t.dce, || scratch.dce.eliminate(f)) > 0;
+        changed |= clock.time(|t| &mut t.simplify, || simplify::simplify_cfg(f)) > 0;
         if !changed {
             break;
         }
     }
     if options.path_strategy == PathStrategy::Splitting {
-        split::split_paths(f);
+        clock.time(|t| &mut t.split, || split::split_paths(f));
     }
 }
 
 /// Optimizes every function of a program.
 pub fn optimize_program(prog: &mut Program, options: &OptOptions) {
+    let mut scratch = Scratch::default();
     for f in &mut prog.funcs {
-        optimize_function(f, options);
+        optimize_with(f, options, &mut scratch, &mut ());
+    }
+}
+
+/// [`optimize_program`], adding each pass's time to `times`.
+pub fn optimize_program_timed(prog: &mut Program, options: &OptOptions, times: &mut PassTimes) {
+    let mut scratch = Scratch::default();
+    for f in &mut prog.funcs {
+        optimize_with(f, options, &mut scratch, times);
     }
 }

@@ -27,9 +27,14 @@ fn is_pure(ins: &Instr) -> bool {
 }
 
 /// Ensures `l.header` has a preheader: a block that is the only loop entry
-/// edge source. Returns its id.
-pub fn ensure_preheader(f: &mut Function, l: &NaturalLoop) -> BlockId {
-    let preds = cfg::predecessors(f);
+/// edge source. Returns its id. `preds` are `f`'s predecessor lists, as
+/// [`cfg::predecessors`] would list them (order aside); a new preheader
+/// is entered in them.
+pub fn ensure_preheader(
+    f: &mut Function,
+    l: &NaturalLoop,
+    preds: &mut Vec<Vec<BlockId>>,
+) -> BlockId {
     let outside: Vec<BlockId> =
         preds[l.header.index()].iter().copied().filter(|p| !l.contains(*p)).collect();
     // An existing unique outside predecessor that only jumps to the header
@@ -42,7 +47,7 @@ pub fn ensure_preheader(f: &mut Function, l: &NaturalLoop) -> BlockId {
     }
     let pre = f.new_block();
     f.block_mut(pre).term = Terminator::Jump(l.header);
-    for p in outside {
+    for &p in &outside {
         let term = &mut f.block_mut(p).term;
         match term {
             Terminator::Jump(t) => {
@@ -61,6 +66,10 @@ pub fn ensure_preheader(f: &mut Function, l: &NaturalLoop) -> BlockId {
             Terminator::Ret(_) => {}
         }
     }
+    let header_preds = &mut preds[l.header.index()];
+    header_preds.retain(|p| l.contains(*p));
+    header_preds.push(pre);
+    preds.push(outside);
     pre
 }
 
@@ -167,20 +176,25 @@ fn first_hoistable(
 /// Hoists invariant pure single-def instructions of loop `l` into its
 /// preheader, first hoistable first. Returns how many were hoisted.
 ///
-/// Def counts, the in-loop def set and the preheader are computed once:
-/// a hoist moves the single def of its temp, so no count changes and
-/// only that temp leaves the loop.
-fn hoist_loop(f: &mut Function, l: &NaturalLoop) -> usize {
-    let mut counts = f.def_counts();
+/// `counts` are `f`'s def counts; the in-loop def set and the preheader
+/// are computed once: a hoist moves the single def of its temp, so no
+/// count changes and only that temp leaves the loop. Reassociation's new
+/// temps are defined once each.
+fn hoist_loop(
+    f: &mut Function,
+    l: &NaturalLoop,
+    counts: &mut Vec<u32>,
+    preds: &mut Vec<Vec<BlockId>>,
+) -> usize {
     let mut in_loop = defined_in_loop(f, l);
-    reassociate(f, l, &counts, &in_loop);
+    reassociate(f, l, counts, &in_loop);
     counts.resize(f.temp_count(), 1);
     in_loop.resize(f.temp_count(), true);
     let mut preheader = None;
     let mut uses = Vec::new();
     let mut hoisted = 0;
-    while let Some((bid, i)) = first_hoistable(f, l, &counts, &in_loop, &mut uses) {
-        let pre = *preheader.get_or_insert_with(|| ensure_preheader(f, l));
+    while let Some((bid, i)) = first_hoistable(f, l, counts, &in_loop, &mut uses) {
+        let pre = *preheader.get_or_insert_with(|| ensure_preheader(f, l, preds));
         let ins = f.block_mut(bid).instrs.remove(i);
         in_loop[ins.def().expect("hoisted instructions define").index()] = false;
         f.block_mut(pre).instrs.push(ins);
@@ -191,9 +205,15 @@ fn hoist_loop(f: &mut Function, l: &NaturalLoop) -> usize {
 
 /// Runs LICM over every natural loop (innermost first). Returns the total
 /// number of instructions hoisted.
+///
+/// Loops, predecessor lists and def counts are found once per pass. The
+/// loops are not re-found after a hoist: an inner loop's new preheader is
+/// missing from the bodies of the loops around it.
 pub fn loop_invariant_code_motion(f: &mut Function) -> usize {
-    let mut loops = cfg::natural_loops(f);
+    let mut preds = cfg::predecessors(f);
+    let mut loops = cfg::natural_loops_in(f, &preds);
     loops.sort_by_key(|l| l.body.len());
+    let mut counts = f.def_counts();
     let mut seen_headers = Vec::new();
     let mut hoisted = 0;
     for l in loops {
@@ -201,7 +221,7 @@ pub fn loop_invariant_code_motion(f: &mut Function) -> usize {
             continue;
         }
         seen_headers.push(l.header);
-        hoisted += hoist_loop(f, &l);
+        hoisted += hoist_loop(f, &l, &mut counts, &mut preds);
     }
     hoisted
 }

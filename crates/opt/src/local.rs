@@ -7,8 +7,52 @@
 //! too, and invalidated by stores, calls and allocations.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use m3gc_ir::{Function, Instr, Temp};
+
+/// The numbering table's hasher: one rotate, xor and multiply per word
+/// written (the scheme of rustc's `FxHasher`). Keys are a few small
+/// integers, which SipHash would spend most of the pass on; the table is
+/// private to one block, so no input can be chosen against it.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Abstract value of a temp within a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,7 +88,10 @@ struct Entry {
     defs: u32,
 }
 
-struct BlockState {
+/// The numbering state of one block, with buffers that outlive it: one
+/// `BlockState` serves every block of every function it is given.
+#[derive(Default)]
+pub(crate) struct BlockState {
     /// Current abstract value of each temp (indexed by temp).
     vals: Vec<Option<Val>>,
     /// Temps whose `vals` entry this block set, to reset it in O(block).
@@ -53,22 +100,19 @@ struct BlockState {
     /// representative has been redefined since is stale.
     defs: Vec<u32>,
     /// Expression → entry.
-    table: HashMap<Key, Entry>,
+    table: HashMap<Key, Entry, BuildHasherDefault<MulHasher>>,
     next_num: u32,
     /// Bumped by every store, call and allocation.
     memory: u32,
 }
 
 impl BlockState {
-    fn new(n_temps: usize) -> BlockState {
-        BlockState {
-            vals: vec![None; n_temps],
-            touched: Vec::new(),
-            defs: vec![0; n_temps],
-            table: HashMap::new(),
-            next_num: 0,
-            memory: 0,
-        }
+    /// Ready for a function of `n_temps` temps.
+    fn prepare(&mut self, n_temps: usize) {
+        self.reset();
+        self.vals.resize(n_temps, None);
+        self.defs.clear();
+        self.defs.resize(n_temps, 0);
     }
 
     /// Forgets everything: a new block starts.
@@ -102,9 +146,39 @@ impl BlockState {
         v
     }
 
-    /// The live entry for `key`, if any.
-    fn lookup(&self, key: &Key) -> Option<(Val, Temp)> {
-        self.table.get(key).filter(|e| self.defs[e.rep.index()] == e.defs).map(|e| (e.val, e.rep))
+    /// The value and representative of `key`'s live entry, if it holds
+    /// one that `reuse` accepts. Otherwise `dst` becomes the
+    /// representative of `key`'s value (fresh unless a constant) and
+    /// holds it. One probe of the table either way.
+    fn reuse_or_record(
+        &mut self,
+        key: Key,
+        dst: Temp,
+        reuse: impl Fn(Temp) -> bool,
+    ) -> Option<(Val, Temp)> {
+        use std::collections::hash_map::Entry as Slot;
+        let val = match key {
+            Key::Const(c) => Val::Const(c),
+            _ => Val::Num(self.next_num),
+        };
+        let entry = Entry { val, rep: dst, defs: self.defs[dst.index()] };
+        match self.table.entry(key) {
+            Slot::Occupied(mut slot) => {
+                let old = *slot.get();
+                if self.defs[old.rep.index()] == old.defs && old.rep != dst && reuse(old.rep) {
+                    return Some((old.val, old.rep));
+                }
+                slot.insert(entry);
+            }
+            Slot::Vacant(slot) => {
+                slot.insert(entry);
+            }
+        }
+        if let Val::Num(_) = val {
+            self.next_num += 1;
+        }
+        self.set_val(dst, val);
+        None
     }
 
     fn record(&mut self, key: Key, val: Val, rep: Temp) {
@@ -127,8 +201,13 @@ impl BlockState {
 /// Runs local value numbering over every block; returns the number of
 /// instructions simplified.
 pub fn local_value_numbering(f: &mut Function) -> usize {
+    number_values(f, &mut BlockState::default())
+}
+
+/// [`local_value_numbering`] with the state's buffers.
+pub(crate) fn number_values(f: &mut Function, st: &mut BlockState) -> usize {
     let mut simplified = 0;
-    let mut st = BlockState::new(f.temp_count());
+    st.prepare(f.temp_count());
     let (kinds, blocks) = (&f.temp_kinds, &mut f.blocks);
     for block in blocks {
         st.reset();
@@ -210,20 +289,15 @@ pub fn local_value_numbering(f: &mut Function) -> usize {
                 None => continue,
             };
             st.kill_temp(dst);
-            if let Some((v, rep)) = st.lookup(&key) {
-                if rep != dst && kinds[rep.index()] == kinds[dst.index()] {
-                    // Same kind of value already available: reuse it.
-                    // Replacing a load/arith with a copy of the
-                    // representative is the CSE step.
-                    *ins = Instr::Copy { dst, src: rep };
-                    st.set_val(dst, v);
-                    simplified += 1;
-                    continue;
-                }
+            let same_kind = |rep: Temp| kinds[rep.index()] == kinds[dst.index()];
+            if let Some((v, rep)) = st.reuse_or_record(key, dst, same_kind) {
+                // Same kind of value already available: reuse it.
+                // Replacing a load/arith with a copy of the
+                // representative is the CSE step.
+                *ins = Instr::Copy { dst, src: rep };
+                st.set_val(dst, v);
+                simplified += 1;
             }
-            let v = if let Key::Const(c) = key { Val::Const(c) } else { st.fresh() };
-            st.set_val(dst, v);
-            st.record(key, v, dst);
         }
     }
     simplified

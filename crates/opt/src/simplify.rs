@@ -1,8 +1,6 @@
 //! CFG simplification: constant-branch folding, jump threading, block
 //! merging and unreachable-block removal.
 
-use std::collections::HashMap;
-
 use m3gc_ir::cfg;
 use m3gc_ir::{BlockId, Function, Instr, Terminator};
 
@@ -35,27 +33,29 @@ fn fold_constant_branches(f: &mut Function) -> usize {
 /// Redirects edges through empty forwarding blocks (`instrs` empty,
 /// terminator `Jump`).
 fn thread_jumps(f: &mut Function) -> usize {
-    let mut forward: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut forward: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
+    let mut n_forward = 0;
     for b in f.block_ids() {
         let block = f.block(b);
         if block.instrs.is_empty() {
             if let Terminator::Jump(t) = block.term {
                 if t != b {
-                    forward.insert(b, t);
+                    forward[b.index()] = Some(t);
+                    n_forward += 1;
                 }
             }
         }
     }
-    if forward.is_empty() {
+    if n_forward == 0 {
         return 0;
     }
     // Resolve chains (with a cycle guard).
     let resolve = |mut b: BlockId| -> BlockId {
         let mut hops = 0;
-        while let Some(&t) = forward.get(&b) {
+        while let Some(t) = forward[b.index()] {
             b = t;
             hops += 1;
-            if hops > forward.len() {
+            if hops > n_forward {
                 break; // cycle of empty blocks: leave as-is
             }
         }

@@ -73,8 +73,7 @@ fn try_split(f: &mut Function, t: Temp) -> bool {
 
     // The region: blocks where t is live-in, plus the entry.
     let lv = liveness(f, None);
-    let mut region: Vec<BlockId> =
-        f.block_ids().filter(|b| lv.live_in[b.index()].contains(t.index())).collect();
+    let mut region: Vec<BlockId> = f.block_ids().filter(|&b| lv.live_in(b).contains(t)).collect();
     if !region.contains(&entry) {
         region.push(entry);
     }
@@ -123,10 +122,7 @@ fn try_split(f: &mut Function, t: Temp) -> bool {
     let region_local: Vec<Temp> = defs_in_region
         .iter()
         .filter(|(&x, &(inside, outside))| {
-            inside > 0
-                && outside == 0
-                && x.index() >= f.n_params
-                && !lv.live_in[entry.index()].contains(x.index())
+            inside > 0 && outside == 0 && x.index() >= f.n_params && !lv.live_in(entry).contains(x)
         })
         .map(|(&x, _)| x)
         .collect();

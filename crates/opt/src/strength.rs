@@ -22,47 +22,90 @@ struct BasicIv {
     update: (BlockId, usize),
 }
 
-/// Finds basic IVs of loop `l`: temps whose only in-loop def is
-/// `iv := copy(ni)` where `ni := iv + c` (single-def, `c` a constant).
-/// `counts` is [`Function::def_counts`] of `f`.
-fn find_basic_ivs(f: &Function, l: &NaturalLoop, counts: &[u32]) -> Vec<BasicIv> {
-    // Constants known in the function (single-def Const temps).
-    let mut const_of: Vec<Option<i64>> = vec![None; f.temp_count()];
-    for block in &f.blocks {
-        for ins in &block.instrs {
-            if let Instr::Const { dst, value } = ins {
-                if counts[dst.index()] == 1 {
+/// What strength reduction knows of a function for one pass, kept
+/// current as it adds preheaders and temps.
+struct PassState {
+    /// Predecessor lists.
+    preds: Vec<Vec<BlockId>>,
+    /// [`Function::def_counts`].
+    counts: Vec<u32>,
+    /// The value of each single-def `Const` temp.
+    const_of: Vec<Option<i64>>,
+    /// The latch of the first back edge into each header, in the order
+    /// [`cfg::natural_loops`] lists them.
+    first_latch: Vec<Option<BlockId>>,
+    /// Scratch: each temp's in-loop defs (count and first location).
+    loop_defs: Vec<(u32, (BlockId, usize))>,
+    /// Scratch for [`cfg::loop_body`].
+    seen: Vec<bool>,
+}
+
+impl PassState {
+    fn new(f: &Function, preds: Vec<Vec<BlockId>>, loops: &[NaturalLoop]) -> PassState {
+        // Def counts and constants in one walk: a temp's last `Const` def
+        // is its value when it has no other def.
+        let mut counts = vec![0u32; f.temp_count()];
+        let mut const_of: Vec<Option<i64>> = vec![None; f.temp_count()];
+        for block in &f.blocks {
+            for ins in &block.instrs {
+                if let Some(d) = ins.def() {
+                    counts[d.index()] += 1;
+                }
+                if let Instr::Const { dst, value } = ins {
                     const_of[dst.index()] = Some(*value);
                 }
             }
         }
-    }
-    // In-loop defs per temp.
-    let mut in_loop_defs: Vec<Vec<(BlockId, usize)>> = vec![Vec::new(); f.temp_count()];
-    for &b in &l.body {
-        for (i, ins) in f.block(b).instrs.iter().enumerate() {
-            if let Some(d) = ins.def() {
-                in_loop_defs[d.index()].push((b, i));
+        for (value, &n) in const_of.iter_mut().zip(&counts) {
+            if n != 1 {
+                *value = None;
             }
         }
+        let mut first_latch = vec![None; f.blocks.len()];
+        for l in loops {
+            first_latch[l.header.index()].get_or_insert(l.latch);
+        }
+        PassState {
+            preds,
+            counts,
+            const_of,
+            first_latch,
+            loop_defs: vec![(0, (BlockId(0), 0)); f.temp_count()],
+            seen: Vec::new(),
+        }
     }
+
+    /// A new temp of `f`, defined `defs` times, `Some(c)` for a `Const`.
+    fn new_temp(&mut self, f: &mut Function, defs: u32, value: Option<i64>) -> Temp {
+        let t = f.new_temp(TempKind::Int);
+        self.counts.push(defs);
+        self.const_of.push(value);
+        self.loop_defs.push((0, (BlockId(0), 0)));
+        t
+    }
+}
+
+/// Finds basic IVs of loop `l`: temps whose only in-loop def is
+/// `iv := copy(ni)` where `ni := iv + c` (single-def, `c` a constant).
+/// `defined` lists the temps with in-loop defs, ascending, and
+/// `st.loop_defs` holds their defs.
+fn find_basic_ivs(f: &Function, st: &PassState, defined: &[Temp]) -> Vec<BasicIv> {
     let mut ivs = Vec::new();
-    for t in (0..f.temp_count() as u32).map(Temp) {
-        let defs = &in_loop_defs[t.index()];
-        if defs.len() != 1 {
+    for &t in defined {
+        let (n, (bid, idx)) = st.loop_defs[t.index()];
+        if n != 1 {
             continue;
         }
-        let (bid, idx) = defs[0];
         let Instr::Copy { src: ni, .. } = &f.block(bid).instrs[idx] else { continue };
-        if counts[ni.index()] != 1 || in_loop_defs[ni.index()].len() != 1 {
+        let (ni_defs, (nb, nidx)) = st.loop_defs[ni.index()];
+        if st.counts[ni.index()] != 1 || ni_defs != 1 {
             continue;
         }
-        let (nb, nidx) = in_loop_defs[ni.index()][0];
         let Instr::Bin { op: BinOp::Add, a, b, .. } = &f.block(nb).instrs[nidx] else { continue };
         let step = if *a == t {
-            const_of[b.index()]
+            st.const_of[b.index()]
         } else if *b == t {
-            const_of[a.index()]
+            st.const_of[a.index()]
         } else {
             None
         };
@@ -73,24 +116,43 @@ fn find_basic_ivs(f: &Function, l: &NaturalLoop, counts: &[u32]) -> Vec<BasicIv>
     ivs
 }
 
+/// Records the in-loop defs of `l` in `st.loop_defs` (cleared again by
+/// [`reduce_loop`]); returns the temps defined, ascending.
+fn note_loop_defs(f: &Function, l: &NaturalLoop, st: &mut PassState) -> Vec<Temp> {
+    let mut defined = Vec::new();
+    for &b in &l.body {
+        for (i, ins) in f.block(b).instrs.iter().enumerate() {
+            if let Some(d) = ins.def() {
+                let entry = &mut st.loop_defs[d.index()];
+                if entry.0 == 0 {
+                    *entry = (0, (b, i));
+                    defined.push(d);
+                }
+                entry.0 += 1;
+            }
+        }
+    }
+    defined.sort_unstable();
+    defined
+}
+
 /// Applies strength reduction to one loop; returns rewrites performed.
-fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
-    let counts = f.def_counts();
-    let ivs = find_basic_ivs(f, l, &counts);
+fn reduce_loop(f: &mut Function, l: &NaturalLoop, st: &mut PassState) -> usize {
+    let defined = note_loop_defs(f, l, st);
+    let n = rewrite_loop(f, l, st, &defined);
+    for t in defined {
+        st.loop_defs[t.index()].0 = 0;
+    }
+    n
+}
+
+/// [`reduce_loop`] once `l`'s in-loop defs are noted.
+fn rewrite_loop(f: &mut Function, l: &NaturalLoop, st: &mut PassState, defined: &[Temp]) -> usize {
+    let ivs = find_basic_ivs(f, st, defined);
     if ivs.is_empty() {
         return 0;
     }
-    let in_loop_def: Vec<bool> = {
-        let mut v = vec![false; f.temp_count()];
-        for &b in &l.body {
-            for ins in &f.block(b).instrs {
-                if let Some(d) = ins.def() {
-                    v[d.index()] = true;
-                }
-            }
-        }
-        v
-    };
+    let in_loop_def = |t: Temp| st.loop_defs[t.index()].0 > 0;
     // Candidates: single-def `addr := base + iv` in the loop with
     // invariant base.
     struct Candidate {
@@ -103,11 +165,11 @@ fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
     for &bid in &l.body {
         for (i, ins) in f.block(bid).instrs.iter().enumerate() {
             let Instr::Bin { dst, op: BinOp::Add, a, b } = ins else { continue };
-            if counts[dst.index()] != 1 {
+            if st.counts[dst.index()] != 1 {
                 continue;
             }
             for (base, ivt) in [(*a, *b), (*b, *a)] {
-                if in_loop_def[base.index()] {
+                if in_loop_def(base) {
                     continue;
                 }
                 if let Some(ix) = ivs.iter().position(|c| c.iv == ivt) {
@@ -122,15 +184,20 @@ fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
     }
     // The preheader, against the loop with this header that
     // `natural_loops` lists first. Candidates only insert instructions,
-    // so it serves them all.
-    let loops_now = cfg::natural_loops(f);
-    let Some(l_now) = loops_now.iter().find(|x| x.header == l.header) else { return 0 };
-    let pre = super::licm::ensure_preheader(f, l_now);
+    // so it serves them all. That loop's back edge is still there (only
+    // this header's preheader would move it), but its body may have
+    // gained preheaders of loops inside it since the pass began, so it
+    // is walked again from the current predecessor lists.
+    let Some(latch) = st.first_latch[l.header.index()] else { return 0 };
+    let body = cfg::loop_body(&st.preds, l.header, latch, &mut st.seen);
+    let l_now = NaturalLoop { header: l.header, latch, body };
+    let pre = super::licm::ensure_preheader(f, &l_now, &mut st.preds);
     // Apply, one at a time; indices shift, so re-locate by dst each round.
     let n = candidates.len();
     for c in candidates {
         let iv = &ivs[c.iv_index];
-        let sr = f.new_temp(TempKind::Int);
+        // `sr` is defined in the preheader and bumped in the loop.
+        let sr = st.new_temp(f, 2, None);
         // Preheader: sr := base + iv (uses iv's entry value).
         f.block_mut(pre).instrs.push(Instr::Bin { dst: sr, op: BinOp::Add, a: c.base, b: iv.iv });
         // Replace the address computation with a copy of sr. Re-locate the
@@ -144,7 +211,7 @@ fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
             .expect("candidate def still present");
         block.instrs[pos] = Instr::Copy { dst: c.dst, src: sr };
         // Bump sr next to the IV update: sr := sr + step.
-        let step_t = f.new_temp(TempKind::Int);
+        let step_t = st.new_temp(f, 1, Some(iv.step));
         let (ub, _) = iv.update;
         let ublock = f.block_mut(ub);
         let upos = ublock
@@ -159,8 +226,13 @@ fn reduce_loop(f: &mut Function, l: &NaturalLoop) -> usize {
 }
 
 /// Runs strength reduction over every loop; returns total rewrites.
+///
+/// Loops, predecessor lists, def counts and constants are found once
+/// per pass.
 pub fn strength_reduce(f: &mut Function) -> usize {
-    let mut loops = cfg::natural_loops(f);
+    let preds = cfg::predecessors(f);
+    let mut loops = cfg::natural_loops_in(f, &preds);
+    let mut st = PassState::new(f, preds, &loops);
     loops.sort_by_key(|l| l.body.len());
     let mut seen = Vec::new();
     let mut total = 0;
@@ -169,7 +241,7 @@ pub fn strength_reduce(f: &mut Function) -> usize {
             continue;
         }
         seen.push(l.header);
-        total += reduce_loop(f, &l);
+        total += reduce_loop(f, &l, &mut st);
     }
     total
 }
@@ -236,9 +308,11 @@ mod tests {
     fn detects_basic_iv() {
         let f = indexed_sum();
         let loops = cfg::natural_loops(&f);
-        let ivs = find_basic_ivs(&f, &loops[0], &f.def_counts());
-        assert_eq!(ivs.len(), 1);
-        assert_eq!(ivs[0].step, 1);
+        let mut st = PassState::new(&f, cfg::predecessors(&f), &loops);
+        let defined = note_loop_defs(&f, &loops[0], &mut st);
+        let found = find_basic_ivs(&f, &st, &defined);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].step, 1);
     }
 
     #[test]
