@@ -165,12 +165,6 @@ impl<'a> LiveSet<'a> {
             })
         })
     }
-
-    /// True if the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
 }
 
 impl Liveness {
@@ -498,7 +492,7 @@ mod tests {
         b.ret(Some(b.param(0)));
         let f = b.finish();
         let lv = liveness(&f, None);
-        assert!(lv.live_in(dead).is_empty());
+        assert_eq!(lv.live_in(dead).iter().count(), 0);
         assert!(lv.gen(dead).contains(Temp(0)), "its summary is still computed");
     }
 }

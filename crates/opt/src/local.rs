@@ -13,8 +13,9 @@ use m3gc_ir::{Function, Instr, Temp};
 
 /// The numbering table's hasher: one rotate, xor and multiply per word
 /// written (the scheme of rustc's `FxHasher`). Keys are a few small
-/// integers, which SipHash would spend most of the pass on; the table is
-/// private to one block, so no input can be chosen against it.
+/// integers, which SipHash would spend most of the pass on. They come
+/// from the program being compiled, as rustc's do: a collision costs
+/// time, never a wrong answer.
 #[derive(Default)]
 struct MulHasher(u64);
 

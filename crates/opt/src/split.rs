@@ -19,8 +19,6 @@
 //! Anything more complex falls back to path variables (the compiler's
 //! default, and the paper's choice).
 
-use std::collections::HashMap;
-
 use m3gc_ir::cfg;
 use m3gc_ir::deriv::find_ambiguous;
 use m3gc_ir::liveness::liveness;
@@ -104,51 +102,45 @@ fn try_split(f: &mut Function, t: Temp) -> bool {
     // ambiguity one level down. Temps that flow into the region (loop
     // counters initialized outside) or out of it keep their names; the two
     // copies never interleave, so shared updates are safe.
-    let mut defs_in_region: HashMap<Temp, (u32, u32)> = HashMap::new(); // (in, out)
+    let mut defs_in_region = vec![(0u32, 0u32); f.temp_count()]; // (in, out)
     for b in f.block_ids() {
         let inside = region.contains(&b);
-        for ins in &f.block(b).instrs {
-            if let Some(d) = ins.def() {
-                let e = defs_in_region.entry(d).or_insert((0, 0));
-                if inside {
-                    e.0 += 1;
-                } else {
-                    e.1 += 1;
-                }
+        for d in f.block(b).instrs.iter().filter_map(m3gc_ir::Instr::def) {
+            let e = &mut defs_in_region[d.index()];
+            if inside {
+                e.0 += 1;
+            } else {
+                e.1 += 1;
             }
         }
     }
-    let mut rename: HashMap<Temp, Temp> = HashMap::new();
-    let region_local: Vec<Temp> = defs_in_region
-        .iter()
-        .filter(|(&x, &(inside, outside))| {
-            inside > 0 && outside == 0 && x.index() >= f.n_params && !lv.live_in(entry).contains(x)
-        })
-        .map(|(&x, _)| x)
-        .collect();
-    for x in region_local {
-        let fresh = f.new_temp(f.kind(x));
-        rename.insert(x, fresh);
+    // Fresh temps in ascending order of the temps they rename.
+    let mut rename: Vec<Option<Temp>> = vec![None; f.temp_count()];
+    for (x, &(inside, outside)) in defs_in_region.iter().enumerate() {
+        let x = Temp(x as u32);
+        if inside > 0 && outside == 0 && x.index() >= f.n_params && !lv.live_in(entry).contains(x) {
+            rename[x.index()] = Some(f.new_temp(f.kind(x)));
+        }
     }
     let t2 = f.new_temp(f.kind(t));
-    rename.insert(t, t2);
-    let mut map: HashMap<BlockId, BlockId> = HashMap::new();
+    rename[t.index()] = Some(t2);
+    let renamed = |u: Temp| rename.get(u.index()).copied().flatten().unwrap_or(u);
+    let mut map: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
     for &b in &region {
-        let nb = f.new_block();
-        map.insert(b, nb);
+        map[b.index()] = Some(f.new_block());
     }
     for &b in &region {
         let mut clone = f.block(b).clone();
         for ins in &mut clone.instrs {
-            ins.map_uses(|u| rename.get(&u).copied().unwrap_or(u));
-            for (&from, &to) in &rename {
-                rename_def(ins, from, to);
+            ins.map_uses(renamed);
+            if let Some(d) = ins.def() {
+                rename_def(ins, d, renamed(d));
             }
         }
-        clone.term.map_uses(|u| rename.get(&u).copied().unwrap_or(u));
+        clone.term.map_uses(renamed);
         // Internal edges go to the cloned counterparts.
         let remap = |b: &mut BlockId| {
-            if let Some(&nb) = map.get(b) {
+            if let Some(nb) = map.get(b.index()).copied().flatten() {
                 *b = nb;
             }
         };
@@ -160,7 +152,7 @@ fn try_split(f: &mut Function, t: Temp) -> bool {
             }
             Terminator::Ret(_) => {}
         }
-        *f.block_mut(map[&b]) = clone;
+        *f.block_mut(map[b.index()].expect("region blocks are cloned")) = clone;
     }
     // Redirect def block B: rename its def of t to t2 and enter the clone.
     for ins in &mut f.block_mut(db).instrs {
@@ -169,7 +161,7 @@ fn try_split(f: &mut Function, t: Temp) -> bool {
             rename_def(ins, t, t2);
         }
     }
-    f.block_mut(db).term = Terminator::Jump(map[&entry]);
+    f.block_mut(db).term = Terminator::Jump(map[entry.index()].expect("the entry is cloned"));
     true
 }
 
