@@ -779,7 +779,7 @@ mod tests {
             MachineLayout { semi_words: 1 << 16, stack_words: 4096, ..MachineLayout::default() },
         );
         let main = vm.module.main;
-        vm.spawn(main, &[]);
+        vm.spawn(main, &[]).expect("bottom frame fits");
         let r = vm.run_thread(10_000_000);
         assert_eq!(r, Step::Finished, "output so far: {}", vm.output);
         vm.output.clone()

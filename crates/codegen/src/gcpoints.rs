@@ -90,13 +90,14 @@ fn returns_past_a_park_site(f: &Function, idom: &[Option<BlockId>], must_park: &
 }
 
 /// Inserts a `GcPoint` at the header of every loop of `f` that lacks a
-/// guaranteed park site. Returns how many were inserted.
-pub fn insert_loop_gc_points(f: &mut Function, must_park: &[bool]) -> usize {
-    let loops = cfg::natural_loops(f);
-    if loops.is_empty() {
-        return 0;
-    }
-    let idom = cfg::dominators(f);
+/// guaranteed park site, given `f`'s dominators `idom` (polls change no
+/// edge, so they hold throughout). Returns how many were inserted.
+pub fn insert_loop_gc_points(
+    f: &mut Function,
+    idom: &[Option<BlockId>],
+    must_park: &[bool],
+) -> usize {
+    let loops = cfg::natural_loops_in(f, &cfg::predecessors(f), Some(idom));
     // Smaller (inner) loops first, so an inner poll can serve an
     // enclosing loop. A polled header serves every loop it heads.
     let mut order: Vec<usize> = (0..loops.len()).collect();
@@ -110,7 +111,7 @@ pub fn insert_loop_gc_points(f: &mut Function, must_park: &[bool]) -> usize {
         let guaranteed = l
             .body
             .iter()
-            .any(|&b| cfg::dominates(&idom, b, l.latch) && block_parks(f, b, must_park));
+            .any(|&b| cfg::dominates(idom, b, l.latch) && block_parks(f, b, must_park));
         if !guaranteed {
             f.block_mut(l.header).instrs.insert(0, Instr::GcPoint);
             polled.push(l.header);
@@ -253,8 +254,8 @@ pub fn place_gc_points(prog: &mut Program, gc: &GcConfig) -> usize {
             }
         };
         settle(prog, &mut must_park);
-        for &i in &scc {
-            inserted += insert_loop_gc_points(&mut prog.funcs[i], &must_park);
+        for (k, &i) in scc.iter().enumerate() {
+            inserted += insert_loop_gc_points(&mut prog.funcs[i], &idoms[k], &must_park);
         }
         settle(prog, &mut must_park);
         if scc.len() > 1 || callees[scc[0]].contains(&scc[0]) {
@@ -299,7 +300,8 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let mut f = b.finish();
-        let n = insert_loop_gc_points(&mut f, &[]);
+        let idom = cfg::dominators(&f);
+        let n = insert_loop_gc_points(&mut f, &idom, &[]);
         assert_eq!(n, 1);
         assert_eq!(f.block(header).instrs[0], Instr::GcPoint);
     }
@@ -321,7 +323,8 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let mut f = b.finish();
-        let n = insert_loop_gc_points(&mut f, &[]);
+        let idom = cfg::dominators(&f);
+        let n = insert_loop_gc_points(&mut f, &idom, &[]);
         assert_eq!(n, 0);
     }
 
@@ -347,7 +350,8 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let mut f = b.finish();
-        let n = insert_loop_gc_points(&mut f, &[]);
+        let idom = cfg::dominators(&f);
+        let n = insert_loop_gc_points(&mut f, &idom, &[]);
         assert_eq!(n, 1);
     }
 

@@ -15,7 +15,6 @@ use m3gc_runtime::{
     GcStrategy, ParExecutor, RuntimeOptions, ServeExecutor, ServeLoad, StatsReport,
 };
 use m3gc_vm::decode::decode_instr;
-use m3gc_vm::machine::HeapStrategy;
 use m3gc_vm::{Instr, VmModule};
 
 use crate::{compile, compile_timed, compile_to_ir, Options};
@@ -136,6 +135,7 @@ pub fn run(
     config: impl Into<RuntimeOptions>,
 ) -> Result<String, DriverError> {
     let opts = config.into();
+    check_options(&opts)?;
     let module = compile(source, options)?;
     // Surface malformed gc tables as a Decode error up front instead of a
     // panic inside the executor.
@@ -200,13 +200,7 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
     if opts.stats {
         let name = if opts.strategy == GcStrategy::Cms { "run-cms" } else { "run-par" };
         let mut rep = StatsReport::new(name);
-        rep.add_parallel(
-            opts.threads.max(1),
-            opts.gc_workers.max(1),
-            out.collections,
-            out.steps,
-            &out.gc_each,
-        );
+        rep.add_parallel(opts.threads, opts.gc_workers, out.collections, out.steps, &out.gc_each);
         if opts.strategy == GcStrategy::Cms {
             rep.add_cms(out.satb_enqueued, out.satb_drained, &out.gc_each);
         }
@@ -224,30 +218,23 @@ fn run_parallel(module: m3gc_vm::VmModule, opts: RuntimeOptions) -> Result<Strin
 /// `load.requests` green-thread requests multiplexed over `threads` OS
 /// threads, each allocating into a per-request region.
 ///
-/// Serve defaults are applied here: a missing `--region-words` becomes
-/// [`DEFAULT_REGION_WORDS`] and a missing `--green` becomes four slots
-/// per OS thread. The report is always printed (the whole point of the
-/// subcommand); `--stats` adds nothing.
+/// [`parse_serve_options`] applies serve's defaults. The report is
+/// always printed (the whole point of the subcommand); `--stats` adds
+/// nothing.
 ///
 /// # Errors
 ///
-/// Returns compile diagnostics or the first failing request's error.
+/// Returns a usage error for options that fail
+/// [`RuntimeOptions::check`], compile diagnostics, or the first failing
+/// request's error (an unknown or unservable `--entry` included).
 pub fn serve(
     source: &str,
     options: &Options,
     config: impl Into<RuntimeOptions>,
-    mut load: ServeLoad,
+    load: ServeLoad,
 ) -> Result<String, DriverError> {
-    let mut opts = config.into();
-    if opts.region_words == 0 {
-        opts.region_words = DEFAULT_REGION_WORDS;
-    }
-    if opts.green_slots == 0 {
-        opts.green_slots = opts.threads.max(1) * 4;
-    }
-    if load.requests == 0 {
-        load.requests = 100;
-    }
+    let opts = config.into();
+    check_options(&opts)?;
     let module = compile(source, options)?;
     DecodeCache::build(&module.gc_maps)?;
     let (vm, load_time) = timed(|| opts.build_par_machine(module));
@@ -360,21 +347,30 @@ fn call_tables(module: &VmModule) -> (usize, usize) {
     (calls, with_tables)
 }
 
+/// [`RuntimeOptions::check`] as a usage error: each message names the
+/// flags that set the fields it is about.
+fn check_options(config: &RuntimeOptions) -> Result<(), DriverError> {
+    config.check().map_err(|e| DriverError::usage(e.to_string()))
+}
+
 /// Parses CLI-style option flags shared by the subcommands.
 ///
 /// # Errors
 ///
-/// Returns a usage error for unknown flags, malformed values, or a flag
-/// that contradicts the selected collector.
+/// Returns a usage error for unknown flags, malformed values, options
+/// that fail [`RuntimeOptions::check`], or a flag the selected collector
+/// would ignore.
 pub fn parse_options(args: &[String]) -> Result<(Options, RuntimeOptions), DriverError> {
     let (options, config, _) = parse_all(args, false)?;
     Ok((options, config))
 }
 
 /// Parses flags for `m3c serve`: everything [`parse_options`] accepts
-/// plus the load shape (`--requests`, `--burst`, `--entry`). Multiple
-/// OS threads and gc workers are always legal here — serve is the
-/// parallel runtime — and a sequential `--gc` or a `--nursery` never is.
+/// plus the load shape (`--requests`, `--burst`, `--entry`), with
+/// serve's defaults applied before the check — the parallel runtime
+/// (`--gc par`), [`DEFAULT_REGION_WORDS`]-word regions, four green
+/// slots per OS thread and 100 requests. So a sequential `--gc`, `--gc
+/// cms` or a `--nursery` is a usage error here.
 ///
 /// # Errors
 ///
@@ -391,18 +387,26 @@ fn parse_all(
 ) -> Result<(Options, RuntimeOptions, ServeLoad), DriverError> {
     let mut options = Options::o2();
     let mut config = RuntimeOptions::new();
+    if serve {
+        config.strategy = GcStrategy::Parallel;
+    }
     let mut load = ServeLoad::default();
-    // Collector-specific flags that were *present* — several of their
-    // fields have plain-value defaults, so the struct alone cannot tell.
-    let (mut gen_only, mut par_only) = (None, None);
-    // The `--gc` given, if any: serve takes only `par` (and rejects `cms`
-    // with its own message below).
-    let mut gc_flag = None;
+    // Whether `--gc-workers` or `--tlab-words` was typed: their fields
+    // have plain-value defaults, so the struct alone cannot tell.
+    let mut par_only = None;
     let mut it = args.iter();
     // A required numeric flag value, parsed or a usage error.
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, DriverError> {
         let v = v.ok_or_else(|| DriverError::usage(format!("{flag} needs a value")))?;
         v.parse().map_err(|_| DriverError::usage(format!("bad {flag} value `{v}`")))
+    }
+    // A count whose 0 would mean "off" (or serve's default) in the struct.
+    fn count(flag: &str, v: Option<&String>) -> Result<usize, DriverError> {
+        let n = value(flag, v)?;
+        if n == 0 {
+            return Err(DriverError::usage(format!("bad {flag} value `0`")));
+        }
+        Ok(n)
     }
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -425,7 +429,6 @@ fn parse_all(
                 } else {
                     it.next().ok_or_else(|| DriverError::usage("--gc needs a value"))?
                 };
-                gc_flag = Some(format!("--gc {v}"));
                 config.strategy = match v.as_str() {
                     "gen" => GcStrategy::Generational,
                     "semispace" => GcStrategy::Semispace,
@@ -439,41 +442,18 @@ fn parse_all(
                     }
                 };
             }
-            "--threads" => {
-                config.threads = value::<usize>("--threads", it.next())?;
-                if config.threads < 1 {
-                    return Err(DriverError::usage("bad --threads value `0`"));
-                }
-                // One mutator is what every collector runs anyway.
-                par_only = par_only.or((!serve && config.threads > 1).then_some("--threads"));
-            }
+            "--threads" => config.threads = value("--threads", it.next())?,
             "--gc-workers" => {
-                par_only = par_only.or((!serve).then_some("--gc-workers"));
-                config.gc_workers = value::<usize>("--gc-workers", it.next())?;
-                if config.gc_workers < 1 {
-                    return Err(DriverError::usage("bad --gc-workers value `0`"));
-                }
+                par_only = par_only.or(Some("--gc-workers"));
+                config.gc_workers = value("--gc-workers", it.next())?;
             }
             "--tlab-words" => {
-                par_only = par_only.or((!serve).then_some("--tlab-words"));
+                par_only = par_only.or(Some("--tlab-words"));
                 config.tlab_words = value("--tlab-words", it.next())?;
             }
-            "--nursery" => {
-                gen_only = gen_only.or(Some("--nursery"));
-                config.nursery_words = Some(value("--nursery", it.next())?);
-            }
-            "--region-words" => {
-                config.region_words = value::<usize>("--region-words", it.next())?;
-                if config.region_words < 1 {
-                    return Err(DriverError::usage("bad --region-words value `0`"));
-                }
-            }
-            "--green" => {
-                config.green_slots = value::<usize>("--green", it.next())?;
-                if config.green_slots < 1 {
-                    return Err(DriverError::usage("bad --green value `0`"));
-                }
-            }
+            "--nursery" => config.nursery_words = Some(value("--nursery", it.next())?),
+            "--region-words" => config.region_words = count("--region-words", it.next())?,
+            "--green" => config.green_slots = count("--green", it.next())?,
             "--requests" => load.requests = value("--requests", it.next())?,
             "--burst" => load.burst = value("--burst", it.next())?,
             "--entry" => {
@@ -496,50 +476,22 @@ fn parse_all(
             other => return Err(DriverError::usage(format!("unknown option `{other}`"))),
         }
     }
-    // Serve always runs the parallel runtime, so it would ignore another
-    // collector and a nursery.
     if serve {
-        let sequential = gc_flag.filter(|_| {
-            matches!(config.strategy, GcStrategy::Semispace | GcStrategy::Generational)
-        });
-        if let Some(flag) = sequential.as_deref().or(gen_only) {
-            return Err(DriverError::usage(format!(
-                "{flag} cannot be combined with serve (serve runs the parallel runtime: --gc par)"
-            )));
+        if config.region_words == 0 {
+            config.region_words = DEFAULT_REGION_WORDS;
+        }
+        if config.green_slots == 0 {
+            config.green_slots = config.threads * 4;
+        }
+        if load.requests == 0 {
+            load.requests = 100;
         }
     }
-    // A flag the selected collector would silently ignore is a mistake.
-    let parallel = matches!(config.strategy, GcStrategy::Parallel | GcStrategy::Cms);
-    let contradiction = [
-        (gen_only.filter(|_| config.strategy != GcStrategy::Generational), "--gc gen"),
-        (par_only.filter(|_| !parallel && config.region_words == 0), "--gc par or --gc cms"),
-    ];
-    if let Some((flag, needs)) = contradiction.iter().find_map(|&(f, needs)| Some((f?, needs))) {
-        return Err(DriverError::usage(format!("{flag} requires {needs}")));
-    }
-    // The generational machine needs a nursery that holds an object and
-    // fits a tenured semispace. The default one is max(--heap / 4, 64)
-    // words, so a small `--heap` breaks the bound as well as `--nursery`.
-    if let HeapStrategy::Generational { nursery_words, .. } = config.heap_strategy() {
-        if !(8..=config.semi_words).contains(&nursery_words) {
-            let (flag, given) = match config.nursery_words {
-                Some(n) => ("--nursery", n),
-                None => ("--heap", config.semi_words),
-            };
-            return Err(DriverError::usage(format!(
-                "{flag} {given} gives --gc gen a {nursery_words}-word nursery, but it needs \
-                 8 <= nursery <= --heap ({})",
-                config.semi_words
-            )));
-        }
-    }
-    // Concurrent marking does not trace per-request regions; the library
-    // asserts it (`ParMachine::enable_cms`), the command line says it.
-    if config.strategy == GcStrategy::Cms && (serve || config.region_words > 0) {
-        let regions = if serve { "serve" } else { "--region-words" };
-        return Err(DriverError::usage(format!(
-            "{regions} cannot be combined with --gc cms (per-request regions need --gc par)"
-        )));
+    check_options(&config)?;
+    if let Some(flag) = par_only
+        .filter(|_| matches!(config.strategy, GcStrategy::Semispace | GcStrategy::Generational))
+    {
+        return Err(DriverError::usage(format!("{flag} requires --gc par or --gc cms")));
     }
     Ok((options, config, load))
 }
@@ -1020,7 +972,7 @@ mod tests {
     /// out, naming the flag and the bound.
     #[test]
     fn contradictory_flags_are_usage_errors() {
-        let cases: [(&[&str], &str, &str); 9] = [
+        let cases: [(&[&str], &str, &str); 12] = [
             (&["--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc=cms", "--nursery", "64"], "--nursery", "--gc gen"),
             (&["--gc", "semispace", "--gc-workers", "8"], "--gc-workers", "--gc par"),
@@ -1035,6 +987,10 @@ mod tests {
                 "<= --heap (64)",
             ),
             (&["--gc", "gen", "--heap", "32"], "--heap 32", "<= --heap (32)"),
+            // Regions and green slots under a collector that ignores them.
+            (&["--region-words", "64", "--threads", "2"], "--region-words", "--gc par"),
+            (&["--gc", "gen", "--region-words", "64"], "--gc gen", "--gc par"),
+            (&["--green", "3"], "--green", "--region-words"),
         ];
         for (args, flag, needs) in cases {
             let args: Vec<String> = args.iter().map(ToString::to_string).collect();
@@ -1053,6 +1009,8 @@ mod tests {
             assert!(parse_options(&args).is_ok(), "{args:?}");
         }
         assert!(parse_options(&["--gc-workers".into(), "2".into(), "--gc=par".into()]).is_ok());
+        let regions = ["--gc", "par", "--region-words", "64", "--green", "3"];
+        assert!(parse_options(&regions.map(String::from)).is_ok());
         // Serve is the parallel runtime whatever `--gc` says.
         assert!(parse_serve_options(&["--gc-workers".into(), "2".into()]).is_ok());
         // ... except that regions and concurrent marking exclude each

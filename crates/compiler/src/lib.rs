@@ -260,11 +260,13 @@ pub fn run_module(module: VmModule, semi_words: usize) -> Result<ExecOutcome, Ex
 ///
 /// # Errors
 ///
-/// Propagates [`ExecError`].
+/// [`ExecError::Options`] before any machine is built for options that
+/// fail [`RuntimeOptions::check`]; otherwise propagates [`ExecError`].
 pub fn run_module_opts(
     module: VmModule,
     options: RuntimeOptions,
 ) -> Result<ExecOutcome, ExecError> {
+    options.check()?;
     let machine = options.build_machine(module);
     let mut ex = Executor::new(machine, options);
     ex.run_main()
@@ -291,11 +293,14 @@ pub fn run_module_with(
 ///
 /// # Errors
 ///
-/// Propagates [`ExecError`] from the first failing thread.
+/// [`ExecError::Options`] before any machine is built for options that
+/// fail [`RuntimeOptions::check`]; otherwise propagates [`ExecError`]
+/// from the first failing thread.
 pub fn run_module_par_opts(
     module: VmModule,
     options: RuntimeOptions,
 ) -> Result<ParOutcome, ExecError> {
+    options.check()?;
     let vm = options.build_par_machine(module);
     let mut ex = ParExecutor::new(vm, options);
     ex.run_main()
@@ -308,12 +313,15 @@ pub fn run_module_par_opts(
 ///
 /// # Errors
 ///
-/// Propagates [`ExecError`] from the first failing scheduler thread.
+/// [`ExecError::Options`] before any machine is built for options that
+/// fail [`RuntimeOptions::check`]; otherwise propagates [`ExecError`]
+/// from [`ServeExecutor::run`].
 pub fn run_module_serve(
     module: VmModule,
     options: RuntimeOptions,
     load: ServeLoad,
 ) -> Result<ServeOutcome, ExecError> {
+    options.check()?;
     let vm = options.build_par_machine(module);
     let mut ex = ServeExecutor::new(vm, options, load);
     ex.run()

@@ -93,6 +93,9 @@ pub fn run_reference(source: &str) -> RunStatus {
 /// `cms`).
 #[must_use]
 pub fn run_config(module: VmModule, ropts: RuntimeOptions) -> RunStatus {
+    if let Err(e) = ropts.check() {
+        return status_of_error(e.into());
+    }
     let result = match ropts.strategy {
         GcStrategy::Semispace | GcStrategy::Generational => {
             let machine = ropts.build_machine(module);
@@ -123,7 +126,9 @@ fn status_of_error(e: ExecError) -> RunStatus {
             VmTrap::BadProc => RunStatus::Hard(format!("vm trap: {t}")),
         },
         ExecError::OutOfFuel => RunStatus::Inconclusive("vm fuel".to_string()),
-        e @ (ExecError::StuckThread { .. }
+        e @ (ExecError::Options(_)
+        | ExecError::Serve(_)
+        | ExecError::StuckThread { .. }
         | ExecError::Oracle(_)
         | ExecError::GcWorkerPanic { .. }
         | ExecError::MutatorPanic { .. }) => RunStatus::Hard(e.to_string()),
@@ -141,6 +146,7 @@ fn status_of_error(e: ExecError) -> RunStatus {
 #[must_use]
 pub fn run_serve_vm(module: VmModule) -> RunStatus {
     let ropts = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
         .semi_words(FUZZ_SEMI_WORDS)
         .stack_words(1 << 15)
         .serve(64, 8)

@@ -179,23 +179,35 @@ pub fn loop_body(
 /// successors.
 #[must_use]
 pub fn natural_loops(f: &Function) -> Vec<NaturalLoop> {
-    natural_loops_in(f, &predecessors(f))
+    natural_loops_in(f, &predecessors(f), None)
 }
 
-/// [`natural_loops`], given `f`'s [`predecessors`].
+/// [`natural_loops`], given `f`'s [`predecessors`] and, when the caller
+/// has them, its [`dominators`] (solved here otherwise, and only if some
+/// edge could close a loop).
 #[must_use]
-pub fn natural_loops_in(f: &Function, preds: &[Vec<BlockId>]) -> Vec<NaturalLoop> {
+pub fn natural_loops_in(
+    f: &Function,
+    preds: &[Vec<BlockId>],
+    idom: Option<&[Option<BlockId>]>,
+) -> Vec<NaturalLoop> {
     let rpo = reverse_postorder(f);
     let rpo_index = rpo_indices(f, &rpo);
     // A header dominates its latch, so it comes no later in reverse
-    // postorder: without such an edge there is no loop to look for.
-    let retreats = |&b: &BlockId| {
-        f.block(b).term.successors().any(|s| rpo_index[s.index()] <= rpo_index[b.index()])
-    };
-    if !rpo.iter().any(retreats) {
+    // postorder: only such a retreating edge can close a loop.
+    let retreats =
+        |latch: BlockId, header: BlockId| rpo_index[header.index()] <= rpo_index[latch.index()];
+    if !rpo.iter().any(|&b| f.block(b).term.successors().any(|s| retreats(b, s))) {
         return Vec::new();
     }
-    let idom = dominators_in(f, preds, &rpo, &rpo_index);
+    let solved;
+    let idom = match idom {
+        Some(idom) => idom,
+        None => {
+            solved = dominators_in(f, preds, &rpo, &rpo_index);
+            &solved
+        }
+    };
     let mut seen = Vec::new();
     let mut loops = Vec::new();
     for latch in f.block_ids() {
@@ -204,7 +216,7 @@ pub fn natural_loops_in(f: &Function, preds: &[Vec<BlockId>]) -> Vec<NaturalLoop
             continue;
         }
         for header in f.block(latch).term.successors() {
-            if dominates(&idom, header, latch) {
+            if retreats(latch, header) && dominates(idom, header, latch) {
                 let body = loop_body(preds, header, latch, &mut seen);
                 loops.push(NaturalLoop { header, latch, body });
             }

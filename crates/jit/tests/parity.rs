@@ -48,7 +48,7 @@ type EngineRun = (Step, String, u64, Cpu);
 fn run_both(module: &VmModule) -> (EngineRun, EngineRun) {
     let interp = {
         let mut m = Machine::new(module.clone(), layout());
-        m.spawn(0, &[]);
+        m.spawn(0, &[]).expect("bottom frame fits");
         let out = m.run_thread(1_000_000);
         (out, m.output.clone(), m.steps, m.cpu.clone())
     };
@@ -56,7 +56,7 @@ fn run_both(module: &VmModule) -> (EngineRun, EngineRun) {
         let mut m = Machine::new(module.clone(), layout());
         let engine = JitEngine::for_machine(&m);
         m.set_code_map(engine.code_map());
-        m.spawn(0, &[]);
+        m.spawn(0, &[]).expect("bottom frame fits");
         let out = engine.run_thread(&mut m, 1_000_000);
         (out, m.output.clone(), m.steps, m.cpu.clone())
     };
@@ -200,7 +200,7 @@ fn mixed_jit_and_interpreter_stacks() {
     let module = call_heavy_module();
     let baseline = {
         let mut m = Machine::new(module.clone(), layout());
-        m.spawn(0, &[]);
+        m.spawn(0, &[]).expect("bottom frame fits");
         let out = m.run_thread(1_000_000);
         assert_eq!(out, Step::Finished);
         (m.output.clone(), m.steps)
@@ -215,7 +215,7 @@ fn mixed_jit_and_interpreter_stacks() {
         let engine = JitEngine::for_machine(&m);
         std::env::remove_var("M3GC_JIT_EXCLUDE");
         m.set_code_map(engine.code_map());
-        m.spawn(0, &[]);
+        m.spawn(0, &[]).expect("bottom frame fits");
         let out = engine.run_thread(&mut m, 1_000_000);
         assert_eq!(out, Step::Finished, "excluded={excluded}");
         assert_eq!(m.output, baseline.0, "excluded={excluded}");
@@ -238,7 +238,7 @@ fn mixed_jit_and_interpreter_stacks() {
     let mut m = Machine::new(module, layout());
     let engine = JitEngine::for_machine(&m);
     m.set_code_map(engine.code_map());
-    m.spawn(0, &[]);
+    m.spawn(0, &[]).expect("bottom frame fits");
     assert_eq!(engine.run_thread(&mut m, 1_000_000), Step::Finished);
     let summary = engine.summary();
     if summary.enabled {
@@ -426,12 +426,12 @@ fn fuel_exhaustion_stops_cleanly() {
         TypeTable::default(),
     );
     let mut mi = Machine::new(m.clone(), layout());
-    mi.spawn(0, &[]);
+    mi.spawn(0, &[]).expect("bottom frame fits");
     assert_eq!(mi.run_thread(10_000), Step::Normal);
     let mut mj = Machine::new(m, layout());
     let engine = JitEngine::for_machine(&mj);
     mj.set_code_map(engine.code_map());
-    mj.spawn(0, &[]);
+    mj.spawn(0, &[]).expect("bottom frame fits");
     assert_eq!(engine.run_thread(&mut mj, 10_000), Step::Normal);
     // Native code checks fuel only at polls and backward edges, so it
     // may overshoot the budget by up to one loop body (2 instructions
@@ -485,7 +485,7 @@ fn a_burst_past_poll_after_ends_at_a_loop_poll() {
     let mut m = Machine::new(module, layout());
     let engine = JitEngine::for_machine(&m);
     m.set_code_map(engine.code_map());
-    m.spawn(0, &[]);
+    m.spawn(0, &[]).expect("bottom frame fits");
     let (cpu, world) = (&mut m.cpu, &mut m.world);
     let (step, first) = engine.run(cpu, world, 1_000_000, 100);
     assert_eq!((step, cpu.pc), (Step::Normal, poll_pc), "stopped off the poll");
@@ -545,7 +545,7 @@ fn run_in_bursts(module: &VmModule, budget: u64, jit: bool) -> (Machine, u64, u6
     } else {
         JitEngine::interpreter(m.decoded().clone())
     };
-    m.spawn(0, &[]);
+    m.spawn(0, &[]).expect("bottom frame fits");
     let (mut total, mut longest) = (0, 0);
     loop {
         let (cpu, world) = (&mut m.cpu, &mut m.world);
@@ -616,7 +616,7 @@ fn unbounded_recursion_overflows_where_the_interpreter_does() {
     let mut mj = Machine::new(m, layout());
     let engine = JitEngine::for_machine(&mj);
     mj.set_code_map(engine.code_map());
-    mj.spawn(0, &[]);
+    mj.spawn(0, &[]).expect("bottom frame fits");
     assert_eq!(engine.run_thread(&mut mj, 10), Step::Normal);
     assert_eq!(mj.steps, 10);
 }

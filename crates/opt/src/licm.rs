@@ -211,7 +211,7 @@ fn hoist_loop(
 /// missing from the bodies of the loops around it.
 pub fn loop_invariant_code_motion(f: &mut Function) -> usize {
     let mut preds = cfg::predecessors(f);
-    let mut loops = cfg::natural_loops_in(f, &preds);
+    let mut loops = cfg::natural_loops_in(f, &preds, None);
     loops.sort_by_key(|l| l.body.len());
     let mut counts = f.def_counts();
     let mut seen_headers = Vec::new();

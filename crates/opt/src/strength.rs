@@ -231,7 +231,7 @@ fn rewrite_loop(f: &mut Function, l: &NaturalLoop, st: &mut PassState, defined: 
 /// per pass.
 pub fn strength_reduce(f: &mut Function) -> usize {
     let preds = cfg::predecessors(f);
-    let mut loops = cfg::natural_loops_in(f, &preds);
+    let mut loops = cfg::natural_loops_in(f, &preds, None);
     let mut st = PassState::new(f, preds, &loops);
     loops.sort_by_key(|l| l.body.len());
     let mut seen = Vec::new();

@@ -102,6 +102,11 @@ pub(crate) struct GcCtx<'vm> {
     /// solo until it first wakes a helper (set by [`GcCtx::begin`]).
     solo: AtomicBool,
     pub(crate) to_end: i64,
+    /// Set when a copy did not fit to-space: the live heap and the
+    /// escaped regions' survivors together outgrew one semispace. The
+    /// collection then fails as heap exhaustion. Relaxed: the leader
+    /// reads it only after the pool has handed back every worker's share.
+    pub(crate) overflowed: AtomicBool,
     pub(crate) from_start: i64,
     pub(crate) from_end: i64,
     /// Escaped-region evacuation sources: `(slot, base, top)` of every
@@ -144,6 +149,7 @@ impl<'vm> GcCtx<'vm> {
             vm,
             free: CachePadded(AtomicI64::new(to_start)),
             to_end,
+            overflowed: AtomicBool::new(false),
             from_start,
             from_end,
             evac_regions,
@@ -397,7 +403,16 @@ pub(crate) fn forward_par(gc: &GcCtx<'_>, local: &mut WorkerLocal<'_, '_>, addr:
         Some(free) => std::mem::replace(free, *free + words),
         None => gc.free.0.fetch_add(words, R),
     };
-    assert!(new + words <= gc.to_end, "to-space overflow during parallel copy");
+    if new + words > gc.to_end {
+        // Only promotion out of escaped regions can outgrow to-space. The
+        // object stays where it is, unclaimed, and every later copy
+        // overflows too (the frontier only grows).
+        gc.overflowed.store(true, R);
+        if local.solo.is_none() {
+            cell.store(header, Ordering::Release);
+        }
+        return addr;
+    }
     vm.set_word(new, header);
     for off in 1..words {
         vm.set_word(new + off, vm.word(addr + off));

@@ -51,7 +51,7 @@ pub mod serve;
 pub mod trace;
 
 pub use collector::{collect, GcStats};
-pub use options::{GcStrategy, RuntimeOptions};
+pub use options::{GcStrategy, OptionsError, RuntimeOptions};
 pub use parallel::{ParExecutor, ParGcStats, ParOutcome};
 pub use report::StatsReport;
 pub use scheduler::{ExecOutcome, Executor, GcMode};

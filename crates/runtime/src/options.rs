@@ -42,15 +42,29 @@ pub enum GcStrategy {
     Cms,
 }
 
+impl GcStrategy {
+    /// The `m3c` flag that selects this collector.
+    fn flag(self) -> &'static str {
+        match self {
+            GcStrategy::Semispace => "--gc semispace",
+            GcStrategy::Generational => "--gc gen",
+            GcStrategy::Parallel => "--gc par",
+            GcStrategy::Cms => "--gc cms",
+        }
+    }
+}
+
 /// Unified, builder-style runtime configuration.
 ///
 /// Construct with [`RuntimeOptions::new`] and chain the setters; every
 /// field is also public for direct access. One struct drives every
 /// execution mode (`m3c run`, `m3c serve`, the fuzz executor, the
-/// ledger). The builders are permissive — a field the selected
-/// [`GcStrategy`] has no use for is not consulted — because harnesses
-/// configure several strategies from one template; the `m3c` command
-/// line is not: there, a flag that contradicts `--gc` is a usage error.
+/// ledger). The builders accept any value; [`RuntimeOptions::check`]
+/// holds every rule about which values can run together, and every
+/// entry point that runs a program — the compiler's `run_module_*`, the
+/// three executors, the fuzzer and `m3c` — applies it before the first
+/// instruction, so a contradiction is an [`OptionsError`], never a
+/// panic or a silently ignored field.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeOptions {
     /// Collector / execution strategy.
@@ -203,8 +217,9 @@ impl RuntimeOptions {
         self
     }
 
-    /// Nursery half size in words (switches nothing by itself; pair
-    /// with [`GcStrategy::Generational`]).
+    /// Nursery half size in words. Only [`GcStrategy::Generational`]
+    /// has a nursery: [`RuntimeOptions::check`] rejects one under any
+    /// other strategy, and one outside `8..=semi_words`.
     #[must_use]
     pub fn nursery_words(mut self, words: usize) -> Self {
         self.nursery_words = Some(words);
@@ -324,10 +339,77 @@ impl RuntimeOptions {
         ParLayout {
             semi_words: self.semi_words,
             stack_words: self.stack_words,
-            mutators: if serve { self.green_slots.max(self.threads).max(1) } else { self.threads },
+            mutators: if serve { self.green_slots.max(self.threads) } else { self.threads },
             tlab_words: self.tlab_words,
             region_words: self.region_words,
         }
+    }
+
+    /// Checks that these options can run: every rule about which values
+    /// go together, stated once, in this order:
+    ///
+    /// * at least one thread and one gc worker;
+    /// * green slots need per-request regions (`region_words > 0`), and
+    ///   only [`GcStrategy::Parallel`] runs regions, without a nursery;
+    /// * a sequential collector ([`GcStrategy::Semispace`],
+    ///   [`GcStrategy::Generational`]) runs one thread;
+    /// * only [`GcStrategy::Generational`] has a nursery, and the nursery
+    ///   (given, or the default of [`HeapStrategy::generational_for`])
+    ///   lies in `8..=semi_words`;
+    /// * forced collections come at most once per allocation
+    ///   (`force_every_allocs` is not `Some(0)`);
+    /// * the heap, stacks and regions fit a 2⁴⁷-byte address space.
+    ///
+    /// A layout below that bound that the host still refuses to map
+    /// aborts when the machine is built, as any failed allocation does.
+    ///
+    /// # Errors
+    ///
+    /// The first rule broken.
+    pub fn check(&self) -> Result<(), OptionsError> {
+        use GcStrategy::{Generational, Parallel, Semispace};
+        let nursery_words = match self.heap_strategy() {
+            HeapStrategy::Generational { nursery_words, .. } => nursery_words,
+            HeapStrategy::Semispace => 0,
+        };
+        let sequential = matches!(self.strategy, Semispace | Generational);
+        let stacks = if sequential {
+            self.stack_words as u128
+        } else {
+            self.par_layout().mutators as u128
+                * (self.stack_words as u128 + self.region_words as u128)
+        };
+        let bytes = 8 * (stacks + 2 * (nursery_words as u128 + self.semi_words as u128));
+        let regions = self.region_words > 0;
+        let rules = [
+            (self.threads == 0, OptionsError::Zero("--threads")),
+            (self.gc_workers == 0, OptionsError::Zero("--gc-workers")),
+            (self.green_slots > 0 && !regions, OptionsError::Requires("--green", "--region-words")),
+            (regions && self.strategy != Parallel, OptionsError::Regions(self.strategy.flag())),
+            (regions && self.nursery_words.is_some(), OptionsError::Regions("--nursery")),
+            (
+                sequential && self.threads > 1,
+                OptionsError::Requires("--threads", "--gc par or --gc cms"),
+            ),
+            (
+                self.nursery_words.is_some() && self.strategy != Generational,
+                OptionsError::Requires("--nursery", "--gc gen"),
+            ),
+            (
+                self.strategy == Generational && !(8..=self.semi_words).contains(&nursery_words),
+                OptionsError::Nursery {
+                    given: self.nursery_words,
+                    nursery_words,
+                    semi_words: self.semi_words,
+                },
+            ),
+            (self.force_every_allocs == Some(0), OptionsError::Zero("force_every_allocs")),
+            (
+                bytes > ADDRESS_SPACE_BYTES,
+                OptionsError::TooLarge { semi_words: self.semi_words, bytes },
+            ),
+        ];
+        rules.into_iter().find_map(|(broken, e)| broken.then_some(e)).map_or(Ok(()), Err)
     }
 
     /// Builds a sequential [`Machine`], shadow-instrumented when these
@@ -355,6 +437,72 @@ impl RuntimeOptions {
         m
     }
 }
+
+/// The bytes of a 47-bit user address space: no machine larger than
+/// this can be mapped on any host the runtime targets.
+const ADDRESS_SPACE_BYTES: u128 = 1 << 47;
+
+/// Why a [`RuntimeOptions`] value cannot run, as found by
+/// [`RuntimeOptions::check`]. Each message names the fields by the `m3c`
+/// flags that set them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum OptionsError {
+    /// A count that must be at least 1 is 0: `threads`, `gc_workers` or
+    /// `force_every_allocs` (named by its flag, or by the field where no
+    /// flag sets it).
+    Zero(&'static str),
+    /// The first field is set, and what the second names is not.
+    Requires(&'static str, &'static str),
+    /// Per-request regions with what cannot run them: a collector other
+    /// than [`GcStrategy::Parallel`], or a nursery (named by its flag).
+    Regions(&'static str),
+    /// The generational nursery lies outside `8..=semi_words`.
+    Nursery {
+        /// `nursery_words`, when given (otherwise the default applies).
+        given: Option<usize>,
+        /// The nursery the machine would lay out.
+        nursery_words: usize,
+        /// Words per tenured semispace.
+        semi_words: usize,
+    },
+    /// The machine would need more bytes than an address space holds.
+    TooLarge {
+        /// Words per semispace.
+        semi_words: usize,
+        /// The bytes the heap, stacks and regions need together.
+        bytes: u128,
+    },
+}
+
+impl std::fmt::Display for OptionsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            OptionsError::Zero(flag) => write!(f, "bad {flag} value `0` (at least 1 is needed)"),
+            OptionsError::Requires(flag, needs) => write!(f, "{flag} requires {needs}"),
+            OptionsError::Regions(what) => write!(
+                f,
+                "{what} cannot be combined with serve or --region-words (per-request regions \
+                 need --gc par)"
+            ),
+            OptionsError::Nursery { given, nursery_words, semi_words } => {
+                let (flag, value) = given.map_or(("--heap", semi_words), |n| ("--nursery", n));
+                write!(
+                    f,
+                    "{flag} {value} gives --gc gen a {nursery_words}-word nursery, but it needs \
+                     8 <= nursery <= --heap ({semi_words})"
+                )
+            }
+            OptionsError::TooLarge { semi_words, bytes } => write!(
+                f,
+                "--heap {semi_words} needs {bytes} bytes with its stacks and regions, more than \
+                 a 2^47-byte address space holds"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for OptionsError {}
 
 #[cfg(test)]
 mod tests {
@@ -403,6 +551,68 @@ mod tests {
         match o.heap_strategy() {
             HeapStrategy::Generational { nursery_words, .. } => assert_eq!(nursery_words, 1024),
             HeapStrategy::Semispace => panic!("expected generational"),
+        }
+    }
+
+    /// One row per rule, each breaking only that one, and the option
+    /// shapes the ledger runs, which break none.
+    #[test]
+    fn check_states_each_rule_once() {
+        use GcStrategy::{Cms, Generational, Parallel};
+        let o = RuntimeOptions::new;
+        let nursery = |given, nursery_words, semi_words| OptionsError::Nursery {
+            given,
+            nursery_words,
+            semi_words,
+        };
+        let too_large = |semi_words, bytes| OptionsError::TooLarge { semi_words, bytes };
+        let cases = [
+            (o().strategy(Parallel).threads(0), OptionsError::Zero("--threads")),
+            (o().gc_workers(0), OptionsError::Zero("--gc-workers")),
+            (
+                o().strategy(Parallel).serve(0, 2),
+                OptionsError::Requires("--green", "--region-words"),
+            ),
+            (o().serve(64, 2), OptionsError::Regions("--gc semispace")),
+            (o().strategy(Generational).serve(64, 0), OptionsError::Regions("--gc gen")),
+            (o().strategy(Cms).serve(64, 2), OptionsError::Regions("--gc cms")),
+            (
+                o().strategy(Parallel).serve(64, 2).nursery_words(64),
+                OptionsError::Regions("--nursery"),
+            ),
+            (o().threads(2), OptionsError::Requires("--threads", "--gc par or --gc cms")),
+            (
+                o().strategy(Generational).threads(4),
+                OptionsError::Requires("--threads", "--gc par or --gc cms"),
+            ),
+            (o().strategy(Cms).nursery_words(64), OptionsError::Requires("--nursery", "--gc gen")),
+            (o().strategy(Generational).nursery_words(7), nursery(Some(7), 7, 1 << 16)),
+            (
+                o().strategy(Generational).semi_words(64).nursery_words(65),
+                nursery(Some(65), 65, 64),
+            ),
+            (o().strategy(Generational).semi_words(63), nursery(None, 64, 63)),
+            (o().force_every_allocs(Some(0)), OptionsError::Zero("force_every_allocs")),
+            (
+                o().semi_words((1 << 43) + 1).stack_words(0),
+                too_large((1 << 43) + 1, (1 << 47) + 16),
+            ),
+        ];
+        for (options, want) in cases {
+            assert_eq!(options.check(), Err(want.clone()), "{options:?}");
+            assert!(!want.to_string().is_empty());
+        }
+        let ledger = [
+            o().semi_words(96_000).stack_words(1 << 14),
+            o().strategy(Generational).semi_words(96_000).nursery_words(2048),
+            o().strategy(Parallel).semi_words(1 << 16).threads(1).gc_workers(4),
+            o().strategy(Cms).semi_words(1 << 16).threads(1).gc_workers(1),
+            o().strategy(Parallel).threads(2).gc_workers(2).serve(4096, 32),
+            o().strategy(Generational).semi_words(64).torture(true),
+            o().semi_words((1 << 43) - (1 << 13)).stack_words(1 << 14),
+        ];
+        for options in ledger {
+            assert_eq!(options.check(), Ok(()), "{options:?}");
         }
     }
 

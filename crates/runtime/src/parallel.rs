@@ -67,6 +67,7 @@ use std::time::{Duration, Instant};
 use m3gc_core::decode::{DecodeCache, DecodeCounters, DecoderIndex};
 use m3gc_jit::{JitEngine, JitSummary};
 use m3gc_vm::exec::{Cpu, Step};
+use m3gc_vm::machine::VmTrap;
 use m3gc_vm::{Mutator, MutatorLocal, ParMachine, ParWorld};
 
 use crate::cms::{bitmap_copy, CmsGc};
@@ -258,7 +259,7 @@ impl<'vm> RunCtx<'vm> {
         active: usize,
         engine: Option<Arc<JitEngine>>,
     ) -> RunCtx<'vm> {
-        let workers = options.gc_workers.max(1);
+        let workers = options.gc_workers;
         let index = Arc::new(DecoderIndex::build(&vm.module.gc_maps).expect("valid gc maps"));
         let caches = (0..workers)
             .map(|_| {
@@ -581,6 +582,10 @@ pub(crate) fn collect_parallel(
     let gc = Arc::new(GcCtx::new(vm, ctx.caches.len()));
     let regions_scanned = locked(&gc.region_scan).len() as u64;
     let mut stats = run_gc_workers(ctx, GcJob::Steal(Arc::clone(&gc)))?;
+    if gc.overflowed.load(R) {
+        // The heap is half-copied: the run ends here.
+        return Err(ExecError::Trap(VmTrap::OutOfMemory));
+    }
     vm.finish_collection(gc.free.0.load(R));
 
     // Every escaped region has been fully evacuated: its reachable
@@ -776,14 +781,17 @@ impl ParExecutor {
     ///
     /// # Errors
     ///
-    /// The first trap, fuel/advance exhaustion or oracle violation of
-    /// any thread (other threads are halted at their next check).
+    /// Options that fail [`RuntimeOptions::check`], or the first trap
+    /// (a bottom frame that does not fit its stack included),
+    /// fuel/advance exhaustion or oracle violation of any thread (other
+    /// threads are halted at their next check).
     ///
     /// # Panics
     ///
     /// Panics on malformed gc maps (a bug, not a program error). A
     /// panic on one of the run's own threads is an error, not a panic.
     pub fn run_main(&mut self) -> Result<ParOutcome, ExecError> {
+        self.options.check()?;
         if self.options.jit && self.jit.is_none() {
             let engine = Arc::new(JitEngine::for_par(&self.vm));
             self.vm.set_code_map(engine.code_map());
@@ -797,7 +805,7 @@ impl ParExecutor {
 
         let main = vm.module.main;
         let done: Vec<Mutator> = ctx.scoped(|tid| {
-            let mut mu = vm.spawn_mutator(tid, main, &[]);
+            let mut mu = vm.spawn_mutator(tid, main, &[]).map_err(ExecError::Trap)?;
             let mut fuel = ctx.options.fuel;
             let res = run_mutator(&ctx, &mut mu, &mut fuel, None);
             // Retire before deregistering: the run's final counters (and

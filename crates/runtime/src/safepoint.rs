@@ -326,7 +326,7 @@ impl Stopped<'_, '_> {
         let allocs_now = vm.allocations.load(R);
         if allocs_now >= vm.force_gc_at.load(R) {
             if let Some(every) = options.force_every_allocs {
-                vm.force_gc_at.store(allocs_now + every.max(1), R);
+                vm.force_gc_at.store(allocs_now + every, R);
             }
             return Ok(Cause::Torture);
         }
@@ -476,7 +476,7 @@ impl RunCtx<'_> {
         body: impl Fn(usize) -> Result<T, ExecError> + Sync,
     ) -> Result<Vec<T>, ExecError> {
         if let Some(n) = self.options.force_every_allocs {
-            self.vm.force_gc_at.store(n.max(1), R);
+            self.vm.force_gc_at.store(n, R);
         }
         let threads = locked(&self.coord.state).active;
         let mut done = Vec::with_capacity(threads);

@@ -16,7 +16,7 @@ use m3gc_vm::machine::{Machine, VmTrap};
 
 use crate::collector::{self, GcStats};
 use crate::gengc;
-use crate::options::RuntimeOptions;
+use crate::options::{OptionsError, RuntimeOptions};
 
 /// What happens when a collection is due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,6 +58,13 @@ pub struct ExecOutcome {
 /// Execution errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
+    /// The runtime options cannot run together
+    /// ([`RuntimeOptions::check`]); nothing ran.
+    Options(OptionsError),
+    /// The serve executor cannot serve: its machine has no per-request
+    /// regions, or the handler procedure is unknown or takes more than
+    /// the one request-id argument. Nothing ran.
+    Serve(String),
     /// A thread trapped.
     Trap(VmTrap),
     /// The instruction budget ran out.
@@ -98,6 +105,8 @@ pub enum ExecError {
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ExecError::Options(e) => e.fmt(f),
+            ExecError::Serve(msg) => write!(f, "cannot serve: {msg}"),
             ExecError::Trap(t) => write!(f, "program trapped: {t}"),
             ExecError::OutOfFuel => write!(f, "instruction budget exhausted"),
             ExecError::StuckThread { thread } => {
@@ -115,6 +124,12 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+impl From<OptionsError> for ExecError {
+    fn from(e: OptionsError) -> ExecError {
+        ExecError::Options(e)
+    }
+}
 
 /// The executor: a machine plus its collection state.
 pub struct Executor {
@@ -160,7 +175,7 @@ impl Executor {
         options: impl Into<RuntimeOptions>,
     ) -> Result<Executor, DecodeError> {
         let options = options.into();
-        let next_forced = options.force_every_allocs.map(|n| n.max(1));
+        let next_forced = options.force_every_allocs;
         machine.set_force_gc_after(next_forced);
         let mut cache = DecodeCache::build(&machine.module.gc_maps)?;
         cache.bind_module(machine.module_token());
@@ -232,11 +247,13 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExecError`] on trap, fuel exhaustion or heap
-    /// exhaustion.
+    /// Returns an [`ExecError`] on options that fail
+    /// [`RuntimeOptions::check`], a bottom frame that does not fit the
+    /// stack, a trap, fuel exhaustion or heap exhaustion.
     pub fn run_main(&mut self) -> Result<ExecOutcome, ExecError> {
+        self.options.check()?;
         let main = self.machine.module.main;
-        self.machine.spawn(main, &[]);
+        self.machine.spawn(main, &[]).map_err(ExecError::Trap)?;
         let mut fuel = self.options.fuel;
         let mut last_gc_allocations: Option<u64> = None;
         loop {
@@ -255,7 +272,7 @@ impl Executor {
                     if forced {
                         let every =
                             self.options.force_every_allocs.expect("forced implies configured");
-                        self.next_forced = Some(self.machine.allocations + every.max(1));
+                        self.next_forced = Some(self.machine.allocations + every);
                         self.machine.set_force_gc_after(self.next_forced);
                     } else if last_gc_allocations == Some(self.machine.allocations) {
                         // No allocation progress since the previous (real)

@@ -203,13 +203,18 @@ struct ServeShared {
 }
 
 /// Admits one request if ids remain and a non-zombie slot is free.
+///
+/// # Errors
+///
+/// [`VmTrap::StackOverflow`](m3gc_vm::machine::VmTrap) when the
+/// handler's bottom frame does not fit a request stack.
 fn admit_one(
     ctx: &RunCtx<'_>,
     shared: &ServeShared,
     load: &ServeLoad,
     entry: u16,
     entry_takes_id: bool,
-) -> Option<Green> {
+) -> Result<Option<Green>, ExecError> {
     let slot = {
         let mut free = locked(&shared.free_slots);
         let n = free.len();
@@ -223,24 +228,25 @@ fn admit_one(
                 break;
             }
         }
-        found?
+        let Some(slot) = found else { return Ok(None) };
+        slot
     };
     // Reserve a request id; hand the slot back if the load is drained.
     let id = loop {
         let id = shared.admitted.load(R);
         if id >= load.requests {
             locked(&shared.free_slots).push_back(slot);
-            return None;
+            return Ok(None);
         }
         if shared.admitted.compare_exchange(id, id + 1, R, R).is_ok() {
             break id;
         }
     };
     let args: &[i64] = if entry_takes_id { &[id as i64] } else { &[] };
-    let mu = ctx.vm.spawn_mutator(slot, entry, args);
+    let mu = ctx.vm.spawn_mutator(slot, entry, args).map_err(ExecError::Trap)?;
     ctx.vm.begin_region(slot);
     shared.regions_created.fetch_add(1, R);
-    Some(Green { mu, request_id: id, fuel: ctx.options.fuel, started: Instant::now() })
+    Ok(Some(Green { mu, request_id: id, fuel: ctx.options.fuel, started: Instant::now() }))
 }
 
 /// Retires a finished green: close its region (O(1) reclaim or zombie),
@@ -318,7 +324,7 @@ fn scheduler_loop(
         // Admit a burst of new requests.
         let mut admitted = 0usize;
         while admitted < load.burst.max(1) {
-            match admit_one(ctx, shared, load, entry, entry_takes_id) {
+            match admit_one(ctx, shared, load, entry, entry_takes_id)? {
                 Some(g) => {
                     locked(&shared.run_queue).push_back(g);
                     admitted += 1;
@@ -376,7 +382,7 @@ impl ServeExecutor {
     #[must_use]
     pub fn config_view(&self) -> ServeConfigView {
         ServeConfigView {
-            threads: self.options.threads.max(1),
+            threads: self.options.threads,
             green_slots: self.vm.mutators(),
             region_words: self.vm.region_words(),
             tlab_words: self.options.tlab_words,
@@ -387,33 +393,39 @@ impl ServeExecutor {
     ///
     /// # Errors
     ///
-    /// The first trap, fuel/advance exhaustion or oracle violation of
-    /// any request (other threads are halted at their next check).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine has no regions (`region_words == 0`), the
-    /// handler procedure is unknown, or it takes more than one argument.
+    /// [`ExecError::Options`] for options that fail
+    /// [`RuntimeOptions::check`]; [`ExecError::Serve`] when the machine
+    /// has no regions (`region_words == 0`), or the handler procedure is
+    /// unknown or takes more than one argument; otherwise the first trap
+    /// (a handler frame that does not fit a request stack included),
+    /// fuel/advance exhaustion or oracle violation of any request (other
+    /// threads are halted at their next check).
     pub fn run(&mut self) -> Result<ServeOutcome, ExecError> {
-        assert!(self.vm.region_words() > 0, "serve mode needs per-request regions");
+        self.options.check()?;
         let vm = &self.vm;
+        if vm.region_words() == 0 {
+            return Err(ExecError::Serve("the machine has no per-request regions".into()));
+        }
         let greens = vm.mutators();
-        let threads = self.options.threads.max(1);
+        let threads = self.options.threads;
         let entry = match &self.load.entry {
             None => vm.module.main,
             Some(name) => {
-                let idx = vm
-                    .module
-                    .procs
-                    .iter()
-                    .position(|p| p.name == *name)
-                    .unwrap_or_else(|| panic!("unknown handler procedure `{name}`"));
+                let idx =
+                    vm.module.procs.iter().position(|p| p.name == *name).ok_or_else(|| {
+                        ExecError::Serve(format!("no procedure is named `{name}`"))
+                    })?;
                 u16::try_from(idx).expect("procedure index fits u16")
             }
         };
-        let n_args = vm.module.procs[entry as usize].n_args;
-        assert!(n_args <= 1, "handler procedure must take 0 or 1 argument");
-        let entry_takes_id = n_args == 1;
+        let handler = &vm.module.procs[entry as usize];
+        if handler.n_args > 1 {
+            return Err(ExecError::Serve(format!(
+                "handler `{}` takes {} arguments, but a handler takes none or the request id",
+                handler.name, handler.n_args
+            )));
+        }
+        let entry_takes_id = handler.n_args == 1;
 
         let ctx = RunCtx::new(vm, self.options, greens, threads, None);
         let shared = ServeShared {

@@ -794,7 +794,7 @@ mod safepoint_protocol {
     /// A mutator of `vm` run to its first gc-point, where it may be
     /// deposited.
     fn at_gc_point(vm: &ParMachine, tid: usize) -> Mutator {
-        let mut mu = vm.spawn_mutator(tid, vm.module.main, &[]);
+        let mut mu = vm.spawn_mutator(tid, vm.module.main, &[]).expect("bottom frame fits");
         vm.gc_request.store(true, Ordering::Relaxed);
         while vm.step(&mut mu) != Step::AtSafepoint {}
         vm.gc_request.store(false, Ordering::Relaxed);
@@ -1021,7 +1021,7 @@ mod safepoint_protocol {
     #[test]
     fn depositing_off_a_gc_point_is_an_oracle_error() {
         let (vm, options) = machine(1);
-        let mut mu = vm.spawn_mutator(0, vm.module.main, &[]);
+        let mut mu = vm.spawn_mutator(0, vm.module.main, &[]).expect("bottom frame fits");
         let pc = mu.cpu.pc;
         assert!(!vm.is_gc_point_pc(pc), "a procedure's entry is not a gc-point");
         let ctx = RunCtx::new(&vm, options.oracle(true), 1, 1, None);

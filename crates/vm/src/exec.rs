@@ -229,6 +229,12 @@ pub(crate) fn sys_to(out: &mut String, code: u8, arg: i64) -> Result<(), VmTrap>
 /// Builds the bottom frame of a thread about to run procedure `proc`
 /// with `args` in the stack region `[stack_base, stack_limit)`.
 ///
+/// # Errors
+///
+/// [`VmTrap::StackOverflow`], with nothing written, when the arguments,
+/// the linkage and the frame do not fit the region: the bound `Call`
+/// applies to every later frame.
+///
 /// # Panics
 ///
 /// Panics if `proc` is invalid or `args` does not match its arity.
@@ -237,10 +243,13 @@ pub(crate) fn spawn<W: World>(
     (stack_base, stack_limit): (i64, i64),
     proc: u16,
     args: &[i64],
-) -> Cpu {
+) -> Result<Cpu, VmTrap> {
     let meta = &w.module().procs[proc as usize];
     assert_eq!(meta.n_args as usize, args.len(), "argument count mismatch");
     let (entry_pc, frame_words) = (meta.entry_pc, i64::from(meta.frame_words));
+    if stack_base + args.len() as i64 + 3 + frame_words >= stack_limit {
+        return Err(VmTrap::StackOverflow);
+    }
     let mut sp = stack_base;
     for &a in args {
         w.set_word(sp, a);
@@ -251,7 +260,7 @@ pub(crate) fn spawn<W: World>(
     w.zero(sp + 1, 2 + frame_words);
     let fp = sp + 3;
     w.clear_tags(stack_base, fp + frame_words - stack_base);
-    Cpu {
+    Ok(Cpu {
         regs: [0; NUM_REGS],
         reg_tags: [Tag::NonPtr; NUM_REGS],
         pc: entry_pc,
@@ -260,7 +269,7 @@ pub(crate) fn spawn<W: World>(
         ap: stack_base,
         stack_base,
         stack_limit,
-    }
+    })
 }
 
 /// `dst := allocate(ty, len)`; `Ok(false)` means "needs gc" (no state
@@ -748,8 +757,8 @@ mod tests {
                 seq.set_force_gc_after(Some(0));
                 par.force_gc_at.store(0, Relaxed);
             }
-            seq.spawn(0, &[]);
-            let mut mu = par.spawn_mutator(0, 0, &[]);
+            seq.spawn(0, &[]).expect("bottom frame fits");
+            let mut mu = par.spawn_mutator(0, 0, &[]).expect("bottom frame fits");
             (case.init)(&mut seq.cpu);
             (case.init)(&mut mu.cpu);
             Rig { seq, par, mu }

@@ -467,12 +467,18 @@ impl Machine {
     /// Points the thread at procedure `proc` with the given argument
     /// words, on a fresh bottom frame.
     ///
+    /// # Errors
+    ///
+    /// [`VmTrap::StackOverflow`] when the bottom frame does not fit the
+    /// stack; the thread is left as it was.
+    ///
     /// # Panics
     ///
     /// Panics if `proc` is invalid or `args` does not match its arity.
-    pub fn spawn(&mut self, proc: u16, args: &[i64]) {
+    pub fn spawn(&mut self, proc: u16, args: &[i64]) -> Result<(), VmTrap> {
         let stack = (self.cpu.stack_base, self.cpu.stack_limit);
-        self.cpu = exec::spawn(&mut self.world, stack, proc, args);
+        self.cpu = exec::spawn(&mut self.world, stack, proc, args)?;
+        Ok(())
     }
 
     /// Runs the thread until it finishes, needs a collection, traps, or
@@ -947,7 +953,7 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_config());
-        vm.spawn(0, &[]);
+        vm.spawn(0, &[]).expect("bottom frame fits");
         let r = vm.run_thread(1000);
         assert_eq!(r, Step::NeedGc);
         // Two 101-word objects fit in a 256-word semispace; the third fails.
@@ -993,7 +999,7 @@ mod tests {
         assert_eq!(tte - tt, 256);
         assert_eq!(nfe, nt, "nursery halves adjacent");
         assert_eq!(nte, tf, "tenured follows nursery");
-        vm.spawn(0, &[]);
+        vm.spawn(0, &[]).expect("bottom frame fits");
         assert_eq!(vm.run_thread(100), Step::Finished);
         let addr = vm.cpu.regs[1];
         assert!(vm.in_active_nursery(addr), "small object allocates in nursery");
@@ -1024,7 +1030,7 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_gen_config());
-        vm.spawn(0, &[]);
+        vm.spawn(0, &[]).expect("bottom frame fits");
         assert_eq!(vm.run_thread(100), Step::Finished);
         let addr = vm.cpu.regs[1];
         assert!(vm.in_tenured(addr), "oversized object bypasses the nursery");
@@ -1063,7 +1069,7 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_gen_config());
-        vm.spawn(0, &[]);
+        vm.spawn(0, &[]).expect("bottom frame fits");
         assert_eq!(vm.run_thread(100), Step::Finished);
         assert_eq!(vm.barrier.executed, 4);
         // Eager remembering already holds the slot (same card entry), so
@@ -1098,7 +1104,7 @@ mod tests {
             types,
         );
         let mut vm = Machine::new(m, small_config());
-        vm.spawn(0, &[]);
+        vm.spawn(0, &[]).expect("bottom frame fits");
         assert_eq!(vm.run_thread(100), Step::Finished);
         assert_eq!(vm.output, "1");
         assert_eq!(vm.remembered_len(), 0);

@@ -800,17 +800,21 @@ impl ParMachine {
     /// words in stack region `tid`. The caller moves the returned
     /// [`Mutator`] onto its OS thread.
     ///
+    /// # Errors
+    ///
+    /// [`VmTrap::StackOverflow`] when the bottom frame does not fit the
+    /// stack region.
+    ///
     /// # Panics
     ///
     /// Panics if `tid` is out of range or `proc` is invalid.
-    #[must_use]
-    pub fn spawn_mutator(&self, tid: usize, proc: u16, args: &[i64]) -> Mutator {
+    pub fn spawn_mutator(&self, tid: usize, proc: u16, args: &[i64]) -> Result<Mutator, VmTrap> {
         assert!(tid < self.layout.mutators, "mutator id out of range");
         let stack_base = (self.stacks_base + tid * self.layout.stack_words) as i64;
         let stack = (stack_base, stack_base + self.layout.stack_words as i64);
         let mut local = MutatorLocal { tid, ..MutatorLocal::default() };
-        let cpu = exec::spawn(&mut self.world(&mut local), stack, proc, args);
-        Mutator { cpu, local }
+        let cpu = exec::spawn(&mut self.world(&mut local), stack, proc, args)?;
+        Ok(Mutator { cpu, local })
     }
 
     /// `mu`'s view of this machine, for the execution core.
@@ -1243,7 +1247,7 @@ mod tests {
     fn cms_machine(main: &[Instr]) -> (ParMachine, Mutator) {
         let mut vm = ParMachine::new(module(main), layout(0));
         vm.enable_cms();
-        let mu = vm.spawn_mutator(0, 0, &[]);
+        let mu = vm.spawn_mutator(0, 0, &[]).expect("bottom frame fits");
         (vm, mu)
     }
 

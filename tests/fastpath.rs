@@ -66,7 +66,7 @@ fn tlab_refills_exactly_at_alloc_limit_with_zero_waste() {
     // shared-frontier CASes and retire nothing.
     let vm = tiny_par_machine(64, 16);
     let main = vm.module.main;
-    let mut mu = vm.spawn_mutator(0, main, &[]);
+    let mut mu = vm.spawn_mutator(0, main, &[]).expect("bottom frame fits");
     let ty = record4_type(&vm);
     let (from_start, _) = vm.from_space();
 
@@ -102,7 +102,7 @@ fn tlab_refills_exactly_at_alloc_limit_with_zero_waste() {
 fn oversized_allocation_bypasses_the_tlab() {
     let vm = tiny_par_machine(256, 8);
     let main = vm.module.main;
-    let mut mu = vm.spawn_mutator(0, main, &[]);
+    let mut mu = vm.spawn_mutator(0, main, &[]).expect("bottom frame fits");
     let rec = record4_type(&vm);
     let arr = int_array_type(&vm);
 
@@ -128,7 +128,7 @@ fn oversized_allocation_bypasses_the_tlab() {
 fn retiring_the_newest_buffer_hands_its_tail_back() {
     let vm = tiny_par_machine(256, 16);
     let main = vm.module.main;
-    let mut mu = vm.spawn_mutator(0, main, &[]);
+    let mut mu = vm.spawn_mutator(0, main, &[]).expect("bottom frame fits");
     let ty = record4_type(&vm);
     let (from_start, _) = vm.from_space();
 
@@ -153,7 +153,7 @@ fn retiring_the_newest_buffer_hands_its_tail_back() {
 fn retire_accounts_for_every_frontier_word() {
     let vm = tiny_par_machine(256, 16);
     let main = vm.module.main;
-    let mut mu = vm.spawn_mutator(0, main, &[]);
+    let mut mu = vm.spawn_mutator(0, main, &[]).expect("bottom frame fits");
     let ty = record4_type(&vm);
     let arr = int_array_type(&vm);
     let (from_start, _) = vm.from_space();

@@ -257,7 +257,7 @@ fn native_bursts_of_every_budget_add_up_to_the_interpreters_run() {
             JitEngine::interpreter(m.decoded().clone())
         };
         let main = m.module.main;
-        m.spawn(main, &[]);
+        m.spawn(main, &[]).expect("bottom frame fits");
         let (mut total, mut longest) = (0, 0);
         loop {
             let (step, n) = engine.run(&mut m.cpu, &mut m.world, budget, u64::MAX);

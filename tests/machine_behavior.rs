@@ -5,12 +5,16 @@
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use m3gc::compiler::{compile, run_module, Options};
+use m3gc::compiler::{
+    compile, run_module, run_module_opts, run_module_par_opts, run_module_serve, Options,
+};
 use m3gc::core::layout::BaseReg;
+use m3gc::runtime::scheduler::ExecError;
+use m3gc::runtime::{GcStrategy, RuntimeOptions, ServeLoad};
 use m3gc::vm::decode::DecodedCode;
 use m3gc::vm::exec::{self, Cpu, Step};
 use m3gc::vm::isa::{Instr, FIRST_CALLEE_SAVE};
-use m3gc::vm::machine::{Machine, MachineLayout};
+use m3gc::vm::machine::{Machine, MachineLayout, VmTrap};
 use m3gc::vm::{Mutator, ParLayout, ParMachine, VmModule};
 
 const CALLS: &str = "MODULE C;
@@ -132,7 +136,7 @@ impl Driven for Seq {
         if shadow {
             machine.enable_shadow();
         }
-        machine.spawn(module.main, &[]);
+        machine.spawn(module.main, &[]).expect("bottom frame fits");
         Seq { machine }
     }
 
@@ -172,7 +176,7 @@ impl Driven for Par {
         if shadow {
             vm.enable_shadow();
         }
-        let mu = vm.spawn_mutator(0, module.main, &[]);
+        let mu = vm.spawn_mutator(0, module.main, &[]).expect("bottom frame fits");
         Par { vm, mu }
     }
 
@@ -298,4 +302,42 @@ fn disassembly_marks_gc_points() {
     let text = m3gc::vm::disasm::disassemble(&module);
     let marked = text.lines().filter(|l| l.len() > 6 && l.as_bytes()[6] == b'*').count();
     assert_eq!(marked, n_points, "{text}");
+}
+
+/// A bottom frame that does not fit its stack is a stack overflow on
+/// both machines, with nothing written, and every executor reports it
+/// as a trap: the arguments, linkage and frame need the room `Call`
+/// asks of every later frame.
+#[test]
+fn a_bottom_frame_that_does_not_fit_its_stack_overflows() {
+    let module = compile(CALLS, &Options::o2()).unwrap();
+    let frame = 3 + module.procs[module.main as usize].frame_words as usize;
+    let overflow = Err(VmTrap::StackOverflow);
+    for stack_words in [0, 1, frame] {
+        let layout = MachineLayout { semi_words: 1 << 12, stack_words, ..MachineLayout::default() };
+        let mut machine = Machine::new(module.clone(), layout);
+        let before = machine.mem.to_vec();
+        assert_eq!(machine.spawn(module.main, &[]), overflow, "{stack_words} stack words");
+        assert_eq!(machine.mem.to_vec(), before, "{stack_words} stack words");
+        let layout = ParLayout {
+            semi_words: 1 << 12,
+            stack_words,
+            mutators: 1,
+            tlab_words: 64,
+            region_words: 0,
+        };
+        let vm = ParMachine::new(module.clone(), layout);
+        assert_eq!(vm.spawn_mutator(0, module.main, &[]).map(|_| ()), overflow);
+
+        let seq = RuntimeOptions::new().semi_words(1 << 12).stack_words(stack_words);
+        let par = seq.strategy(GcStrategy::Parallel);
+        let load = ServeLoad { requests: 2, burst: 1, entry: None };
+        let trap = Some(ExecError::Trap(VmTrap::StackOverflow));
+        assert_eq!(run_module_opts(module.clone(), seq).err(), trap);
+        assert_eq!(run_module_par_opts(module.clone(), par).err(), trap);
+        assert_eq!(run_module_serve(module.clone(), par.serve(64, 1), load).err(), trap);
+    }
+    let layout =
+        MachineLayout { semi_words: 1 << 12, stack_words: frame + 1, ..MachineLayout::default() };
+    assert_eq!(Machine::new(module.clone(), layout).spawn(module.main, &[]), Ok(()));
 }

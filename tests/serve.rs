@@ -7,7 +7,7 @@
 
 use m3gc::compiler::{compile, run_module_serve, Options};
 use m3gc::runtime::serve::ServeOutcome;
-use m3gc::runtime::{RuntimeOptions, ServeLoad};
+use m3gc::runtime::{GcStrategy, RuntimeOptions, ServeLoad};
 
 fn serve(src: &str, opts: RuntimeOptions, requests: u64, burst: usize) -> ServeOutcome {
     let module = compile(src, &Options::o2()).expect("test program compiles");
@@ -35,6 +35,7 @@ fn escape_promote_then_reclaim() {
         END Handle;
         BEGIN keep := NIL; END Esc.";
     let opts = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
         .semi_words(1 << 14)
         .serve(256, 1)
         .threads(1)
@@ -77,6 +78,7 @@ fn slow_request_pins_region_across_collections() {
         END Handle;
         BEGIN PutInt(0); END Pin.";
     let opts = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
         .semi_words(1 << 14)
         .serve(512, 4)
         .threads(2)
@@ -118,6 +120,7 @@ fn request_exit_races_stw_handshake() {
         END Handle;
         BEGIN PutInt(0); END Race.";
     let opts = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
         .semi_words(1 << 14)
         .serve(64, 8)
         .threads(2)
@@ -160,6 +163,7 @@ fn mostly_local_load_reclaims_ninety_percent_by_region_reset() {
         END Handle;
         BEGIN last := NIL; END Mix.";
     let opts = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
         .semi_words(1 << 14)
         .serve(512, 8)
         .threads(2)
@@ -210,7 +214,12 @@ fn region_overflow_allocates_through_the_tlab() {
         END Handle;
         BEGIN PutInt(0); END Over.";
     let requests = 24;
-    let opts = RuntimeOptions::new().semi_words(1 << 14).serve(64, 8).gc_workers(2).oracle(true);
+    let opts = RuntimeOptions::new()
+        .strategy(GcStrategy::Parallel)
+        .semi_words(1 << 14)
+        .serve(64, 8)
+        .gc_workers(2)
+        .oracle(true);
     let two = serve(src, opts.threads(2).torture(true), requests, 8);
     // 64 three-word nodes summing to 64 * id + 1 + 2 + … + 64.
     for (id, reply) in two.outputs.iter().enumerate() {
